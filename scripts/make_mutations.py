@@ -1106,7 +1106,8 @@ def case_tanti():
             for y in range(a.dim)
         ),
     )
-    ts = TensorSquare(a, carrier, pure, Subspace.span(amb, []))
+    ident = identity_map(amb)
+    ts = TensorSquare(a, carrier, pure, Subspace.span(amb, []), ident, ident)
     return Case(
         "tanti",
         "TAnti",

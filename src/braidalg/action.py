@@ -4,18 +4,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Algebra, is_associative, is_lie, liefy
+from .algebra import Algebra, _liefy, is_associative, is_lie
 from .errors import InvalidAction
 from .linear import (
     BilMap,
     LinMap,
     Space,
     bilinear_from_rule,
-    from_columns,
+    direct_sum,
     vadd,
     vsub,
     zero_bilmap,
-    zero_map,
 )
 from .report import ValidationReport, merge, sweep
 
@@ -168,13 +167,27 @@ def validate_lie_action(a: LieAction, subject: str = "action") -> ValidationRepo
     return merge(subject, checks)
 
 
+def _require_valid_assoc_action(a: AssocAction, message: str):
+    rep = validate_assoc_action(a)
+    # a self-action has actor is module: check that algebra once
+    if not rep.ok or not (
+        is_associative(a.actor) and (a.module is a.actor or is_associative(a.module))
+    ):
+        raise InvalidAction(message, rep)
+
+
 def induced_lie_action(a: AssocAction) -> LieAction:
     """[n, m]_* = n *1 m - m *2 n, a Lie action of N^L on M^L."""
-    rep = validate_assoc_action(a)
-    if not rep.ok or not is_associative(a.actor) or not is_associative(a.module):
-        raise InvalidAction("induced_lie_action requires a valid associative action", rep)
+    _require_valid_assoc_action(
+        a, "induced_lie_action requires a valid associative action"
+    )
+    return _induced_lie_action(a)
+
+
+def _induced_lie_action(a: AssocAction) -> LieAction:
+    """induced_lie_action on an action the caller has validated."""
     dot = a.star1.sub(a.star2.swapped())
-    return LieAction(liefy(a.actor), liefy(a.module), dot)
+    return LieAction(_liefy(a.actor), _liefy(a.module), dot)
 
 
 @dataclass(frozen=True)
@@ -189,55 +202,61 @@ class Semidirect:
 
 
 def _semidirect_space(m: Space, n: Space):
-    from .linear import direct_sum
-
     return direct_sum(m, n, left_prefix="m_", right_prefix="n_")
 
 
-def semidirect_assoc(a: AssocAction) -> Semidirect:
-    """(m,n)(m',n') = (mm' + n *1 m' + m *2 n', nn')."""
-    rep = validate_assoc_action(a)
-    if not rep.ok or not is_associative(a.actor) or not is_associative(a.module):
-        raise InvalidAction("semidirect product requires a valid action", rep)
-    M, N = a.module, a.actor
+def _semidirect(M: Algebra, N: Algebra, m_part) -> Semidirect:
+    """M x| N with product (m_part(m, n, m', n'), nn'); no input checks."""
     total, incl_m, incl_n, proj_m, proj_n = _semidirect_space(M.space, N.space)
     F = total.field
 
     def rule(i, j):
         u_m, u_n = proj_m.column(i), proj_n.column(i)
         v_m, v_n = proj_m.column(j), proj_n.column(j)
-        m_part = vadd(
+        return vadd(
+            F,
+            incl_m.apply(m_part(u_m, u_n, v_m, v_n)),
+            incl_n.apply(N.product(u_n, v_n)),
+        )
+
+    alg = Algebra(total, bilinear_from_rule(total, total, total, rule))
+    return Semidirect(alg, incl_m, incl_n, proj_m, proj_n)
+
+
+def semidirect_assoc(a: AssocAction) -> Semidirect:
+    """(m,n)(m',n') = (mm' + n *1 m' + m *2 n', nn')."""
+    _require_valid_assoc_action(a, "semidirect product requires a valid action")
+    return _semidirect_assoc(a)
+
+
+def _semidirect_assoc(a: AssocAction) -> Semidirect:
+    """semidirect_assoc on an action the caller has validated."""
+    M = a.module
+    F = M.field
+    return _semidirect(
+        M,
+        a.actor,
+        lambda u_m, u_n, v_m, v_n: vadd(
             F,
             vadd(F, M.product(u_m, v_m), a.star1.apply(u_n, v_m)),
             a.star2.apply(u_m, v_n),
-        )
-        n_part = N.product(u_n, v_n)
-        return vadd(F, incl_m.apply(m_part), incl_n.apply(n_part))
-
-    from .linear import bilinear_from_rule as _rule
-
-    alg = Algebra(total, _rule(total, total, total, rule))
-    return Semidirect(alg, incl_m, incl_n, proj_m, proj_n)
+        ),
+    )
 
 
 def semidirect_lie(a: LieAction) -> Algebra:
     """[(m,n),(m',n')] = ([m,m'] + n.m' - n'.m, [n,n'])."""
     rep = validate_lie_action(a)
-    if not rep.ok or not is_lie(a.actor) or not is_lie(a.module):
+    if not rep.ok or not (is_lie(a.actor) and (a.module is a.actor or is_lie(a.module))):
         raise InvalidAction("semidirect product requires a valid Lie action", rep)
-    M, N = a.module, a.actor
-    total, incl_m, incl_n, proj_m, proj_n = _semidirect_space(M.space, N.space)
-    F = total.field
-
-    def rule(i, j):
-        u_m, u_n = proj_m.column(i), proj_n.column(i)
-        v_m, v_n = proj_m.column(j), proj_n.column(j)
-        m_part = vsub(
+    M = a.module
+    F = M.field
+    return _semidirect(
+        M,
+        a.actor,
+        lambda u_m, u_n, v_m, v_n: vsub(
             F,
             vadd(F, M.product(u_m, v_m), a.dot.apply(u_n, v_m)),
             a.dot.apply(v_n, u_m),
-        )
-        n_part = N.product(u_n, v_n)
-        return vadd(F, incl_m.apply(m_part), incl_n.apply(n_part))
-
-    return Algebra(total, bilinear_from_rule(total, total, total, rule))
+        ),
+    ).algebra

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from .errors import NotAssociative, UnknownFixture
 from .fields import Field
 from .linear import BilMap, LinMap, Space, bilinear_from_rule, vadd, vsub
+from .report import AxiomCheck, sweep
 
 __all__ = [
     "Algebra",
@@ -20,6 +21,8 @@ __all__ = [
     "is_leibniz",
     "liefy",
     "is_homomorphism",
+    "hom_sweep",
+    "intertwining_sweep",
     "is_derivation",
     "catalog",
     "ad_map",
@@ -64,105 +67,116 @@ def from_constants(space: Space, products) -> Algebra:
     return Algebra(space, bilinear_from_rule(space, space, space, rule))
 
 
-def is_associative(a: Algebra) -> bool:
+def _basis_table(a: Algebra):
+    """Basis vectors and basis products m[i][j] = b_i b_j, computed once
+    for the n^3 evaluations of a flavor law."""
     n = a.dim
-    for i in range(n):
-        for j in range(n):
-            bij = a.mult.on_basis(i, j)
-            for k in range(n):
-                lhs = a.product(bij, a.space.basis_vector(k))
-                rhs = a.product(a.space.basis_vector(i), a.mult.on_basis(j, k))
-                if lhs != rhs:
-                    return False
-    return True
+    return a.space.basis(), [[a.mult.on_basis(i, j) for j in range(n)] for i in range(n)]
+
+
+def is_associative(a: Algebra) -> bool:
+    """(b_i b_j) b_k = b_i (b_j b_k) on all basis triples."""
+    bv, m = _basis_table(a)
+    return sweep(
+        "Assoc",
+        (a.dim, a.dim, a.dim),
+        lambda i, j, k: (a.product(m[i][j], bv[k]), a.product(bv[i], m[j][k])),
+    ).ok
 
 
 def is_lie(a: Algebra) -> bool:
     """Alternation ([x,x]=0 for all x, via polarization) plus Jacobi."""
     F = a.field
+    zero = a.space.zero()
+    bv, m = _basis_table(a)
+
+    def alternation(i, j):
+        # polarization of [x,x]=0: [b_i,b_j] + [b_j,b_i] = 0 off the
+        # diagonal, valid in every characteristic (antisymmetry alone is
+        # weaker in char 2)
+        if i == j:
+            return m[i][i], zero
+        return vadd(F, m[i][j], m[j][i]), zero
+
+    def jacobi(i, j, k):
+        lhs = vadd(
+            F,
+            vadd(F, a.product(bv[i], m[j][k]), a.product(bv[j], m[k][i])),
+            a.product(bv[k], m[i][j]),
+        )
+        return lhs, zero
+
     n = a.dim
-    for i in range(n):
-        if any(c != 0 for c in a.mult.on_basis(i, i)):
-            return False
-        for j in range(i + 1, n):
-            # polarization of [x,x]=0: [b_i,b_j] + [b_j,b_i] = 0, valid in
-            # every characteristic (antisymmetry alone is weaker in char 2)
-            if any(
-                F.add(x, y) != 0
-                for x, y in zip(a.mult.on_basis(i, j), a.mult.on_basis(j, i))
-            ):
-                return False
-    for i in range(n):
-        for j in range(n):
-            bij = a.mult.on_basis(i, j)
-            for k in range(n):
-                jac = vadd(
-                    F,
-                    vadd(
-                        F,
-                        a.product(a.space.basis_vector(i), a.mult.on_basis(j, k)),
-                        a.product(a.space.basis_vector(j), a.mult.on_basis(k, i)),
-                    ),
-                    a.product(a.space.basis_vector(k), bij),
-                )
-                if any(c != 0 for c in jac):
-                    return False
-    return True
+    return (
+        sweep("LieAlt", (n, n), alternation).ok
+        and sweep("Jacobi", (n, n, n), jacobi).ok
+    )
 
 
 def is_leibniz(a: Algebra) -> bool:
     """[x,[y,z]] = [[x,y],z] - [[x,z],y] on all basis triples."""
     F = a.field
-    n = a.dim
-    for i in range(n):
-        for j in range(n):
-            bij = a.mult.on_basis(i, j)
-            for k in range(n):
-                lhs = a.product(a.space.basis_vector(i), a.mult.on_basis(j, k))
-                rhs = vsub(
-                    F,
-                    a.product(bij, a.space.basis_vector(k)),
-                    a.product(a.mult.on_basis(i, k), a.space.basis_vector(j)),
-                )
-                if lhs != rhs:
-                    return False
-    return True
+    bv, m = _basis_table(a)
+    return sweep(
+        "Leibniz",
+        (a.dim, a.dim, a.dim),
+        lambda i, j, k: (
+            a.product(bv[i], m[j][k]),
+            vsub(F, a.product(m[i][j], bv[k]), a.product(m[i][k], bv[j])),
+        ),
+    ).ok
 
 
 def liefy(a: Algebra) -> Algebra:
     """Commutator algebra A^L with [x,y] = xy - yx."""
     if not is_associative(a):
         raise NotAssociative("liefy requires an associative algebra")
+    return _liefy(a)
+
+
+def _liefy(a: Algebra) -> Algebra:
+    """liefy without the associativity check, for callers that made it."""
     return Algebra(a.space, a.mult.sub(a.mult.swapped()))
+
+
+def intertwining_sweep(
+    tag: str, f: LinMap, src: BilMap, tgt: BilMap, g: LinMap, h: LinMap
+) -> AxiomCheck:
+    """The law f(src(b_i, b_j)) = tgt(g(b_i), h(b_j)) on basis pairs."""
+    return sweep(
+        tag,
+        (src.left.dim, src.right.dim),
+        lambda i, j: (
+            f.apply(src.on_basis(i, j)),
+            tgt.apply(g.column(i), h.column(j)),
+        ),
+    )
+
+
+def hom_sweep(tag: str, f: LinMap, a: Algebra, b: Algebra) -> AxiomCheck:
+    """The homomorphism law f(b_i b_j) = f(b_i) f(b_j) for f: a -> b."""
+    return intertwining_sweep(tag, f, a.mult, b.mult, f, f)
 
 
 def is_homomorphism(f: LinMap, a: Algebra, b: Algebra) -> bool:
     if f.domain != a.space or f.codomain != b.space:
         raise ValueError("map does not match the algebras")
-    for i in range(a.dim):
-        fi = f.column(i)
-        for j in range(a.dim):
-            if f.apply(a.mult.on_basis(i, j)) != b.product(fi, f.column(j)):
-                return False
-    return True
+    return hom_sweep("Hom", f, a, b).ok
 
 
 def is_derivation(d: LinMap, a: Algebra) -> bool:
     if d.domain != a.space or d.codomain != a.space:
         raise ValueError("derivation must be an endomorphism of the algebra")
     F = a.field
-    for i in range(a.dim):
-        di = d.column(i)
-        for j in range(a.dim):
-            lhs = d.apply(a.mult.on_basis(i, j))
-            rhs = vadd(
-                F,
-                a.product(di, a.space.basis_vector(j)),
-                a.product(a.space.basis_vector(i), d.column(j)),
-            )
-            if lhs != rhs:
-                return False
-    return True
+    bv, m = _basis_table(a)
+    return sweep(
+        "Der",
+        (a.dim, a.dim),
+        lambda i, j: (
+            d.apply(m[i][j]),
+            vadd(F, a.product(d.column(i), bv[j]), a.product(bv[i], d.column(j))),
+        ),
+    ).ok
 
 
 def ad_map(a: Algebra, x) -> LinMap:

@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .action import AssocAction, semidirect_assoc
-from .algebra import Algebra, is_associative, is_lie, liefy
-from .errors import CharTwo, InternalInvariantViolation, InvalidInput
-from .icat import ASSOC, LIE, CatAlgebra, k_formula, require_valid_cat
+from .action import AssocAction, _semidirect_assoc
+from .algebra import Algebra, hom_sweep, intertwining_sweep
+from .errors import CharTwo, InternalInvariantViolation, InvalidInput, InvalidXMod
+from .icat import ASSOC, CatAlgebra, k_formula, require_valid_cat
 from .linear import (
     BilMap,
     LinMap,
@@ -35,7 +35,6 @@ from .xmod import (
     identity_xmod_assoc,
     identity_xmod_lie,
     require_valid_xmod_assoc,
-    require_valid_xmod_lie,
     validate_xmod_morphism,
     xmod_liefy,
 )
@@ -214,27 +213,23 @@ def _cat_parts(b: CatBraiding):
     return c, c.c1, c.c0, b.tau
 
 
-def validate_braiding_cat_assoc(
-    b: CatBraiding, subject: str = "braiding"
-) -> ValidationReport:
-    """AsT1..AsT4; AsT2-4 evaluate compositions via the forced formula."""
+def _cat_t12(b: CatBraiding, t1: str, t2: str):
+    """The source/target and composition laws shared by both flavors."""
     c, c1, c0, tau = _cat_parts(b)
-    b0 = c0.space.basis_vector
     b1 = c1.space.basis_vector
-
-    checks = [
+    return [
         sweep(
-            "AsT1",
+            t1,
             (c0.dim, c0.dim),
             lambda a, d: (c.s.apply(tau.on_basis(a, d)), c0.mult.on_basis(a, d)),
         ),
         sweep(
-            "AsT1",
+            t1,
             (c0.dim, c0.dim),
             lambda a, d: (c.t.apply(tau.on_basis(a, d)), c0.mult.on_basis(d, a)),
         ),
         sweep(
-            "AsT2",
+            t2,
             (c1.dim, c1.dim),
             lambda x, y: (
                 k_formula(
@@ -249,6 +244,17 @@ def validate_braiding_cat_assoc(
                 ),
             ),
         ),
+    ]
+
+
+def validate_braiding_cat_assoc(
+    b: CatBraiding, subject: str = "braiding"
+) -> ValidationReport:
+    """AsT1..AsT4; AsT2-4 evaluate compositions via the forced formula."""
+    c, c1, c0, tau = _cat_parts(b)
+    b0 = c0.space.basis_vector
+
+    checks = _cat_t12(b, "AsT1", "AsT2") + [
         sweep(
             "AsT3",
             (c0.dim, c0.dim, c0.dim),
@@ -277,39 +283,6 @@ def validate_braiding_cat_assoc(
     return merge(subject, checks)
 
 
-def _lie_t12(b: CatBraiding):
-    c, c1, c0, tau = _cat_parts(b)
-    b1 = c1.space.basis_vector
-    return [
-        sweep(
-            "LieT1",
-            (c0.dim, c0.dim),
-            lambda a, d: (c.s.apply(tau.on_basis(a, d)), c0.mult.on_basis(a, d)),
-        ),
-        sweep(
-            "LieT1",
-            (c0.dim, c0.dim),
-            lambda a, d: (c.t.apply(tau.on_basis(a, d)), c0.mult.on_basis(d, a)),
-        ),
-        sweep(
-            "LieT2",
-            (c1.dim, c1.dim),
-            lambda x, y: (
-                k_formula(
-                    c,
-                    c1.mult.on_basis(x, y),
-                    tau.apply(c.t.apply(b1(x)), c.t.apply(b1(y))),
-                ),
-                k_formula(
-                    c,
-                    tau.apply(c.s.apply(b1(x)), c.s.apply(b1(y))),
-                    c1.mult.on_basis(y, x),
-                ),
-            ),
-        ),
-    ]
-
-
 def validate_braiding_cat_lie_ulualan(
     b: CatBraiding, subject: str = "braiding"
 ) -> ValidationReport:
@@ -318,7 +291,7 @@ def validate_braiding_cat_lie_ulualan(
     F = c1.field
     b0 = c0.space.basis_vector
 
-    checks = _lie_t12(b) + [
+    checks = _cat_t12(b, "LieT1", "LieT2") + [
         sweep(
             "LieB3",
             (c0.dim, c0.dim, c0.dim),
@@ -355,7 +328,7 @@ def validate_braiding_cat_lie_alt(
     F = c1.field
     b0 = c0.space.basis_vector
 
-    checks = _lie_t12(b) + [
+    checks = _cat_t12(b, "LieT1", "LieT2") + [
         sweep(
             "LieT3",
             (c0.dim, c0.dim, c0.dim),
@@ -434,9 +407,14 @@ def cx_functor(b: XBraiding) -> CatBraiding:
     rep = validate_braiding_xmod_assoc(b)
     if not rep.ok:
         raise InvalidInput("braiding axioms fail", rep)
+    return _cx(b)
+
+
+def _cx(b: XBraiding) -> CatBraiding:
+    """cx_functor on a braiding the caller has validated; asserts the output."""
     x = b.base
     N = x.n
-    sd = semidirect_assoc(x.action)
+    sd = _semidirect_assoc(x.action)
     s_bar = sd.proj_actor
     t_bar = sd.proj_actor.add(x.boundary.after(sd.proj_module))
     e_bar = sd.incl_actor
@@ -471,13 +449,18 @@ def kernel_part(c: CatAlgebra):
 def xc_functor(b: CatBraiding) -> XBraiding:
     """Kernel construction: (ker(s), C0, (e*, *e), t|ker) with
     {a, b} = e(ab) - tau_{a,b}."""
-    c, c1, c0, tau = _cat_parts(b)
-    if c.flavor != ASSOC:
+    if b.base.flavor != ASSOC:
         raise InvalidInput("xc_functor takes a braided associative categorical algebra")
-    require_valid_cat(c)
+    require_valid_cat(b.base)
     rep = validate_braiding_cat_assoc(b)
     if not rep.ok:
         raise InvalidInput("categorical braiding axioms fail", rep)
+    return _xc(b)
+
+
+def _xc(b: CatBraiding) -> XBraiding:
+    """xc_functor on a braiding the caller has validated; asserts the output."""
+    c, c1, c0, tau = _cat_parts(b)
     F = c1.field
     ks, kspace, incl = kernel_part(c)
 
@@ -518,7 +501,12 @@ def xc_functor(b: CatBraiding) -> XBraiding:
 
     brace = bilinear_from_rule(c0.space, c0.space, kspace, brace_rule)
     out = XBraiding(base, brace)
-    require_valid_xmod_assoc(base)
+    try:
+        require_valid_xmod_assoc(base)
+    except InvalidXMod as exc:
+        raise InternalInvariantViolation(
+            f"kernel construction failed to validate: {exc}"
+        ) from exc
     rep = validate_braiding_xmod_assoc(out)
     if not rep.ok:
         raise InternalInvariantViolation(
@@ -539,15 +527,7 @@ def validate_braided_xmod_morphism(
 ) -> ValidationReport:
     """Crossed-module morphism conditions plus f1({n,n'}) = {f2 n, f2 n'}'."""
     rep = validate_xmod_morphism(phi, source.base, target.base, subject)
-    sn = source.base.n
-    brh = sweep(
-        "BrH",
-        (sn.dim, sn.dim),
-        lambda n, n2: (
-            phi.f1.apply(source.brace.on_basis(n, n2)),
-            target.brace.apply(phi.f2.column(n), phi.f2.column(n2)),
-        ),
-    )
+    brh = intertwining_sweep("BrH", phi.f1, source.brace, target.brace, phi.f2, phi.f2)
     return merge(subject, rep, [brh])
 
 
@@ -564,18 +544,7 @@ def validate_braided_internal_functor(
     IFB: F1(tau_{a,b}) = tau'_{F0 a, F0 b}.
     """
     sc, tc = source.base, target.base
-
-    def hom_entry(f, a, b):
-        return sweep(
-            "IFH",
-            (a.dim, a.dim),
-            lambda i, j: (
-                f.apply(a.mult.on_basis(i, j)),
-                b.product(f.column(i), f.column(j)),
-            ),
-        )
-
-    entries = [hom_entry(f1, sc.c1, tc.c1), hom_entry(f0, sc.c0, tc.c0)]
+    entries = [hom_sweep("IFH", f1, sc.c1, tc.c1), hom_sweep("IFH", f0, sc.c0, tc.c0)]
     for left, right in (
         (tc.s.after(f1), f0.after(sc.s)),
         (tc.t.after(f1), f0.after(sc.t)),
@@ -588,22 +557,21 @@ def validate_braided_internal_functor(
                 lambda i, L=left, R=right: (L.column(i), R.column(i)),
             )
         )
-    entries.append(
-        sweep(
-            "IFB",
-            (sc.c0.dim, sc.c0.dim),
-            lambda a, d: (
-                f1.apply(source.tau.on_basis(a, d)),
-                target.tau.apply(f0.column(a), f0.column(d)),
-            ),
-        )
-    )
+    entries.append(intertwining_sweep("IFB", f1, source.tau, target.tau, f0, f0))
     return merge(subject, entries)
 
 
 def alpha_iso(b: XBraiding) -> XModMorphism:
     """alpha: b -> xc(cx(b)), with alpha_M(m) = (m, 0) in kernel coordinates."""
+    return _alpha(b)[0]
+
+
+def _alpha(b: XBraiding):
+    """alpha_iso plus the morphism report that proves it an isomorphism."""
     cx = cx_functor(b)
+    # cx_functor asserted the braiding axioms on cx; the cat axioms are
+    # the rest of what xc_functor would check
+    require_valid_cat(cx.base)
     ks, kspace, _ = kernel_part(cx.base)
     x = b.base
     sd_incl_m = cx.base.c1.space  # M x| N space; M block comes first
@@ -618,13 +586,13 @@ def alpha_iso(b: XBraiding) -> XModMorphism:
         cols.append(coords)
     f1 = from_columns(x.m.space, kspace, cols)
     phi = XModMorphism(f1, identity_map(x.n.space))
-    target = xc_functor(cx)
+    target = _xc(cx)
     rep = validate_braided_xmod_morphism(phi, b, target)
     if not rep.ok or f1.rank() != m_dim or kspace.dim != m_dim:
         raise InternalInvariantViolation(
             f"alpha failed to validate as a braided isomorphism: {rep.failing_tags()}"
         )
-    return phi
+    return phi, rep
 
 
 def beta_iso(b: CatBraiding):
@@ -632,10 +600,16 @@ def beta_iso(b: CatBraiding):
 
     Returns the internal functor pair (F1, F0).
     """
+    return _beta(b)[0]
+
+
+def _beta(b: CatBraiding):
+    """beta_iso plus the functor report that proves it an isomorphism."""
     c, c1, c0, tau = _cat_parts(b)
     F = c1.field
     ks, kspace, _ = kernel_part(c)
-    target = cx_functor(xc_functor(b))
+    # xc_functor asserted exactly what cx_functor would check
+    target = _cx(xc_functor(b))
     cols = []
     for i in range(c1.dim):
         x = c1.space.basis_vector(i)
@@ -651,7 +625,7 @@ def beta_iso(b: CatBraiding):
         raise InternalInvariantViolation(
             f"beta failed to validate as a braided isomorphism: {rep.failing_tags()}"
         )
-    return f1, f0
+    return (f1, f0), rep
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ unless an algebra opts in with the `antisymmetric` attribute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional
 
 from .action import AssocAction, LieAction
@@ -26,7 +26,7 @@ from .errors import (
     FieldMismatch,
     UnknownReference,
 )
-from .fields import Field
+from .fields import CharacteristicTooLarge, Field
 from .groupx import FiniteGroup, GroupXMod
 from .icat import ASSOC, LIE, CatAlgebra
 from .linear import BilMap, LinMap, Space, bilinear_from_rule, from_columns, identity_map
@@ -43,9 +43,6 @@ class Document:
             if n == name:
                 return kind, obj
         return None
-
-    def names(self):
-        return [n for n, _, _ in self.blocks]
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +307,8 @@ class _Parser:
                 raise DslSyntaxError("characteristic must be an integer", p.line, p.col)
             try:
                 self.field = Field(int(p.value))
+            except CharacteristicTooLarge as exc:
+                raise FieldMismatch(str(exc), p.line, p.col)
             except ValueError:
                 raise FieldMismatch(
                     f"characteristic {p.value} is not prime", p.line, p.col

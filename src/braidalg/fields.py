@@ -11,16 +11,36 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+# Miller-Rabin on the primes up to 41 as bases decides primality exactly
+# below this bound (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_CHARACTERISTIC = 3317044064679887385961981
+
+
+class CharacteristicTooLarge(ValueError):
+    pass
+
+
 def _is_prime(n: int) -> bool:
+    """Exact for n < MAX_CHARACTERISTIC."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -32,6 +52,11 @@ class Field:
 
     def __post_init__(self):
         p = self.characteristic
+        if p >= MAX_CHARACTERISTIC:
+            raise CharacteristicTooLarge(
+                f"characteristic {p} is too large: primality is decided only "
+                "below 3.3e24"
+            )
         if p != 0 and not _is_prime(p):
             raise ValueError(f"characteristic must be 0 or prime, got {p}")
 

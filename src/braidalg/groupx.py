@@ -190,6 +190,14 @@ class GroupXMod:
             or any(len(r) != self.h.order for r in self.brace)
         ):
             raise InvalidInput("brace table must be |H| x |H|")
+        G, H = self.g.order, self.h.order
+        for name, rows, group, order in (
+            ("action", self.action, "G", G),
+            ("boundary", (self.boundary,), "H", H),
+            ("brace", self.brace or (), "G", G),
+        ):
+            if any(not (0 <= v < order) for row in rows for v in row):
+                raise InvalidInput(f"{name} entries must be element indices of {group}")
 
     def act(self, h: int, g: int) -> int:
         return self.action[h][g]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Algebra, is_lie
-from .braid import XBraiding, validate_braiding_xmod_lie
+from .braid import XBraiding
 from .errors import (
     BracketNotWellDefined,
     IllDefinedOnQuotient,
@@ -27,6 +27,7 @@ from .linear import (
     Subspace,
     bilinear_from_rule,
     from_columns,
+    quotient,
     vadd,
     vsub,
 )
@@ -41,6 +42,8 @@ class TensorSquare:
     carrier: Algebra  # the quotient T
     pure: BilMap  # M x M -> T, (m, m') -> class of m (x) m'
     relations: Subspace  # relation span inside the plain tensor space
+    proj: LinMap  # plain tensor space -> T
+    lift: LinMap  # T -> plain tensor space, a section of proj
 
 
 def _plain_tensor_space(m: Space) -> Space:
@@ -83,9 +86,6 @@ def tensor_square(m: Algebra) -> TensorSquare:
                     )
                 )
     relations = Subspace.span(amb, rels)
-
-    from .linear import quotient
-
     tspace, proj = quotient(amb, relations)
 
     # bracket on the ambient space: e_(i,j) x e_(k,l) -> [bi,bj] (x) [bk,bl]
@@ -107,10 +107,9 @@ def tensor_square(m: Algebra) -> TensorSquare:
                 )
 
     # section of proj: quotient basis r lifts to the free ambient coordinate
-    free = [j for j in range(amb.dim) if j not in set(relations.pivots())]
-    lift = from_columns(
-        tspace, amb, [amb.basis_vector(c) for c in free]
-    )
+    pivots = set(relations.pivots())
+    free = [j for j in range(amb.dim) if j not in pivots]
+    lift = from_columns(tspace, amb, [amb.basis_vector(c) for c in free])
 
     t_bracket = bilinear_from_rule(
         tspace,
@@ -128,7 +127,7 @@ def tensor_square(m: Algebra) -> TensorSquare:
         tspace,
         lambda i, j: proj.apply(_outer(F, bv(i), bv(j))),
     )
-    return TensorSquare(m, carrier, pure, relations)
+    return TensorSquare(m, carrier, pure, relations, proj, lift)
 
 
 def tensor_xmod(ts: TensorSquare) -> XModLie:
@@ -162,12 +161,7 @@ def tensor_xmod(ts: TensorSquare) -> XModLie:
             if not ts.relations.contains(amb_action.apply(bv(a), r)):
                 raise IllDefinedOnQuotient("action does not preserve the relation span")
 
-    from .linear import quotient
-
-    tspace, proj = quotient(amb, ts.relations)
-    free = [j for j in range(amb.dim) if j not in set(ts.relations.pivots())]
-    lift = from_columns(tspace, amb, [amb.basis_vector(c) for c in free])
-
+    tspace, proj, lift = ts.carrier.space, ts.proj, ts.lift
     boundary = amb_boundary.after(lift)
     dot = bilinear_from_rule(
         m.space,

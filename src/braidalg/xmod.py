@@ -7,18 +7,25 @@ cover two equalities, so those tags appear twice in a report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from .action import (
     AssocAction,
     LieAction,
+    _induced_lie_action,
     adjoint_action,
-    induced_lie_action,
     self_action,
     validate_assoc_action,
     validate_lie_action,
 )
-from .algebra import Algebra, is_associative, is_homomorphism, is_lie, liefy
+from .algebra import (
+    Algebra,
+    hom_sweep,
+    intertwining_sweep,
+    is_associative,
+    is_homomorphism,
+    is_lie,
+)
 from .errors import InvalidXMod, NotAssociative, NotLie
 from .linear import LinMap, identity_map
 from .report import ValidationReport, merge, sweep
@@ -132,7 +139,8 @@ def validate_xmod_lie(x: XModLie, subject: str = "xmod") -> ValidationReport:
 
 def require_valid_xmod_assoc(x: XModAssoc):
     """Structural preconditions plus XAs axioms; raises InvalidXMod."""
-    if not is_associative(x.m) or not is_associative(x.n):
+    # an identity crossed module has m is n: check that algebra once
+    if not (is_associative(x.m) and (x.n is x.m or is_associative(x.n))):
         raise InvalidXMod("crossed module algebras must be associative")
     if not is_homomorphism(x.boundary, x.m, x.n):
         raise InvalidXMod("boundary is not an algebra homomorphism")
@@ -145,7 +153,7 @@ def require_valid_xmod_assoc(x: XModAssoc):
 
 
 def require_valid_xmod_lie(x: XModLie):
-    if not is_lie(x.m) or not is_lie(x.n):
+    if not (is_lie(x.m) and (x.n is x.m or is_lie(x.n))):
         raise InvalidXMod("crossed module algebras must be Lie")
     if not is_homomorphism(x.boundary, x.m, x.n):
         raise InvalidXMod("boundary is not an algebra homomorphism")
@@ -160,7 +168,7 @@ def require_valid_xmod_lie(x: XModLie):
 def xmod_liefy(x: XModAssoc) -> XModLie:
     """(M^L, N^L, [-,-]_*, same boundary)."""
     require_valid_xmod_assoc(x)
-    return XModLie(induced_lie_action(x.action), x.boundary)
+    return XModLie(_induced_lie_action(x.action), x.boundary)
 
 
 def identity_xmod_assoc(a: Algebra) -> XModAssoc:
@@ -194,68 +202,21 @@ def validate_xmod_morphism(
         raise ValueError("source and target flavors differ")
     f1, f2 = phi.f1, phi.f2
     sm, sn, tm, tn = source.m, source.n, target.m, target.n
-
-    def hom_check(tag, f, a, b):
-        return sweep(
-            tag,
-            (a.dim, a.dim),
-            lambda i, j: (
-                f.apply(a.mult.on_basis(i, j)),
-                b.product(f.column(i), f.column(j)),
+    sa, ta = source.action, target.action
+    entries = [hom_sweep("Hom", f1, sm, tm), hom_sweep("Hom", f2, sn, tn)]
+    if assoc:
+        entries.append(intertwining_sweep("XAssH1", f1, sa.star1, ta.star1, f2, f1))
+        entries.append(intertwining_sweep("XAssH1", f1, sa.star2, ta.star2, f1, f2))
+    else:
+        entries.append(intertwining_sweep("XLieH1", f1, sa.dot, ta.dot, f2, f1))
+    entries.append(
+        sweep(
+            "XAssH2" if assoc else "XLieH2",
+            (sm.dim,),
+            lambda m: (
+                target.boundary.apply(f1.column(m)),
+                f2.apply(source.boundary.column(m)),
             ),
         )
-
-    entries = [hom_check("Hom", f1, sm, tm), hom_check("Hom", f2, sn, tn)]
-    if assoc:
-        entries.append(
-            sweep(
-                "XAssH1",
-                (sn.dim, sm.dim),
-                lambda n, m: (
-                    f1.apply(source.action.star1.on_basis(n, m)),
-                    target.action.star1.apply(f2.column(n), f1.column(m)),
-                ),
-            )
-        )
-        entries.append(
-            sweep(
-                "XAssH1",
-                (sm.dim, sn.dim),
-                lambda m, n: (
-                    f1.apply(source.action.star2.on_basis(m, n)),
-                    target.action.star2.apply(f1.column(m), f2.column(n)),
-                ),
-            )
-        )
-        entries.append(
-            sweep(
-                "XAssH2",
-                (sm.dim,),
-                lambda m: (
-                    target.boundary.apply(f1.column(m)),
-                    f2.apply(source.boundary.column(m)),
-                ),
-            )
-        )
-    else:
-        entries.append(
-            sweep(
-                "XLieH1",
-                (sn.dim, sm.dim),
-                lambda n, m: (
-                    f1.apply(source.action.dot.on_basis(n, m)),
-                    target.action.dot.apply(f2.column(n), f1.column(m)),
-                ),
-            )
-        )
-        entries.append(
-            sweep(
-                "XLieH2",
-                (sm.dim,),
-                lambda m: (
-                    target.boundary.apply(f1.column(m)),
-                    f2.apply(source.boundary.column(m)),
-                ),
-            )
-        )
+    )
     return merge(subject, entries)

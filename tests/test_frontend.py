@@ -2,6 +2,7 @@ import glob
 import json
 import os
 import re
+import time
 
 import pytest
 
@@ -10,8 +11,10 @@ from braidalg.dsl import parse, print_document
 from braidalg.errors import (
     DslError,
     DslSyntaxError,
+    FieldMismatch,
     UnknownReference,
 )
+from braidalg.fields import _is_prime
 
 from conftest import FIXTURES, MUTATIONS
 
@@ -168,3 +171,49 @@ def test_explicit_k_must_match_forced_formula(tmp_path):
 def test_validate_unknown_subject_exits_two(capsys):
     path = os.path.join(FIXTURES, "mat2_braided.alg")
     assert main(["validate", path, "--subject", "nonexistent"]) == 2
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    (
+        ("boundary = 0 1 2 3 4 5;", "boundary = 0 1 2 3 4 9;"),
+        ("    0 1 5 4 3 2,", "    0 1 5 4 3 6,"),
+        ("    0 0 3 3 4 4,", "    0 0 3 3 4 6,"),
+    ),
+    ids=("boundary", "action", "brace"),
+)
+def test_out_of_range_group_entry_exits_two(old, new, tmp_path, capsys):
+    with open(os.path.join(FIXTURES, "s3_group.alg"), encoding="utf-8") as fh:
+        src = fh.read()
+    assert src.count(old) == 1
+    bad = tmp_path / "bad.alg"
+    bad.write_text(src.replace(old, new), encoding="utf-8")
+    assert main(["report", str(bad)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(3000):
+        assert _is_prime(n) == (n > 1 and all(n % d for d in range(2, n))), n
+    # a strong pseudoprime to every prime base up to 23
+    assert not _is_prime(3825123056546413051)
+
+
+def test_large_prime_characteristic_parses_quickly():
+    t0 = time.perf_counter()
+    doc = parse("field Fp 1000000000000000003\n")
+    assert time.perf_counter() - t0 < 0.2
+    assert doc.field.characteristic == 1000000000000000003
+
+
+@pytest.mark.parametrize("n", (561, 2047, 3215031751))
+def test_pseudoprime_characteristics_rejected(n):
+    with pytest.raises(FieldMismatch, match="is not prime"):
+        parse(f"field Fp {n}\n")
+
+
+def test_characteristic_beyond_the_exact_range_is_refused():
+    with pytest.raises(FieldMismatch, match="is too large") as exc:
+        parse("field Fp 9999999999999999999999999\n")
+    assert (exc.value.line, exc.value.col) == (1, 10)

@@ -94,6 +94,34 @@ def test_groupxmod_shape_checks():
         GroupXMod(c2, c2, ((0, 1), (0, 1)), (0,), None)  # boundary too short
 
 
+@pytest.mark.parametrize(
+    "table,row,value",
+    (("action", 0, 2), ("action", 2, -1), ("boundary", 0, 3), ("brace", 1, 2)),
+)
+def test_groupxmod_entries_must_be_element_indices(table, row, value):
+    g, h = cyclic(2), cyclic(3)  # |G| = 2 and |H| = 3
+    tables = {
+        "action": [[0, 1], [0, 1], [0, 1]],
+        "boundary": [[0, 0]],
+        "brace": [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+    }
+    tables[table][row][-1] = value
+
+    def build():
+        return GroupXMod(
+            g,
+            h,
+            tuple(map(tuple, tables["action"])),
+            tuple(tables["boundary"][0]),
+            tuple(map(tuple, tables["brace"])),
+        )
+
+    with pytest.raises(InvalidInput, match=f"^{table} entries"):
+        build()
+    tables[table][row][-1] = 0
+    build()
+
+
 def test_trivial_xmod_valid():
     c3 = cyclic(3)
     trivial = tuple(tuple(range(3)) for _ in range(3))
