@@ -449,20 +449,25 @@ def kernel_part(c: CatAlgebra):
 def xc_functor(b: CatBraiding) -> XBraiding:
     """Kernel construction: (ker(s), C0, (e*, *e), t|ker) with
     {a, b} = e(ab) - tau_{a,b}."""
+    _check_xc_input(b)
+    return _xc(b, kernel_part(b.base))
+
+
+def _check_xc_input(b: CatBraiding):
     if b.base.flavor != ASSOC:
         raise InvalidInput("xc_functor takes a braided associative categorical algebra")
     require_valid_cat(b.base)
     rep = validate_braiding_cat_assoc(b)
     if not rep.ok:
         raise InvalidInput("categorical braiding axioms fail", rep)
-    return _xc(b)
 
 
-def _xc(b: CatBraiding) -> XBraiding:
-    """xc_functor on a braiding the caller has validated; asserts the output."""
+def _xc(b: CatBraiding, kpart) -> XBraiding:
+    """xc_functor on a braiding the caller has validated, given the
+    `kernel_part` of its base; asserts the output."""
     c, c1, c0, tau = _cat_parts(b)
     F = c1.field
-    ks, kspace, incl = kernel_part(c)
+    ks, kspace, incl = kpart
 
     def kcoords(v):
         coords = ks.coords(v)
@@ -572,7 +577,8 @@ def _alpha(b: XBraiding):
     # cx_functor asserted the braiding axioms on cx; the cat axioms are
     # the rest of what xc_functor would check
     require_valid_cat(cx.base)
-    ks, kspace, _ = kernel_part(cx.base)
+    kpart = kernel_part(cx.base)
+    ks, kspace, _ = kpart
     x = b.base
     sd_incl_m = cx.base.c1.space  # M x| N space; M block comes first
     m_dim = x.m.dim
@@ -586,7 +592,7 @@ def _alpha(b: XBraiding):
         cols.append(coords)
     f1 = from_columns(x.m.space, kspace, cols)
     phi = XModMorphism(f1, identity_map(x.n.space))
-    target = _xc(cx)
+    target = _xc(cx, kpart)
     rep = validate_braided_xmod_morphism(phi, b, target)
     if not rep.ok or f1.rank() != m_dim or kspace.dim != m_dim:
         raise InternalInvariantViolation(
@@ -607,9 +613,12 @@ def _beta(b: CatBraiding):
     """beta_iso plus the functor report that proves it an isomorphism."""
     c, c1, c0, tau = _cat_parts(b)
     F = c1.field
-    ks, kspace, _ = kernel_part(c)
-    # xc_functor asserted exactly what cx_functor would check
-    target = _cx(xc_functor(b))
+    # xc_functor's checks, then its core on the kernel computed here; the
+    # core asserted exactly what cx_functor would check
+    _check_xc_input(b)
+    kpart = kernel_part(c)
+    ks, kspace, _ = kpart
+    target = _cx(_xc(b, kpart))
     cols = []
     for i in range(c1.dim):
         x = c1.space.basis_vector(i)

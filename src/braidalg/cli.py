@@ -90,16 +90,18 @@ def _select(doc: Document, subject, kinds):
     return picked
 
 
-def _emit(reports, fmt, out=None):
-    out = out if out is not None else sys.stdout
+def _emit(reports, fmt, field):
+    """Print (report, block kind) pairs.  Text witnesses over Q spell
+    scalars as Fractions; group elements (`groupxmod`) are ints in any field."""
     if fmt == "json":
         items = []
-        for rep in reports:
+        for rep, _ in reports:
             items.extend(rep.to_json_obj())
-        out.write(json.dumps(items, indent=2) + "\n")
+        sys.stdout.write(json.dumps(items, indent=2) + "\n")
     else:
-        for rep in reports:
-            out.write(rep.to_text() + "\n")
+        for rep, kind in reports:
+            rationals = field.is_rationals and kind != "groupxmod"
+            sys.stdout.write(rep.to_text(rationals) + "\n")
 
 
 def _read(path: str) -> Document:
@@ -110,9 +112,9 @@ def _read(path: str) -> Document:
 def cmd_validate(args) -> int:
     doc = _read(args.file)
     blocks = _select(doc, args.subject, VALIDATABLE)
-    reports = [_validate_block(n, k, o) for n, k, o in blocks]
-    _emit(reports, args.format)
-    return 0 if all(r.ok for r in reports) else 1
+    reports = [(_validate_block(n, k, o), k) for n, k, o in blocks]
+    _emit(reports, args.format, doc.field)
+    return 0 if all(r.ok for r, _ in reports) else 1
 
 
 def cmd_report(args) -> int:
@@ -126,12 +128,12 @@ def cmd_roundtrip(args) -> int:
     for name, _, obj in blocks:
         if isinstance(obj, XBraiding):
             _, rep = _alpha(obj)
-            reports.append(merge(f"{name}:alpha", rep))
+            reports.append((merge(f"{name}:alpha", rep), "braiding"))
         else:
             _, rep = _beta(obj)
-            reports.append(merge(f"{name}:beta", rep))
-    _emit(reports, args.format)
-    return 0 if all(r.ok for r in reports) else 1
+            reports.append((merge(f"{name}:beta", rep), "braiding"))
+    _emit(reports, args.format, doc.field)
+    return 0 if all(r.ok for r, _ in reports) else 1
 
 
 _CONSTRUCT_KINDS = (

@@ -26,7 +26,7 @@ from .errors import (
     FieldMismatch,
     UnknownReference,
 )
-from .fields import CharacteristicTooLarge, Field
+from .fields import MAX_CHARACTERISTIC, CharacteristicTooLarge, Field
 from .groupx import FiniteGroup, GroupXMod
 from .icat import ASSOC, LIE, CatAlgebra
 from .linear import BilMap, LinMap, Space, bilinear_from_rule, from_columns, identity_map
@@ -306,6 +306,10 @@ class _Parser:
             if "/" in p.value:
                 raise DslSyntaxError("characteristic must be an integer", p.line, p.col)
             try:
+                # int() refuses more than 4300 digits: compare lengths first
+                digits = p.value.lstrip("0")
+                if len(digits) > len(str(MAX_CHARACTERISTIC)):
+                    raise CharacteristicTooLarge(digits)
                 self.field = Field(int(p.value))
             except CharacteristicTooLarge as exc:
                 raise FieldMismatch(str(exc), p.line, p.col)
@@ -718,6 +722,25 @@ class _DocBuilder:
         )
         return name
 
+    def block(self, head, fields):
+        """`head {`, one `key = value;` line per field, `}`."""
+        self.lines.append(f"{head} {{")
+        self.lines.extend(f"  {key} = {value};" for key, value in fields)
+        self.lines.append("}")
+
+    def action(self, act, stem, name, nname, mname):
+        """The action's bilinear maps, then the action block naming them."""
+        keys = ("star1", "star2") if isinstance(act, AssocAction) else ("dot",)
+        fields = [(k, self.bilinear(getattr(act, k), f"{stem}_{k}")) for k in keys]
+        self.block(f"action {name} : {nname} on {mname}", fields)
+
+    def cat(self, c: CatAlgebra, stem, name):
+        """C1, C0 (printed once if equal), s, t, e and the cat block."""
+        c1 = self.algebra(c.c1, f"{stem}_C1")
+        c0 = self.algebra(c.c0, f"{stem}_C0")
+        maps = [(k, self.map(getattr(c, k), f"{stem}_{k}")) for k in "ste"]
+        self.block(f"cat {name}", [("flavor", c.flavor), ("c1", c1), ("c0", c0)] + maps)
+
     def text(self) -> str:
         return "\n".join(self.lines) + "\n"
 
@@ -728,57 +751,29 @@ def print_algebra_doc(a: Algebra, name="A") -> str:
     return b.text()
 
 
+def _print_xmod(b: _DocBuilder, x, stem, name):
+    """M, N (printed once if equal), the action, the boundary, the xmod block."""
+    mname = b.algebra(x.m, f"{stem}_M")
+    nname = b.algebra(x.n, f"{stem}_N")
+    b.action(x.action, stem, f"{stem}_act", nname, mname)
+    d = b.map(x.boundary, f"{stem}_d")
+    b.block(f"xmod {name}", [("action", f"{stem}_act"), ("boundary", d)])
+
+
 def print_xbraiding_doc(x: XBraiding, name="B") -> str:
     """Full self-contained document for a braided crossed module."""
     b = _DocBuilder(x.base.m.field)
-    same = x.base.m.space == x.base.n.space and x.base.m == x.base.n
-    mname = b.algebra(x.base.m, f"{name}_M")
-    nname = mname if same else b.algebra(x.base.n, f"{name}_N")
-    lines = b.lines
-    if isinstance(x.base, XModAssoc):
-        s1 = b.bilinear(x.base.action.star1, f"{name}_star1")
-        s2 = b.bilinear(x.base.action.star2, f"{name}_star2")
-        lines.append(f"action {name}_act : {nname} on {mname} {{")
-        lines.append(f"  star1 = {s1};")
-        lines.append(f"  star2 = {s2};")
-        lines.append("}")
-    else:
-        dt = b.bilinear(x.base.action.dot, f"{name}_dot")
-        lines.append(f"action {name}_act : {nname} on {mname} {{")
-        lines.append(f"  dot = {dt};")
-        lines.append("}")
-    d = b.map(x.base.boundary, f"{name}_d")
-    lines.append(f"xmod {name}_xm {{")
-    lines.append(f"  action = {name}_act;")
-    lines.append(f"  boundary = {d};")
-    lines.append("}")
+    _print_xmod(b, x.base, name, f"{name}_xm")
     br = b.bilinear(x.brace, f"{name}_brace")
-    lines.append(f"braiding {name} {{")
-    lines.append(f"  xmod = {name}_xm;")
-    lines.append(f"  brace = {br};")
-    lines.append("}")
+    b.block(f"braiding {name}", [("xmod", f"{name}_xm"), ("brace", br)])
     return b.text()
 
 
 def print_action_doc(a, name="A") -> str:
     """Self-contained document for an associative or Lie action."""
     b = _DocBuilder(a.module.field)
-    same = a.module.space == a.actor.space and a.module == a.actor
     mname = b.algebra(a.module, f"{name}_M")
-    nname = mname if same else b.algebra(a.actor, f"{name}_N")
-    lines = b.lines
-    if isinstance(a, AssocAction):
-        s1 = b.bilinear(a.star1, f"{name}_star1")
-        s2 = b.bilinear(a.star2, f"{name}_star2")
-        lines.append(f"action {name} : {nname} on {mname} {{")
-        lines.append(f"  star1 = {s1};")
-        lines.append(f"  star2 = {s2};")
-        lines.append("}")
-    else:
-        dt = b.bilinear(a.dot, f"{name}_dot")
-        lines.append(f"action {name} : {nname} on {mname} {{")
-        lines.append(f"  dot = {dt};")
-        lines.append("}")
+    b.action(a, name, name, b.algebra(a.actor, f"{name}_N"), mname)
     return b.text()
 
 
@@ -807,72 +802,21 @@ def print_groupxmod_doc(x, name="X") -> str:
 
 def print_xmod_doc(x, name="X") -> str:
     b = _DocBuilder(x.m.field)
-    same = x.m.space == x.n.space and x.m == x.n
-    mname = b.algebra(x.m, f"{name}_M")
-    nname = mname if same else b.algebra(x.n, f"{name}_N")
-    lines = b.lines
-    if isinstance(x, XModAssoc):
-        s1 = b.bilinear(x.action.star1, f"{name}_star1")
-        s2 = b.bilinear(x.action.star2, f"{name}_star2")
-        lines.append(f"action {name}_act : {nname} on {mname} {{")
-        lines.append(f"  star1 = {s1};")
-        lines.append(f"  star2 = {s2};")
-        lines.append("}")
-    else:
-        dt = b.bilinear(x.action.dot, f"{name}_dot")
-        lines.append(f"action {name}_act : {nname} on {mname} {{")
-        lines.append(f"  dot = {dt};")
-        lines.append("}")
-    d = b.map(x.boundary, f"{name}_d")
-    lines.append(f"xmod {name} {{")
-    lines.append(f"  action = {name}_act;")
-    lines.append(f"  boundary = {d};")
-    lines.append("}")
+    _print_xmod(b, x, name, name)
     return b.text()
 
 
 def print_catbraiding_doc(c: CatBraiding, name="C") -> str:
     b = _DocBuilder(c.base.c1.field)
-    same = c.base.c1.space == c.base.c0.space and c.base.c1 == c.base.c0
-    c1 = b.algebra(c.base.c1, f"{name}_C1")
-    c0 = c1 if same else b.algebra(c.base.c0, f"{name}_C0")
-    s = b.map(c.base.s, f"{name}_s")
-    t = b.map(c.base.t, f"{name}_t")
-    e = b.map(c.base.e, f"{name}_e")
-    lines = b.lines
-    lines.append(f"cat {name}_cat {{")
-    lines.append(f"  flavor = {c.base.flavor};")
-    lines.append(f"  c1 = {c1};")
-    lines.append(f"  c0 = {c0};")
-    lines.append(f"  s = {s};")
-    lines.append(f"  t = {t};")
-    lines.append(f"  e = {e};")
-    lines.append("}")
+    b.cat(c.base, name, f"{name}_cat")
     tau = b.bilinear(c.tau, f"{name}_tau")
-    lines.append(f"braiding {name} {{")
-    lines.append(f"  cat = {name}_cat;")
-    lines.append(f"  tau = {tau};")
-    lines.append("}")
+    b.block(f"braiding {name}", [("cat", f"{name}_cat"), ("tau", tau)])
     return b.text()
 
 
 def print_cat_doc(c: CatAlgebra, name="C") -> str:
     b = _DocBuilder(c.c1.field)
-    same = c.c1.space == c.c0.space and c.c1 == c.c0
-    c1 = b.algebra(c.c1, f"{name}_C1")
-    c0 = c1 if same else b.algebra(c.c0, f"{name}_C0")
-    s = b.map(c.s, f"{name}_s")
-    t = b.map(c.t, f"{name}_t")
-    e = b.map(c.e, f"{name}_e")
-    lines = b.lines
-    lines.append(f"cat {name} {{")
-    lines.append(f"  flavor = {c.flavor};")
-    lines.append(f"  c1 = {c1};")
-    lines.append(f"  c0 = {c0};")
-    lines.append(f"  s = {s};")
-    lines.append(f"  t = {t};")
-    lines.append(f"  e = {e};")
-    lines.append("}")
+    b.cat(c, name, name)
     return b.text()
 
 
@@ -896,36 +840,26 @@ def print_document(doc: Document) -> str:
         elif kind == "action":
             nname = b.find_algebra(obj.actor.space)
             mname = b.find_algebra(obj.module.space)
-            b.lines.append(f"action {name} : {nname} on {mname} {{")
-            if isinstance(obj, AssocAction):
-                b.lines.append(f"  star1 = {_find_ref(doc, obj.star1, 'bilinear')};")
-                b.lines.append(f"  star2 = {_find_ref(doc, obj.star2, 'bilinear')};")
-            else:
-                b.lines.append(f"  dot = {_find_ref(doc, obj.dot, 'bilinear')};")
-            b.lines.append("}")
+            keys = ("star1", "star2") if isinstance(obj, AssocAction) else ("dot",)
+            fields = [(k, _find_ref(doc, getattr(obj, k), "bilinear")) for k in keys]
+            b.block(f"action {name} : {nname} on {mname}", fields)
         elif kind == "xmod":
-            b.lines.append(f"xmod {name} {{")
-            b.lines.append(f"  action = {_find_ref(doc, obj.action, 'action')};")
-            b.lines.append(f"  boundary = {_find_ref(doc, obj.boundary, 'map')};")
-            b.lines.append("}")
+            action = _find_ref(doc, obj.action, "action")
+            boundary = _find_ref(doc, obj.boundary, "map")
+            b.block(f"xmod {name}", [("action", action), ("boundary", boundary)])
         elif kind == "braiding":
-            b.lines.append(f"braiding {name} {{")
             if isinstance(obj, XBraiding):
-                b.lines.append(f"  xmod = {_find_ref(doc, obj.base, 'xmod')};")
-                b.lines.append(f"  brace = {_find_ref(doc, obj.brace, 'bilinear')};")
+                fields = [("xmod", _find_ref(doc, obj.base, "xmod")),
+                          ("brace", _find_ref(doc, obj.brace, "bilinear"))]
             else:
-                b.lines.append(f"  cat = {_find_ref(doc, obj.base, 'cat')};")
-                b.lines.append(f"  tau = {_find_ref(doc, obj.tau, 'bilinear')};")
-            b.lines.append("}")
+                fields = [("cat", _find_ref(doc, obj.base, "cat")),
+                          ("tau", _find_ref(doc, obj.tau, "bilinear"))]
+            b.block(f"braiding {name}", fields)
         elif kind == "cat":
-            b.lines.append(f"cat {name} {{")
-            b.lines.append(f"  flavor = {obj.flavor};")
-            b.lines.append(f"  c1 = {b.find_algebra(obj.c1.space)};")
-            b.lines.append(f"  c0 = {b.find_algebra(obj.c0.space)};")
-            b.lines.append(f"  s = {_find_ref(doc, obj.s, 'map')};")
-            b.lines.append(f"  t = {_find_ref(doc, obj.t, 'map')};")
-            b.lines.append(f"  e = {_find_ref(doc, obj.e, 'map')};")
-            b.lines.append("}")
+            c1, c0 = b.find_algebra(obj.c1.space), b.find_algebra(obj.c0.space)
+            maps = [(k, _find_ref(doc, getattr(obj, k), "map")) for k in "ste"]
+            fields = [("flavor", obj.flavor), ("c1", c1), ("c0", c0)] + maps
+            b.block(f"cat {name}", fields)
         elif kind == "group":
             rows = ",\n    ".join(" ".join(str(v) for v in row) for row in obj.table)
             b.lines.append(f"group {name} {{")

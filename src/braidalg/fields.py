@@ -1,8 +1,11 @@
 """Exact scalar arithmetic over the rationals and prime fields.
 
-Rational scalars are `fractions.Fraction`; elements of F_p are plain ints
-reduced to [0, p).  Every operation is exact -- there is no floating point
-anywhere in the package.
+A rational scalar is an `int` when it is integral and a
+`fractions.Fraction` otherwise, so integer structure constants never pay
+for `Fraction` arithmetic.  Equal ints and Fractions compare, hash and
+print the same, so printed output does not depend on which one a value
+is.  Elements of F_p are plain ints reduced to [0, p).  Every operation is
+exact -- there is no floating point anywhere in the package.
 """
 
 from __future__ import annotations
@@ -18,7 +21,15 @@ MAX_CHARACTERISTIC = 3317044064679887385961981
 
 
 class CharacteristicTooLarge(ValueError):
-    pass
+    def __init__(self, p):
+        super().__init__(
+            f"characteristic {p} is too large: primality is decided only below 3.3e24"
+        )
+
+
+def _rational(c: Fraction):
+    """The normal form of a rational: its numerator when integral."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def _is_prime(n: int) -> bool:
@@ -53,10 +64,7 @@ class Field:
     def __post_init__(self):
         p = self.characteristic
         if p >= MAX_CHARACTERISTIC:
-            raise CharacteristicTooLarge(
-                f"characteristic {p} is too large: primality is decided only "
-                "below 3.3e24"
-            )
+            raise CharacteristicTooLarge(p)
         if p != 0 and not _is_prime(p):
             raise ValueError(f"characteristic must be 0 or prime, got {p}")
 
@@ -65,10 +73,10 @@ class Field:
         return self.characteristic == 0
 
     def zero(self):
-        return Fraction(0) if self.is_rationals else 0
+        return 0
 
     def one(self):
-        return Fraction(1) if self.is_rationals else 1
+        return 1
 
     def of(self, value):
         """Coerce an int, Fraction or 'p/q' string into the field."""
@@ -77,35 +85,46 @@ class Field:
                 num, den = value.split("/", 1)
                 return self.div(self.of(int(num)), self.of(int(den)))
             value = int(value)
-        if self.is_rationals:
-            return Fraction(value)
+        if self.characteristic == 0:
+            return _rational(Fraction(value))
         if isinstance(value, Fraction):
             if value.denominator == 1:
                 return value.numerator % self.characteristic
             return self.div(self.of(value.numerator), self.of(value.denominator))
         return value % self.characteristic
 
+    # Over Q an int result is already in normal form; only a result that a
+    # Fraction took part in can be integral and need `_rational`.
+
     def add(self, a, b):
         c = a + b
-        return c if self.is_rationals else c % self.characteristic
+        if self.characteristic:
+            return c % self.characteristic
+        return c if c.__class__ is int else _rational(c)
 
     def sub(self, a, b):
         c = a - b
-        return c if self.is_rationals else c % self.characteristic
+        if self.characteristic:
+            return c % self.characteristic
+        return c if c.__class__ is int else _rational(c)
 
     def mul(self, a, b):
         c = a * b
-        return c if self.is_rationals else c % self.characteristic
+        if self.characteristic:
+            return c % self.characteristic
+        return c if c.__class__ is int else _rational(c)
 
     def neg(self, a):
-        return -a if self.is_rationals else (-a) % self.characteristic
+        if self.characteristic:
+            return (-a) % self.characteristic
+        return -a if a.__class__ is int else _rational(-a)
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self.is_rationals:
-            return 1 / Fraction(a)
-        return pow(a, -1, self.characteristic)
+        if self.characteristic:
+            return pow(a, -1, self.characteristic)
+        return _rational(1 / Fraction(a))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

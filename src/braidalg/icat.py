@@ -123,12 +123,10 @@ def validate_cat_algebra(c: CatAlgebra, subject: str = "cat") -> ValidationRepor
         hom_sweep("Cat1", c.e, c.c0, c.c1),
     ]
     ident = identity_map(c.c0.space)
-    entries.append(
-        sweep("Cat2", (c.c0.dim,), lambda i: (c.s.after(c.e).column(i), ident.column(i)))
-    )
-    entries.append(
-        sweep("Cat2", (c.c0.dim,), lambda i: (c.t.after(c.e).column(i), ident.column(i)))
-    )
+    for se in (c.s.after(c.e), c.t.after(c.e)):
+        entries.append(
+            sweep("Cat2", (c.c0.dim,), lambda i, se=se: (se.column(i), ident.column(i)))
+        )
 
     pairs = composable_pair_basis(c)
     kvals = [k_formula(c, x, y) for x, y in pairs]

@@ -8,6 +8,7 @@ have equal representations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .fields import Field
 
@@ -299,7 +300,7 @@ def _pivot_columns(basis):
             if a != 0:
                 pivots.append(j)
                 break
-    return pivots
+    return tuple(pivots)
 
 
 @dataclass(frozen=True)
@@ -317,8 +318,12 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def pivots(self):
+    @cached_property
+    def _pivots(self):
         return _pivot_columns(self.basis)
+
+    def pivots(self):
+        return self._pivots
 
     def reduce(self, v):
         """Canonical representative of v modulo this subspace."""
@@ -351,17 +356,10 @@ def kernel(f: LinMap) -> Subspace:
     F = f.field
     n = f.domain.dim
     echelon = rref(F, [f.column(j) + f.domain.basis_vector(j) for j in range(n)])
-    # rows of `echelon` are (image | preimage); rows with zero image part
-    # would not appear here because rref drops zero rows only of the full
-    # row, so split manually.
+    # rows of `echelon` are (image | preimage); those with zero image part
+    # come last, and their preimage parts are already in reduced echelon form
     m = f.codomain.dim
-    vectors = []
-    for row in echelon:
-        if is_zero(row[:m]):
-            vectors.append(row[m:])
-    # rows with zero image give the kernel, but the above echelon mixes
-    # image coordinates first so the kernel part needs re-canonicalising
-    return Subspace.span(f.domain, vectors)
+    return Subspace(f.domain, tuple(row[m:] for row in echelon if is_zero(row[:m])))
 
 
 def quotient(ambient: Space, sub: Subspace):

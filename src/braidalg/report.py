@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 
@@ -33,9 +34,6 @@ class ValidationReport:
     def failing_tags(self):
         return [e.tag for e in self.entries if not e.ok]
 
-    def passing_tags(self):
-        return [e.tag for e in self.entries if e.ok]
-
     def to_json_obj(self):
         out = []
         for e in self.entries:
@@ -53,16 +51,20 @@ class ValidationReport:
             out.append(item)
         return out
 
-    def to_text(self):
+    def to_text(self, rationals=False):
+        """One line per entry.  With `rationals`, witness entries are spelled
+        as Fractions, whether a scalar is stored as an int or not."""
+        spell = (lambda a: repr(Fraction(a))) if rationals else repr
         lines = []
         for e in self.entries:
             if e.ok:
                 lines.append(f"{self.subject}: {e.tag}: pass")
             else:
                 w = e.witness
+                lhs, rhs = (", ".join(map(spell, side)) for side in (w.lhs, w.rhs))
                 lines.append(
                     f"{self.subject}: {e.tag}: fail at {w.basis_tuple} "
-                    f"lhs={list(w.lhs)} rhs={list(w.rhs)}"
+                    f"lhs=[{lhs}] rhs=[{rhs}]"
                 )
         return "\n".join(lines)
 

@@ -217,3 +217,23 @@ def test_characteristic_beyond_the_exact_range_is_refused():
     with pytest.raises(FieldMismatch, match="is too large") as exc:
         parse("field Fp 9999999999999999999999999\n")
     assert (exc.value.line, exc.value.col) == (1, 10)
+
+
+def test_characteristic_past_the_int_digit_limit_is_too_large():
+    # more digits than int() converts; must not read as "is not prime"
+    with pytest.raises(FieldMismatch, match="is too large") as exc:
+        parse("field Fp " + "9" * 5000 + "\n")
+    assert (exc.value.line, exc.value.col) == (1, 10)
+
+
+def test_characteristic_length_check_keeps_the_message():
+    digits = "9" * 25
+    with pytest.raises(FieldMismatch) as exc:
+        parse(f"field Fp {digits}\n")
+    assert str(exc.value) == (
+        f"1:10: characteristic {digits} is too large: primality is decided "
+        "only below 3.3e24"
+    )
+    with pytest.raises(FieldMismatch) as long_exc:
+        parse("field Fp 000" + digits + "\n")
+    assert str(long_exc.value) == str(exc.value)

@@ -51,6 +51,14 @@ def test_kernel_vectors_map_to_zero(rows):
         assert is_zero(f.apply(v))
 
 
+@given(matrix(2, 4))
+@settings(max_examples=50)
+def test_kernel_basis_is_canonical(rows):
+    k = kernel(LinMap(V4, space(2, "z"), rows))
+    assert k.dim >= 2
+    assert k == Subspace.span(V4, k.basis)
+
+
 @given(matrix(4, 3))
 @settings(max_examples=50)
 def test_rank_nullity(rows):
