@@ -13,10 +13,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from braidalg.algebra import catalog
 from braidalg.braid import bracket_braiding, commutator_braiding, cx_functor
 from braidalg.dsl import (
+    Document,
     parse,
     print_catbraiding_doc,
     print_document,
-    print_group_doc,
     print_xbraiding_doc,
 )
 from braidalg.fields import GF, QQ
@@ -61,18 +61,8 @@ def main():
 
     # group fixtures: S3 conjugation crossed module with commutator brace
     g = group_catalog("S3")
-    gx = conjugation_example(g)
-    lines = ["field Q", print_group_doc(g, "S3").rstrip()]
-    rows = ",\n    ".join(" ".join(str(v) for v in row) for row in gx.action)
-    brows = ",\n    ".join(" ".join(str(v) for v in row) for row in gx.brace)
-    lines.append("groupxmod S3_conj {")
-    lines.append("  g = S3;")
-    lines.append("  h = S3;")
-    lines.append(f"  action =\n    {rows};")
-    lines.append(f"  boundary = {' '.join(str(v) for v in gx.boundary)};")
-    lines.append(f"  brace =\n    {brows};")
-    lines.append("}")
-    write("s3_group.alg", "\n".join(lines) + "\n")
+    blocks = (("S3", "group", g), ("S3_conj", "groupxmod", conjugation_example(g)))
+    write("s3_group.alg", print_document(Document(QQ, blocks)))
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from .errors import (
     FieldMismatch,
     UnknownReference,
 )
-from .fields import MAX_CHARACTERISTIC, CharacteristicTooLarge, Field
+from .fields import MAX_CHARACTERISTIC, QQ, CharacteristicTooLarge, Field
 from .groupx import FiniteGroup, GroupXMod
 from .icat import ASSOC, LIE, CatAlgebra
 from .linear import BilMap, LinMap, Space, bilinear_from_rule, from_columns, identity_map
@@ -148,17 +148,6 @@ class _Parser:
                 t.line,
                 t.col,
                 expected=(str(want),),
-            )
-        return self.next()
-
-    def expect_keyword(self, word) -> Token:
-        t = self.peek()
-        if t.kind != "ident" or t.value != word:
-            raise DslSyntaxError(
-                f"expected {word!r}, found {t.value or t.kind!r}",
-                t.line,
-                t.col,
-                expected=(word,),
             )
         return self.next()
 
@@ -310,7 +299,9 @@ class _Parser:
                 digits = p.value.lstrip("0")
                 if len(digits) > len(str(MAX_CHARACTERISTIC)):
                     raise CharacteristicTooLarge(digits)
-                self.field = Field(int(p.value))
+                if not digits:  # Field(0) would be the rationals
+                    raise ValueError(p.value)
+                self.field = Field(int(digits))
             except CharacteristicTooLarge as exc:
                 raise FieldMismatch(str(exc), p.line, p.col)
             except ValueError:
@@ -334,9 +325,9 @@ class _Parser:
         return Document(self.field, tuple(self.blocks))
 
     def parse_algebra(self):
-        self.expect_keyword("algebra")
+        self.expect("ident", "algebra")
         name = self.expect("ident")
-        self.expect_keyword("basis")
+        self.expect("ident", "basis")
         labels = [self.expect("ident").value]
         while self.peek().kind == "punct" and self.peek().value == ",":
             self.next()
@@ -375,7 +366,7 @@ class _Parser:
         self.register(name, "algebra", Algebra(space, mult))
 
     def parse_map(self):
-        self.expect_keyword("map")
+        self.expect("ident", "map")
         name = self.expect("ident")
         self.expect("punct", ":")
         _, _, dom = self.ref("algebra")
@@ -397,7 +388,7 @@ class _Parser:
         )
 
     def parse_bilinear(self):
-        self.expect_keyword("bilinear")
+        self.expect("ident", "bilinear")
         name = self.expect("ident")
         self.expect("punct", ":")
         _, _, left = self.ref("algebra")
@@ -429,11 +420,11 @@ class _Parser:
         self.register(name, "bilinear", bil)
 
     def parse_action(self):
-        self.expect_keyword("action")
+        self.expect("ident", "action")
         name = self.expect("ident")
         self.expect("punct", ":")
         _, _, actor = self.ref("algebra")
-        self.expect_keyword("on")
+        self.expect("ident", "on")
         _, _, module = self.ref("algebra")
         seen = self.block_entries(
             {
@@ -467,7 +458,7 @@ class _Parser:
             )
 
     def parse_xmod(self):
-        self.expect_keyword("xmod")
+        self.expect("ident", "xmod")
         name = self.expect("ident")
         seen = self.block_entries(
             {
@@ -484,16 +475,11 @@ class _Parser:
             raise DimensionMismatch(
                 "boundary must map the module to the actor", btok.line, btok.col
             )
-        cls = LieAction if isinstance(action, LieAction) else AssocAction
-        obj = (
-            XModLie(action, boundary)
-            if cls is LieAction
-            else XModAssoc(action, boundary)
-        )
-        self.register(name, "xmod", obj)
+        cls = XModLie if isinstance(action, LieAction) else XModAssoc
+        self.register(name, "xmod", cls(action, boundary))
 
     def parse_braiding(self):
-        self.expect_keyword("braiding")
+        self.expect("ident", "braiding")
         name = self.expect("ident")
         seen = self.block_entries(
             {
@@ -520,7 +506,7 @@ class _Parser:
         self.register(name, "braiding", obj)
 
     def parse_cat(self):
-        self.expect_keyword("cat")
+        self.expect("ident", "cat")
         name = self.expect("ident")
 
         def flavor_value():
@@ -577,7 +563,7 @@ class _Parser:
         self.register(name, "cat", obj)
 
     def parse_group(self):
-        self.expect_keyword("group")
+        self.expect("ident", "group")
         name = self.expect("ident")
         seen = self.block_entries({"table": self.int_rows})
         rows = self.need(seen, "table", name)
@@ -586,7 +572,7 @@ class _Parser:
         )
 
     def parse_groupxmod(self):
-        self.expect_keyword("groupxmod")
+        self.expect("ident", "groupxmod")
         name = self.expect("ident")
         seen = self.block_entries(
             {
@@ -614,9 +600,6 @@ def parse(source: str) -> Document:
 # ---------------------------------------------------------------------------
 # canonical printer
 
-def _scalar_str(F: Field, c) -> str:
-    return F.to_str(c)
-
 
 def _expr_str(F: Field, space: Space, vec) -> str:
     pieces = []
@@ -626,7 +609,7 @@ def _expr_str(F: Field, space: Space, vec) -> str:
         label = space.labels[i]
         negative = F.is_rationals and c < 0
         mag = F.neg(c) if negative else c
-        term = label if mag == F.one() else f"{_scalar_str(F, mag)} {label}"
+        term = label if mag == F.one() else f"{F.to_str(mag)} {label}"
         if not pieces:
             pieces.append(f"-{term}" if negative else term)
         else:
@@ -636,253 +619,201 @@ def _expr_str(F: Field, space: Space, vec) -> str:
     return " ".join(pieces)
 
 
-def _print_algebra(name, a: Algebra, out):
-    out.append(f"algebra {name} basis {', '.join(a.space.labels)} {{")
-    F = a.field
-    for i in range(a.dim):
-        for j in range(a.dim):
-            v = a.mult.on_basis(i, j)
-            if any(c != F.zero() for c in v):
-                out.append(
-                    f"  {a.space.labels[i]}*{a.space.labels[j]} = "
-                    f"{_expr_str(F, a.space, v)};"
-                )
-    out.append("}")
+def _pairs(b: BilMap, head: str):
+    """(head, value) for every pair of basis labels, head filled with both."""
+    return (
+        (head.format(x, y), b.on_basis(i, j))
+        for i, x in enumerate(b.left.labels)
+        for j, y in enumerate(b.right.labels)
+    )
 
 
-def _print_map(name, f: LinMap, dom_name, cod_name, dom: Space, cod: Space, out):
-    out.append(f"map {name} : {dom_name} -> {cod_name} {{")
-    F = dom.field
-    for i in range(dom.dim):
-        v = f.column(i)
-        if any(c != F.zero() for c in v):
-            out.append(f"  {dom.labels[i]} |-> {_expr_str(F, cod, v)};")
-    out.append("}")
+class _Printer:
+    """The text of one document, one `print_<kind>` formatter per block kind.
 
-
-def _print_bilinear(name, b: BilMap, lname, rname, cname, out):
-    out.append(f"bilinear {name} : {lname}, {rname} -> {cname} {{")
-    F = b.codomain.field
-    for i in range(b.left.dim):
-        for j in range(b.right.dim):
-            v = b.on_basis(i, j)
-            if any(c != F.zero() for c in v):
-                out.append(
-                    f"  ({b.left.labels[i]}, {b.right.labels[j]}) = "
-                    f"{_expr_str(F, b.codomain, v)};"
-                )
-    out.append("}")
-
-
-class _DocBuilder:
-    """Assembles a printable document from package objects.
-
-    Spaces are deduplicated: two blocks sharing a Space reference the
-    same printed algebra, so re-parsing reproduces identical objects.
+    A block names its parts through `ref`, and that is the only place where
+    reprinting a parsed document (`doc`) differs from printing a
+    constructed object, whose parts are named `{stem}_{suffix}`.
     """
 
-    def __init__(self, field: Field):
-        self.field = field
-        self.lines = ["field Q" if field.is_rationals else f"field Fp {field.characteristic}"]
-        self.algebra_names = {}
-        self.counter = 0
+    def __init__(self, field: Optional[Field], doc=None, stem=None):
+        self.lines = []
+        if field is not None:
+            self.lines.append(
+                "field Q" if field.is_rationals else f"field Fp {field.characteristic}"
+            )
+        self.doc = doc
+        self.stem = stem
+        self.printed = []  # (kind, obj, name) of each block printed so far
 
-    def fresh(self, stem):
-        self.counter += 1
-        return f"{stem}{self.counter}"
+    def block(self, kind, name, obj) -> str:
+        """Print `obj` as block `name` and return the name it is printed under.
 
-    def algebra(self, a: Algebra, name) -> str:
-        for printed, nm in self.algebra_names.items():
-            if printed == a:
-                return nm
-        self.algebra_names[a] = name
-        _print_algebra(name, a, self.lines)
+        An algebra or group equal to one printed already is not printed
+        again: the earlier name is returned.
+        """
+        if kind in ("algebra", "group"):
+            for k, o, n in self.printed:
+                if k == kind and o == obj:
+                    return n
+        self.printed.append((kind, obj, name))
+        getattr(self, "print_" + kind)(name, obj)
         return name
 
-    def find_algebra(self, sp: Space):
-        for a, nm in self.algebra_names.items():
-            if a.space == sp:
-                return nm
+    def ref(self, kind, obj, suffix) -> str:
+        """The name a block gives its part `obj`.
+
+        In a parsed document it is the first block of that kind equal to
+        `obj`.  A constructed object's part is printed first, as its own
+        block `{stem}_{suffix}`.
+        """
+        if self.doc is None:
+            return self.block(kind, f"{self.stem}_{suffix}", obj)
+        for n, k, o in self.doc.blocks:
+            if k == kind and o == obj:
+                return n
+        raise KeyError(f"document has no {kind} block for {obj!r}")
+
+    def space(self, sp: Space) -> str:
+        """Maps and bilinears carry only spaces: any algebra on `sp` names it."""
+        for k, o, n in self.printed:
+            if k == "algebra" and o.space == sp:
+                return n
         raise KeyError("no printed algebra for that space")
 
-    def map(self, f: LinMap, name) -> str:
-        dom = self.find_algebra(f.domain)
-        cod = self.find_algebra(f.codomain)
-        _print_map(name, f, dom, cod, f.domain, f.codomain, self.lines)
-        return name
-
-    def bilinear(self, b: BilMap, name) -> str:
-        _print_bilinear(
-            name,
-            b,
-            self.find_algebra(b.left),
-            self.find_algebra(b.right),
-            self.find_algebra(b.codomain),
-            self.lines,
-        )
-        return name
-
-    def block(self, head, fields):
-        """`head {`, one `key = value;` line per field, `}`."""
+    def rows(self, head, cod: Space, items):
+        """`head {`, one `lhs expr;` line per nonzero (lhs, vector), `}`."""
+        F = cod.field
         self.lines.append(f"{head} {{")
-        self.lines.extend(f"  {key} = {value};" for key, value in fields)
+        self.lines.extend(
+            f"  {lhs} {_expr_str(F, cod, v)};"
+            for lhs, v in items
+            if any(c != F.zero() for c in v)
+        )
         self.lines.append("}")
 
-    def action(self, act, stem, name, nname, mname):
-        """The action's bilinear maps, then the action block naming them."""
-        keys = ("star1", "star2") if isinstance(act, AssocAction) else ("dot",)
-        fields = [(k, self.bilinear(getattr(act, k), f"{stem}_{k}")) for k in keys]
-        self.block(f"action {name} : {nname} on {mname}", fields)
+    def entries(self, head, fields):
+        """`head {`, one `key = value;` line per field, `}`.
 
-    def cat(self, c: CatAlgebra, stem, name):
-        """C1, C0 (printed once if equal), s, t, e and the cat block."""
-        c1 = self.algebra(c.c1, f"{stem}_C1")
-        c0 = self.algebra(c.c0, f"{stem}_C0")
-        maps = [(k, self.map(getattr(c, k), f"{stem}_{k}")) for k in "ste"]
-        self.block(f"cat {name}", [("flavor", c.flavor), ("c1", c1), ("c0", c0)] + maps)
+        A value that is not a string is a table of ints, one row a line.
+        """
+        self.lines.append(f"{head} {{")
+        for key, value in fields:
+            if isinstance(value, str):
+                self.lines.append(f"  {key} = {value};")
+            else:
+                rows = ",\n    ".join(" ".join(map(str, row)) for row in value)
+                self.lines.append(f"  {key} =\n    {rows};")
+        self.lines.append("}")
 
     def text(self) -> str:
         return "\n".join(self.lines) + "\n"
 
+    # one formatter per block kind ------------------------------------------
+
+    def print_algebra(self, name, a: Algebra):
+        head = f"algebra {name} basis {', '.join(a.space.labels)}"
+        self.rows(head, a.space, _pairs(a.mult, "{}*{} ="))
+
+    def print_map(self, name, f: LinMap):
+        head = f"map {name} : {self.space(f.domain)} -> {self.space(f.codomain)}"
+        cols = ((f"{x} |->", f.column(i)) for i, x in enumerate(f.domain.labels))
+        self.rows(head, f.codomain, cols)
+
+    def print_bilinear(self, name, b: BilMap):
+        left, right = self.space(b.left), self.space(b.right)
+        head = f"bilinear {name} : {left}, {right} -> {self.space(b.codomain)}"
+        self.rows(head, b.codomain, _pairs(b, "({}, {}) ="))
+
+    def print_action(self, name, act):
+        module = self.ref("algebra", act.module, "M")
+        actor = self.ref("algebra", act.actor, "N")
+        keys = ("star1", "star2") if isinstance(act, AssocAction) else ("dot",)
+        fields = [(k, self.ref("bilinear", getattr(act, k), k)) for k in keys]
+        self.entries(f"action {name} : {actor} on {module}", fields)
+
+    def print_xmod(self, name, x):
+        action = self.ref("action", x.action, "act")
+        boundary = self.ref("map", x.boundary, "d")
+        self.entries(f"xmod {name}", [("action", action), ("boundary", boundary)])
+
+    def print_braiding(self, name, b):
+        if isinstance(b, XBraiding):
+            fields = [("xmod", self.ref("xmod", b.base, "xm")),
+                      ("brace", self.ref("bilinear", b.brace, "brace"))]
+        else:
+            fields = [("cat", self.ref("cat", b.base, "cat")),
+                      ("tau", self.ref("bilinear", b.tau, "tau"))]
+        self.entries(f"braiding {name}", fields)
+
+    def print_cat(self, name, c: CatAlgebra):
+        c1 = self.ref("algebra", c.c1, "C1")
+        c0 = self.ref("algebra", c.c0, "C0")
+        maps = [(k, self.ref("map", getattr(c, k), k)) for k in "ste"]
+        fields = [("flavor", c.flavor), ("c1", c1), ("c0", c0)] + maps
+        self.entries(f"cat {name}", fields)
+
+    def print_group(self, name, g: FiniteGroup):
+        self.entries(f"group {name}", [("table", g.table)])
+
+    def print_groupxmod(self, name, x: GroupXMod):
+        fields = [
+            ("g", self.ref("group", x.g, "G")),
+            ("h", self.ref("group", x.h, "H")),
+            ("action", x.action),
+            ("boundary", " ".join(map(str, x.boundary))),
+        ]
+        if x.brace is not None:
+            fields.append(("brace", x.brace))
+        self.entries(f"groupxmod {name}", fields)
+
+
+def _print_object(field, kind, obj, name) -> str:
+    """Self-contained document: the parts of `obj`, then `obj` as block `name`."""
+    p = _Printer(field, stem=name)
+    p.block(kind, name, obj)
+    return p.text()
+
 
 def print_algebra_doc(a: Algebra, name="A") -> str:
-    b = _DocBuilder(a.field)
-    b.algebra(a, name)
-    return b.text()
-
-
-def _print_xmod(b: _DocBuilder, x, stem, name):
-    """M, N (printed once if equal), the action, the boundary, the xmod block."""
-    mname = b.algebra(x.m, f"{stem}_M")
-    nname = b.algebra(x.n, f"{stem}_N")
-    b.action(x.action, stem, f"{stem}_act", nname, mname)
-    d = b.map(x.boundary, f"{stem}_d")
-    b.block(f"xmod {name}", [("action", f"{stem}_act"), ("boundary", d)])
-
-
-def print_xbraiding_doc(x: XBraiding, name="B") -> str:
-    """Full self-contained document for a braided crossed module."""
-    b = _DocBuilder(x.base.m.field)
-    _print_xmod(b, x.base, name, f"{name}_xm")
-    br = b.bilinear(x.brace, f"{name}_brace")
-    b.block(f"braiding {name}", [("xmod", f"{name}_xm"), ("brace", br)])
-    return b.text()
+    return _print_object(a.field, "algebra", a, name)
 
 
 def print_action_doc(a, name="A") -> str:
     """Self-contained document for an associative or Lie action."""
-    b = _DocBuilder(a.module.field)
-    mname = b.algebra(a.module, f"{name}_M")
-    b.action(a, name, name, b.algebra(a.actor, f"{name}_N"), mname)
-    return b.text()
+    return _print_object(a.module.field, "action", a, name)
+
+
+def print_xmod_doc(x, name="X") -> str:
+    return _print_object(x.m.field, "xmod", x, name)
+
+
+def print_xbraiding_doc(x: XBraiding, name="B") -> str:
+    """Full self-contained document for a braided crossed module."""
+    return _print_object(x.base.m.field, "braiding", x, name)
+
+
+def print_cat_doc(c: CatAlgebra, name="C") -> str:
+    return _print_object(c.c1.field, "cat", c, name)
+
+
+def print_catbraiding_doc(c: CatBraiding, name="C") -> str:
+    return _print_object(c.base.c1.field, "braiding", c, name)
+
+
+def print_group_doc(g: FiniteGroup, name="G") -> str:
+    """The group block alone, with no field line."""
+    return _print_object(None, "group", g, name)
 
 
 def print_groupxmod_doc(x, name="X") -> str:
     """Self-contained document for a group crossed module."""
-    lines = ["field Q"]
-    gname = f"{name}_G"
-    lines.append(print_group_doc(x.g, gname).rstrip())
-    if x.h == x.g:
-        hname = gname
-    else:
-        hname = f"{name}_H"
-        lines.append(print_group_doc(x.h, hname).rstrip())
-    rows = ",\n    ".join(" ".join(str(v) for v in row) for row in x.action)
-    lines.append(f"groupxmod {name} {{")
-    lines.append(f"  g = {gname};")
-    lines.append(f"  h = {hname};")
-    lines.append(f"  action =\n    {rows};")
-    lines.append(f"  boundary = {' '.join(str(v) for v in x.boundary)};")
-    if x.brace is not None:
-        rows = ",\n    ".join(" ".join(str(v) for v in row) for row in x.brace)
-        lines.append(f"  brace =\n    {rows};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def print_xmod_doc(x, name="X") -> str:
-    b = _DocBuilder(x.m.field)
-    _print_xmod(b, x, name, name)
-    return b.text()
-
-
-def print_catbraiding_doc(c: CatBraiding, name="C") -> str:
-    b = _DocBuilder(c.base.c1.field)
-    b.cat(c.base, name, f"{name}_cat")
-    tau = b.bilinear(c.tau, f"{name}_tau")
-    b.block(f"braiding {name}", [("cat", f"{name}_cat"), ("tau", tau)])
-    return b.text()
-
-
-def print_cat_doc(c: CatAlgebra, name="C") -> str:
-    b = _DocBuilder(c.c1.field)
-    b.cat(c, name, name)
-    return b.text()
-
-
-def print_group_doc(g: FiniteGroup, name="G") -> str:
-    rows = ",\n    ".join(" ".join(str(v) for v in row) for row in g.table)
-    return f"group {name} {{\n  table =\n    {rows};\n}}\n"
+    return _print_object(QQ, "groupxmod", x, name)
 
 
 def print_document(doc: Document) -> str:
     """Canonical text for a parsed document (field line plus each block)."""
-    b = _DocBuilder(doc.field)
-    printed_algebras = {}
+    p = _Printer(doc.field, doc=doc)
     for name, kind, obj in doc.blocks:
-        if kind == "algebra":
-            b.algebra(obj, name)
-            printed_algebras[name] = obj
-        elif kind == "map":
-            b.map(obj, name)
-        elif kind == "bilinear":
-            b.bilinear(obj, name)
-        elif kind == "action":
-            nname = b.find_algebra(obj.actor.space)
-            mname = b.find_algebra(obj.module.space)
-            keys = ("star1", "star2") if isinstance(obj, AssocAction) else ("dot",)
-            fields = [(k, _find_ref(doc, getattr(obj, k), "bilinear")) for k in keys]
-            b.block(f"action {name} : {nname} on {mname}", fields)
-        elif kind == "xmod":
-            action = _find_ref(doc, obj.action, "action")
-            boundary = _find_ref(doc, obj.boundary, "map")
-            b.block(f"xmod {name}", [("action", action), ("boundary", boundary)])
-        elif kind == "braiding":
-            if isinstance(obj, XBraiding):
-                fields = [("xmod", _find_ref(doc, obj.base, "xmod")),
-                          ("brace", _find_ref(doc, obj.brace, "bilinear"))]
-            else:
-                fields = [("cat", _find_ref(doc, obj.base, "cat")),
-                          ("tau", _find_ref(doc, obj.tau, "bilinear"))]
-            b.block(f"braiding {name}", fields)
-        elif kind == "cat":
-            c1, c0 = b.find_algebra(obj.c1.space), b.find_algebra(obj.c0.space)
-            maps = [(k, _find_ref(doc, getattr(obj, k), "map")) for k in "ste"]
-            fields = [("flavor", obj.flavor), ("c1", c1), ("c0", c0)] + maps
-            b.block(f"cat {name}", fields)
-        elif kind == "group":
-            rows = ",\n    ".join(" ".join(str(v) for v in row) for row in obj.table)
-            b.lines.append(f"group {name} {{")
-            b.lines.append(f"  table =\n    {rows};")
-            b.lines.append("}")
-        elif kind == "groupxmod":
-            b.lines.append(f"groupxmod {name} {{")
-            b.lines.append(f"  g = {_find_ref(doc, obj.g, 'group')};")
-            b.lines.append(f"  h = {_find_ref(doc, obj.h, 'group')};")
-            rows = ",\n    ".join(" ".join(str(v) for v in row) for row in obj.action)
-            b.lines.append(f"  action =\n    {rows};")
-            b.lines.append(f"  boundary = {' '.join(str(v) for v in obj.boundary)};")
-            if obj.brace is not None:
-                rows = ",\n    ".join(
-                    " ".join(str(v) for v in row) for row in obj.brace
-                )
-                b.lines.append(f"  brace =\n    {rows};")
-            b.lines.append("}")
-    return b.text()
-
-
-def _find_ref(doc: Document, obj, kind: str) -> str:
-    for name, k, o in doc.blocks:
-        if k == kind and o == obj:
-            return name
-    raise KeyError(f"document has no {kind} block for {obj!r}")
+        p.block(kind, name, obj)
+    return p.text()

@@ -31,14 +31,6 @@ class InternalInvariantViolation(BraidAlgError):
     pass
 
 
-class BracketNotWellDefined(BraidAlgError):
-    pass
-
-
-class IllDefinedOnQuotient(BraidAlgError):
-    pass
-
-
 class ValidationFailed(BraidAlgError):
     """Raised by eager constructors; carries the failing report."""
 

@@ -6,7 +6,9 @@ T = (M (x) M) / R, where R is spanned by the two relation families
     m1(x)[m2,m3] = [m3,m1](x)m2 - [m2,m1](x)m3
 
 over all basis triples.  The bracket [u(x)v, w(x)x] = [u,v](x)[w,x]
-descends to T; that descent is asserted, not assumed.
+descends to T; that descent is asserted, not assumed.  On a Lie input
+the descent and the Lie property of T are theorems, so their checks
+raise InternalInvariantViolation.
 """
 
 from __future__ import annotations
@@ -15,11 +17,7 @@ from dataclasses import dataclass
 
 from .algebra import Algebra, is_lie
 from .braid import XBraiding
-from .errors import (
-    BracketNotWellDefined,
-    IllDefinedOnQuotient,
-    NotLie,
-)
+from .errors import InternalInvariantViolation, NotLie
 from .linear import (
     BilMap,
     LinMap,
@@ -98,11 +96,11 @@ def tensor_square(m: Algebra) -> TensorSquare:
     for r in relations.basis:
         for j in range(amb.dim):
             if not relations.contains(amb_bracket.apply(r, amb.basis_vector(j))):
-                raise BracketNotWellDefined(
+                raise InternalInvariantViolation(
                     "bracket does not respect the relation span (left argument)"
                 )
             if not relations.contains(amb_bracket.apply(amb.basis_vector(j), r)):
-                raise BracketNotWellDefined(
+                raise InternalInvariantViolation(
                     "bracket does not respect the relation span (right argument)"
                 )
 
@@ -119,7 +117,9 @@ def tensor_square(m: Algebra) -> TensorSquare:
     )
     carrier = Algebra(tspace, t_bracket)
     if not is_lie(carrier):
-        raise NotLie("induced bracket on the tensor square is not Lie")
+        raise InternalInvariantViolation(
+            "induced bracket on the tensor square is not Lie"
+        )
 
     pure = bilinear_from_rule(
         m.space,
@@ -156,10 +156,14 @@ def tensor_xmod(ts: TensorSquare) -> XModLie:
 
     for r in ts.relations.basis:
         if any(c != 0 for c in amb_boundary.apply(r)):
-            raise IllDefinedOnQuotient("boundary does not vanish on the relation span")
+            raise InternalInvariantViolation(
+                "boundary does not vanish on the relation span"
+            )
         for a in range(n):
             if not ts.relations.contains(amb_action.apply(bv(a), r)):
-                raise IllDefinedOnQuotient("action does not preserve the relation span")
+                raise InternalInvariantViolation(
+                    "action does not preserve the relation span"
+                )
 
     tspace, proj, lift = ts.carrier.space, ts.proj, ts.lift
     boundary = amb_boundary.after(lift)

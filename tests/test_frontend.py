@@ -6,15 +6,27 @@ import time
 
 import pytest
 
+from braidalg.action import self_action, validate_assoc_action
+from braidalg.algebra import from_constants
 from braidalg.cli import main
-from braidalg.dsl import parse, print_document
+from braidalg.dsl import (
+    parse,
+    print_action_doc,
+    print_cat_doc,
+    print_document,
+    print_group_doc,
+    print_groupxmod_doc,
+)
 from braidalg.errors import (
     DslError,
     DslSyntaxError,
     FieldMismatch,
     UnknownReference,
 )
-from braidalg.fields import _is_prime
+from braidalg.fields import QQ, _is_prime
+from braidalg.groupx import conjugation_example, cyclic
+from braidalg.icat import ASSOC, discrete_cat
+from braidalg.linear import Space
 
 from conftest import FIXTURES, MUTATIONS
 
@@ -32,6 +44,73 @@ def test_parse_print_idempotent(path):
     once = print_document(parse(source))
     twice = print_document(parse(once))
     assert once == twice
+
+
+# A and B share a basis but not a product: a block naming its algebra by
+# the space alone would reprint `act` and `c` over A only.
+SHARED_BASIS = """field Q
+algebra A basis x { x*x = x; }
+algebra B basis x { }
+bilinear s1 : A, B -> B { (x, x) = x; }
+bilinear s2 : B, A -> B { }
+action act : A on B { star1 = s1; star2 = s2; }
+map i : B -> A { x |-> x; }
+cat c { flavor = assoc; c1 = A; c0 = B; s = i; t = i; e = i; }
+"""
+
+
+def test_reprint_keeps_the_algebras_a_block_names():
+    doc = parse(SHARED_BASIS)
+    again = parse(print_document(doc))
+    for name in ("act", "c"):
+        assert again.lookup(name) == doc.lookup(name)
+    report = validate_assoc_action(doc.lookup("act")[1])
+    assert report.ok
+    assert validate_assoc_action(again.lookup("act")[1]) == report
+
+
+def _idempotent():
+    return from_constants(Space(QQ, ("x",)), {("x", "x"): {"x": 1}})
+
+
+def test_print_action_doc_of_a_self_action():
+    # star1 is star2, yet each keeps its own block
+    assert print_action_doc(self_action(_idempotent()), "a") == (
+        "field Q\n"
+        "algebra a_M basis x {\n  x*x = x;\n}\n"
+        "bilinear a_star1 : a_M, a_M -> a_M {\n  (x, x) = x;\n}\n"
+        "bilinear a_star2 : a_M, a_M -> a_M {\n  (x, x) = x;\n}\n"
+        "action a : a_M on a_M {\n  star1 = a_star1;\n  star2 = a_star2;\n}\n"
+    )
+
+
+def test_print_group_doc():
+    assert print_group_doc(cyclic(2), "G") == (
+        "group G {\n  table =\n    0 1,\n    1 0;\n}\n"
+    )
+
+
+def test_print_groupxmod_doc_prints_an_equal_group_once():
+    assert print_groupxmod_doc(conjugation_example(cyclic(2)), "X") == (
+        "field Q\n"
+        "group X_G {\n  table =\n    0 1,\n    1 0;\n}\n"
+        "groupxmod X {\n  g = X_G;\n  h = X_G;\n"
+        "  action =\n    0 1,\n    0 1;\n  boundary = 0 1;\n"
+        "  brace =\n    0 0,\n    0 0;\n}\n"
+    )
+
+
+def test_print_cat_doc_of_a_discrete_cat():
+    # s is t is e, yet each keeps its own block
+    assert print_cat_doc(discrete_cat(_idempotent(), ASSOC), "c") == (
+        "field Q\n"
+        "algebra c_C1 basis x {\n  x*x = x;\n}\n"
+        "map c_s : c_C1 -> c_C1 {\n  x |-> x;\n}\n"
+        "map c_t : c_C1 -> c_C1 {\n  x |-> x;\n}\n"
+        "map c_e : c_C1 -> c_C1 {\n  x |-> x;\n}\n"
+        "cat c {\n  flavor = assoc;\n  c1 = c_C1;\n  c0 = c_C1;\n"
+        "  s = c_s;\n  t = c_t;\n  e = c_e;\n}\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -211,6 +290,14 @@ def test_large_prime_characteristic_parses_quickly():
 def test_pseudoprime_characteristics_rejected(n):
     with pytest.raises(FieldMismatch, match="is not prime"):
         parse(f"field Fp {n}\n")
+
+
+@pytest.mark.parametrize("digits", ("0", "000"))
+def test_characteristic_zero_is_refused(digits):
+    # Field(0) is the rationals; `Fp 0` must not silently mean Q
+    with pytest.raises(FieldMismatch) as exc:
+        parse(f"field Fp {digits}\n")
+    assert str(exc.value) == f"1:10: characteristic {digits} is not prime"
 
 
 def test_characteristic_beyond_the_exact_range_is_refused():

@@ -1,10 +1,13 @@
+import dataclasses
+
 import pytest
 
 from braidalg.algebra import Algebra, catalog, is_lie
 from braidalg.braid import validate_braiding_xmod_lie
-from braidalg.errors import NotLie
+from braidalg import natensor
+from braidalg.errors import InternalInvariantViolation, NotLie
 from braidalg.fields import QQ
-from braidalg.linear import Space, bilinear_from_rule
+from braidalg.linear import Space, Subspace, bilinear_from_rule
 from braidalg.natensor import (
     antisymmetry_consequence,
     tensor_braiding,
@@ -92,3 +95,20 @@ def test_basis_invariance_of_dimension():
 def test_tensor_square_rejects_non_lie():
     with pytest.raises(NotLie):
         tensor_square(catalog("Mat(2)", QQ))
+
+
+def test_tensor_square_postcondition_is_an_internal_invariant(monkeypatch):
+    # the input check passes; a carrier that is not Lie is a broken theorem
+    verdicts = iter((True, False))
+    monkeypatch.setattr(natensor, "is_lie", lambda a: next(verdicts))
+    with pytest.raises(InternalInvariantViolation):
+        tensor_square(catalog("sl2", QQ))
+
+
+def test_tensor_xmod_descent_is_an_internal_invariant():
+    ts = tensor_square(catalog("sl2", QQ))
+    amb = ts.relations.ambient
+    # h (x) e is no relation: its boundary [h, e] = 2e does not vanish
+    bad = dataclasses.replace(ts, relations=Subspace.span(amb, [amb.basis_vector(1)]))
+    with pytest.raises(InternalInvariantViolation):
+        tensor_xmod(bad)
