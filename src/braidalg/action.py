@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import Algebra, _liefy, is_associative, is_lie
 from .errors import InvalidAction
 from .linear import (
@@ -16,11 +14,11 @@ from .linear import (
     vsub,
     zero_bilmap,
 )
+from .record import Record
 from .report import ValidationReport, merge, sweep
 
 
-@dataclass(frozen=True)
-class AssocAction:
+class AssocAction(Record):
     """Associative action of `actor` (N) on `module` (M): * = (*1, *2)."""
 
     actor: Algebra
@@ -36,8 +34,7 @@ class AssocAction:
             raise ValueError("star2 must map M x N -> M")
 
 
-@dataclass(frozen=True)
-class LieAction:
+class LieAction(Record):
     """Lie left-action of `actor` (N) on `module` (M)."""
 
     actor: Algebra
@@ -190,8 +187,7 @@ def _induced_lie_action(a: AssocAction) -> LieAction:
     return LieAction(_liefy(a.actor), _liefy(a.module), dot)
 
 
-@dataclass(frozen=True)
-class Semidirect:
+class Semidirect(Record):
     """Semidirect product algebra with its structural maps (M block first)."""
 
     algebra: Algebra

@@ -7,11 +7,11 @@ flavor (associative / Lie / Leibniz) is ever assumed, only checked.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import NotAssociative, UnknownFixture
 from .fields import Field
 from .linear import BilMap, LinMap, Space, bilinear_from_rule, vadd, vsub
+from .record import Record
 from .report import AxiomCheck, sweep
 
 __all__ = [
@@ -29,8 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Algebra:
+class Algebra(Record):
     space: Space
     mult: BilMap
 

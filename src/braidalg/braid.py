@@ -8,9 +8,6 @@ formula k((x, y)) = x - e(t(x)) + y, exactly as the source proofs do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
-
 from .action import AssocAction, _semidirect_assoc
 from .algebra import Algebra, hom_sweep, intertwining_sweep
 from .errors import CharTwo, InternalInvariantViolation, InvalidInput, InvalidXMod
@@ -27,6 +24,7 @@ from .linear import (
     vneg,
     vsub,
 )
+from .record import Record
 from .report import ValidationReport, merge, sweep
 from .xmod import (
     XModAssoc,
@@ -40,11 +38,10 @@ from .xmod import (
 )
 
 
-@dataclass(frozen=True)
-class XBraiding:
+class XBraiding(Record):
     """Crossed module plus a braiding (Peiffer lifting) N x N -> M."""
 
-    base: Union[XModAssoc, XModLie]
+    base: XModAssoc | XModLie
     brace: BilMap
 
     def __post_init__(self):
@@ -53,8 +50,7 @@ class XBraiding:
             raise ValueError("brace must map N x N -> M")
 
 
-@dataclass(frozen=True)
-class CatBraiding:
+class CatBraiding(Record):
     """Categorical algebra plus a braiding tau: C0 x C0 -> C1."""
 
     base: CatAlgebra

@@ -13,9 +13,6 @@ unless an algebra opts in with the `antisymmetric` attribute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .action import AssocAction, LieAction
 from .algebra import Algebra
 from .braid import CatBraiding, XBraiding
@@ -30,11 +27,11 @@ from .fields import MAX_CHARACTERISTIC, QQ, CharacteristicTooLarge, Field
 from .groupx import FiniteGroup, GroupXMod
 from .icat import ASSOC, LIE, CatAlgebra
 from .linear import BilMap, LinMap, Space, bilinear_from_rule, from_columns, identity_map
+from .record import Record
 from .xmod import XModAssoc, XModLie
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(Record):
     field: Field
     blocks: tuple  # ordered (name, kind, obj) triples
 
@@ -51,12 +48,19 @@ class Document:
 _PUNCT = ("|->", "->", "{", "}", "(", ")", ",", ";", ":", "*", "=", "+", "-")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Record):
     kind: str  # "ident", "number", "punct", "eof"
     value: str
     line: int
     col: int
+
+    def __init__(self, kind, value, line, col):
+        # one per token: the generic positional loop, unrolled
+        set_kind, set_value, set_line, set_col = self._setters
+        set_kind(self, kind)
+        set_value(self, value)
+        set_line(self, line)
+        set_col(self, col)
 
 
 def _tokenize(source: str):
@@ -125,7 +129,7 @@ class _Parser:
     def __init__(self, source: str):
         self.toks = _tokenize(source)
         self.pos = 0
-        self.field: Optional[Field] = None
+        self.field: Field | None = None
         self.blocks = []
         self.by_name = {}
 
@@ -636,7 +640,7 @@ class _Printer:
     constructed object, whose parts are named `{stem}_{suffix}`.
     """
 
-    def __init__(self, field: Optional[Field], doc=None, stem=None):
+    def __init__(self, field: Field | None, doc=None, stem=None):
         self.lines = []
         if field is not None:
             self.lines.append(

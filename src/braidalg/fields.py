@@ -10,8 +10,9 @@ exact -- there is no floating point anywhere in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .record import Record
 
 
 # Miller-Rabin on the primes up to 41 as bases decides primality exactly
@@ -55,8 +56,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(Record):
     """The ground field: characteristic 0 means Q, otherwise F_p."""
 
     characteristic: int = 0

@@ -9,19 +9,16 @@ tuples.  Commutators follow the [g, g'] = g g' g^-1 g'^-1 convention.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Optional
 
 from .errors import InvalidInput, UnknownFixture
+from .record import Record
 from .report import ValidationReport, merge, sweep
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Record):
     order: int
     table: tuple  # table[i][j] = index of g_i g_j
-    identity: int = field(init=False, default=0)
-    inverse: tuple = field(init=False, default=())
+    __slots__ = ("identity", "inverse")  # derived from the table
 
     def __post_init__(self):
         n = self.order
@@ -170,13 +167,12 @@ GROUP_FIXTURES = tuple(
 )
 
 
-@dataclass(frozen=True)
-class GroupXMod:
+class GroupXMod(Record):
     g: FiniteGroup
     h: FiniteGroup
     action: tuple  # action[h][g] -> g index
     boundary: tuple  # boundary[g] -> h index
-    brace: Optional[tuple] = None  # brace[h][h'] -> g index
+    brace: tuple | None = None  # brace[h][h'] -> g index
 
     def __post_init__(self):
         if len(self.action) != self.h.order or any(

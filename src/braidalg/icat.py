@@ -7,8 +7,6 @@ treat the lemma itself as a tested property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import Algebra, _liefy, hom_sweep, is_associative, is_lie
 from .errors import (
     InternalInvariantViolation,
@@ -25,14 +23,14 @@ from .linear import (
     vadd,
     vsub,
 )
+from .record import Record
 from .report import ValidationReport, merge, sweep
 
 ASSOC = "assoc"
 LIE = "lie"
 
 
-@dataclass(frozen=True)
-class CatAlgebra:
+class CatAlgebra(Record):
     c1: Algebra
     c0: Algebra
     s: LinMap  # C1 -> C0

@@ -7,14 +7,11 @@ have equal representations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 from .fields import Field
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Space:
+class Space(Record):
     """Finite-dimensional vector space with a labelled basis."""
 
     field: Field
@@ -67,8 +64,7 @@ def is_zero(u) -> bool:
     return all(a == 0 for a in u)
 
 
-@dataclass(frozen=True)
-class LinMap:
+class LinMap(Record):
     """Linear map; column j of `matrix` is the image of basis vector j."""
 
     domain: Space
@@ -148,8 +144,7 @@ def zero_map(domain: Space, codomain: Space) -> LinMap:
     return LinMap(domain, codomain, rows)
 
 
-@dataclass(frozen=True)
-class BilMap:
+class BilMap(Record):
     """Bilinear map; tensor[k][i][j] is the k-coordinate of (b_i, b_j)."""
 
     left: Space
@@ -303,12 +298,12 @@ def _pivot_columns(basis):
     return tuple(pivots)
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     """Subspace of an ambient space, basis in reduced row echelon form."""
 
     ambient: Space
     basis: tuple
+    __slots__ = ("_pivots",)
 
     @classmethod
     def span(cls, ambient: Space, vectors) -> "Subspace":
@@ -318,9 +313,8 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    @cached_property
-    def _pivots(self):
-        return _pivot_columns(self.basis)
+    def __post_init__(self):
+        object.__setattr__(self, "_pivots", _pivot_columns(self.basis))
 
     def pivots(self):
         return self._pivots

@@ -13,8 +13,6 @@ raise InternalInvariantViolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import Algebra, is_lie
 from .braid import XBraiding
 from .errors import InternalInvariantViolation, NotLie
@@ -29,13 +27,13 @@ from .linear import (
     vadd,
     vsub,
 )
+from .record import Record
 from .report import ValidationReport, merge, sweep
 from .xmod import XModLie
 from .action import LieAction
 
 
-@dataclass(frozen=True)
-class TensorSquare:
+class TensorSquare(Record):
     base: Algebra  # Lie algebra M
     carrier: Algebra  # the quotient T
     pure: BilMap  # M x M -> T, (m, m') -> class of m (x) m'

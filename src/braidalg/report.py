@@ -3,27 +3,24 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     basis_tuple: tuple
     lhs: tuple
     rhs: tuple
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(Record):
     tag: str
     ok: bool
-    witness: Optional[Witness] = None
+    witness: Witness | None = None
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     subject: str
     entries: tuple
 

@@ -6,9 +6,6 @@ cover two equalities, so those tags appear twice in a report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
-
 from .action import (
     AssocAction,
     LieAction,
@@ -28,54 +25,41 @@ from .algebra import (
 )
 from .errors import InvalidXMod, NotAssociative, NotLie
 from .linear import LinMap, identity_map
+from .record import Record
 from .report import ValidationReport, merge, sweep
 
 
-@dataclass(frozen=True)
-class XModAssoc:
+class _XMod(Record):
+    """What both flavors share: an action of N on M and boundary: M -> N."""
+
+    def __post_init__(self):
+        if self.boundary.domain != self.m.space or self.boundary.codomain != self.n.space:
+            raise ValueError("boundary must map M -> N")
+
+    @property
+    def m(self) -> Algebra:
+        return self.action.module
+
+    @property
+    def n(self) -> Algebra:
+        return self.action.actor
+
+
+class XModAssoc(_XMod):
     """(M, N, * = (*1, *2), boundary) with boundary: M -> N."""
 
     action: AssocAction
     boundary: LinMap
 
-    def __post_init__(self):
-        if self.boundary.domain != self.m.space or self.boundary.codomain != self.n.space:
-            raise ValueError("boundary must map M -> N")
 
-    @property
-    def m(self) -> Algebra:
-        return self.action.module
-
-    @property
-    def n(self) -> Algebra:
-        return self.action.actor
-
-
-@dataclass(frozen=True)
-class XModLie:
+class XModLie(_XMod):
     """(M, N, dot, boundary) with boundary: M -> N."""
 
     action: LieAction
     boundary: LinMap
 
-    def __post_init__(self):
-        if self.boundary.domain != self.m.space or self.boundary.codomain != self.n.space:
-            raise ValueError("boundary must map M -> N")
 
-    @property
-    def m(self) -> Algebra:
-        return self.action.module
-
-    @property
-    def n(self) -> Algebra:
-        return self.action.actor
-
-
-XMod = Union[XModAssoc, XModLie]
-
-
-@dataclass(frozen=True)
-class XModMorphism:
+class XModMorphism(Record):
     f1: LinMap  # M -> M'
     f2: LinMap  # N -> N'
 
@@ -187,8 +171,8 @@ def identity_xmod_lie(a: Algebra) -> XModLie:
 
 def validate_xmod_morphism(
     phi: XModMorphism,
-    source: XMod,
-    target: XMod,
+    source: XModAssoc | XModLie,
+    target: XModAssoc | XModLie,
     subject: str = "morphism",
 ) -> ValidationReport:
     """Equivariance and boundary-square conditions for (f1, f2).

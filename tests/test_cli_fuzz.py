@@ -1,0 +1,81 @@
+"""A bounded fuzz of the CLI exit-code contract.
+
+Each example applies one to three byte-level mutations (replace, delete
+or insert a byte, invalid UTF-8 included) to a small committed fixture
+or mutation file and runs `validate`, `report` or `roundtrip` on it
+in-process.  Whatever the bytes, the run must end in a documented exit
+code: 0, 1 with a non-empty report, or 2 with exactly one `error:` line.
+The examples are derandomized, so the suite runs the same ones each time.
+"""
+
+import contextlib
+import glob
+import io
+import os
+from datetime import timedelta
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from braidalg.cli import main
+
+from conftest import FIXTURES, MUTATIONS
+
+
+def _small_sources(limit=1500):
+    paths = glob.glob(os.path.join(FIXTURES, "*.alg"))
+    paths += glob.glob(os.path.join(MUTATIONS, "*.alg"))
+    sources = []
+    for path in sorted(paths):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if len(data) < limit:
+            sources.append(data)
+    return sources
+
+
+SOURCES = _small_sources()
+# bytes that often keep a document parseable, so that mutations also
+# reach the validators, next to arbitrary ones
+DSL_BYTES = b"0123456789 \n-,;=xyzeh"
+
+
+@st.composite
+def mutated_sources(draw):
+    data = draw(st.sampled_from(SOURCES))
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(("replace", "delete", "insert")))
+        i = draw(st.integers(0, len(data) - (op != "insert")))
+        byte = bytes([draw(st.sampled_from(DSL_BYTES) | st.integers(0, 255))])
+        if op == "replace":
+            data = data[:i] + byte + data[i + 1 :]
+        elif op == "delete":
+            data = data[:i] + data[i + 1 :]
+        else:
+            data = data[:i] + byte + data[i:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "case.alg"
+
+
+def test_there_are_small_sources_to_mutate():
+    assert len(SOURCES) >= 40
+
+
+@settings(max_examples=400, deadline=timedelta(seconds=3), derandomize=True, database=None)
+@given(data=mutated_sources(), command=st.sampled_from(("validate", "report", "roundtrip")))
+def test_every_input_ends_in_a_documented_exit_code(scratch_file, data, command):
+    scratch_file.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main([command, str(scratch_file)])
+    assert rc in (0, 1, 2)
+    if rc == 1:
+        assert out.getvalue().strip()
+    if rc == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")

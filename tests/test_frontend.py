@@ -2,6 +2,8 @@ import glob
 import json
 import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -28,7 +30,7 @@ from braidalg.groupx import conjugation_example, cyclic
 from braidalg.icat import ASSOC, discrete_cat
 from braidalg.linear import Space
 
-from conftest import FIXTURES, MUTATIONS
+from conftest import FIXTURES, MUTATIONS, ROOT
 
 
 def all_fixture_files():
@@ -145,6 +147,21 @@ def test_syntax_error_exits_two(tmp_path, capsys):
     bad.write_text("field Q algebra A basis x { x*x = ; }")
     assert main(["validate", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "data,at", ((b"\xff\xfe", 0), (b"field Q\n\x80\n", 8)), ids=("bom", "stray")
+)
+def test_non_utf8_file_exits_two(data, at, tmp_path, capsys):
+    bad = tmp_path / "bin.alg"
+    bad.write_bytes(data)
+    assert main(["report", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: 'utf-8' codec can't decode byte 0x{data[at]:x} in position {at}:"
+        " invalid start byte\n"
+    )
 
 
 def test_json_reports_are_byte_identical(capsys):
@@ -324,3 +341,27 @@ def test_characteristic_length_check_keeps_the_message():
     with pytest.raises(FieldMismatch) as long_exc:
         parse("field Fp 000" + digits + "\n")
     assert str(long_exc.value) == str(exc.value)
+
+
+def test_cli_import_loads_every_module_and_no_dataclasses():
+    # A fresh interpreter without `site`, so that nothing else loads first.
+    # `dataclasses` loads `inspect` and compiles methods for every class.
+    # Every module must still load: braidbench/tracer.py binds them all
+    # right after `import braidalg.cli` and fails with a KeyError on a
+    # module that is not loaded yet, which rules out per-command imports.
+    src = os.path.join(ROOT, "src")
+    code = "import sys, braidalg.cli; print(*sorted(sys.modules))"
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = set(run.stdout.split())
+    assert not loaded & {"dataclasses", "inspect"}
+    package = os.path.join(src, "braidalg")
+    modules = {"braidalg"} | {
+        "braidalg." + name[:-3] for name in os.listdir(package) if name.endswith(".py")
+    }
+    assert modules <= loaded
