@@ -5,7 +5,8 @@ Over F2 the antisymmetrization argument relating the LieB3/LieB4 axioms
 to the LieT3/LieT4 axioms breaks down, so the two validators could in
 principle disagree.  This script enumerates every tau on small discrete
 categorical Lie algebras over F2, keeps the candidates passing LieT1-2,
-and compares verdicts.  The outcome is printed, not asserted.
+and compares verdicts.  `search` returns the counts, which the test
+suite asserts; run as a script, it prints them.
 """
 
 import itertools
@@ -20,49 +21,45 @@ from braidalg.braid import (
     validate_braiding_cat_lie_alt,
     validate_braiding_cat_lie_ulualan,
 )
+from braidalg.dsl import print_catbraiding_doc
 from braidalg.fields import GF
 from braidalg.icat import LIE, discrete_cat
-from braidalg.linear import BilMap, Space
+from braidalg.linear import Space, bilinear_from_rule
+
+
+def _from_bits(sp, cod, bits):
+    """The bilinear map sp x sp -> cod whose k-coordinate on (b_i, b_j)
+    is bits[(k * sp.dim + i) * sp.dim + j]."""
+    n = sp.dim
+    return bilinear_from_rule(
+        sp,
+        sp,
+        cod,
+        lambda i, j: tuple(bits[(k * n + i) * n + j] for k in range(cod.dim)),
+    )
 
 
 def lie_algebras_f2(dim):
     """All Lie algebra structures on F2^dim (including degenerate ones)."""
-    F = GF(2)
-    sp = Space(F, tuple(f"x{i}" for i in range(dim)))
+    sp = Space(GF(2), tuple(f"x{i}" for i in range(dim)))
     cells = dim * dim * dim
-    for bits in range(2 ** cells):
-        tensor = []
-        v = bits
-        for _ in range(dim):
-            grid = []
-            for _ in range(dim):
-                row = []
-                for _ in range(dim):
-                    row.append(v & 1)
-                    v >>= 1
-                grid.append(row)
-            tensor.append(grid)
-        tensor = tuple(tuple(tuple(r) for r in g) for g in tensor)
-        a = Algebra(sp, BilMap(sp, sp, sp, tensor))
+    for v in range(2 ** cells):
+        a = Algebra(sp, _from_bits(sp, sp, [v >> p & 1 for p in range(cells)]))
         if is_lie(a):
             yield a
 
 
 def taus(c0, c1):
-    F = GF(2)
     cells = c1.dim * c0.dim * c0.dim
     for bits in itertools.product((0, 1), repeat=cells):
-        it = iter(bits)
-        tensor = tuple(
-            tuple(tuple(next(it) for _ in range(c0.dim)) for _ in range(c0.dim))
-            for _ in range(c1.dim)
-        )
-        yield BilMap(c0.space, c0.space, c1.space, tensor)
+        yield _from_bits(c0.space, c1.space, bits)
 
 
-def main():
-    disagreements = 0
+def search():
+    """(number of candidates passing LieT1-2, the braidings among them on
+    which the two validators disagree, with both lists of failing tags)."""
     candidates = 0
+    disagreements = []
     for dim in (1, 2):
         for a in lie_algebras_f2(dim):
             cat = discrete_cat(a, LIE)
@@ -77,13 +74,17 @@ def main():
                 candidates += 1
                 alt = validate_braiding_cat_lie_alt(b)
                 if ul.ok != alt.ok:
-                    disagreements += 1
-                    if disagreements <= 5:
-                        print("disagreement: bracket", a.mult.tensor)
-                        print("  tau", tau.tensor)
-                        print("  ulualan", ul.failing_tags(), "alt", alt.failing_tags())
+                    disagreements.append((b, ul.failing_tags(), alt.failing_tags()))
+    return candidates, disagreements
+
+
+def main():
+    candidates, disagreements = search()
+    for b, ul, alt in disagreements[:5]:
+        print(print_catbraiding_doc(b, "disagreement"))
+        print("  ulualan", ul, "alt", alt)
     print(f"candidates passing LieT1-2: {candidates}")
-    print(f"verdict disagreements: {disagreements}")
+    print(f"verdict disagreements: {len(disagreements)}")
 
 
 if __name__ == "__main__":

@@ -38,7 +38,6 @@ from braidalg.dsl import print_catbraiding_doc, print_xbraiding_doc
 from braidalg.fields import QQ
 from braidalg.icat import ASSOC, LIE, CatAlgebra, cat_liefy, k_formula
 from braidalg.linear import (
-    BilMap,
     LinMap,
     Space,
     bilinear_from_rule,
@@ -216,16 +215,16 @@ def flatten(vectors):
     return [c for v in vectors for c in v]
 
 
-def tensor_from_vec(left, right, cod, vec):
-    t = []
-    idx = 0
-    grid = [[[F.zero()] * right.dim for _ in range(left.dim)] for _ in range(cod.dim)]
-    for k in range(cod.dim):
-        for i in range(left.dim):
-            for j in range(right.dim):
-                grid[k][i][j] = vec[idx]
-                idx += 1
-    return tuple(tuple(tuple(r) for r in g) for g in grid)
+def bilinear_from_vec(left, right, cod, vec):
+    """The bilinear map whose k-coordinate on (b_i, b_j) is the unknown
+    vec[(k * left.dim + i) * right.dim + j]."""
+    L, R = left.dim, right.dim
+    return bilinear_from_rule(
+        left,
+        right,
+        cod,
+        lambda i, j: tuple(vec[(k * L + i) * R + j] for k in range(cod.dim)),
+    )
 
 
 def affine_parts(dim_unknown, make_obj, residual):
@@ -440,8 +439,9 @@ def main():
             dim = c.c1.dim * c.c0.dim * c.c0.dim
 
             def make(vec, c=c):
-                t = tensor_from_vec(c.c0.space, c.c0.space, c.c1.space, vec)
-                return CatBraiding(c, BilMap(c.c0.space, c.c0.space, c.c1.space, t))
+                return CatBraiding(
+                    c, bilinear_from_vec(c.c0.space, c.c0.space, c.c1.space, vec)
+                )
 
             vec = isolate(name, dim, make, assoc_tags, target, cat_residuals)
             if vec is not None:
@@ -469,8 +469,9 @@ def main():
             dim = c.c1.dim * c.c0.dim * c.c0.dim
 
             def make(vec, c=c):
-                t = tensor_from_vec(c.c0.space, c.c0.space, c.c1.space, vec)
-                return CatBraiding(c, BilMap(c.c0.space, c.c0.space, c.c1.space, t))
+                return CatBraiding(
+                    c, bilinear_from_vec(c.c0.space, c.c0.space, c.c1.space, vec)
+                )
 
             vec = isolate(name, dim, make, tags, target, cat_residuals)
             if vec is not None:
@@ -491,8 +492,9 @@ def main():
             dim = x.m.dim * x.n.dim * x.n.dim
 
             def make(vec, x=x):
-                t = tensor_from_vec(x.n.space, x.n.space, x.m.space, vec)
-                return XBraiding(x, BilMap(x.n.space, x.n.space, x.m.space, t))
+                return XBraiding(
+                    x, bilinear_from_vec(x.n.space, x.n.space, x.m.space, vec)
+                )
 
             vec = isolate(name, dim, make, blie_tags, target, xlie_residuals)
             if vec is not None:

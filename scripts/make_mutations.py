@@ -70,7 +70,6 @@ from braidalg.groupx import (
 )
 from braidalg.icat import ASSOC, LIE, CatAlgebra, discrete_cat, validate_cat_algebra
 from braidalg.linear import (
-    BilMap,
     LinMap,
     Space,
     Subspace,
@@ -121,6 +120,16 @@ def bil(left, right, cod, entries):
         return tuple(v)
 
     return bilinear_from_rule(left, right, cod, rule)
+
+
+def _perturbed(bm, kv, slot):
+    """bm with kv added to its value on the basis pair `slot`."""
+
+    def rule(i, j):
+        v = bm.on_basis(i, j)
+        return vadd(F, v, kv) if (i, j) == slot else v
+
+    return bilinear_from_rule(bm.left, bm.right, bm.codomain, rule)
 
 
 def cols(dom, cod, images):
@@ -640,16 +649,7 @@ def case_blie56_demo():
     # boundary on the (x, z) slot fails exactly {BLie4, BLie5, BLie6}.
     b = tensor_braiding(tensor_square(catalog("Heis3", F)))
     kv = kernel(b.base.boundary).basis[0]
-    t = [list(map(list, g)) for g in b.brace.tensor]
-    for k in range(b.base.m.dim):
-        t[k][0][2] = F.add(t[k][0][2], kv[k])
-    brace = BilMap(
-        b.base.n.space,
-        b.base.n.space,
-        b.base.m.space,
-        tuple(tuple(tuple(r) for r in g) for g in t),
-    )
-    mut = XBraiding(b.base, brace)
+    mut = XBraiding(b.base, _perturbed(b.brace, kv, (0, 2)))
     return Case(
         "blie56_demo",
         "BLie5",
@@ -808,19 +808,7 @@ def _heis_tensor_bar():
 
 
 def _perturb_tau(cat, tau, kv, slot):
-    i, j = slot
-    t = [list(map(list, g)) for g in tau.tensor]
-    for k in range(cat.c1.dim):
-        t[k][i][j] = F.add(t[k][i][j], kv[k])
-    return CatBraiding(
-        cat,
-        BilMap(
-            cat.c0.space,
-            cat.c0.space,
-            cat.c1.space,
-            tuple(tuple(tuple(r) for r in g) for g in t),
-        ),
-    )
+    return CatBraiding(cat, _perturbed(tau, kv, slot))
 
 
 def case_lieb4_demo():

@@ -10,7 +10,7 @@ import re
 
 from .errors import NotAssociative, UnknownFixture
 from .fields import Field
-from .linear import BilMap, LinMap, Space, bilinear_from_rule, vadd, vsub
+from .linear import BilMap, LinMap, Space, bilinear_from_rule, from_columns, vadd, vsub
 from .record import Record
 from .report import AxiomCheck, sweep
 
@@ -180,7 +180,7 @@ def is_derivation(d: LinMap, a: Algebra) -> bool:
 
 def ad_map(a: Algebra, x) -> LinMap:
     """Left multiplication y -> x*y (the adjoint map when a is Lie)."""
-    return a.mult.left_mul_matrix(x)
+    return from_columns(a.space, a.space, [a.product(x, b) for b in a.space.basis()])
 
 
 _NAME_RE = re.compile(r"^(Ab|Mat|Upper|gl)\(?(\d+)\)?$")

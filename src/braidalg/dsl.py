@@ -125,6 +125,10 @@ _BLOCK_KEYWORDS = (
 )
 
 
+# the least digit limit int() can be set to; a group element is far shorter
+_MAX_INT_DIGITS = 640
+
+
 class _Parser:
     def __init__(self, source: str):
         self.toks = _tokenize(source)
@@ -215,7 +219,13 @@ class _Parser:
             t = self.next()
             if "/" in t.value:
                 raise DslSyntaxError("expected an integer", t.line, t.col)
-            out.append(int(t.value))
+            # int() may refuse more digits: compare lengths first
+            digits = t.value.lstrip("0")
+            if len(digits) > _MAX_INT_DIGITS:
+                raise DslSyntaxError(
+                    f"integer of {len(digits)} digits is too large", t.line, t.col
+                )
+            out.append(int(digits or "0"))
         if not out:
             t = self.peek()
             raise DslSyntaxError("expected at least one integer", t.line, t.col)

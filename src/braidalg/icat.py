@@ -128,13 +128,11 @@ def validate_cat_algebra(c: CatAlgebra, subject: str = "cat") -> ValidationRepor
 
     pairs = composable_pair_basis(c)
     kvals = [k_formula(c, x, y) for x, y in pairs]
-    left_x = [c.c1.mult.left_mul_matrix(x) for x, _ in pairs]
-    left_y = [c.c1.mult.left_mul_matrix(y) for _, y in pairs]
-    left_k = [c.c1.mult.left_mul_matrix(kv) for kv in kvals]
+    mul = c.c1.product
 
     def k_hom(i, j):
-        prod_k = k_formula(c, left_x[i].apply(pairs[j][0]), left_y[i].apply(pairs[j][1]))
-        return prod_k, left_k[i].apply(kvals[j])
+        (x, y), (x2, y2) = pairs[i], pairs[j]
+        return k_formula(c, mul(x, x2), mul(y, y2)), mul(kvals[i], kvals[j])
 
     entries.append(sweep("Cat3", (len(pairs), len(pairs)), k_hom))
 

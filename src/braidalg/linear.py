@@ -145,20 +145,20 @@ def zero_map(domain: Space, codomain: Space) -> LinMap:
 
 
 class BilMap(Record):
-    """Bilinear map; tensor[k][i][j] is the k-coordinate of (b_i, b_j)."""
+    """Bilinear map; tensor[i][j] is the image of the basis pair (b_i, b_j)."""
 
     left: Space
     right: Space
     codomain: Space
-    tensor: tuple  # [codomain.dim][left.dim][right.dim]
+    tensor: tuple  # [left.dim][right.dim], each a codomain vector
 
     def __post_init__(self):
         if not (self.left.field == self.right.field == self.codomain.field):
             raise ValueError("bilinear map spaces over different fields")
         if (
-            len(self.tensor) != self.codomain.dim
-            or any(len(plane) != self.left.dim for plane in self.tensor)
-            or any(len(row) != self.right.dim for plane in self.tensor for row in plane)
+            len(self.tensor) != self.left.dim
+            or any(len(row) != self.right.dim for row in self.tensor)
+            or any(len(v) != self.codomain.dim for row in self.tensor for v in row)
         ):
             raise ValueError("tensor shape does not match spaces")
 
@@ -167,7 +167,7 @@ class BilMap(Record):
         return self.left.field
 
     def on_basis(self, i: int, j: int):
-        return tuple(self.tensor[k][i][j] for k in range(self.codomain.dim))
+        return self.tensor[i][j]
 
     def apply(self, u, v):
         F = self.field
@@ -175,80 +175,48 @@ class BilMap(Record):
         for i, a in enumerate(u):
             if a == 0:
                 continue
+            row = self.tensor[i]
             for j, b in enumerate(v):
                 if b == 0:
                     continue
                 ab = F.mul(a, b)
-                for k in range(self.codomain.dim):
-                    c = self.tensor[k][i][j]
+                for k, c in enumerate(row[j]):
                     if c != 0:
                         out[k] = F.add(out[k], F.mul(c, ab))
         return tuple(out)
 
-    def left_mul_matrix(self, u) -> LinMap:
-        """The linear map v -> apply(u, v), as a matrix (for hot loops)."""
-        F = self.field
-        rows = []
-        for k in range(self.codomain.dim):
-            row = []
-            for j in range(self.right.dim):
-                acc = F.zero()
-                for i, a in enumerate(u):
-                    if a != 0:
-                        c = self.tensor[k][i][j]
-                        if c != 0:
-                            acc = F.add(acc, F.mul(c, a))
-                row.append(acc)
-            rows.append(tuple(row))
-        return LinMap(self.right, self.codomain, tuple(rows))
-
     def swapped(self) -> "BilMap":
         """(u, v) -> apply(v, u)."""
         tensor = tuple(
-            tuple(
-                tuple(self.tensor[k][j][i] for j in range(self.left.dim))
-                for i in range(self.right.dim)
-            )
-            for k in range(self.codomain.dim)
+            tuple(row[i] for row in self.tensor) for i in range(self.right.dim)
         )
         return BilMap(self.right, self.left, self.codomain, tensor)
 
     def sub(self, other: "BilMap") -> "BilMap":
         F = self.field
         tensor = tuple(
-            tuple(
-                tuple(F.sub(a, b) for a, b in zip(ra, rb))
-                for ra, rb in zip(pa, pb)
-            )
-            for pa, pb in zip(self.tensor, other.tensor)
+            tuple(vsub(F, a, b) for a, b in zip(ra, rb))
+            for ra, rb in zip(self.tensor, other.tensor)
         )
         return BilMap(self.left, self.right, self.codomain, tensor)
 
     def scale(self, c) -> "BilMap":
         F = self.field
-        tensor = tuple(
-            tuple(tuple(F.mul(c, a) for a in row) for row in plane)
-            for plane in self.tensor
-        )
+        tensor = tuple(tuple(vscale(F, c, v) for v in row) for row in self.tensor)
         return BilMap(self.left, self.right, self.codomain, tensor)
 
 
 def bilinear_from_rule(left: Space, right: Space, codomain: Space, rule) -> BilMap:
     """Build a BilMap from a rule on basis index pairs returning vectors."""
-    cols = [[rule(i, j) for j in range(right.dim)] for i in range(left.dim)]
     tensor = tuple(
-        tuple(tuple(cols[i][j][k] for j in range(right.dim)) for i in range(left.dim))
-        for k in range(codomain.dim)
+        tuple(tuple(rule(i, j)) for j in range(right.dim)) for i in range(left.dim)
     )
     return BilMap(left, right, codomain, tensor)
 
 
 def zero_bilmap(left: Space, right: Space, codomain: Space) -> BilMap:
-    z = left.field.zero()
-    tensor = tuple(
-        tuple(tuple(z for _ in range(right.dim)) for _ in range(left.dim))
-        for _ in range(codomain.dim)
-    )
+    z = codomain.zero()
+    tensor = tuple(tuple(z for _ in range(right.dim)) for _ in range(left.dim))
     return BilMap(left, right, codomain, tensor)
 
 

@@ -23,6 +23,7 @@ from .linear import (
     Subspace,
     bilinear_from_rule,
     from_columns,
+    is_zero,
     quotient,
     vadd,
     vsub,
@@ -49,6 +50,13 @@ def _plain_tensor_space(m: Space) -> Space:
 
 def _outer(field, u, v):
     return tuple(field.mul(a, b) for a in u for b in v)
+
+
+def _bracket_map(m: Algebra, amb: Space) -> LinMap:
+    """mu: M (x) M -> M, m1 (x) m2 -> [m1,m2]."""
+    return from_columns(
+        amb, m.space, [m.mult.on_basis(*divmod(p, m.dim)) for p in range(amb.dim)]
+    )
 
 
 def tensor_square(m: Algebra) -> TensorSquare:
@@ -84,20 +92,19 @@ def tensor_square(m: Algebra) -> TensorSquare:
     relations = Subspace.span(amb, rels)
     tspace, proj = quotient(amb, relations)
 
-    # bracket on the ambient space: e_(i,j) x e_(k,l) -> [bi,bj] (x) [bk,bl]
-    def amb_rule(p, q):
-        i, j = divmod(p, n)
-        k, l = divmod(q, n)
-        return _outer(F, m.mult.on_basis(i, j), m.mult.on_basis(k, l))
-
-    amb_bracket = bilinear_from_rule(amb, amb, amb, amb_rule)
+    # [u(x)v, w(x)x] = [u,v](x)[w,x], so the bracket of r with e_q is
+    # mu(r)(x)mu(e_q), and 0 when mu(r) = 0
+    mu = _bracket_map(m, amb)
     for r in relations.basis:
-        for j in range(amb.dim):
-            if not relations.contains(amb_bracket.apply(r, amb.basis_vector(j))):
+        mr = mu.apply(r)
+        if is_zero(mr):
+            continue
+        for q in range(amb.dim):
+            if not relations.contains(_outer(F, mr, mu.column(q))):
                 raise InternalInvariantViolation(
                     "bracket does not respect the relation span (left argument)"
                 )
-            if not relations.contains(amb_bracket.apply(amb.basis_vector(j), r)):
+            if not relations.contains(_outer(F, mu.column(q), mr)):
                 raise InternalInvariantViolation(
                     "bracket does not respect the relation span (right argument)"
                 )
@@ -107,11 +114,12 @@ def tensor_square(m: Algebra) -> TensorSquare:
     free = [j for j in range(amb.dim) if j not in pivots]
     lift = from_columns(tspace, amb, [amb.basis_vector(c) for c in free])
 
+    mu_lift = mu.after(lift)
     t_bracket = bilinear_from_rule(
         tspace,
         tspace,
         tspace,
-        lambda i, j: proj.apply(amb_bracket.apply(lift.column(i), lift.column(j))),
+        lambda i, j: proj.apply(_outer(F, mu_lift.column(i), mu_lift.column(j))),
     )
     carrier = Algebra(tspace, t_bracket)
     if not is_lie(carrier):
@@ -136,11 +144,7 @@ def tensor_xmod(ts: TensorSquare) -> XModLie:
     amb = ts.relations.ambient
     bv = m.space.basis_vector
 
-    def amb_boundary_col(p):
-        i, j = divmod(p, n)
-        return m.mult.on_basis(i, j)
-
-    amb_boundary = from_columns(amb, m.space, [amb_boundary_col(p) for p in range(amb.dim)])
+    amb_boundary = _bracket_map(m, amb)
 
     def amb_action_rule(a, p):
         i, j = divmod(p, n)

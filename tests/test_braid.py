@@ -22,6 +22,8 @@ from braidalg.braid import (
 from braidalg.errors import CharTwo
 from braidalg.fields import GF, QQ
 
+from conftest import load_script
+
 ASSOC_NAMES = ("Mat(2)", "Mat(3)", "Upper(3)")
 LIE_NAMES = ("sl2", "Heis3", "gl2")
 
@@ -90,6 +92,13 @@ def test_validators_agree_away_from_char_two(name, field):
     assert t12
     assert ul.ok == alt.ok
     assert check_anticoherence(lie_cb).ok
+
+
+def test_f2_search_finds_no_disagreement():
+    # every tau on the discrete Lie algebras of dimension 1 and 2 over F2
+    candidates, disagreements = load_script("f2_braiding_search").search()
+    assert candidates == 5
+    assert disagreements == []
 
 
 def test_char_two_transport_guards():

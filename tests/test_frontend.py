@@ -289,6 +289,36 @@ def test_out_of_range_group_entry_exits_two(old, new, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "new,code",
+    (
+        ("0" * 5001 + " 1", 0),
+        ("0 " + "0" * 5000 + "1", 0),
+        ("1" + "0" * 5000 + " 1", 2),
+    ),
+    ids=("zeros", "padded-one", "5001-digits"),
+)
+def test_group_integer_past_the_int_digit_limit(new, code, tmp_path, capsys):
+    # int() refuses more than 4300 digits; leading zeros do not count
+    with open(os.path.join(FIXTURES, "s3_group.alg"), encoding="utf-8") as fh:
+        src = fh.read()
+    old = "boundary = 0 1 2 3 4 5;"
+    bad = tmp_path / "bad.alg"
+    bad.write_text(src.replace(old, f"boundary = {new} 2 3 4 5;"), encoding="utf-8")
+    assert main(["report", str(bad)]) == code
+    err = capsys.readouterr().err.splitlines()
+    if code == 0:
+        assert err == []
+        assert parse(bad.read_text(encoding="utf-8")).blocks == parse(src).blocks
+    else:
+        with pytest.raises(DslSyntaxError) as exc:
+            parse(bad.read_text(encoding="utf-8"))
+        line = src[: src.index(old)].count("\n") + 1
+        assert (exc.value.line, exc.value.col) == (line, 14)
+        assert err == [f"error: {exc.value}"]
+        assert str(exc.value).endswith("integer of 5001 digits is too large")
+
+
 def test_is_prime_matches_trial_division():
     for n in range(3000):
         assert _is_prime(n) == (n > 1 and all(n % d for d in range(2, n))), n

@@ -3,9 +3,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidalg.algebra import Algebra, ad_map
 from braidalg.fields import GF, QQ
 from braidalg.linear import (
-    BilMap,
     LinMap,
     Space,
     Subspace,
@@ -21,6 +21,8 @@ from braidalg.linear import (
     rref,
     vadd,
     vscale,
+    vsub,
+    zero_bilmap,
     zero_map,
 )
 
@@ -158,3 +160,74 @@ def test_from_columns_roundtrip():
     for j, col in enumerate(cols):
         assert f.column(j) == col
         assert f.apply(V3.basis_vector(j)) == col
+
+
+# A bilinear map is stored as its values on basis pairs; the oracle below
+# is the dense sum over all pairs, computed from the rule alone.
+
+
+@st.composite
+def bilinear_cases(draw, square=False):
+    """Spaces of dimension <= 4 over Q, F5 or F7, two rules on basis pairs
+    as value tables, two vectors and a scalar."""
+    F = draw(st.sampled_from((QQ, GF(5), GF(7))))
+    if F.is_rationals:
+        raw = st.integers(-5, 5) | st.fractions(-5, 5, max_denominator=7)
+    else:
+        raw = st.integers(0, F.characteristic - 1)
+    scalar = raw.map(F.of)
+    n = draw(st.integers(0, 4))
+    dims = (n, n) if square else (draw(st.integers(0, 4)), draw(st.integers(0, 4)))
+    left, right, cod = (
+        Space(F, tuple(f"{stem}{i}" for i in range(d)))
+        for stem, d in zip("abc", (n, *dims))
+    )
+    row = st.tuples(*([st.tuples(*([scalar] * cod.dim))] * right.dim))
+    tables = [draw(st.tuples(*([row] * left.dim))) for _ in range(2)]
+    u = draw(st.tuples(*([scalar] * left.dim)))
+    v = draw(st.tuples(*([scalar] * right.dim)))
+    return F, left, right, cod, tables, u, v, draw(scalar)
+
+
+def naive_apply(F, cod, table, u, v):
+    """sum over i, j of u_i v_j table[i][j]."""
+    out = cod.zero()
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            out = vadd(F, out, vscale(F, F.mul(a, b), table[i][j]))
+    return out
+
+
+@settings(max_examples=60, derandomize=True, database=None)
+@given(bilinear_cases())
+def test_bilmap_agrees_with_the_dense_oracle(case):
+    F, left, right, cod, (t, t2), u, v, c = case
+    b = bilinear_from_rule(left, right, cod, lambda i, j: t[i][j])
+    other = bilinear_from_rule(left, right, cod, lambda i, j: t2[i][j])
+    sw, diff, scaled = b.swapped(), b.sub(other), b.scale(c)
+    zero = zero_bilmap(left, right, cod)
+    assert (sw.left, sw.right, sw.codomain) == (right, left, cod)
+    for i in range(left.dim):
+        for j in range(right.dim):
+            assert b.on_basis(i, j) == t[i][j]
+            assert sw.on_basis(j, i) == t[i][j]
+            assert diff.on_basis(i, j) == vsub(F, t[i][j], t2[i][j])
+            assert scaled.on_basis(i, j) == vscale(F, c, t[i][j])
+            assert zero.on_basis(i, j) == cod.zero()
+    expect = naive_apply(F, cod, t, u, v)
+    assert b.apply(u, v) == expect
+    assert sw.apply(v, u) == expect
+    assert diff.apply(u, v) == vsub(F, expect, naive_apply(F, cod, t2, u, v))
+    assert scaled.apply(u, v) == vscale(F, c, expect)
+    assert zero.apply(u, v) == cod.zero()
+
+
+@settings(max_examples=50, derandomize=True, database=None)
+@given(bilinear_cases(square=True))
+def test_ad_map_columns_are_products(case):
+    F, sp, _, _, (t, _), x, _, _ = case
+    a = Algebra(sp, bilinear_from_rule(sp, sp, sp, lambda i, j: t[i][j]))
+    ad = ad_map(a, x)
+    for j in range(sp.dim):
+        assert ad.column(j) == a.product(x, sp.basis_vector(j))
+        assert ad.column(j) == naive_apply(F, sp, t, x, sp.basis_vector(j))

@@ -14,7 +14,7 @@ import re
 import pytest
 
 from braidalg.cli import VALIDATABLE, _validate_block
-from braidalg.dsl import parse
+from braidalg.dsl import parse, print_document
 
 from conftest import MUTATIONS
 
@@ -59,6 +59,15 @@ def test_manifest_matches_fixture_files(mutations_module):
     files = {e["file"] for e in manifest}
     on_disk = {f for f in os.listdir(MUTATIONS) if f.endswith(".alg")}
     assert files == on_disk
+
+
+def test_case_documents_reprint_as_the_committed_files(mutations_module):
+    cases = [c for c in _cases(mutations_module) if c.doc is not None]
+    assert len(cases) >= 40
+    for case in cases:
+        path = os.path.join(MUTATIONS, f"{case.name}.alg")
+        with open(path, "r", encoding="utf-8") as fh:
+            assert print_document(parse(case.doc())) == fh.read(), case.name
 
 
 @pytest.mark.parametrize("entry", _manifest(), ids=lambda e: e["file"])
