@@ -2,14 +2,16 @@
 """Derive braidings that violate exactly one braiding axiom.
 
 Every braiding axiom is affine in the brace/tau tensor once the
-underlying crossed module or categorical algebra is fixed.  For a
-target tag this solves the linear system "all other axioms hold" and
-looks for a solution violating the target; the solutions are written
-to fixtures/mutations/ as DSL files.
+underlying crossed module or categorical algebra is fixed.  The laws are
+the validators' own law tables (`braiding_*_laws` in braidalg.braid).
+For a target tag this solves the linear system "every other law of the
+table holds" and looks for a solution violating the target; the
+solutions are written to fixtures/mutations/ as DSL files.
 
 Run from the repository root:  python3 scripts/find_isolating_mutations.py
 """
 
+import itertools
 import os
 import sys
 
@@ -26,17 +28,17 @@ from braidalg.action import (
 from braidalg.algebra import catalog, from_constants
 from braidalg.braid import (
     CatBraiding,
-    XBraiding,
+    braiding_cat_assoc_laws,
+    braiding_cat_lie_alt_laws,
+    braiding_cat_lie_ulualan_laws,
+    braiding_xmod_lie_laws,
+    bracket_braiding,
     commutator_braiding,
     cx_functor,
-    validate_braiding_cat_assoc,
-    validate_braiding_cat_lie_alt,
-    validate_braiding_cat_lie_ulualan,
-    validate_braiding_xmod_lie,
 )
 from braidalg.dsl import print_catbraiding_doc, print_xbraiding_doc
 from braidalg.fields import QQ
-from braidalg.icat import ASSOC, LIE, CatAlgebra, cat_liefy, k_formula
+from braidalg.icat import ASSOC, LIE, CatAlgebra, cat_liefy
 from braidalg.linear import (
     LinMap,
     Space,
@@ -44,167 +46,25 @@ from braidalg.linear import (
     from_columns,
     kernel,
     rref,
-    vadd,
     vsub,
     zero_bilmap,
     zero_map,
 )
 from braidalg.natensor import tensor_braiding, tensor_square
+from braidalg.report import sweep
 from braidalg.xmod import XModAssoc, XModLie
 
 F = QQ
 
 
-# ---------------------------------------------------------------------------
-# residuals: one (lhs - rhs) vector per sweep index, as a function of the
-# brace/tau bilinear map
-
-
-def cat_residuals(tag, b):
-    c = b.base
-    c1, c0, tau = c.c1, c.c0, b.tau
-    b0 = c0.space.basis_vector
-    b1 = c1.space.basis_vector
-    out = []
-    if tag == "T1s":
-        for a in range(c0.dim):
-            for d in range(c0.dim):
-                out.append(vsub(F, c.s.apply(tau.on_basis(a, d)), c0.mult.on_basis(a, d)))
-    elif tag == "T1t":
-        for a in range(c0.dim):
-            for d in range(c0.dim):
-                out.append(vsub(F, c.t.apply(tau.on_basis(a, d)), c0.mult.on_basis(d, a)))
-    elif tag == "T2":
-        for x in range(c1.dim):
-            for y in range(c1.dim):
-                lhs = k_formula(
-                    c,
-                    c1.mult.on_basis(x, y),
-                    tau.apply(c.t.apply(b1(x)), c.t.apply(b1(y))),
-                )
-                rhs = k_formula(
-                    c,
-                    tau.apply(c.s.apply(b1(x)), c.s.apply(b1(y))),
-                    c1.mult.on_basis(y, x),
-                )
-                out.append(vsub(F, lhs, rhs))
-    elif tag in ("AsT3", "AsT4"):
-        for a in range(c0.dim):
-            for d in range(c0.dim):
-                for g in range(c0.dim):
-                    if tag == "AsT3":
-                        lhs = tau.apply(c0.mult.on_basis(a, d), b0(g))
-                        rhs = k_formula(
-                            c,
-                            c1.product(c.e.column(a), tau.on_basis(d, g)),
-                            c1.product(tau.on_basis(a, g), c.e.column(d)),
-                        )
-                    else:
-                        lhs = tau.apply(b0(a), c0.mult.on_basis(d, g))
-                        rhs = k_formula(
-                            c,
-                            c1.product(tau.on_basis(a, d), c.e.column(g)),
-                            c1.product(c.e.column(d), tau.on_basis(a, g)),
-                        )
-                    out.append(vsub(F, lhs, rhs))
-    elif tag in ("LieB3", "LieB4", "LieT3", "LieT4"):
-        for a in range(c0.dim):
-            for d in range(c0.dim):
-                for g in range(c0.dim):
-                    if tag == "LieB3":
-                        lhs = tau.apply(c0.mult.on_basis(a, d), b0(g))
-                        rhs = vadd(
-                            F,
-                            c1.product(tau.on_basis(a, g), c.e.column(d)),
-                            c1.product(c.e.column(a), tau.on_basis(d, g)),
-                        )
-                    elif tag == "LieB4":
-                        lhs = tau.apply(b0(a), c0.mult.on_basis(d, g))
-                        rhs = vadd(
-                            F,
-                            c1.product(c.e.column(d), tau.on_basis(a, g)),
-                            c1.product(tau.on_basis(a, d), c.e.column(g)),
-                        )
-                    elif tag == "LieT3":
-                        lhs = tau.apply(c0.mult.on_basis(a, d), b0(g))
-                        rhs = vsub(
-                            F,
-                            tau.apply(b0(a), c0.mult.on_basis(d, g)),
-                            tau.apply(b0(d), c0.mult.on_basis(a, g)),
-                        )
-                    else:
-                        lhs = tau.apply(b0(a), c0.mult.on_basis(d, g))
-                        rhs = vsub(
-                            F,
-                            tau.apply(c0.mult.on_basis(a, d), b0(g)),
-                            tau.apply(c0.mult.on_basis(a, g), b0(d)),
-                        )
-                    out.append(vsub(F, lhs, rhs))
-    else:
-        raise ValueError(tag)
-    return out
-
-
-def xlie_residuals(tag, b):
-    x = b.base
-    M, N = x.m, x.n
-    dot, d, br = x.action.dot, x.boundary, b.brace
-    bn = N.space.basis_vector
-    out = []
-    if tag == "BLie1":
-        for n in range(N.dim):
-            for n2 in range(N.dim):
-                out.append(
-                    vsub(F, d.apply(br.on_basis(n, n2)), N.mult.on_basis(n, n2))
-                )
-    elif tag == "BLie2":
-        for m in range(M.dim):
-            for m2 in range(M.dim):
-                out.append(
-                    vsub(
-                        F,
-                        br.apply(d.column(m), d.column(m2)),
-                        M.mult.on_basis(m, m2),
-                    )
-                )
-    elif tag == "BLie3":
-        for m in range(M.dim):
-            for n in range(N.dim):
-                out.append(
-                    vadd(
-                        F,
-                        br.apply(d.column(m), bn(n)),
-                        dot.apply(bn(n), M.space.basis_vector(m)),
-                    )
-                )
-    elif tag == "BLie4":
-        for n in range(N.dim):
-            for m in range(M.dim):
-                out.append(
-                    vsub(F, br.apply(bn(n), d.column(m)), dot.on_basis(n, m))
-                )
-    elif tag in ("BLie5", "BLie6"):
-        for n in range(N.dim):
-            for n2 in range(N.dim):
-                for n3 in range(N.dim):
-                    if tag == "BLie5":
-                        lhs = br.apply(bn(n), N.mult.on_basis(n2, n3))
-                        rhs = vsub(
-                            F,
-                            br.apply(N.mult.on_basis(n, n2), bn(n3)),
-                            br.apply(N.mult.on_basis(n, n3), bn(n2)),
-                        )
-                    else:
-                        lhs = br.apply(N.mult.on_basis(n, n2), bn(n3))
-                        rhs = vsub(
-                            F,
-                            br.apply(bn(n), N.mult.on_basis(n2, n3)),
-                            br.apply(bn(n2), N.mult.on_basis(n, n3)),
-                        )
-                    out.append(vsub(F, lhs, rhs))
-    else:
-        raise ValueError(tag)
-    return out
+def residuals(laws, tag):
+    """lhs - rhs of each law in `laws` tagged `tag`, at every basis index
+    tuple in the order `sweep` visits them."""
+    for t, dims, law in laws:
+        if t == tag:
+            for idx in itertools.product(*(range(d) for d in dims)):
+                lhs, rhs = law(*idx)
+                yield vsub(F, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -269,55 +129,59 @@ def solve_affine(rows, const, dim_unknown):
     return part, null
 
 
-_PARTS_CACHE = {}
+def isolate(cache, name, b, laws, target):
+    """A braiding on `b.base` that satisfies every law of `laws` except
+    those tagged `target`, and fails `target`; None if there is none.
 
+    `cache` keeps the affine parts of each (name, tag): a tag names the
+    same law in every table that holds it.
+    """
+    t = b.tau if isinstance(b, CatBraiding) else b.brace
+    dim = t.left.dim * t.right.dim * t.codomain.dim
 
-def cached_parts(key, tag, dim_unknown, make_obj, residual):
-    if (key, tag) not in _PARTS_CACHE:
-        _PARTS_CACHE[(key, tag)] = affine_parts(
-            dim_unknown, make_obj, lambda o, t=tag: residual(t, o)
-        )
-    return _PARTS_CACHE[(key, tag)]
+    def make(vec):
+        return type(b)(b.base, bilinear_from_vec(t.left, t.right, t.codomain, vec))
 
+    def parts(tag):
+        if (name, tag) not in cache:
+            cache[name, tag] = affine_parts(
+                dim, make, lambda o: residuals(laws(o), tag)
+            )
+        return cache[name, tag]
 
-def isolate(key, dim_unknown, make_obj, tags, target, residual):
     rows, const = [], []
     zero = F.zero()
-    for tag in tags:
+    for tag in dict.fromkeys(tag for tag, _, _ in laws(b)):
         if tag == target:
             continue
-        r, c = cached_parts(key, tag, dim_unknown, make_obj, residual)
+        r, c = parts(tag)
         for row, cst in zip(r, c):
             if cst != zero or any(a != zero for a in row):
                 rows.append(row)
                 const.append(cst)
-    sol = solve_affine(rows, const, dim_unknown)
+    sol = solve_affine(rows, const, dim)
     if sol is None:
         return None
     part, null = sol
-    t_rows, t_const = cached_parts(key, target, dim_unknown, make_obj, residual)
+    t_rows, t_const = parts(target)
 
     def target_res(vec):
         return [
-            F.add(sum((F.mul(r[u], vec[u]) for u in range(dim_unknown)), F.zero()), c)
+            F.add(sum((F.mul(a, x) for a, x in zip(r, vec) if a), F.zero()), c)
             for r, c in zip(t_rows, t_const)
         ]
 
     if any(v != F.zero() for v in target_res(part)):
-        return part
+        return make(part)
     for n in null:
-        cand = [F.add(a, b) for a, b in zip(part, n)]
+        cand = [F.add(a, x) for a, x in zip(part, n)]
         if any(v != F.zero() for v in target_res(cand)):
-            return cand
+            return make(cand)
     return None
 
 
 # ---------------------------------------------------------------------------
 # drivers
-
-
-def _zero_brace(x):
-    return XBraiding(x, zero_bilmap(x.n.space, x.n.space, x.m.space))
 
 
 def degenerate_xmods():
@@ -414,98 +278,61 @@ def cat_lie_candidates():
 
 
 def xmod_lie_candidates():
-    from braidalg.braid import bracket_braiding
-
     yield "sl2T", tensor_braiding(tensor_square(catalog("sl2", QQ)))
     yield "heis3T", tensor_braiding(tensor_square(catalog("Heis3", QQ)))
     yield "gl2id", bracket_braiding(catalog("gl2", QQ))
 
 
-def emit(outdir, fname, text):
-    with open(os.path.join(outdir, fname), "w", encoding="utf-8") as fh:
-        fh.write(text)
-    print("wrote", fname)
+# each law table with the candidates searched and the tags targeted
+FAMILIES = (
+    (braiding_cat_assoc_laws, cat_assoc_candidates, ("AsT2", "AsT3", "AsT4")),
+    (
+        braiding_cat_lie_ulualan_laws,
+        cat_lie_candidates,
+        ("LieT2", "LieB3", "LieB4"),
+    ),
+    (braiding_cat_lie_alt_laws, cat_lie_candidates, ("LieT3", "LieT4")),
+    (braiding_xmod_lie_laws, xmod_lie_candidates, ("BLie5", "BLie6")),
+)
+
+
+def search():
+    """For each target tag, the first candidate with an isolating braiding
+    as (candidate name, failing tags, DSL document), or None."""
+    cache = {}
+    found = {}
+    for laws, candidates, targets in FAMILIES:
+        for target in targets:
+            found[target] = None
+            for name, b in candidates():
+                mut = isolate(cache, name, b, laws, target)
+                if mut is not None:
+                    checks = [sweep(*law) for law in laws(mut)]
+                    failing = sorted({c.tag for c in checks if not c.ok})
+                    printer = (
+                        print_catbraiding_doc
+                        if isinstance(mut, CatBraiding)
+                        else print_xbraiding_doc
+                    )
+                    doc = printer(mut, f"mut_{target.lower()}")
+                    found[target] = (name, failing, doc)
+                    break
+    return found
 
 
 def main():
     outdir = os.path.join(os.path.dirname(__file__), "..", "fixtures", "mutations")
     os.makedirs(outdir, exist_ok=True)
-
-    assoc_tags = ("T1s", "T1t", "T2", "AsT3", "AsT4")
-    for target, label in (("T2", "AsT2"), ("AsT3", "AsT3"), ("AsT4", "AsT4")):
-        found = False
-        for name, base in cat_assoc_candidates():
-            c = base.base
-            dim = c.c1.dim * c.c0.dim * c.c0.dim
-
-            def make(vec, c=c):
-                return CatBraiding(
-                    c, bilinear_from_vec(c.c0.space, c.c0.space, c.c1.space, vec)
-                )
-
-            vec = isolate(name, dim, make, assoc_tags, target, cat_residuals)
-            if vec is not None:
-                mut = make(vec)
-                rep = validate_braiding_cat_assoc(mut)
-                print(label, "on", name, "fails:", sorted(set(rep.failing_tags())))
-                emit(outdir, f"{label.lower()}_fail.alg", print_catbraiding_doc(mut, f"mut_{label.lower()}"))
-                found = True
-                break
-        if not found:
-            print(label, ": no isolating braiding found")
-
-    ul_tags = ("T1s", "T1t", "T2", "LieB3", "LieB4")
-    alt_tags = ("T1s", "T1t", "T2", "LieT3", "LieT4")
-    for target, label, tags, val in (
-        ("T2", "LieT2", ul_tags, validate_braiding_cat_lie_ulualan),
-        ("LieB3", "LieB3", ul_tags, validate_braiding_cat_lie_ulualan),
-        ("LieB4", "LieB4", ul_tags, validate_braiding_cat_lie_ulualan),
-        ("LieT3", "LieT3", alt_tags, validate_braiding_cat_lie_alt),
-        ("LieT4", "LieT4", alt_tags, validate_braiding_cat_lie_alt),
-    ):
-        found = False
-        for name, base in cat_lie_candidates():
-            c = base.base
-            dim = c.c1.dim * c.c0.dim * c.c0.dim
-
-            def make(vec, c=c):
-                return CatBraiding(
-                    c, bilinear_from_vec(c.c0.space, c.c0.space, c.c1.space, vec)
-                )
-
-            vec = isolate(name, dim, make, tags, target, cat_residuals)
-            if vec is not None:
-                mut = make(vec)
-                rep = val(mut)
-                print(label, "on", name, "fails:", sorted(set(rep.failing_tags())))
-                emit(outdir, f"{label.lower()}_fail.alg", print_catbraiding_doc(mut, f"mut_{label.lower()}"))
-                found = True
-                break
-        if not found:
-            print(label, ": no isolating braiding found")
-
-    blie_tags = ("BLie1", "BLie2", "BLie3", "BLie4", "BLie5", "BLie6")
-    for target in ("BLie5", "BLie6"):
-        found = False
-        for name, base in xmod_lie_candidates():
-            x = base.base
-            dim = x.m.dim * x.n.dim * x.n.dim
-
-            def make(vec, x=x):
-                return XBraiding(
-                    x, bilinear_from_vec(x.n.space, x.n.space, x.m.space, vec)
-                )
-
-            vec = isolate(name, dim, make, blie_tags, target, xlie_residuals)
-            if vec is not None:
-                mut = make(vec)
-                rep = validate_braiding_xmod_lie(mut)
-                print(target, "on", name, "fails:", sorted(set(rep.failing_tags())))
-                emit(outdir, f"{target.lower()}_fail.alg", print_xbraiding_doc(mut, f"mut_{target.lower()}"))
-                found = True
-                break
-        if not found:
+    for target, hit in search().items():
+        if hit is None:
             print(target, ": no isolating braiding found")
+            continue
+        name, failing, doc = hit
+        print(target, "on", name, "fails:", failing)
+        fname = f"{target.lower()}_fail.alg"
+        with open(os.path.join(outdir, fname), "w", encoding="utf-8") as fh:
+            fh.write(doc)
+        print("wrote", fname)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ but not rewritten here.
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))

@@ -4,6 +4,9 @@ bar/kernel equivalence functors with their natural isomorphisms.
 The BAs/BLie validators sweep the displayed axiom families; the
 categorical validators evaluate every composition with the forced
 formula k((x, y)) = x - e(t(x)) + y, exactly as the source proofs do.
+Four validators sweep a law table, `braiding_*_laws(b)`: the list of
+(tag, dims, law) triples that `report.sweep` takes, in report order.
+Other code that needs an axiom (the mutation solver) reads the table.
 """
 
 from __future__ import annotations
@@ -138,10 +141,8 @@ def validate_braiding_xmod_assoc(
     return merge(subject, checks)
 
 
-def validate_braiding_xmod_lie(
-    b: XBraiding, subject: str = "braiding"
-) -> ValidationReport:
-    """BLie1..BLie6 on basis pairs/triples."""
+def braiding_xmod_lie_laws(b: XBraiding):
+    """BLie1..BLie6 on basis pairs/triples, as (tag, dims, law) triples."""
     x = b.base
     M, N = x.m, x.n
     F = M.field
@@ -149,13 +150,13 @@ def validate_braiding_xmod_lie(
     bn = N.space.basis_vector
     bm = M.space.basis_vector
 
-    checks = [
-        sweep(
+    return [
+        (
             "BLie1",
             (N.dim, N.dim),
             lambda n, n2: (d.apply(br.on_basis(n, n2)), N.mult.on_basis(n, n2)),
         ),
-        sweep(
+        (
             "BLie2",
             (M.dim, M.dim),
             lambda m, m2: (
@@ -163,7 +164,7 @@ def validate_braiding_xmod_lie(
                 M.mult.on_basis(m, m2),
             ),
         ),
-        sweep(
+        (
             "BLie3",
             (M.dim, N.dim),
             lambda m, n: (
@@ -171,12 +172,12 @@ def validate_braiding_xmod_lie(
                 vneg(F, dot.apply(bn(n), bm(m))),
             ),
         ),
-        sweep(
+        (
             "BLie4",
             (N.dim, M.dim),
             lambda n, m: (br.apply(bn(n), d.column(m)), dot.on_basis(n, m)),
         ),
-        sweep(
+        (
             "BLie5",
             (N.dim, N.dim, N.dim),
             lambda n, n2, n3: (
@@ -188,7 +189,7 @@ def validate_braiding_xmod_lie(
                 ),
             ),
         ),
-        sweep(
+        (
             "BLie6",
             (N.dim, N.dim, N.dim),
             lambda n, n2, n3: (
@@ -201,7 +202,13 @@ def validate_braiding_xmod_lie(
             ),
         ),
     ]
-    return merge(subject, checks)
+
+
+def validate_braiding_xmod_lie(
+    b: XBraiding, subject: str = "braiding"
+) -> ValidationReport:
+    """BLie1..BLie6 on basis pairs/triples."""
+    return merge(subject, [sweep(*law) for law in braiding_xmod_lie_laws(b)])
 
 
 def _cat_parts(b: CatBraiding):
@@ -214,17 +221,17 @@ def _cat_t12(b: CatBraiding, t1: str, t2: str):
     c, c1, c0, tau = _cat_parts(b)
     b1 = c1.space.basis_vector
     return [
-        sweep(
+        (
             t1,
             (c0.dim, c0.dim),
             lambda a, d: (c.s.apply(tau.on_basis(a, d)), c0.mult.on_basis(a, d)),
         ),
-        sweep(
+        (
             t1,
             (c0.dim, c0.dim),
             lambda a, d: (c.t.apply(tau.on_basis(a, d)), c0.mult.on_basis(d, a)),
         ),
-        sweep(
+        (
             t2,
             (c1.dim, c1.dim),
             lambda x, y: (
@@ -243,15 +250,14 @@ def _cat_t12(b: CatBraiding, t1: str, t2: str):
     ]
 
 
-def validate_braiding_cat_assoc(
-    b: CatBraiding, subject: str = "braiding"
-) -> ValidationReport:
-    """AsT1..AsT4; AsT2-4 evaluate compositions via the forced formula."""
+def braiding_cat_assoc_laws(b: CatBraiding):
+    """AsT1..AsT4 as (tag, dims, law) triples; AsT2-4 evaluate compositions
+    via the forced formula."""
     c, c1, c0, tau = _cat_parts(b)
     b0 = c0.space.basis_vector
 
-    checks = _cat_t12(b, "AsT1", "AsT2") + [
-        sweep(
+    return _cat_t12(b, "AsT1", "AsT2") + [
+        (
             "AsT3",
             (c0.dim, c0.dim, c0.dim),
             lambda a, d, g: (
@@ -263,7 +269,7 @@ def validate_braiding_cat_assoc(
                 ),
             ),
         ),
-        sweep(
+        (
             "AsT4",
             (c0.dim, c0.dim, c0.dim),
             lambda a, d, g: (
@@ -276,19 +282,23 @@ def validate_braiding_cat_assoc(
             ),
         ),
     ]
-    return merge(subject, checks)
 
 
-def validate_braiding_cat_lie_ulualan(
+def validate_braiding_cat_assoc(
     b: CatBraiding, subject: str = "braiding"
 ) -> ValidationReport:
-    """LieT1, LieT2 plus the bracket-coherence axioms LieB3, LieB4."""
+    """AsT1..AsT4; AsT2-4 evaluate compositions via the forced formula."""
+    return merge(subject, [sweep(*law) for law in braiding_cat_assoc_laws(b)])
+
+
+def braiding_cat_lie_ulualan_laws(b: CatBraiding):
+    """LieT1, LieT2, LieB3, LieB4 as (tag, dims, law) triples."""
     c, c1, c0, tau = _cat_parts(b)
     F = c1.field
     b0 = c0.space.basis_vector
 
-    checks = _cat_t12(b, "LieT1", "LieT2") + [
-        sweep(
+    return _cat_t12(b, "LieT1", "LieT2") + [
+        (
             "LieB3",
             (c0.dim, c0.dim, c0.dim),
             lambda a, d, g: (
@@ -300,7 +310,7 @@ def validate_braiding_cat_lie_ulualan(
                 ),
             ),
         ),
-        sweep(
+        (
             "LieB4",
             (c0.dim, c0.dim, c0.dim),
             lambda a, d, g: (
@@ -313,19 +323,23 @@ def validate_braiding_cat_lie_ulualan(
             ),
         ),
     ]
-    return merge(subject, checks)
 
 
-def validate_braiding_cat_lie_alt(
+def validate_braiding_cat_lie_ulualan(
     b: CatBraiding, subject: str = "braiding"
 ) -> ValidationReport:
-    """LieT1, LieT2 plus the tau-only coherence axioms LieT3, LieT4."""
+    """LieT1, LieT2 plus the bracket-coherence axioms LieB3, LieB4."""
+    return merge(subject, [sweep(*law) for law in braiding_cat_lie_ulualan_laws(b)])
+
+
+def braiding_cat_lie_alt_laws(b: CatBraiding):
+    """LieT1..LieT4 as (tag, dims, law) triples."""
     c, c1, c0, tau = _cat_parts(b)
     F = c1.field
     b0 = c0.space.basis_vector
 
-    checks = _cat_t12(b, "LieT1", "LieT2") + [
-        sweep(
+    return _cat_t12(b, "LieT1", "LieT2") + [
+        (
             "LieT3",
             (c0.dim, c0.dim, c0.dim),
             lambda a, d, g: (
@@ -337,7 +351,7 @@ def validate_braiding_cat_lie_alt(
                 ),
             ),
         ),
-        sweep(
+        (
             "LieT4",
             (c0.dim, c0.dim, c0.dim),
             lambda a, d, g: (
@@ -350,7 +364,13 @@ def validate_braiding_cat_lie_alt(
             ),
         ),
     ]
-    return merge(subject, checks)
+
+
+def validate_braiding_cat_lie_alt(
+    b: CatBraiding, subject: str = "braiding"
+) -> ValidationReport:
+    """LieT1, LieT2 plus the tau-only coherence axioms LieT3, LieT4."""
+    return merge(subject, [sweep(*law) for law in braiding_cat_lie_alt_laws(b)])
 
 
 def check_anticoherence(b: CatBraiding, subject: str = "braiding") -> ValidationReport:

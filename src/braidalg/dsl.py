@@ -386,20 +386,20 @@ class _Parser:
         _, _, dom = self.ref("algebra")
         self.expect("punct", "->")
         _, _, cod = self.ref("algebra")
-        cols = {i: cod.space.zero() for i in range(dom.dim)}
+        cols = {}
         self.expect("punct", "{")
         while not (self.peek().kind == "punct" and self.peek().value == "}"):
             a = self.expect("ident")
             i = self._label(dom.space, a)
+            if i in cols:
+                raise DslSyntaxError(f"image of {a.value} listed twice", a.line, a.col)
             self.expect("punct", "|->")
             cols[i] = self.expr(cod.space)
             self.expect("punct", ";")
         self.expect("punct", "}")
-        self.register(
-            name,
-            "map",
-            from_columns(dom.space, cod.space, [cols[i] for i in range(dom.dim)]),
-        )
+        zero = cod.space.zero()
+        columns = [cols.get(i, zero) for i in range(dom.dim)]
+        self.register(name, "map", from_columns(dom.space, cod.space, columns))
 
     def parse_bilinear(self):
         self.expect("ident", "bilinear")

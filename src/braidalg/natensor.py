@@ -26,7 +26,6 @@ from .linear import (
     is_zero,
     quotient,
     vadd,
-    vsub,
 )
 from .record import Record
 from .report import ValidationReport, merge, sweep
@@ -52,6 +51,17 @@ def _outer(field, u, v):
     return tuple(field.mul(a, b) for a in u for b in v)
 
 
+def _place(field, acc, positions, u, op):
+    """acc[p] = op(acc[p], u[a]) for the a-th of `positions`, nonzero u[a].
+
+    With one factor a basis vector, u(x)b_k sits at range(k, n*n, n) and
+    b_i(x)u at range(i*n, i*n + n), so no outer product is formed.
+    """
+    for p, a in zip(positions, u):
+        if a != 0:
+            acc[p] = op(acc[p], a)
+
+
 def _bracket_map(m: Algebra, amb: Space) -> LinMap:
     """mu: M (x) M -> M, m1 (x) m2 -> [m1,m2]."""
     return from_columns(
@@ -66,7 +76,8 @@ def tensor_square(m: Algebra) -> TensorSquare:
     F = m.field
     amb = _plain_tensor_space(m.space)
     n = m.dim
-    bv = m.space.basis_vector
+    left = [range(k, n * n, n) for k in range(n)]  # u(x)b_k
+    right = [range(i * n, i * n + n) for i in range(n)]  # b_i(x)u
 
     rels = []
     for i in range(n):
@@ -75,20 +86,16 @@ def tensor_square(m: Algebra) -> TensorSquare:
                 bij, bjk = m.mult.on_basis(i, j), m.mult.on_basis(j, k)
                 bik, bki = m.mult.on_basis(i, k), m.mult.on_basis(k, i)
                 bji = m.mult.on_basis(j, i)
-                rels.append(
-                    vadd(
-                        F,
-                        vsub(F, _outer(F, bij, bv(k)), _outer(F, bv(i), bjk)),
-                        _outer(F, bv(j), bik),
-                    )
-                )
-                rels.append(
-                    vadd(
-                        F,
-                        vsub(F, _outer(F, bv(i), bjk), _outer(F, bki, bv(j))),
-                        _outer(F, bji, bv(k)),
-                    )
-                )
+                r = list(amb.zero())
+                _place(F, r, left[k], bij, F.add)
+                _place(F, r, right[i], bjk, F.sub)
+                _place(F, r, right[j], bik, F.add)
+                rels.append(tuple(r))
+                r = list(amb.zero())
+                _place(F, r, right[i], bjk, F.add)
+                _place(F, r, left[j], bki, F.sub)
+                _place(F, r, left[k], bji, F.add)
+                rels.append(tuple(r))
     relations = Subspace.span(amb, rels)
     tspace, proj = quotient(amb, relations)
 
@@ -128,10 +135,7 @@ def tensor_square(m: Algebra) -> TensorSquare:
         )
 
     pure = bilinear_from_rule(
-        m.space,
-        m.space,
-        tspace,
-        lambda i, j: proj.apply(_outer(F, bv(i), bv(j))),
+        m.space, m.space, tspace, lambda i, j: proj.column(i * n + j)
     )
     return TensorSquare(m, carrier, pure, relations, proj, lift)
 
@@ -148,11 +152,10 @@ def tensor_xmod(ts: TensorSquare) -> XModLie:
 
     def amb_action_rule(a, p):
         i, j = divmod(p, n)
-        return vadd(
-            F,
-            _outer(F, m.mult.on_basis(a, i), bv(j)),
-            _outer(F, bv(i), m.mult.on_basis(a, j)),
-        )
+        v = list(amb.zero())
+        _place(F, v, range(j, n * n, n), m.mult.on_basis(a, i), F.add)
+        _place(F, v, range(i * n, i * n + n), m.mult.on_basis(a, j), F.add)
+        return tuple(v)
 
     amb_action = bilinear_from_rule(m.space, amb, amb, amb_action_rule)
 

@@ -10,7 +10,7 @@ import pytest
 
 from braidalg.action import self_action, validate_assoc_action
 from braidalg.algebra import from_constants
-from braidalg.cli import main
+from braidalg.cli import VALIDATABLE, _validate_block, main
 from braidalg.dsl import (
     parse,
     print_action_doc,
@@ -235,6 +235,49 @@ def test_duplicate_product_rejected():
     src = "field Q\nalgebra A basis x {\n  x*x = x;\n  x*x = 2 x;\n}\n"
     with pytest.raises(DslError):
         parse(src)
+
+
+def test_map_image_listed_twice_exits_two(tmp_path, capsys):
+    with open(os.path.join(FIXTURES, "upper3_cat.alg"), encoding="utf-8") as fh:
+        src = fh.read()
+    first = "  n_e12 |-> e12;\n"
+    assert src.count(first) == 2
+    src = src.replace(first, first + "  n_e12 |-> e11;\n", 1)
+    line = src[: src.index(first) + len(first)].count("\n") + 1
+    bad = tmp_path / "bad.alg"
+    bad.write_text(src, encoding="utf-8")
+    assert main(["validate", str(bad)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {line}:3: image of n_e12 listed twice"]
+
+
+def _entries(src):
+    doc = parse(src)
+    return [
+        (name, e.tag, e.ok)
+        for name, kind, obj in doc.blocks
+        if kind in VALIDATABLE
+        for e in _validate_block(name, kind, obj).entries
+    ]
+
+
+def test_a_pass_over_q_is_a_pass_over_fp():
+    """An integral structure that satisfies an axiom over Q satisfies it
+    mod every prime, so no entry passing over Q may fail over F5 or F7."""
+    sources = []
+    for path in all_fixture_files():
+        with open(path, "r", encoding="utf-8") as fh:
+            src = fh.read()
+        if src.startswith("field Q\n") and "/" not in src:
+            sources.append((os.path.basename(path), src))
+    assert len(sources) >= 50
+    for name, src in sources:
+        over_q = _entries(src)
+        for p in (5, 7):
+            over_p = _entries(src.replace("field Q\n", f"field Fp {p}\n", 1))
+            assert [e[:2] for e in over_p] == [e[:2] for e in over_q], name
+            for q_entry, p_entry in zip(over_q, over_p):
+                assert p_entry[2] or not q_entry[2], (name, p, q_entry[:2])
 
 
 def test_antisymmetric_completion():

@@ -16,7 +16,7 @@ import pytest
 from braidalg.cli import VALIDATABLE, _validate_block
 from braidalg.dsl import parse, print_document
 
-from conftest import MUTATIONS
+from conftest import MUTATIONS, load_script
 
 
 def _cases(mutations_module):
@@ -84,6 +84,26 @@ def test_fixture_validates_to_expected_tags(entry):
         if name != entry["subject"] and k in VALIDATABLE:
             prior = _validate_block(name, k, o)
             assert prior.ok, f"{entry['file']}: prior {name} fails {prior.failing_tags()}"
+
+
+def test_solver_finds_the_committed_isolating_braidings():
+    found = load_script("find_isolating_mutations").search()
+    hits = {
+        "AsT2": "kercx",
+        "AsT3": "idactcx",
+        "AsT4": "idactcx",
+        "LieT2": "kercxlie",
+    }
+    misses = ("LieB3", "LieB4", "LieT3", "LieT4", "BLie5", "BLie6")
+    assert set(found) == set(hits) | set(misses)
+    for tag in misses:
+        assert found[tag] is None, tag
+    for tag, candidate in hits.items():
+        name, failing, doc = found[tag]
+        assert (name, failing) == (candidate, [tag])
+        path = os.path.join(MUTATIONS, f"{tag.lower()}_fail.alg")
+        with open(path, "r", encoding="utf-8") as fh:
+            assert doc == fh.read(), tag
 
 
 def _glossary_tags(glossary_text):
