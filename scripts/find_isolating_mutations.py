@@ -40,7 +40,6 @@ from braidalg.dsl import print_catbraiding_doc, print_xbraiding_doc
 from braidalg.fields import QQ
 from braidalg.icat import ASSOC, LIE, CatAlgebra, cat_liefy
 from braidalg.linear import (
-    LinMap,
     Space,
     bilinear_from_rule,
     from_columns,
@@ -122,7 +121,7 @@ def solve_affine(rows, const, dim_unknown):
     dom = Space(F, tuple(f"u{i}" for i in range(dim_unknown)))
     if rows:
         cod = Space(F, tuple(f"r{i}" for i in range(len(rows))))
-        f = LinMap(dom, cod, tuple(tuple(r) for r in rows))
+        f = from_columns(dom, cod, zip(*rows))
         null = list(kernel(f).basis)
     else:
         null = list(dom.basis())
@@ -267,10 +266,12 @@ def _lie_bar_cat(x):
     return CatBraiding(cat, zero_bilmap(x.n.space, x.n.space, total))
 
 
-def cat_lie_candidates():
+def cat_lie_candidates(assoc):
+    """Lie bar constructions, then the Lie-fied bases of `assoc`, the
+    associative candidates."""
     for name, x in lie_degenerate_xmods():
         yield name + "bar", _lie_bar_cat(x)
-    for name, b in cat_assoc_candidates():
+    for name, b in assoc:
         base = cat_liefy(b.base)
         yield name + "lie", CatBraiding(
             base, zero_bilmap(base.c0.space, base.c0.space, base.c1.space)
@@ -283,17 +284,17 @@ def xmod_lie_candidates():
     yield "gl2id", bracket_braiding(catalog("gl2", QQ))
 
 
-# each law table with the candidates searched and the tags targeted
-FAMILIES = (
-    (braiding_cat_assoc_laws, cat_assoc_candidates, ("AsT2", "AsT3", "AsT4")),
-    (
-        braiding_cat_lie_ulualan_laws,
-        cat_lie_candidates,
-        ("LieT2", "LieB3", "LieB4"),
-    ),
-    (braiding_cat_lie_alt_laws, cat_lie_candidates, ("LieT3", "LieT4")),
-    (braiding_xmod_lie_laws, xmod_lie_candidates, ("BLie5", "BLie6")),
-)
+def families():
+    """Each law table with its candidates and the tags targeted; each
+    candidate list is built once, and both Lie categorical tables share one."""
+    assoc = list(cat_assoc_candidates())
+    lie = list(cat_lie_candidates(assoc))
+    return (
+        (braiding_cat_assoc_laws, assoc, ("AsT2", "AsT3", "AsT4")),
+        (braiding_cat_lie_ulualan_laws, lie, ("LieT2", "LieB3", "LieB4")),
+        (braiding_cat_lie_alt_laws, lie, ("LieT3", "LieT4")),
+        (braiding_xmod_lie_laws, list(xmod_lie_candidates()), ("BLie5", "BLie6")),
+    )
 
 
 def search():
@@ -301,10 +302,10 @@ def search():
     as (candidate name, failing tags, DSL document), or None."""
     cache = {}
     found = {}
-    for laws, candidates, targets in FAMILIES:
+    for laws, candidates, targets in families():
         for target in targets:
             found[target] = None
-            for name, b in candidates():
+            for name, b in candidates:
                 mut = isolate(cache, name, b, laws, target)
                 if mut is not None:
                     checks = [sweep(*law) for law in laws(mut)]

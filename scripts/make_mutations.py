@@ -70,7 +70,6 @@ from braidalg.groupx import (
 )
 from braidalg.icat import ASSOC, LIE, CatAlgebra, discrete_cat, validate_cat_algebra
 from braidalg.linear import (
-    LinMap,
     Space,
     Subspace,
     bilinear_from_rule,
@@ -798,10 +797,10 @@ def _heis_tensor_bar():
         )
 
     tau = bilinear_from_rule(x.n.space, x.n.space, total, rule)
-    stacked = LinMap(
+    stacked = from_columns(
         total,
         Space(F, tuple(f"w{i}" for i in range(2 * x.n.dim))),
-        tuple(tuple(r) for r in (list(cat.s.matrix) + list(cat.t.matrix))),
+        [cat.s.column(j) + cat.t.column(j) for j in range(total.dim)],
     )
     kv = kernel(stacked).basis[0]
     return cat, tau, kv

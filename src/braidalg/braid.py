@@ -78,13 +78,12 @@ def validate_braiding_xmod_assoc(
     F = M.field
     s1, s2, d, br = x.action.star1, x.action.star2, x.boundary, b.brace
     bn = N.space.basis_vector
-    bm = M.space.basis_vector
     ncomm = _commutator(N)
     mcomm = _commutator(M)
 
     def lie_star(n, m):
-        # [n, m]_* = n *1 m - m *2 n on vectors
-        return vsub(F, s1.apply(n, m), s2.apply(m, n))
+        # [b_n, b_m]_* = b_n *1 b_m - b_m *2 b_n
+        return vsub(F, s1.on_basis(n, m), s2.on_basis(m, n))
 
     checks = [
         sweep(
@@ -105,13 +104,13 @@ def validate_braiding_xmod_assoc(
             (M.dim, N.dim),
             lambda m, n: (
                 br.apply(d.column(m), bn(n)),
-                vneg(F, lie_star(bn(n), bm(m))),
+                vneg(F, lie_star(n, m)),
             ),
         ),
         sweep(
             "BAs4",
             (N.dim, M.dim),
-            lambda n, m: (br.apply(bn(n), d.column(m)), lie_star(bn(n), bm(m))),
+            lambda n, m: (br.apply(bn(n), d.column(m)), lie_star(n, m)),
         ),
         sweep(
             "BAs5",
@@ -148,7 +147,6 @@ def braiding_xmod_lie_laws(b: XBraiding):
     F = M.field
     dot, d, br = x.action.dot, x.boundary, b.brace
     bn = N.space.basis_vector
-    bm = M.space.basis_vector
 
     return [
         (
@@ -169,7 +167,7 @@ def braiding_xmod_lie_laws(b: XBraiding):
             (M.dim, N.dim),
             lambda m, n: (
                 br.apply(d.column(m), bn(n)),
-                vneg(F, dot.apply(bn(n), bm(m))),
+                vneg(F, dot.on_basis(n, m)),
             ),
         ),
         (
@@ -219,7 +217,6 @@ def _cat_parts(b: CatBraiding):
 def _cat_t12(b: CatBraiding, t1: str, t2: str):
     """The source/target and composition laws shared by both flavors."""
     c, c1, c0, tau = _cat_parts(b)
-    b1 = c1.space.basis_vector
     return [
         (
             t1,
@@ -238,11 +235,11 @@ def _cat_t12(b: CatBraiding, t1: str, t2: str):
                 k_formula(
                     c,
                     c1.mult.on_basis(x, y),
-                    tau.apply(c.t.apply(b1(x)), c.t.apply(b1(y))),
+                    tau.apply(c.t.column(x), c.t.column(y)),
                 ),
                 k_formula(
                     c,
-                    tau.apply(c.s.apply(b1(x)), c.s.apply(b1(y))),
+                    tau.apply(c.s.column(x), c.s.column(y)),
                     c1.mult.on_basis(y, x),
                 ),
             ),
@@ -637,12 +634,11 @@ def _beta(b: CatBraiding):
     target = _cx(_xc(b, kpart))
     cols = []
     for i in range(c1.dim):
-        x = c1.space.basis_vector(i)
-        kpart = vsub(F, x, c.e.apply(c.s.apply(x)))
-        coords = ks.coords(kpart)
+        sx = c.s.column(i)
+        coords = ks.coords(vsub(F, c1.space.basis_vector(i), c.e.apply(sx)))
         if coords is None:
             raise InternalInvariantViolation("x - e(s(x)) escaped ker(s)")
-        cols.append(tuple(coords) + tuple(c.s.apply(x)))
+        cols.append(tuple(coords) + tuple(sx))
     f1 = from_columns(c1.space, target.base.c1.space, cols)
     f0 = identity_map(c0.space)
     rep = validate_braided_internal_functor(f1, f0, b, target)

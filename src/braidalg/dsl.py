@@ -125,7 +125,8 @@ _BLOCK_KEYWORDS = (
 )
 
 
-# the least digit limit int() can be set to; a group element is far shorter
+# the least digit limit int() can be set to; a group element or either part
+# of a scalar is far shorter
 _MAX_INT_DIGITS = 640
 
 
@@ -162,8 +163,15 @@ class _Parser:
     # scalars and vectors --------------------------------------------------
 
     def scalar(self, tok: Token):
+        # the rule of int_list, for the numerator and the denominator
+        parts = [p.lstrip("0") or "0" for p in tok.value.split("/")]
+        for digits in parts:
+            if len(digits) > _MAX_INT_DIGITS:
+                raise DslSyntaxError(
+                    f"scalar of {len(digits)} digits is too large", tok.line, tok.col
+                )
         try:
-            return self.field.of(tok.value)
+            return self.field.of("/".join(parts))
         except (ZeroDivisionError, ValueError):
             raise FieldMismatch(
                 f"scalar {tok.value!r} has no value in {self.field}", tok.line, tok.col

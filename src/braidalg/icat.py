@@ -94,8 +94,7 @@ def composable_triple_basis(c: CatAlgebra):
     cols = []
     for j in range(3 * n):
         block, idx = divmod(j, n)
-        bv = c.c1.space.basis_vector(idx)
-        tv, sv = c.t.apply(bv), c.s.apply(bv)
+        tv, sv = c.t.column(idx), c.s.column(idx)
         z = c.c0.space.zero()
         if block == 0:
             col = tuple(tv) + tuple(z)
@@ -141,14 +140,14 @@ def validate_cat_algebra(c: CatAlgebra, subject: str = "cat") -> ValidationRepor
         sweep(
             "Cat4",
             (c.c1.dim,),
-            lambda i: (k_formula(c, bv(i), c.e.apply(c.t.apply(bv(i)))), bv(i)),
+            lambda i: (k_formula(c, bv(i), c.e.apply(c.t.column(i))), bv(i)),
         )
     )
     entries.append(
         sweep(
             "Cat4",
             (c.c1.dim,),
-            lambda i: (k_formula(c, c.e.apply(c.s.apply(bv(i))), bv(i)), bv(i)),
+            lambda i: (k_formula(c, c.e.apply(c.s.column(i)), bv(i)), bv(i)),
         )
     )
     triples = composable_triple_basis(c)

@@ -1,8 +1,9 @@
 """Exact linear algebra: spaces, linear and bilinear maps, subspaces.
 
-Vectors are tuples of field scalars, matrices are tuples of row tuples.
-Subspaces are kept in reduced row echelon form so that equal subspaces
-have equal representations.
+Vectors are tuples of field scalars.  A linear map stores the image of
+each basis vector, a bilinear map the image of each basis pair; no other
+module reads those layouts.  Subspaces are kept in reduced row echelon
+form so that equal subspaces have equal representations.
 """
 
 from __future__ import annotations
@@ -65,19 +66,19 @@ def is_zero(u) -> bool:
 
 
 class LinMap(Record):
-    """Linear map; column j of `matrix` is the image of basis vector j."""
+    """Linear map; columns[j] is the image of basis vector b_j."""
 
     domain: Space
     codomain: Space
-    matrix: tuple  # rows: codomain.dim, cols: domain.dim
+    columns: tuple  # [domain.dim], each a codomain vector
 
     def __post_init__(self):
         if self.domain.field != self.codomain.field:
             raise ValueError("domain and codomain fields differ")
-        if len(self.matrix) != self.codomain.dim or any(
-            len(row) != self.domain.dim for row in self.matrix
+        if len(self.columns) != self.domain.dim or any(
+            len(col) != self.codomain.dim for col in self.columns
         ):
-            raise ValueError("matrix shape does not match spaces")
+            raise ValueError("columns do not match the spaces")
 
     @property
     def field(self) -> Field:
@@ -86,62 +87,47 @@ class LinMap(Record):
     def apply(self, v):
         F = self.field
         out = [F.zero()] * self.codomain.dim
-        for j, c in enumerate(v):
+        for c, col in zip(v, self.columns):
             if c == 0:
                 continue
-            for i in range(self.codomain.dim):
-                m = self.matrix[i][j]
+            for i, m in enumerate(col):
                 if m != 0:
                     out[i] = F.add(out[i], F.mul(m, c))
         return tuple(out)
 
     def column(self, j: int):
-        return tuple(row[j] for row in self.matrix)
+        return self.columns[j]
 
     def after(self, other: "LinMap") -> "LinMap":
         """self o other."""
         if other.codomain != self.domain:
             raise ValueError("maps not composable")
-        cols = [self.apply(other.column(j)) for j in range(other.domain.dim)]
-        return from_columns(other.domain, self.codomain, cols)
+        return from_columns(other.domain, self.codomain, map(self.apply, other.columns))
 
     def add(self, other: "LinMap") -> "LinMap":
         F = self.field
-        rows = tuple(
-            tuple(F.add(a, b) for a, b in zip(ra, rb))
-            for ra, rb in zip(self.matrix, other.matrix)
-        )
-        return LinMap(self.domain, self.codomain, rows)
+        cols = (vadd(F, a, b) for a, b in zip(self.columns, other.columns))
+        return from_columns(self.domain, self.codomain, cols)
 
     def sub(self, other: "LinMap") -> "LinMap":
         F = self.field
-        rows = tuple(
-            tuple(F.sub(a, b) for a, b in zip(ra, rb))
-            for ra, rb in zip(self.matrix, other.matrix)
-        )
-        return LinMap(self.domain, self.codomain, rows)
+        cols = (vsub(F, a, b) for a, b in zip(self.columns, other.columns))
+        return from_columns(self.domain, self.codomain, cols)
 
     def rank(self) -> int:
-        return len(rref(self.field, [self.column(j) for j in range(self.domain.dim)]))
+        return len(rref(self.field, self.columns))
 
 
 def from_columns(domain: Space, codomain: Space, cols) -> LinMap:
-    rows = tuple(tuple(col[i] for col in cols) for i in range(codomain.dim))
-    return LinMap(domain, codomain, rows)
+    return LinMap(domain, codomain, tuple(tuple(col) for col in cols))
 
 
 def identity_map(sp: Space) -> LinMap:
-    z, one = sp.field.zero(), sp.field.one()
-    rows = tuple(
-        tuple(one if i == j else z for j in range(sp.dim)) for i in range(sp.dim)
-    )
-    return LinMap(sp, sp, rows)
+    return from_columns(sp, sp, sp.basis())
 
 
 def zero_map(domain: Space, codomain: Space) -> LinMap:
-    z = domain.field.zero()
-    rows = tuple(tuple(z for _ in range(domain.dim)) for _ in range(codomain.dim))
-    return LinMap(domain, codomain, rows)
+    return LinMap(domain, codomain, (codomain.zero(),) * domain.dim)
 
 
 class BilMap(Record):

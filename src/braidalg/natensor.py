@@ -26,6 +26,7 @@ from .linear import (
     is_zero,
     quotient,
     vadd,
+    vscale,
 )
 from .record import Record
 from .report import ValidationReport, merge, sweep
@@ -146,18 +147,20 @@ def tensor_xmod(ts: TensorSquare) -> XModLie:
     F = m.field
     n = m.dim
     amb = ts.relations.ambient
-    bv = m.space.basis_vector
 
     amb_boundary = _bracket_map(m, amb)
 
-    def amb_action_rule(a, p):
-        i, j = divmod(p, n)
-        v = list(amb.zero())
-        _place(F, v, range(j, n * n, n), m.mult.on_basis(a, i), F.add)
-        _place(F, v, range(i * n, i * n + n), m.mult.on_basis(a, j), F.add)
-        return tuple(v)
-
-    amb_action = bilinear_from_rule(m.space, amb, amb, amb_action_rule)
+    def act(a, v):
+        """b_a . v on M (x) M: v_p [b_a,b_i] (x) b_j + v_p b_i (x) [b_a,b_j]
+        for each nonzero v_p, p = i*n + j."""
+        out = list(amb.zero())
+        for p, c in enumerate(v):
+            if c != 0:
+                i, j = divmod(p, n)
+                bai, baj = m.mult.on_basis(a, i), m.mult.on_basis(a, j)
+                _place(F, out, range(j, n * n, n), vscale(F, c, bai), F.add)
+                _place(F, out, range(i * n, i * n + n), vscale(F, c, baj), F.add)
+        return tuple(out)
 
     for r in ts.relations.basis:
         if any(c != 0 for c in amb_boundary.apply(r)):
@@ -165,7 +168,7 @@ def tensor_xmod(ts: TensorSquare) -> XModLie:
                 "boundary does not vanish on the relation span"
             )
         for a in range(n):
-            if not ts.relations.contains(amb_action.apply(bv(a), r)):
+            if not ts.relations.contains(act(a, r)):
                 raise InternalInvariantViolation(
                     "action does not preserve the relation span"
                 )
@@ -173,10 +176,7 @@ def tensor_xmod(ts: TensorSquare) -> XModLie:
     tspace, proj, lift = ts.carrier.space, ts.proj, ts.lift
     boundary = amb_boundary.after(lift)
     dot = bilinear_from_rule(
-        m.space,
-        tspace,
-        tspace,
-        lambda a, i: proj.apply(amb_action.apply(bv(a), lift.column(i))),
+        m.space, tspace, tspace, lambda a, i: proj.apply(act(a, lift.column(i)))
     )
     return XModLie(LieAction(m, ts.carrier, dot), boundary)
 

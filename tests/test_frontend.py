@@ -362,6 +362,25 @@ def test_group_integer_past_the_int_digit_limit(new, code, tmp_path, capsys):
         assert str(exc.value).endswith("integer of 5001 digits is too large")
 
 
+@pytest.mark.parametrize("field", ("Q", "Fp 5"))
+def test_scalar_past_the_int_digit_limit(field, tmp_path, capsys):
+    # int() refuses more than 4300 digits; leading zeros do not count, on
+    # either side of the slash
+    def doc(scalar):
+        return f"field {field}\nalgebra A basis x {{\n  x*x = {scalar} x;\n}}\n"
+
+    padded = parse(doc("1/" + "0" * 5000 + "3"))
+    assert padded.lookup("A")[1].mult.on_basis(0, 0) == (padded.field.of("1/3"),)
+    for scalar in ("7" * 5000, "1/" + "7" * 5000):
+        with pytest.raises(DslSyntaxError) as exc:
+            parse(doc(scalar))
+        assert str(exc.value) == "3:9: scalar of 5000 digits is too large"
+        bad = tmp_path / "bad.alg"
+        bad.write_text(doc(scalar), encoding="utf-8")
+        assert main(["report", str(bad)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {exc.value}"]
+
+
 def test_is_prime_matches_trial_division():
     for n in range(3000):
         assert _is_prime(n) == (n > 1 and all(n % d for d in range(2, n))), n

@@ -91,6 +91,6 @@ def test_cat_liefy_valid_and_lie():
     assert is_lie(lie_bar.c1)
     assert validate_cat_algebra(lie_bar).ok
     # structural maps are unchanged
-    assert lie_bar.s.matrix == bar.s.matrix
-    assert lie_bar.t.matrix == bar.t.matrix
-    assert lie_bar.e.matrix == bar.e.matrix
+    assert lie_bar.s.columns == bar.s.columns
+    assert lie_bar.t.columns == bar.t.columns
+    assert lie_bar.e.columns == bar.e.columns

@@ -1,12 +1,15 @@
+import ast
+import glob
+import os
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidalg.algebra import Algebra, ad_map
 from braidalg.fields import GF, QQ
 from braidalg.linear import (
-    LinMap,
     Space,
     Subspace,
     bilinear_from_rule,
@@ -26,6 +29,8 @@ from braidalg.linear import (
     zero_map,
 )
 
+from conftest import ROOT, SCRIPTS
+
 scalars = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 
 
@@ -33,8 +38,8 @@ def vec(dim):
     return st.tuples(*([scalars] * dim))
 
 
-def matrix(rows, cols):
-    return st.tuples(*([vec(cols)] * rows))
+def vectors(count, dim):
+    return st.tuples(*([vec(dim)] * count))
 
 
 def space(dim, stem="x"):
@@ -45,41 +50,41 @@ V3 = space(3)
 V4 = space(4, "y")
 
 
-@given(matrix(4, 3))
+@given(vectors(3, 4))
 @settings(max_examples=50)
-def test_kernel_vectors_map_to_zero(rows):
-    f = LinMap(V3, V4, rows)
+def test_kernel_vectors_map_to_zero(cols):
+    f = from_columns(V3, V4, cols)
     for v in kernel(f).basis:
         assert is_zero(f.apply(v))
 
 
-@given(matrix(2, 4))
+@given(vectors(4, 2))
 @settings(max_examples=50)
-def test_kernel_basis_is_canonical(rows):
-    k = kernel(LinMap(V4, space(2, "z"), rows))
+def test_kernel_basis_is_canonical(cols):
+    k = kernel(from_columns(V4, space(2, "z"), cols))
     assert k.dim >= 2
     assert k == Subspace.span(V4, k.basis)
 
 
-@given(matrix(4, 3))
+@given(vectors(3, 4))
 @settings(max_examples=50)
-def test_rank_nullity(rows):
-    f = LinMap(V3, V4, rows)
+def test_rank_nullity(cols):
+    f = from_columns(V3, V4, cols)
     rank = Subspace.span(V4, [f.column(j) for j in range(3)]).dim
     assert rank + kernel(f).dim == 3
 
 
-@given(matrix(3, 3))
+@given(vectors(3, 3))
 @settings(max_examples=50)
 def test_rref_idempotent(rows):
     once = rref(QQ, list(rows))
     assert rref(QQ, once) == once
 
 
-@given(matrix(4, 3), vec(3), vec(3), scalars, scalars)
+@given(vectors(3, 4), vec(3), vec(3), scalars, scalars)
 @settings(max_examples=50)
-def test_linmap_linearity(rows, u, v, a, b):
-    f = LinMap(V3, V4, rows)
+def test_linmap_linearity(cols, u, v, a, b):
+    f = from_columns(V3, V4, cols)
     combo = vadd(QQ, vscale(QQ, a, u), vscale(QQ, b, v))
     expect = vadd(QQ, vscale(QQ, a, f.apply(u)), vscale(QQ, b, f.apply(v)))
     assert f.apply(combo) == expect
@@ -96,11 +101,11 @@ def test_bilmap_bilinearity(u, v, c):
     assert b.apply(vadd(QQ, u, v), v) == vadd(QQ, b.apply(u, v), b.apply(v, v))
 
 
-@given(matrix(2, 3))
+@given(vectors(2, 3))
 @settings(max_examples=50)
-def test_span_membership_and_coords(vectors):
-    sub = Subspace.span(V3, list(vectors))
-    for v in vectors:
+def test_span_membership_and_coords(vs):
+    sub = Subspace.span(V3, list(vs))
+    for v in vs:
         assert in_subspace(v, sub)
         coords = sub.coords(v)
         assert coords is not None
@@ -110,10 +115,10 @@ def test_span_membership_and_coords(vectors):
         assert rebuilt == tuple(v)
 
 
-@given(matrix(2, 3), vec(3))
+@given(vectors(2, 3), vec(3))
 @settings(max_examples=50)
-def test_quotient_projection(vectors, v):
-    sub = Subspace.span(V3, list(vectors))
+def test_quotient_projection(vs, v):
+    sub = Subspace.span(V3, list(vs))
     qspace, proj = quotient(V3, sub)
     assert qspace.dim == 3 - sub.dim
     # the projection kills exactly the subspace
@@ -130,12 +135,12 @@ def test_direct_sum_structure():
     assert pa.after(ib) == zero_map(V4, V3)
 
 
-@given(matrix(2, 3), matrix(2, 4))
+@given(vectors(3, 2), vectors(4, 2))
 @settings(max_examples=30)
-def test_pullback_members_agree(t_rows, s_rows):
+def test_pullback_members_agree(t_cols, s_cols):
     out = space(2, "w")
-    t = LinMap(V3, out, t_rows)
-    s = LinMap(V4, out, s_rows)
+    t = from_columns(V3, out, t_cols)
+    s = from_columns(V4, out, s_cols)
     pb = pullback_space(t, s)
     for v in pb.basis:
         x, y = v[:3], v[3:]
@@ -231,3 +236,130 @@ def test_ad_map_columns_are_products(case):
     for j in range(sp.dim):
         assert ad.column(j) == a.product(x, sp.basis_vector(j))
         assert ad.column(j) == naive_apply(F, sp, t, x, sp.basis_vector(j))
+
+
+# A linear map is stored as its images of basis vectors; the oracle below
+# is the row-major matrix, built from those images and evaluated by hand.
+
+
+@st.composite
+def linear_cases(draw):
+    """Spaces U, V, W of dimension <= 4 over Q, F5 or F7, two maps U -> V
+    and one map W -> U as column tables, and vectors of U and W."""
+    F = draw(st.sampled_from((QQ, GF(5), GF(7))))
+    if F.is_rationals:
+        raw = st.integers(-5, 5) | st.fractions(-5, 5, max_denominator=7)
+    else:
+        raw = st.integers(0, F.characteristic - 1)
+    scalar = raw.map(F.of)
+    U, V, W = (
+        Space(F, tuple(f"{stem}{i}" for i in range(draw(st.integers(0, 4)))))
+        for stem in "uvw"
+    )
+
+    def table(dom, cod):
+        return draw(st.tuples(*([st.tuples(*([scalar] * cod.dim))] * dom.dim)))
+
+    tables = (table(U, V), table(U, V), table(W, U))
+    u = draw(st.tuples(*([scalar] * U.dim)))
+    w = draw(st.tuples(*([scalar] * W.dim)))
+    return F, U, V, W, tables, u, w
+
+
+def naive_rows(cols, dim):
+    """The row-major matrix whose j-th column is cols[j]."""
+    return [[col[i] for col in cols] for i in range(dim)]
+
+
+def naive_matvec(F, rows, v):
+    out = []
+    for row in rows:
+        acc = F.zero()
+        for a, b in zip(row, v):
+            acc = F.add(acc, F.mul(a, b))
+        out.append(acc)
+    return tuple(out)
+
+
+def naive_rank(F, rows):
+    """Forward elimination; the number of pivots."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = F.inv(rows[rank][c])
+        for r in range(rank + 1, len(rows)):
+            f = F.mul(rows[r][c], inv)
+            rows[r] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=60, derandomize=True, database=None)
+@given(linear_cases())
+def test_linmap_agrees_with_the_dense_oracle(case):
+    F, U, V, W, (ta, tb, tc), u, w = case
+    a, b, c = from_columns(U, V, ta), from_columns(U, V, tb), from_columns(W, U, tc)
+    ra, rb, rc = naive_rows(ta, V.dim), naive_rows(tb, V.dim), naive_rows(tc, U.dim)
+    total = a.add(b)
+    diff = a.sub(b)
+    comp = a.after(c)
+    ident, zero = identity_map(U), zero_map(U, V)
+    assert (comp.domain, comp.codomain) == (W, V)
+    for j in range(U.dim):
+        ej = U.basis_vector(j)
+        assert a.column(j) == tuple(row[j] for row in ra) == naive_matvec(F, ra, ej)
+        assert total.column(j) == tuple(F.add(x[j], y[j]) for x, y in zip(ra, rb))
+        assert diff.column(j) == tuple(F.sub(x[j], y[j]) for x, y in zip(ra, rb))
+        assert ident.column(j) == ej
+        assert zero.column(j) == V.zero()
+    # column j of the product is A times column j of C
+    comp_cols = [naive_matvec(F, ra, tuple(row[j] for row in rc)) for j in range(W.dim)]
+    assert [comp.column(j) for j in range(W.dim)] == comp_cols
+    expect = naive_matvec(F, ra, u)
+    assert a.apply(u) == expect
+    assert total.apply(u) == vadd(F, expect, naive_matvec(F, rb, u))
+    assert diff.apply(u) == vsub(F, expect, naive_matvec(F, rb, u))
+    assert comp.apply(w) == naive_matvec(F, ra, naive_matvec(F, rc, w))
+    assert ident.apply(u) == u
+    assert zero.apply(u) == V.zero()
+    assert a.rank() == naive_rank(F, ra)
+    assert comp.rank() == naive_rank(F, naive_rows(comp_cols, V.dim))
+
+
+def test_linmap_shape_is_checked_against_both_spaces():
+    with pytest.raises(ValueError):
+        from_columns(V3, Space(QQ, ()), [])
+    with pytest.raises(ValueError):
+        from_columns(V3, V4, [V4.zero()] * 2)
+    with pytest.raises(ValueError):
+        from_columns(V3, V4, [V3.zero()] * 3)
+
+
+def test_only_linear_py_knows_how_maps_are_stored():
+    # every other module builds maps with from_columns / bilinear_from_rule
+    # and reads them through column / on_basis / apply
+    paths = sorted(glob.glob(os.path.join(ROOT, "src", "braidalg", "*.py")))
+    paths = [p for p in paths if os.path.basename(p) != "linear.py"]
+    paths += sorted(glob.glob(os.path.join(SCRIPTS, "*.py")))
+    assert len(paths) > 10
+    found = []
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in (
+                "columns",
+                "tensor",
+                "matrix",
+            ):
+                found.append((path, node.lineno, "." + node.attr))
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in ("LinMap", "BilMap"):
+                    found.append((path, node.lineno, name + "(...)"))
+    assert found == []
