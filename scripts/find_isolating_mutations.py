@@ -17,17 +17,11 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from braidalg.action import (
-    AssocAction,
-    LieAction,
-    _semidirect_space,
-    semidirect_assoc,
-    semidirect_lie,
-    zero_action_assoc,
-)
+from braidalg.action import AssocAction, LieAction, zero_action_assoc
 from braidalg.algebra import catalog, from_constants
 from braidalg.braid import (
     CatBraiding,
+    _bar,
     braiding_cat_assoc_laws,
     braiding_cat_lie_alt_laws,
     braiding_cat_lie_ulualan_laws,
@@ -38,7 +32,7 @@ from braidalg.braid import (
 )
 from braidalg.dsl import print_catbraiding_doc, print_xbraiding_doc
 from braidalg.fields import QQ
-from braidalg.icat import ASSOC, LIE, CatAlgebra, cat_liefy
+from braidalg.icat import cat_liefy
 from braidalg.linear import (
     Space,
     bilinear_from_rule,
@@ -215,20 +209,14 @@ def degenerate_xmods():
     yield "noncomm", XModAssoc(zero_action_assoc(nl, m1), zero_map(m1.space, nl.space))
 
 
-def _bar_cat(x):
-    """Bar construction on the underlying crossed module, no braiding needed."""
-    sd = semidirect_assoc(x.action)
-    s_bar = sd.proj_actor
-    t_bar = sd.proj_actor.add(x.boundary.after(sd.proj_module))
-    cat = CatAlgebra(sd.algebra, x.n, s_bar, t_bar, sd.incl_actor, ASSOC)
-    return CatBraiding(
-        cat, zero_bilmap(x.n.space, x.n.space, sd.algebra.space)
-    )
+def _zero_tau(c):
+    """The categorical algebra `c` with the zero braiding C0 x C0 -> C1."""
+    return CatBraiding(c, zero_bilmap(c.c0.space, c.c0.space, c.c1.space))
 
 
 def cat_assoc_candidates():
     for name, x in degenerate_xmods():
-        yield name + "cx", _bar_cat(x)
+        yield name + "cx", _zero_tau(_bar(x)[0])
     yield "upper2cx", cx_functor(commutator_braiding(catalog("Upper(2)", QQ)))
     yield "mat2cx", cx_functor(commutator_braiding(catalog("Mat(2)", QQ)))
 
@@ -257,25 +245,13 @@ def lie_degenerate_xmods():
     yield "heisT", tensor_braiding(tensor_square(catalog("Heis3", F))).base
 
 
-def _lie_bar_cat(x):
-    alg = semidirect_lie(x.action)
-    total, incl_m, incl_n, proj_m, proj_n = _semidirect_space(x.m.space, x.n.space)
-    s_bar = proj_n
-    t_bar = proj_n.add(x.boundary.after(proj_m))
-    cat = CatAlgebra(alg, x.n, s_bar, t_bar, incl_n, LIE)
-    return CatBraiding(cat, zero_bilmap(x.n.space, x.n.space, total))
-
-
 def cat_lie_candidates(assoc):
     """Lie bar constructions, then the Lie-fied bases of `assoc`, the
     associative candidates."""
     for name, x in lie_degenerate_xmods():
-        yield name + "bar", _lie_bar_cat(x)
+        yield name + "bar", _zero_tau(_bar(x)[0])
     for name, b in assoc:
-        base = cat_liefy(b.base)
-        yield name + "lie", CatBraiding(
-            base, zero_bilmap(base.c0.space, base.c0.space, base.c1.space)
-        )
+        yield name + "lie", _zero_tau(cat_liefy(b.base))
 
 
 def xmod_lie_candidates():

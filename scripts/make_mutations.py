@@ -9,10 +9,11 @@ their validator, so no input can fail them in isolation; those cases
 carry a note and document a minimal failing set containing the tag
 instead.
 
-Cases expressible in the DSL are written to fixtures/mutations/
-together with manifest.json.  The rest (morphism and internal functor
-mutations, the tensor antisymmetry check, and validators the CLI does
-not dispatch to) are exported in IN_CODE for the test suite.
+Cases expressible in the DSL are validated through the CLI's dispatch
+from block kind to validator and written to fixtures/mutations/ together
+with manifest.json.  The rest (morphism and internal functor mutations,
+the tensor antisymmetry check, and validators the CLI does not dispatch
+to) carry their own report and are only checked by the test suite.
 
 The four solver-derived files ast2_fail.alg, ast3_fail.alg,
 ast4_fail.alg and liet2_fail.alg come from
@@ -28,47 +29,22 @@ from typing import Callable, Optional
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from braidalg.action import (
-    AssocAction,
-    LieAction,
-    semidirect_lie,
-    _semidirect_space,
-    validate_assoc_action,
-    validate_lie_action,
-)
+from braidalg.action import AssocAction, LieAction
 from braidalg.algebra import Algebra, catalog, from_constants
 from braidalg.braid import (
     CatBraiding,
     XBraiding,
+    _bar,
     check_anticoherence,
     validate_braided_internal_functor,
     validate_braided_xmod_morphism,
-    validate_braiding_cat_assoc,
     validate_braiding_cat_lie_alt,
-    validate_braiding_cat_lie_ulualan,
-    validate_braiding_xmod_assoc,
-    validate_braiding_xmod_lie,
 )
-from braidalg.dsl import (
-    parse,
-    print_document,
-    print_action_doc,
-    print_cat_doc,
-    print_catbraiding_doc,
-    print_groupxmod_doc,
-    print_xbraiding_doc,
-    print_xmod_doc,
-)
+from braidalg.cli import _validate_block
+from braidalg.dsl import _print_object, parse, print_document
 from braidalg.fields import QQ
-from braidalg.groupx import (
-    GroupXMod,
-    cyclic,
-    klein_four,
-    symmetric3,
-    validate_group_braiding,
-    validate_group_xmod,
-)
-from braidalg.icat import ASSOC, LIE, CatAlgebra, discrete_cat, validate_cat_algebra
+from braidalg.groupx import GroupXMod, cyclic, klein_four, symmetric3
+from braidalg.icat import ASSOC, LIE, CatAlgebra, discrete_cat
 from braidalg.linear import (
     Space,
     Subspace,
@@ -87,14 +63,7 @@ from braidalg.natensor import (
     tensor_braiding,
     tensor_square,
 )
-from braidalg.report import merge
-from braidalg.xmod import (
-    XModAssoc,
-    XModLie,
-    XModMorphism,
-    validate_xmod_assoc,
-    validate_xmod_lie,
-)
+from braidalg.xmod import XModAssoc, XModLie, XModMorphism
 
 F = QQ
 ONE = F.one()
@@ -145,6 +114,19 @@ class Case:
     note: str = ""  # set when the target cannot fail alone
 
 
+def dsl_case(name, target, expected, kind, obj, note=""):
+    """A case on the block `name` of kind `kind`: the CLI's dispatch
+    validates it and the DSL prints it."""
+    return Case(
+        name,
+        target,
+        expected,
+        lambda: _validate_block(name, kind, obj),
+        lambda: _print_object(F, kind, obj, name),
+        note,
+    )
+
+
 # ---------------------------------------------------------------------------
 # associative action cases
 
@@ -158,13 +140,7 @@ def case_aas1():
         bil(N.space, M.space, M.space, {(0, 1): {1: 1}}),
         zero_bilmap(M.space, N.space, M.space),
     )
-    return Case(
-        "aas1",
-        "AAs1",
-        ("AAs1",),
-        lambda: validate_assoc_action(a, "aas1"),
-        lambda: print_action_doc(a, "aas1"),
-    )
+    return dsl_case("aas1", "AAs1", ("AAs1",), "action", a)
 
 
 def case_aas2():
@@ -176,13 +152,7 @@ def case_aas2():
         bil(N.space, M.space, M.space, {(0, 0): {1: 1}}),
         bil(M.space, N.space, M.space, {(1, 0): {2: 1}}),
     )
-    return Case(
-        "aas2",
-        "AAs2",
-        ("AAs2",),
-        lambda: validate_assoc_action(a, "aas2"),
-        lambda: print_action_doc(a, "aas2"),
-    )
+    return dsl_case("aas2", "AAs2", ("AAs2",), "action", a)
 
 
 def case_aas3():
@@ -194,13 +164,7 @@ def case_aas3():
         bil(N.space, M.space, M.space, {(0, 0): {0: 1}}),
         zero_bilmap(M.space, N.space, M.space),
     )
-    return Case(
-        "aas3",
-        "AAs3",
-        ("AAs3",),
-        lambda: validate_assoc_action(a, "aas3"),
-        lambda: print_action_doc(a, "aas3"),
-    )
+    return dsl_case("aas3", "AAs3", ("AAs3",), "action", a)
 
 
 def case_aas4():
@@ -212,13 +176,7 @@ def case_aas4():
         zero_bilmap(N.space, M.space, M.space),
         bil(M.space, N.space, M.space, {(0, 0): {0: 1}}),
     )
-    return Case(
-        "aas4",
-        "AAs4",
-        ("AAs4",),
-        lambda: validate_assoc_action(a, "aas4"),
-        lambda: print_action_doc(a, "aas4"),
-    )
+    return dsl_case("aas4", "AAs4", ("AAs4",), "action", a)
 
 
 def case_aas5():
@@ -230,13 +188,7 @@ def case_aas5():
         bil(N.space, M.space, M.space, {(0, 1): {1: 1}}),
         zero_bilmap(M.space, N.space, M.space),
     )
-    return Case(
-        "aas5",
-        "AAs5",
-        ("AAs5",),
-        lambda: validate_assoc_action(a, "aas5"),
-        lambda: print_action_doc(a, "aas5"),
-    )
+    return dsl_case("aas5", "AAs5", ("AAs5",), "action", a)
 
 
 def case_aas6():
@@ -248,13 +200,7 @@ def case_aas6():
         zero_bilmap(N.space, M.space, M.space),
         bil(M.space, N.space, M.space, {(1, 0): {1: 1}}),
     )
-    return Case(
-        "aas6",
-        "AAs6",
-        ("AAs6",),
-        lambda: validate_assoc_action(a, "aas6"),
-        lambda: print_action_doc(a, "aas6"),
-    )
+    return dsl_case("aas6", "AAs6", ("AAs6",), "action", a)
 
 
 def case_alie1():
@@ -263,26 +209,14 @@ def case_alie1():
     a = LieAction(
         N, M, bil(N.space, M.space, M.space, {(0, 0): {1: 1}, (1, 1): {2: 1}})
     )
-    return Case(
-        "alie1",
-        "ALie1",
-        ("ALie1",),
-        lambda: validate_lie_action(a, "alie1"),
-        lambda: print_action_doc(a, "alie1"),
-    )
+    return dsl_case("alie1", "ALie1", ("ALie1",), "action", a)
 
 
 def case_alie2():
     M = catalog("Heis3", F)
     N = alg(("n",))
     a = LieAction(N, M, bil(N.space, M.space, M.space, {(0, 2): {2: 1}}))
-    return Case(
-        "alie2",
-        "ALie2",
-        ("ALie2",),
-        lambda: validate_lie_action(a, "alie2"),
-        lambda: print_action_doc(a, "alie2"),
-    )
+    return dsl_case("alie2", "ALie2", ("ALie2",), "action", a)
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +235,7 @@ def case_xas1():
         ),
         cols(M.space, N.space, [N.space.basis_vector(0)]),
     )
-    return Case(
-        "xas1",
-        "XAs1",
-        ("XAs1",),
-        lambda: validate_xmod_assoc(x, "xas1"),
-        lambda: print_xmod_doc(x, "xas1"),
-    )
+    return dsl_case("xas1", "XAs1", ("XAs1",), "xmod", x)
 
 
 def case_xas2():
@@ -322,13 +250,7 @@ def case_xas2():
         ),
         zero_map(M.space, N.space),
     )
-    return Case(
-        "xas2",
-        "XAs2",
-        ("XAs2",),
-        lambda: validate_xmod_assoc(x, "xas2"),
-        lambda: print_xmod_doc(x, "xas2"),
-    )
+    return dsl_case("xas2", "XAs2", ("XAs2",), "xmod", x)
 
 
 def case_xlie1():
@@ -338,13 +260,7 @@ def case_xlie1():
         LieAction(N, M, zero_bilmap(N.space, M.space, M.space)),
         cols(M.space, N.space, [N.space.basis_vector(1)]),
     )
-    return Case(
-        "xlie1",
-        "XLie1",
-        ("XLie1",),
-        lambda: validate_xmod_lie(x, "xlie1"),
-        lambda: print_xmod_doc(x, "xlie1"),
-    )
+    return dsl_case("xlie1", "XLie1", ("XLie1",), "xmod", x)
 
 
 def case_xlie2():
@@ -354,13 +270,7 @@ def case_xlie2():
         LieAction(N, M, zero_bilmap(N.space, M.space, M.space)),
         zero_map(M.space, N.space),
     )
-    return Case(
-        "xlie2",
-        "XLie2",
-        ("XLie2",),
-        lambda: validate_xmod_lie(x, "xlie2"),
-        lambda: print_xmod_doc(x, "xlie2"),
-    )
+    return dsl_case("xlie2", "XLie2", ("XLie2",), "xmod", x)
 
 
 # ---------------------------------------------------------------------------
@@ -383,13 +293,7 @@ def case_bas1():
     M = alg(("m",))
     N = alg(("u", "v"), {("u", "u"): {"u": 1}, ("u", "v"): {"v": 1}})
     b = XBraiding(_zero_assoc_xmod(M, N), zero_bilmap(N.space, N.space, M.space))
-    return Case(
-        "bas1",
-        "BAs1",
-        ("BAs1",),
-        lambda: validate_braiding_xmod_assoc(b, "bas1"),
-        lambda: print_xbraiding_doc(b, "bas1"),
-    )
+    return dsl_case("bas1", "BAs1", ("BAs1",), "braiding", b)
 
 
 def _bas34_base():
@@ -410,25 +314,13 @@ def _bas34_base():
 def case_bas3():
     x = _bas34_base()
     b = XBraiding(x, bil(x.n.space, x.n.space, x.m.space, {(0, 1): {1: 1}}))
-    return Case(
-        "bas3",
-        "BAs3",
-        ("BAs3",),
-        lambda: validate_braiding_xmod_assoc(b, "bas3"),
-        lambda: print_xbraiding_doc(b, "bas3"),
-    )
+    return dsl_case("bas3", "BAs3", ("BAs3",), "braiding", b)
 
 
 def case_bas4():
     x = _bas34_base()
     b = XBraiding(x, bil(x.n.space, x.n.space, x.m.space, {(1, 0): {1: 1}}))
-    return Case(
-        "bas4",
-        "BAs4",
-        ("BAs4",),
-        lambda: validate_braiding_xmod_assoc(b, "bas4"),
-        lambda: print_xbraiding_doc(b, "bas4"),
-    )
+    return dsl_case("bas4", "BAs4", ("BAs4",), "braiding", b)
 
 
 def _bas56_base():
@@ -452,25 +344,13 @@ def _bas56_base():
 def case_bas5():
     x = _bas56_base()
     b = XBraiding(x, bil(x.n.space, x.n.space, x.m.space, {(1, 0): {0: 1}}))
-    return Case(
-        "bas5",
-        "BAs5",
-        ("BAs5",),
-        lambda: validate_braiding_xmod_assoc(b, "bas5"),
-        lambda: print_xbraiding_doc(b, "bas5"),
-    )
+    return dsl_case("bas5", "BAs5", ("BAs5",), "braiding", b)
 
 
 def case_bas6():
     x = _bas56_base()
     b = XBraiding(x, bil(x.n.space, x.n.space, x.m.space, {(0, 1): {0: 1}}))
-    return Case(
-        "bas6",
-        "BAs6",
-        ("BAs6",),
-        lambda: validate_braiding_xmod_assoc(b, "bas6"),
-        lambda: print_xbraiding_doc(b, "bas6"),
-    )
+    return dsl_case("bas6", "BAs6", ("BAs6",), "braiding", b)
 
 
 def case_bas2_demo():
@@ -524,12 +404,12 @@ def case_bas2_demo():
         return tuple(v)
 
     b = XBraiding(x, bilinear_from_rule(N.space, N.space, M.space, brace_rule))
-    return Case(
+    return dsl_case(
         "bas2_demo",
         "BAs2",
         ("BAs2", "BAs3", "BAs4"),
-        lambda: validate_braiding_xmod_assoc(b, "bas2_demo"),
-        lambda: print_xbraiding_doc(b, "bas2_demo"),
+        "braiding",
+        b,
         note="BAs2 follows from BAs3 + XAs2 and from BAs4 + XAs2; "
         "{BAs2, BAs3, BAs4} is a minimal failing set.",
     )
@@ -550,13 +430,7 @@ def case_blie1():
     M = alg(("m",))
     N = catalog("Heis3", F)
     b = XBraiding(_zero_lie_xmod(M, N), zero_bilmap(N.space, N.space, M.space))
-    return Case(
-        "blie1",
-        "BLie1",
-        ("BLie1",),
-        lambda: validate_braiding_xmod_lie(b, "blie1"),
-        lambda: print_xbraiding_doc(b, "blie1"),
-    )
+    return dsl_case("blie1", "BLie1", ("BLie1",), "braiding", b)
 
 
 def _blie34_base():
@@ -571,25 +445,13 @@ def _blie34_base():
 def case_blie3():
     x = _blie34_base()
     b = XBraiding(x, bil(x.n.space, x.n.space, x.m.space, {(0, 1): {1: 1}}))
-    return Case(
-        "blie3",
-        "BLie3",
-        ("BLie3",),
-        lambda: validate_braiding_xmod_lie(b, "blie3"),
-        lambda: print_xbraiding_doc(b, "blie3"),
-    )
+    return dsl_case("blie3", "BLie3", ("BLie3",), "braiding", b)
 
 
 def case_blie4():
     x = _blie34_base()
     b = XBraiding(x, bil(x.n.space, x.n.space, x.m.space, {(1, 0): {1: 1}}))
-    return Case(
-        "blie4",
-        "BLie4",
-        ("BLie4",),
-        lambda: validate_braiding_xmod_lie(b, "blie4"),
-        lambda: print_xbraiding_doc(b, "blie4"),
-    )
+    return dsl_case("blie4", "BLie4", ("BLie4",), "braiding", b)
 
 
 def case_blie2_demo():
@@ -630,12 +492,12 @@ def case_blie2_demo():
         return tuple(v)
 
     b = XBraiding(x, bilinear_from_rule(N.space, N.space, M.space, brace_rule))
-    return Case(
+    return dsl_case(
         "blie2_demo",
         "BLie2",
         ("BLie2", "BLie3", "BLie4"),
-        lambda: validate_braiding_xmod_lie(b, "blie2_demo"),
-        lambda: print_xbraiding_doc(b, "blie2_demo"),
+        "braiding",
+        b,
         note="BLie2 follows from BLie3 + XLie2 and from BLie4 + XLie2; "
         "{BLie2, BLie3, BLie4} is a minimal failing set.",
     )
@@ -649,12 +511,12 @@ def case_blie56_demo():
     b = tensor_braiding(tensor_square(catalog("Heis3", F)))
     kv = kernel(b.base.boundary).basis[0]
     mut = XBraiding(b.base, _perturbed(b.brace, kv, (0, 2)))
-    return Case(
+    return dsl_case(
         "blie56_demo",
         "BLie5",
         ("BLie4", "BLie5", "BLie6"),
-        lambda: validate_braiding_xmod_lie(mut, "blie56_demo"),
-        lambda: print_xbraiding_doc(mut, "blie56_demo"),
+        "braiding",
+        mut,
         note="BLie5 and BLie6 follow from BLie1-BLie4 over a field; "
         "{BLie4, BLie5, BLie6} is a minimal failing set.",
     )
@@ -673,13 +535,7 @@ def case_cat1():
     )
     e = cols(C0.space, C1.space, [C1.space.basis_vector(0)])
     c = CatAlgebra(C1, C0, s, t, e, ASSOC)
-    return Case(
-        "cat1",
-        "Cat1",
-        ("Cat1",),
-        lambda: validate_cat_algebra(c, "cat1"),
-        lambda: print_cat_doc(c, "cat1"),
-    )
+    return dsl_case("cat1", "Cat1", ("Cat1",), "cat", c)
 
 
 def case_cat2():
@@ -689,13 +545,7 @@ def case_cat2():
     t = cols(C1.space, C0.space, [C0.space.basis_vector(0), C0.space.zero()])
     e = cols(C0.space, C1.space, [C1.space.basis_vector(0)])
     c = CatAlgebra(C1, C0, s, t, e, ASSOC)
-    return Case(
-        "cat2",
-        "Cat2",
-        ("Cat2",),
-        lambda: validate_cat_algebra(c, "cat2"),
-        lambda: print_cat_doc(c, "cat2"),
-    )
+    return dsl_case("cat2", "Cat2", ("Cat2",), "cat", c)
 
 
 def case_cat3():
@@ -708,13 +558,7 @@ def case_cat3():
     )
     e = cols(C0.space, C1.space, [C1.space.basis_vector(2)])
     c = CatAlgebra(C1, C0, st, st, e, ASSOC)
-    return Case(
-        "cat3",
-        "Cat3",
-        ("Cat3",),
-        lambda: validate_cat_algebra(c, "cat3"),
-        lambda: print_cat_doc(c, "cat3"),
-    )
+    return dsl_case("cat3", "Cat3", ("Cat3",), "cat", c)
 
 
 def case_cat4_demo():
@@ -726,12 +570,12 @@ def case_cat4_demo():
     st = cols(C1.space, C0.space, [C0.space.basis_vector(0), C0.space.zero()])
     e = cols(C0.space, C1.space, [C1.space.basis_vector(1)])
     c = CatAlgebra(C1, C0, st, st, e, ASSOC)
-    return Case(
+    return dsl_case(
         "cat4_demo",
         "Cat4",
         ("Cat2", "Cat4"),
-        lambda: validate_cat_algebra(c, "cat4_demo"),
-        lambda: print_cat_doc(c, "cat4_demo"),
+        "cat",
+        c,
         note="Cat4 follows from Cat2 and the forced composition; "
         "{Cat2, Cat4} is a minimal failing set.",
     )
@@ -748,13 +592,7 @@ def case_ast1():
         a.space, a.space, a.space, lambda i, j: a.mult.on_basis(j, i)
     )
     b = CatBraiding(c, tau)
-    return Case(
-        "ast1",
-        "AsT1",
-        ("AsT1",),
-        lambda: validate_braiding_cat_assoc(b, "ast1"),
-        lambda: print_catbraiding_doc(b, "ast1"),
-    )
+    return dsl_case("ast1", "AsT1", ("AsT1",), "braiding", b)
 
 
 def case_liet1():
@@ -764,13 +602,7 @@ def case_liet1():
         a.space, a.space, a.space, lambda i, j: a.mult.on_basis(j, i)
     )
     b = CatBraiding(c, tau)
-    return Case(
-        "liet1",
-        "LieT1",
-        ("LieT1",),
-        lambda: validate_braiding_cat_lie_ulualan(b, "liet1"),
-        lambda: print_catbraiding_doc(b, "liet1"),
-    )
+    return dsl_case("liet1", "LieT1", ("LieT1",), "braiding", b)
 
 
 def _heis_tensor_bar():
@@ -782,18 +614,15 @@ def _heis_tensor_bar():
     """
     b = tensor_braiding(tensor_square(catalog("Heis3", F)))
     x = b.base
-    total_alg = semidirect_lie(x.action)
-    total, incl_m, incl_n, proj_m, proj_n = _semidirect_space(x.m.space, x.n.space)
-    cat = CatAlgebra(
-        total_alg, x.n, proj_n, proj_n.add(x.boundary.after(proj_m)), incl_n, LIE
-    )
+    cat, sd = _bar(x)
+    total = sd.algebra.space
     minus_two = F.neg(F.add(ONE, ONE))
 
     def rule(i, j):
         return vadd(
             F,
-            incl_m.apply(vscale(F, minus_two, b.brace.on_basis(i, j))),
-            incl_n.apply(x.n.mult.on_basis(i, j)),
+            sd.incl_module.apply(vscale(F, minus_two, b.brace.on_basis(i, j))),
+            sd.incl_actor.apply(x.n.mult.on_basis(i, j)),
         )
 
     tau = bilinear_from_rule(x.n.space, x.n.space, total, rule)
@@ -813,12 +642,12 @@ def _perturb_tau(cat, tau, kv, slot):
 def case_lieb4_demo():
     cat, tau, kv = _heis_tensor_bar()
     b = _perturb_tau(cat, tau, kv, (0, 2))
-    return Case(
+    return dsl_case(
         "lieb4_demo",
         "LieB4",
         ("LieB4", "LieT2"),
-        lambda: validate_braiding_cat_lie_ulualan(b, "lieb4_demo"),
-        lambda: print_catbraiding_doc(b, "lieb4_demo"),
+        "braiding",
+        b,
         note="LieB4 follows from LieT1 + LieT2 over a field; "
         "{LieB4, LieT2} is a minimal failing set.",
     )
@@ -827,12 +656,12 @@ def case_lieb4_demo():
 def case_lieb3_demo():
     cat, tau, kv = _heis_tensor_bar()
     b = _perturb_tau(cat, tau, kv, (2, 2))
-    return Case(
+    return dsl_case(
         "lieb3_demo",
         "LieB3",
         ("LieB3", "LieB4", "LieT2"),
-        lambda: validate_braiding_cat_lie_ulualan(b, "lieb3_demo"),
-        lambda: print_catbraiding_doc(b, "lieb3_demo"),
+        "braiding",
+        b,
         note="LieB3 follows from LieT1 + LieT2 over a field; this "
         "perturbation fails {LieB3, LieB4, LieT2}.",
     )
@@ -1107,35 +936,16 @@ def case_tanti():
 # group cases
 
 
-def _group_report(x, name):
-    rep = validate_group_xmod(x, name)
-    if x.brace is not None:
-        rep = merge(name, rep, validate_group_braiding(x, name))
-    return rep
-
-
 def case_gract():
     C2 = cyclic(2)
     x = GroupXMod(C2, C2, ((0, 1), (0, 0)), (0, 0), None)
-    return Case(
-        "gract",
-        "GrAct",
-        ("GrAct",),
-        lambda: _group_report(x, "gract"),
-        lambda: print_groupxmod_doc(x, "gract"),
-    )
+    return dsl_case("gract", "GrAct", ("GrAct",), "groupxmod", x)
 
 
 def case_grhom():
     C2 = cyclic(2)
     x = GroupXMod(C2, C2, ((0, 1), (0, 1)), (1, 0), None)
-    return Case(
-        "grhom",
-        "GrHom",
-        ("GrHom",),
-        lambda: _group_report(x, "grhom"),
-        lambda: print_groupxmod_doc(x, "grhom"),
-    )
+    return dsl_case("grhom", "GrHom", ("GrHom",), "groupxmod", x)
 
 
 def case_xgr1():
@@ -1146,13 +956,7 @@ def case_xgr1():
         i for i in range(6) if S3.mul(i, i) == S3.identity and i != S3.identity
     )
     x = GroupXMod(C2, S3, trivial, (S3.identity, transposition), None)
-    return Case(
-        "xgr1",
-        "XGr1",
-        ("XGr1",),
-        lambda: _group_report(x, "xgr1"),
-        lambda: print_groupxmod_doc(x, "xgr1"),
-    )
+    return dsl_case("xgr1", "XGr1", ("XGr1",), "groupxmod", x)
 
 
 def case_xgr2():
@@ -1169,13 +973,7 @@ def case_xgr2():
 
     parity = tuple(0 if order(i) in (1, 3) else 1 for i in range(6))
     x = GroupXMod(S3, C2, trivial, parity, None)
-    return Case(
-        "xgr2",
-        "XGr2",
-        ("XGr2",),
-        lambda: _group_report(x, "xgr2"),
-        lambda: print_groupxmod_doc(x, "xgr2"),
-    )
+    return dsl_case("xgr2", "XGr2", ("XGr2",), "groupxmod", x)
 
 
 def case_bgr1():
@@ -1184,13 +982,7 @@ def case_bgr1():
     trivial = tuple(tuple(range(2)) for _ in range(4))
     brace = tuple(tuple((h * h2) % 2 for h2 in range(4)) for h in range(4))
     x = GroupXMod(C2, C4, trivial, (0, 2), brace)
-    return Case(
-        "bgr1",
-        "BGr1",
-        ("BGr1",),
-        lambda: _group_report(x, "bgr1"),
-        lambda: print_groupxmod_doc(x, "bgr1"),
-    )
+    return dsl_case("bgr1", "BGr1", ("BGr1",), "groupxmod", x)
 
 
 def case_bgr2_demo():
@@ -1202,12 +994,12 @@ def case_bgr2_demo():
     trivial = tuple(tuple(range(4)) for _ in range(2))
     brace = ((0, 0), (0, 1))
     x = GroupXMod(V4, C2, trivial, (0, 0, 1, 1), brace)
-    return Case(
+    return dsl_case(
         "bgr2_demo",
         "BGr2",
         ("BGr2", "BGr3", "BGr4"),
-        lambda: _group_report(x, "bgr2_demo"),
-        lambda: print_groupxmod_doc(x, "bgr2_demo"),
+        "groupxmod",
+        x,
         note="BGr2 follows from BGr3 + XGr2 and from BGr4 + XGr2; "
         "{BGr2, BGr3, BGr4} is a minimal failing set.",
     )
@@ -1225,13 +1017,7 @@ def case_bgr3():
         tuple(2 if (h & 1) and (h2 & 2) else 0 for h2 in range(4)) for h in range(4)
     )
     x = _v4_xor_xmod(brace)
-    return Case(
-        "bgr3",
-        "BGr3",
-        ("BGr3",),
-        lambda: _group_report(x, "bgr3"),
-        lambda: print_groupxmod_doc(x, "bgr3"),
-    )
+    return dsl_case("bgr3", "BGr3", ("BGr3",), "groupxmod", x)
 
 
 def case_bgr4():
@@ -1239,13 +1025,7 @@ def case_bgr4():
         tuple(2 if (h & 2) and (h2 & 1) else 0 for h2 in range(4)) for h in range(4)
     )
     x = _v4_xor_xmod(brace)
-    return Case(
-        "bgr4",
-        "BGr4",
-        ("BGr4",),
-        lambda: _group_report(x, "bgr4"),
-        lambda: print_groupxmod_doc(x, "bgr4"),
-    )
+    return dsl_case("bgr4", "BGr4", ("BGr4",), "groupxmod", x)
 
 
 def case_bgr5():
@@ -1256,13 +1036,7 @@ def case_bgr5():
     brace[2][1] = 1
     brace[3][1] = 1
     x = GroupXMod(C2, V4, trivial, (0, 0), tuple(tuple(r) for r in brace))
-    return Case(
-        "bgr5",
-        "BGr5",
-        ("BGr5",),
-        lambda: _group_report(x, "bgr5"),
-        lambda: print_groupxmod_doc(x, "bgr5"),
-    )
+    return dsl_case("bgr5", "BGr5", ("BGr5",), "groupxmod", x)
 
 
 def case_bgr6():
@@ -1273,13 +1047,7 @@ def case_bgr6():
     brace[1][2] = 1
     brace[1][3] = 1
     x = GroupXMod(C2, V4, trivial, (0, 0), tuple(tuple(r) for r in brace))
-    return Case(
-        "bgr6",
-        "BGr6",
-        ("BGr6",),
-        lambda: _group_report(x, "bgr6"),
-        lambda: print_groupxmod_doc(x, "bgr6"),
-    )
+    return dsl_case("bgr6", "BGr6", ("BGr6",), "groupxmod", x)
 
 
 # ---------------------------------------------------------------------------

@@ -240,11 +240,16 @@ def _semidirect_assoc(a: AssocAction) -> Semidirect:
     )
 
 
-def semidirect_lie(a: LieAction) -> Algebra:
+def semidirect_lie(a: LieAction) -> Semidirect:
     """[(m,n),(m',n')] = ([m,m'] + n.m' - n'.m, [n,n'])."""
     rep = validate_lie_action(a)
     if not rep.ok or not (is_lie(a.actor) and (a.module is a.actor or is_lie(a.module))):
         raise InvalidAction("semidirect product requires a valid Lie action", rep)
+    return _semidirect_lie(a)
+
+
+def _semidirect_lie(a: LieAction) -> Semidirect:
+    """semidirect_lie on an action the caller has validated."""
     M = a.module
     F = M.field
     return _semidirect(
@@ -255,4 +260,4 @@ def semidirect_lie(a: LieAction) -> Algebra:
             vadd(F, M.product(u_m, v_m), a.dot.apply(u_n, v_m)),
             a.dot.apply(v_n, u_m),
         ),
-    ).algebra
+    )

@@ -11,10 +11,10 @@ Other code that needs an axiom (the mutation solver) reads the table.
 
 from __future__ import annotations
 
-from .action import AssocAction, _semidirect_assoc
+from .action import AssocAction, _semidirect_assoc, _semidirect_lie
 from .algebra import Algebra, hom_sweep, intertwining_sweep
 from .errors import CharTwo, InternalInvariantViolation, InvalidInput, InvalidXMod
-from .icat import ASSOC, CatAlgebra, k_formula, require_valid_cat
+from .icat import ASSOC, LIE, CatAlgebra, k_formula, require_valid_cat
 from .linear import (
     BilMap,
     LinMap,
@@ -412,26 +412,38 @@ def check_anticoherence(b: CatBraiding, subject: str = "braiding") -> Validation
 # the bar construction C_X and the kernel construction X_C
 
 
+def _bar(x: XModAssoc | XModLie):
+    """The categorical algebra (M x| N, N, s, t, e) of a crossed module the
+    caller has validated, with s = proj_N, t = proj_N + d proj_M, e = incl_N,
+    and the semidirect product it is built on."""
+    if isinstance(x, XModAssoc):
+        sd, flavor = _semidirect_assoc(x.action), ASSOC
+    else:
+        sd, flavor = _semidirect_lie(x.action), LIE
+    t = sd.proj_actor.add(x.boundary.after(sd.proj_module))
+    return CatAlgebra(sd.algebra, x.n, sd.proj_actor, t, sd.incl_actor, flavor), sd
+
+
 def cx_functor(b: XBraiding) -> CatBraiding:
     """Bar construction: (M x| N, N, s, t, e) with tau_{n,n'} = (-{n,n'}, nn')."""
+    _check_cx_input(b)
+    return _cx(b)[0]
+
+
+def _check_cx_input(b: XBraiding):
     if not isinstance(b.base, XModAssoc):
         raise InvalidInput("cx_functor takes a braided associative crossed module")
     require_valid_xmod_assoc(b.base)
     rep = validate_braiding_xmod_assoc(b)
     if not rep.ok:
         raise InvalidInput("braiding axioms fail", rep)
-    return _cx(b)
 
 
-def _cx(b: XBraiding) -> CatBraiding:
-    """cx_functor on a braiding the caller has validated; asserts the output."""
-    x = b.base
-    N = x.n
-    sd = _semidirect_assoc(x.action)
-    s_bar = sd.proj_actor
-    t_bar = sd.proj_actor.add(x.boundary.after(sd.proj_module))
-    e_bar = sd.incl_actor
-    cat = CatAlgebra(sd.algebra, N, s_bar, t_bar, e_bar, ASSOC)
+def _cx(b: XBraiding):
+    """cx_functor on a braiding the caller has validated, with the
+    semidirect product it is built on; asserts the output."""
+    N = b.base.n
+    cat, sd = _bar(b.base)
     F = N.field
 
     def rule(i, j):
@@ -448,7 +460,7 @@ def _cx(b: XBraiding) -> CatBraiding:
         raise InternalInvariantViolation(
             f"bar construction failed to validate: {rep.failing_tags()}"
         )
-    return out
+    return out, sd
 
 
 def kernel_part(c: CatAlgebra):
@@ -586,20 +598,18 @@ def alpha_iso(b: XBraiding) -> XModMorphism:
 
 def _alpha(b: XBraiding):
     """alpha_iso plus the morphism report that proves it an isomorphism."""
-    cx = cx_functor(b)
-    # cx_functor asserted the braiding axioms on cx; the cat axioms are
-    # the rest of what xc_functor would check
+    # cx_functor's checks, then its core, which asserted the braiding
+    # axioms on cx; the cat axioms are the rest of what xc_functor checks
+    _check_cx_input(b)
+    cx, sd = _cx(b)
     require_valid_cat(cx.base)
     kpart = kernel_part(cx.base)
     ks, kspace, _ = kpart
     x = b.base
-    sd_incl_m = cx.base.c1.space  # M x| N space; M block comes first
     m_dim = x.m.dim
     cols = []
     for i in range(m_dim):
-        v = list(sd_incl_m.zero())
-        v[i] = x.m.field.one()
-        coords = ks.coords(tuple(v))
+        coords = ks.coords(sd.incl_module.column(i))
         if coords is None:
             raise InternalInvariantViolation("(m, 0) escaped ker(s) in bar construction")
         cols.append(coords)
@@ -631,14 +641,14 @@ def _beta(b: CatBraiding):
     _check_xc_input(b)
     kpart = kernel_part(c)
     ks, kspace, _ = kpart
-    target = _cx(_xc(b, kpart))
+    target, sd = _cx(_xc(b, kpart))
     cols = []
     for i in range(c1.dim):
         sx = c.s.column(i)
         coords = ks.coords(vsub(F, c1.space.basis_vector(i), c.e.apply(sx)))
         if coords is None:
             raise InternalInvariantViolation("x - e(s(x)) escaped ker(s)")
-        cols.append(tuple(coords) + tuple(sx))
+        cols.append(vadd(F, sd.incl_module.apply(coords), sd.incl_actor.apply(sx)))
     f1 = from_columns(c1.space, target.base.c1.space, cols)
     f0 = identity_map(c0.space)
     rep = validate_braided_internal_functor(f1, f0, b, target)

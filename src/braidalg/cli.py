@@ -154,9 +154,8 @@ def _construct(kind, name, block_kind, obj) -> str:
         return print_algebra_doc(liefy(obj), f"{name}_lie")
     if kind == "semidirect":
         _expect_kind(kind, name, block_kind, "action")
-        if isinstance(obj, AssocAction):
-            return print_algebra_doc(semidirect_assoc(obj).algebra, f"{name}_sd")
-        return print_algebra_doc(semidirect_lie(obj), f"{name}_sd")
+        semidirect = semidirect_assoc if isinstance(obj, AssocAction) else semidirect_lie
+        return print_algebra_doc(semidirect(obj).algebra, f"{name}_sd")
     if kind == "cx":
         _expect_kind(kind, name, block_kind, "braiding")
         if not isinstance(obj, XBraiding):

@@ -45,6 +45,9 @@ class Document(Record):
 # ---------------------------------------------------------------------------
 # lexer
 
+# only ASCII digits make numbers: str.isdigit() also takes superscripts
+# and the digits of other scripts
+_DIGITS = frozenset("0123456789")
 _PUNCT = ("|->", "->", "{", "}", "(", ")", ",", ";", ":", "*", "=", "+", "-")
 
 
@@ -79,13 +82,13 @@ def _tokenize(source: str):
             while i < n and source[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = i
-            while i < n and source[i].isdigit():
+            while i < n and source[i] in _DIGITS:
                 i += 1
-            if i < n and source[i] == "/" and i + 1 < n and source[i + 1].isdigit():
+            if i < n and source[i] == "/" and i + 1 < n and source[i + 1] in _DIGITS:
                 i += 1
-                while i < n and source[i].isdigit():
+                while i < n and source[i] in _DIGITS:
                     i += 1
             toks.append(Token("number", source[start:i], line, col))
             col += i - start

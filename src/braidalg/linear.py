@@ -41,10 +41,6 @@ class Space(Record):
         return [self.basis_vector(i) for i in range(self.dim)]
 
 
-def space(field: Field, labels) -> Space:
-    return Space(field, tuple(labels))
-
-
 def vadd(field: Field, u, v):
     return tuple(field.add(a, b) for a, b in zip(u, v))
 

@@ -141,7 +141,7 @@ def test_criterion_4_liefication_commutes(capsys):
         ]
         for a in actions:
             left = liefy(semidirect_assoc(a).algebra)
-            right = semidirect_lie(induced_lie_action(a))
+            right = semidirect_lie(induced_lie_action(a)).algebra
             assert left.mult.tensor == right.mult.tensor
             assert left.space.labels == right.space.labels
         for name in ("Mat(2)", "Mat(3)", "Upper(3)"):

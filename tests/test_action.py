@@ -57,7 +57,7 @@ def test_semidirect_assoc_structure(name):
 @pytest.mark.parametrize("name", LIE_NAMES)
 def test_semidirect_lie_is_lie(name):
     a = adjoint_action(catalog(name, QQ))
-    assert is_lie(semidirect_lie(a))
+    assert is_lie(semidirect_lie(a).algebra)
 
 
 @pytest.mark.parametrize("name", ASSOC_NAMES)
@@ -66,7 +66,7 @@ def test_liefy_commutes_with_semidirect(name):
     action have identical structure tensors."""
     a = self_action(catalog(name, QQ))
     left = liefy(semidirect_assoc(a).algebra)
-    right = semidirect_lie(induced_lie_action(a))
+    right = semidirect_lie(induced_lie_action(a)).algebra
     assert left.mult.tensor == right.mult.tensor
 
 

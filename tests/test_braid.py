@@ -2,6 +2,7 @@ import pytest
 
 from braidalg.algebra import catalog
 from braidalg.braid import (
+    _bar,
     alpha_iso,
     beta_iso,
     bracket_braiding,
@@ -21,6 +22,9 @@ from braidalg.braid import (
 )
 from braidalg.errors import CharTwo
 from braidalg.fields import GF, QQ
+from braidalg.icat import LIE, require_valid_cat
+from braidalg.natensor import tensor_square, tensor_xmod
+from braidalg.xmod import identity_xmod_lie
 
 from conftest import load_script
 
@@ -46,6 +50,18 @@ def test_bracket_braiding_passes(name):
 def test_bar_construction_validates(name):
     cb = cx_functor(commutator_braiding(catalog(name, QQ)))
     assert validate_braiding_cat_assoc(cb).ok
+
+
+@pytest.mark.parametrize(
+    "kind,name",
+    [("identity", n) for n in LIE_NAMES] + [("tensor", "sl2"), ("tensor", "Heis3")],
+)
+def test_lie_bar_is_a_categorical_lie_algebra(kind, name):
+    a = catalog(name, QQ)
+    x = identity_xmod_lie(a) if kind == "identity" else tensor_xmod(tensor_square(a))
+    cat, _ = _bar(x)
+    assert cat.flavor == LIE
+    require_valid_cat(cat)
 
 
 @pytest.mark.parametrize("name", ASSOC_NAMES)

@@ -1,10 +1,12 @@
 """A bounded fuzz of the CLI exit-code contract.
 
-Each example applies one to three byte-level mutations (replace, delete
-or insert a byte, invalid UTF-8 included) to a small committed fixture
+Each example applies one to three mutations to a small committed fixture
 or mutation file and runs `validate`, `report` or `roundtrip` on it
-in-process.  Whatever the bytes, the run must end in a documented exit
-code: 0, 1 with a non-empty report, or 2 with exactly one `error:` line.
+in-process.  A mutation replaces, deletes or inserts a byte (invalid
+UTF-8 included), or replaces or inserts a whole multi-byte UTF-8
+character, which no single-byte mutation can form.  Whatever the bytes,
+the run must end in a documented exit code: 0, 1 with a non-empty
+report, or 2 with exactly one `error:` line.
 The examples are derandomized, so the suite runs the same ones each time.
 """
 
@@ -39,6 +41,10 @@ SOURCES = _small_sources()
 # bytes that often keep a document parseable, so that mutations also
 # reach the validators, next to arbitrary ones
 DSL_BYTES = b"0123456789 \n-,;=xyzeh"
+# what a mutation places: one of those bytes, or a whole character of two
+# bytes or more (digits that str.isdigit() takes but the DSL does not, and
+# a letter)
+PIECES = [bytes([b]) for b in DSL_BYTES] + [c.encode("utf-8") for c in "²٣é"]
 
 
 @st.composite
@@ -47,13 +53,13 @@ def mutated_sources(draw):
     for _ in range(draw(st.integers(1, 3))):
         op = draw(st.sampled_from(("replace", "delete", "insert")))
         i = draw(st.integers(0, len(data) - (op != "insert")))
-        byte = bytes([draw(st.sampled_from(DSL_BYTES) | st.integers(0, 255))])
+        piece = draw(st.sampled_from(PIECES) | st.binary(min_size=1, max_size=1))
         if op == "replace":
-            data = data[:i] + byte + data[i + 1 :]
+            data = data[:i] + piece + data[i + 1 :]
         elif op == "delete":
             data = data[:i] + data[i + 1 :]
         else:
-            data = data[:i] + byte + data[i:]
+            data = data[:i] + piece + data[i:]
     return data
 
 

@@ -362,6 +362,35 @@ def test_group_integer_past_the_int_digit_limit(new, code, tmp_path, capsys):
         assert str(exc.value).endswith("integer of 5001 digits is too large")
 
 
+@pytest.mark.parametrize(
+    "src,old,new",
+    (
+        ("s3_group.alg", "boundary = 0 1", "boundary = ² 0 1"),
+        ("s3_group.alg", "3 4 5;", "3 4 ٥;"),
+        ("field Q\nalgebra A basis x {\n  x*x = 1 x;\n}\n", "1 x", "² x"),
+        ("field Q\nalgebra A basis x {\n  x*x = 1 x;\n}\n", "1 x", "٣ x"),
+    ),
+    ids=("group-superscript", "group-arabic-indic", "scalar-superscript",
+         "scalar-arabic-indic"),
+)
+def test_non_ascii_digit_is_an_unexpected_character(src, old, new, tmp_path, capsys):
+    # str.isdigit() is true for these characters; only ASCII 0-9 make numbers
+    if src.endswith(".alg"):
+        with open(os.path.join(FIXTURES, src), encoding="utf-8") as fh:
+            src = fh.read()
+    assert src.count(old) == 1
+    text = src.replace(old, new)
+    ch = next(c for c in new if not c.isascii())
+    at = text.index(ch)
+    line, col = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+    bad = tmp_path / "bad.alg"
+    bad.write_text(text, encoding="utf-8")
+    assert main(["report", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: {line}:{col}: unexpected character {ch!r}"]
+
+
 @pytest.mark.parametrize("field", ("Q", "Fp 5"))
 def test_scalar_past_the_int_digit_limit(field, tmp_path, capsys):
     # int() refuses more than 4300 digits; leading zeros do not count, on
