@@ -6,21 +6,25 @@ underlying crossed module or categorical algebra is fixed.  The laws are
 the validators' own law tables (`braiding_*_laws` in braidalg.braid).
 For a target tag this solves the linear system "every other law of the
 table holds" and looks for a solution violating the target; the
-solutions are written to fixtures/mutations/ as DSL files.
+solutions are written to fixtures/mutations/ as DSL files, named by
+`fixture_names`.  scripts/make_mutations.py takes its bases and helpers
+from here.
 
 Run from the repository root:  python3 scripts/find_isolating_mutations.py
 """
 
+import functools
 import itertools
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from braidalg.action import AssocAction, LieAction, zero_action_assoc
+from braidalg.action import AssocAction, LieAction, zero_action_assoc, zero_action_lie
 from braidalg.algebra import catalog, from_constants
 from braidalg.braid import (
     CatBraiding,
+    XBraiding,
     _bar,
     braiding_cat_assoc_laws,
     braiding_cat_lie_alt_laws,
@@ -32,7 +36,7 @@ from braidalg.braid import (
 )
 from braidalg.dsl import print_catbraiding_doc, print_xbraiding_doc
 from braidalg.fields import QQ
-from braidalg.icat import cat_liefy
+from braidalg.icat import CatAlgebra, cat_liefy
 from braidalg.linear import (
     Space,
     bilinear_from_rule,
@@ -174,90 +178,114 @@ def isolate(cache, name, b, laws, target):
 
 
 # ---------------------------------------------------------------------------
-# drivers
+# bases, which scripts/make_mutations.py builds its cases on too
+
+
+def alg(labels, prods=None):
+    return from_constants(Space(F, tuple(labels)), prods or {})
+
+
+def bil(left, right, cod, entries):
+    """BilMap from {(i, j): {k: scalar}} on basis indices."""
+
+    def rule(i, j):
+        v = [F.zero()] * cod.dim
+        for k, c in entries.get((i, j), {}).items():
+            v[k] = F.of(c)
+        return tuple(v)
+
+    return bilinear_from_rule(left, right, cod, rule)
+
+
+def zero_xmod(actor, module, lie=False):
+    """The crossed module of `actor` on `module` with zero action and boundary."""
+    d = zero_map(module.space, actor.space)
+    if lie:
+        return XModLie(zero_action_lie(actor, module), d)
+    return XModAssoc(zero_action_assoc(actor, module), d)
+
+
+def zero_braiding(base):
+    """`base`, a crossed module or a categorical algebra, with the zero
+    braiding N x N -> M or C0 x C0 -> C1."""
+    if isinstance(base, CatAlgebra):
+        c0, c1 = base.c0.space, base.c1.space
+        return CatBraiding(base, zero_bilmap(c0, c0, c1))
+    return XBraiding(base, zero_bilmap(base.n.space, base.n.space, base.m.space))
+
+
+# Both corpus scripts use the braided tensor crossed module of Heis3 and
+# its bar construction; each is built once per run.
+@functools.cache
+def heis3_tensor():
+    return tensor_braiding(tensor_square(catalog("Heis3", F)))
+
+
+@functools.cache
+def heis3_tensor_bar():
+    """`braid._bar` of the Heis3 tensor crossed module: (cat, semidirect)."""
+    return _bar(heis3_tensor().base)
 
 
 def degenerate_xmods():
     """Valid associative crossed modules with room in the brace/tau tensor."""
-    one = F.one()
+    m, uv = alg(("m",)), alg(("u", "v"))
     # boundary with kernel and cokernel, everything else zero
-    m = from_constants(Space(F, ("m1", "m2")), {})
-    n = from_constants(Space(F, ("u", "v")), {})
-    d = from_columns(m.space, n.space, [n.space.basis_vector(0), n.space.zero()])
-    yield "ker", XModAssoc(zero_action_assoc(n, m), d)
+    m2 = alg(("m1", "m2"))
+    d = from_columns(m2.space, uv.space, [uv.space.basis_vector(0), uv.space.zero()])
+    yield "ker", XModAssoc(zero_action_assoc(uv, m2), d)
     # one-sided identity actor, nontrivial action, zero boundary
-    m1 = from_constants(Space(F, ("m",)), {})
-    nu = from_constants(
-        Space(F, ("u", "v")),
-        {("u", "u"): {"u": one}, ("u", "v"): {"v": one}, ("v", "u"): {"v": one}},
+    nu = alg(
+        ("u", "v"),
+        {("u", "u"): {"u": 1}, ("u", "v"): {"v": 1}, ("v", "u"): {"v": 1}},
     )
-    star1 = bilinear_from_rule(
-        nu.space, m1.space, m1.space,
-        lambda i, j: m1.space.basis_vector(j) if i == 0 else m1.space.zero(),
-    )
-    star2 = bilinear_from_rule(
-        m1.space, nu.space, m1.space,
-        lambda i, j: m1.space.basis_vector(i) if j == 0 else m1.space.zero(),
-    )
+    star1 = bil(nu.space, m.space, m.space, {(0, 0): {0: 1}})
+    star2 = bil(m.space, nu.space, m.space, {(0, 0): {0: 1}})
     yield "idact", XModAssoc(
-        AssocAction(nu, m1, star1, star2), zero_map(m1.space, nu.space)
+        AssocAction(nu, m, star1, star2), zero_map(m.space, nu.space)
     )
     # noncommutative actor, zero action and boundary
-    nl = from_constants(
-        Space(F, ("u", "v")), {("u", "u"): {"u": one}, ("u", "v"): {"v": one}}
-    )
-    yield "noncomm", XModAssoc(zero_action_assoc(nl, m1), zero_map(m1.space, nl.space))
-
-
-def _zero_tau(c):
-    """The categorical algebra `c` with the zero braiding C0 x C0 -> C1."""
-    return CatBraiding(c, zero_bilmap(c.c0.space, c.c0.space, c.c1.space))
+    nl = alg(("u", "v"), {("u", "u"): {"u": 1}, ("u", "v"): {"v": 1}})
+    yield "noncomm", zero_xmod(nl, m)
 
 
 def cat_assoc_candidates():
     for name, x in degenerate_xmods():
-        yield name + "cx", _zero_tau(_bar(x)[0])
+        yield name + "cx", zero_braiding(_bar(x)[0])
     yield "upper2cx", cx_functor(commutator_braiding(catalog("Upper(2)", QQ)))
     yield "mat2cx", cx_functor(commutator_braiding(catalog("Mat(2)", QQ)))
 
 
-def lie_degenerate_xmods():
-    one = F.one()
-    m1 = from_constants(Space(F, ("m",)), {})
-    # solvable 2-dim actor [u,v] = v, dot(u, m) = m, zero boundary
-    nsolv = from_constants(
-        Space(F, ("u", "v")),
-        {("u", "v"): {"v": one}, ("v", "u"): {"v": F.neg(one)}},
-    )
-    dot = bilinear_from_rule(
-        nsolv.space, m1.space, m1.space,
-        lambda i, j: m1.space.basis_vector(j) if i == 0 else m1.space.zero(),
-    )
-    yield "solv", XModLie(LieAction(nsolv, m1, dot), zero_map(m1.space, nsolv.space))
-    # Heisenberg actor, dot(x, m) = m, zero boundary
-    nh = catalog("Heis3", F)
-    doth = bilinear_from_rule(
-        nh.space, m1.space, m1.space,
-        lambda i, j: m1.space.basis_vector(j) if i == 0 else m1.space.zero(),
-    )
-    yield "heisdot", XModLie(LieAction(nh, m1, doth), zero_map(m1.space, nh.space))
+def lie_degenerate_bars():
+    """Bar constructions of valid Lie crossed modules with room in tau."""
+    m = alg(("m",))
+    # solvable 2-dim actor [u,v] = v, and Heis3; both act by dot(b_0, m) = m,
+    # with zero boundary
+    nsolv = alg(("u", "v"), {("u", "v"): {"v": 1}, ("v", "u"): {"v": -1}})
+    for name, n in (("solv", nsolv), ("heisdot", catalog("Heis3", F))):
+        dot = bil(n.space, m.space, m.space, {(0, 0): {0: 1}})
+        yield name, _bar(XModLie(LieAction(n, m, dot), zero_map(m.space, n.space)))[0]
     # tensor-square crossed module of Heis3 (kernel and cokernel both nonzero)
-    yield "heisT", tensor_braiding(tensor_square(catalog("Heis3", F))).base
+    yield "heisT", heis3_tensor_bar()[0]
 
 
 def cat_lie_candidates(assoc):
     """Lie bar constructions, then the Lie-fied bases of `assoc`, the
     associative candidates."""
-    for name, x in lie_degenerate_xmods():
-        yield name + "bar", _zero_tau(_bar(x)[0])
+    for name, c in lie_degenerate_bars():
+        yield name + "bar", zero_braiding(c)
     for name, b in assoc:
-        yield name + "lie", _zero_tau(cat_liefy(b.base))
+        yield name + "lie", zero_braiding(cat_liefy(b.base))
 
 
 def xmod_lie_candidates():
     yield "sl2T", tensor_braiding(tensor_square(catalog("sl2", QQ)))
-    yield "heis3T", tensor_braiding(tensor_square(catalog("Heis3", QQ)))
+    yield "heis3T", heis3_tensor()
     yield "gl2id", bracket_braiding(catalog("gl2", QQ))
+
+
+# ---------------------------------------------------------------------------
+# drivers
 
 
 def families():
@@ -271,6 +299,11 @@ def families():
         (braiding_cat_lie_alt_laws, lie, ("LieT3", "LieT4")),
         (braiding_xmod_lie_laws, list(xmod_lie_candidates()), ("BLie5", "BLie6")),
     )
+
+
+def fixture_names(tag):
+    """The file and the subject name of the isolating braiding for `tag`."""
+    return f"{tag.lower()}_fail.alg", f"mut_{tag.lower()}"
 
 
 def search():
@@ -291,7 +324,7 @@ def search():
                         if isinstance(mut, CatBraiding)
                         else print_xbraiding_doc
                     )
-                    doc = printer(mut, f"mut_{target.lower()}")
+                    doc = printer(mut, fixture_names(target)[1])
                     found[target] = (name, failing, doc)
                     break
     return found
@@ -306,7 +339,7 @@ def main():
             continue
         name, failing, doc = hit
         print(target, "on", name, "fails:", failing)
-        fname = f"{target.lower()}_fail.alg"
+        fname = fixture_names(target)[0]
         with open(os.path.join(outdir, fname), "w", encoding="utf-8") as fh:
             fh.write(doc)
         print("wrote", fname)

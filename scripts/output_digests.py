@@ -39,19 +39,6 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from braidalg import cli  # noqa: E402
 from braidalg.dsl import parse  # noqa: E402
 
-# construction kind -> the block kinds it takes (as `cli._construct` checks)
-CONSTRUCT_TAKES = {
-    "liefy": ("algebra",),
-    "semidirect": ("action",),
-    "cx": ("braiding",),
-    "xc": ("braiding",),
-    "natensor": ("algebra",),
-    "tensor-xmod": ("algebra",),
-    "catliefy": ("cat", "braiding"),
-    "xliefy": ("braiding",),
-}
-
-
 def input_files():
     out = []
     for sub in ("fixtures", os.path.join("fixtures", "mutations")):
@@ -76,7 +63,7 @@ def commands(path):
     yield ["roundtrip", path]
     yield ["roundtrip", path, "--format", "json"]
     for name, kind in blocks(path):
-        for construct, takes in CONSTRUCT_TAKES.items():
+        for construct, takes in cli.CONSTRUCT_TAKES.items():
             if kind in takes:
                 yield ["construct", construct, path, "--subject", name]
 

@@ -183,7 +183,7 @@ def ad_map(a: Algebra, x) -> LinMap:
     return from_columns(a.space, a.space, [a.product(x, b) for b in a.space.basis()])
 
 
-_NAME_RE = re.compile(r"^(Ab|Mat|Upper|gl)\(?(\d+)\)?$")
+_NAME_RE = re.compile(r"^(Ab|Mat|Upper|gl)\(?([0-9]+)\)?$")
 
 
 def catalog(name: str, field: Field) -> Algebra:

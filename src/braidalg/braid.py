@@ -4,8 +4,9 @@ bar/kernel equivalence functors with their natural isomorphisms.
 The BAs/BLie validators sweep the displayed axiom families; the
 categorical validators evaluate every composition with the forced
 formula k((x, y)) = x - e(t(x)) + y, exactly as the source proofs do.
-Four validators sweep a law table, `braiding_*_laws(b)`: the list of
-(tag, dims, law) triples that `report.sweep` takes, in report order.
+Each braiding validator sweeps a law table, `braiding_*_laws(b)` or
+`anticoherence_laws(b)`: the list of (tag, dims, law) triples that
+`report.sweep` takes, in report order.
 Other code that needs an axiom (the mutation solver) reads the table.
 """
 
@@ -69,10 +70,8 @@ def _commutator(a: Algebra) -> BilMap:
     return a.mult.sub(a.mult.swapped())
 
 
-def validate_braiding_xmod_assoc(
-    b: XBraiding, subject: str = "braiding"
-) -> ValidationReport:
-    """BAs1..BAs6 on basis pairs/triples."""
+def braiding_xmod_assoc_laws(b: XBraiding):
+    """BAs1..BAs6 on basis pairs/triples, as (tag, dims, law) triples."""
     x = b.base
     M, N = x.m, x.n
     F = M.field
@@ -85,13 +84,13 @@ def validate_braiding_xmod_assoc(
         # [b_n, b_m]_* = b_n *1 b_m - b_m *2 b_n
         return vsub(F, s1.on_basis(n, m), s2.on_basis(m, n))
 
-    checks = [
-        sweep(
+    return [
+        (
             "BAs1",
             (N.dim, N.dim),
             lambda n, n2: (d.apply(br.on_basis(n, n2)), ncomm.on_basis(n, n2)),
         ),
-        sweep(
+        (
             "BAs2",
             (M.dim, M.dim),
             lambda m, m2: (
@@ -99,7 +98,7 @@ def validate_braiding_xmod_assoc(
                 mcomm.on_basis(m, m2),
             ),
         ),
-        sweep(
+        (
             "BAs3",
             (M.dim, N.dim),
             lambda m, n: (
@@ -107,12 +106,12 @@ def validate_braiding_xmod_assoc(
                 vneg(F, lie_star(n, m)),
             ),
         ),
-        sweep(
+        (
             "BAs4",
             (N.dim, M.dim),
             lambda n, m: (br.apply(bn(n), d.column(m)), lie_star(n, m)),
         ),
-        sweep(
+        (
             "BAs5",
             (N.dim, N.dim, N.dim),
             lambda n, n2, n3: (
@@ -124,7 +123,7 @@ def validate_braiding_xmod_assoc(
                 ),
             ),
         ),
-        sweep(
+        (
             "BAs6",
             (N.dim, N.dim, N.dim),
             lambda n, n2, n3: (
@@ -137,7 +136,13 @@ def validate_braiding_xmod_assoc(
             ),
         ),
     ]
-    return merge(subject, checks)
+
+
+def validate_braiding_xmod_assoc(
+    b: XBraiding, subject: str = "braiding"
+) -> ValidationReport:
+    """BAs1..BAs6 on basis pairs/triples."""
+    return merge(subject, [sweep(*law) for law in braiding_xmod_assoc_laws(b)])
 
 
 def braiding_xmod_lie_laws(b: XBraiding):
@@ -370,17 +375,18 @@ def validate_braiding_cat_lie_alt(
     return merge(subject, [sweep(*law) for law in braiding_cat_lie_alt_laws(b)])
 
 
-def check_anticoherence(b: CatBraiding, subject: str = "braiding") -> ValidationReport:
+def anticoherence_laws(b: CatBraiding):
     """tau_{a,[b,c]} = [e(a), tau_{b,c}], the mirror identity, and their
-    antisymmetry consequence; only meaningful away from characteristic 2."""
+    antisymmetry consequence, as (tag, dims, law) triples; only meaningful
+    away from characteristic 2."""
     c, c1, c0, tau = _cat_parts(b)
     if c1.field.characteristic == 2:
         raise CharTwo("anticoherence requires characteristic != 2")
     F = c1.field
     b0 = c0.space.basis_vector
 
-    checks = [
-        sweep(
+    return [
+        (
             "AC1",
             (c0.dim, c0.dim, c0.dim),
             lambda a, d, g: (
@@ -388,7 +394,7 @@ def check_anticoherence(b: CatBraiding, subject: str = "braiding") -> Validation
                 c1.product(c.e.column(a), tau.on_basis(d, g)),
             ),
         ),
-        sweep(
+        (
             "AC2",
             (c0.dim, c0.dim, c0.dim),
             lambda a, d, g: (
@@ -396,7 +402,7 @@ def check_anticoherence(b: CatBraiding, subject: str = "braiding") -> Validation
                 c1.product(tau.on_basis(d, g), c.e.column(a)),
             ),
         ),
-        sweep(
+        (
             "AC3",
             (c0.dim, c0.dim, c0.dim),
             lambda a, d, g: (
@@ -405,7 +411,11 @@ def check_anticoherence(b: CatBraiding, subject: str = "braiding") -> Validation
             ),
         ),
     ]
-    return merge(subject, checks)
+
+
+def check_anticoherence(b: CatBraiding, subject: str = "braiding") -> ValidationReport:
+    """AC1..AC3; raises CharTwo in characteristic 2."""
+    return merge(subject, [sweep(*law) for law in anticoherence_laws(b)])
 
 
 # ---------------------------------------------------------------------------

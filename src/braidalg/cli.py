@@ -136,60 +136,54 @@ def cmd_roundtrip(args) -> int:
     return 0 if all(r.ok for r, _ in reports) else 1
 
 
-_CONSTRUCT_KINDS = (
-    "liefy",
-    "semidirect",
-    "cx",
-    "xc",
-    "natensor",
-    "tensor-xmod",
-    "catliefy",
-    "xliefy",
-)
+# construction kind -> the block kinds it takes; a mismatch asks for the last
+CONSTRUCT_TAKES = {
+    "liefy": ("algebra",),
+    "semidirect": ("action",),
+    "cx": ("braiding",),
+    "xc": ("braiding",),
+    "natensor": ("algebra",),
+    "tensor-xmod": ("algebra",),
+    "catliefy": ("cat", "braiding"),
+    "xliefy": ("braiding",),
+}
 
 
 def _construct(kind, name, block_kind, obj) -> str:
+    want = CONSTRUCT_TAKES.get(kind)
+    if want is None:
+        raise BraidAlgError(f"unknown construction {kind!r}")
+    if block_kind not in want:
+        raise BraidAlgError(
+            f"{kind} needs a {want[-1]} subject, but {name!r} is a {block_kind}"
+        )
     if kind == "liefy":
-        _expect_kind(kind, name, block_kind, "algebra")
         return print_algebra_doc(liefy(obj), f"{name}_lie")
     if kind == "semidirect":
-        _expect_kind(kind, name, block_kind, "action")
         semidirect = semidirect_assoc if isinstance(obj, AssocAction) else semidirect_lie
         return print_algebra_doc(semidirect(obj).algebra, f"{name}_sd")
     if kind == "cx":
-        _expect_kind(kind, name, block_kind, "braiding")
         if not isinstance(obj, XBraiding):
             raise BraidAlgError("cx takes a braided crossed module subject")
         return print_catbraiding_doc(cx_functor(obj), f"{name}_cx")
     if kind == "xc":
-        _expect_kind(kind, name, block_kind, "braiding")
         if not isinstance(obj, CatBraiding):
             raise BraidAlgError("xc takes a braided categorical subject")
         return print_xbraiding_doc(xc_functor(obj), f"{name}_xc")
     if kind == "natensor":
-        _expect_kind(kind, name, block_kind, "algebra")
         return print_xbraiding_doc(tensor_braiding(tensor_square(obj)), f"{name}_T")
     if kind == "tensor-xmod":
-        _expect_kind(kind, name, block_kind, "algebra")
         return print_xmod_doc(tensor_xmod(tensor_square(obj)), f"{name}_T")
     if kind == "catliefy":
         if block_kind == "cat":
             return print_cat_doc(cat_liefy(obj), f"{name}_lie")
-        _expect_kind(kind, name, block_kind, "braiding")
         if not isinstance(obj, CatBraiding):
             raise BraidAlgError("catliefy takes a cat or braided categorical subject")
         return print_catbraiding_doc(cat_braiding_liefy(obj), f"{name}_lie")
-    if kind == "xliefy":
-        _expect_kind(kind, name, block_kind, "braiding")
-        if not isinstance(obj, XBraiding):
-            raise BraidAlgError("xliefy takes a braided crossed module subject")
-        return print_xbraiding_doc(xmod_braiding_liefy(obj), f"{name}_lie")
-    raise BraidAlgError(f"unknown construction {kind!r}")
-
-
-def _expect_kind(op, name, got, want):
-    if got != want:
-        raise BraidAlgError(f"{op} needs a {want} subject, but {name!r} is a {got}")
+    # xliefy, the last kind
+    if not isinstance(obj, XBraiding):
+        raise BraidAlgError("xliefy takes a braided crossed module subject")
+    return print_xbraiding_doc(xmod_braiding_liefy(obj), f"{name}_lie")
 
 
 def cmd_construct(args) -> int:
@@ -235,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("construct", help="apply a construction, emit DSL")
-    p.add_argument("kind", choices=_CONSTRUCT_KINDS)
+    p.add_argument("kind", choices=CONSTRUCT_TAKES)
     p.add_argument("file", help="DSL source file")
     p.add_argument("--subject", required=True)
     p.add_argument("-o", "--output", help="output file (default stdout)")

@@ -9,6 +9,7 @@ tuples.  Commutators follow the [g, g'] = g g' g^-1 g'^-1 convention.
 from __future__ import annotations
 
 import itertools
+import re
 
 from .errors import InvalidInput, UnknownFixture
 from .record import Record
@@ -143,13 +144,12 @@ def _parity(p):
 
 def group_catalog(name: str) -> FiniteGroup:
     """C1..C12, V4, S3, D3..D6, Q8, A4."""
-    if name.startswith("C") and name[1:].isdigit():
-        n = int(name[1:])
-        if 1 <= n <= 12:
+    m = re.fullmatch(r"([CD])([0-9]+)", name)
+    if m:
+        n = int(m.group(2))
+        if m.group(1) == "C" and 1 <= n <= 12:
             return cyclic(n)
-    if name.startswith("D") and name[1:].isdigit():
-        n = int(name[1:])
-        if 3 <= n <= 6:
+        if m.group(1) == "D" and 3 <= n <= 6:
             return dihedral(n)
     if name == "V4":
         return klein_four()

@@ -94,6 +94,12 @@ def test_unknown_fixture_raises():
         catalog("Oct(8)", QQ)
 
 
+def test_catalog_sizes_take_ascii_digits_only():
+    # `\d` also matches other scripts' digits, such as Arabic-Indic three
+    with pytest.raises(UnknownFixture):
+        catalog("Mat(\u0663)", QQ)
+
+
 def test_flavor_checks_discriminate():
     assert not is_associative(catalog("sl2", QQ))
     assert not is_lie(catalog("Mat(2)", QQ))

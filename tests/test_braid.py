@@ -1,10 +1,18 @@
+import os
+
 import pytest
 
 from braidalg.algebra import catalog
 from braidalg.braid import (
     _bar,
     alpha_iso,
+    anticoherence_laws,
     beta_iso,
+    braiding_cat_assoc_laws,
+    braiding_cat_lie_alt_laws,
+    braiding_cat_lie_ulualan_laws,
+    braiding_xmod_assoc_laws,
+    braiding_xmod_lie_laws,
     bracket_braiding,
     cat_braiding_liefy,
     check_anticoherence,
@@ -20,13 +28,15 @@ from braidalg.braid import (
     xc_functor,
     xmod_braiding_liefy,
 )
+from braidalg.dsl import parse
 from braidalg.errors import CharTwo
 from braidalg.fields import GF, QQ
 from braidalg.icat import LIE, require_valid_cat
 from braidalg.natensor import tensor_square, tensor_xmod
+from braidalg.report import merge, sweep
 from braidalg.xmod import identity_xmod_lie
 
-from conftest import load_script
+from conftest import FIXTURES, MUTATIONS, load_script
 
 ASSOC_NAMES = ("Mat(2)", "Mat(3)", "Upper(3)")
 LIE_NAMES = ("sl2", "Heis3", "gl2")
@@ -124,6 +134,8 @@ def test_char_two_transport_guards():
     cb = cx_functor(b)
     with pytest.raises(CharTwo):
         cat_braiding_liefy(cb)
+    with pytest.raises(CharTwo):
+        check_anticoherence(cb)
 
 
 def test_xc_functor_recovers_braiding_data():
@@ -132,3 +144,62 @@ def test_xc_functor_recovers_braiding_data():
     assert validate_braiding_xmod_assoc(back).ok
     assert back.base.m.dim == b.base.m.dim
     assert back.base.n.mult.tensor == b.base.n.mult.tensor
+
+
+def _braiding(path, liefied=False):
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = parse(fh.read())
+    [(name, b)] = [(n, o) for n, k, o in doc.blocks if k == "braiding"]
+    return name, cat_braiding_liefy(b) if liefied else b
+
+
+# validator, law table, a passing fixture (Lie-fied first if flagged) and
+# a failing mutation fixture
+_TABLES = [
+    (
+        validate_braiding_xmod_assoc,
+        braiding_xmod_assoc_laws,
+        "mat2_braided",
+        False,
+        "bas3",
+    ),
+    (validate_braiding_xmod_lie, braiding_xmod_lie_laws, "sl2_braided", False, "blie3"),
+    (
+        validate_braiding_cat_assoc,
+        braiding_cat_assoc_laws,
+        "mat2_cat",
+        False,
+        "ast2_fail",
+    ),
+    (
+        validate_braiding_cat_lie_ulualan,
+        braiding_cat_lie_ulualan_laws,
+        "mat2_cat",
+        True,
+        "lieb4_demo",
+    ),
+    (
+        validate_braiding_cat_lie_alt,
+        braiding_cat_lie_alt_laws,
+        "mat2_cat",
+        True,
+        "lieb4_demo",
+    ),
+    (check_anticoherence, anticoherence_laws, "mat2_cat", True, "lieb4_demo"),
+]
+
+
+@pytest.mark.parametrize(
+    "validate,laws,passing,liefied,failing",
+    _TABLES,
+    ids=[t[1].__name__ for t in _TABLES],
+)
+def test_validators_sweep_their_law_tables(validate, laws, passing, liefied, failing):
+    for path, ok in (
+        (os.path.join(FIXTURES, f"{passing}.alg"), True),
+        (os.path.join(MUTATIONS, f"{failing}.alg"), False),
+    ):
+        name, b = _braiding(path, liefied and ok)
+        rep = validate(b, name)
+        assert rep.ok == ok, path
+        assert rep == merge(name, [sweep(*law) for law in laws(b)]), path

@@ -224,6 +224,23 @@ def test_construct_xliefy_char_two_guard(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind,path,subject,got,want",
+    [
+        ("liefy", "mat2_braided.alg", "mat2", "braiding", "algebra"),
+        ("catliefy", "mat2_cat.alg", "mat2_cat_C0", "algebra", "braiding"),
+    ],
+)
+def test_construct_names_the_block_kind_it_needs(
+    kind, path, subject, got, want, capsys
+):
+    argv = ["construct", kind, os.path.join(FIXTURES, path), "--subject", subject]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {kind} needs a {want} subject, but {subject!r} is a {got}\n"
+    )
+
+
 def test_unknown_reference_position():
     src = "field Q\nalgebra A basis x {\n  x*x = y;\n}\n"
     with pytest.raises((UnknownReference, DslSyntaxError)) as exc:
@@ -470,8 +487,14 @@ def test_cli_import_loads_every_module_and_no_dataclasses():
     # Every module must still load: braidbench/tracer.py binds them all
     # right after `import braidalg.cli` and fails with a KeyError on a
     # module that is not loaded yet, which rules out per-command imports.
+    # Installing the tracer then fails with an AttributeError on any traced
+    # name a refactor renamed, which would otherwise break `--trace 1`.
     src = os.path.join(ROOT, "src")
-    code = "import sys, braidalg.cli; print(*sorted(sys.modules))"
+    code = (
+        "import sys, braidalg.cli; print(*sorted(sys.modules)); "
+        f"sys.path.insert(0, {os.path.join(ROOT, 'braidbench')!r}); "
+        "from tracer import Tracer; Tracer().install()"
+    )
     run = subprocess.run(
         [sys.executable, "-S", "-c", code],
         env=dict(os.environ, PYTHONPATH=src),

@@ -86,6 +86,14 @@ def test_unknown_group_fixture():
         group_catalog("M11")
 
 
+@pytest.mark.parametrize(
+    "name", ["C\u00b2", "D\u0663"], ids=["C-superscript-2", "D-arabic-3"]
+)
+def test_group_catalog_sizes_take_ascii_digits_only(name):
+    with pytest.raises(UnknownFixture):
+        group_catalog(name)
+
+
 def test_groupxmod_shape_checks():
     c2 = cyclic(2)
     with pytest.raises(InvalidInput):

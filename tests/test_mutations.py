@@ -61,6 +61,11 @@ def test_manifest_matches_fixture_files(mutations_module):
     assert files == on_disk
 
 
+def test_manifest_is_what_the_generator_writes(mutations_module):
+    # targets, expected tags, notes and entry order, not only file names
+    assert mutations_module.manifest() == _manifest()
+
+
 def test_case_documents_reprint_as_the_committed_files(mutations_module):
     cases = [c for c in _cases(mutations_module) if c.doc is not None]
     assert len(cases) >= 40
@@ -87,7 +92,8 @@ def test_fixture_validates_to_expected_tags(entry):
 
 
 def test_solver_finds_the_committed_isolating_braidings():
-    found = load_script("find_isolating_mutations").search()
+    solver = load_script("find_isolating_mutations")
+    found = solver.search()
     hits = {
         "AsT2": "kercx",
         "AsT3": "idactcx",
@@ -101,7 +107,7 @@ def test_solver_finds_the_committed_isolating_braidings():
     for tag, candidate in hits.items():
         name, failing, doc = found[tag]
         assert (name, failing) == (candidate, [tag])
-        path = os.path.join(MUTATIONS, f"{tag.lower()}_fail.alg")
+        path = os.path.join(MUTATIONS, solver.fixture_names(tag)[0])
         with open(path, "r", encoding="utf-8") as fh:
             assert doc == fh.read(), tag
 
