@@ -9,12 +9,12 @@ their validator, so no input can fail them in isolation; those cases
 carry a note and document a minimal failing set containing the tag
 instead.
 
-Cases expressible in the DSL are validated through the CLI's dispatch
-from block kind to validator and written to fixtures/mutations/ together
-with manifest.json (`manifest()` returns its entries).  The rest
-(morphism and internal functor mutations, anticoherence, the tensor
-antisymmetry check, and validators the CLI does not dispatch to) carry
-their own report and are only checked by the test suite.
+Cases expressible in the DSL are validated by the validator of their
+block kind in `dsl.BLOCK_KINDS` and written to fixtures/mutations/
+together with manifest.json (`manifest()` returns its entries).  The
+rest (morphism and internal functor mutations, anticoherence, the tensor
+antisymmetry check, and validators no block kind uses) carry their own
+report and are only checked by the test suite.
 
 The bases the solver scripts/find_isolating_mutations.py also searches
 are taken from it, not built again: its degenerate associative crossed
@@ -43,8 +43,7 @@ from braidalg.braid import (
     validate_braided_xmod_morphism,
     validate_braiding_cat_lie_alt,
 )
-from braidalg.cli import _validate_block
-from braidalg.dsl import _print_object, parse, print_document
+from braidalg.dsl import BLOCK_KINDS, _print_object, parse, print_document
 from braidalg.groupx import GroupXMod, cyclic, klein_four, symmetric3
 from braidalg.icat import ASSOC, LIE, CatAlgebra, discrete_cat
 from braidalg.linear import (
@@ -100,15 +99,15 @@ class Case:
 
 
 def dsl_case(target, kind, obj, name="", expected=(), note=""):
-    """A case on the block `name` of kind `kind`: the CLI's dispatch
-    validates it and the DSL prints it.  By default the block is named
+    """A case on the block `name` of kind `kind`: the validator of its kind
+    in `dsl.BLOCK_KINDS` reports on it and the DSL prints it.  By default the block is named
     after the target in lower case and fails the target alone."""
     name = name or target.lower()
     return Case(
         name,
         target,
         expected or (target,),
-        lambda: _validate_block(name, kind, obj),
+        lambda: BLOCK_KINDS[kind].validate(obj, name),
         lambda: _print_object(F, kind, obj, name),
         note,
     )

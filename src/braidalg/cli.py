@@ -2,6 +2,7 @@
 
 Exit codes: 0 all requested validations pass, 1 an axiom failed (a
 report with witnesses is still emitted), 2 structural or input error.
+`validate` reads its block kinds and validators from `dsl.BLOCK_KINDS`.
 """
 
 from __future__ import annotations
@@ -19,14 +20,12 @@ from .braid import (
     _beta,
     cat_braiding_liefy,
     cx_functor,
-    validate_braiding_cat_assoc,
-    validate_braiding_cat_lie_ulualan,
-    validate_braiding_xmod_assoc,
-    validate_braiding_xmod_lie,
     xc_functor,
     xmod_braiding_liefy,
 )
 from .dsl import (
+    BLOCK_KINDS,
+    VALIDATABLE,
     Document,
     parse,
     print_algebra_doc,
@@ -36,43 +35,9 @@ from .dsl import (
     print_xmod_doc,
 )
 from .errors import BraidAlgError
-from .icat import ASSOC, cat_liefy, validate_cat_algebra
-from .groupx import validate_group_braiding, validate_group_xmod
+from .icat import cat_liefy
 from .natensor import tensor_braiding, tensor_square, tensor_xmod
-from .report import ValidationReport, merge
-from .xmod import XModAssoc, validate_xmod_assoc, validate_xmod_lie
-
-
-VALIDATABLE = ("action", "xmod", "braiding", "cat", "groupxmod")
-
-
-def _validate_block(name, kind, obj) -> ValidationReport:
-    if kind == "action":
-        from .action import validate_assoc_action, validate_lie_action
-
-        if isinstance(obj, AssocAction):
-            return validate_assoc_action(obj, name)
-        return validate_lie_action(obj, name)
-    if kind == "xmod":
-        if isinstance(obj, XModAssoc):
-            return validate_xmod_assoc(obj, name)
-        return validate_xmod_lie(obj, name)
-    if kind == "braiding":
-        if isinstance(obj, XBraiding):
-            if isinstance(obj.base, XModAssoc):
-                return validate_braiding_xmod_assoc(obj, name)
-            return validate_braiding_xmod_lie(obj, name)
-        if obj.base.flavor == ASSOC:
-            return validate_braiding_cat_assoc(obj, name)
-        return validate_braiding_cat_lie_ulualan(obj, name)
-    if kind == "cat":
-        return validate_cat_algebra(obj, name)
-    if kind == "groupxmod":
-        rep = validate_group_xmod(obj, name)
-        if obj.brace is not None:
-            rep = merge(name, rep, validate_group_braiding(obj, name))
-        return rep
-    raise ValueError(f"{name!r} ({kind}) is not a validatable subject")
+from .report import merge
 
 
 def _select(doc: Document, subject, kinds):
@@ -90,9 +55,9 @@ def _select(doc: Document, subject, kinds):
     return picked
 
 
-def _emit(reports, fmt, field):
-    """Print (report, block kind) pairs.  Text witnesses over Q spell
-    scalars as Fractions; group elements (`groupxmod`) are ints in any field."""
+def _emit(reports, fmt, field) -> int:
+    """Print (report, block kind) pairs; return the exit code.  Text witnesses
+    over Q spell scalars as Fractions; group elements are ints in any field."""
     if fmt == "json":
         items = []
         for rep, _ in reports:
@@ -102,6 +67,7 @@ def _emit(reports, fmt, field):
         for rep, kind in reports:
             rationals = field.is_rationals and kind != "groupxmod"
             sys.stdout.write(rep.to_text(rationals) + "\n")
+    return 0 if all(r.ok for r, _ in reports) else 1
 
 
 def _read(path: str) -> Document:
@@ -112,13 +78,8 @@ def _read(path: str) -> Document:
 def cmd_validate(args) -> int:
     doc = _read(args.file)
     blocks = _select(doc, args.subject, VALIDATABLE)
-    reports = [(_validate_block(n, k, o), k) for n, k, o in blocks]
-    _emit(reports, args.format, doc.field)
-    return 0 if all(r.ok for r, _ in reports) else 1
-
-
-def cmd_report(args) -> int:
-    return cmd_validate(args)
+    reports = [(BLOCK_KINDS[k].validate(o, n), k) for n, k, o in blocks]
+    return _emit(reports, args.format, doc.field)
 
 
 def cmd_roundtrip(args) -> int:
@@ -132,8 +93,7 @@ def cmd_roundtrip(args) -> int:
         else:
             _, rep = _beta(obj)
             reports.append((merge(f"{name}:beta", rep), "braiding"))
-    _emit(reports, args.format, doc.field)
-    return 0 if all(r.ok for r, _ in reports) else 1
+    return _emit(reports, args.format, doc.field)
 
 
 # construction kind -> the block kinds it takes; a mismatch asks for the last
@@ -150,9 +110,7 @@ CONSTRUCT_TAKES = {
 
 
 def _construct(kind, name, block_kind, obj) -> str:
-    want = CONSTRUCT_TAKES.get(kind)
-    if want is None:
-        raise BraidAlgError(f"unknown construction {kind!r}")
+    want = CONSTRUCT_TAKES[kind]  # argparse has checked the kind
     if block_kind not in want:
         raise BraidAlgError(
             f"{kind} needs a {want[-1]} subject, but {name!r} is a {block_kind}"
@@ -188,10 +146,7 @@ def _construct(kind, name, block_kind, obj) -> str:
 
 def cmd_construct(args) -> int:
     doc = _read(args.file)
-    found = doc.lookup(args.subject)
-    if found is None:
-        raise BraidAlgError(f"no block named {args.subject!r}")
-    kind, obj = found
+    [(_, kind, obj)] = _select(doc, args.subject, tuple(BLOCK_KINDS))
     text = _construct(args.kind, args.subject, kind, obj)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -222,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="like validate, JSON by default")
     common(p, fmt_default="json")
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("roundtrip", help="alpha/beta natural isomorphism checks")
     common(p)

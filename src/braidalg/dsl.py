@@ -9,13 +9,23 @@ unless an algebra opts in with the `antisymmetric` attribute.
       h*e = 2 e;  h*f = -2 f;  e*f = h;
     }
     map d : sl2 -> sl2 { h |-> h; e |-> e; f |-> f; }
+
+`BLOCK_KINDS` is the one table of block kinds: each keyword gives its
+parser, its printer and, for a kind the CLI validates, its validator.
 """
 
 from __future__ import annotations
 
-from .action import AssocAction, LieAction
+from .action import AssocAction, LieAction, validate_assoc_action, validate_lie_action
 from .algebra import Algebra
-from .braid import CatBraiding, XBraiding
+from .braid import (
+    CatBraiding,
+    XBraiding,
+    validate_braiding_cat_assoc,
+    validate_braiding_cat_lie_ulualan,
+    validate_braiding_xmod_assoc,
+    validate_braiding_xmod_lie,
+)
 from .errors import (
     DimensionMismatch,
     DslError,
@@ -24,11 +34,12 @@ from .errors import (
     UnknownReference,
 )
 from .fields import MAX_CHARACTERISTIC, QQ, CharacteristicTooLarge, Field
-from .groupx import FiniteGroup, GroupXMod
-from .icat import ASSOC, LIE, CatAlgebra
+from .groupx import FiniteGroup, GroupXMod, validate_group_braiding, validate_group_xmod
+from .icat import ASSOC, LIE, CatAlgebra, validate_cat_algebra
 from .linear import BilMap, LinMap, Space, bilinear_from_rule, from_columns, identity_map
 from .record import Record
-from .xmod import XModAssoc, XModLie
+from .report import merge
+from .xmod import XModAssoc, XModLie, validate_xmod_assoc, validate_xmod_lie
 
 
 class Document(Record):
@@ -115,22 +126,15 @@ def _tokenize(source: str):
 # ---------------------------------------------------------------------------
 # parser / elaborator
 
-_BLOCK_KEYWORDS = (
-    "algebra",
-    "map",
-    "bilinear",
-    "action",
-    "xmod",
-    "braiding",
-    "cat",
-    "group",
-    "groupxmod",
-)
-
-
 # the least digit limit int() can be set to; a group element or either part
 # of a scalar is far shorter
 _MAX_INT_DIGITS = 640
+
+
+def _from_pairs(left, right, cod: Space, vals):
+    """The bilinear map with values `vals` on basis pairs, zero elsewhere."""
+    zero = cod.zero()
+    return bilinear_from_rule(left, right, cod, lambda i, j: vals.get((i, j), zero))
 
 
 class _Parser:
@@ -138,8 +142,7 @@ class _Parser:
         self.toks = _tokenize(source)
         self.pos = 0
         self.field: Field | None = None
-        self.blocks = []
-        self.by_name = {}
+        self.by_name = {}  # name -> (kind, object), in document order
 
     # token plumbing ------------------------------------------------------
 
@@ -240,14 +243,14 @@ class _Parser:
         if not out:
             t = self.peek()
             raise DslSyntaxError("expected at least one integer", t.line, t.col)
-        return out
+        return tuple(out)
 
     def int_rows(self):
         rows = [self.int_list()]
         while self.peek().kind == "punct" and self.peek().value == ",":
             self.next()
             rows.append(self.int_list())
-        return rows
+        return tuple(rows)
 
     # references -----------------------------------------------------------
 
@@ -268,7 +271,6 @@ class _Parser:
         if tok.value in self.by_name:
             raise DslSyntaxError(f"duplicate name {tok.value!r}", tok.line, tok.col)
         self.by_name[tok.value] = (kind, obj)
-        self.blocks.append((tok.value, kind, obj))
 
     # key = value blocks ----------------------------------------------------
 
@@ -338,20 +340,35 @@ class _Parser:
                 f"unknown field {t.value!r}", t.line, t.col, expected=("Q", "Fp")
             )
         while self.peek().kind != "eof":
-            t = self.peek()
-            if t.kind != "ident" or t.value not in _BLOCK_KEYWORDS:
+            t = self.next()
+            if t.kind != "ident" or t.value not in BLOCK_KINDS:
                 raise DslSyntaxError(
                     f"expected a declaration, found {t.value or t.kind!r}",
                     t.line,
                     t.col,
-                    expected=_BLOCK_KEYWORDS,
+                    expected=tuple(BLOCK_KINDS),
                 )
-            getattr(self, "parse_" + t.value)()
-        return Document(self.field, tuple(self.blocks))
+            name = self.expect("ident")
+            self.register(name, t.value, BLOCK_KINDS[t.value].parse(self, name))
+        blocks = tuple((n, k, o) for n, (k, o) in self.by_name.items())
+        return Document(self.field, blocks)
 
-    def parse_algebra(self):
-        self.expect("ident", "algebra")
-        name = self.expect("ident")
+    def rows(self, lhs, sep, cod: Space):
+        """Parse `{ lhs sep vector; }` into {key: vector}.  `lhs()` returns a
+        left side's key, its first token and how a repeat of it is named."""
+        rows = {}
+        self.expect("punct", "{")
+        while not (self.peek().kind == "punct" and self.peek().value == "}"):
+            key, tok, what = lhs()
+            if key in rows:
+                raise DslSyntaxError(f"{what} listed twice", tok.line, tok.col)
+            self.expect("punct", sep)
+            rows[key] = self.expr(cod)
+            self.expect("punct", ";")
+        self.expect("punct", "}")
+        return rows
+
+    def parse_algebra(self, name):
         self.expect("ident", "basis")
         labels = [self.expect("ident").value]
         while self.peek().kind == "punct" and self.peek().value == ",":
@@ -365,88 +382,57 @@ class _Parser:
             antisym = True
         space = Space(self.field, tuple(labels))
         F = self.field
-        prods = {}
-        self.expect("punct", "{")
-        while not (self.peek().kind == "punct" and self.peek().value == "}"):
+
+        def product():
             a = self.expect("ident")
             self.expect("punct", "*")
             b = self.expect("ident")
-            i, j = self._label(space, a), self._label(space, b)
-            if (i, j) in prods:
-                raise DslSyntaxError(
-                    f"product {a.value}*{b.value} listed twice", a.line, a.col
-                )
-            self.expect("punct", "=")
-            prods[(i, j)] = self.expr(space)
-            self.expect("punct", ";")
-        self.expect("punct", "}")
+            key = (self._label(space, a), self._label(space, b))
+            return key, a, f"product {a.value}*{b.value}"
+
+        prods = self.rows(product, "=", space)
         if antisym:
             for (i, j), v in list(prods.items()):
                 if (j, i) not in prods and i != j:
                     prods[(j, i)] = tuple(F.neg(c) for c in v)
-        zero = space.zero()
-        mult = bilinear_from_rule(
-            space, space, space, lambda i, j: prods.get((i, j), zero)
-        )
-        self.register(name, "algebra", Algebra(space, mult))
+        return Algebra(space, _from_pairs(space, space, space, prods))
 
-    def parse_map(self):
-        self.expect("ident", "map")
-        name = self.expect("ident")
+    def parse_map(self, name):
         self.expect("punct", ":")
         _, _, dom = self.ref("algebra")
         self.expect("punct", "->")
         _, _, cod = self.ref("algebra")
-        cols = {}
-        self.expect("punct", "{")
-        while not (self.peek().kind == "punct" and self.peek().value == "}"):
+
+        def image():
             a = self.expect("ident")
-            i = self._label(dom.space, a)
-            if i in cols:
-                raise DslSyntaxError(f"image of {a.value} listed twice", a.line, a.col)
-            self.expect("punct", "|->")
-            cols[i] = self.expr(cod.space)
-            self.expect("punct", ";")
-        self.expect("punct", "}")
+            return self._label(dom.space, a), a, f"image of {a.value}"
+
+        cols = self.rows(image, "|->", cod.space)
         zero = cod.space.zero()
         columns = [cols.get(i, zero) for i in range(dom.dim)]
-        self.register(name, "map", from_columns(dom.space, cod.space, columns))
+        return from_columns(dom.space, cod.space, columns)
 
-    def parse_bilinear(self):
-        self.expect("ident", "bilinear")
-        name = self.expect("ident")
+    def parse_bilinear(self, name):
         self.expect("punct", ":")
         _, _, left = self.ref("algebra")
         self.expect("punct", ",")
         _, _, right = self.ref("algebra")
         self.expect("punct", "->")
         _, _, cod = self.ref("algebra")
-        vals = {}
-        self.expect("punct", "{")
-        while not (self.peek().kind == "punct" and self.peek().value == "}"):
+
+        def pair():
             self.expect("punct", "(")
             a = self.expect("ident")
             self.expect("punct", ",")
             b = self.expect("ident")
             self.expect("punct", ")")
-            i, j = self._label(left.space, a), self._label(right.space, b)
-            if (i, j) in vals:
-                raise DslSyntaxError(
-                    f"pair ({a.value}, {b.value}) listed twice", a.line, a.col
-                )
-            self.expect("punct", "=")
-            vals[(i, j)] = self.expr(cod.space)
-            self.expect("punct", ";")
-        self.expect("punct", "}")
-        zero = cod.space.zero()
-        bil = bilinear_from_rule(
-            left.space, right.space, cod.space, lambda i, j: vals.get((i, j), zero)
-        )
-        self.register(name, "bilinear", bil)
+            key = (self._label(left.space, a), self._label(right.space, b))
+            return key, a, f"pair ({a.value}, {b.value})"
 
-    def parse_action(self):
-        self.expect("ident", "action")
-        name = self.expect("ident")
+        vals = self.rows(pair, "=", cod.space)
+        return _from_pairs(left.space, right.space, cod.space, vals)
+
+    def parse_action(self, name):
         self.expect("punct", ":")
         _, _, actor = self.ref("algebra")
         self.expect("ident", "on")
@@ -467,14 +453,12 @@ class _Parser:
                 )
             tok, _, dot = seen["dot"]
             self._check_shape(tok, dot, actor.space, module.space, module.space)
-            obj = LieAction(actor, module, dot)
-        else:
-            t1 = self.need(seen, "star1", name)
-            t2 = self.need(seen, "star2", name)
-            self._check_shape(t1[0], t1[2], actor.space, module.space, module.space)
-            self._check_shape(t2[0], t2[2], module.space, actor.space, module.space)
-            obj = AssocAction(actor, module, t1[2], t2[2])
-        self.register(name, "action", obj)
+            return LieAction(actor, module, dot)
+        t1 = self.need(seen, "star1", name)
+        t2 = self.need(seen, "star2", name)
+        self._check_shape(t1[0], t1[2], actor.space, module.space, module.space)
+        self._check_shape(t2[0], t2[2], module.space, actor.space, module.space)
+        return AssocAction(actor, module, t1[2], t2[2])
 
     def _check_shape(self, tok, bil: BilMap, left, right, cod):
         if (bil.left, bil.right, bil.codomain) != (left, right, cod):
@@ -482,9 +466,7 @@ class _Parser:
                 f"bilinear {tok.value!r} has the wrong signature", tok.line, tok.col
             )
 
-    def parse_xmod(self):
-        self.expect("ident", "xmod")
-        name = self.expect("ident")
+    def parse_xmod(self, name):
         seen = self.block_entries(
             {
                 "action": lambda: self.ref("action"),
@@ -501,11 +483,9 @@ class _Parser:
                 "boundary must map the module to the actor", btok.line, btok.col
             )
         cls = XModLie if isinstance(action, LieAction) else XModAssoc
-        self.register(name, "xmod", cls(action, boundary))
+        return cls(action, boundary)
 
-    def parse_braiding(self):
-        self.expect("ident", "braiding")
-        name = self.expect("ident")
+    def parse_braiding(self, name):
         seen = self.block_entries(
             {
                 "xmod": lambda: self.ref("xmod"),
@@ -522,18 +502,13 @@ class _Parser:
             _, _, x = seen["xmod"]
             btok, _, brace = self.need(seen, "brace", name)
             self._check_shape(btok, brace, x.n.space, x.n.space, x.m.space)
-            obj = XBraiding(x, brace)
-        else:
-            _, _, c = self.need(seen, "cat", name)
-            ttok, _, tau = self.need(seen, "tau", name)
-            self._check_shape(ttok, tau, c.c0.space, c.c0.space, c.c1.space)
-            obj = CatBraiding(c, tau)
-        self.register(name, "braiding", obj)
+            return XBraiding(x, brace)
+        _, _, c = self.need(seen, "cat", name)
+        ttok, _, tau = self.need(seen, "tau", name)
+        self._check_shape(ttok, tau, c.c0.space, c.c0.space, c.c1.space)
+        return CatBraiding(c, tau)
 
-    def parse_cat(self):
-        self.expect("ident", "cat")
-        name = self.expect("ident")
-
+    def parse_cat(self, name):
         def flavor_value():
             t = self.expect("ident")
             if t.value not in (ASSOC, LIE):
@@ -585,20 +560,14 @@ class _Parser:
                     ptok.line,
                     ptok.col,
                 )
-        self.register(name, "cat", obj)
+        return obj
 
-    def parse_group(self):
-        self.expect("ident", "group")
-        name = self.expect("ident")
+    def parse_group(self, name):
         seen = self.block_entries({"table": self.int_rows})
         rows = self.need(seen, "table", name)
-        self.register(
-            name, "group", FiniteGroup(len(rows), tuple(tuple(r) for r in rows))
-        )
+        return FiniteGroup(len(rows), rows)
 
-    def parse_groupxmod(self):
-        self.expect("ident", "groupxmod")
-        name = self.expect("ident")
+    def parse_groupxmod(self, name):
         seen = self.block_entries(
             {
                 "g": lambda: self.ref("group"),
@@ -610,12 +579,9 @@ class _Parser:
         )
         _, _, g = self.need(seen, "g", name)
         _, _, h = self.need(seen, "h", name)
-        action = tuple(tuple(r) for r in self.need(seen, "action", name))
-        boundary = tuple(self.need(seen, "boundary", name))
-        brace = seen.get("brace")
-        if brace is not None:
-            brace = tuple(tuple(r) for r in brace)
-        self.register(name, "groupxmod", GroupXMod(g, h, action, boundary, brace))
+        action = self.need(seen, "action", name)
+        boundary = self.need(seen, "boundary", name)
+        return GroupXMod(g, h, action, boundary, seen.get("brace"))
 
 
 def parse(source: str) -> Document:
@@ -682,7 +648,7 @@ class _Printer:
                 if k == kind and o == obj:
                     return n
         self.printed.append((kind, obj, name))
-        getattr(self, "print_" + kind)(name, obj)
+        BLOCK_KINDS[kind].print(self, name, obj)
         return name
 
     def ref(self, kind, obj, suffix) -> str:
@@ -791,6 +757,69 @@ class _Printer:
         if x.brace is not None:
             fields.append(("brace", x.brace))
         self.entries(f"groupxmod {name}", fields)
+
+
+# ---------------------------------------------------------------------------
+# block kinds.  A validator looks up its library function when it runs, so
+# that tracing, which replaces this module's bindings, sees every call.
+
+
+def _validate_action(a, name):
+    if isinstance(a, AssocAction):
+        return validate_assoc_action(a, name)
+    return validate_lie_action(a, name)
+
+
+def _validate_xmod(x, name):
+    if isinstance(x, XModAssoc):
+        return validate_xmod_assoc(x, name)
+    return validate_xmod_lie(x, name)
+
+
+def _validate_braiding(b, name):
+    if isinstance(b, XBraiding):
+        if isinstance(b.base, XModAssoc):
+            return validate_braiding_xmod_assoc(b, name)
+        return validate_braiding_xmod_lie(b, name)
+    if b.base.flavor == ASSOC:
+        return validate_braiding_cat_assoc(b, name)
+    return validate_braiding_cat_lie_ulualan(b, name)
+
+
+def _validate_cat(c, name):
+    return validate_cat_algebra(c, name)
+
+
+def _validate_groupxmod(x, name):
+    rep = validate_group_xmod(x, name)
+    if x.brace is not None:
+        rep = merge(name, rep, validate_group_braiding(x, name))
+    return rep
+
+
+class BlockKind(Record):
+    parse: object  # (parser, name token) -> the block's object
+    print: object  # (printer, name, object) appends the block's lines
+    validate: object = None  # (object, name) -> ValidationReport
+
+
+# keyword -> block kind, in the order a declaration error lists them
+BLOCK_KINDS = {
+    "algebra": BlockKind(_Parser.parse_algebra, _Printer.print_algebra),
+    "map": BlockKind(_Parser.parse_map, _Printer.print_map),
+    "bilinear": BlockKind(_Parser.parse_bilinear, _Printer.print_bilinear),
+    "action": BlockKind(_Parser.parse_action, _Printer.print_action, _validate_action),
+    "xmod": BlockKind(_Parser.parse_xmod, _Printer.print_xmod, _validate_xmod),
+    "braiding": BlockKind(
+        _Parser.parse_braiding, _Printer.print_braiding, _validate_braiding
+    ),
+    "cat": BlockKind(_Parser.parse_cat, _Printer.print_cat, _validate_cat),
+    "group": BlockKind(_Parser.parse_group, _Printer.print_group),
+    "groupxmod": BlockKind(
+        _Parser.parse_groupxmod, _Printer.print_groupxmod, _validate_groupxmod
+    ),
+}
+VALIDATABLE = tuple(k for k, b in BLOCK_KINDS.items() if b.validate is not None)
 
 
 def _print_object(field, kind, obj, name) -> str:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .algebra import Algebra, is_lie
 from .braid import XBraiding
-from .errors import InternalInvariantViolation, NotLie
+from .errors import InternalInvariantViolation, InvalidInput, NotLie
 from .linear import (
     BilMap,
     LinMap,
@@ -45,6 +45,9 @@ class TensorSquare(Record):
 
 def _plain_tensor_space(m: Space) -> Space:
     labels = tuple(f"{a}_{b}" for a in m.labels for b in m.labels)
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise InvalidInput(f"label {label!r} of M (x) M names two basis pairs")
     return Space(m.field, labels)
 
 

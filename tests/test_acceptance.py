@@ -38,8 +38,8 @@ from braidalg.braid import (
     xc_functor,
     xmod_braiding_liefy,
 )
-from braidalg.cli import VALIDATABLE, _validate_block, main
-from braidalg.dsl import parse, print_document
+from braidalg.cli import main
+from braidalg.dsl import BLOCK_KINDS, VALIDATABLE, parse, print_document
 from braidalg.errors import CharTwo
 from braidalg.fields import GF, QQ
 from braidalg.groupx import (
@@ -276,11 +276,11 @@ def test_criterion_9_mutation_sensitivity(capsys, mutations_module):
             with open(os.path.join(MUTATIONS, entry["file"]), encoding="utf-8") as fh:
                 doc = parse(fh.read())
             kind, obj = doc.lookup(entry["subject"])
-            rep = _validate_block(entry["subject"], kind, obj)
+            rep = BLOCK_KINDS[kind].validate(obj, entry["subject"])
             assert sorted(set(rep.failing_tags())) == entry["expected_failing_tags"]
             for name, k, o in doc.blocks:
                 if name != entry["subject"] and k in VALIDATABLE:
-                    assert _validate_block(name, k, o).ok, (entry["file"], name)
+                    assert BLOCK_KINDS[k].validate(o, name).ok, (entry["file"], name)
             targets.add(entry["target"])
         assert len(targets) >= 50
 

@@ -1,10 +1,12 @@
 """A bounded fuzz of the CLI exit-code contract.
 
 Each example applies one to three mutations to a small committed fixture
-or mutation file and runs `validate`, `report` or `roundtrip` on it
-in-process.  A mutation replaces, deletes or inserts a byte (invalid
-UTF-8 included), or replaces or inserts a whole multi-byte UTF-8
-character, which no single-byte mutation can form.  Whatever the bytes,
+or mutation file and runs `validate`, `report`, `roundtrip` or
+`construct KIND FILE --subject B -o OUT` on it in-process, with KIND any
+construction and B a block of the mutated document when it parses.  A
+mutation replaces, deletes or inserts a byte (invalid UTF-8 included),
+or replaces or inserts a whole multi-byte UTF-8 character, which no
+single-byte mutation can form.  Whatever the bytes,
 the run must end in a documented exit code: 0, 1 with a non-empty
 report, or 2 with exactly one `error:` line.
 The examples are derandomized, so the suite runs the same ones each time.
@@ -20,7 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidalg.cli import main
+from braidalg.cli import CONSTRUCT_TAKES, main
+from braidalg.dsl import parse
+from braidalg.errors import BraidAlgError
 
 from conftest import FIXTURES, MUTATIONS
 
@@ -63,6 +67,14 @@ def mutated_sources(draw):
     return data
 
 
+def _block_names(data):
+    """The block names of `data` if it parses, else a name to look up."""
+    try:
+        return [name for name, _, _ in parse(data.decode("utf-8")).blocks] or ["A"]
+    except (BraidAlgError, UnicodeDecodeError):
+        return ["A"]
+
+
 @pytest.fixture(scope="module")
 def scratch_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "case.alg"
@@ -73,12 +85,22 @@ def test_there_are_small_sources_to_mutate():
 
 
 @settings(max_examples=400, deadline=timedelta(seconds=3), derandomize=True, database=None)
-@given(data=mutated_sources(), command=st.sampled_from(("validate", "report", "roundtrip")))
-def test_every_input_ends_in_a_documented_exit_code(scratch_file, data, command):
+@given(
+    data=mutated_sources(),
+    command=st.sampled_from(("validate", "report", "roundtrip", "construct")),
+    more=st.data(),
+)
+def test_every_input_ends_in_a_documented_exit_code(scratch_file, data, command, more):
     scratch_file.write_bytes(data)
+    argv = [command, str(scratch_file)]
+    if command == "construct":
+        kind = more.draw(st.sampled_from(tuple(CONSTRUCT_TAKES)))
+        subject = more.draw(st.sampled_from(_block_names(data)))
+        output = str(scratch_file.with_suffix(".out"))
+        argv = [command, kind, str(scratch_file), "--subject", subject, "-o", output]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main([command, str(scratch_file)])
+        rc = main(argv)
     assert rc in (0, 1, 2)
     if rc == 1:
         assert out.getvalue().strip()

@@ -10,8 +10,10 @@ import pytest
 
 from braidalg.action import self_action, validate_assoc_action
 from braidalg.algebra import from_constants
-from braidalg.cli import VALIDATABLE, _validate_block, main
+from braidalg.cli import main
 from braidalg.dsl import (
+    BLOCK_KINDS,
+    VALIDATABLE,
     parse,
     print_action_doc,
     print_cat_doc,
@@ -274,7 +276,7 @@ def _entries(src):
         (name, e.tag, e.ok)
         for name, kind, obj in doc.blocks
         if kind in VALIDATABLE
-        for e in _validate_block(name, kind, obj).entries
+        for e in BLOCK_KINDS[kind].validate(obj, name).entries
     ]
 
 
@@ -509,3 +511,106 @@ def test_cli_import_loads_every_module_and_no_dataclasses():
         "braidalg." + name[:-3] for name in os.listdir(package) if name.endswith(".py")
     }
     assert modules <= loaded
+
+
+def test_tracer_sees_the_cli_dispatch():
+    # braidbench/tracer.py rebinds module attributes only: a validator the
+    # CLI reached through a stored function object would go uncounted.
+    runs = [
+        ["report", os.path.join(FIXTURES, name)]
+        for name in ("mat2_cat.alg", "s3_group.alg", "sl2_braided.alg")
+    ]
+    mat2 = os.path.join(FIXTURES, "mat2_braided.alg")
+    runs.append(["construct", "cx", mat2, "--subject", "mat2"])
+    code = "\n".join(
+        (
+            "import contextlib, io, json, sys",
+            "import braidalg.cli",
+            f"sys.path.insert(0, {os.path.join(ROOT, 'braidbench')!r})",
+            "from tracer import Tracer",
+            "tracer = Tracer()",
+            "tracer.install()",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    codes = [braidalg.cli.main(argv) for argv in json.loads(sys.argv[1])]",
+            "print(json.dumps([codes, tracer.calls]))",
+        )
+    )
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code, json.dumps(runs)],
+        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    codes, calls = json.loads(run.stdout)
+    assert codes == [0, 0, 0, 0]
+    for metric in (
+        "icat.validate",
+        "braid.validate",
+        "groupx.validate",
+        "action.validate",
+        "xmod.validate",
+        "braid.cx",
+        "dsl.print",
+    ):
+        assert calls.get(metric, 0) > 0, metric
+
+
+ONE_ALGEBRA = "field Q\nalgebra A basis x {\n}\n"
+
+
+@pytest.mark.parametrize(
+    "subject,message",
+    (
+        (
+            ["--subject", "A"],
+            "'A' is a algebra, expected one of "
+            "('action', 'xmod', 'braiding', 'cat', 'groupxmod')",
+        ),
+        ([], "document has no action/xmod/braiding/cat/groupxmod blocks"),
+    ),
+    ids=("subject", "document"),
+)
+def test_validate_names_the_validatable_kinds(subject, message, tmp_path, capsys):
+    path = tmp_path / "a.alg"
+    path.write_text(ONE_ALGEBRA, encoding="utf-8")
+    assert main(["validate", str(path)] + subject) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_unknown_declaration_lists_every_keyword():
+    with pytest.raises(DslSyntaxError) as exc:
+        parse(ONE_ALGEBRA + "algebr B basis y {\n}\n")
+    assert (exc.value.line, exc.value.col) == (4, 1)
+    assert str(exc.value) == "4:1: expected a declaration, found 'algebr'"
+    assert exc.value.expected == (
+        "algebra",
+        "map",
+        "bilinear",
+        "action",
+        "xmod",
+        "braiding",
+        "cat",
+        "group",
+        "groupxmod",
+    )
+
+
+@pytest.mark.parametrize(
+    "body,message",
+    (
+        ("algebra B basis y, z {\n  y*z = y;\n  y*z = z;\n}\n", "6:3: product y*z"),
+        ("map f : A -> A {\n  x |-> x;\n   x |-> 0;\n}\n", "6:4: image of x"),
+        (
+            "bilinear b : A, A -> A {\n  (x, x) = x;\n  (x, x) = 0;\n}\n",
+            "6:4: pair (x, x)",
+        ),
+    ),
+    ids=("product", "image", "pair"),
+)
+def test_row_listed_twice_keeps_its_position(body, message):
+    with pytest.raises(DslSyntaxError) as exc:
+        parse(ONE_ALGEBRA + body)
+    assert str(exc.value) == f"{message} listed twice"

@@ -13,8 +13,7 @@ import re
 
 import pytest
 
-from braidalg.cli import VALIDATABLE, _validate_block
-from braidalg.dsl import parse, print_document
+from braidalg.dsl import BLOCK_KINDS, VALIDATABLE, parse, print_document
 
 from conftest import MUTATIONS, load_script
 
@@ -82,12 +81,12 @@ def test_fixture_validates_to_expected_tags(entry):
     found = doc.lookup(entry["subject"])
     assert found is not None, f"{entry['file']} has no block {entry['subject']}"
     kind, obj = found
-    rep = _validate_block(entry["subject"], kind, obj)
+    rep = BLOCK_KINDS[kind].validate(obj, entry["subject"])
     assert sorted(set(rep.failing_tags())) == entry["expected_failing_tags"]
     # every other validated block in the document is a passing prior
     for name, k, o in doc.blocks:
         if name != entry["subject"] and k in VALIDATABLE:
-            prior = _validate_block(name, k, o)
+            prior = BLOCK_KINDS[k].validate(o, name)
             assert prior.ok, f"{entry['file']}: prior {name} fails {prior.failing_tags()}"
 
 

@@ -3,7 +3,8 @@ import pytest
 from braidalg.algebra import Algebra, catalog, is_lie
 from braidalg.braid import validate_braiding_xmod_lie
 from braidalg import natensor
-from braidalg.errors import InternalInvariantViolation, NotLie
+from braidalg.cli import main
+from braidalg.errors import InternalInvariantViolation, InvalidInput, NotLie
 from braidalg.fields import QQ
 from braidalg.linear import Space, Subspace, bilinear_from_rule
 from braidalg.natensor import (
@@ -112,3 +113,25 @@ def test_tensor_xmod_descent_is_an_internal_invariant():
     bad = TensorSquare(ts.base, ts.carrier, ts.pure, relations, ts.proj, ts.lift)
     with pytest.raises(InternalInvariantViolation):
         tensor_xmod(bad)
+
+
+# (a, a_a) and (a_a, a) would both be labelled a_a_a in M (x) M
+COLLIDING = "label 'a_a_a' of M (x) M names two basis pairs"
+
+
+def test_tensor_square_refuses_colliding_labels():
+    space = Space(QQ, ("a", "a_a"))
+    zero = bilinear_from_rule(space, space, space, lambda i, j: space.zero())
+    with pytest.raises(InvalidInput) as exc:
+        tensor_square(Algebra(space, zero))
+    assert str(exc.value) == COLLIDING
+
+
+@pytest.mark.parametrize("kind", ("natensor", "tensor-xmod"))
+def test_construct_on_colliding_labels_exits_two(kind, tmp_path, capsys):
+    path = tmp_path / "a.alg"
+    path.write_text("field Q\nalgebra A basis a, a_a antisymmetric { }\n")
+    assert main(["construct", kind, str(path), "--subject", "A"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {COLLIDING}\n"
