@@ -71,56 +71,54 @@ def validate_assoc_action(a: AssocAction, subject: str = "action") -> Validation
     """Axioms AAs1..AAs6 on basis triples, with witnesses."""
     N, M = a.actor, a.module
     s1, s2 = a.star1, a.star2
-    bn = N.space.basis_vector
-    bm = M.space.basis_vector
 
     checks = [
         sweep(
             "AAs1",
             (N.dim, M.dim, M.dim),
             lambda n, m, m2: (
-                s1.apply(bn(n), M.mult.on_basis(m, m2)),
-                M.product(s1.on_basis(n, m), bm(m2)),
+                s1.apply_left(n, M.mult.on_basis(m, m2)),
+                M.mult.apply_right(s1.on_basis(n, m), m2),
             ),
         ),
         sweep(
             "AAs2",
             (N.dim, M.dim, N.dim),
             lambda n, m, n2: (
-                s1.apply(bn(n), s2.on_basis(m, n2)),
-                s2.apply(s1.on_basis(n, m), bn(n2)),
+                s1.apply_left(n, s2.on_basis(m, n2)),
+                s2.apply_right(s1.on_basis(n, m), n2),
             ),
         ),
         sweep(
             "AAs3",
             (N.dim, N.dim, M.dim),
             lambda n, n2, m: (
-                s1.apply(bn(n), s1.on_basis(n2, m)),
-                s1.apply(N.mult.on_basis(n, n2), bm(m)),
+                s1.apply_left(n, s1.on_basis(n2, m)),
+                s1.apply_right(N.mult.on_basis(n, n2), m),
             ),
         ),
         sweep(
             "AAs4",
             (M.dim, N.dim, N.dim),
             lambda m, n, n2: (
-                s2.apply(bm(m), N.mult.on_basis(n, n2)),
-                s2.apply(s2.on_basis(m, n), bn(n2)),
+                s2.apply_left(m, N.mult.on_basis(n, n2)),
+                s2.apply_right(s2.on_basis(m, n), n2),
             ),
         ),
         sweep(
             "AAs5",
             (M.dim, N.dim, M.dim),
             lambda m, n, m2: (
-                M.product(bm(m), s1.on_basis(n, m2)),
-                M.product(s2.on_basis(m, n), bm(m2)),
+                M.mult.apply_left(m, s1.on_basis(n, m2)),
+                M.mult.apply_right(s2.on_basis(m, n), m2),
             ),
         ),
         sweep(
             "AAs6",
             (M.dim, M.dim, N.dim),
             lambda m, m2, n: (
-                M.product(bm(m), s2.on_basis(m2, n)),
-                s2.apply(M.mult.on_basis(m, m2), bn(n)),
+                M.mult.apply_left(m, s2.on_basis(m2, n)),
+                s2.apply_right(M.mult.on_basis(m, m2), n),
             ),
         ),
     ]
@@ -132,19 +130,17 @@ def validate_lie_action(a: LieAction, subject: str = "action") -> ValidationRepo
     N, M = a.actor, a.module
     F = M.field
     dot = a.dot
-    bn = N.space.basis_vector
-    bm = M.space.basis_vector
 
     checks = [
         sweep(
             "ALie1",
             (N.dim, N.dim, M.dim),
             lambda n, n2, m: (
-                dot.apply(N.mult.on_basis(n, n2), bm(m)),
+                dot.apply_right(N.mult.on_basis(n, n2), m),
                 vsub(
                     F,
-                    dot.apply(bn(n), dot.on_basis(n2, m)),
-                    dot.apply(bn(n2), dot.on_basis(n, m)),
+                    dot.apply_left(n, dot.on_basis(n2, m)),
+                    dot.apply_left(n2, dot.on_basis(n, m)),
                 ),
             ),
         ),
@@ -152,11 +148,11 @@ def validate_lie_action(a: LieAction, subject: str = "action") -> ValidationRepo
             "ALie2",
             (N.dim, M.dim, M.dim),
             lambda n, m, m2: (
-                dot.apply(bn(n), M.mult.on_basis(m, m2)),
+                dot.apply_left(n, M.mult.on_basis(m, m2)),
                 vadd(
                     F,
-                    M.product(dot.on_basis(n, m), bm(m2)),
-                    M.product(bm(m), dot.on_basis(n, m2)),
+                    M.mult.apply_right(dot.on_basis(n, m), m2),
+                    M.mult.apply_left(m, dot.on_basis(n, m2)),
                 ),
             ),
         ),

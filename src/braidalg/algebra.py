@@ -66,20 +66,16 @@ def from_constants(space: Space, products) -> Algebra:
     return Algebra(space, bilinear_from_rule(space, space, space, rule))
 
 
-def _basis_table(a: Algebra):
-    """Basis vectors and basis products m[i][j] = b_i b_j, computed once
-    for the n^3 evaluations of a flavor law."""
-    n = a.dim
-    return a.space.basis(), [[a.mult.on_basis(i, j) for j in range(n)] for i in range(n)]
-
-
 def is_associative(a: Algebra) -> bool:
     """(b_i b_j) b_k = b_i (b_j b_k) on all basis triples."""
-    bv, m = _basis_table(a)
+    m = a.mult
     return sweep(
         "Assoc",
         (a.dim, a.dim, a.dim),
-        lambda i, j, k: (a.product(m[i][j], bv[k]), a.product(bv[i], m[j][k])),
+        lambda i, j, k: (
+            m.apply_right(m.on_basis(i, j), k),
+            m.apply_left(i, m.on_basis(j, k)),
+        ),
     ).ok
 
 
@@ -87,22 +83,21 @@ def is_lie(a: Algebra) -> bool:
     """Alternation ([x,x]=0 for all x, via polarization) plus Jacobi."""
     F = a.field
     zero = a.space.zero()
-    bv, m = _basis_table(a)
+    m = a.mult
 
     def alternation(i, j):
         # polarization of [x,x]=0: [b_i,b_j] + [b_j,b_i] = 0 off the
         # diagonal, valid in every characteristic (antisymmetry alone is
         # weaker in char 2)
         if i == j:
-            return m[i][i], zero
-        return vadd(F, m[i][j], m[j][i]), zero
+            return m.on_basis(i, i), zero
+        return vadd(F, m.on_basis(i, j), m.on_basis(j, i)), zero
+
+    def nested(i, j, k):  # [b_i, [b_j, b_k]]
+        return m.apply_left(i, m.on_basis(j, k))
 
     def jacobi(i, j, k):
-        lhs = vadd(
-            F,
-            vadd(F, a.product(bv[i], m[j][k]), a.product(bv[j], m[k][i])),
-            a.product(bv[k], m[i][j]),
-        )
+        lhs = vadd(F, vadd(F, nested(i, j, k), nested(j, k, i)), nested(k, i, j))
         return lhs, zero
 
     n = a.dim
@@ -115,13 +110,17 @@ def is_lie(a: Algebra) -> bool:
 def is_leibniz(a: Algebra) -> bool:
     """[x,[y,z]] = [[x,y],z] - [[x,z],y] on all basis triples."""
     F = a.field
-    bv, m = _basis_table(a)
+    m = a.mult
     return sweep(
         "Leibniz",
         (a.dim, a.dim, a.dim),
         lambda i, j, k: (
-            a.product(bv[i], m[j][k]),
-            vsub(F, a.product(m[i][j], bv[k]), a.product(m[i][k], bv[j])),
+            m.apply_left(i, m.on_basis(j, k)),
+            vsub(
+                F,
+                m.apply_right(m.on_basis(i, j), k),
+                m.apply_right(m.on_basis(i, k), j),
+            ),
         ),
     ).ok
 
@@ -167,20 +166,21 @@ def is_derivation(d: LinMap, a: Algebra) -> bool:
     if d.domain != a.space or d.codomain != a.space:
         raise ValueError("derivation must be an endomorphism of the algebra")
     F = a.field
-    bv, m = _basis_table(a)
+    m = a.mult
     return sweep(
         "Der",
         (a.dim, a.dim),
         lambda i, j: (
-            d.apply(m[i][j]),
-            vadd(F, a.product(d.column(i), bv[j]), a.product(bv[i], d.column(j))),
+            d.apply(m.on_basis(i, j)),
+            vadd(F, m.apply_right(d.column(i), j), m.apply_left(i, d.column(j))),
         ),
     ).ok
 
 
 def ad_map(a: Algebra, x) -> LinMap:
     """Left multiplication y -> x*y (the adjoint map when a is Lie)."""
-    return from_columns(a.space, a.space, [a.product(x, b) for b in a.space.basis()])
+    cols = [a.mult.apply_right(x, j) for j in range(a.dim)]
+    return from_columns(a.space, a.space, cols)
 
 
 _NAME_RE = re.compile(r"^(Ab|Mat|Upper|gl)\(?([0-9]+)\)?$")

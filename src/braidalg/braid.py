@@ -76,7 +76,6 @@ def braiding_xmod_assoc_laws(b: XBraiding):
     M, N = x.m, x.n
     F = M.field
     s1, s2, d, br = x.action.star1, x.action.star2, x.boundary, b.brace
-    bn = N.space.basis_vector
     ncomm = _commutator(N)
     mcomm = _commutator(M)
 
@@ -102,24 +101,24 @@ def braiding_xmod_assoc_laws(b: XBraiding):
             "BAs3",
             (M.dim, N.dim),
             lambda m, n: (
-                br.apply(d.column(m), bn(n)),
+                br.apply_right(d.column(m), n),
                 vneg(F, lie_star(n, m)),
             ),
         ),
         (
             "BAs4",
             (N.dim, M.dim),
-            lambda n, m: (br.apply(bn(n), d.column(m)), lie_star(n, m)),
+            lambda n, m: (br.apply_left(n, d.column(m)), lie_star(n, m)),
         ),
         (
             "BAs5",
             (N.dim, N.dim, N.dim),
             lambda n, n2, n3: (
-                br.apply(bn(n), N.mult.on_basis(n2, n3)),
+                br.apply_left(n, N.mult.on_basis(n2, n3)),
                 vadd(
                     F,
-                    s1.apply(bn(n2), br.on_basis(n, n3)),
-                    s2.apply(br.on_basis(n, n2), bn(n3)),
+                    s1.apply_left(n2, br.on_basis(n, n3)),
+                    s2.apply_right(br.on_basis(n, n2), n3),
                 ),
             ),
         ),
@@ -127,11 +126,11 @@ def braiding_xmod_assoc_laws(b: XBraiding):
             "BAs6",
             (N.dim, N.dim, N.dim),
             lambda n, n2, n3: (
-                br.apply(N.mult.on_basis(n, n2), bn(n3)),
+                br.apply_right(N.mult.on_basis(n, n2), n3),
                 vadd(
                     F,
-                    s1.apply(bn(n), br.on_basis(n2, n3)),
-                    s2.apply(br.on_basis(n, n3), bn(n2)),
+                    s1.apply_left(n, br.on_basis(n2, n3)),
+                    s2.apply_right(br.on_basis(n, n3), n2),
                 ),
             ),
         ),
@@ -151,7 +150,6 @@ def braiding_xmod_lie_laws(b: XBraiding):
     M, N = x.m, x.n
     F = M.field
     dot, d, br = x.action.dot, x.boundary, b.brace
-    bn = N.space.basis_vector
 
     return [
         (
@@ -171,24 +169,24 @@ def braiding_xmod_lie_laws(b: XBraiding):
             "BLie3",
             (M.dim, N.dim),
             lambda m, n: (
-                br.apply(d.column(m), bn(n)),
+                br.apply_right(d.column(m), n),
                 vneg(F, dot.on_basis(n, m)),
             ),
         ),
         (
             "BLie4",
             (N.dim, M.dim),
-            lambda n, m: (br.apply(bn(n), d.column(m)), dot.on_basis(n, m)),
+            lambda n, m: (br.apply_left(n, d.column(m)), dot.on_basis(n, m)),
         ),
         (
             "BLie5",
             (N.dim, N.dim, N.dim),
             lambda n, n2, n3: (
-                br.apply(bn(n), N.mult.on_basis(n2, n3)),
+                br.apply_left(n, N.mult.on_basis(n2, n3)),
                 vsub(
                     F,
-                    br.apply(N.mult.on_basis(n, n2), bn(n3)),
-                    br.apply(N.mult.on_basis(n, n3), bn(n2)),
+                    br.apply_right(N.mult.on_basis(n, n2), n3),
+                    br.apply_right(N.mult.on_basis(n, n3), n2),
                 ),
             ),
         ),
@@ -196,11 +194,11 @@ def braiding_xmod_lie_laws(b: XBraiding):
             "BLie6",
             (N.dim, N.dim, N.dim),
             lambda n, n2, n3: (
-                br.apply(N.mult.on_basis(n, n2), bn(n3)),
+                br.apply_right(N.mult.on_basis(n, n2), n3),
                 vsub(
                     F,
-                    br.apply(bn(n), N.mult.on_basis(n2, n3)),
-                    br.apply(bn(n2), N.mult.on_basis(n, n3)),
+                    br.apply_left(n, N.mult.on_basis(n2, n3)),
+                    br.apply_left(n2, N.mult.on_basis(n, n3)),
                 ),
             ),
         ),
@@ -256,14 +254,13 @@ def braiding_cat_assoc_laws(b: CatBraiding):
     """AsT1..AsT4 as (tag, dims, law) triples; AsT2-4 evaluate compositions
     via the forced formula."""
     c, c1, c0, tau = _cat_parts(b)
-    b0 = c0.space.basis_vector
 
     return _cat_t12(b, "AsT1", "AsT2") + [
         (
             "AsT3",
             (c0.dim, c0.dim, c0.dim),
             lambda a, d, g: (
-                tau.apply(c0.mult.on_basis(a, d), b0(g)),
+                tau.apply_right(c0.mult.on_basis(a, d), g),
                 k_formula(
                     c,
                     c1.product(c.e.column(a), tau.on_basis(d, g)),
@@ -275,7 +272,7 @@ def braiding_cat_assoc_laws(b: CatBraiding):
             "AsT4",
             (c0.dim, c0.dim, c0.dim),
             lambda a, d, g: (
-                tau.apply(b0(a), c0.mult.on_basis(d, g)),
+                tau.apply_left(a, c0.mult.on_basis(d, g)),
                 k_formula(
                     c,
                     c1.product(tau.on_basis(a, d), c.e.column(g)),
@@ -297,14 +294,13 @@ def braiding_cat_lie_ulualan_laws(b: CatBraiding):
     """LieT1, LieT2, LieB3, LieB4 as (tag, dims, law) triples."""
     c, c1, c0, tau = _cat_parts(b)
     F = c1.field
-    b0 = c0.space.basis_vector
 
     return _cat_t12(b, "LieT1", "LieT2") + [
         (
             "LieB3",
             (c0.dim, c0.dim, c0.dim),
             lambda a, d, g: (
-                tau.apply(c0.mult.on_basis(a, d), b0(g)),
+                tau.apply_right(c0.mult.on_basis(a, d), g),
                 vadd(
                     F,
                     c1.product(tau.on_basis(a, g), c.e.column(d)),
@@ -316,7 +312,7 @@ def braiding_cat_lie_ulualan_laws(b: CatBraiding):
             "LieB4",
             (c0.dim, c0.dim, c0.dim),
             lambda a, d, g: (
-                tau.apply(b0(a), c0.mult.on_basis(d, g)),
+                tau.apply_left(a, c0.mult.on_basis(d, g)),
                 vadd(
                     F,
                     c1.product(c.e.column(d), tau.on_basis(a, g)),
@@ -338,18 +334,17 @@ def braiding_cat_lie_alt_laws(b: CatBraiding):
     """LieT1..LieT4 as (tag, dims, law) triples."""
     c, c1, c0, tau = _cat_parts(b)
     F = c1.field
-    b0 = c0.space.basis_vector
 
     return _cat_t12(b, "LieT1", "LieT2") + [
         (
             "LieT3",
             (c0.dim, c0.dim, c0.dim),
             lambda a, d, g: (
-                tau.apply(c0.mult.on_basis(a, d), b0(g)),
+                tau.apply_right(c0.mult.on_basis(a, d), g),
                 vsub(
                     F,
-                    tau.apply(b0(a), c0.mult.on_basis(d, g)),
-                    tau.apply(b0(d), c0.mult.on_basis(a, g)),
+                    tau.apply_left(a, c0.mult.on_basis(d, g)),
+                    tau.apply_left(d, c0.mult.on_basis(a, g)),
                 ),
             ),
         ),
@@ -357,11 +352,11 @@ def braiding_cat_lie_alt_laws(b: CatBraiding):
             "LieT4",
             (c0.dim, c0.dim, c0.dim),
             lambda a, d, g: (
-                tau.apply(b0(a), c0.mult.on_basis(d, g)),
+                tau.apply_left(a, c0.mult.on_basis(d, g)),
                 vsub(
                     F,
-                    tau.apply(c0.mult.on_basis(a, d), b0(g)),
-                    tau.apply(c0.mult.on_basis(a, g), b0(d)),
+                    tau.apply_right(c0.mult.on_basis(a, d), g),
+                    tau.apply_right(c0.mult.on_basis(a, g), d),
                 ),
             ),
         ),
@@ -383,14 +378,13 @@ def anticoherence_laws(b: CatBraiding):
     if c1.field.characteristic == 2:
         raise CharTwo("anticoherence requires characteristic != 2")
     F = c1.field
-    b0 = c0.space.basis_vector
 
     return [
         (
             "AC1",
             (c0.dim, c0.dim, c0.dim),
             lambda a, d, g: (
-                tau.apply(b0(a), c0.mult.on_basis(d, g)),
+                tau.apply_left(a, c0.mult.on_basis(d, g)),
                 c1.product(c.e.column(a), tau.on_basis(d, g)),
             ),
         ),
@@ -398,7 +392,7 @@ def anticoherence_laws(b: CatBraiding):
             "AC2",
             (c0.dim, c0.dim, c0.dim),
             lambda a, d, g: (
-                tau.apply(c0.mult.on_basis(d, g), b0(a)),
+                tau.apply_right(c0.mult.on_basis(d, g), a),
                 c1.product(tau.on_basis(d, g), c.e.column(a)),
             ),
         ),
@@ -406,8 +400,8 @@ def anticoherence_laws(b: CatBraiding):
             "AC3",
             (c0.dim, c0.dim, c0.dim),
             lambda a, d, g: (
-                tau.apply(b0(a), c0.mult.on_basis(d, g)),
-                vneg(F, tau.apply(c0.mult.on_basis(d, g), b0(a))),
+                tau.apply_left(a, c0.mult.on_basis(d, g)),
+                vneg(F, tau.apply_right(c0.mult.on_basis(d, g), a)),
             ),
         ),
     ]
@@ -652,10 +646,11 @@ def _beta(b: CatBraiding):
     kpart = kernel_part(c)
     ks, kspace, _ = kpart
     target, sd = _cx(_xc(b, kpart))
+    vertical = identity_map(c1.space).sub(c.e.after(c.s))  # x - e(s(x))
     cols = []
     for i in range(c1.dim):
         sx = c.s.column(i)
-        coords = ks.coords(vsub(F, c1.space.basis_vector(i), c.e.apply(sx)))
+        coords = ks.coords(vertical.column(i))
         if coords is None:
             raise InternalInvariantViolation("x - e(s(x)) escaped ker(s)")
         cols.append(vadd(F, sd.incl_module.apply(coords), sd.incl_actor.apply(sx)))

@@ -135,19 +135,19 @@ def validate_cat_algebra(c: CatAlgebra, subject: str = "cat") -> ValidationRepor
 
     entries.append(sweep("Cat3", (len(pairs), len(pairs)), k_hom))
 
-    bv = c.c1.space.basis_vector
+    unit = identity_map(c.c1.space).column  # b_i, built once
     entries.append(
         sweep(
             "Cat4",
             (c.c1.dim,),
-            lambda i: (k_formula(c, bv(i), c.e.apply(c.t.column(i))), bv(i)),
+            lambda i: (k_formula(c, unit(i), c.e.apply(c.t.column(i))), unit(i)),
         )
     )
     entries.append(
         sweep(
             "Cat4",
             (c.c1.dim,),
-            lambda i: (k_formula(c, c.e.apply(c.s.column(i)), bv(i)), bv(i)),
+            lambda i: (k_formula(c, c.e.apply(c.s.column(i)), unit(i)), unit(i)),
         )
     )
     triples = composable_triple_basis(c)

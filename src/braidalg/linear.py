@@ -2,8 +2,10 @@
 
 Vectors are tuples of field scalars.  A linear map stores the image of
 each basis vector, a bilinear map the image of each basis pair; no other
-module reads those layouts.  Subspaces are kept in reduced row echelon
-form so that equal subspaces have equal representations.
+module reads those layouts.  A law with one basis argument reads the
+stored images by index (`BilMap.apply_left`/`apply_right`), so no caller
+builds a basis vector to evaluate a map.  Subspaces are kept in reduced
+row echelon form so that equal subspaces have equal representations.
 """
 
 from __future__ import annotations
@@ -61,6 +63,18 @@ def is_zero(u) -> bool:
     return all(a == 0 for a in u)
 
 
+def _combine(field: Field, dim: int, coeffs, images):
+    """The sum of c * images[k] over the nonzero coefficients c = coeffs[k]."""
+    out = [field.zero()] * dim
+    for c, col in zip(coeffs, images):
+        if c == 0:
+            continue
+        for i, m in enumerate(col):
+            if m != 0:
+                out[i] = field.add(out[i], field.mul(m, c))
+    return tuple(out)
+
+
 class LinMap(Record):
     """Linear map; columns[j] is the image of basis vector b_j."""
 
@@ -81,15 +95,7 @@ class LinMap(Record):
         return self.domain.field
 
     def apply(self, v):
-        F = self.field
-        out = [F.zero()] * self.codomain.dim
-        for c, col in zip(v, self.columns):
-            if c == 0:
-                continue
-            for i, m in enumerate(col):
-                if m != 0:
-                    out[i] = F.add(out[i], F.mul(m, c))
-        return tuple(out)
+        return _combine(self.field, self.codomain.dim, v, self.columns)
 
     def column(self, j: int):
         return self.columns[j]
@@ -100,15 +106,17 @@ class LinMap(Record):
             raise ValueError("maps not composable")
         return from_columns(other.domain, self.codomain, map(self.apply, other.columns))
 
-    def add(self, other: "LinMap") -> "LinMap":
-        F = self.field
-        cols = (vadd(F, a, b) for a, b in zip(self.columns, other.columns))
+    def _zip_columns(self, op, other: "LinMap") -> "LinMap":
+        if (other.domain, other.codomain) != (self.domain, self.codomain):
+            raise ValueError("maps between different spaces")
+        cols = (op(self.field, a, b) for a, b in zip(self.columns, other.columns))
         return from_columns(self.domain, self.codomain, cols)
 
+    def add(self, other: "LinMap") -> "LinMap":
+        return self._zip_columns(vadd, other)
+
     def sub(self, other: "LinMap") -> "LinMap":
-        F = self.field
-        cols = (vsub(F, a, b) for a, b in zip(self.columns, other.columns))
-        return from_columns(self.domain, self.codomain, cols)
+        return self._zip_columns(vsub, other)
 
     def rank(self) -> int:
         return len(rref(self.field, self.columns))
@@ -151,6 +159,15 @@ class BilMap(Record):
     def on_basis(self, i: int, j: int):
         return self.tensor[i][j]
 
+    def apply_left(self, i: int, v):
+        """apply(b_i, v), read from the stored images of (b_i, b_j)."""
+        return _combine(self.field, self.codomain.dim, v, self.tensor[i])
+
+    def apply_right(self, u, j: int):
+        """apply(u, b_j), read from the stored images of (b_i, b_j)."""
+        images = (row[j] for row in self.tensor)
+        return _combine(self.field, self.codomain.dim, u, images)
+
     def apply(self, u, v):
         F = self.field
         out = [F.zero()] * self.codomain.dim
@@ -175,6 +192,9 @@ class BilMap(Record):
         return BilMap(self.right, self.left, self.codomain, tensor)
 
     def sub(self, other: "BilMap") -> "BilMap":
+        shape = (self.left, self.right, self.codomain)
+        if (other.left, other.right, other.codomain) != shape:
+            raise ValueError("maps between different spaces")
         F = self.field
         tensor = tuple(
             tuple(vsub(F, a, b) for a, b in zip(ra, rb))
@@ -337,27 +357,11 @@ def direct_sum(a: Space, b: Space, left_prefix: str = "l_", right_prefix: str = 
         right_prefix + s for s in b.labels
     )
     total = Space(a.field, labels)
-    z = a.field.zero()
-
-    def pad(v, before, after):
-        return tuple([z] * before) + tuple(v) + tuple([z] * after)
-
-    incl_a = from_columns(
-        a, total, [pad(a.basis_vector(i), 0, b.dim) for i in range(a.dim)]
-    )
-    incl_b = from_columns(
-        b, total, [pad(b.basis_vector(i), a.dim, 0) for i in range(b.dim)]
-    )
-    proj_a = from_columns(
-        total,
-        a,
-        [a.basis_vector(i) for i in range(a.dim)] + [a.zero() for _ in range(b.dim)],
-    )
-    proj_b = from_columns(
-        total,
-        b,
-        [b.zero() for _ in range(a.dim)] + [b.basis_vector(i) for i in range(b.dim)],
-    )
+    unit = identity_map(total).columns
+    incl_a = from_columns(a, total, unit[: a.dim])
+    incl_b = from_columns(b, total, unit[a.dim :])
+    proj_a = from_columns(total, a, identity_map(a).columns + (a.zero(),) * b.dim)
+    proj_b = from_columns(total, b, (b.zero(),) * a.dim + identity_map(b).columns)
     return total, incl_a, incl_b, proj_a, proj_b
 
 

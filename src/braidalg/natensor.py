@@ -51,10 +51,6 @@ def _plain_tensor_space(m: Space) -> Space:
     return Space(m.field, labels)
 
 
-def _outer(field, u, v):
-    return tuple(field.mul(a, b) for a in u for b in v)
-
-
 def _place(field, acc, positions, u, op):
     """acc[p] = op(acc[p], u[a]) for the a-th of `positions`, nonzero u[a].
 
@@ -103,19 +99,24 @@ def tensor_square(m: Algebra) -> TensorSquare:
     relations = Subspace.span(amb, rels)
     tspace, proj = quotient(amb, relations)
 
+    pure = bilinear_from_rule(
+        m.space, m.space, tspace, lambda i, j: proj.column(i * n + j)
+    )
+
     # [u(x)v, w(x)x] = [u,v](x)[w,x], so the bracket of r with e_q is
-    # mu(r)(x)mu(e_q), and 0 when mu(r) = 0
+    # mu(r)(x)mu(e_q), and 0 when mu(r) = 0; u(x)v lies in R exactly
+    # when its class pure(u, v) is 0
     mu = _bracket_map(m, amb)
     for r in relations.basis:
         mr = mu.apply(r)
         if is_zero(mr):
             continue
         for q in range(amb.dim):
-            if not relations.contains(_outer(F, mr, mu.column(q))):
+            if not is_zero(pure.apply(mr, mu.column(q))):
                 raise InternalInvariantViolation(
                     "bracket does not respect the relation span (left argument)"
                 )
-            if not relations.contains(_outer(F, mu.column(q), mr)):
+            if not is_zero(pure.apply(mu.column(q), mr)):
                 raise InternalInvariantViolation(
                     "bracket does not respect the relation span (right argument)"
                 )
@@ -130,17 +131,13 @@ def tensor_square(m: Algebra) -> TensorSquare:
         tspace,
         tspace,
         tspace,
-        lambda i, j: proj.apply(_outer(F, mu_lift.column(i), mu_lift.column(j))),
+        lambda i, j: pure.apply(mu_lift.column(i), mu_lift.column(j)),
     )
     carrier = Algebra(tspace, t_bracket)
     if not is_lie(carrier):
         raise InternalInvariantViolation(
             "induced bracket on the tensor square is not Lie"
         )
-
-    pure = bilinear_from_rule(
-        m.space, m.space, tspace, lambda i, j: proj.column(i * n + j)
-    )
     return TensorSquare(m, carrier, pure, relations, proj, lift)
 
 
@@ -194,7 +191,6 @@ def antisymmetry_consequence(ts: TensorSquare, subject: str = "tensor") -> Valid
     m = ts.base
     F = m.field
     n = m.dim
-    bv = m.space.basis_vector
     zero = ts.carrier.space.zero()
     check = sweep(
         "TAnti",
@@ -202,8 +198,8 @@ def antisymmetry_consequence(ts: TensorSquare, subject: str = "tensor") -> Valid
         lambda i, j, k: (
             vadd(
                 F,
-                ts.pure.apply(bv(i), m.mult.on_basis(j, k)),
-                ts.pure.apply(m.mult.on_basis(j, k), bv(i)),
+                ts.pure.apply_left(i, m.mult.on_basis(j, k)),
+                ts.pure.apply_right(m.mult.on_basis(j, k), i),
             ),
             zero,
         ),

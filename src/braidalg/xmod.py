@@ -69,29 +69,28 @@ def validate_xmod_assoc(x: XModAssoc, subject: str = "xmod") -> ValidationReport
     M, N = x.m, x.n
     s1, s2 = x.action.star1, x.action.star2
     d = x.boundary
-    bn = N.space.basis_vector
-    bm = M.space.basis_vector
+    nmul = N.mult
 
     checks = [
         sweep(
             "XAs1",
             (N.dim, M.dim),
-            lambda n, m: (d.apply(s1.on_basis(n, m)), N.product(bn(n), d.column(m))),
+            lambda n, m: (d.apply(s1.on_basis(n, m)), nmul.apply_left(n, d.column(m))),
         ),
         sweep(
             "XAs1",
             (M.dim, N.dim),
-            lambda m, n: (d.apply(s2.on_basis(m, n)), N.product(d.column(m), bn(n))),
+            lambda m, n: (d.apply(s2.on_basis(m, n)), nmul.apply_right(d.column(m), n)),
         ),
         sweep(
             "XAs2",
             (M.dim, M.dim),
-            lambda m, m2: (s1.apply(d.column(m), bm(m2)), M.mult.on_basis(m, m2)),
+            lambda m, m2: (s1.apply_right(d.column(m), m2), M.mult.on_basis(m, m2)),
         ),
         sweep(
             "XAs2",
             (M.dim, M.dim),
-            lambda m, m2: (s2.apply(bm(m), d.column(m2)), M.mult.on_basis(m, m2)),
+            lambda m, m2: (s2.apply_left(m, d.column(m2)), M.mult.on_basis(m, m2)),
         ),
     ]
     return merge(subject, checks)
@@ -102,20 +101,18 @@ def validate_xmod_lie(x: XModLie, subject: str = "xmod") -> ValidationReport:
     M, N = x.m, x.n
     dot = x.action.dot
     d = x.boundary
-    F = M.field
-    bn = N.space.basis_vector
-    bm = M.space.basis_vector
+    nmul = N.mult
 
     checks = [
         sweep(
             "XLie1",
             (N.dim, M.dim),
-            lambda n, m: (d.apply(dot.on_basis(n, m)), N.product(bn(n), d.column(m))),
+            lambda n, m: (d.apply(dot.on_basis(n, m)), nmul.apply_left(n, d.column(m))),
         ),
         sweep(
             "XLie2",
             (M.dim, M.dim),
-            lambda m, m2: (dot.apply(d.column(m), bm(m2)), M.mult.on_basis(m, m2)),
+            lambda m, m2: (dot.apply_right(d.column(m), m2), M.mult.on_basis(m, m2)),
         ),
     ]
     return merge(subject, checks)

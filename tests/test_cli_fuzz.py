@@ -6,7 +6,9 @@ or mutation file and runs `validate`, `report`, `roundtrip` or
 construction and B a block of the mutated document when it parses.  A
 mutation replaces, deletes or inserts a byte (invalid UTF-8 included),
 or replaces or inserts a whole multi-byte UTF-8 character, which no
-single-byte mutation can form.  Whatever the bytes,
+single-byte mutation can form, or replaces a numeric token with one of
+0, 1, -1, 2 and 1/2, which mostly keeps the document parseable so that
+the run reaches a validator.  Whatever the bytes,
 the run must end in a documented exit code: 0, 1 with a non-empty
 report, or 2 with exactly one `error:` line.
 The examples are derandomized, so the suite runs the same ones each time.
@@ -16,6 +18,8 @@ import contextlib
 import glob
 import io
 import os
+import random
+import re
 from datetime import timedelta
 
 import pytest
@@ -49,13 +53,30 @@ DSL_BYTES = b"0123456789 \n-,;=xyzeh"
 # bytes or more (digits that str.isdigit() takes but the DSL does not, and
 # a letter)
 PIECES = [bytes([b]) for b in DSL_BYTES] + [c.encode("utf-8") for c in "²٣é"]
+# a numeric token of the DSL, with a sign written against it, and what
+# a token-level mutation puts in its place
+NUMBER = re.compile(rb"(?<![A-Za-z0-9_/])-?[0-9]+(?:/[0-9]+)?")
+SCALARS = (b"0", b"1", b"-1", b"2", b"1/2")
+
+
+def renumber(data, k, scalar):
+    """Replace the k-th numeric token (k modulo their count) by `scalar`."""
+    found = list(NUMBER.finditer(data))
+    if not found:
+        return data
+    m = found[k % len(found)]
+    return data[: m.start()] + scalar + data[m.end() :]
 
 
 @st.composite
 def mutated_sources(draw):
     data = draw(st.sampled_from(SOURCES))
     for _ in range(draw(st.integers(1, 3))):
-        op = draw(st.sampled_from(("replace", "delete", "insert")))
+        op = draw(st.sampled_from(("replace", "delete", "insert", "number")))
+        if op == "number":
+            k = draw(st.integers(0, len(data)))
+            data = renumber(data, k, draw(st.sampled_from(SCALARS)))
+            continue
         i = draw(st.integers(0, len(data) - (op != "insert")))
         piece = draw(st.sampled_from(PIECES) | st.binary(min_size=1, max_size=1))
         if op == "replace":
@@ -80,6 +101,20 @@ def scratch_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "case.alg"
 
 
+def run_main(argv):
+    """main(argv)'s exit code, once it is checked against the contract."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2)
+    if rc == 1:
+        assert out.getvalue().strip()
+    if rc == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    return rc
+
+
 def test_there_are_small_sources_to_mutate():
     assert len(SOURCES) >= 40
 
@@ -98,12 +133,21 @@ def test_every_input_ends_in_a_documented_exit_code(scratch_file, data, command,
         subject = more.draw(st.sampled_from(_block_names(data)))
         output = str(scratch_file.with_suffix(".out"))
         argv = [command, kind, str(scratch_file), "--subject", subject, "-o", output]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(argv)
-    assert rc in (0, 1, 2)
-    if rc == 1:
-        assert out.getvalue().strip()
-    if rc == 2:
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+    run_main(argv)
+
+
+def test_renumbered_documents_reach_the_validators(scratch_file):
+    # one to three numeric tokens replaced in each committed source that
+    # has one; a fixed seed runs the same documents each time
+    rng = random.Random(1711)
+    sources = [data for data in SOURCES if NUMBER.search(data)]
+    assert len(sources) >= 10
+    codes = []
+    for _ in range(160):
+        data = rng.choice(sources)
+        for _ in range(rng.randint(1, 3)):
+            data = renumber(data, rng.randrange(len(data)), rng.choice(SCALARS))
+        scratch_file.write_bytes(data)
+        codes.append(run_main(["report", str(scratch_file)]))
+    # exit 0 or 1: the document parsed and a validator ran
+    assert sum(rc != 2 for rc in codes) >= len(codes) / 4

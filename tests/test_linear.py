@@ -219,6 +219,10 @@ def test_bilmap_agrees_with_the_dense_oracle(case):
             assert diff.on_basis(i, j) == vsub(F, t[i][j], t2[i][j])
             assert scaled.on_basis(i, j) == vscale(F, c, t[i][j])
             assert zero.on_basis(i, j) == cod.zero()
+    for i in range(left.dim):
+        assert b.apply_left(i, v) == naive_apply(F, cod, t, left.basis_vector(i), v)
+    for j in range(right.dim):
+        assert b.apply_right(u, j) == naive_apply(F, cod, t, u, right.basis_vector(j))
     expect = naive_apply(F, cod, t, u, v)
     assert b.apply(u, v) == expect
     assert sw.apply(v, u) == expect
@@ -337,6 +341,56 @@ def test_linmap_shape_is_checked_against_both_spaces():
         from_columns(V3, V4, [V4.zero()] * 2)
     with pytest.raises(ValueError):
         from_columns(V3, V4, [V3.zero()] * 3)
+
+
+def test_map_arithmetic_checks_the_spaces():
+    U, V, W = space(2, "u"), space(2, "v"), space(3, "w")
+    a = from_columns(U, V, [V.zero()] * 2)
+    # other codomain, other codomain dimension, other domain
+    for b in (zero_map(U, space(2, "w")), zero_map(U, W), zero_map(space(2), V)):
+        for op in (a.add, a.sub):
+            with pytest.raises(ValueError):
+                op(b)
+    f = zero_bilmap(U, V, W)
+    for g in (zero_bilmap(U, V, V), zero_bilmap(V, V, W), zero_bilmap(U, U, W)):
+        with pytest.raises(ValueError):
+            f.sub(g)
+    assert a.add(a) == a.sub(a) == a and f.sub(f) == f
+
+
+def test_no_law_builds_a_basis_vector():
+    # a law reads stored images by index (column, on_basis, apply_left,
+    # apply_right): no lambda or nested function outside linear.py names
+    # basis_vector, itself or through a name bound to it
+    paths = sorted(glob.glob(os.path.join(ROOT, "src", "braidalg", "*.py")))
+    paths = [p for p in paths if os.path.basename(p) != "linear.py"]
+    found = []
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        aliases = {
+            target.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "basis_vector"
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        outer = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        laws = {
+            node
+            for fn in outer
+            for node in ast.walk(fn)
+            if node is not fn and isinstance(node, (ast.Lambda, ast.FunctionDef))
+        }
+        for law in laws:
+            for node in ast.walk(law):
+                if (
+                    isinstance(node, ast.Attribute) and node.attr == "basis_vector"
+                ) or (isinstance(node, ast.Name) and node.id in aliases):
+                    found.append((os.path.basename(path), node.lineno))
+    assert found == []
 
 
 def test_only_linear_py_knows_how_maps_are_stored():
