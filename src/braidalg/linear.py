@@ -2,15 +2,21 @@
 
 Vectors are tuples of field scalars.  A linear map stores the image of
 each basis vector, a bilinear map the image of each basis pair; no other
-module reads those layouts.  A law with one basis argument reads the
-stored images by index (`BilMap.apply_left`/`apply_right`), so no caller
-builds a basis vector to evaluate a map.  Subspaces are kept in reduced
-row echelon form so that equal subspaces have equal representations.
+module reads those layouts.  Each map also derives, once, the nonzero
+entries `((k, c), ...)` of every stored image, and every evaluation --
+`LinMap.apply`, `BilMap.apply` and the one-index reads
+`BilMap.apply_left`/`apply_right` -- adds up those sparse images in one
+loop, `_combine`, so no caller builds a basis vector and no evaluation
+scans a zero.  Subspaces are kept in reduced row echelon form so that
+equal subspaces have equal representations; `rref` and `Subspace.reduce`
+subtract multiples of a row's nonzero entries in place.  The kernel does
+its scalar arithmetic inline, one branch per field, in the normal form
+of `fields.py`, with no `Field` method call per entry.
 """
 
 from __future__ import annotations
 
-from .fields import Field
+from .fields import Field, _rational
 from .record import Record
 
 
@@ -19,14 +25,12 @@ class Space(Record):
 
     field: Field
     labels: tuple
+    __slots__ = ("dim",)
 
     def __post_init__(self):
         if len(set(self.labels)) != len(self.labels):
             raise ValueError(f"duplicate basis labels: {self.labels}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.labels)
+        object.__setattr__(self, "dim", len(self.labels))
 
     def index(self, label: str) -> int:
         return self.labels.index(label)
@@ -43,35 +47,56 @@ class Space(Record):
         return [self.basis_vector(i) for i in range(self.dim)]
 
 
+# Over F_p a result is reduced mod p; over Q a result that a Fraction took
+# part in passes through `_rational`, so an integral value is an int.
+
+
 def vadd(field: Field, u, v):
-    return tuple(field.add(a, b) for a, b in zip(u, v))
+    if p := field.characteristic:
+        return tuple((a + b) % p for a, b in zip(u, v))
+    return tuple(c if (c := a + b).__class__ is int else _rational(c) for a, b in zip(u, v))
 
 
 def vsub(field: Field, u, v):
-    return tuple(field.sub(a, b) for a, b in zip(u, v))
+    if p := field.characteristic:
+        return tuple((a - b) % p for a, b in zip(u, v))
+    return tuple(c if (c := a - b).__class__ is int else _rational(c) for a, b in zip(u, v))
 
 
 def vneg(field: Field, u):
-    return tuple(field.neg(a) for a in u)
+    return vscale(field, -1, u)
 
 
 def vscale(field: Field, c, u):
-    return tuple(field.mul(c, a) for a in u)
+    if p := field.characteristic:
+        return tuple(c * a % p for a in u)
+    return tuple(d if (d := c * a).__class__ is int else _rational(d) for a in u)
 
 
 def is_zero(u) -> bool:
-    return all(a == 0 for a in u)
+    return not any(u)
 
 
-def _combine(field: Field, dim: int, coeffs, images):
-    """The sum of c * images[k] over the nonzero coefficients c = coeffs[k]."""
-    out = [field.zero()] * dim
-    for c, col in zip(coeffs, images):
-        if c == 0:
-            continue
-        for i, m in enumerate(col):
-            if m != 0:
-                out[i] = field.add(out[i], field.mul(m, c))
+def _nonzero(v):
+    """The nonzero entries of v as ((k, v[k]), ...)."""
+    return tuple((k, c) for k, c in enumerate(v) if c)
+
+
+def _combine(field: Field, dim: int, terms):
+    """The sum of m * image over the (m, image) terms with m != 0, each
+    image given by its nonzero entries."""
+    out = [0] * dim
+    if p := field.characteristic:
+        for m, image in terms:
+            if m:
+                for k, c in image:
+                    out[k] = (out[k] + m * c) % p
+        return tuple(out)
+    for m, image in terms:
+        if m:
+            for k, c in image:
+                v = out[k] + m * c
+                out[k] = v if v.__class__ is int else _rational(v)
     return tuple(out)
 
 
@@ -81,6 +106,7 @@ class LinMap(Record):
     domain: Space
     codomain: Space
     columns: tuple  # [domain.dim], each a codomain vector
+    __slots__ = ("_images",)  # [domain.dim], the nonzero entries of each column
 
     def __post_init__(self):
         if self.domain.field != self.codomain.field:
@@ -89,13 +115,14 @@ class LinMap(Record):
             len(col) != self.codomain.dim for col in self.columns
         ):
             raise ValueError("columns do not match the spaces")
+        object.__setattr__(self, "_images", tuple(map(_nonzero, self.columns)))
 
     @property
     def field(self) -> Field:
         return self.domain.field
 
     def apply(self, v):
-        return _combine(self.field, self.codomain.dim, v, self.columns)
+        return _combine(self.field, self.codomain.dim, zip(v, self._images))
 
     def column(self, j: int):
         return self.columns[j]
@@ -141,6 +168,8 @@ class BilMap(Record):
     right: Space
     codomain: Space
     tensor: tuple  # [left.dim][right.dim], each a codomain vector
+    # the nonzero entries of each image: _rows[i][j] and _cols[j][i] for (b_i, b_j)
+    __slots__ = ("_rows", "_cols")
 
     def __post_init__(self):
         if not (self.left.field == self.right.field == self.codomain.field):
@@ -151,6 +180,10 @@ class BilMap(Record):
             or any(len(v) != self.codomain.dim for row in self.tensor for v in row)
         ):
             raise ValueError("tensor shape does not match spaces")
+        rows = tuple(tuple(map(_nonzero, row)) for row in self.tensor)
+        cols = tuple(tuple(row[j] for row in rows) for j in range(self.right.dim))
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_cols", cols)
 
     @property
     def field(self) -> Field:
@@ -161,28 +194,16 @@ class BilMap(Record):
 
     def apply_left(self, i: int, v):
         """apply(b_i, v), read from the stored images of (b_i, b_j)."""
-        return _combine(self.field, self.codomain.dim, v, self.tensor[i])
+        return _combine(self.field, self.codomain.dim, zip(v, self._rows[i]))
 
     def apply_right(self, u, j: int):
         """apply(u, b_j), read from the stored images of (b_i, b_j)."""
-        images = (row[j] for row in self.tensor)
-        return _combine(self.field, self.codomain.dim, u, images)
+        return _combine(self.field, self.codomain.dim, zip(u, self._cols[j]))
 
     def apply(self, u, v):
-        F = self.field
-        out = [F.zero()] * self.codomain.dim
-        for i, a in enumerate(u):
-            if a == 0:
-                continue
-            row = self.tensor[i]
-            for j, b in enumerate(v):
-                if b == 0:
-                    continue
-                ab = F.mul(a, b)
-                for k, c in enumerate(row[j]):
-                    if c != 0:
-                        out[k] = F.add(out[k], F.mul(c, ab))
-        return tuple(out)
+        vs = _nonzero(v)
+        pairs = ((a * b, row[j]) for a, row in zip(u, self._rows) if a for j, b in vs)
+        return _combine(self.field, self.codomain.dim, pairs)
 
     def swapped(self) -> "BilMap":
         """(u, v) -> apply(v, u)."""
@@ -222,13 +243,24 @@ def zero_bilmap(left: Space, right: Space, codomain: Space) -> BilMap:
     return BilMap(left, right, codomain, tensor)
 
 
+def _eliminate(field: Field, v: list, c, row):
+    """v -= c * row in place, row given by its nonzero entries."""
+    if p := field.characteristic:
+        for k, b in row:
+            v[k] = (v[k] - c * b) % p
+        return
+    for k, b in row:
+        d = c * b
+        d = v[k] - (d if d.__class__ is int else _rational(d))
+        v[k] = d if d.__class__ is int else _rational(d)
+
+
 def rref(field: Field, rows):
     """Reduced row echelon form; zero rows dropped. Canonical for a span."""
     work = [list(r) for r in rows if not is_zero(r)]
     if not work:
         return []
     ncols = len(work[0])
-    result = []
     pivot_col = 0
     row = 0
     while row < len(work) and pivot_col < ncols:
@@ -241,21 +273,15 @@ def rref(field: Field, rows):
             pivot_col += 1
             continue
         work[row], work[pivot_row] = work[pivot_row], work[row]
-        inv = field.inv(work[row][pivot_col])
-        work[row] = [field.mul(inv, a) for a in work[row]]
+        work[row] = list(vscale(field, field.inv(work[row][pivot_col]), work[row]))
+        nz = _nonzero(work[row])
         for r in range(len(work)):
             if r != row and work[r][pivot_col] != 0:
-                c = work[r][pivot_col]
-                work[r] = [
-                    field.sub(a, field.mul(c, b)) for a, b in zip(work[r], work[row])
-                ]
+                _eliminate(field, work[r], work[r][pivot_col], nz)
         row += 1
         pivot_col += 1
-    for r in work:
-        if not is_zero(r):
-            result.append(tuple(r))
     # rows are already sorted by pivot column after forward elimination
-    return result
+    return [tuple(r) for r in work if not is_zero(r)]
 
 
 def _pivot_columns(basis):
@@ -273,7 +299,7 @@ class Subspace(Record):
 
     ambient: Space
     basis: tuple
-    __slots__ = ("_pivots",)
+    __slots__ = ("_pivots", "_rows")  # each basis row's pivot and nonzero entries
 
     @classmethod
     def span(cls, ambient: Space, vectors) -> "Subspace":
@@ -285,6 +311,7 @@ class Subspace(Record):
 
     def __post_init__(self):
         object.__setattr__(self, "_pivots", _pivot_columns(self.basis))
+        object.__setattr__(self, "_rows", tuple(map(_nonzero, self.basis)))
 
     def pivots(self):
         return self._pivots
@@ -293,10 +320,9 @@ class Subspace(Record):
         """Canonical representative of v modulo this subspace."""
         F = self.ambient.field
         v = list(v)
-        for row, p in zip(self.basis, self.pivots()):
-            c = v[p]
-            if c != 0:
-                v = [F.sub(a, F.mul(c, b)) for a, b in zip(v, row)]
+        for row, p in zip(self._rows, self._pivots):
+            if c := v[p]:
+                _eliminate(F, v, c, row)
         return tuple(v)
 
     def contains(self, v) -> bool:

@@ -7,8 +7,9 @@ construction and B a block of the mutated document when it parses.  A
 mutation replaces, deletes or inserts a byte (invalid UTF-8 included),
 or replaces or inserts a whole multi-byte UTF-8 character, which no
 single-byte mutation can form, or replaces a numeric token with one of
-0, 1, -1, 2 and 1/2, which mostly keeps the document parseable so that
-the run reaches a validator.  Whatever the bytes,
+0, 1, -1, 2 and 1/2, or writes one of them in front of a bare term
+(`= m2;` becomes `= 1/2 m2;`); the last two mostly keep the document
+parseable, so that the run reaches a validator.  Whatever the bytes,
 the run must end in a documented exit code: 0, 1 with a non-empty
 report, or 2 with exactly one `error:` line.
 The examples are derandomized, so the suite runs the same ones each time.
@@ -57,6 +58,9 @@ PIECES = [bytes([b]) for b in DSL_BYTES] + [c.encode("utf-8") for c in "²٣é"]
 # a token-level mutation puts in its place
 NUMBER = re.compile(rb"(?<![A-Za-z0-9_/])-?[0-9]+(?:/[0-9]+)?")
 SCALARS = (b"0", b"1", b"-1", b"2", b"1/2")
+# what comes before a bare term, a label with no scalar: the `=` of a
+# product or pair, the `|->` of a map, or a sign
+BARE_TERM = re.compile(rb"(?:\) = |\*\w+ = |\|-> |[+-] ?)(?=[A-Za-z_])")
 
 
 def renumber(data, k, scalar):
@@ -68,14 +72,24 @@ def renumber(data, k, scalar):
     return data[: m.start()] + scalar + data[m.end() :]
 
 
+def rescale(data, k, scalar):
+    """Write `scalar` in front of the k-th bare term (k modulo their count)."""
+    found = list(BARE_TERM.finditer(data))
+    if not found:
+        return data
+    i = found[k % len(found)].end()
+    return data[:i] + scalar + b" " + data[i:]
+
+
 @st.composite
 def mutated_sources(draw):
     data = draw(st.sampled_from(SOURCES))
     for _ in range(draw(st.integers(1, 3))):
-        op = draw(st.sampled_from(("replace", "delete", "insert", "number")))
-        if op == "number":
+        op = draw(st.sampled_from(("replace", "delete", "insert", "number", "scale")))
+        if op in ("number", "scale"):
             k = draw(st.integers(0, len(data)))
-            data = renumber(data, k, draw(st.sampled_from(SCALARS)))
+            mutate = renumber if op == "number" else rescale
+            data = mutate(data, k, draw(st.sampled_from(SCALARS)))
             continue
         i = draw(st.integers(0, len(data) - (op != "insert")))
         piece = draw(st.sampled_from(PIECES) | st.binary(min_size=1, max_size=1))
@@ -138,16 +152,22 @@ def test_every_input_ends_in_a_documented_exit_code(scratch_file, data, command,
 
 def test_renumbered_documents_reach_the_validators(scratch_file):
     # one to three numeric tokens replaced in each committed source that
-    # has one; a fixed seed runs the same documents each time
+    # has one, and one to three scalars written in front of bare terms in
+    # each source that has none; a fixed seed runs the same documents
+    # each time
     rng = random.Random(1711)
-    sources = [data for data in SOURCES if NUMBER.search(data)]
-    assert len(sources) >= 10
-    codes = []
-    for _ in range(160):
-        data = rng.choice(sources)
-        for _ in range(rng.randint(1, 3)):
-            data = renumber(data, rng.randrange(len(data)), rng.choice(SCALARS))
-        scratch_file.write_bytes(data)
-        codes.append(run_main(["report", str(scratch_file)]))
+    numbered = [data for data in SOURCES if NUMBER.search(data)]
+    bare = [data for data in SOURCES if not NUMBER.search(data)]
+    assert len(numbered) >= 10 and len(bare) >= 30
+    codes = {True: [], False: []}  # by: is it a group document?
+    for sources, mutate, runs in ((numbered, renumber, 160), (bare, rescale, 100)):
+        for _ in range(runs):
+            data = rng.choice(sources)
+            for _ in range(rng.randint(1, 3)):
+                data = mutate(data, rng.randrange(len(data)), rng.choice(SCALARS))
+            scratch_file.write_bytes(data)
+            codes[b"groupxmod" in data].append(run_main(["report", str(scratch_file)]))
     # exit 0 or 1: the document parsed and a validator ran
-    assert sum(rc != 2 for rc in codes) >= len(codes) / 4
+    every = codes[True] + codes[False]
+    assert sum(rc != 2 for rc in every) >= len(every) / 4
+    assert sum(rc != 2 for rc in codes[False]) >= len(codes[False]) / 4

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidalg import linear
 from braidalg.algebra import Algebra, ad_map
 from braidalg.fields import GF, QQ
 from braidalg.linear import (
@@ -167,20 +168,55 @@ def test_from_columns_roundtrip():
         assert f.apply(V3.basis_vector(j)) == col
 
 
+# The oracles below compute with `Field.add` and `Field.mul` alone, so they
+# share no code with the vector operations and the accumulation loop of
+# linear.py.  Fields: Q, two small primes and the Mersenne prime 2**61 - 1,
+# whose products do not fit in 64 bits.
+FIELDS = (QQ, GF(5), GF(7), GF(2**61 - 1))
+
+
+def field_scalars(F):
+    if F.is_rationals:
+        raw = st.integers(-5, 5) | st.fractions(-5, 5, max_denominator=7)
+    else:
+        raw = st.integers(0, F.characteristic - 1)
+    return raw.map(F.of)
+
+
+def naive_axpy(F, c, x, y):
+    """c*x + y, entry by entry."""
+    return tuple(F.add(F.mul(c, a), b) for a, b in zip(x, y))
+
+
+def naive_sub(F, x, y):
+    return naive_axpy(F, F.of(-1), y, x)
+
+
+def naive_scale(F, c, x):
+    return naive_axpy(F, c, x, [F.zero()] * len(x))
+
+
+def assert_normal(F, v):
+    """Over Q an int when integral and a Fraction otherwise; over F_p an
+    int in [0, p).  `==` cannot tell these apart."""
+    for c in v:
+        if F.is_rationals:
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1), v
+        else:
+            assert type(c) is int and 0 <= c < F.characteristic, v
+    return v
+
+
 # A bilinear map is stored as its values on basis pairs; the oracle below
 # is the dense sum over all pairs, computed from the rule alone.
 
 
 @st.composite
 def bilinear_cases(draw, square=False):
-    """Spaces of dimension <= 4 over Q, F5 or F7, two rules on basis pairs
-    as value tables, two vectors and a scalar."""
-    F = draw(st.sampled_from((QQ, GF(5), GF(7))))
-    if F.is_rationals:
-        raw = st.integers(-5, 5) | st.fractions(-5, 5, max_denominator=7)
-    else:
-        raw = st.integers(0, F.characteristic - 1)
-    scalar = raw.map(F.of)
+    """Spaces of dimension <= 4 over one of FIELDS, two rules on basis
+    pairs as value tables, two vectors and a scalar."""
+    F = draw(st.sampled_from(FIELDS))
+    scalar = field_scalars(F)
     n = draw(st.integers(0, 4))
     dims = (n, n) if square else (draw(st.integers(0, 4)), draw(st.integers(0, 4)))
     left, right, cod = (
@@ -196,11 +232,12 @@ def bilinear_cases(draw, square=False):
 
 def naive_apply(F, cod, table, u, v):
     """sum over i, j of u_i v_j table[i][j]."""
-    out = cod.zero()
+    out = [F.zero()] * cod.dim
     for i, a in enumerate(u):
         for j, b in enumerate(v):
-            out = vadd(F, out, vscale(F, F.mul(a, b), table[i][j]))
-    return out
+            for k, c in enumerate(table[i][j]):
+                out[k] = F.add(out[k], F.mul(F.mul(a, b), c))
+    return tuple(out)
 
 
 @settings(max_examples=60, derandomize=True, database=None)
@@ -216,19 +253,26 @@ def test_bilmap_agrees_with_the_dense_oracle(case):
         for j in range(right.dim):
             assert b.on_basis(i, j) == t[i][j]
             assert sw.on_basis(j, i) == t[i][j]
-            assert diff.on_basis(i, j) == vsub(F, t[i][j], t2[i][j])
-            assert scaled.on_basis(i, j) == vscale(F, c, t[i][j])
+            assert diff.on_basis(i, j) == naive_sub(F, t[i][j], t2[i][j])
+            assert scaled.on_basis(i, j) == naive_scale(F, c, t[i][j])
             assert zero.on_basis(i, j) == cod.zero()
     for i in range(left.dim):
-        assert b.apply_left(i, v) == naive_apply(F, cod, t, left.basis_vector(i), v)
+        got = assert_normal(F, b.apply_left(i, v))
+        assert got == naive_apply(F, cod, t, left.basis_vector(i), v)
     for j in range(right.dim):
-        assert b.apply_right(u, j) == naive_apply(F, cod, t, u, right.basis_vector(j))
+        got = assert_normal(F, b.apply_right(u, j))
+        assert got == naive_apply(F, cod, t, u, right.basis_vector(j))
     expect = naive_apply(F, cod, t, u, v)
-    assert b.apply(u, v) == expect
-    assert sw.apply(v, u) == expect
-    assert diff.apply(u, v) == vsub(F, expect, naive_apply(F, cod, t2, u, v))
-    assert scaled.apply(u, v) == vscale(F, c, expect)
-    assert zero.apply(u, v) == cod.zero()
+    other_expect = naive_apply(F, cod, t2, u, v)
+    assert assert_normal(F, b.apply(u, v)) == expect
+    assert assert_normal(F, sw.apply(v, u)) == expect
+    assert assert_normal(F, diff.apply(u, v)) == naive_sub(F, expect, other_expect)
+    assert assert_normal(F, scaled.apply(u, v)) == naive_scale(F, c, expect)
+    assert assert_normal(F, zero.apply(u, v)) == cod.zero()
+    total = assert_normal(F, vadd(F, b.apply(u, v), other.apply(u, v)))
+    assert total == naive_axpy(F, F.one(), expect, other_expect)
+    gap = assert_normal(F, vsub(F, b.apply(u, v), other.apply(u, v)))
+    assert gap == naive_sub(F, expect, other_expect)
 
 
 @settings(max_examples=50, derandomize=True, database=None)
@@ -248,14 +292,10 @@ def test_ad_map_columns_are_products(case):
 
 @st.composite
 def linear_cases(draw):
-    """Spaces U, V, W of dimension <= 4 over Q, F5 or F7, two maps U -> V
-    and one map W -> U as column tables, and vectors of U and W."""
-    F = draw(st.sampled_from((QQ, GF(5), GF(7))))
-    if F.is_rationals:
-        raw = st.integers(-5, 5) | st.fractions(-5, 5, max_denominator=7)
-    else:
-        raw = st.integers(0, F.characteristic - 1)
-    scalar = raw.map(F.of)
+    """Spaces U, V, W of dimension <= 4 over one of FIELDS, two maps
+    U -> V and one map W -> U as column tables, and vectors of U and W."""
+    F = draw(st.sampled_from(FIELDS))
+    scalar = field_scalars(F)
     U, V, W = (
         Space(F, tuple(f"{stem}{i}" for i in range(draw(st.integers(0, 4)))))
         for stem in "uvw"
@@ -323,13 +363,21 @@ def test_linmap_agrees_with_the_dense_oracle(case):
     # column j of the product is A times column j of C
     comp_cols = [naive_matvec(F, ra, tuple(row[j] for row in rc)) for j in range(W.dim)]
     assert [comp.column(j) for j in range(W.dim)] == comp_cols
-    expect = naive_matvec(F, ra, u)
-    assert a.apply(u) == expect
-    assert total.apply(u) == vadd(F, expect, naive_matvec(F, rb, u))
-    assert diff.apply(u) == vsub(F, expect, naive_matvec(F, rb, u))
-    assert comp.apply(w) == naive_matvec(F, ra, naive_matvec(F, rc, w))
-    assert ident.apply(u) == u
-    assert zero.apply(u) == V.zero()
+    expect, other = naive_matvec(F, ra, u), naive_matvec(F, rb, u)
+    assert assert_normal(F, a.apply(u)) == expect
+    assert assert_normal(F, total.apply(u)) == naive_axpy(F, F.one(), expect, other)
+    assert assert_normal(F, diff.apply(u)) == naive_sub(F, expect, other)
+    assert assert_normal(F, comp.apply(w)) == naive_matvec(F, ra, naive_matvec(F, rc, w))
+    assert assert_normal(F, ident.apply(u)) == u
+    assert assert_normal(F, zero.apply(u)) == V.zero()
+    assert assert_normal(F, vadd(F, expect, other)) == naive_axpy(F, F.one(), expect, other)
+    assert assert_normal(F, vsub(F, expect, other)) == naive_sub(F, expect, other)
+    # reduce leaves a representative that differs from its argument by a
+    # member of the span and is zero at every pivot
+    sub = Subspace.span(V, tb)
+    rep = assert_normal(F, sub.reduce(expect))
+    assert sub.contains(naive_sub(F, expect, rep))
+    assert all(rep[p] == 0 for p in sub.pivots())
     assert a.rank() == naive_rank(F, ra)
     assert comp.rank() == naive_rank(F, naive_rows(comp_cols, V.dim))
 
@@ -417,3 +465,29 @@ def test_only_linear_py_knows_how_maps_are_stored():
                 if name in ("LinMap", "BilMap"):
                     found.append((path, node.lineno, name + "(...)"))
     assert found == []
+
+
+def test_every_evaluation_runs_the_one_loop(monkeypatch):
+    # LinMap.apply, BilMap.apply and both one-index reads accumulate in
+    # linear._combine, once per call
+    calls = []
+    real = linear._combine
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linear, "_combine", counted)
+    f = from_columns(V3, V4, [(1, 0, 2, 0), (0, 0, 0, 0), (Fraction(1, 2), 3, 0, 1)])
+    b = bilinear_from_rule(V3, V3, V4, lambda i, j: f.column((i + j) % 3))
+    u, v = (1, Fraction(1, 2), 0), (2, 0, -1)
+    evaluations = {
+        "LinMap.apply": lambda: f.apply(u),
+        "BilMap.apply": lambda: b.apply(u, v),
+        "BilMap.apply_left": lambda: b.apply_left(1, v),
+        "BilMap.apply_right": lambda: b.apply_right(u, 2),
+    }
+    for name, evaluate in evaluations.items():
+        calls.clear()
+        evaluate()
+        assert len(calls) == 1, name
