@@ -28,7 +28,7 @@ class CharacteristicTooLarge(ValueError):
         )
 
 
-def _rational(c: Fraction):
+def normal(c: Fraction):
     """The normal form of a rational: its numerator when integral."""
     return c.numerator if c.denominator == 1 else c
 
@@ -86,45 +86,47 @@ class Field(Record):
                 return self.div(self.of(int(num)), self.of(int(den)))
             value = int(value)
         if self.characteristic == 0:
-            return _rational(Fraction(value))
+            return normal(Fraction(value))
         if isinstance(value, Fraction):
             if value.denominator == 1:
                 return value.numerator % self.characteristic
             return self.div(self.of(value.numerator), self.of(value.denominator))
         return value % self.characteristic
 
-    # Over Q an int result is already in normal form; only a result that a
-    # Fraction took part in can be integral and need `_rational`.
+    # The normal form of a result c: `c % p` over F_p; over Q an int is
+    # already normal, and only a result that a Fraction took part in can be
+    # integral, so `c if c.__class__ is int else normal(c)`.  The vector
+    # kernels of `linear.py` inline this rule for speed.
 
     def add(self, a, b):
         c = a + b
         if self.characteristic:
             return c % self.characteristic
-        return c if c.__class__ is int else _rational(c)
+        return c if c.__class__ is int else normal(c)
 
     def sub(self, a, b):
         c = a - b
         if self.characteristic:
             return c % self.characteristic
-        return c if c.__class__ is int else _rational(c)
+        return c if c.__class__ is int else normal(c)
 
     def mul(self, a, b):
         c = a * b
         if self.characteristic:
             return c % self.characteristic
-        return c if c.__class__ is int else _rational(c)
+        return c if c.__class__ is int else normal(c)
 
     def neg(self, a):
         if self.characteristic:
             return (-a) % self.characteristic
-        return -a if a.__class__ is int else _rational(-a)
+        return -a if a.__class__ is int else normal(-a)
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         if self.characteristic:
             return pow(a, -1, self.characteristic)
-        return _rational(1 / Fraction(a))
+        return normal(1 / Fraction(a))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

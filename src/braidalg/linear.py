@@ -16,7 +16,7 @@ of `fields.py`, with no `Field` method call per entry.
 
 from __future__ import annotations
 
-from .fields import Field, _rational
+from .fields import Field, normal
 from .record import Record
 
 
@@ -47,20 +47,20 @@ class Space(Record):
         return [self.basis_vector(i) for i in range(self.dim)]
 
 
-# Over F_p a result is reduced mod p; over Q a result that a Fraction took
-# part in passes through `_rational`, so an integral value is an int.
+# Scalar results are put in the normal form of `fields.py` inline, as
+# `Field.add`/`mul` do, without a `Field` call per entry.
 
 
 def vadd(field: Field, u, v):
     if p := field.characteristic:
         return tuple((a + b) % p for a, b in zip(u, v))
-    return tuple(c if (c := a + b).__class__ is int else _rational(c) for a, b in zip(u, v))
+    return tuple(c if (c := a + b).__class__ is int else normal(c) for a, b in zip(u, v))
 
 
 def vsub(field: Field, u, v):
     if p := field.characteristic:
         return tuple((a - b) % p for a, b in zip(u, v))
-    return tuple(c if (c := a - b).__class__ is int else _rational(c) for a, b in zip(u, v))
+    return tuple(c if (c := a - b).__class__ is int else normal(c) for a, b in zip(u, v))
 
 
 def vneg(field: Field, u):
@@ -70,7 +70,7 @@ def vneg(field: Field, u):
 def vscale(field: Field, c, u):
     if p := field.characteristic:
         return tuple(c * a % p for a in u)
-    return tuple(d if (d := c * a).__class__ is int else _rational(d) for a in u)
+    return tuple(d if (d := c * a).__class__ is int else normal(d) for a in u)
 
 
 def is_zero(u) -> bool:
@@ -96,7 +96,7 @@ def _combine(field: Field, dim: int, terms):
         if m:
             for k, c in image:
                 v = out[k] + m * c
-                out[k] = v if v.__class__ is int else _rational(v)
+                out[k] = v if v.__class__ is int else normal(v)
     return tuple(out)
 
 
@@ -251,8 +251,8 @@ def _eliminate(field: Field, v: list, c, row):
         return
     for k, b in row:
         d = c * b
-        d = v[k] - (d if d.__class__ is int else _rational(d))
-        v[k] = d if d.__class__ is int else _rational(d)
+        d = v[k] - (d if d.__class__ is int else normal(d))
+        v[k] = d if d.__class__ is int else normal(d)
 
 
 def rref(field: Field, rows):
