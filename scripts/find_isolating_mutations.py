@@ -29,21 +29,22 @@ from braidalg.braid import (
     braiding_cat_assoc_laws,
     braiding_cat_lie_alt_laws,
     braiding_cat_lie_ulualan_laws,
+    braiding_system,
     braiding_xmod_lie_laws,
     bracket_braiding,
     commutator_braiding,
     cx_functor,
+    with_braiding,
 )
 from braidalg.dsl import print_catbraiding_doc, print_xbraiding_doc
 from braidalg.fields import QQ
 from braidalg.icat import CatAlgebra, cat_liefy
 from braidalg.linear import (
     Space,
+    affine_solutions,
     bilinear_from_rule,
     from_columns,
-    kernel,
-    rref,
-    vsub,
+    vadd,
     zero_bilmap,
     zero_map,
 )
@@ -54,126 +55,31 @@ from braidalg.xmod import XModAssoc, XModLie
 F = QQ
 
 
-def residuals(laws, tag):
-    """lhs - rhs of each law in `laws` tagged `tag`, at every basis index
-    tuple in the order `sweep` visits them."""
-    for t, dims, law in laws:
-        if t == tag:
-            for idx in itertools.product(*(range(d) for d in dims)):
-                lhs, rhs = law(*idx)
-                yield vsub(F, lhs, rhs)
-
-
-# ---------------------------------------------------------------------------
-# affine machinery
-
-
-def flatten(vectors):
-    return [c for v in vectors for c in v]
-
-
-def bilinear_from_vec(left, right, cod, vec):
-    """The bilinear map whose k-coordinate on (b_i, b_j) is the unknown
-    vec[(k * left.dim + i) * right.dim + j]."""
-    L, R = left.dim, right.dim
-    return bilinear_from_rule(
-        left,
-        right,
-        cod,
-        lambda i, j: tuple(vec[(k * L + i) * R + j] for k in range(cod.dim)),
-    )
-
-
-def affine_parts(dim_unknown, make_obj, residual):
-    zero_vec = [F.zero()] * dim_unknown
-    const = flatten(residual(make_obj(zero_vec)))
-    cols = []
-    for u in range(dim_unknown):
-        v = list(zero_vec)
-        v[u] = F.one()
-        r = flatten(residual(make_obj(v)))
-        cols.append([F.sub(a, b) for a, b in zip(r, const)])
-    rows = [
-        tuple(cols[u][r] for u in range(dim_unknown)) for r in range(len(const))
-    ]
-    return rows, const
-
-
-def solve_affine(rows, const, dim_unknown):
-    """Solutions of rows . x = -const: (particular, nullspace basis) or None.
-
-    The particular solution sets every free variable to zero; since rref
-    eliminates pivot columns from all other rows, each pivot variable then
-    equals the reduced right-hand side directly.
-    """
-    aug = [tuple(r) + (F.neg(c),) for r, c in zip(rows, const)]
-    red = rref(F, aug)
-    part = [F.zero()] * dim_unknown
-    for row in red:
-        piv = next((j for j, a in enumerate(row[:-1]) if a != F.zero()), None)
-        if piv is None:
-            if row[-1] != F.zero():
-                return None
-            continue
-        part[piv] = row[-1]
-    dom = Space(F, tuple(f"u{i}" for i in range(dim_unknown)))
-    if rows:
-        cod = Space(F, tuple(f"r{i}" for i in range(len(rows))))
-        f = from_columns(dom, cod, zip(*rows))
-        null = list(kernel(f).basis)
-    else:
-        null = list(dom.basis())
-    return part, null
-
-
 def isolate(cache, name, b, laws, target):
     """A braiding on `b.base` that satisfies every law of `laws` except
     those tagged `target`, and fails `target`; None if there is none.
 
-    `cache` keeps the affine parts of each (name, tag): a tag names the
-    same law in every table that holds it.
+    `cache` keeps the `braiding_system` of each (name, tag): a tag names
+    the same law in every table that holds it.
     """
+    tags = dict.fromkeys(tag for tag, _, _ in laws(b))
+    new = [tag for tag in tags if (name, tag) not in cache]
+    if new:
+        system = braiding_system(b, lambda o: [law for law in laws(o) if law[0] in new])
+        cache.update(((name, tag), eqs) for tag, eqs in system.items())
+    others = [cache[name, tag] for tag in tags if tag != target]
+    rows = [row for r, _ in others for row in r]
+    const = [c for _, cs in others for c in cs]
     t = b.tau if isinstance(b, CatBraiding) else b.brace
-    dim = t.left.dim * t.right.dim * t.codomain.dim
-
-    def make(vec):
-        return type(b)(b.base, bilinear_from_vec(t.left, t.right, t.codomain, vec))
-
-    def parts(tag):
-        if (name, tag) not in cache:
-            cache[name, tag] = affine_parts(
-                dim, make, lambda o: residuals(laws(o), tag)
-            )
-        return cache[name, tag]
-
-    rows, const = [], []
-    zero = F.zero()
-    for tag in dict.fromkeys(tag for tag, _, _ in laws(b)):
-        if tag == target:
-            continue
-        r, c = parts(tag)
-        for row, cst in zip(r, c):
-            if cst != zero or any(a != zero for a in row):
-                rows.append(row)
-                const.append(cst)
-    sol = solve_affine(rows, const, dim)
+    sol = affine_solutions(F, rows, const, t.left.dim * t.right.dim * t.codomain.dim)
     if sol is None:
         return None
     part, null = sol
-    t_rows, t_const = parts(target)
-
-    def target_res(vec):
-        return [
-            F.add(sum((F.mul(a, x) for a, x in zip(r, vec) if a), F.zero()), c)
-            for r, c in zip(t_rows, t_const)
-        ]
-
-    if any(v != F.zero() for v in target_res(part)):
-        return make(part)
-    for n in null:
-        cand = [F.add(a, x) for a, x in zip(part, n)]
-        if any(v != F.zero() for v in target_res(cand)):
-            return make(cand)
+    # the particular solution, then one step along each basis vector
+    for x in itertools.chain([part], (vadd(F, part, v) for v in null)):
+        mut = with_braiding(b, x)
+        if not all(sweep(*law).ok for law in laws(mut) if law[0] == target):
+            return mut
     return None
 
 
@@ -181,17 +87,17 @@ def isolate(cache, name, b, laws, target):
 # bases, which scripts/make_mutations.py builds its cases on too
 
 
-def alg(labels, prods=None):
-    return from_constants(Space(F, tuple(labels)), prods or {})
+def alg(labels, prods=None, field=F):
+    return from_constants(Space(field, tuple(labels)), prods or {})
 
 
 def bil(left, right, cod, entries):
     """BilMap from {(i, j): {k: scalar}} on basis indices."""
 
     def rule(i, j):
-        v = [F.zero()] * cod.dim
+        v = [cod.field.zero()] * cod.dim
         for k, c in entries.get((i, j), {}).items():
-            v[k] = F.of(c)
+            v[k] = cod.field.of(c)
         return tuple(v)
 
     return bilinear_from_rule(left, right, cod, rule)
@@ -215,29 +121,30 @@ def zero_braiding(base):
 
 
 # Both corpus scripts use the braided tensor crossed module of Heis3 and
-# its bar construction; each is built once per run.
+# its bar construction; each is built once per run and field.
 @functools.cache
-def heis3_tensor():
-    return tensor_braiding(tensor_square(catalog("Heis3", F)))
+def heis3_tensor(field):
+    return tensor_braiding(tensor_square(catalog("Heis3", field)))
 
 
 @functools.cache
-def heis3_tensor_bar():
+def heis3_tensor_bar(field):
     """`braid._bar` of the Heis3 tensor crossed module: (cat, semidirect)."""
-    return _bar(heis3_tensor().base)
+    return _bar(heis3_tensor(field).base)
 
 
-def degenerate_xmods():
+def degenerate_xmods(field=F):
     """Valid associative crossed modules with room in the brace/tau tensor."""
-    m, uv = alg(("m",)), alg(("u", "v"))
+    m, uv = alg(("m",), field=field), alg(("u", "v"), field=field)
     # boundary with kernel and cokernel, everything else zero
-    m2 = alg(("m1", "m2"))
+    m2 = alg(("m1", "m2"), field=field)
     d = from_columns(m2.space, uv.space, [uv.space.basis_vector(0), uv.space.zero()])
     yield "ker", XModAssoc(zero_action_assoc(uv, m2), d)
     # one-sided identity actor, nontrivial action, zero boundary
     nu = alg(
         ("u", "v"),
         {("u", "u"): {"u": 1}, ("u", "v"): {"v": 1}, ("v", "u"): {"v": 1}},
+        field=field,
     )
     star1 = bil(nu.space, m.space, m.space, {(0, 0): {0: 1}})
     star2 = bil(m.space, nu.space, m.space, {(0, 0): {0: 1}})
@@ -245,7 +152,7 @@ def degenerate_xmods():
         AssocAction(nu, m, star1, star2), zero_map(m.space, nu.space)
     )
     # noncommutative actor, zero action and boundary
-    nl = alg(("u", "v"), {("u", "u"): {"u": 1}, ("u", "v"): {"v": 1}})
+    nl = alg(("u", "v"), {("u", "u"): {"u": 1}, ("u", "v"): {"v": 1}}, field=field)
     yield "noncomm", zero_xmod(nl, m)
 
 
@@ -256,23 +163,27 @@ def cat_assoc_candidates():
     yield "mat2cx", cx_functor(commutator_braiding(catalog("Mat(2)", QQ)))
 
 
-def lie_degenerate_bars():
-    """Bar constructions of valid Lie crossed modules with room in tau."""
-    m = alg(("m",))
+@functools.cache
+def lie_degenerate_bars(field):
+    """Bar constructions of valid Lie crossed modules with room in tau, as
+    (name, categorical algebra) pairs."""
+    m = alg(("m",), field=field)
     # solvable 2-dim actor [u,v] = v, and Heis3; both act by dot(b_0, m) = m,
     # with zero boundary
-    nsolv = alg(("u", "v"), {("u", "v"): {"v": 1}, ("v", "u"): {"v": -1}})
-    for name, n in (("solv", nsolv), ("heisdot", catalog("Heis3", F))):
+    nsolv = alg(("u", "v"), {("u", "v"): {"v": 1}, ("v", "u"): {"v": -1}}, field=field)
+    bars = []
+    for name, n in (("solv", nsolv), ("heisdot", catalog("Heis3", field))):
         dot = bil(n.space, m.space, m.space, {(0, 0): {0: 1}})
-        yield name, _bar(XModLie(LieAction(n, m, dot), zero_map(m.space, n.space)))[0]
+        x = XModLie(LieAction(n, m, dot), zero_map(m.space, n.space))
+        bars.append((name, _bar(x)[0]))
     # tensor-square crossed module of Heis3 (kernel and cokernel both nonzero)
-    yield "heisT", heis3_tensor_bar()[0]
+    return (*bars, ("heisT", heis3_tensor_bar(field)[0]))
 
 
 def cat_lie_candidates(assoc):
     """Lie bar constructions, then the Lie-fied bases of `assoc`, the
     associative candidates."""
-    for name, c in lie_degenerate_bars():
+    for name, c in lie_degenerate_bars(F):
         yield name + "bar", zero_braiding(c)
     for name, b in assoc:
         yield name + "lie", zero_braiding(cat_liefy(b.base))
@@ -280,7 +191,7 @@ def cat_lie_candidates(assoc):
 
 def xmod_lie_candidates():
     yield "sl2T", tensor_braiding(tensor_square(catalog("sl2", QQ)))
-    yield "heis3T", heis3_tensor()
+    yield "heis3T", heis3_tensor(F)
     yield "gl2id", bracket_braiding(catalog("gl2", QQ))
 
 
@@ -309,8 +220,7 @@ def fixture_names(tag):
 def search():
     """For each target tag, the first candidate with an isolating braiding
     as (candidate name, failing tags, DSL document), or None."""
-    cache = {}
-    found = {}
+    cache, found = {}, {}
     for laws, candidates, targets in families():
         for target in targets:
             found[target] = None

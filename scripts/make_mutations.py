@@ -241,7 +241,7 @@ def xmod_braiding_cases(bases):
     # they can only fail together with BLie3 or BLie4.  Perturbing the
     # tensor-square braiding of Heis3 by a kernel vector of the
     # boundary on the (x, z) slot fails exactly {BLie4, BLie5, BLie6}.
-    b = heis3_tensor()
+    b = heis3_tensor(F)
     kv = kernel(b.base.boundary).basis[0]
     yield dsl_case(
         "BLie5",
@@ -310,9 +310,9 @@ def cat_braiding_cases():
     # with tau_{a,b} = (-2{a,b}, [a,b]): the N component gives
     # s(tau) = [a,b] and the boundary of the M component shifts t(tau)
     # to [b,a].  tau is perturbed by kv, a vector of ker s and of ker t.
-    b = heis3_tensor()
+    b = heis3_tensor(F)
     x = b.base
-    cat, sd = heis3_tensor_bar()
+    cat, sd = heis3_tensor_bar(F)
     total = sd.algebra.space
 
     def rule(i, j):

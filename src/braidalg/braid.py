@@ -7,7 +7,9 @@ formula k((x, y)) = x - e(t(x)) + y, exactly as the source proofs do.
 Each braiding validator sweeps a law table, `braiding_*_laws(b)` or
 `anticoherence_laws(b)`: the list of (tag, dims, law) triples that
 `report.sweep` takes, in report order.
-Other code that needs an axiom (the mutation solver) reads the table.
+Other code that needs an axiom reads the table: with the base fixed,
+every law is affine in the braiding, and `braiding_system` reads each
+table as linear equations in the braiding's coordinates.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .linear import (
     BilMap,
     LinMap,
     Space,
+    bilinear_from_coordinates,
     bilinear_from_rule,
     from_columns,
     identity_map,
@@ -29,7 +32,7 @@ from .linear import (
     vsub,
 )
 from .record import Record
-from .report import ValidationReport, merge, sweep
+from .report import ValidationReport, basis_tuples, merge, sweep
 from .xmod import (
     XModAssoc,
     XModLie,
@@ -410,6 +413,42 @@ def anticoherence_laws(b: CatBraiding):
 def check_anticoherence(b: CatBraiding, subject: str = "braiding") -> ValidationReport:
     """AC1..AC3; raises CharTwo in characteristic 2."""
     return merge(subject, [sweep(*law) for law in anticoherence_laws(b)])
+
+
+# ---------------------------------------------------------------------------
+# braiding spaces: with the base fixed, each law is affine in the braiding
+
+
+def with_braiding(b: XBraiding | CatBraiding, x):
+    """The base of `b` with the braiding whose coordinates are `x`, in the
+    order of `bilinear_from_coordinates`."""
+    t = b.tau if isinstance(b, CatBraiding) else b.brace
+    return type(b)(b.base, bilinear_from_coordinates(t.left, t.right, t.codomain, x))
+
+
+def braiding_system(b: XBraiding | CatBraiding, laws):
+    """{tag: (rows, const)}: the residuals lhs - rhs of the laws of
+    `laws(b)` with that tag, in `sweep` order, are rows . x + const at the
+    braiding on `b.base` whose coordinates are x."""
+    t = b.tau if isinstance(b, CatBraiding) else b.brace
+    F, n = t.field, t.left.dim * t.right.dim * t.codomain.dim
+
+    def residuals(x):
+        out = {}
+        for tag, dims, law in laws(with_braiding(b, x)):
+            res = out.setdefault(tag, [])
+            for idx in basis_tuples(dims):
+                res.extend(vsub(F, *law(*idx)))
+        return out
+
+    zero = (F.zero(),) * n
+    const = residuals(zero)
+    units = [residuals(zero[:u] + (F.one(),) + zero[u + 1 :]) for u in range(n)]
+    system = {}
+    for tag, c in const.items():
+        cols = [vsub(F, unit[tag], c) for unit in units]
+        system[tag] = ([tuple(col[r] for col in cols) for r in range(len(c))], c)
+    return system
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,15 @@ def bilinear_from_rule(left: Space, right: Space, codomain: Space, rule) -> BilM
     return BilMap(left, right, codomain, tensor)
 
 
+def bilinear_from_coordinates(left: Space, right: Space, codomain: Space, x) -> BilMap:
+    """The bilinear map whose k-coordinate on (b_i, b_j) is x[(k*L + i)*R + j],
+    with L = left.dim and R = right.dim."""
+    L, R, K = left.dim, right.dim, codomain.dim
+    return bilinear_from_rule(
+        left, right, codomain, lambda i, j: tuple(x[(k * L + i) * R + j] for k in range(K))
+    )
+
+
 def zero_bilmap(left: Space, right: Space, codomain: Space) -> BilMap:
     z = codomain.zero()
     tensor = tuple(tuple(z for _ in range(right.dim)) for _ in range(left.dim))
@@ -350,6 +359,24 @@ def kernel(f: LinMap) -> Subspace:
     # come last, and their preimage parts are already in reduced echelon form
     m = f.codomain.dim
     return Subspace(f.domain, tuple(row[m:] for row in echelon if is_zero(row[:m])))
+
+
+def affine_solutions(field: Field, rows, const, n: int):
+    """The solutions x of rows . x + const = 0 in n unknowns: the one whose
+    free unknowns are 0 and `kernel`'s canonical basis of the homogeneous
+    solutions, or None if there is no solution."""
+    red = rref(field, [(*row, c) for row, c in zip(rows, vneg(field, const))])
+    pivots = _pivot_columns(red)
+    if n in pivots:
+        return None
+    part = [field.zero()] * n
+    for p, row in zip(pivots, red):
+        part[p] = row[n]
+    # the reduced rows have the solutions of `rows`; one column per unknown
+    dom = Space(field, tuple(f"x{j}" for j in range(n)))
+    cod = Space(field, tuple(f"r{i}" for i in range(len(red))))
+    f = from_columns(dom, cod, ([row[j] for row in red] for j in range(n)))
+    return tuple(part), kernel(f).basis
 
 
 def quotient(ambient: Space, sub: Subspace):

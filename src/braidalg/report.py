@@ -66,13 +66,18 @@ class ValidationReport(Record):
         return "\n".join(lines)
 
 
+def basis_tuples(dims):
+    """Every basis index tuple of `dims`, in lexicographic order."""
+    return itertools.product(*(range(d) for d in dims))
+
+
 def sweep(tag: str, dims, law) -> AxiomCheck:
-    """Check `law` over all basis index tuples, in lexicographic order.
+    """Check `law` over all `basis_tuples(dims)`.
 
     `law(*indices)` returns an (lhs, rhs) vector pair; the first mismatch
     becomes the witness.
     """
-    for idx in itertools.product(*(range(d) for d in dims)):
+    for idx in basis_tuples(dims):
         lhs, rhs = law(*idx)
         if lhs != rhs:
             return AxiomCheck(tag, False, Witness(idx, tuple(lhs), tuple(rhs)))

@@ -11,6 +11,7 @@ from braidalg.braid import (
     braiding_cat_assoc_laws,
     braiding_cat_lie_alt_laws,
     braiding_cat_lie_ulualan_laws,
+    braiding_system,
     braiding_xmod_assoc_laws,
     braiding_xmod_lie_laws,
     bracket_braiding,
@@ -25,6 +26,7 @@ from braidalg.braid import (
     validate_braiding_cat_lie_ulualan,
     validate_braiding_xmod_assoc,
     validate_braiding_xmod_lie,
+    with_braiding,
     xc_functor,
     xmod_braiding_liefy,
 )
@@ -32,9 +34,10 @@ from braidalg.dsl import parse
 from braidalg.errors import CharTwo
 from braidalg.fields import GF, QQ
 from braidalg.icat import LIE, require_valid_cat
+from braidalg.linear import affine_solutions, vadd
 from braidalg.natensor import tensor_square, tensor_xmod
 from braidalg.report import merge, sweep
-from braidalg.xmod import identity_xmod_lie
+from braidalg.xmod import identity_xmod_assoc, identity_xmod_lie
 
 from conftest import FIXTURES, MUTATIONS, load_script
 
@@ -125,6 +128,74 @@ def test_f2_search_finds_no_disagreement():
     candidates, disagreements = load_script("f2_braiding_search").search()
     assert candidates == 5
     assert disagreements == []
+
+
+# (LieT1-2, ulualan, alt) space dimensions of the solver's Lie bars, and
+# the (ulualan, alt) failing tags of the points where the lists disagree
+_BAR_GAPS = {
+    GF(2): {
+        "solv": ([4, 4, 3], {((), ("LieT3", "LieT4"))}),
+        "heisdot": (
+            [9, 1, 6],
+            {(("LieB3",), ()), (("LieB4",), ()), (("LieB3", "LieB4"), ())},
+        ),
+        "heisT": ([20, 20, 20], set()),
+    },
+}
+# away from characteristic 2 no braiding at all lies on two of them
+for _field in (QQ, GF(3)):
+    _BAR_GAPS[_field] = {
+        "solv": ([None] * 3, set()),
+        "heisdot": ([None] * 3, set()),
+        "heisT": ([20, 20, 20], set()),
+    }
+
+
+@pytest.mark.parametrize("field", list(_BAR_GAPS), ids=str)
+def test_lie_lists_on_bars_that_are_not_discrete(field):
+    # the exact spaces of tau on each bar, and every disagreement found
+    # between the validators at their particular points and basis steps
+    compare = load_script("f2_braiding_search").compare
+    bars = dict(load_script("find_isolating_mutations").lie_degenerate_bars(field))
+    for name, (dims, gaps) in _BAR_GAPS[field].items():
+        found, disagreements = compare(bars[name])
+        assert found == dims, name
+        assert {(tuple(ul), tuple(alt)) for _, ul, alt in disagreements} == gaps, name
+
+
+def _space(b, laws):
+    """The braidings on `b.base` passing every law of `laws`, as
+    `affine_solutions` gives them."""
+    system = braiding_system(b, laws).values()
+    rows = [row for r, _ in system for row in r]
+    const = [c for _, cs in system for c in cs]
+    t = b.tau if hasattr(b, "tau") else b.brace
+    return affine_solutions(t.field, rows, const, t.left.dim * t.right.dim * t.codomain.dim)
+
+
+@pytest.mark.parametrize("field", (QQ, GF(5)), ids=str)
+def test_cx_maps_whole_braiding_spaces(field):
+    # cx maps the braidings on x one to one onto those on its bar, so the
+    # two spaces are both empty or of equal dimension; cx is affine in the
+    # braiding, so the particular point and each basis step cover the space
+    solver = load_script("find_isolating_mutations")
+    bases = list(solver.degenerate_xmods(field))
+    bases += [(n, identity_xmod_assoc(catalog(n, field))) for n in ("Ab(2)", "Upper(2)")]
+    dims = {}
+    for name, x in bases:
+        b = solver.zero_braiding(x)
+        on_x = _space(b, braiding_xmod_assoc_laws)
+        on_bar = _space(solver.zero_braiding(_bar(x)[0]), braiding_cat_assoc_laws)
+        assert (on_x is None) == (on_bar is None), name
+        if on_x is None:
+            dims[name] = None
+            continue
+        (part, null), (_, bar_null) = on_x, on_bar
+        assert len(null) == len(bar_null), name
+        dims[name] = len(null)
+        for v in ((0,) * len(part), *null):
+            cx_functor(with_braiding(b, vadd(field, part, v)))
+    assert dims == {"ker": 1, "idact": 1, "noncomm": None, "Ab(2)": 0, "Upper(2)": 0}
 
 
 def test_char_two_transport_guards():

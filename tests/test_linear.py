@@ -1,5 +1,6 @@
 import ast
 import glob
+import itertools
 import os
 from fractions import Fraction
 
@@ -13,6 +14,8 @@ from braidalg.fields import GF, QQ
 from braidalg.linear import (
     Space,
     Subspace,
+    affine_solutions,
+    bilinear_from_coordinates,
     bilinear_from_rule,
     direct_sum,
     from_columns,
@@ -380,6 +383,115 @@ def test_linmap_agrees_with_the_dense_oracle(case):
     assert all(rep[p] == 0 for p in sub.pivots())
     assert a.rank() == naive_rank(F, ra)
     assert comp.rank() == naive_rank(F, naive_rows(comp_cols, V.dim))
+
+
+# The affine solve against its definition: over F_2 and F_3 every x is
+# tried; over Q the solution is substituted back and the rank counted.
+
+
+@st.composite
+def affine_cases(draw, fields):
+    """m <= 4 equations in n <= 4 unknowns over one of `fields`, as
+    (rows, const): with random constants, with a planted solution, or with
+    a row repeated under another constant."""
+    F = draw(st.sampled_from(fields))
+    scalar = field_scalars(F)
+    n, m = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    rows = [draw(st.tuples(*([scalar] * n))) for _ in range(m)]
+    kind = draw(st.sampled_from(("random", "planted", "clash")))
+    const = [draw(scalar) for _ in range(m)]
+    if kind == "planted":
+        x = draw(st.tuples(*([scalar] * n)))
+        const = [F.neg(a) for a in naive_matvec(F, rows, x)]
+    if kind == "clash" and rows:
+        rows.append(rows[0])
+        const.append(F.add(const[0], F.one()))
+    return F, n, rows, const
+
+
+def naive_pivots(F, rows, n):
+    """The columns j with rank(columns < j+1) > rank(columns < j)."""
+    ranks = [naive_rank(F, [r[:j] for r in rows]) for j in range(n + 1)]
+    return [j for j in range(n) if ranks[j + 1] > ranks[j]]
+
+
+def check_solution_shape(F, rows, n, sol):
+    """The free unknowns of the particular solution are 0, and the null
+    basis is canonical."""
+    part, null = sol
+    pivots = naive_pivots(F, rows, n)
+    assert all(part[j] == 0 for j in range(n) if j not in pivots)
+    assert tuple(null) == Subspace.span(Space(F, tuple(range(n))), null).basis
+    assert_normal(F, part)
+
+
+@settings(max_examples=80, derandomize=True, database=None)
+@given(affine_cases((GF(2), GF(3))))
+def test_affine_solutions_against_every_point(case):
+    F, n, rows, const = case
+    elems = range(F.characteristic)
+    solutions = {
+        x
+        for x in itertools.product(elems, repeat=n)
+        if all(F.add(c, naive_matvec(F, [r], x)[0]) == 0 for r, c in zip(rows, const))
+    }
+    sol = affine_solutions(F, rows, const, n)
+    if sol is None:
+        assert solutions == set()
+        return
+    check_solution_shape(F, rows, n, sol)
+    part, null = sol
+    span = set()
+    for coeffs in itertools.product(elems, repeat=len(null)):
+        x = part
+        for a, v in zip(coeffs, null):
+            x = naive_axpy(F, a, v, x)
+        span.add(x)
+    assert len(span) == F.characteristic ** len(null)
+    assert span == solutions
+
+
+@settings(max_examples=60, derandomize=True, database=None)
+@given(affine_cases((QQ,)))
+def test_affine_solutions_over_q(case):
+    F, n, rows, const = case
+    sol = affine_solutions(F, rows, const, n)
+    augmented = [(*r, c) for r, c in zip(rows, const)]
+    rank = naive_rank(F, rows)
+    if sol is None:
+        assert naive_rank(F, augmented) > rank
+        return
+    check_solution_shape(F, rows, n, sol)
+    part, null = sol
+    assert naive_axpy(F, F.one(), naive_matvec(F, rows, part), const) == (0,) * len(rows)
+    for v in null:
+        assert naive_matvec(F, rows, v) == (0,) * len(rows)
+    assert rank + len(null) == n
+
+
+def test_affine_solutions_edge_cases():
+    for F in (QQ, GF(2)):
+        # no unknowns: solvable exactly when every constant is 0
+        assert affine_solutions(F, [(), ()], [0, 0], 0) == ((), ())
+        assert affine_solutions(F, [(), ()], [0, 1], 0) is None
+        # no equations: every point, from 0 along the standard basis
+        part, null = affine_solutions(F, [], [], 3)
+        assert part == (0, 0, 0)
+        assert list(null) == Space(F, ("a", "b", "c")).basis()
+        # x + y = 0 and x + y = 1
+        assert affine_solutions(F, [(1, 1), (1, 1)], [0, 1], 2) is None
+    # over F_p the constant is negated mod p: x = -1 is 2 in F_3
+    assert affine_solutions(GF(3), [(1,)], [1], 1) == ((2,), ())
+
+
+def test_bilinear_from_coordinates_reads_the_flat_order():
+    for L, R, K in itertools.product(range(3), repeat=3):
+        left, right, cod = space(L, "a"), space(R, "b"), space(K, "c")
+        x = list(range(L * R * K))
+        b = bilinear_from_coordinates(left, right, cod, x)
+        assert (b.left, b.right, b.codomain) == (left, right, cod)
+        for i, j, k in itertools.product(range(L), range(R), range(K)):
+            assert b.on_basis(i, j)[k] == x[(k * L + i) * R + j]
 
 
 def test_linmap_shape_is_checked_against_both_spaces():
