@@ -36,8 +36,7 @@ class Space(Record):
         return self.labels.index(label)
 
     def zero(self):
-        z = self.field.zero()
-        return tuple(z for _ in range(self.dim))
+        return (self.field.zero(),) * self.dim
 
     def basis_vector(self, i: int):
         z, one = self.field.zero(), self.field.one()

@@ -2,16 +2,29 @@
 
 T = (M (x) M) / R, where R is spanned by the two relation families
 
-    [m1,m2](x)m3 = m1(x)[m2,m3] - m2(x)[m1,m3]
-    m1(x)[m2,m3] = [m3,m1](x)m2 - [m2,m1](x)m3
+    rel1(i,j,k) = [b_i,b_j](x)b_k - b_i(x)[b_j,b_k] + b_j(x)[b_i,b_k]
+    rel2(i,j,k) = b_i(x)[b_j,b_k] - [b_k,b_i](x)b_j + [b_j,b_i](x)b_k
 
-over all basis triples.  The bracket [u(x)v, w(x)x] = [u,v](x)[w,x]
-descends to T; that descent is asserted, not assumed.  On a Lie input
-the descent and the Lie property of T are theorems, so their checks
-raise InternalInvariantViolation.
+and by c(x)c for each c in a basis of [M,M].  Each family is built on
+half its index triples, which loses nothing for an alternating bracket:
+rel1(j,i,k) = -rel1(i,j,k) and rel1(i,i,k) = 0, so family 1 runs on
+i < j; rel2(i,k,j) = -rel2(i,j,k) and rel2(i,j,j) = 0, so family 2 runs
+on j < k.  The c(x)c rows are the Lie presentation's [t,t] = 0: the
+bracket below sends t(x)t to mu(t)(x)mu(t), and c(x)c' + c'(x)c for c, c'
+in [M,M] lies in R by TAnti (see `antisymmetry_consequence`), so the
+basis rows give every mu(t)(x)mu(t).  When 2 is invertible TAnti gives
+2 c(x)c in R and the rows change nothing; in characteristic 2 the two
+families alone can leave [t,t] nonzero (gl(2) over F2).
+
+The bracket [u(x)v, w(x)x] = [u,v](x)[w,x] descends to T; that descent is
+asserted, not assumed.  On a Lie input the descent and the Lie property
+of T are theorems, in every characteristic, so their checks raise
+InternalInvariantViolation.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .algebra import Algebra, is_lie
 from .braid import XBraiding
@@ -25,6 +38,7 @@ from .linear import (
     from_columns,
     is_zero,
     quotient,
+    rref,
     vadd,
     vscale,
 )
@@ -70,32 +84,35 @@ def _bracket_map(m: Algebra, amb: Space) -> LinMap:
 
 
 def tensor_square(m: Algebra) -> TensorSquare:
-    """Quotient of M (x) M by both relation families, with the induced bracket."""
+    """Quotient of M (x) M by both relation families and the c (x) c rows,
+    with the induced bracket."""
     if not is_lie(m):
         raise NotLie("tensor_square requires a Lie algebra")
     F = m.field
     amb = _plain_tensor_space(m.space)
     n = m.dim
+    b = m.mult.on_basis
     left = [range(k, n * n, n) for k in range(n)]  # u(x)b_k
     right = [range(i * n, i * n + n) for i in range(n)]  # b_i(x)u
+    mu = _bracket_map(m, amb)
+    derived = rref(F, [mu.column(p) for p in range(amb.dim)])  # a basis of [M,M]
 
     rels = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                bij, bjk = m.mult.on_basis(i, j), m.mult.on_basis(j, k)
-                bik, bki = m.mult.on_basis(i, k), m.mult.on_basis(k, i)
-                bji = m.mult.on_basis(j, i)
-                r = list(amb.zero())
-                _place(F, r, left[k], bij, F.add)
-                _place(F, r, right[i], bjk, F.sub)
-                _place(F, r, right[j], bik, F.add)
-                rels.append(tuple(r))
-                r = list(amb.zero())
-                _place(F, r, right[i], bjk, F.add)
-                _place(F, r, left[j], bki, F.sub)
-                _place(F, r, left[k], bji, F.add)
-                rels.append(tuple(r))
+    for i, j in itertools.combinations(range(n), 2):  # family 1 on i < j
+        for k in range(n):
+            r = list(amb.zero())
+            _place(F, r, left[k], b(i, j), F.add)
+            _place(F, r, right[i], b(j, k), F.sub)
+            _place(F, r, right[j], b(i, k), F.add)
+            rels.append(tuple(r))
+    for j, k in itertools.combinations(range(n), 2):  # family 2 on j < k
+        for i in range(n):
+            r = list(amb.zero())
+            _place(F, r, right[i], b(j, k), F.add)
+            _place(F, r, left[j], b(k, i), F.sub)
+            _place(F, r, left[k], b(j, i), F.add)
+            rels.append(tuple(r))
+    rels.extend(tuple(F.mul(x, y) for x in c for y in c) for c in derived)
     relations = Subspace.span(amb, rels)
     tspace, proj = quotient(amb, relations)
 
@@ -103,20 +120,20 @@ def tensor_square(m: Algebra) -> TensorSquare:
         m.space, m.space, tspace, lambda i, j: proj.column(i * n + j)
     )
 
-    # [u(x)v, w(x)x] = [u,v](x)[w,x], so the bracket of r with e_q is
-    # mu(r)(x)mu(e_q), and 0 when mu(r) = 0; u(x)v lies in R exactly
-    # when its class pure(u, v) is 0
-    mu = _bracket_map(m, amb)
+    # [u(x)v, w(x)x] = [u,v](x)[w,x], so the bracket of r with u(x)v is
+    # mu(r)(x)[u,v], and 0 when mu(r) = 0; by bilinearity it is enough to
+    # pair mu(r) with a basis of [M,M].  u(x)v lies in R exactly when its
+    # class pure(u, v) is 0
     for r in relations.basis:
         mr = mu.apply(r)
         if is_zero(mr):
             continue
-        for q in range(amb.dim):
-            if not is_zero(pure.apply(mr, mu.column(q))):
+        for c in derived:
+            if not is_zero(pure.apply(mr, c)):
                 raise InternalInvariantViolation(
                     "bracket does not respect the relation span (left argument)"
                 )
-            if not is_zero(pure.apply(mu.column(q), mr)):
+            if not is_zero(pure.apply(c, mr)):
                 raise InternalInvariantViolation(
                     "bracket does not respect the relation span (right argument)"
                 )

@@ -4,6 +4,9 @@ import sys
 
 import pytest
 
+from braidalg.algebra import Algebra
+from braidalg.linear import bilinear_from_rule
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(ROOT, "fixtures")
 MUTATIONS = os.path.join(FIXTURES, "mutations")
@@ -40,3 +43,24 @@ def load_script(name):
 @pytest.fixture(scope="session")
 def mutations_module():
     return load_script("make_mutations")
+
+
+def sheared(a, src, dst, lam):
+    """The algebra `a` in the basis b_x (x != src), b_src + lam * b_dst,
+    keeping its labels: the same algebra, transported."""
+    F, sp = a.field, a.space
+
+    def old(i):  # the i-th new basis vector in the old basis
+        v = list(sp.basis_vector(i))
+        if i == src:
+            v[dst] = F.add(v[dst], lam)
+        return tuple(v)
+
+    def new(w):  # old coordinates -> new coordinates
+        v = list(w)
+        v[dst] = F.sub(v[dst], F.mul(lam, w[src]))
+        return tuple(v)
+
+    return Algebra(
+        sp, bilinear_from_rule(sp, sp, sp, lambda i, j: new(a.mult.apply(old(i), old(j))))
+    )

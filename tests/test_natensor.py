@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from braidalg.algebra import Algebra, catalog, is_lie
@@ -5,8 +7,8 @@ from braidalg.braid import validate_braiding_xmod_lie
 from braidalg import natensor
 from braidalg.cli import main
 from braidalg.errors import InternalInvariantViolation, InvalidInput, NotLie
-from braidalg.fields import QQ
-from braidalg.linear import Space, Subspace, bilinear_from_rule
+from braidalg.fields import GF, QQ
+from braidalg.linear import Space, Subspace, bilinear_from_rule, vadd
 from braidalg.natensor import (
     TensorSquare,
     antisymmetry_consequence,
@@ -16,7 +18,7 @@ from braidalg.natensor import (
 )
 from braidalg.xmod import validate_xmod_lie
 
-from conftest import load_script
+from conftest import load_script, sheared
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
@@ -61,9 +63,7 @@ def test_boundary_of_e_tensor_f_is_h():
     assert x.boundary.apply(e_tensor_f) == a.space.basis_vector(0)
 
 
-@pytest.mark.parametrize("name", ("sl2", "Heis3", "gl2", "Ab(3)"))
-def test_tensor_xmod_and_braiding_validate(name):
-    ts = tensor_square(catalog(name, QQ))
+def assert_tensor_braiding_valid(ts):
     assert is_lie(ts.carrier)
     assert validate_xmod_lie(tensor_xmod(ts)).ok
     b = tensor_braiding(ts)
@@ -71,6 +71,94 @@ def test_tensor_xmod_and_braiding_validate(name):
     assert rep.ok
     assert {e.tag for e in rep.entries} >= {f"BLie{i}" for i in range(1, 7)}
     assert antisymmetry_consequence(ts).ok
+
+
+@pytest.mark.parametrize("name", ("sl2", "Heis3", "gl2", "Ab(3)"))
+def test_tensor_xmod_and_braiding_validate(name):
+    assert_tensor_braiding_valid(tensor_square(catalog(name, QQ)))
+
+
+def test_gl2_over_f2_tensor_square():
+    # the two families alone leave [t,t] = mu(t)(x)mu(t) nonzero here
+    ts = tensor_square(catalog("gl2", GF(2)))
+    assert ts.carrier.dim == 4
+    assert_tensor_braiding_valid(ts)
+
+
+GL2_F2 = """field Fp 2
+algebra A basis e11, e12, e21, e22 {
+  e11*e12 = e12;  e11*e21 = e21;  e12*e11 = e12;  e12*e21 = e11 + e22;
+  e12*e22 = e12;  e21*e11 = e21;  e21*e12 = e11 + e22;  e21*e22 = e21;
+  e22*e12 = e12;  e22*e21 = e21;
+}
+"""
+
+
+@pytest.mark.parametrize("kind", ("natensor", "tensor-xmod"))
+def test_construct_on_gl2_over_f2_succeeds(kind, tmp_path, capsys):
+    path = tmp_path / "gl2.alg"
+    path.write_text(GL2_F2)
+    assert main(["construct", kind, str(path), "--subject", "A"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "algebra A_T_M basis e21_e12, e22_e12, e22_e21, e22_e22 {" in out
+
+
+def test_gl4_tensor_square_is_gl4():
+    """sl(n) is perfect with H_2 = 0 in characteristic 0, so
+    sl(n) (x) sl(n) = sl(n); with gl(n) = sl(n) + k, gl(4) (x) gl(4) has
+    dimension 16 and its boundary has image [M,M] = sl(4)."""
+    m = catalog("gl(4)", QQ)
+    ts = tensor_square(m)
+    assert ts.carrier.dim == 16
+    boundary = tensor_xmod(ts).boundary
+    image = Subspace.span(m.space, [boundary.column(p) for p in range(16)])
+    derived = Subspace.span(
+        m.space, [m.mult.on_basis(i, j) for i in range(16) for j in range(16)]
+    )
+    assert image == derived
+    assert image.dim == 15
+
+
+def full_relation_span(m, amb):
+    """Both families on all n^3 basis triples, plus t(x)t for every t in
+    [M,M]: c(x)c and c(x)d + d(x)c over a basis of [M,M], whose span is
+    that of all t(x)t in every characteristic."""
+    F, n = m.field, m.dim
+    e, b = m.space.basis_vector, m.mult.on_basis
+
+    def outer(u, v):
+        return tuple(F.mul(x, y) for x in u for y in v)
+
+    def comb(p, q, r):  # p - q + r
+        return tuple(F.add(F.sub(x, y), z) for x, y, z in zip(p, q, r))
+
+    rows = []
+    for i, j, k in itertools.product(range(n), repeat=3):
+        rows.append(comb(outer(b(i, j), e(k)), outer(e(i), b(j, k)), outer(e(j), b(i, k))))
+        rows.append(comb(outer(e(i), b(j, k)), outer(b(k, i), e(j)), outer(b(j, i), e(k))))
+    families = Subspace.span(amb, rows)
+    derived = Subspace.span(m.space, [b(i, j) for i in range(n) for j in range(n)]).basis
+    for p, c in enumerate(derived):
+        rows.append(outer(c, c))
+        rows.extend(vadd(F, outer(c, d), outer(d, c)) for d in derived[p + 1 :])
+    return families, Subspace.span(amb, rows)
+
+
+@pytest.mark.parametrize("field", (QQ, GF(2), GF(3), GF(5)), ids=str)
+@pytest.mark.parametrize("name", ("sl2", "Heis3", "gl(2)", "gl(3)", "sheared gl(2)"))
+def test_reduced_relations_span_the_full_families(name, field):
+    """tensor_square builds family 1 on i < j, family 2 on j < k and
+    c(x)c on a basis c of [M,M] only; the span is the full one."""
+    if name.startswith("sheared"):
+        m = sheared(catalog(name.split()[1], field), 1, 0, field.one())
+    else:
+        m = catalog(name, field)
+    ts = tensor_square(m)
+    families, full = full_relation_span(m, ts.relations.ambient)
+    assert ts.relations == full
+    if field.characteristic != 2:  # then the t(x)t rows already lie in R
+        assert families == full
 
 
 def test_basis_invariance_of_dimension():
