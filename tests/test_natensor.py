@@ -8,7 +8,7 @@ from braidalg import natensor
 from braidalg.cli import main
 from braidalg.errors import InternalInvariantViolation, InvalidInput, NotLie
 from braidalg.fields import GF, QQ
-from braidalg.linear import Space, Subspace, bilinear_from_rule, vadd
+from braidalg.linear import Space, Subspace, bilinear_from_rule
 from braidalg.natensor import (
     TensorSquare,
     antisymmetry_consequence,
@@ -141,7 +141,8 @@ def full_relation_span(m, amb):
     derived = Subspace.span(m.space, [b(i, j) for i in range(n) for j in range(n)]).basis
     for p, c in enumerate(derived):
         rows.append(outer(c, c))
-        rows.extend(vadd(F, outer(c, d), outer(d, c)) for d in derived[p + 1 :])
+        for d in derived[p + 1 :]:
+            rows.append(tuple(map(F.add, outer(c, d), outer(d, c))))
     return families, Subspace.span(amb, rows)
 
 
