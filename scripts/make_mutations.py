@@ -16,14 +16,17 @@ rest (morphism and internal functor mutations, anticoherence, the tensor
 antisymmetry check, and validators no block kind uses) carry their own
 report and are only checked by the test suite.
 
-The bases the solver scripts/find_isolating_mutations.py also searches
-are taken from it, not built again: its degenerate associative crossed
-modules, the Heis3 tensor braiding and its bar construction, and the
-helpers `alg`, `bil` and `zero_braiding`.  The four solver-derived files
-ast2_fail.alg, ast3_fail.alg, ast4_fail.alg and liet2_fail.alg are
-listed in the manifest under the solver's names but not rewritten here.
+The last cases are derived, not written by hand.  Every braiding axiom
+is affine in the brace or tau once the base is fixed, so for a target
+tag `search` solves "every other law of the validator's law table
+holds" (`braid.braiding_space`) on a list of candidate bases and keeps
+the first braiding that fails the target.  Its hits are written as
+{tag}_fail.alg with the subject mut_{tag}.
+
+Run from the repository root:  python3 scripts/make_mutations.py
 """
 
+import functools
 import json
 import os
 import sys
@@ -31,21 +34,31 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-sys.path.insert(0, os.path.dirname(__file__))
 
 from braidalg.action import AssocAction, LieAction, zero_action_assoc, zero_action_lie
-from braidalg.algebra import Algebra, catalog
+from braidalg.algebra import Algebra, catalog, from_constants
 from braidalg.braid import (
     CatBraiding,
     XBraiding,
+    _bar,
+    braiding_cat_assoc_laws,
+    braiding_cat_lie_alt_laws,
+    braiding_cat_lie_ulualan_laws,
+    braiding_space,
+    braiding_system,
+    braiding_xmod_lie_laws,
+    bracket_braiding,
     check_anticoherence,
+    commutator_braiding,
+    cx_functor,
     validate_braided_internal_functor,
     validate_braided_xmod_morphism,
     validate_braiding_cat_lie_alt,
 )
 from braidalg.dsl import BLOCK_KINDS, _print_object, parse, print_document
+from braidalg.fields import QQ
 from braidalg.groupx import GroupXMod, cyclic, klein_four, symmetric3
-from braidalg.icat import ASSOC, LIE, CatAlgebra, discrete_cat
+from braidalg.icat import ASSOC, LIE, CatAlgebra, cat_liefy, discrete_cat
 from braidalg.linear import (
     Space,
     Subspace,
@@ -55,22 +68,114 @@ from braidalg.linear import (
     kernel,
     vadd,
     vscale,
+    zero_bilmap,
     zero_map,
 )
-from braidalg.natensor import TensorSquare, antisymmetry_consequence
+from braidalg.natensor import (
+    TensorSquare,
+    antisymmetry_consequence,
+    tensor_braiding,
+    tensor_square,
+)
+from braidalg.report import sweep
 from braidalg.xmod import XModAssoc, XModLie, XModMorphism
 
-from find_isolating_mutations import (
-    F,
-    alg,
-    bil,
-    degenerate_xmods,
-    fixture_names,
-    heis3_tensor,
-    heis3_tensor_bar,
-    zero_braiding,
-    zero_xmod,
-)
+F = QQ
+
+
+# ---------------------------------------------------------------------------
+# bases, shared by the hand-written cases and the solver
+
+
+def alg(labels, prods=None, field=F):
+    return from_constants(Space(field, tuple(labels)), prods or {})
+
+
+def bil(left, right, cod, entries):
+    """BilMap from {(i, j): {k: scalar}} on basis indices."""
+
+    def rule(i, j):
+        v = [cod.field.zero()] * cod.dim
+        for k, c in entries.get((i, j), {}).items():
+            v[k] = cod.field.of(c)
+        return tuple(v)
+
+    return bilinear_from_rule(left, right, cod, rule)
+
+
+def zero_xmod(actor, module, lie=False):
+    """The crossed module of `actor` on `module` with zero action and boundary."""
+    d = zero_map(module.space, actor.space)
+    if lie:
+        return XModLie(zero_action_lie(actor, module), d)
+    return XModAssoc(zero_action_assoc(actor, module), d)
+
+
+def zero_braiding(base):
+    """`base`, a crossed module or a categorical algebra, with the zero
+    braiding N x N -> M or C0 x C0 -> C1."""
+    if isinstance(base, CatAlgebra):
+        c0, c1 = base.c0.space, base.c1.space
+        return CatBraiding(base, zero_bilmap(c0, c0, c1))
+    return XBraiding(base, zero_bilmap(base.n.space, base.n.space, base.m.space))
+
+
+# The braided tensor crossed module of Heis3 and its bar construction are
+# built once per run and field.
+@functools.cache
+def heis3_tensor(field):
+    return tensor_braiding(tensor_square(catalog("Heis3", field)))
+
+
+@functools.cache
+def heis3_tensor_bar(field):
+    """`braid._bar` of the Heis3 tensor crossed module: (cat, semidirect)."""
+    return _bar(heis3_tensor(field).base)
+
+
+def degenerate_xmods(field=F):
+    """Valid associative crossed modules with room in the brace/tau tensor."""
+    m, uv = alg(("m",), field=field), alg(("u", "v"), field=field)
+    # boundary with kernel and cokernel, everything else zero
+    m2 = alg(("m1", "m2"), field=field)
+    d = from_columns(m2.space, uv.space, [uv.space.basis_vector(0), uv.space.zero()])
+    yield "ker", XModAssoc(zero_action_assoc(uv, m2), d)
+    # one-sided identity actor, nontrivial action, zero boundary
+    nu = alg(
+        ("u", "v"),
+        {("u", "u"): {"u": 1}, ("u", "v"): {"v": 1}, ("v", "u"): {"v": 1}},
+        field=field,
+    )
+    star1 = bil(nu.space, m.space, m.space, {(0, 0): {0: 1}})
+    star2 = bil(m.space, nu.space, m.space, {(0, 0): {0: 1}})
+    yield "idact", XModAssoc(
+        AssocAction(nu, m, star1, star2), zero_map(m.space, nu.space)
+    )
+    # noncommutative actor, zero action and boundary
+    nl = alg(("u", "v"), {("u", "u"): {"u": 1}, ("u", "v"): {"v": 1}}, field=field)
+    yield "noncomm", zero_xmod(nl, m)
+
+
+@functools.cache
+def lie_degenerate_bars(field):
+    """Bar constructions of valid Lie crossed modules, as (name,
+    categorical algebra) pairs, on which the suite compares the two Lie
+    braiding lists.  Only the last carries a braiding over Q."""
+    m = alg(("m",), field=field)
+    # solvable 2-dim actor [u,v] = v, and Heis3; both act by dot(b_0, m) = m,
+    # with zero boundary
+    nsolv = alg(("u", "v"), {("u", "v"): {"v": 1}, ("v", "u"): {"v": -1}}, field=field)
+    bars = []
+    for name, n in (("solv", nsolv), ("heisdot", catalog("Heis3", field))):
+        dot = bil(n.space, m.space, m.space, {(0, 0): {0: 1}})
+        x = XModLie(LieAction(n, m, dot), zero_map(m.space, n.space))
+        bars.append((name, _bar(x)[0]))
+    # tensor-square crossed module of Heis3 (kernel and cokernel both nonzero)
+    return (*bars, ("heisT", heis3_tensor_bar(field)[0]))
+
+
+# ---------------------------------------------------------------------------
+# cases
 
 
 def _perturbed(bm, kv, slot):
@@ -90,15 +195,20 @@ def _braced(x, entries):
 
 @dataclass(frozen=True)
 class Case:
-    name: str  # fixture stem and DSL subject name
+    name: str  # DSL subject name, and fixture stem unless `stem` is set
     target: str  # the tag the case is about
     expected: tuple  # exact failing tags of the subject report
     report: Callable  # () -> ValidationReport for the subject
     doc: Optional[Callable] = None  # () -> DSL text, subject named `name`
     note: str = ""  # set when the target cannot fail alone
+    stem: str = ""
+
+    @property
+    def file(self):
+        return f"{self.stem or self.name}.alg"
 
 
-def dsl_case(target, kind, obj, name="", expected=(), note=""):
+def dsl_case(target, kind, obj, name="", expected=(), note="", stem=""):
     """A case on the block `name` of kind `kind`: the validator of its kind
     in `dsl.BLOCK_KINDS` reports on it and the DSL prints it.  By default the block is named
     after the target in lower case and fails the target alone."""
@@ -110,6 +220,7 @@ def dsl_case(target, kind, obj, name="", expected=(), note=""):
         lambda: BLOCK_KINDS[kind].validate(obj, name),
         lambda: _print_object(F, kind, obj, name),
         note,
+        stem,
     )
 
 
@@ -203,7 +314,7 @@ def _central_extension(n, lie):
 
 
 def xmod_braiding_cases(bases):
-    """`bases`: the solver's degenerate associative crossed modules by name."""
+    """`bases`: the degenerate associative crossed modules by name."""
     ker, idact = bases["ker"], bases["idact"]
     yield dsl_case("BAs1", "braiding", zero_braiding(bases["noncomm"]))
     yield dsl_case("BAs3", "braiding", _braced(ker, {(0, 1): {1: 1}}))
@@ -515,6 +626,90 @@ def group_cases():
 
 
 # ---------------------------------------------------------------------------
+# isolating braidings, derived from the validators' law tables
+
+
+def isolate(cache, name, b, laws, target):
+    """A braiding on `b.base` that satisfies every law of `laws` except
+    those tagged `target`, and fails `target`; None if there is none.
+
+    `cache` keeps the `braiding_system` of each candidate `name`, one tag
+    at a time: a tag names the same law in every table that holds it.
+    """
+    tags = dict.fromkeys(tag for tag, _, _ in laws(b))
+    system = cache.setdefault(name, {})
+    new = [tag for tag in tags if tag not in system]
+    if new:
+        system.update(
+            braiding_system(b, lambda o: [law for law in laws(o) if law[0] in new])
+        )
+    for mut in braiding_space(b, system, [tag for tag in tags if tag != target]) or ():
+        if not all(sweep(*law).ok for law in laws(mut) if law[0] == target):
+            return mut
+    return None
+
+
+def cat_assoc_candidates():
+    for name, x in degenerate_xmods():
+        yield name + "cx", zero_braiding(_bar(x)[0])
+    yield "upper2cx", cx_functor(commutator_braiding(catalog("Upper(2)", F)))
+    yield "mat2cx", cx_functor(commutator_braiding(catalog("Mat(2)", F)))
+
+
+def cat_lie_candidates(assoc):
+    """The Heis3 tensor bar, then the Lie-fied bases of `assoc`, the
+    associative candidates.  The other bars of `lie_degenerate_bars` have
+    zero boundary, so s = t, and LieT1 leaves them no tau over Q."""
+    yield "heisTbar", zero_braiding(heis3_tensor_bar(F)[0])
+    for name, b in assoc:
+        yield name + "lie", zero_braiding(cat_liefy(b.base))
+
+
+def xmod_lie_candidates():
+    yield "sl2T", tensor_braiding(tensor_square(catalog("sl2", F)))
+    yield "heis3T", heis3_tensor(F)
+    yield "gl2id", bracket_braiding(catalog("gl2", F))
+
+
+def families():
+    """Each law table with its candidates and the tags targeted; each
+    candidate list is built once, and both Lie categorical tables share one."""
+    assoc = list(cat_assoc_candidates())
+    lie = list(cat_lie_candidates(assoc))
+    return (
+        (braiding_cat_assoc_laws, assoc, ("AsT2", "AsT3", "AsT4")),
+        (braiding_cat_lie_ulualan_laws, lie, ("LieT2", "LieB3", "LieB4")),
+        (braiding_cat_lie_alt_laws, lie, ("LieT3", "LieT4")),
+        (braiding_xmod_lie_laws, list(xmod_lie_candidates()), ("BLie5", "BLie6")),
+    )
+
+
+@functools.cache
+def search():
+    """For each target tag, the first candidate with an isolating braiding
+    as (candidate name, braiding), or None; computed once per process."""
+    cache, found = {}, {}
+    for laws, candidates, targets in families():
+        for target in targets:
+            found[target] = None
+            for name, b in candidates:
+                mut = isolate(cache, name, b, laws, target)
+                if mut is not None:
+                    found[target] = (name, mut)
+                    break
+    return found
+
+
+def solver_cases():
+    for target, hit in search().items():
+        if hit is not None:
+            tag = target.lower()
+            yield dsl_case(
+                target, "braiding", hit[1], name=f"mut_{tag}", stem=f"{tag}_fail"
+            )
+
+
+# ---------------------------------------------------------------------------
 # registry
 
 
@@ -527,32 +722,18 @@ def all_cases():
         *cat_braiding_cases(),
         *morphism_cases(),
         *group_cases(),
+        *solver_cases(),
     ]
 
 
-def _solver_entry(tag):
-    fname, subject = fixture_names(tag)
-    return {
-        "file": fname,
-        "subject": subject,
-        "target": tag,
-        "expected_failing_tags": [tag],
-    }
-
-
-# the isolating braidings scripts/find_isolating_mutations.py writes
-SOLVER_FIXTURES = tuple(_solver_entry(t) for t in ("AsT2", "AsT3", "AsT4", "LieT2"))
-
-
 def manifest():
-    """The manifest entries: one per case with a DSL document, in case
-    order, then one per solver fixture."""
+    """The manifest entries: one per case with a DSL document, in case order."""
     entries = []
     for case in all_cases():
         if case.doc is None:
             continue
         entry = {
-            "file": f"{case.name}.alg",
+            "file": case.file,
             "subject": case.name,
             "target": case.target,
             "expected_failing_tags": list(case.expected),
@@ -560,7 +741,7 @@ def manifest():
         if case.note:
             entry["note"] = case.note
         entries.append(entry)
-    return entries + [dict(e) for e in SOLVER_FIXTURES]
+    return entries
 
 
 def main():
@@ -574,14 +755,8 @@ def main():
             bad += 1
         print(f"{case.name:14s} expected {list(case.expected)} got {list(got)} {status}")
         if case.doc is not None:
-            path = os.path.join(outdir, f"{case.name}.alg")
-            with open(path, "w", encoding="utf-8") as fh:
+            with open(os.path.join(outdir, case.file), "w", encoding="utf-8") as fh:
                 fh.write(print_document(parse(case.doc())))
-    for entry in SOLVER_FIXTURES:
-        if not os.path.exists(os.path.join(outdir, entry["file"])):
-            raise SystemExit(
-                f"{entry['file']} is missing; run scripts/find_isolating_mutations.py"
-            )
     entries = manifest()
     with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(entries, fh, indent=2)

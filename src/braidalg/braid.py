@@ -9,7 +9,8 @@ Each braiding validator sweeps a law table, `braiding_*_laws(b)` or
 `report.sweep` takes, in report order.
 Other code that needs an axiom reads the table: with the base fixed,
 every law is affine in the braiding, and `braiding_system` reads each
-table as linear equations in the braiding's coordinates.
+table as linear equations in the braiding's coordinates, which
+`braiding_space` solves.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .linear import (
     BilMap,
     LinMap,
     Space,
+    affine_solutions,
     bilinear_from_coordinates,
     bilinear_from_rule,
     from_columns,
@@ -419,10 +421,16 @@ def check_anticoherence(b: CatBraiding, subject: str = "braiding") -> Validation
 # braiding spaces: with the base fixed, each law is affine in the braiding
 
 
+def _braiding_map(b: XBraiding | CatBraiding) -> BilMap:
+    """The braiding of `b`: tau on a categorical algebra, the brace on a
+    crossed module."""
+    return b.tau if isinstance(b, CatBraiding) else b.brace
+
+
 def with_braiding(b: XBraiding | CatBraiding, x):
     """The base of `b` with the braiding whose coordinates are `x`, in the
     order of `bilinear_from_coordinates`."""
-    t = b.tau if isinstance(b, CatBraiding) else b.brace
+    t = _braiding_map(b)
     return type(b)(b.base, bilinear_from_coordinates(t.left, t.right, t.codomain, x))
 
 
@@ -430,7 +438,7 @@ def braiding_system(b: XBraiding | CatBraiding, laws):
     """{tag: (rows, const)}: the residuals lhs - rhs of the laws of
     `laws(b)` with that tag, in `sweep` order, are rows . x + const at the
     braiding on `b.base` whose coordinates are x."""
-    t = b.tau if isinstance(b, CatBraiding) else b.brace
+    t = _braiding_map(b)
     F, n = t.field, t.left.dim * t.right.dim * t.codomain.dim
 
     def residuals(x):
@@ -449,6 +457,24 @@ def braiding_system(b: XBraiding | CatBraiding, laws):
         cols = [vsub(F, unit[tag], c) for unit in units]
         system[tag] = ([tuple(col[r] for col in cols) for r in range(len(c))], c)
     return system
+
+
+def braiding_space(b: XBraiding | CatBraiding, system, tags=None):
+    """The braidings on `b.base` passing the equations of `system`, a
+    `braiding_system` of `b`, with a tag in `tags` (every tag if None):
+    the one at `affine_solutions`' particular solution, then one step from
+    it along each vector of its basis.  None if no braiding passes them.
+    Every law is affine in the braiding, so these points cover the space."""
+    t = _braiding_map(b)
+    F, rows, const = t.field, [], []
+    for tag in system if tags is None else tags:
+        rows += system[tag][0]
+        const += system[tag][1]
+    sol = affine_solutions(F, rows, const, t.left.dim * t.right.dim * t.codomain.dim)
+    if sol is None:
+        return None
+    part, null = sol
+    return tuple(with_braiding(b, x) for x in (part, *(vadd(F, part, v) for v in null)))
 
 
 # ---------------------------------------------------------------------------

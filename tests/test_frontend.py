@@ -118,13 +118,21 @@ def test_print_cat_doc_of_a_discrete_cat():
 
 
 @pytest.mark.parametrize(
-    "name", ("mat2_braided.alg", "sl2_braided.alg", "s3_group.alg")
+    "path", all_fixture_files(), ids=lambda p: os.path.relpath(p, FIXTURES)
 )
-def test_committed_fixtures_are_canonical(name):
-    path = os.path.join(FIXTURES, name)
+def test_committed_fixtures_are_canonical(path):
     with open(path, "r", encoding="utf-8") as fh:
         source = fh.read()
     assert print_document(parse(source)) == source
+
+
+def test_benchmark_golden_digests_cover_the_corpus():
+    # the benchmark looks up a golden report digest per committed file, so
+    # a fixture added or renamed without a digest breaks its runs
+    with open(os.path.join(ROOT, "braidbench", "golden.json"), encoding="utf-8") as fh:
+        golden = json.load(fh)
+    paths = {os.path.relpath(p, ROOT).replace(os.sep, "/") for p in all_fixture_files()}
+    assert paths == set(golden)
 
 
 def test_validate_valid_fixture_exits_zero(capsys):
