@@ -55,7 +55,7 @@ from braidalg.braid import (
     validate_braided_xmod_morphism,
     validate_braiding_cat_lie_alt,
 )
-from braidalg.dsl import BLOCK_KINDS, _print_object, parse, print_document
+from braidalg.dsl import BLOCK_KINDS, _print_object
 from braidalg.fields import QQ
 from braidalg.groupx import GroupXMod, cyclic, klein_four, symmetric3
 from braidalg.icat import ASSOC, LIE, CatAlgebra, cat_liefy, discrete_cat
@@ -756,7 +756,7 @@ def main():
         print(f"{case.name:14s} expected {list(case.expected)} got {list(got)} {status}")
         if case.doc is not None:
             with open(os.path.join(outdir, case.file), "w", encoding="utf-8") as fh:
-                fh.write(print_document(parse(case.doc())))
+                fh.write(case.doc())
     entries = manifest()
     with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(entries, fh, indent=2)

@@ -204,16 +204,16 @@ class _Parser:
                 t = self.peek()
                 if t.kind == "ident":
                     self.next()
-                    vec[self._label(space, t)] = F.add(
-                        vec[self._label(space, t)], coeff
-                    )
+                    i = self._label(space, t)
+                    vec[i] = F.add(vec[i], coeff)
                 elif coeff != F.zero():
                     raise DslSyntaxError(
                         "scalar term needs a basis label", t.line, t.col
                     )
             elif t.kind == "ident":
                 self.next()
-                vec[self._label(space, t)] = F.add(vec[self._label(space, t)], sign)
+                i = self._label(space, t)
+                vec[i] = F.add(vec[i], sign)
             else:
                 raise DslSyntaxError(
                     f"expected a term, found {t.value or t.kind!r}", t.line, t.col
@@ -622,48 +622,45 @@ def _pairs(b: BilMap, head: str):
 class _Printer:
     """The text of one document, one `print_<kind>` formatter per block kind.
 
-    A block names its parts through `ref`, and that is the only place where
-    reprinting a parsed document (`doc`) differs from printing a
-    constructed object, whose parts are named `{stem}_{suffix}`.
+    Parsed documents and constructed objects print by one naming rule: a
+    part is named by the first printed block of its kind with an equal
+    value, and a part not printed yet is printed first as `{stem}_{suffix}`.
     """
 
-    def __init__(self, field: Field | None, doc=None, stem=None):
+    def __init__(self, field: Field | None, stem=None):
         self.lines = []
         if field is not None:
             self.lines.append(
                 "field Q" if field.is_rationals else f"field Fp {field.characteristic}"
             )
-        self.doc = doc
         self.stem = stem
         self.printed = []  # (kind, obj, name) of each block printed so far
+
+    def printed_as(self, kind, obj):
+        """The name of the first printed `kind` block equal to `obj`, or None."""
+        return next((n for k, o, n in self.printed if k == kind and o == obj), None)
 
     def block(self, kind, name, obj) -> str:
         """Print `obj` as block `name` and return the name it is printed under.
 
-        An algebra or group equal to one printed already is not printed
-        again: the earlier name is returned.
+        A value of a kind with no validator (algebra, map, bilinear, group)
+        equal to one printed already is not printed again: the earlier
+        name is returned.
         """
-        if kind in ("algebra", "group"):
-            for k, o, n in self.printed:
-                if k == kind and o == obj:
-                    return n
+        if BLOCK_KINDS[kind].validate is None:
+            earlier = self.printed_as(kind, obj)
+            if earlier is not None:
+                return earlier
         self.printed.append((kind, obj, name))
         BLOCK_KINDS[kind].print(self, name, obj)
         return name
 
     def ref(self, kind, obj, suffix) -> str:
-        """The name a block gives its part `obj`.
-
-        In a parsed document it is the first block of that kind equal to
-        `obj`.  A constructed object's part is printed first, as its own
-        block `{stem}_{suffix}`.
-        """
-        if self.doc is None:
-            return self.block(kind, f"{self.stem}_{suffix}", obj)
-        for n, k, o in self.doc.blocks:
-            if k == kind and o == obj:
-                return n
-        raise KeyError(f"document has no {kind} block for {obj!r}")
+        """The name a block gives its part `obj`: the first printed block
+        of that kind equal to `obj`, else a new block `{stem}_{suffix}`."""
+        return self.printed_as(kind, obj) or self.block(
+            kind, f"{self.stem}_{suffix}", obj
+        )
 
     def space(self, sp: Space) -> str:
         """Maps and bilinears carry only spaces: any algebra on `sp` names it."""
@@ -867,7 +864,7 @@ def print_groupxmod_doc(x, name="X") -> str:
 
 def print_document(doc: Document) -> str:
     """Canonical text for a parsed document (field line plus each block)."""
-    p = _Printer(doc.field, doc=doc)
+    p = _Printer(doc.field)
     for name, kind, obj in doc.blocks:
         p.block(kind, name, obj)
     return p.text()

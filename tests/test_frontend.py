@@ -32,7 +32,7 @@ from braidalg.groupx import conjugation_example, cyclic
 from braidalg.icat import ASSOC, discrete_cat
 from braidalg.linear import Space
 
-from conftest import FIXTURES, MUTATIONS, ROOT
+from conftest import FIXTURES, MUTATIONS, ROOT, load_script
 
 
 def all_fixture_files():
@@ -78,13 +78,12 @@ def _idempotent():
 
 
 def test_print_action_doc_of_a_self_action():
-    # star1 is star2, yet each keeps its own block
+    # star1 is star2, so it is printed once and named twice
     assert print_action_doc(self_action(_idempotent()), "a") == (
         "field Q\n"
         "algebra a_M basis x {\n  x*x = x;\n}\n"
         "bilinear a_star1 : a_M, a_M -> a_M {\n  (x, x) = x;\n}\n"
-        "bilinear a_star2 : a_M, a_M -> a_M {\n  (x, x) = x;\n}\n"
-        "action a : a_M on a_M {\n  star1 = a_star1;\n  star2 = a_star2;\n}\n"
+        "action a : a_M on a_M {\n  star1 = a_star1;\n  star2 = a_star1;\n}\n"
     )
 
 
@@ -105,15 +104,13 @@ def test_print_groupxmod_doc_prints_an_equal_group_once():
 
 
 def test_print_cat_doc_of_a_discrete_cat():
-    # s is t is e, yet each keeps its own block
+    # s is t is e, so one map block serves all three
     assert print_cat_doc(discrete_cat(_idempotent(), ASSOC), "c") == (
         "field Q\n"
         "algebra c_C1 basis x {\n  x*x = x;\n}\n"
         "map c_s : c_C1 -> c_C1 {\n  x |-> x;\n}\n"
-        "map c_t : c_C1 -> c_C1 {\n  x |-> x;\n}\n"
-        "map c_e : c_C1 -> c_C1 {\n  x |-> x;\n}\n"
         "cat c {\n  flavor = assoc;\n  c1 = c_C1;\n  c0 = c_C1;\n"
-        "  s = c_s;\n  t = c_t;\n  e = c_e;\n}\n"
+        "  s = c_s;\n  t = c_s;\n  e = c_s;\n}\n"
     )
 
 
@@ -124,6 +121,62 @@ def test_committed_fixtures_are_canonical(path):
     with open(path, "r", encoding="utf-8") as fh:
         source = fh.read()
     assert print_document(parse(source)) == source
+
+
+# i and j are equal maps, m1 and m2 equal bilinears
+TWIN_PARTS = """field Q
+algebra A basis x { x*x = x; }
+map i : A -> A { x |-> x; }
+map j : A -> A { x |-> x; }
+bilinear m1 : A, A -> A { (x, x) = x; }
+bilinear m2 : A, A -> A { (x, x) = x; }
+action act : A on A { star1 = m1; star2 = m2; }
+cat c { flavor = assoc; c1 = A; c0 = A; s = i; t = j; e = j; }
+"""
+
+
+def test_reprint_prints_an_equal_map_or_bilinear_once():
+    doc = parse(TWIN_PARTS)
+    text = print_document(doc)
+    assert text == (
+        "field Q\n"
+        "algebra A basis x {\n  x*x = x;\n}\n"
+        "map i : A -> A {\n  x |-> x;\n}\n"
+        "bilinear m1 : A, A -> A {\n  (x, x) = x;\n}\n"
+        "action act : A on A {\n  star1 = m1;\n  star2 = m1;\n}\n"
+        "cat c {\n  flavor = assoc;\n  c1 = A;\n  c0 = A;\n"
+        "  s = i;\n  t = i;\n  e = i;\n}\n"
+    )
+    again = parse(text)
+    for name in ("act", "c"):
+        assert again.lookup(name) == doc.lookup(name)
+
+
+def test_every_construct_output_is_its_own_reprint(capsys):
+    # the construct commands of scripts/output_digests.py, read from
+    # cli.CONSTRUCT_TAKES, over every fixture and mutation file
+    digests = load_script("output_digests")
+    built, not_canonical = 0, []
+    for path in digests.input_files():
+        for cmd in digests.commands(os.path.join(ROOT, path)):
+            if cmd[0] != "construct" or main(cmd) != 0:
+                capsys.readouterr()
+                continue
+            out = capsys.readouterr().out
+            built += 1
+            if print_document(parse(out)) != out:
+                not_canonical.append(f"{cmd[1]} {path} --subject {cmd[4]}")
+    assert built > 200
+    assert not_canonical == []
+
+
+def test_make_fixtures_writes_the_committed_fixtures():
+    docs = load_script("make_fixtures").documents()
+    committed = sorted(glob.glob(os.path.join(FIXTURES, "*.alg")))
+    assert sorted(docs) == [os.path.basename(p) for p in committed]
+    for fname, text in docs.items():
+        with open(os.path.join(FIXTURES, fname), "rb") as fh:
+            assert fh.read() == text.encode("utf-8"), fname
 
 
 def test_benchmark_golden_digests_cover_the_corpus():
