@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .algebra import Algebra, _liefy, is_associative, is_lie
+from .algebra import Algebra, _liefy, each_algebra, is_associative, is_lie
 from .errors import InvalidAction
 from .linear import (
     BilMap,
@@ -160,20 +160,19 @@ def validate_lie_action(a: LieAction, subject: str = "action") -> ValidationRepo
     return merge(subject, checks)
 
 
-def _require_valid_assoc_action(a: AssocAction, message: str):
-    rep = validate_assoc_action(a)
-    # a self-action has actor is module: check that algebra once
-    if not rep.ok or not (
-        is_associative(a.actor) and (a.module is a.actor or is_associative(a.module))
-    ):
+def _require_valid_action(a: AssocAction | LieAction, message: str):
+    """Refuse `a` with InvalidAction and its report unless it satisfies the
+    axioms of its flavor between algebras of that flavor."""
+    assoc = isinstance(a, AssocAction)
+    rep = validate_assoc_action(a) if assoc else validate_lie_action(a)
+    rep.require(InvalidAction, message)
+    if not each_algebra(is_associative if assoc else is_lie, a.actor, a.module):
         raise InvalidAction(message, rep)
 
 
 def induced_lie_action(a: AssocAction) -> LieAction:
     """[n, m]_* = n *1 m - m *2 n, a Lie action of N^L on M^L."""
-    _require_valid_assoc_action(
-        a, "induced_lie_action requires a valid associative action"
-    )
+    _require_valid_action(a, "induced_lie_action requires a valid associative action")
     return _induced_lie_action(a)
 
 
@@ -197,10 +196,22 @@ def _semidirect_space(m: Space, n: Space):
     return direct_sum(m, n, left_prefix="m_", right_prefix="n_")
 
 
-def _semidirect(M: Algebra, N: Algebra, m_part) -> Semidirect:
-    """M x| N with product (m_part(m, n, m', n'), nn'); no input checks."""
+def _semidirect(a: AssocAction | LieAction) -> Semidirect:
+    """The semidirect product of an action the caller has validated."""
+    M, N = a.module, a.actor
     total, incl_m, incl_n, proj_m, proj_n = _semidirect_space(M.space, N.space)
     F = total.field
+    if isinstance(a, AssocAction):
+
+        def m_part(u_m, u_n, v_m, v_n):  # mm' + n *1 m' + m *2 n'
+            mm = vadd(F, M.product(u_m, v_m), a.star1.apply(u_n, v_m))
+            return vadd(F, mm, a.star2.apply(u_m, v_n))
+
+    else:
+
+        def m_part(u_m, u_n, v_m, v_n):  # [m,m'] + n.m' - n'.m
+            mm = vadd(F, M.product(u_m, v_m), a.dot.apply(u_n, v_m))
+            return vsub(F, mm, a.dot.apply(v_n, u_m))
 
     def rule(i, j):
         u_m, u_n = proj_m.column(i), proj_n.column(i)
@@ -217,43 +228,11 @@ def _semidirect(M: Algebra, N: Algebra, m_part) -> Semidirect:
 
 def semidirect_assoc(a: AssocAction) -> Semidirect:
     """(m,n)(m',n') = (mm' + n *1 m' + m *2 n', nn')."""
-    _require_valid_assoc_action(a, "semidirect product requires a valid action")
-    return _semidirect_assoc(a)
-
-
-def _semidirect_assoc(a: AssocAction) -> Semidirect:
-    """semidirect_assoc on an action the caller has validated."""
-    M = a.module
-    F = M.field
-    return _semidirect(
-        M,
-        a.actor,
-        lambda u_m, u_n, v_m, v_n: vadd(
-            F,
-            vadd(F, M.product(u_m, v_m), a.star1.apply(u_n, v_m)),
-            a.star2.apply(u_m, v_n),
-        ),
-    )
+    _require_valid_action(a, "semidirect product requires a valid action")
+    return _semidirect(a)
 
 
 def semidirect_lie(a: LieAction) -> Semidirect:
     """[(m,n),(m',n')] = ([m,m'] + n.m' - n'.m, [n,n'])."""
-    rep = validate_lie_action(a)
-    if not rep.ok or not (is_lie(a.actor) and (a.module is a.actor or is_lie(a.module))):
-        raise InvalidAction("semidirect product requires a valid Lie action", rep)
-    return _semidirect_lie(a)
-
-
-def _semidirect_lie(a: LieAction) -> Semidirect:
-    """semidirect_lie on an action the caller has validated."""
-    M = a.module
-    F = M.field
-    return _semidirect(
-        M,
-        a.actor,
-        lambda u_m, u_n, v_m, v_n: vsub(
-            F,
-            vadd(F, M.product(u_m, v_m), a.dot.apply(u_n, v_m)),
-            a.dot.apply(v_n, u_m),
-        ),
-    )
+    _require_valid_action(a, "semidirect product requires a valid Lie action")
+    return _semidirect(a)

@@ -29,6 +29,7 @@ __all__ = [
     "is_associative",
     "is_lie",
     "is_leibniz",
+    "each_algebra",
     "liefy",
     "is_homomorphism",
     "hom_sweep",
@@ -115,6 +116,16 @@ def is_lie(a: Algebra) -> bool:
     return all(
         is_zero(vadd(F, vadd(F, nested(i, j, k), nested(j, k, i)), nested(k, i, j)))
         for i, j, k in itertools.combinations(range(n), 3)
+    )
+
+
+def each_algebra(holds, *algebras) -> bool:
+    """`holds(a)` for each of `algebras` in order, stopping at the first
+    failure; an algebra passed twice (by identity) is checked once."""
+    return all(
+        holds(a)
+        for i, a in enumerate(algebras)
+        if all(a is not b for b in algebras[:i])
     )
 
 

@@ -15,7 +15,7 @@ table as linear equations in the braiding's coordinates, which
 
 from __future__ import annotations
 
-from .action import AssocAction, _semidirect_assoc, _semidirect_lie
+from .action import AssocAction, _semidirect
 from .algebra import Algebra, hom_sweep, intertwining_sweep
 from .errors import CharTwo, InternalInvariantViolation, InvalidInput, InvalidXMod
 from .icat import ASSOC, LIE, CatAlgebra, k_formula, require_valid_cat
@@ -485,10 +485,8 @@ def _bar(x: XModAssoc | XModLie):
     """The categorical algebra (M x| N, N, s, t, e) of a crossed module the
     caller has validated, with s = proj_N, t = proj_N + d proj_M, e = incl_N,
     and the semidirect product it is built on."""
-    if isinstance(x, XModAssoc):
-        sd, flavor = _semidirect_assoc(x.action), ASSOC
-    else:
-        sd, flavor = _semidirect_lie(x.action), LIE
+    sd = _semidirect(x.action)
+    flavor = ASSOC if isinstance(x, XModAssoc) else LIE
     t = sd.proj_actor.add(x.boundary.after(sd.proj_module))
     return CatAlgebra(sd.algebra, x.n, sd.proj_actor, t, sd.incl_actor, flavor), sd
 
@@ -503,9 +501,7 @@ def _check_cx_input(b: XBraiding):
     if not isinstance(b.base, XModAssoc):
         raise InvalidInput("cx_functor takes a braided associative crossed module")
     require_valid_xmod_assoc(b.base)
-    rep = validate_braiding_xmod_assoc(b)
-    if not rep.ok:
-        raise InvalidInput("braiding axioms fail", rep)
+    validate_braiding_xmod_assoc(b).require(InvalidInput, "braiding axioms fail")
 
 
 def _cx(b: XBraiding):
@@ -524,11 +520,7 @@ def _cx(b: XBraiding):
 
     tau = bilinear_from_rule(N.space, N.space, sd.algebra.space, rule)
     out = CatBraiding(cat, tau)
-    rep = validate_braiding_cat_assoc(out)
-    if not rep.ok:
-        raise InternalInvariantViolation(
-            f"bar construction failed to validate: {rep.failing_tags()}"
-        )
+    validate_braiding_cat_assoc(out).assert_ok("bar construction failed to validate")
     return out, sd
 
 
@@ -551,9 +543,9 @@ def _check_xc_input(b: CatBraiding):
     if b.base.flavor != ASSOC:
         raise InvalidInput("xc_functor takes a braided associative categorical algebra")
     require_valid_cat(b.base)
-    rep = validate_braiding_cat_assoc(b)
-    if not rep.ok:
-        raise InvalidInput("categorical braiding axioms fail", rep)
+    validate_braiding_cat_assoc(b).require(
+        InvalidInput, "categorical braiding axioms fail"
+    )
 
 
 def _xc(b: CatBraiding, kpart) -> XBraiding:
@@ -606,11 +598,9 @@ def _xc(b: CatBraiding, kpart) -> XBraiding:
         raise InternalInvariantViolation(
             f"kernel construction failed to validate: {exc}"
         ) from exc
-    rep = validate_braiding_xmod_assoc(out)
-    if not rep.ok:
-        raise InternalInvariantViolation(
-            f"kernel construction failed to validate: {rep.failing_tags()}"
-        )
+    validate_braiding_xmod_assoc(out).assert_ok(
+        "kernel construction failed to validate"
+    )
     return out
 
 
@@ -739,16 +729,12 @@ def cat_braiding_liefy(b: CatBraiding) -> CatBraiding:
 
     if b.base.c1.field.characteristic == 2:
         raise CharTwo("braiding Lie-fication requires characteristic != 2")
-    rep = validate_braiding_cat_assoc(b)
-    if not rep.ok:
-        raise InvalidInput("input braiding axioms fail", rep)
+    validate_braiding_cat_assoc(b).require(InvalidInput, "input braiding axioms fail")
     base = cat_liefy(b.base)
     out = CatBraiding(base, b.tau.sub(b.tau.swapped()))
-    rep = validate_braiding_cat_lie_ulualan(out)
-    if not rep.ok:
-        raise InternalInvariantViolation(
-            f"Lie-fied categorical braiding failed: {rep.failing_tags()}"
-        )
+    validate_braiding_cat_lie_ulualan(out).assert_ok(
+        "Lie-fied categorical braiding failed"
+    )
     return out
 
 
@@ -759,18 +745,12 @@ def xmod_braiding_liefy(b: XBraiding) -> XBraiding:
     F = b.base.m.field
     if F.characteristic == 2:
         raise CharTwo("braiding Lie-fication requires characteristic != 2")
-    rep = validate_braiding_xmod_assoc(b)
-    if not rep.ok:
-        raise InvalidInput("input braiding axioms fail", rep)
+    validate_braiding_xmod_assoc(b).require(InvalidInput, "input braiding axioms fail")
     base = xmod_liefy(b.base)
     half = F.inv(F.of(2))
     brace = b.brace.sub(b.brace.swapped()).scale(half)
     out = XBraiding(base, brace)
-    rep = validate_braiding_xmod_lie(out)
-    if not rep.ok:
-        raise InternalInvariantViolation(
-            f"Lie-fied braiding failed: {rep.failing_tags()}"
-        )
+    validate_braiding_xmod_lie(out).assert_ok("Lie-fied braiding failed")
     return out
 
 

@@ -593,6 +593,7 @@ def parse(source: str) -> Document:
 
 
 def _expr_str(F: Field, space: Space, vec) -> str:
+    """A nonzero `vec` as a combination of basis labels."""
     pieces = []
     for i, c in enumerate(vec):
         if c == F.zero():
@@ -605,8 +606,6 @@ def _expr_str(F: Field, space: Space, vec) -> str:
             pieces.append(f"-{term}" if negative else term)
         else:
             pieces.append(f"- {term}" if negative else f"+ {term}")
-    if not pieces:
-        return "0"
     return " ".join(pieces)
 
 

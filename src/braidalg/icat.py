@@ -7,7 +7,7 @@ treat the lemma itself as a tested property.
 
 from __future__ import annotations
 
-from .algebra import Algebra, _liefy, hom_sweep, is_associative, is_lie
+from .algebra import Algebra, _liefy, each_algebra, hom_sweep, is_associative, is_lie
 from .errors import (
     InternalInvariantViolation,
     InvalidCatAlgebra,
@@ -166,12 +166,11 @@ def validate_cat_algebra(c: CatAlgebra, subject: str = "cat") -> ValidationRepor
 
 def require_valid_cat(c: CatAlgebra):
     flavor_ok = is_associative if c.flavor == ASSOC else is_lie
-    # a discrete category has c1 is c0: check that algebra once
-    if not (flavor_ok(c.c1) and (c.c0 is c.c1 or flavor_ok(c.c0))):
+    if not each_algebra(flavor_ok, c.c1, c.c0):
         raise InvalidCatAlgebra(f"C1 and C0 must be {c.flavor} algebras")
-    rep = validate_cat_algebra(c)
-    if not rep.ok:
-        raise InvalidCatAlgebra("categorical algebra axioms fail", rep)
+    validate_cat_algebra(c).require(
+        InvalidCatAlgebra, "categorical algebra axioms fail"
+    )
 
 
 def cat_liefy(c: CatAlgebra) -> CatAlgebra:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from .errors import InternalInvariantViolation
 from .record import Record
 
 
@@ -30,6 +31,17 @@ class ValidationReport(Record):
 
     def failing_tags(self):
         return [e.tag for e in self.entries if not e.ok]
+
+    def require(self, error, message):
+        """Refuse an input: raise `error(message, self)` unless all passed."""
+        if not self.ok:
+            raise error(message, self)
+
+    def assert_ok(self, message):
+        """Assert a theorem: raise InternalInvariantViolation naming the
+        failing tags unless all passed."""
+        if not self.ok:
+            raise InternalInvariantViolation(f"{message}: {self.failing_tags()}")
 
     def to_json_obj(self):
         out = []
@@ -87,9 +99,7 @@ def sweep(tag: str, dims, law) -> AxiomCheck:
 def merge(subject: str, *parts) -> ValidationReport:
     entries = []
     for p in parts:
-        if isinstance(p, AxiomCheck):
-            entries.append(p)
-        elif isinstance(p, ValidationReport):
+        if isinstance(p, ValidationReport):
             entries.extend(p.entries)
         else:
             entries.extend(p)

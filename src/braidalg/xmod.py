@@ -17,6 +17,7 @@ from .action import (
 )
 from .algebra import (
     Algebra,
+    each_algebra,
     hom_sweep,
     intertwining_sweep,
     is_associative,
@@ -120,30 +121,21 @@ def validate_xmod_lie(x: XModLie, subject: str = "xmod") -> ValidationReport:
 
 def require_valid_xmod_assoc(x: XModAssoc):
     """Structural preconditions plus XAs axioms; raises InvalidXMod."""
-    # an identity crossed module has m is n: check that algebra once
-    if not (is_associative(x.m) and (x.n is x.m or is_associative(x.n))):
+    if not each_algebra(is_associative, x.m, x.n):
         raise InvalidXMod("crossed module algebras must be associative")
     if not is_homomorphism(x.boundary, x.m, x.n):
         raise InvalidXMod("boundary is not an algebra homomorphism")
-    rep = validate_assoc_action(x.action)
-    if not rep.ok:
-        raise InvalidXMod("invalid associative action", rep)
-    rep = validate_xmod_assoc(x)
-    if not rep.ok:
-        raise InvalidXMod("crossed module axioms fail", rep)
+    validate_assoc_action(x.action).require(InvalidXMod, "invalid associative action")
+    validate_xmod_assoc(x).require(InvalidXMod, "crossed module axioms fail")
 
 
 def require_valid_xmod_lie(x: XModLie):
-    if not (is_lie(x.m) and (x.n is x.m or is_lie(x.n))):
+    if not each_algebra(is_lie, x.m, x.n):
         raise InvalidXMod("crossed module algebras must be Lie")
     if not is_homomorphism(x.boundary, x.m, x.n):
         raise InvalidXMod("boundary is not an algebra homomorphism")
-    rep = validate_lie_action(x.action)
-    if not rep.ok:
-        raise InvalidXMod("invalid Lie action", rep)
-    rep = validate_xmod_lie(x)
-    if not rep.ok:
-        raise InvalidXMod("crossed module axioms fail", rep)
+    validate_lie_action(x.action).require(InvalidXMod, "invalid Lie action")
+    validate_xmod_lie(x).require(InvalidXMod, "crossed module axioms fail")
 
 
 def xmod_liefy(x: XModAssoc) -> XModLie:

@@ -675,3 +675,64 @@ def test_row_listed_twice_keeps_its_position(body, message):
     with pytest.raises(DslSyntaxError) as exc:
         parse(ONE_ALGEBRA + body)
     assert str(exc.value) == f"{message} listed twice"
+
+
+# an algebra A, a 2-dim algebra B, a bilinear b and a map d, on lines 1-9
+PRELUDE = (
+    "field Q\nalgebra A basis x {\n}\nalgebra B basis y, z {\n}\n"
+    "bilinear b : A, A -> A {\n}\nmap d : A -> A {\n}\n"
+)
+LIE_ACTION = "action act : A on A {\n  dot = b;\n}\n"
+
+
+@pytest.mark.parametrize(
+    "source,message",
+    (
+        ("field Fp 5\nalgebra A basis x {\n  x*x = 1/5 x;\n}\n",
+         "3:9: scalar '1/5' has no value in F5"),
+        ("field Q\nalgebra A basis x {\n  x*x = 2;\n}\n",
+         "3:10: scalar term needs a basis label"),
+        (PRELUDE + "map e : d -> A {\n}\n", "10:9: 'd' is a map, expected algebra"),
+        (PRELUDE + "algebra A basis w {\n}\n", "10:9: duplicate name 'A'"),
+        (PRELUDE + "xmod X {\n  foo = d;\n}\n", "11:3: unknown entry 'foo'"),
+        (PRELUDE + "xmod X {\n}\n", "10:6: missing entry 'action'"),
+        (PRELUDE + "xmod X {\n  boundary = d;\n  boundary = d;\n}\n",
+         "12:3: duplicate entry 'boundary'"),
+        ("field R\n", "1:7: unknown field 'R'"),
+        ("field Q\nalgebra A basis x, x {\n}\n", "2:9: duplicate basis labels"),
+        (PRELUDE + "action act : A on A {\n  dot = b;\n  star1 = b;\n}\n",
+         "10:8: an action has either dot or star1/star2, not both"),
+        (PRELUDE + "bilinear c : B, A -> A {\n}\naction act : A on A {\n  dot = c;\n}\n",
+         "13:9: bilinear 'c' has the wrong signature"),
+        (PRELUDE + "map f : B -> A {\n}\n" + LIE_ACTION
+         + "xmod X {\n  action = act;\n  boundary = f;\n}\n",
+         "17:14: boundary must map the module to the actor"),
+        (PRELUDE + LIE_ACTION + "xmod X {\n  action = act;\n  boundary = d;\n}\n"
+         + "braiding Br {\n  xmod = X;\n  tau = b;\n}\n",
+         "17:10: a braiding is over an xmod or a cat, not both"),
+        (PRELUDE + "cat C {\n  flavor = both;\n}\n", "11:12: flavor must be assoc or lie"),
+        (PRELUDE + "map f : B -> A {\n}\ncat C {\n  flavor = assoc;\n  c1 = A;\n"
+         "  c0 = A;\n  s = f;\n  t = d;\n  e = d;\n}\n",
+         "16:7: map 'f' has the wrong signature"),
+    ),
+    ids=("scalar", "label", "kind", "name", "entry", "missing", "repeated", "field",
+         "labels", "dot_and_star", "signature", "boundary", "xmod_and_cat", "flavor",
+         "map"),
+)
+def test_each_dsl_refusal_exits_two_at_its_position(source, message, tmp_path, capsys):
+    path = tmp_path / "bad.alg"
+    path.write_text(source, encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_comments_run_from_hash_to_the_end_of_the_line():
+    with open(os.path.join(FIXTURES, "heis3_braided.alg"), encoding="utf-8") as fh:
+        plain = fh.read()
+    commented = "".join(
+        f"# line {n}\n{line}# trailing, with ; and {{\n"
+        for n, line in enumerate(plain.splitlines())
+    )
+    assert parse(commented) == parse(plain)

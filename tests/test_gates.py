@@ -1,6 +1,8 @@
 """Each checked entry's gates: what it refuses, with which exception, message
 and report, and the message of each theorem check it asserts."""
 
+import ast
+import glob
 import os
 
 import pytest
@@ -52,7 +54,7 @@ from braidalg.xmod import (
     validate_xmod_lie,
 )
 
-from conftest import MUTATIONS
+from conftest import MUTATIONS, ROOT
 
 MAT2 = catalog("Mat(2)", QQ)
 SL2 = catalog("sl2", QQ)
@@ -278,13 +280,6 @@ def test_each_gate_refuses_with_its_message_and_report(call, error, message, rep
     assert exc.value.report == report()
 
 
-def test_a_flavor_refusal_carries_a_passing_report():
-    for a, call in ((ASSOC_OVER_SL2, semidirect_assoc), (LIE_OVER_MAT2, semidirect_lie)):
-        with pytest.raises(InvalidAction) as exc:
-            call(a)
-        assert exc.value.report.ok
-
-
 FAILING = merge(
     "braiding",
     [AxiomCheck("T1", True), AxiomCheck("T2", False, Witness((0,), (1,), (0,)))],
@@ -357,3 +352,28 @@ def test_each_theorem_check_names_the_failing_tags(
     with pytest.raises(InternalInvariantViolation) as exc:
         call(*mat2_braidings)
     assert str(exc.value) == message
+
+
+def test_reports_raise_themselves_and_one_semidirect_core():
+    # a gate is `report.require(...)` or `report.assert_ok(...)`; and the
+    # two flavors of semidirect product share one core in action.py
+    src = os.path.join(ROOT, "src", "braidalg")
+    bare = []
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        if os.path.basename(path) == "report.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            for n, line in enumerate(fh, 1):
+                if line.strip() == "if not rep.ok:":
+                    bare.append((os.path.basename(path), n))
+    assert bare == []
+    with open(os.path.join(src, "action.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    cores = [
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_semidirect")
+        and node.name != "_semidirect_space"
+    ]
+    assert cores == ["_semidirect"]

@@ -150,7 +150,9 @@ def full_relation_span(m, amb):
 @pytest.mark.parametrize("name", ("sl2", "Heis3", "gl(2)", "gl(3)", "sheared gl(2)"))
 def test_reduced_relations_span_the_full_families(name, field):
     """tensor_square builds family 1 on i < j, family 2 on j < k and
-    c(x)c on a basis c of [M,M] only; the span is the full one."""
+    c(x)c on a basis c of [M,M] only; the span is the full one, and the
+    bracket map mu(b_i (x) b_j) = [b_i, b_j] vanishes on it (by Jacobi and
+    alternation), which is what tensor_square asserts."""
     if name.startswith("sheared"):
         m = sheared(catalog(name.split()[1], field), 1, 0, field.one())
     else:
@@ -160,6 +162,13 @@ def test_reduced_relations_span_the_full_families(name, field):
     assert ts.relations == full
     if field.characteristic != 2:  # then the t(x)t rows already lie in R
         assert families == full
+    n = m.dim
+    for r in ts.relations.basis:
+        mu = m.space.zero()
+        for p, c in enumerate(r):
+            bracket = m.mult.on_basis(*divmod(p, n))
+            mu = tuple(field.add(x, field.mul(c, y)) for x, y in zip(mu, bracket))
+        assert mu == m.space.zero()
 
 
 def test_basis_invariance_of_dimension():
@@ -194,10 +203,20 @@ def test_tensor_square_postcondition_is_an_internal_invariant(monkeypatch):
         tensor_square(catalog("sl2", QQ))
 
 
+def test_tensor_square_descent_is_an_internal_invariant(monkeypatch):
+    # mu vanishes on the relations by Jacobi and alternation; were it not
+    # to, the theorem that the bracket descends would be broken
+    monkeypatch.setattr(natensor, "is_zero", lambda v: False)
+    with pytest.raises(InternalInvariantViolation) as exc:
+        tensor_square(catalog("sl2", QQ))
+    assert str(exc.value) == "bracket map does not vanish on the relation span"
+
+
 def test_tensor_xmod_descent_is_an_internal_invariant():
     ts = tensor_square(catalog("sl2", QQ))
     amb = ts.relations.ambient
-    # h (x) e is no relation: its boundary [h, e] = 2e does not vanish
+    # h (x) e is no relation: e acts on it as [e, h] (x) e = -2 e (x) e,
+    # which its span does not contain
     relations = Subspace.span(amb, [amb.basis_vector(1)])
     bad = TensorSquare(ts.base, ts.carrier, ts.pure, relations, ts.proj, ts.lift)
     with pytest.raises(InternalInvariantViolation):
