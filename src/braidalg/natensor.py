@@ -168,7 +168,8 @@ def tensor_xmod(ts: TensorSquare) -> XModLie:
                 _place(F, out, range(i * n, i * n + n), vscale(F, c, baj), F.add)
         return tuple(out)
 
-    # the boundary descends to T: tensor_square asserted mu(R) = 0
+    # tensor_square asserted mu(R) = 0, so the boundary descends to T; the
+    # action descends if it preserves R
     for r in ts.relations.basis:
         for a in range(n):
             if not ts.relations.contains(act(a, r)):
