@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .algebra import Algebra, _liefy, each_algebra, is_associative, is_lie
+from .algebra import Algebra, _both, _liefy, is_associative, is_lie
 from .errors import InvalidAction
 from .linear import (
     BilMap,
@@ -160,19 +160,42 @@ def validate_lie_action(a: LieAction, subject: str = "action") -> ValidationRepo
     return merge(subject, checks)
 
 
-def _require_valid_action(a: AssocAction | LieAction, message: str):
+def _assoc_m_part(a: AssocAction, F, u_m, u_n, v_m, v_n):
+    """mm' + n *1 m' + m *2 n'"""
+    mm = vadd(F, a.module.product(u_m, v_m), a.star1.apply(u_n, v_m))
+    return vadd(F, mm, a.star2.apply(u_m, v_n))
+
+
+def _lie_m_part(a: LieAction, F, u_m, u_n, v_m, v_n):
+    """[m,m'] + n.m' - n'.m"""
+    mm = vadd(F, a.module.product(u_m, v_m), a.dot.apply(u_n, v_m))
+    return vsub(F, mm, a.dot.apply(v_n, u_m))
+
+
+# per flavor: its action axioms, the property both algebras need, and the
+# module part of the semidirect product
+_FLAVORS = {
+    AssocAction: (validate_assoc_action, is_associative, _assoc_m_part),
+    LieAction: (validate_lie_action, is_lie, _lie_m_part),
+}
+
+
+def _require_valid_action(a: AssocAction | LieAction, flavor: type, message: str):
     """Refuse `a` with InvalidAction and its report unless it satisfies the
-    axioms of its flavor between algebras of that flavor."""
-    assoc = isinstance(a, AssocAction)
-    rep = validate_assoc_action(a) if assoc else validate_lie_action(a)
+    axioms of `flavor` between algebras of that flavor; an action of the
+    other flavor lacks the maps the validator reads, and fails there."""
+    validate, holds, _ = _FLAVORS[flavor]
+    rep = validate(a)
     rep.require(InvalidAction, message)
-    if not each_algebra(is_associative if assoc else is_lie, a.actor, a.module):
+    if not _both(holds, a.actor, a.module):
         raise InvalidAction(message, rep)
 
 
 def induced_lie_action(a: AssocAction) -> LieAction:
     """[n, m]_* = n *1 m - m *2 n, a Lie action of N^L on M^L."""
-    _require_valid_action(a, "induced_lie_action requires a valid associative action")
+    _require_valid_action(
+        a, AssocAction, "induced_lie_action requires a valid associative action"
+    )
     return _induced_lie_action(a)
 
 
@@ -201,24 +224,14 @@ def _semidirect(a: AssocAction | LieAction) -> Semidirect:
     M, N = a.module, a.actor
     total, incl_m, incl_n, proj_m, proj_n = _semidirect_space(M.space, N.space)
     F = total.field
-    if isinstance(a, AssocAction):
-
-        def m_part(u_m, u_n, v_m, v_n):  # mm' + n *1 m' + m *2 n'
-            mm = vadd(F, M.product(u_m, v_m), a.star1.apply(u_n, v_m))
-            return vadd(F, mm, a.star2.apply(u_m, v_n))
-
-    else:
-
-        def m_part(u_m, u_n, v_m, v_n):  # [m,m'] + n.m' - n'.m
-            mm = vadd(F, M.product(u_m, v_m), a.dot.apply(u_n, v_m))
-            return vsub(F, mm, a.dot.apply(v_n, u_m))
+    m_part = _FLAVORS[type(a)][2]
 
     def rule(i, j):
         u_m, u_n = proj_m.column(i), proj_n.column(i)
         v_m, v_n = proj_m.column(j), proj_n.column(j)
         return vadd(
             F,
-            incl_m.apply(m_part(u_m, u_n, v_m, v_n)),
+            incl_m.apply(m_part(a, F, u_m, u_n, v_m, v_n)),
             incl_n.apply(N.product(u_n, v_n)),
         )
 
@@ -228,11 +241,13 @@ def _semidirect(a: AssocAction | LieAction) -> Semidirect:
 
 def semidirect_assoc(a: AssocAction) -> Semidirect:
     """(m,n)(m',n') = (mm' + n *1 m' + m *2 n', nn')."""
-    _require_valid_action(a, "semidirect product requires a valid action")
+    _require_valid_action(a, AssocAction, "semidirect product requires a valid action")
     return _semidirect(a)
 
 
 def semidirect_lie(a: LieAction) -> Semidirect:
     """[(m,n),(m',n')] = ([m,m'] + n.m' - n'.m, [n,n'])."""
-    _require_valid_action(a, "semidirect product requires a valid Lie action")
+    _require_valid_action(
+        a, LieAction, "semidirect product requires a valid Lie action"
+    )
     return _semidirect(a)

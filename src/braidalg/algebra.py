@@ -29,7 +29,6 @@ __all__ = [
     "is_associative",
     "is_lie",
     "is_leibniz",
-    "each_algebra",
     "liefy",
     "is_homomorphism",
     "hom_sweep",
@@ -119,14 +118,10 @@ def is_lie(a: Algebra) -> bool:
     )
 
 
-def each_algebra(holds, *algebras) -> bool:
-    """`holds(a)` for each of `algebras` in order, stopping at the first
-    failure; an algebra passed twice (by identity) is checked once."""
-    return all(
-        holds(a)
-        for i, a in enumerate(algebras)
-        if all(a is not b for b in algebras[:i])
-    )
+def _both(holds, a: Algebra, b: Algebra) -> bool:
+    """`holds` on `a`, then on `b` unless it is `a` (a self-action, an
+    identity crossed module or a discrete category checks its algebra once)."""
+    return holds(a) and (b is a or holds(b))
 
 
 def is_leibniz(a: Algebra) -> bool:

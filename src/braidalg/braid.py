@@ -561,27 +561,15 @@ def _xc(b: CatBraiding, kpart) -> XBraiding:
             raise InternalInvariantViolation("value escaped ker(s)")
         return coords
 
-    kalg = Algebra(
-        kspace,
-        bilinear_from_rule(
-            kspace,
-            kspace,
-            kspace,
-            lambda i, j: kcoords(c1.product(ks.basis[i], ks.basis[j])),
-        ),
-    )
-    star1 = bilinear_from_rule(
-        c0.space,
-        kspace,
-        kspace,
-        lambda a, i: kcoords(c1.product(c.e.column(a), ks.basis[i])),
-    )
-    star2 = bilinear_from_rule(
-        kspace,
-        c0.space,
-        kspace,
-        lambda i, a: kcoords(c1.product(ks.basis[i], c.e.column(a))),
-    )
+    def product_in_ker(left, x, right, y):  # (i, j) -> x(i) y(j), inside ker(s)
+        return bilinear_from_rule(
+            left, right, kspace, lambda i, j: kcoords(c1.product(x(i), y(j)))
+        )
+
+    k, e = ks.basis.__getitem__, c.e.column
+    kalg = Algebra(kspace, product_in_ker(kspace, k, kspace, k))
+    star1 = product_in_ker(c0.space, e, kspace, k)
+    star2 = product_in_ker(kspace, k, c0.space, e)
     boundary = c.t.after(incl)
     action = AssocAction(c0, kalg, star1, star2)
     base = XModAssoc(action, boundary)

@@ -7,7 +7,7 @@ treat the lemma itself as a tested property.
 
 from __future__ import annotations
 
-from .algebra import Algebra, _liefy, each_algebra, hom_sweep, is_associative, is_lie
+from .algebra import Algebra, _both, _liefy, hom_sweep, is_associative, is_lie
 from .errors import (
     InternalInvariantViolation,
     InvalidCatAlgebra,
@@ -166,7 +166,7 @@ def validate_cat_algebra(c: CatAlgebra, subject: str = "cat") -> ValidationRepor
 
 def require_valid_cat(c: CatAlgebra):
     flavor_ok = is_associative if c.flavor == ASSOC else is_lie
-    if not each_algebra(flavor_ok, c.c1, c.c0):
+    if not _both(flavor_ok, c.c1, c.c0):
         raise InvalidCatAlgebra(f"C1 and C0 must be {c.flavor} algebras")
     validate_cat_algebra(c).require(
         InvalidCatAlgebra, "categorical algebra axioms fail"

@@ -148,7 +148,10 @@ def tensor_square(m: Algebra) -> TensorSquare:
 
 
 def tensor_xmod(ts: TensorSquare) -> XModLie:
-    """(T, M, m.(m1 (x) m2) = [m,m1] (x) m2 + m1 (x) [m,m2], d(m1 (x) m2) = [m1,m2])."""
+    """(T, M, m.(m1 (x) m2) = [m,m1] (x) m2 + m1 (x) [m,m2], d(m1 (x) m2) = [m1,m2]).
+
+    `ts` must come from tensor_square, which asserts that mu vanishes on its
+    relations: d is well defined on T only then, and it is not checked here."""
     m = ts.base
     F = m.field
     n = m.dim

@@ -17,7 +17,7 @@ from .action import (
 )
 from .algebra import (
     Algebra,
-    each_algebra,
+    _both,
     hom_sweep,
     intertwining_sweep,
     is_associative,
@@ -121,7 +121,7 @@ def validate_xmod_lie(x: XModLie, subject: str = "xmod") -> ValidationReport:
 
 def require_valid_xmod_assoc(x: XModAssoc):
     """Structural preconditions plus XAs axioms; raises InvalidXMod."""
-    if not each_algebra(is_associative, x.m, x.n):
+    if not _both(is_associative, x.m, x.n):
         raise InvalidXMod("crossed module algebras must be associative")
     if not is_homomorphism(x.boundary, x.m, x.n):
         raise InvalidXMod("boundary is not an algebra homomorphism")
@@ -130,7 +130,7 @@ def require_valid_xmod_assoc(x: XModAssoc):
 
 
 def require_valid_xmod_lie(x: XModLie):
-    if not each_algebra(is_lie, x.m, x.n):
+    if not _both(is_lie, x.m, x.n):
         raise InvalidXMod("crossed module algebras must be Lie")
     if not is_homomorphism(x.boundary, x.m, x.n):
         raise InvalidXMod("boundary is not an algebra homomorphism")

@@ -11,6 +11,7 @@ from braidalg import braid
 from braidalg.action import (
     AssocAction,
     LieAction,
+    adjoint_action,
     induced_lie_action,
     self_action,
     semidirect_assoc,
@@ -354,26 +355,59 @@ def test_each_theorem_check_names_the_failing_tags(
     assert str(exc.value) == message
 
 
+def _functions_refusing_on_ok(tree):
+    """Names of the functions with an `if` whose test holds `not <x>.ok`."""
+    return {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.If)
+        for test in ast.walk(node.test)
+        if isinstance(test, ast.UnaryOp)
+        and isinstance(test.op, ast.Not)
+        and isinstance(test.operand, ast.Attribute)
+        and test.operand.attr == "ok"
+    }
+
+
 def test_reports_raise_themselves_and_one_semidirect_core():
-    # a gate is `report.require(...)` or `report.assert_ok(...)`; and the
-    # two flavors of semidirect product share one core in action.py
+    # a gate is `report.require(...)` or `report.assert_ok(...)`, except in
+    # alpha/beta, which also compare ranks; and the two flavors of
+    # semidirect product share one core in action.py
     src = os.path.join(ROOT, "src", "braidalg")
-    bare = []
+    trees = {}
     for path in sorted(glob.glob(os.path.join(src, "*.py"))):
-        if os.path.basename(path) == "report.py":
-            continue
         with open(path, encoding="utf-8") as fh:
-            for n, line in enumerate(fh, 1):
-                if line.strip() == "if not rep.ok:":
-                    bare.append((os.path.basename(path), n))
-    assert bare == []
-    with open(os.path.join(src, "action.py"), encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
+            trees[os.path.basename(path)] = ast.parse(fh.read())
+    hand_written = {
+        (name, fn)
+        for name, tree in trees.items()
+        if name != "report.py"
+        for fn in _functions_refusing_on_ok(tree)
+    }
+    assert hand_written == {("braid.py", "_alpha"), ("braid.py", "_beta")}
     cores = [
         node.name
-        for node in tree.body
+        for node in trees["action.py"].body
         if isinstance(node, ast.FunctionDef)
         and node.name.startswith("_semidirect")
         and node.name != "_semidirect_space"
     ]
     assert cores == ["_semidirect"]
+
+
+@pytest.mark.parametrize(
+    "entry,action",
+    [
+        (semidirect_assoc, adjoint_action(SL2)),
+        (induced_lie_action, adjoint_action(SL2)),
+        (semidirect_lie, self_action(MAT2)),
+    ],
+    ids=["semidirect_assoc", "induced_lie_action", "semidirect_lie"],
+)
+def test_flavor_named_entries_refuse_the_other_flavor(entry, action):
+    # each action is valid in its own flavor; the validator of the entry's
+    # flavor reads maps that it does not have, so nothing is built
+    with pytest.raises(AttributeError):
+        entry(action)
