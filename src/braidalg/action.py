@@ -181,9 +181,11 @@ _FLAVORS = {
 
 
 def _require_valid_action(a: AssocAction | LieAction, flavor: type, message: str):
-    """Refuse `a` with InvalidAction and its report unless it satisfies the
-    axioms of `flavor` between algebras of that flavor; an action of the
-    other flavor lacks the maps the validator reads, and fails there."""
+    """Refuse `a` with InvalidAction unless it is a `flavor` action that
+    satisfies that flavor's axioms, with its report, between algebras of
+    that flavor."""
+    if type(a) is not flavor:
+        raise InvalidAction(f"{message}: got {type(a).__name__}")
     validate, holds, _ = _FLAVORS[flavor]
     rep = validate(a)
     rep.require(InvalidAction, message)

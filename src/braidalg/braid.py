@@ -258,7 +258,7 @@ def _cat_t12(b: CatBraiding, t1: str, t2: str):
 def braiding_cat_assoc_laws(b: CatBraiding):
     """AsT1..AsT4 as (tag, dims, law) triples; AsT2-4 evaluate compositions
     via the forced formula."""
-    c, c1, c0, tau = _cat_parts(b)
+    c, _, c0, tau = _cat_parts(b)
 
     return _cat_t12(b, "AsT1", "AsT2") + [
         (
@@ -268,8 +268,8 @@ def braiding_cat_assoc_laws(b: CatBraiding):
                 tau.apply_right(c0.mult.on_basis(a, d), g),
                 k_formula(
                     c,
-                    c1.product(c.e.column(a), tau.on_basis(d, g)),
-                    c1.product(tau.on_basis(a, g), c.e.column(d)),
+                    c.e_mul.apply_left(a, tau.on_basis(d, g)),
+                    c.mul_e.apply_right(tau.on_basis(a, g), d),
                 ),
             ),
         ),
@@ -280,8 +280,8 @@ def braiding_cat_assoc_laws(b: CatBraiding):
                 tau.apply_left(a, c0.mult.on_basis(d, g)),
                 k_formula(
                     c,
-                    c1.product(tau.on_basis(a, d), c.e.column(g)),
-                    c1.product(c.e.column(d), tau.on_basis(a, g)),
+                    c.mul_e.apply_right(tau.on_basis(a, d), g),
+                    c.e_mul.apply_left(d, tau.on_basis(a, g)),
                 ),
             ),
         ),
@@ -308,8 +308,8 @@ def braiding_cat_lie_ulualan_laws(b: CatBraiding):
                 tau.apply_right(c0.mult.on_basis(a, d), g),
                 vadd(
                     F,
-                    c1.product(tau.on_basis(a, g), c.e.column(d)),
-                    c1.product(c.e.column(a), tau.on_basis(d, g)),
+                    c.mul_e.apply_right(tau.on_basis(a, g), d),
+                    c.e_mul.apply_left(a, tau.on_basis(d, g)),
                 ),
             ),
         ),
@@ -320,8 +320,8 @@ def braiding_cat_lie_ulualan_laws(b: CatBraiding):
                 tau.apply_left(a, c0.mult.on_basis(d, g)),
                 vadd(
                     F,
-                    c1.product(c.e.column(d), tau.on_basis(a, g)),
-                    c1.product(tau.on_basis(a, d), c.e.column(g)),
+                    c.e_mul.apply_left(d, tau.on_basis(a, g)),
+                    c.mul_e.apply_right(tau.on_basis(a, d), g),
                 ),
             ),
         ),
@@ -390,7 +390,7 @@ def anticoherence_laws(b: CatBraiding):
             (c0.dim, c0.dim, c0.dim),
             lambda a, d, g: (
                 tau.apply_left(a, c0.mult.on_basis(d, g)),
-                c1.product(c.e.column(a), tau.on_basis(d, g)),
+                c.e_mul.apply_left(a, tau.on_basis(d, g)),
             ),
         ),
         (
@@ -398,7 +398,7 @@ def anticoherence_laws(b: CatBraiding):
             (c0.dim, c0.dim, c0.dim),
             lambda a, d, g: (
                 tau.apply_right(c0.mult.on_basis(d, g), a),
-                c1.product(tau.on_basis(d, g), c.e.column(a)),
+                c.mul_e.apply_right(tau.on_basis(d, g), a),
             ),
         ),
         (

@@ -8,6 +8,7 @@ report with witnesses is still emitted), 2 structural or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -156,6 +157,7 @@ def cmd_construct(args) -> int:
     return 0
 
 
+@functools.cache  # built on the first `main` call; a parse keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="braidalg",

@@ -2,7 +2,10 @@
 
 The composition is never stored: for these ambient categories it is
 forced to k((x, y)) = x - e(t(x)) + y, so we derive it everywhere and
-treat the lemma itself as a tested property.
+treat the lemma itself as a tested property.  Of it, only the vertical
+projection V = id - e.t is stored, and k((x, y)) = V(x) + y.  Each
+CatAlgebra also derives once the products e(b_a)x and x e(b_a) by a basis
+vector b_a of C0, which the braiding laws read.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from .errors import (
 from .linear import (
     LinMap,
     Space,
+    bilinear_from_rule,
     from_columns,
     identity_map,
     kernel,
@@ -37,6 +41,8 @@ class CatAlgebra(Record):
     t: LinMap  # C1 -> C0
     e: LinMap  # C0 -> C1
     flavor: str
+    # derived once: V = id - e.t, and e(b_a)x and x e(b_a) by the index a
+    __slots__ = ("vertical", "e_mul", "mul_e")
 
     def __post_init__(self):
         if self.flavor not in (ASSOC, LIE):
@@ -44,6 +50,12 @@ class CatAlgebra(Record):
         for f, dom, cod in ((self.s, self.c1, self.c0), (self.t, self.c1, self.c0), (self.e, self.c0, self.c1)):
             if f.domain != dom.space or f.codomain != cod.space:
                 raise ValueError("structural map does not match C1/C0")
+        c1, c0, m, e = self.c1.space, self.c0.space, self.c1.mult, self.e.column
+        object.__setattr__(self, "vertical", identity_map(c1).sub(self.e.after(self.t)))
+        e_mul = bilinear_from_rule(c0, c1, c1, lambda a, j: m.apply_right(e(a), j))
+        object.__setattr__(self, "e_mul", e_mul)
+        mul_e = bilinear_from_rule(c1, c0, c1, lambda j, a: m.apply_left(j, e(a)))
+        object.__setattr__(self, "mul_e", mul_e)
 
 
 def discrete_cat(a: Algebra, flavor: str) -> CatAlgebra:
@@ -52,9 +64,9 @@ def discrete_cat(a: Algebra, flavor: str) -> CatAlgebra:
 
 
 def k_formula(c: CatAlgebra, x, y):
-    """x - e(t(x)) + y, with no composability check (validator use only)."""
-    F = c.c1.field
-    return vadd(F, vsub(F, x, c.e.apply(c.t.apply(x))), y)
+    """x - e(t(x)) + y = V(x) + y, with no composability check (validator
+    use only)."""
+    return vadd(c.c1.field, c.vertical.apply(x), y)
 
 
 def compose(c: CatAlgebra, x, y):

@@ -1,6 +1,7 @@
 import importlib.util
 import os
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -64,3 +65,44 @@ def sheared(a, src, dst, lam):
     return Algebra(
         sp, bilinear_from_rule(sp, sp, sp, lambda i, j: new(a.mult.apply(old(i), old(j))))
     )
+
+
+# A dense reference for the maps a categorical algebra derives, summed entry
+# by entry with `Field` methods from the structural maps' columns and the
+# multiplication's basis products; it reads no law code.
+
+
+def dense_apply(f, x):
+    """f(x) = sum of x_j f(b_j)."""
+    F = f.field
+    out = [F.zero()] * f.codomain.dim
+    for j, xj in enumerate(x):
+        for k, c in enumerate(f.column(j)):
+            out[k] = F.add(out[k], F.mul(xj, c))
+    return tuple(out)
+
+
+def dense_bilinear(m, u, v):
+    """m(u, v) = sum of u_i v_j m(b_i, b_j); for an algebra's `mult`, the
+    product u v."""
+    F = m.field
+    out = [F.zero()] * m.codomain.dim
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            for k, c in enumerate(m.on_basis(i, j)):
+                out[k] = F.add(out[k], F.mul(F.mul(ui, vj), c))
+    return tuple(out)
+
+
+def dense_compose(c, x, y):
+    """The forced composition x - e(t(x)) + y."""
+    F = c.c1.field
+    et = dense_apply(c.e, dense_apply(c.t, x))
+    return tuple(F.add(F.sub(a, b), d) for a, b, d in zip(x, et, y))
+
+
+def random_vector(rng, F, n):
+    """n seeded coordinates: small fractions over Q, any residue over F_p."""
+    if F.is_rationals:
+        return tuple(F.of(Fraction(rng.randint(-3, 3), rng.randint(1, 3))) for _ in range(n))
+    return tuple(F.of(rng.randrange(F.characteristic)) for _ in range(n))

@@ -1,3 +1,4 @@
+import itertools
 import os
 
 import pytest
@@ -37,10 +38,10 @@ from braidalg.fields import GF, QQ
 from braidalg.icat import LIE, discrete_cat, require_valid_cat
 from braidalg.linear import Space, bilinear_from_coordinates, zero_bilmap
 from braidalg.natensor import tensor_square, tensor_xmod
-from braidalg.report import merge, sweep
+from braidalg.report import basis_tuples, merge, sweep
 from braidalg.xmod import identity_xmod_assoc, identity_xmod_lie
 
-from conftest import FIXTURES, MUTATIONS
+from conftest import FIXTURES, MUTATIONS, dense_bilinear, dense_compose
 
 ASSOC_NAMES = ("Mat(2)", "Mat(3)", "Upper(3)")
 LIE_NAMES = ("sl2", "Heis3", "gl2")
@@ -311,3 +312,88 @@ def test_validators_sweep_their_law_tables(validate, laws, passing, liefied, fai
         rep = validate(b, name)
         assert rep.ok == ok, path
         assert rep == merge(name, [sweep(*law) for law in laws(b)]), path
+
+
+def _dense_e_product_laws(b):
+    """AsT3, AsT4, LieB3, LieB4, AC1 and AC2 of `b` as {tag: law}, each
+    product and composition taken by the dense reference."""
+    c, tau = b.base, b.tau
+    F, e, unit = c.c1.field, c.e.column, c.c0.space.basis_vector
+
+    def mul(u, v):
+        return dense_bilinear(c.c1.mult, u, v)
+
+    def left(a, d, g):  # tau([a, d], g) on the left-hand side of AsT3/LieB3
+        return dense_bilinear(tau, c.c0.mult.on_basis(a, d), unit(g))
+
+    def right(a, d, g):  # tau(a, [d, g]) on the left-hand side of AsT4/LieB4/AC1
+        return dense_bilinear(tau, unit(a), c.c0.mult.on_basis(d, g))
+
+    def add(u, v):
+        return tuple(map(F.add, u, v))
+
+    t = tau.on_basis
+    return {
+        "AsT3": lambda a, d, g: (
+            left(a, d, g),
+            dense_compose(c, mul(e(a), t(d, g)), mul(t(a, g), e(d))),
+        ),
+        "AsT4": lambda a, d, g: (
+            right(a, d, g),
+            dense_compose(c, mul(t(a, d), e(g)), mul(e(d), t(a, g))),
+        ),
+        "LieB3": lambda a, d, g: (
+            left(a, d, g),
+            add(mul(t(a, g), e(d)), mul(e(a), t(d, g))),
+        ),
+        "LieB4": lambda a, d, g: (
+            right(a, d, g),
+            add(mul(e(d), t(a, g)), mul(t(a, d), e(g))),
+        ),
+        "AC1": lambda a, d, g: (right(a, d, g), mul(e(a), t(d, g))),
+        "AC2": lambda a, d, g: (
+            dense_bilinear(tau, c.c0.mult.on_basis(d, g), unit(a)),
+            mul(t(d, g), e(a)),
+        ),
+    }
+
+
+def _e_product_law_cases():
+    """Bars over Q, F2 and F5, their Lie-fied braidings away from
+    characteristic 2, and every categorical braiding of the mutation corpus."""
+    cases = []
+    for F in (QQ, GF(2), GF(5)):
+        for name in ("Mat(2)", "Upper(2)"):
+            cb = cx_functor(commutator_braiding(catalog(name, F)))
+            cases.append((f"bar {name} over {F}", cb))
+            if F.characteristic != 2:
+                cases.append((f"Lie-fied bar {name} over {F}", cat_braiding_liefy(cb)))
+    for path in sorted(os.listdir(MUTATIONS)):
+        if path.endswith(".alg"):
+            with open(os.path.join(MUTATIONS, path), encoding="utf-8") as fh:
+                doc = parse(fh.read())
+            cases += [
+                (f"mutation {n}", o)
+                for n, k, o in doc.blocks
+                if k == "braiding" and isinstance(o, CatBraiding)
+            ]
+    return cases
+
+
+@pytest.mark.parametrize("label,b", _e_product_law_cases())
+def test_e_product_laws_match_the_dense_reference(label, b):
+    # every law that multiplies by e(b_a), from each table, on every triple;
+    # the tables read the flavor-free c1 product, so each runs on every case
+    ref = _dense_e_product_laws(b)
+    tables = [braiding_cat_assoc_laws(b), braiding_cat_lie_ulualan_laws(b)]
+    if b.base.c1.field.characteristic != 2:
+        tables.append(anticoherence_laws(b))
+    else:
+        del ref["AC1"], ref["AC2"]
+    seen = set()
+    for tag, dims, law in itertools.chain(*tables):
+        if tag in ref:
+            seen.add(tag)
+            for idx in basis_tuples(dims):
+                assert law(*idx) == ref[tag](*idx), (tag, idx)
+    assert seen == set(ref)

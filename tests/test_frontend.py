@@ -1,3 +1,4 @@
+import argparse
 import glob
 import json
 import os
@@ -10,6 +11,7 @@ import pytest
 
 from braidalg.action import self_action, validate_assoc_action
 from braidalg.algebra import from_constants
+from braidalg import cli
 from braidalg.cli import main
 from braidalg.dsl import (
     BLOCK_KINDS,
@@ -237,6 +239,48 @@ def test_json_reports_are_byte_identical(capsys):
     items = json.loads(first)
     assert all(i["status"] == "pass" for i in items)
     assert all("witness" not in i for i in items)
+
+
+def test_the_parser_is_built_once_and_keeps_no_state(monkeypatch, capsys):
+    # the first call builds the tree (the parser and its four subcommands),
+    # later calls reuse it, and no option of one call reaches the next
+    built, parsed = [], []
+    init, parse_args = argparse.ArgumentParser.__init__, argparse.ArgumentParser.parse_args
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    def recorded_parse(self, *args, **kwargs):
+        ns = parse_args(self, *args, **kwargs)
+        parsed.append(vars(ns))
+        return ns
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recorded_parse)
+    cli.build_parser.cache_clear()
+    path = os.path.join(FIXTURES, "mat2_braided.alg")
+    assert main(["validate", path]) == 0
+    fresh = capsys.readouterr().out
+    assert len(built) == 5
+    assert main(["validate", path, "--subject", "mat2", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)
+    assert main(["validate", path]) == 0
+    assert capsys.readouterr().out == fresh
+    assert [(p["subject"], p["format"]) for p in parsed] == [
+        (None, "text"),
+        ("mat2", "json"),
+        (None, "text"),
+    ]
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate"])
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].endswith("error: the following arguments are required: file\n")
+    assert len(built) == 5
 
 
 def test_failing_report_carries_witness(capsys):

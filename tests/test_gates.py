@@ -41,18 +41,31 @@ from braidalg.errors import (
     InvalidCatAlgebra,
     InvalidInput,
     InvalidXMod,
+    NotAssociative,
+    NotLie,
+    UnknownFixture,
 )
 from braidalg.fields import QQ
+from braidalg.groupx import (
+    GroupXMod,
+    conjugation_example,
+    group_catalog,
+    validate_group_braiding,
+)
 from braidalg.icat import ASSOC, LIE, discrete_cat, require_valid_cat, validate_cat_algebra
 from braidalg.linear import identity_map, zero_bilmap, zero_map
 from braidalg.report import AxiomCheck, Witness, merge
 from braidalg.xmod import (
     XModAssoc,
     XModLie,
+    XModMorphism,
+    identity_xmod_assoc,
+    identity_xmod_lie,
     require_valid_xmod_assoc,
     require_valid_xmod_lie,
     validate_xmod_assoc,
     validate_xmod_lie,
+    validate_xmod_morphism,
 )
 
 from conftest import MUTATIONS, ROOT
@@ -93,8 +106,10 @@ ZERO_BRACE = _zero_brace(XModAssoc(self_action(MAT2), identity_map(MAT2.space)))
 ZERO_TAU = CatBraiding(
     discrete_cat(MAT2, ASSOC), zero_bilmap(MAT2.space, MAT2.space, MAT2.space)
 )
+CONJ_S3 = conjugation_example(group_catalog("S3"))
 
-# (id, call, exception, message, the report it carries or None)
+# (id, call, exception, message, the report it carries or None; an
+# exception that is no ValidationFailed carries none)
 REFUSALS = [
     (
         "xmod_assoc:flavor",
@@ -265,6 +280,60 @@ REFUSALS = [
         "semidirect product requires a valid Lie action",
         lambda: validate_lie_action(LIE_OVER_MAT2),
     ),
+    (
+        "groupxmod:brace_shape",
+        lambda: GroupXMod(
+            CONJ_S3.g,
+            CONJ_S3.h,
+            CONJ_S3.action,
+            CONJ_S3.boundary,
+            tuple(row[:-1] for row in CONJ_S3.brace),
+        ),
+        InvalidInput,
+        "brace table must be |H| x |H|",
+        lambda: None,
+    ),
+    (
+        "group_braiding:no_brace",
+        lambda: validate_group_braiding(
+            GroupXMod(CONJ_S3.g, CONJ_S3.h, CONJ_S3.action, CONJ_S3.boundary)
+        ),
+        InvalidInput,
+        "braiding validation needs a brace table",
+        lambda: None,
+    ),
+    (
+        "catalog:size",
+        lambda: catalog("Mat(0)", QQ),
+        UnknownFixture,
+        "fixture size must be positive: 'Mat(0)'",
+        lambda: None,
+    ),
+    (
+        "identity_xmod_assoc:flavor",
+        lambda: identity_xmod_assoc(SL2),
+        NotAssociative,
+        "identity crossed module needs an associative algebra",
+        lambda: None,
+    ),
+    (
+        "identity_xmod_lie:flavor",
+        lambda: identity_xmod_lie(MAT2),
+        NotLie,
+        "identity crossed module needs a Lie algebra",
+        lambda: None,
+    ),
+    (
+        "xmod_morphism:flavors",
+        lambda: validate_xmod_morphism(
+            XModMorphism(identity_map(SL2.space), identity_map(SL2.space)),
+            identity_xmod_assoc(MAT2),
+            identity_xmod_lie(SL2),
+        ),
+        ValueError,
+        "source and target flavors differ",
+        lambda: None,
+    ),
 ]
 
 
@@ -278,7 +347,7 @@ def test_each_gate_refuses_with_its_message_and_report(call, error, message, rep
         call()
     assert type(exc.value) is error
     assert str(exc.value) == message
-    assert exc.value.report == report()
+    assert getattr(exc.value, "report", None) == report()
 
 
 FAILING = merge(
@@ -398,16 +467,30 @@ def test_reports_raise_themselves_and_one_semidirect_core():
 
 
 @pytest.mark.parametrize(
-    "entry,action",
+    "entry,action,message",
     [
-        (semidirect_assoc, adjoint_action(SL2)),
-        (induced_lie_action, adjoint_action(SL2)),
-        (semidirect_lie, self_action(MAT2)),
+        (
+            semidirect_assoc,
+            adjoint_action(SL2),
+            "semidirect product requires a valid action: got LieAction",
+        ),
+        (
+            induced_lie_action,
+            adjoint_action(SL2),
+            "induced_lie_action requires a valid associative action: got LieAction",
+        ),
+        (
+            semidirect_lie,
+            self_action(MAT2),
+            "semidirect product requires a valid Lie action: got AssocAction",
+        ),
     ],
     ids=["semidirect_assoc", "induced_lie_action", "semidirect_lie"],
 )
-def test_flavor_named_entries_refuse_the_other_flavor(entry, action):
-    # each action is valid in its own flavor; the validator of the entry's
-    # flavor reads maps that it does not have, so nothing is built
-    with pytest.raises(AttributeError):
+def test_flavor_named_entries_refuse_the_other_flavor(entry, action, message):
+    # each action is valid in its own flavor; the entry refuses it by its
+    # class before any validator reads its maps, so nothing is built
+    with pytest.raises(InvalidAction) as err:
         entry(action)
+    assert str(err.value) == message
+    assert err.value.report is None

@@ -1,9 +1,14 @@
+import glob
+import os
+import random
+
 import pytest
 
 from braidalg.algebra import catalog, is_lie
 from braidalg.braid import commutator_braiding, cx_functor
+from braidalg.dsl import parse
 from braidalg.errors import NotComposable
-from braidalg.fields import QQ
+from braidalg.fields import GF, QQ
 from braidalg.icat import (
     ASSOC,
     LIE,
@@ -17,6 +22,8 @@ from braidalg.icat import (
     validate_cat_algebra,
 )
 from braidalg.linear import vadd, vsub
+
+from conftest import MUTATIONS, dense_apply, dense_bilinear, dense_compose, random_vector
 
 ASSOC_NAMES = ("Mat(2)", "Upper(2)", "Upper(3)")
 
@@ -94,3 +101,38 @@ def test_cat_liefy_valid_and_lie():
     assert lie_bar.s.columns == bar.s.columns
     assert lie_bar.t.columns == bar.t.columns
     assert lie_bar.e.columns == bar.e.columns
+
+
+def derived_map_cases():
+    """Bars and their Lie-fied cats over Q, F2 and F5, and every cat of the
+    mutation corpus, valid or not."""
+    cases = []
+    for F in (QQ, GF(2), GF(5)):
+        for name in ("Mat(2)", "Upper(3)"):
+            bar = cx_functor(commutator_braiding(catalog(name, F))).base
+            cases.append((f"bar {name} over {F}", bar))
+            cases.append((f"Lie-fied bar {name} over {F}", cat_liefy(bar)))
+    for path in sorted(glob.glob(os.path.join(MUTATIONS, "*.alg"))):
+        with open(path, encoding="utf-8") as fh:
+            doc = parse(fh.read())
+        cases += [(f"mutation {n}", o) for n, k, o in doc.blocks if k == "cat"]
+    return cases
+
+
+@pytest.mark.parametrize("label,cat", derived_map_cases())
+def test_derived_maps_match_the_dense_reference(label, cat):
+    # k_formula reads the stored V = id - e.t, and e_mul/mul_e are
+    # (a, x) -> e(b_a) x and (x, a) -> x e(b_a); seeded vectors per case
+    rng = random.Random(label)
+    F, c1, mul = cat.c1.field, cat.c1, cat.c1.mult
+    for _ in range(6):
+        x, y = random_vector(rng, F, c1.dim), random_vector(rng, F, c1.dim)
+        u = random_vector(rng, F, cat.c0.dim)
+        eu = dense_apply(cat.e, u)
+        assert k_formula(cat, x, y) == dense_compose(cat, x, y)
+        assert cat.e_mul.apply(u, x) == dense_bilinear(mul, eu, x)
+        assert cat.mul_e.apply(x, u) == dense_bilinear(mul, x, eu)
+    for a in range(cat.c0.dim):
+        x = random_vector(rng, F, c1.dim)
+        assert cat.e_mul.apply_left(a, x) == dense_bilinear(mul, cat.e.column(a), x)
+        assert cat.mul_e.apply_right(x, a) == dense_bilinear(mul, x, cat.e.column(a))
