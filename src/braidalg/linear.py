@@ -9,12 +9,17 @@ entries `((k, c), ...)` of every stored image, and every evaluation --
 loop, `_combine`, so no caller builds a basis vector and no evaluation
 scans a zero.  Subspaces are kept in reduced row echelon form so that
 equal subspaces have equal representations; `rref` and `Subspace.reduce`
-subtract multiples of a row's nonzero entries in place.  The kernel does
+subtract multiples of a row's nonzero entries in place.  Over Q, `rref`
+eliminates on primitive integer rows, with no common factor left in a row,
+and divides each pivot row by its pivot once, at the end.  The kernel does
 its scalar arithmetic inline, one branch per field, in the normal form
 of `fields.py`, with no `Field` method call per entry.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
 
 from .fields import Field, normal
 from .record import Record
@@ -263,33 +268,65 @@ def _eliminate(field: Field, v: list, c, row):
         v[k] = d if d.__class__ is int else normal(d)
 
 
+def _primitive(v):
+    """The rational row v scaled to coprime integers; 0 stays 0."""
+    if set(map(type, v)) != {int}:
+        d = lcm(*[a.denominator for a in v])
+        v = [a.numerator * (d // a.denominator) for a in v]
+    g = gcd(*v)
+    return v if g < 2 else [a // g for a in v]
+
+
+def _cancel(v, col, pivot_row):
+    """The primitive integer row p*v - c*pivot_row over gcd(p, c), which is 0
+    at col, for p = pivot_row[col] and c = v[col]."""
+    v = _primitive(v)
+    p, c = pivot_row[col], v[col]
+    g = gcd(p, c)
+    p, c = p // g, c // g
+    return _primitive([p * a - c * b for a, b in zip(v, pivot_row)])
+
+
+def _divided(v, col):
+    """The integer row v divided by its pivot v[col], in normal form."""
+    p = v[col]
+    if p == 1:
+        return tuple(v)
+    return tuple(a // p if a % p == 0 else Fraction(a, p) for a in v)
+
+
 def rref(field: Field, rows):
-    """Reduced row echelon form; zero rows dropped. Canonical for a span."""
+    """Reduced row echelon form; zero rows dropped. Canonical for a span.
+
+    Over Q each pivot row is made primitive, a row is cleared against a
+    pivot other than +-1 in integers, and each pivot row is divided by its
+    pivot once, at the end."""
     work = [list(r) for r in rows if not is_zero(r)]
-    if not work:
-        return []
-    ncols = len(work[0])
-    pivot_col = 0
-    row = 0
-    while row < len(work) and pivot_col < ncols:
-        pivot_row = None
-        for r in range(row, len(work)):
-            if work[r][pivot_col] != 0:
-                pivot_row = r
+    q = not field.characteristic
+    pivots = []
+    for col in range(len(work[0]) if work else 0):
+        row = len(pivots)
+        for pivot_row in range(row, len(work)):
+            if work[pivot_row][col]:
                 break
-        if pivot_row is None:
-            pivot_col += 1
+        else:
             continue
-        work[row], work[pivot_row] = work[pivot_row], work[row]
-        work[row] = list(vscale(field, field.inv(work[row][pivot_col]), work[row]))
-        nz = _nonzero(work[row])
-        for r in range(len(work)):
-            if r != row and work[r][pivot_col] != 0:
-                _eliminate(field, work[r], work[r][pivot_col], nz)
-        row += 1
-        pivot_col += 1
-    # rows are already sorted by pivot column after forward elimination
-    return [tuple(r) for r in work if not is_zero(r)]
+        v = work[pivot_row]
+        v = _primitive(v) if q else list(vscale(field, field.inv(v[col]), v))
+        work[pivot_row] = work[row]
+        work[row] = v
+        p, nz = v[col], _nonzero(v)
+        for r, w in enumerate(work):
+            if r != row and (c := w[col]):
+                if p == 1 or p == -1:
+                    _eliminate(field, w, c * p, nz)
+                else:
+                    work[r] = _cancel(w, col, v)
+        pivots.append(col)
+    # rows are already sorted by pivot column, and the rows below them are 0
+    if q:
+        return list(map(_divided, work, pivots))
+    return [tuple(r) for r in work[: len(pivots)]]
 
 
 def _pivot_columns(basis):
@@ -387,13 +424,16 @@ def quotient(ambient: Space, sub: Subspace):
     """
     if sub.ambient != ambient:
         raise ValueError("subspace does not live in the ambient space")
-    pivots = set(sub.pivots())
-    free = [j for j in range(ambient.dim) if j not in pivots]
+    rows = dict(zip(sub.pivots(), sub.basis))
+    free = [j for j in range(ambient.dim) if j not in rows]
     qspace = Space(ambient.field, tuple(ambient.labels[j] for j in free))
-    cols = []
-    for j in range(ambient.dim):
-        reduced = sub.reduce(ambient.basis_vector(j))
-        cols.append(tuple(reduced[c] for c in free))
+    # column j is the unit vector of a free j, and for the pivot j of a row
+    # minus that row restricted to the free columns
+    unit = iter(qspace.basis())
+    cols = (
+        vneg(ambient.field, (rows[j][c] for c in free)) if j in rows else next(unit)
+        for j in range(ambient.dim)
+    )
     proj = from_columns(ambient, qspace, cols)
     return qspace, proj
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from braidalg import linear
 from braidalg.algebra import Algebra, ad_map
-from braidalg.fields import GF, QQ
+from braidalg.fields import Field, GF, QQ
 from braidalg.linear import (
     Space,
     Subspace,
@@ -328,8 +328,8 @@ def naive_matvec(F, rows, v):
     return tuple(out)
 
 
-def naive_rank(F, rows):
-    """Forward elimination; the number of pivots."""
+def naive_rref(F, rows):
+    """Gauss-Jordan with Field methods only; zero rows dropped."""
     rows = [list(r) for r in rows]
     rank = 0
     for c in range(len(rows[0]) if rows else 0):
@@ -338,11 +338,16 @@ def naive_rank(F, rows):
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         inv = F.inv(rows[rank][c])
-        for r in range(rank + 1, len(rows)):
-            f = F.mul(rows[r][c], inv)
-            rows[r] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[r], rows[rank])]
+        rows[rank] = [F.mul(inv, x) for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and (f := rows[r][c]) != 0:
+                rows[r] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[r], rows[rank])]
         rank += 1
-    return rank
+    return [tuple(r) for r in rows[:rank]]
+
+
+def naive_rank(F, rows):
+    return len(naive_rref(F, rows))
 
 
 @settings(max_examples=60, derandomize=True, database=None)
@@ -482,6 +487,82 @@ def test_affine_solutions_edge_cases():
         assert affine_solutions(F, [(1, 1), (1, 1)], [0, 1], 2) is None
     # over F_p the constant is negated mod p: x = -1 is 2 in F_3
     assert affine_solutions(GF(3), [(1,)], [1], 1) == ((2,), ())
+
+
+# rref over Q against a plain Gauss-Jordan elimination in Field methods, on
+# ints and Fractions, normal or not, with repeated, proportional and zero
+# rows and pivots of either sign other than 1.
+
+BIG = 10**30
+
+
+@st.composite
+def rational_rows(draw):
+    """0-8 rows of 1-9 entries: small ints, ints up to 10**30, Fractions
+    with denominators up to 10**6, integral Fractions such as Fraction(0, 1);
+    some rows repeat, scale or zero an earlier one."""
+    n = draw(st.integers(1, 9))
+    big = st.integers(-BIG, BIG)
+    entry = st.one_of(
+        st.integers(-6, 6),
+        st.just(Fraction(0, 1)),
+        big,
+        st.builds(Fraction, big, st.integers(1, 10**6)),
+        big.map(Fraction),
+    )
+    rows = draw(st.lists(st.tuples(*[entry] * n), max_size=8))
+    factor = st.integers(-6, 6).filter(bool) | st.builds(
+        Fraction, st.integers(1, BIG), st.integers(-(10**6), -1)
+    )
+    for kind in draw(st.lists(st.sampled_from("=*0"), max_size=8 - len(rows))):
+        if kind == "0" or not rows:
+            rows.append((draw(st.sampled_from((0, Fraction(0, 1)))),) * n)
+            continue
+        row = draw(st.sampled_from(rows))
+        rows.append(row if kind == "=" else tuple(draw(factor) * a for a in row))
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=200, derandomize=True, database=None)
+@given(rational_rows())
+def test_rref_over_q_agrees_with_gauss_jordan(rows):
+    assert [assert_normal(QQ, r) for r in rref(QQ, rows)] == naive_rref(QQ, rows)
+
+
+def test_rref_over_q_never_inverts(monkeypatch):
+    # pivots 2, -3 and 6, and a fourth row in their span
+    rows = [(2, 1, 1, 0, 5), (0, -3, 1, 1, 0), (0, 0, 6, 1, 1), (2, -2, 8, 2, 6)]
+    expect = naive_rref(QQ, rows)
+    assert len(expect) == 3 and any(type(a) is Fraction for r in expect for a in r)
+
+    def refuse(self, a):
+        raise AssertionError("rref over Q inverted a pivot")
+
+    monkeypatch.setattr(Field, "inv", refuse)
+    assert rref(QQ, rows) == expect
+
+
+@st.composite
+def quotient_cases(draw):
+    F = draw(st.sampled_from((QQ, GF(2), GF(5))))
+    n = draw(st.integers(0, 6))
+    vs = draw(st.lists(st.tuples(*[field_scalars(F)] * n), max_size=5))
+    return Space(F, tuple(f"x{i}" for i in range(n))), vs
+
+
+@settings(max_examples=100, derandomize=True, database=None)
+@given(quotient_cases())
+def test_quotient_projection_reads_the_echelon_rows(case):
+    # column j of the projection is the free part of the reduced b_j
+    ambient, vs = case
+    sub = Subspace.span(ambient, vs)
+    free = [j for j in range(ambient.dim) if j not in sub.pivots()]
+    _, proj = quotient(ambient, sub)
+    for j in range(ambient.dim):
+        reduced = sub.reduce(ambient.basis_vector(j))
+        expect = tuple(reduced[c] for c in free)
+        assert assert_normal(ambient.field, proj.column(j)) == expect
+        assert list(map(type, proj.column(j))) == list(map(type, expect))
 
 
 def test_bilinear_from_coordinates_reads_the_flat_order():
