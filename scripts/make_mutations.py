@@ -62,7 +62,9 @@ from braidalg.icat import ASSOC, LIE, CatAlgebra, cat_liefy, discrete_cat
 from braidalg.linear import (
     Space,
     Subspace,
+    _nonzero,
     bilinear_from_rule,
+    dense,
     from_columns,
     identity_map,
     kernel,
@@ -98,7 +100,7 @@ def bil(left, right, cod, entries):
         v = [cod.field.zero()] * cod.dim
         for k, c in entries.get((i, j), {}).items():
             v[k] = cod.field.of(c)
-        return tuple(v)
+        return _nonzero(v)
 
     return bilinear_from_rule(left, right, cod, rule)
 
@@ -353,7 +355,7 @@ def xmod_braiding_cases(bases):
     # tensor-square braiding of Heis3 by a kernel vector of the
     # boundary on the (x, z) slot fails exactly {BLie4, BLie5, BLie6}.
     b = heis3_tensor(F)
-    kv = kernel(b.base.boundary).basis[0]
+    kv = _nonzero(kernel(b.base.boundary).basis[0])
     yield dsl_case(
         "BLie5",
         "braiding",
@@ -434,12 +436,12 @@ def cat_braiding_cases():
         )
 
     tau = bilinear_from_rule(x.n.space, x.n.space, total, rule)
+    n = x.n.dim
+    cols = (dense(cat.s.column(j), n) + dense(cat.t.column(j), n) for j in range(total.dim))
     stacked = from_columns(
-        total,
-        Space(F, tuple(f"w{i}" for i in range(2 * x.n.dim))),
-        [cat.s.column(j) + cat.t.column(j) for j in range(total.dim)],
+        total, Space(F, tuple(f"w{i}" for i in range(2 * n))), map(_nonzero, cols)
     )
-    kv = kernel(stacked).basis[0]
+    kv = _nonzero(kernel(stacked).basis[0])
     xz = CatBraiding(cat, _perturbed(tau, kv, (0, 2)))
     yield dsl_case(
         "LieB3",
@@ -636,7 +638,7 @@ def isolate(cache, name, b, laws, target):
     `cache` keeps the `braiding_system` of each candidate `name`, one tag
     at a time: a tag names the same law in every table that holds it.
     """
-    tags = dict.fromkeys(tag for tag, _, _ in laws(b))
+    tags = dict.fromkeys(law[0] for law in laws(b))
     system = cache.setdefault(name, {})
     new = [tag for tag in tags if tag not in system]
     if new:

@@ -20,7 +20,9 @@ command.  Two checkouts give identical outputs exactly when
   diff a.txt b.txt
 
 prints nothing.  `--only SUBSTRING` restricts the run to commands whose
-text contains SUBSTRING.  Standard library only.
+text contains SUBSTRING.  `tests/output_digests.txt` holds the full output;
+a test compares against it, so a change that moves an output on purpose
+regenerates that file.  Standard library only.
 """
 
 from __future__ import annotations
@@ -68,8 +70,9 @@ def commands(path):
                 yield ["construct", construct, path, "--subject", name]
 
 
-def digest(argv, outdir):
-    """sha256 over everything a command makes visible."""
+def run(argv, outdir):
+    """Everything a command makes visible: (exit code, stdout, stderr, the
+    bytes written to OUT), the code as text and the rest as bytes."""
     target = os.path.join(outdir, "out.alg")
     if os.path.exists(target):
         os.remove(target)
@@ -86,8 +89,13 @@ def digest(argv, outdir):
     if os.path.exists(target):
         with open(target, "rb") as fh:
             written = fh.read()
+    return code, out.getvalue().encode(), err.getvalue().encode(), written
+
+
+def digest(outputs):
+    """sha256 over the outputs `run` returns."""
     h = hashlib.sha256()
-    for part in (code.encode(), out.getvalue().encode(), err.getvalue().encode(), written):
+    for part in (outputs[0].encode(), *outputs[1:]):
         h.update(len(part).to_bytes(8, "big"))
         h.update(part)
     return h.hexdigest()
@@ -104,7 +112,7 @@ def main(argv=None):
                 line = " ".join(cmd)
                 if args.only and args.only not in line:
                     continue
-                print(f"{digest(cmd, outdir)}  {line}", flush=True)
+                print(f"{digest(run(cmd, outdir))}  {line}", flush=True)
     return 0
 
 

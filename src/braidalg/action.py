@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .algebra import Algebra, _both, _liefy, is_associative, is_lie
+from .algebra import Algebra, _liefy, is_associative, is_lie
 from .errors import InvalidAction
 from .linear import (
     BilMap,
@@ -72,8 +72,8 @@ def validate_assoc_action(a: AssocAction, subject: str = "action") -> Validation
     N, M = a.actor, a.module
     s1, s2 = a.star1, a.star2
 
-    checks = [
-        sweep(
+    laws = [  # (tag, dims, law), each law's sides in M
+        (
             "AAs1",
             (N.dim, M.dim, M.dim),
             lambda n, m, m2: (
@@ -81,7 +81,7 @@ def validate_assoc_action(a: AssocAction, subject: str = "action") -> Validation
                 M.mult.apply_right(s1.on_basis(n, m), m2),
             ),
         ),
-        sweep(
+        (
             "AAs2",
             (N.dim, M.dim, N.dim),
             lambda n, m, n2: (
@@ -89,7 +89,7 @@ def validate_assoc_action(a: AssocAction, subject: str = "action") -> Validation
                 s2.apply_right(s1.on_basis(n, m), n2),
             ),
         ),
-        sweep(
+        (
             "AAs3",
             (N.dim, N.dim, M.dim),
             lambda n, n2, m: (
@@ -97,7 +97,7 @@ def validate_assoc_action(a: AssocAction, subject: str = "action") -> Validation
                 s1.apply_right(N.mult.on_basis(n, n2), m),
             ),
         ),
-        sweep(
+        (
             "AAs4",
             (M.dim, N.dim, N.dim),
             lambda m, n, n2: (
@@ -105,7 +105,7 @@ def validate_assoc_action(a: AssocAction, subject: str = "action") -> Validation
                 s2.apply_right(s2.on_basis(m, n), n2),
             ),
         ),
-        sweep(
+        (
             "AAs5",
             (M.dim, N.dim, M.dim),
             lambda m, n, m2: (
@@ -113,7 +113,7 @@ def validate_assoc_action(a: AssocAction, subject: str = "action") -> Validation
                 M.mult.apply_right(s2.on_basis(m, n), m2),
             ),
         ),
-        sweep(
+        (
             "AAs6",
             (M.dim, M.dim, N.dim),
             lambda m, m2, n: (
@@ -122,7 +122,7 @@ def validate_assoc_action(a: AssocAction, subject: str = "action") -> Validation
             ),
         ),
     ]
-    return merge(subject, checks)
+    return merge(subject, [sweep(*law, M.dim) for law in laws])
 
 
 def validate_lie_action(a: LieAction, subject: str = "action") -> ValidationReport:
@@ -131,8 +131,8 @@ def validate_lie_action(a: LieAction, subject: str = "action") -> ValidationRepo
     F = M.field
     dot = a.dot
 
-    checks = [
-        sweep(
+    laws = [  # (tag, dims, law), each law's sides in M
+        (
             "ALie1",
             (N.dim, N.dim, M.dim),
             lambda n, n2, m: (
@@ -144,7 +144,7 @@ def validate_lie_action(a: LieAction, subject: str = "action") -> ValidationRepo
                 ),
             ),
         ),
-        sweep(
+        (
             "ALie2",
             (N.dim, M.dim, M.dim),
             lambda n, m, m2: (
@@ -157,7 +157,7 @@ def validate_lie_action(a: LieAction, subject: str = "action") -> ValidationRepo
             ),
         ),
     ]
-    return merge(subject, checks)
+    return merge(subject, [sweep(*law, M.dim) for law in laws])
 
 
 def _assoc_m_part(a: AssocAction, F, u_m, u_n, v_m, v_n):
@@ -189,7 +189,7 @@ def _require_valid_action(a: AssocAction | LieAction, flavor: type, message: str
     validate, holds, _ = _FLAVORS[flavor]
     rep = validate(a)
     rep.require(InvalidAction, message)
-    if not _both(holds, a.actor, a.module):
+    if not (holds(a.actor) and holds(a.module)):
         raise InvalidAction(message, rep)
 
 

@@ -6,6 +6,7 @@ flavor (associative / Lie / Leibniz) is ever assumed, only checked.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 
@@ -15,8 +16,8 @@ from .linear import (
     BilMap,
     LinMap,
     Space,
+    _nonzero,
     bilinear_from_rule,
-    from_columns,
     is_zero,
     vadd,
     vsub,
@@ -33,15 +34,15 @@ __all__ = [
     "is_homomorphism",
     "hom_sweep",
     "intertwining_sweep",
-    "is_derivation",
     "catalog",
-    "ad_map",
 ]
 
 
 class Algebra(Record):
     space: Space
     mult: BilMap
+    # derived on first use: the answers of is_associative and is_lie
+    __slots__ = ("_is_associative", "_is_lie")
 
     def __post_init__(self):
         if not (self.mult.left == self.mult.right == self.mult.codomain == self.space):
@@ -68,14 +69,26 @@ def from_constants(space: Space, products) -> Algebra:
     z = F.zero()
 
     def rule(i, j):
-        table = products.get((space.labels[i], space.labels[j]))
-        if table is None:
-            return space.zero()
-        return tuple(F.of(table.get(lbl, z)) for lbl in space.labels)
+        table = products.get((space.labels[i], space.labels[j]), {})
+        return _nonzero([F.of(table.get(lbl, z)) for lbl in space.labels])
 
     return Algebra(space, bilinear_from_rule(space, space, space, rule))
 
 
+def _kept(check):
+    """`check(a)`, made once per algebra and kept in its slot `_<check name>`."""
+    slot = "_" + check.__name__
+
+    @functools.wraps(check)
+    def kept(a: Algebra) -> bool:
+        if not hasattr(a, slot):
+            object.__setattr__(a, slot, check(a))
+        return getattr(a, slot)
+
+    return kept
+
+
+@_kept
 def is_associative(a: Algebra) -> bool:
     """(b_i b_j) b_k = b_i (b_j b_k) on all basis triples."""
     m = a.mult
@@ -86,9 +99,11 @@ def is_associative(a: Algebra) -> bool:
             m.apply_right(m.on_basis(i, j), k),
             m.apply_left(i, m.on_basis(j, k)),
         ),
+        a.dim,
     ).ok
 
 
+@_kept
 def is_lie(a: Algebra) -> bool:
     """Alternation ([x,x] = 0 for all x) plus Jacobi.
 
@@ -118,12 +133,6 @@ def is_lie(a: Algebra) -> bool:
     )
 
 
-def _both(holds, a: Algebra, b: Algebra) -> bool:
-    """`holds` on `a`, then on `b` unless it is `a` (a self-action, an
-    identity crossed module or a discrete category checks its algebra once)."""
-    return holds(a) and (b is a or holds(b))
-
-
 def is_leibniz(a: Algebra) -> bool:
     """[x,[y,z]] = [[x,y],z] - [[x,z],y] on all basis triples."""
     F = a.field
@@ -139,6 +148,7 @@ def is_leibniz(a: Algebra) -> bool:
                 m.apply_right(m.on_basis(i, k), j),
             ),
         ),
+        a.dim,
     ).ok
 
 
@@ -165,6 +175,7 @@ def intertwining_sweep(
             f.apply(src.on_basis(i, j)),
             tgt.apply(g.column(i), h.column(j)),
         ),
+        f.codomain.dim,
     )
 
 
@@ -177,27 +188,6 @@ def is_homomorphism(f: LinMap, a: Algebra, b: Algebra) -> bool:
     if f.domain != a.space or f.codomain != b.space:
         raise ValueError("map does not match the algebras")
     return hom_sweep("Hom", f, a, b).ok
-
-
-def is_derivation(d: LinMap, a: Algebra) -> bool:
-    if d.domain != a.space or d.codomain != a.space:
-        raise ValueError("derivation must be an endomorphism of the algebra")
-    F = a.field
-    m = a.mult
-    return sweep(
-        "Der",
-        (a.dim, a.dim),
-        lambda i, j: (
-            d.apply(m.on_basis(i, j)),
-            vadd(F, m.apply_right(d.column(i), j), m.apply_left(i, d.column(j))),
-        ),
-    ).ok
-
-
-def ad_map(a: Algebra, x) -> LinMap:
-    """Left multiplication y -> x*y (the adjoint map when a is Lie)."""
-    cols = [a.mult.apply_right(x, j) for j in range(a.dim)]
-    return from_columns(a.space, a.space, cols)
 
 
 _NAME_RE = re.compile(r"^(Ab|Mat|Upper|gl)\(?([0-9]+)\)?$")

@@ -5,8 +5,8 @@ The BAs/BLie validators sweep the displayed axiom families; the
 categorical validators evaluate every composition with the forced
 formula k((x, y)) = x - e(t(x)) + y, exactly as the source proofs do.
 Each braiding validator sweeps a law table, `braiding_*_laws(b)` or
-`anticoherence_laws(b)`: the list of (tag, dims, law) triples that
-`report.sweep` takes, in report order.
+`anticoherence_laws(b)`: the (tag, dims, law, dim) entries `report.sweep`
+takes, in report order, dim that of the space the law's sides lie in.
 Other code that needs an axiom reads the table: with the base fixed,
 every law is affine in the braiding, and `braiding_system` reads each
 table as linear equations in the braiding's coordinates, which
@@ -23,9 +23,11 @@ from .linear import (
     BilMap,
     LinMap,
     Space,
+    _nonzero,
     affine_solutions,
     bilinear_from_coordinates,
     bilinear_from_rule,
+    dense,
     from_columns,
     identity_map,
     kernel,
@@ -76,7 +78,7 @@ def _commutator(a: Algebra) -> BilMap:
 
 
 def braiding_xmod_assoc_laws(b: XBraiding):
-    """BAs1..BAs6 on basis pairs/triples, as (tag, dims, law) triples."""
+    """BAs1..BAs6 on basis pairs/triples, as (tag, dims, law, dim) entries."""
     x = b.base
     M, N = x.m, x.n
     F = M.field
@@ -93,6 +95,7 @@ def braiding_xmod_assoc_laws(b: XBraiding):
             "BAs1",
             (N.dim, N.dim),
             lambda n, n2: (d.apply(br.on_basis(n, n2)), ncomm.on_basis(n, n2)),
+            N.dim,
         ),
         (
             "BAs2",
@@ -101,6 +104,7 @@ def braiding_xmod_assoc_laws(b: XBraiding):
                 br.apply(d.column(m), d.column(m2)),
                 mcomm.on_basis(m, m2),
             ),
+            M.dim,
         ),
         (
             "BAs3",
@@ -109,11 +113,13 @@ def braiding_xmod_assoc_laws(b: XBraiding):
                 br.apply_right(d.column(m), n),
                 vneg(F, lie_star(n, m)),
             ),
+            M.dim,
         ),
         (
             "BAs4",
             (N.dim, M.dim),
             lambda n, m: (br.apply_left(n, d.column(m)), lie_star(n, m)),
+            M.dim,
         ),
         (
             "BAs5",
@@ -126,6 +132,7 @@ def braiding_xmod_assoc_laws(b: XBraiding):
                     s2.apply_right(br.on_basis(n, n2), n3),
                 ),
             ),
+            M.dim,
         ),
         (
             "BAs6",
@@ -138,6 +145,7 @@ def braiding_xmod_assoc_laws(b: XBraiding):
                     s2.apply_right(br.on_basis(n, n3), n2),
                 ),
             ),
+            M.dim,
         ),
     ]
 
@@ -150,7 +158,7 @@ def validate_braiding_xmod_assoc(
 
 
 def braiding_xmod_lie_laws(b: XBraiding):
-    """BLie1..BLie6 on basis pairs/triples, as (tag, dims, law) triples."""
+    """BLie1..BLie6 on basis pairs/triples, as (tag, dims, law, dim) entries."""
     x = b.base
     M, N = x.m, x.n
     F = M.field
@@ -161,6 +169,7 @@ def braiding_xmod_lie_laws(b: XBraiding):
             "BLie1",
             (N.dim, N.dim),
             lambda n, n2: (d.apply(br.on_basis(n, n2)), N.mult.on_basis(n, n2)),
+            N.dim,
         ),
         (
             "BLie2",
@@ -169,6 +178,7 @@ def braiding_xmod_lie_laws(b: XBraiding):
                 br.apply(d.column(m), d.column(m2)),
                 M.mult.on_basis(m, m2),
             ),
+            M.dim,
         ),
         (
             "BLie3",
@@ -177,11 +187,13 @@ def braiding_xmod_lie_laws(b: XBraiding):
                 br.apply_right(d.column(m), n),
                 vneg(F, dot.on_basis(n, m)),
             ),
+            M.dim,
         ),
         (
             "BLie4",
             (N.dim, M.dim),
             lambda n, m: (br.apply_left(n, d.column(m)), dot.on_basis(n, m)),
+            M.dim,
         ),
         (
             "BLie5",
@@ -194,6 +206,7 @@ def braiding_xmod_lie_laws(b: XBraiding):
                     br.apply_right(N.mult.on_basis(n, n3), n2),
                 ),
             ),
+            M.dim,
         ),
         (
             "BLie6",
@@ -206,6 +219,7 @@ def braiding_xmod_lie_laws(b: XBraiding):
                     br.apply_left(n2, N.mult.on_basis(n, n3)),
                 ),
             ),
+            M.dim,
         ),
     ]
 
@@ -230,11 +244,13 @@ def _cat_t12(b: CatBraiding, t1: str, t2: str):
             t1,
             (c0.dim, c0.dim),
             lambda a, d: (c.s.apply(tau.on_basis(a, d)), c0.mult.on_basis(a, d)),
+            c0.dim,
         ),
         (
             t1,
             (c0.dim, c0.dim),
             lambda a, d: (c.t.apply(tau.on_basis(a, d)), c0.mult.on_basis(d, a)),
+            c0.dim,
         ),
         (
             t2,
@@ -251,14 +267,15 @@ def _cat_t12(b: CatBraiding, t1: str, t2: str):
                     c1.mult.on_basis(y, x),
                 ),
             ),
+            c1.dim,
         ),
     ]
 
 
 def braiding_cat_assoc_laws(b: CatBraiding):
-    """AsT1..AsT4 as (tag, dims, law) triples; AsT2-4 evaluate compositions
+    """AsT1..AsT4 as (tag, dims, law, dim) entries; AsT2-4 evaluate compositions
     via the forced formula."""
-    c, _, c0, tau = _cat_parts(b)
+    c, c1, c0, tau = _cat_parts(b)
 
     return _cat_t12(b, "AsT1", "AsT2") + [
         (
@@ -272,6 +289,7 @@ def braiding_cat_assoc_laws(b: CatBraiding):
                     c.mul_e.apply_right(tau.on_basis(a, g), d),
                 ),
             ),
+            c1.dim,
         ),
         (
             "AsT4",
@@ -284,6 +302,7 @@ def braiding_cat_assoc_laws(b: CatBraiding):
                     c.e_mul.apply_left(d, tau.on_basis(a, g)),
                 ),
             ),
+            c1.dim,
         ),
     ]
 
@@ -296,7 +315,7 @@ def validate_braiding_cat_assoc(
 
 
 def braiding_cat_lie_ulualan_laws(b: CatBraiding):
-    """LieT1, LieT2, LieB3, LieB4 as (tag, dims, law) triples."""
+    """LieT1, LieT2, LieB3, LieB4 as (tag, dims, law, dim) entries."""
     c, c1, c0, tau = _cat_parts(b)
     F = c1.field
 
@@ -312,6 +331,7 @@ def braiding_cat_lie_ulualan_laws(b: CatBraiding):
                     c.e_mul.apply_left(a, tau.on_basis(d, g)),
                 ),
             ),
+            c1.dim,
         ),
         (
             "LieB4",
@@ -324,6 +344,7 @@ def braiding_cat_lie_ulualan_laws(b: CatBraiding):
                     c.mul_e.apply_right(tau.on_basis(a, d), g),
                 ),
             ),
+            c1.dim,
         ),
     ]
 
@@ -336,7 +357,7 @@ def validate_braiding_cat_lie_ulualan(
 
 
 def braiding_cat_lie_alt_laws(b: CatBraiding):
-    """LieT1..LieT4 as (tag, dims, law) triples."""
+    """LieT1..LieT4 as (tag, dims, law, dim) entries."""
     c, c1, c0, tau = _cat_parts(b)
     F = c1.field
 
@@ -352,6 +373,7 @@ def braiding_cat_lie_alt_laws(b: CatBraiding):
                     tau.apply_left(d, c0.mult.on_basis(a, g)),
                 ),
             ),
+            c1.dim,
         ),
         (
             "LieT4",
@@ -364,6 +386,7 @@ def braiding_cat_lie_alt_laws(b: CatBraiding):
                     tau.apply_right(c0.mult.on_basis(a, g), d),
                 ),
             ),
+            c1.dim,
         ),
     ]
 
@@ -377,7 +400,7 @@ def validate_braiding_cat_lie_alt(
 
 def anticoherence_laws(b: CatBraiding):
     """tau_{a,[b,c]} = [e(a), tau_{b,c}], the mirror identity, and their
-    antisymmetry consequence, as (tag, dims, law) triples; only meaningful
+    antisymmetry consequence, as (tag, dims, law, dim) entries; only meaningful
     away from characteristic 2."""
     c, c1, c0, tau = _cat_parts(b)
     if c1.field.characteristic == 2:
@@ -392,6 +415,7 @@ def anticoherence_laws(b: CatBraiding):
                 tau.apply_left(a, c0.mult.on_basis(d, g)),
                 c.e_mul.apply_left(a, tau.on_basis(d, g)),
             ),
+            c1.dim,
         ),
         (
             "AC2",
@@ -400,6 +424,7 @@ def anticoherence_laws(b: CatBraiding):
                 tau.apply_right(c0.mult.on_basis(d, g), a),
                 c.mul_e.apply_right(tau.on_basis(d, g), a),
             ),
+            c1.dim,
         ),
         (
             "AC3",
@@ -408,6 +433,7 @@ def anticoherence_laws(b: CatBraiding):
                 tau.apply_left(a, c0.mult.on_basis(d, g)),
                 vneg(F, tau.apply_right(c0.mult.on_basis(d, g), a)),
             ),
+            c1.dim,
         ),
     ]
 
@@ -436,27 +462,35 @@ def with_braiding(b: XBraiding | CatBraiding, x):
 
 def braiding_system(b: XBraiding | CatBraiding, laws):
     """{tag: (rows, const)}: the residuals lhs - rhs of the laws of
-    `laws(b)` with that tag, in `sweep` order, are rows . x + const at the
-    braiding on `b.base` whose coordinates are x."""
+    `laws(b)` with that tag, in `sweep` order and densified, are
+    rows . x + const at the braiding on `b.base` whose coordinates are x."""
     t = _braiding_map(b)
     F, n = t.field, t.left.dim * t.right.dim * t.codomain.dim
 
-    def residuals(x):
+    def residuals(x):  # {tag: [(lhs - rhs, dim) per basis tuple]}
         out = {}
-        for tag, dims, law in laws(with_braiding(b, x)):
+        for tag, dims, law, dim in laws(with_braiding(b, x)):
             res = out.setdefault(tag, [])
-            for idx in basis_tuples(dims):
-                res.extend(vsub(F, *law(*idx)))
+            res.extend((vsub(F, *law(*idx)), dim) for idx in basis_tuples(dims))
         return out
 
     zero = (F.zero(),) * n
     const = residuals(zero)
-    units = [residuals(zero[:u] + (F.one(),) + zero[u + 1 :]) for u in range(n)]
-    system = {}
-    for tag, c in const.items():
-        cols = [vsub(F, unit[tag], c) for unit in units]
-        system[tag] = ([tuple(col[r] for col in cols) for r in range(len(c))], c)
-    return system
+    # the entries (u, coefficient of x_u) of each row: unit residual - const
+    entries = {tag: [[] for _, d in parts for _ in range(d)] for tag, parts in const.items()}
+    for u in range(n):
+        unit = residuals(zero[:u] + (F.one(),) + zero[u + 1 :])
+        for tag, parts in const.items():
+            rows, offset = entries[tag], 0
+            for (v, dim), (c, _) in zip(unit[tag], parts):
+                if v != c:
+                    for k, a in vsub(F, v, c):
+                        rows[offset + k].append((u, a))
+                offset += dim
+    return {
+        tag: ([dense(e, n) for e in entries[tag]], [a for c, dim in parts for a in dense(c, dim)])
+        for tag, parts in const.items()
+    }
 
 
 def braiding_space(b: XBraiding | CatBraiding, system, tags=None):
@@ -474,7 +508,8 @@ def braiding_space(b: XBraiding | CatBraiding, system, tags=None):
     if sol is None:
         return None
     part, null = sol
-    return tuple(with_braiding(b, x) for x in (part, *(vadd(F, part, v) for v in null)))
+    points = (part, *(tuple(map(F.add, part, v)) for v in null))
+    return tuple(with_braiding(b, x) for x in points)
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +563,16 @@ def kernel_part(c: CatAlgebra):
     """ker(s) packaged as a space: (subspace, kernel space, inclusion)."""
     ks = kernel(c.s)
     kspace = Space(c.c1.field, tuple(f"k{i}" for i in range(ks.dim)))
-    incl = from_columns(kspace, c.c1.space, list(ks.basis))
+    incl = from_columns(kspace, c.c1.space, map(_nonzero, ks.basis))
     return ks, kspace, incl
+
+
+def _kernel_coords(ks, v, message):
+    """The coordinates of v in ks, a `kernel_part`'s subspace, else raise `message`."""
+    coords = ks.coords(dense(v, ks.ambient.dim))
+    if coords is None:
+        raise InternalInvariantViolation(message)
+    return _nonzero(coords)
 
 
 def xc_functor(b: CatBraiding) -> XBraiding:
@@ -555,18 +598,14 @@ def _xc(b: CatBraiding, kpart) -> XBraiding:
     F = c1.field
     ks, kspace, incl = kpart
 
-    def kcoords(v):
-        coords = ks.coords(v)
-        if coords is None:
-            raise InternalInvariantViolation("value escaped ker(s)")
-        return coords
+    escaped = "value escaped ker(s)"
 
     def product_in_ker(left, x, right, y):  # (i, j) -> x(i) y(j), inside ker(s)
         return bilinear_from_rule(
-            left, right, kspace, lambda i, j: kcoords(c1.product(x(i), y(j)))
+            left, right, kspace, lambda i, j: _kernel_coords(ks, c1.product(x(i), y(j)), escaped)
         )
 
-    k, e = ks.basis.__getitem__, c.e.column
+    k, e = incl.column, c.e.column
     kalg = Algebra(kspace, product_in_ker(kspace, k, kspace, k))
     star1 = product_in_ker(c0.space, e, kspace, k)
     star2 = product_in_ker(kspace, k, c0.space, e)
@@ -576,7 +615,7 @@ def _xc(b: CatBraiding, kpart) -> XBraiding:
 
     def brace_rule(a, d):
         v = vsub(F, c.e.apply(c0.mult.on_basis(a, d)), tau.on_basis(a, d))
-        return kcoords(v)
+        return _kernel_coords(ks, v, escaped)
 
     brace = bilinear_from_rule(c0.space, c0.space, kspace, brace_rule)
     out = XBraiding(base, brace)
@@ -632,6 +671,7 @@ def validate_braided_internal_functor(
                 "IFC",
                 (left.domain.dim,),
                 lambda i, L=left, R=right: (L.column(i), R.column(i)),
+                left.codomain.dim,
             )
         )
     entries.append(intertwining_sweep("IFB", f1, source.tau, target.tau, f0, f0))
@@ -654,12 +694,8 @@ def _alpha(b: XBraiding):
     ks, kspace, _ = kpart
     x = b.base
     m_dim = x.m.dim
-    cols = []
-    for i in range(m_dim):
-        coords = ks.coords(sd.incl_module.column(i))
-        if coords is None:
-            raise InternalInvariantViolation("(m, 0) escaped ker(s) in bar construction")
-        cols.append(coords)
+    escaped = "(m, 0) escaped ker(s) in bar construction"
+    cols = (_kernel_coords(ks, sd.incl_module.column(i), escaped) for i in range(m_dim))
     f1 = from_columns(x.m.space, kspace, cols)
     phi = XModMorphism(f1, identity_map(x.n.space))
     target = _xc(cx, kpart)
@@ -682,7 +718,6 @@ def beta_iso(b: CatBraiding):
 def _beta(b: CatBraiding):
     """beta_iso plus the functor report that proves it an isomorphism."""
     c, c1, c0, tau = _cat_parts(b)
-    F = c1.field
     # xc_functor's checks, then its core on the kernel computed here; the
     # core asserted exactly what cx_functor would check
     _check_xc_input(b)
@@ -690,14 +725,10 @@ def _beta(b: CatBraiding):
     ks, kspace, _ = kpart
     target, sd = _cx(_xc(b, kpart))
     vertical = identity_map(c1.space).sub(c.e.after(c.s))  # x - e(s(x))
-    cols = []
-    for i in range(c1.dim):
-        sx = c.s.column(i)
-        coords = ks.coords(vertical.column(i))
-        if coords is None:
-            raise InternalInvariantViolation("x - e(s(x)) escaped ker(s)")
-        cols.append(vadd(F, sd.incl_module.apply(coords), sd.incl_actor.apply(sx)))
-    f1 = from_columns(c1.space, target.base.c1.space, cols)
+    escaped = "x - e(s(x)) escaped ker(s)"
+    cols = (_kernel_coords(ks, vertical.column(i), escaped) for i in range(c1.dim))
+    in_ker = from_columns(c1.space, kspace, cols)
+    f1 = sd.incl_module.after(in_ker).add(sd.incl_actor.after(c.s))
     f0 = identity_map(c0.space)
     rep = validate_braided_internal_functor(f1, f0, b, target)
     if not rep.ok or f1.rank() != c1.dim or target.base.c1.dim != c1.dim:

@@ -36,7 +36,8 @@ from .errors import (
 from .fields import MAX_CHARACTERISTIC, QQ, CharacteristicTooLarge, Field
 from .groupx import FiniteGroup, GroupXMod, validate_group_braiding, validate_group_xmod
 from .icat import ASSOC, LIE, CatAlgebra, validate_cat_algebra
-from .linear import BilMap, LinMap, Space, bilinear_from_rule, from_columns, identity_map
+from .linear import BilMap, LinMap, Space, _nonzero, bilinear_from_rule
+from .linear import from_columns, identity_map, vneg
 from .record import Record
 from .report import merge
 from .xmod import XModAssoc, XModLie, validate_xmod_assoc, validate_xmod_lie
@@ -184,9 +185,10 @@ class _Parser:
             )
 
     def expr(self, space: Space):
-        """Linear combination of basis labels; a bare `0` is the zero vector."""
+        """Linear combination of basis labels, as a sparse vector; a bare `0`
+        is the zero vector."""
         F = self.field
-        vec = list(space.zero())
+        vec = [F.zero()] * space.dim
         first = True
         while True:
             sign = F.one()
@@ -218,7 +220,7 @@ class _Parser:
                 raise DslSyntaxError(
                     f"expected a term, found {t.value or t.kind!r}", t.line, t.col
                 )
-        return tuple(vec)
+        return _nonzero(vec)
 
     def _label(self, space: Space, tok: Token) -> int:
         if tok.value not in space.labels:
@@ -394,7 +396,7 @@ class _Parser:
         if antisym:
             for (i, j), v in list(prods.items()):
                 if (j, i) not in prods and i != j:
-                    prods[(j, i)] = tuple(F.neg(c) for c in v)
+                    prods[(j, i)] = vneg(F, v)
         return Algebra(space, _from_pairs(space, space, space, prods))
 
     def parse_map(self, name):
@@ -593,11 +595,9 @@ def parse(source: str) -> Document:
 
 
 def _expr_str(F: Field, space: Space, vec) -> str:
-    """A nonzero `vec` as a combination of basis labels."""
+    """A nonzero sparse `vec` as a combination of basis labels."""
     pieces = []
-    for i, c in enumerate(vec):
-        if c == F.zero():
-            continue
+    for i, c in vec:
         label = space.labels[i]
         negative = F.is_rationals and c < 0
         mag = F.neg(c) if negative else c
@@ -672,11 +672,7 @@ class _Printer:
         """`head {`, one `lhs expr;` line per nonzero (lhs, vector), `}`."""
         F = cod.field
         self.lines.append(f"{head} {{")
-        self.lines.extend(
-            f"  {lhs} {_expr_str(F, cod, v)};"
-            for lhs, v in items
-            if any(c != F.zero() for c in v)
-        )
+        self.lines.extend(f"  {lhs} {_expr_str(F, cod, v)};" for lhs, v in items if v)
         self.lines.append("}")
 
     def entries(self, head, fields):

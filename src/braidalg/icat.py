@@ -10,7 +10,7 @@ vector b_a of C0, which the braiding laws read.
 
 from __future__ import annotations
 
-from .algebra import Algebra, _both, _liefy, hom_sweep, is_associative, is_lie
+from .algebra import Algebra, _liefy, hom_sweep, is_associative, is_lie
 from .errors import (
     InternalInvariantViolation,
     InvalidCatAlgebra,
@@ -19,12 +19,15 @@ from .errors import (
 from .linear import (
     LinMap,
     Space,
+    _nonzero,
     bilinear_from_rule,
+    dense,
     from_columns,
     identity_map,
     kernel,
     pullback_space,
     vadd,
+    vneg,
     vsub,
 )
 from .record import Record
@@ -93,7 +96,7 @@ def composable_pair_basis(c: CatAlgebra):
     """Basis of the pullback C1 x_C0 C1, as (x, y) vector pairs."""
     n = c.c1.dim
     pb = pullback_space(c.t, c.s)
-    return [(v[:n], v[n:]) for v in pb.basis]
+    return [(_nonzero(v[:n]), _nonzero(v[n:])) for v in pb.basis]
 
 
 def composable_triple_basis(c: CatAlgebra):
@@ -102,21 +105,14 @@ def composable_triple_basis(c: CatAlgebra):
     labels = tuple(f"p{i}_{lbl}" for i in (1, 2, 3) for lbl in c.c1.space.labels)
     triple = Space(c.c1.field, labels)
     out = Space(c.c1.field, tuple(f"q{i}_{lbl}" for i in (1, 2) for lbl in c.c0.space.labels))
-    F = c.c1.field
+    F, z = c.c1.field, (0,) * m
     cols = []
     for j in range(3 * n):
         block, idx = divmod(j, n)
-        tv, sv = c.t.column(idx), c.s.column(idx)
-        z = c.c0.space.zero()
-        if block == 0:
-            col = tuple(tv) + tuple(z)
-        elif block == 1:
-            col = tuple(vsub(F, z, sv)) + tuple(tv)
-        else:
-            col = tuple(z) + tuple(vsub(F, z, sv))
-        cols.append(col)
+        tv, sv = dense(c.t.column(idx), m), dense(vneg(F, c.s.column(idx)), m)
+        cols.append(_nonzero((tv + z, sv + tv, z + sv)[block]))
     diff = from_columns(triple, out, cols)
-    return [(v[:n], v[n : 2 * n], v[2 * n :]) for v in kernel(diff).basis]
+    return [tuple(_nonzero(v[k : k + n]) for k in (0, n, 2 * n)) for v in kernel(diff).basis]
 
 
 def validate_cat_algebra(c: CatAlgebra, subject: str = "cat") -> ValidationReport:
@@ -134,7 +130,9 @@ def validate_cat_algebra(c: CatAlgebra, subject: str = "cat") -> ValidationRepor
     ident = identity_map(c.c0.space)
     for se in (c.s.after(c.e), c.t.after(c.e)):
         entries.append(
-            sweep("Cat2", (c.c0.dim,), lambda i, se=se: (se.column(i), ident.column(i)))
+            sweep(
+                "Cat2", (c.c0.dim,), lambda i, se=se: (se.column(i), ident.column(i)), c.c0.dim
+            )
         )
 
     pairs = composable_pair_basis(c)
@@ -145,7 +143,7 @@ def validate_cat_algebra(c: CatAlgebra, subject: str = "cat") -> ValidationRepor
         (x, y), (x2, y2) = pairs[i], pairs[j]
         return k_formula(c, mul(x, x2), mul(y, y2)), mul(kvals[i], kvals[j])
 
-    entries.append(sweep("Cat3", (len(pairs), len(pairs)), k_hom))
+    entries.append(sweep("Cat3", (len(pairs), len(pairs)), k_hom, c.c1.dim))
 
     unit = identity_map(c.c1.space).column  # b_i, built once
     entries.append(
@@ -153,6 +151,7 @@ def validate_cat_algebra(c: CatAlgebra, subject: str = "cat") -> ValidationRepor
             "Cat4",
             (c.c1.dim,),
             lambda i: (k_formula(c, unit(i), c.e.apply(c.t.column(i))), unit(i)),
+            c.c1.dim,
         )
     )
     entries.append(
@@ -160,6 +159,7 @@ def validate_cat_algebra(c: CatAlgebra, subject: str = "cat") -> ValidationRepor
             "Cat4",
             (c.c1.dim,),
             lambda i: (k_formula(c, c.e.apply(c.s.column(i)), unit(i)), unit(i)),
+            c.c1.dim,
         )
     )
     triples = composable_triple_basis(c)
@@ -171,6 +171,7 @@ def validate_cat_algebra(c: CatAlgebra, subject: str = "cat") -> ValidationRepor
                 k_formula(c, k_formula(c, triples[i][0], triples[i][1]), triples[i][2]),
                 k_formula(c, triples[i][0], k_formula(c, triples[i][1], triples[i][2])),
             ),
+            c.c1.dim,
         )
     )
     return merge(subject, entries)
@@ -178,7 +179,7 @@ def validate_cat_algebra(c: CatAlgebra, subject: str = "cat") -> ValidationRepor
 
 def require_valid_cat(c: CatAlgebra):
     flavor_ok = is_associative if c.flavor == ASSOC else is_lie
-    if not _both(flavor_ok, c.c1, c.c0):
+    if not (flavor_ok(c.c1) and flavor_ok(c.c0)):
         raise InvalidCatAlgebra(f"C1 and C0 must be {c.flavor} algebras")
     validate_cat_algebra(c).require(
         InvalidCatAlgebra, "categorical algebra axioms fail"

@@ -1,25 +1,27 @@
 """Exact linear algebra: spaces, linear and bilinear maps, subspaces.
 
-Vectors are tuples of field scalars.  A linear map stores the image of
-each basis vector, a bilinear map the image of each basis pair; no other
-module reads those layouts.  Each map also derives, once, the nonzero
-entries `((k, c), ...)` of every stored image, and every evaluation --
-`LinMap.apply`, `BilMap.apply` and the one-index reads
-`BilMap.apply_left`/`apply_right` -- adds up those sparse images in one
-loop, `_combine`, so no caller builds a basis vector and no evaluation
-scans a zero.  Subspaces are kept in reduced row echelon form so that
-equal subspaces have equal representations; `rref` and `Subspace.reduce`
-subtract multiples of a row's nonzero entries in place.  Over Q, `rref`
-eliminates on primitive integer rows, with no common factor left in a row,
-and divides each pivot row by its pivot once, at the end.  The kernel does
-its scalar arithmetic inline, one branch per field, in the normal form
-of `fields.py`, with no `Field` method call per entry.
+A vector is sparse: the tuple `((k, c), ...)` of its nonzero entries, k
+strictly increasing and each c in the normal form of `fields.py`, so equal
+vectors are equal tuples.  A linear map stores the image of each basis
+vector, a bilinear map that of each basis pair; no other module reads those
+layouts.  Each map derives once the sparse form of every stored image, and
+every evaluation -- `LinMap.apply`, `BilMap.apply` and the one-index reads
+`BilMap.apply_left`/`apply_right` -- adds up those images in one loop,
+`_combine`, which scans no zero.  Dense tuples remain at four boundaries,
+each crossed through `dense(v, dim)` or `_nonzero(v)`: the stored maps, the
+rows of `rref`, `Subspace`, `kernel`, `affine_solutions` and `quotient`, the
+witness of a failing law in `report.sweep`, and the DSL text.  Subspaces are
+kept in reduced row echelon form, so equal subspaces are equal records.
+Over Q, `rref` eliminates on primitive integer rows and divides each pivot
+row by its pivot once, at the end.  Scalar arithmetic is inline, one branch
+per field, in the normal form of `fields.py`, with no `Field` call per entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 
 from .fields import Field, normal
 from .record import Record
@@ -41,14 +43,28 @@ class Space(Record):
         return self.labels.index(label)
 
     def zero(self):
-        return (self.field.zero(),) * self.dim
+        return ()
 
     def basis_vector(self, i: int):
-        z, one = self.field.zero(), self.field.one()
-        return tuple(one if j == i else z for j in range(self.dim))
+        return ((i, 1),)
 
     def basis(self):
         return [self.basis_vector(i) for i in range(self.dim)]
+
+
+def dense(v, dim: int):
+    """The sparse vector v as a tuple of all `dim` coordinates."""
+    if v and not (v[0][0] >= 0 and v[-1][0] < dim):
+        raise ValueError(f"vector {v} does not lie in dimension {dim}")
+    out = [0] * dim
+    for k, c in v:
+        out[k] = c
+    return tuple(out)
+
+
+def _nonzero(v):
+    """The dense vector v as a sparse one, its nonzero entries ((k, v[k]), ...)."""
+    return tuple(filter(itemgetter(1), enumerate(v)))
 
 
 # Scalar results are put in the normal form of `fields.py` inline, as
@@ -56,15 +72,11 @@ class Space(Record):
 
 
 def vadd(field: Field, u, v):
-    if p := field.characteristic:
-        return tuple((a + b) % p for a, b in zip(u, v))
-    return tuple(c if (c := a + b).__class__ is int else normal(c) for a, b in zip(u, v))
+    return _combine(field, ((0, 1), (1, 1)), (u, v))
 
 
 def vsub(field: Field, u, v):
-    if p := field.characteristic:
-        return tuple((a - b) % p for a, b in zip(u, v))
-    return tuple(c if (c := a - b).__class__ is int else normal(c) for a, b in zip(u, v))
+    return _combine(field, ((0, 1), (1, -1)), (u, v))
 
 
 def vneg(field: Field, u):
@@ -73,35 +85,48 @@ def vneg(field: Field, u):
 
 def vscale(field: Field, c, u):
     if p := field.characteristic:
-        return tuple(c * a % p for a in u)
-    return tuple(d if (d := c * a).__class__ is int else normal(d) for a in u)
+        c %= p
+        return tuple((k, c * a % p) for k, a in u) if c else ()
+    if not c:
+        return ()
+    return tuple((k, d if (d := c * a).__class__ is int else normal(d)) for k, a in u)
 
 
 def is_zero(u) -> bool:
-    return not any(u)
+    return not u
 
 
-def _nonzero(v):
-    """The nonzero entries of v as ((k, v[k]), ...)."""
-    return tuple((k, c) for k, c in enumerate(v) if c)
+def _combine(field: Field, v, images):
+    """The sum of m * images[j] over the entries (j, m) of v, images sparse.
 
-
-def _combine(field: Field, dim: int, terms):
-    """The sum of m * image over the (m, image) terms with m != 0, each
-    image given by its nonzero entries."""
-    out = [0] * dim
+    One nonzero term gives its image itself when m = 1, else the image
+    scaled by m, with no zero test: over Q, and over F_p with p prime, a
+    product of two nonzero scalars is nonzero.  Several terms are summed in
+    a dict, which is filtered and sorted once."""
+    first = acc = None
+    for j, m in v:
+        image = images[j]
+        if not image:
+            continue
+        if acc is None:
+            if first is None:
+                first = m, image
+                continue
+            m0, image0 = first
+            acc = dict(image0) if m0 == 1 else {k: m0 * c for k, c in image0}
+        get = acc.get
+        for k, c in image:
+            acc[k] = get(k, 0) + m * c
+    if acc is None:
+        if first is None:
+            return ()
+        m, image = first
+        return image if m == 1 else vscale(field, m, image)
     if p := field.characteristic:
-        for m, image in terms:
-            if m:
-                for k, c in image:
-                    out[k] = (out[k] + m * c) % p
-        return tuple(out)
-    for m, image in terms:
-        if m:
-            for k, c in image:
-                v = out[k] + m * c
-                out[k] = v if v.__class__ is int else normal(v)
-    return tuple(out)
+        return tuple((k, r) for k, c in sorted(acc.items()) if (r := c % p))
+    return tuple(
+        (k, c if c.__class__ is int else normal(c)) for k, c in sorted(acc.items()) if c
+    )
 
 
 class LinMap(Record):
@@ -109,8 +134,8 @@ class LinMap(Record):
 
     domain: Space
     codomain: Space
-    columns: tuple  # [domain.dim], each a codomain vector
-    __slots__ = ("_images",)  # [domain.dim], the nonzero entries of each column
+    columns: tuple  # [domain.dim], each a dense codomain vector
+    __slots__ = ("field", "_images")  # the domain's field; each column, sparse
 
     def __post_init__(self):
         if self.domain.field != self.codomain.field:
@@ -119,28 +144,25 @@ class LinMap(Record):
             len(col) != self.codomain.dim for col in self.columns
         ):
             raise ValueError("columns do not match the spaces")
+        object.__setattr__(self, "field", self.domain.field)
         object.__setattr__(self, "_images", tuple(map(_nonzero, self.columns)))
 
-    @property
-    def field(self) -> Field:
-        return self.domain.field
-
     def apply(self, v):
-        return _combine(self.field, self.codomain.dim, zip(v, self._images))
+        return _combine(self.field, v, self._images)
 
     def column(self, j: int):
-        return self.columns[j]
+        return self._images[j]
 
     def after(self, other: "LinMap") -> "LinMap":
         """self o other."""
         if other.codomain != self.domain:
             raise ValueError("maps not composable")
-        return from_columns(other.domain, self.codomain, map(self.apply, other.columns))
+        return from_columns(other.domain, self.codomain, map(self.apply, other._images))
 
     def _zip_columns(self, op, other: "LinMap") -> "LinMap":
         if (other.domain, other.codomain) != (self.domain, self.codomain):
             raise ValueError("maps between different spaces")
-        cols = (op(self.field, a, b) for a, b in zip(self.columns, other.columns))
+        cols = (op(self.field, a, b) for a, b in zip(self._images, other._images))
         return from_columns(self.domain, self.codomain, cols)
 
     def add(self, other: "LinMap") -> "LinMap":
@@ -154,7 +176,8 @@ class LinMap(Record):
 
 
 def from_columns(domain: Space, codomain: Space, cols) -> LinMap:
-    return LinMap(domain, codomain, tuple(tuple(col) for col in cols))
+    """The linear map sending b_j to the sparse vector cols[j]."""
+    return LinMap(domain, codomain, tuple(dense(col, codomain.dim) for col in cols))
 
 
 def identity_map(sp: Space) -> LinMap:
@@ -162,7 +185,7 @@ def identity_map(sp: Space) -> LinMap:
 
 
 def zero_map(domain: Space, codomain: Space) -> LinMap:
-    return LinMap(domain, codomain, (codomain.zero(),) * domain.dim)
+    return from_columns(domain, codomain, [()] * domain.dim)
 
 
 class BilMap(Record):
@@ -171,9 +194,10 @@ class BilMap(Record):
     left: Space
     right: Space
     codomain: Space
-    tensor: tuple  # [left.dim][right.dim], each a codomain vector
-    # the nonzero entries of each image: _rows[i][j] and _cols[j][i] for (b_i, b_j)
-    __slots__ = ("_rows", "_cols")
+    tensor: tuple  # [left.dim][right.dim], each a dense codomain vector
+    # derived: the field, and the image of (b_i, b_j) as a sparse vector in
+    # _rows[i][j], _cols[j][i] and _pairs[i * right.dim + j]
+    __slots__ = ("field", "_rows", "_cols", "_pairs")
 
     def __post_init__(self):
         if not (self.left.field == self.right.field == self.codomain.field):
@@ -186,28 +210,26 @@ class BilMap(Record):
             raise ValueError("tensor shape does not match spaces")
         rows = tuple(tuple(map(_nonzero, row)) for row in self.tensor)
         cols = tuple(tuple(row[j] for row in rows) for j in range(self.right.dim))
+        object.__setattr__(self, "field", self.left.field)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_cols", cols)
-
-    @property
-    def field(self) -> Field:
-        return self.left.field
+        object.__setattr__(self, "_pairs", sum(rows, ()))
 
     def on_basis(self, i: int, j: int):
-        return self.tensor[i][j]
+        return self._rows[i][j]
 
     def apply_left(self, i: int, v):
         """apply(b_i, v), read from the stored images of (b_i, b_j)."""
-        return _combine(self.field, self.codomain.dim, zip(v, self._rows[i]))
+        return _combine(self.field, v, self._rows[i])
 
     def apply_right(self, u, j: int):
         """apply(u, b_j), read from the stored images of (b_i, b_j)."""
-        return _combine(self.field, self.codomain.dim, zip(u, self._cols[j]))
+        return _combine(self.field, u, self._cols[j])
 
     def apply(self, u, v):
-        vs = _nonzero(v)
-        pairs = ((a * b, row[j]) for a, row in zip(u, self._rows) if a for j, b in vs)
-        return _combine(self.field, self.codomain.dim, pairs)
+        R = self.right.dim
+        pairs = ((i * R + j, a * b) for i, a in u for j, b in v)
+        return _combine(self.field, pairs, self._pairs)
 
     def swapped(self) -> "BilMap":
         """(u, v) -> apply(v, u)."""
@@ -220,25 +242,26 @@ class BilMap(Record):
         shape = (self.left, self.right, self.codomain)
         if (other.left, other.right, other.codomain) != shape:
             raise ValueError("maps between different spaces")
-        F = self.field
-        tensor = tuple(
-            tuple(vsub(F, a, b) for a, b in zip(ra, rb))
-            for ra, rb in zip(self.tensor, other.tensor)
-        )
-        return BilMap(self.left, self.right, self.codomain, tensor)
+        F, rows = self.field, zip(self._rows, other._rows)
+        images = ((vsub(F, a, b) for a, b in zip(ra, rb)) for ra, rb in rows)
+        return _from_images(*shape, images)
 
     def scale(self, c) -> "BilMap":
         F = self.field
-        tensor = tuple(tuple(vscale(F, c, v) for v in row) for row in self.tensor)
-        return BilMap(self.left, self.right, self.codomain, tensor)
+        images = ((vscale(F, c, v) for v in row) for row in self._rows)
+        return _from_images(self.left, self.right, self.codomain, images)
+
+
+def _from_images(left: Space, right: Space, codomain: Space, images) -> BilMap:
+    """The BilMap whose image of (b_i, b_j) is the sparse vector images[i][j]."""
+    tensor = tuple(tuple(dense(v, codomain.dim) for v in row) for row in images)
+    return BilMap(left, right, codomain, tensor)
 
 
 def bilinear_from_rule(left: Space, right: Space, codomain: Space, rule) -> BilMap:
-    """Build a BilMap from a rule on basis index pairs returning vectors."""
-    tensor = tuple(
-        tuple(tuple(rule(i, j)) for j in range(right.dim)) for i in range(left.dim)
-    )
-    return BilMap(left, right, codomain, tensor)
+    """Build a BilMap from a rule on basis index pairs returning sparse vectors."""
+    images = ((rule(i, j) for j in range(right.dim)) for i in range(left.dim))
+    return _from_images(left, right, codomain, images)
 
 
 def bilinear_from_coordinates(left: Space, right: Space, codomain: Space, x) -> BilMap:
@@ -246,14 +269,12 @@ def bilinear_from_coordinates(left: Space, right: Space, codomain: Space, x) -> 
     with L = left.dim and R = right.dim."""
     L, R, K = left.dim, right.dim, codomain.dim
     return bilinear_from_rule(
-        left, right, codomain, lambda i, j: tuple(x[(k * L + i) * R + j] for k in range(K))
+        left, right, codomain, lambda i, j: _nonzero([x[(k * L + i) * R + j] for k in range(K)])
     )
 
 
 def zero_bilmap(left: Space, right: Space, codomain: Space) -> BilMap:
-    z = codomain.zero()
-    tensor = tuple(tuple(z for _ in range(right.dim)) for _ in range(left.dim))
-    return BilMap(left, right, codomain, tensor)
+    return _from_images(left, right, codomain, [[()] * right.dim] * left.dim)
 
 
 def _eliminate(field: Field, v: list, c, row):
@@ -301,8 +322,8 @@ def rref(field: Field, rows):
     Over Q each pivot row is made primitive, a row is cleared against a
     pivot other than +-1 in integers, and each pivot row is divided by its
     pivot once, at the end."""
-    work = [list(r) for r in rows if not is_zero(r)]
-    q = not field.characteristic
+    work = [list(r) for r in rows if any(r)]
+    char = field.characteristic
     pivots = []
     for col in range(len(work[0]) if work else 0):
         row = len(pivots)
@@ -312,7 +333,8 @@ def rref(field: Field, rows):
         else:
             continue
         v = work[pivot_row]
-        v = _primitive(v) if q else list(vscale(field, field.inv(v[col]), v))
+        inv = char and field.inv(v[col])
+        v = [inv * a % char for a in v] if char else _primitive(v)
         work[pivot_row] = work[row]
         work[row] = v
         p, nz = v[col], _nonzero(v)
@@ -324,7 +346,7 @@ def rref(field: Field, rows):
                     work[r] = _cancel(w, col, v)
         pivots.append(col)
     # rows are already sorted by pivot column, and the rows below them are 0
-    if q:
+    if not char:
         return list(map(_divided, work, pivots))
     return [tuple(r) for r in work[: len(pivots)]]
 
@@ -371,7 +393,7 @@ class Subspace(Record):
         return tuple(v)
 
     def contains(self, v) -> bool:
-        return is_zero(self.reduce(v))
+        return not any(self.reduce(v))
 
     def coords(self, v):
         """Coefficients of v in this basis; None if v is not in the span."""
@@ -380,28 +402,22 @@ class Subspace(Record):
         return tuple(v[p] for p in self.pivots())
 
 
-def in_subspace(v, sub: Subspace) -> bool:
-    if len(v) != sub.ambient.dim:
-        raise ValueError("vector does not live in the ambient space")
-    return sub.contains(v)
-
-
 def kernel(f: LinMap) -> Subspace:
     """Canonical basis of {v : f(v) = 0}."""
     F = f.field
     n = f.domain.dim
-    echelon = rref(F, [f.column(j) + f.domain.basis_vector(j) for j in range(n)])
+    echelon = rref(F, [f.columns[j] + dense(f.domain.basis_vector(j), n) for j in range(n)])
     # rows of `echelon` are (image | preimage); those with zero image part
     # come last, and their preimage parts are already in reduced echelon form
     m = f.codomain.dim
-    return Subspace(f.domain, tuple(row[m:] for row in echelon if is_zero(row[:m])))
+    return Subspace(f.domain, tuple(row[m:] for row in echelon if not any(row[:m])))
 
 
 def affine_solutions(field: Field, rows, const, n: int):
     """The solutions x of rows . x + const = 0 in n unknowns: the one whose
     free unknowns are 0 and `kernel`'s canonical basis of the homogeneous
     solutions, or None if there is no solution."""
-    red = rref(field, [(*row, c) for row, c in zip(rows, vneg(field, const))])
+    red = rref(field, [(*row, field.neg(c)) for row, c in zip(rows, const)])
     pivots = _pivot_columns(red)
     if n in pivots:
         return None
@@ -411,7 +427,7 @@ def affine_solutions(field: Field, rows, const, n: int):
     # the reduced rows have the solutions of `rows`; one column per unknown
     dom = Space(field, tuple(f"x{j}" for j in range(n)))
     cod = Space(field, tuple(f"r{i}" for i in range(len(red))))
-    f = from_columns(dom, cod, ([row[j] for row in red] for j in range(n)))
+    f = from_columns(dom, cod, (_nonzero([row[j] for row in red]) for j in range(n)))
     return tuple(part), kernel(f).basis
 
 
@@ -431,7 +447,7 @@ def quotient(ambient: Space, sub: Subspace):
     # minus that row restricted to the free columns
     unit = iter(qspace.basis())
     cols = (
-        vneg(ambient.field, (rows[j][c] for c in free)) if j in rows else next(unit)
+        vneg(ambient.field, _nonzero([rows[j][c] for c in free])) if j in rows else next(unit)
         for j in range(ambient.dim)
     )
     proj = from_columns(ambient, qspace, cols)
@@ -449,11 +465,11 @@ def direct_sum(a: Space, b: Space, left_prefix: str = "l_", right_prefix: str = 
         right_prefix + s for s in b.labels
     )
     total = Space(a.field, labels)
-    unit = identity_map(total).columns
+    unit = total.basis()
     incl_a = from_columns(a, total, unit[: a.dim])
     incl_b = from_columns(b, total, unit[a.dim :])
-    proj_a = from_columns(total, a, identity_map(a).columns + (a.zero(),) * b.dim)
-    proj_b = from_columns(total, b, (b.zero(),) * a.dim + identity_map(b).columns)
+    proj_a = from_columns(total, a, a.basis() + [()] * b.dim)
+    proj_b = from_columns(total, b, [()] * a.dim + b.basis())
     return total, incl_a, incl_b, proj_a, proj_b
 
 

@@ -36,13 +36,15 @@ from .linear import (
     LinMap,
     Space,
     Subspace,
+    _nonzero,
     bilinear_from_rule,
+    dense,
     from_columns,
     is_zero,
     quotient,
     rref,
     vadd,
-    vscale,
+    vsub,
 )
 from .record import Record
 from .report import ValidationReport, merge, sweep
@@ -67,15 +69,16 @@ def _plain_tensor_space(m: Space) -> Space:
     return Space(m.field, labels)
 
 
-def _place(field, acc, positions, u, op):
-    """acc[p] = op(acc[p], u[a]) for the a-th of `positions`, nonzero u[a].
+def _positions(n):
+    """Where u(x)b_k and b_i(x)u put the entries of u in M (x) M, for
+    dim M = n: left[k] = range(k, n*n, n) and right[i] = range(i*n, i*n + n)."""
+    return [range(k, n * n, n) for k in range(n)], [range(i * n, i * n + n) for i in range(n)]
 
-    With one factor a basis vector, u(x)b_k sits at range(k, n*n, n) and
-    b_i(x)u at range(i*n, i*n + n), so no outer product is formed.
-    """
-    for p, a in zip(positions, u):
-        if a != 0:
-            acc[p] = op(acc[p], a)
+
+def _placed(u, positions):
+    """u(x)b_k or b_i(x)u, as u placed at `_positions`' left[k] or right[i]:
+    with one factor a basis vector, no outer product is formed."""
+    return tuple((positions[a], c) for a, c in u)
 
 
 def _bracket_map(m: Algebra, amb: Space) -> LinMap:
@@ -93,31 +96,23 @@ def tensor_square(m: Algebra) -> TensorSquare:
     F = m.field
     amb = _plain_tensor_space(m.space)
     n = m.dim
-    b = m.mult.on_basis
-    left = [range(k, n * n, n) for k in range(n)]  # u(x)b_k
-    right = [range(i * n, i * n + n) for i in range(n)]  # b_i(x)u
+    b, (left, right) = m.mult.on_basis, _positions(n)
     mu = _bracket_map(m, amb)
-    derived = rref(F, [mu.column(p) for p in range(amb.dim)])  # a basis of [M,M]
+    derived = rref(F, [dense(mu.column(p), n) for p in range(amb.dim)])  # a basis of [M,M]
 
     rels = []
     for i, j in itertools.combinations(range(n), 2):  # family 1 on i < j
         for k in range(n):
-            r = list(amb.zero())
-            _place(F, r, left[k], b(i, j), F.add)
-            _place(F, r, right[i], b(j, k), F.sub)
-            _place(F, r, right[j], b(i, k), F.add)
-            rels.append(tuple(r))
+            r = vsub(F, _placed(b(i, j), left[k]), _placed(b(j, k), right[i]))
+            rels.append(dense(vadd(F, r, _placed(b(i, k), right[j])), amb.dim))
     for j, k in itertools.combinations(range(n), 2):  # family 2 on j < k
         for i in range(n):
-            r = list(amb.zero())
-            _place(F, r, right[i], b(j, k), F.add)
-            _place(F, r, left[j], b(k, i), F.sub)
-            _place(F, r, left[k], b(j, i), F.add)
-            rels.append(tuple(r))
+            r = vsub(F, _placed(b(j, k), right[i]), _placed(b(k, i), left[j]))
+            rels.append(dense(vadd(F, r, _placed(b(j, i), left[k])), amb.dim))
     rels.extend(tuple(F.mul(x, y) for x in c for y in c) for c in derived)
     relations = Subspace.span(amb, rels)
     # [u(x)v, w(x)x] = mu(u(x)v) (x) mu(w(x)x), so the bracket descends to T
-    if not all(is_zero(mu.apply(r)) for r in relations.basis):
+    if not all(is_zero(mu.apply(_nonzero(r))) for r in relations.basis):
         raise InternalInvariantViolation(
             "bracket map does not vanish on the relation span"
         )
@@ -159,21 +154,21 @@ def tensor_xmod(ts: TensorSquare) -> XModLie:
 
     amb_boundary = _bracket_map(m, amb)
 
+    b, (left, right) = m.mult.on_basis, _positions(n)
+
     def act(a, v):
-        """b_a . v on M (x) M: v_p [b_a,b_i] (x) b_j + v_p b_i (x) [b_a,b_j]
-        for each nonzero v_p, p = i*n + j."""
-        out = list(amb.zero())
-        for p, c in enumerate(v):
-            if c != 0:
-                i, j = divmod(p, n)
-                bai, baj = m.mult.on_basis(a, i), m.mult.on_basis(a, j)
-                _place(F, out, range(j, n * n, n), vscale(F, c, bai), F.add)
-                _place(F, out, range(i * n, i * n + n), vscale(F, c, baj), F.add)
+        """b_a . v on M (x) M, dense: c [b_a,b_i] (x) b_j + c b_i (x) [b_a,b_j]
+        for each entry (p, c) of v, p = i*n + j."""
+        out = [0] * amb.dim
+        for p, c in v:
+            i, j = divmod(p, n)
+            for q, x in _placed(b(a, i), left[j]) + _placed(b(a, j), right[i]):
+                out[q] = F.add(out[q], F.mul(c, x))
         return tuple(out)
 
     # tensor_square asserted mu(R) = 0, so the boundary descends to T; the
     # action descends if it preserves R
-    for r in ts.relations.basis:
+    for r in map(_nonzero, ts.relations.basis):
         for a in range(n):
             if not ts.relations.contains(act(a, r)):
                 raise InternalInvariantViolation(
@@ -183,7 +178,7 @@ def tensor_xmod(ts: TensorSquare) -> XModLie:
     tspace, proj, lift = ts.carrier.space, ts.proj, ts.lift
     boundary = amb_boundary.after(lift)
     dot = bilinear_from_rule(
-        m.space, tspace, tspace, lambda a, i: proj.apply(act(a, lift.column(i)))
+        m.space, tspace, tspace, lambda a, i: proj.apply(_nonzero(act(a, lift.column(i))))
     )
     return XModLie(LieAction(m, ts.carrier, dot), boundary)
 
@@ -210,5 +205,6 @@ def antisymmetry_consequence(ts: TensorSquare, subject: str = "tensor") -> Valid
             ),
             zero,
         ),
+        ts.carrier.dim,
     )
     return merge(subject, [check])

@@ -6,6 +6,7 @@ import itertools
 from fractions import Fraction
 
 from .errors import InternalInvariantViolation
+from .linear import dense
 from .record import Record
 
 
@@ -83,15 +84,17 @@ def basis_tuples(dims):
     return itertools.product(*(range(d) for d in dims))
 
 
-def sweep(tag: str, dims, law) -> AxiomCheck:
+def sweep(tag: str, dims, law, dim=None) -> AxiomCheck:
     """Check `law` over all `basis_tuples(dims)`.
 
-    `law(*indices)` returns an (lhs, rhs) vector pair; the first mismatch
-    becomes the witness.
+    `law(*indices)` returns an (lhs, rhs) pair of sparse vectors of dimension
+    `dim` (tuples if `dim` is None); the first mismatch is the witness, dense.
     """
     for idx in basis_tuples(dims):
         lhs, rhs = law(*idx)
         if lhs != rhs:
+            if dim is not None:
+                lhs, rhs = dense(lhs, dim), dense(rhs, dim)
             return AxiomCheck(tag, False, Witness(idx, tuple(lhs), tuple(rhs)))
     return AxiomCheck(tag, True)
 

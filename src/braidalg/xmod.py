@@ -17,7 +17,6 @@ from .action import (
 )
 from .algebra import (
     Algebra,
-    _both,
     hom_sweep,
     intertwining_sweep,
     is_associative,
@@ -77,21 +76,25 @@ def validate_xmod_assoc(x: XModAssoc, subject: str = "xmod") -> ValidationReport
             "XAs1",
             (N.dim, M.dim),
             lambda n, m: (d.apply(s1.on_basis(n, m)), nmul.apply_left(n, d.column(m))),
+            N.dim,
         ),
         sweep(
             "XAs1",
             (M.dim, N.dim),
             lambda m, n: (d.apply(s2.on_basis(m, n)), nmul.apply_right(d.column(m), n)),
+            N.dim,
         ),
         sweep(
             "XAs2",
             (M.dim, M.dim),
             lambda m, m2: (s1.apply_right(d.column(m), m2), M.mult.on_basis(m, m2)),
+            M.dim,
         ),
         sweep(
             "XAs2",
             (M.dim, M.dim),
             lambda m, m2: (s2.apply_left(m, d.column(m2)), M.mult.on_basis(m, m2)),
+            M.dim,
         ),
     ]
     return merge(subject, checks)
@@ -109,11 +112,13 @@ def validate_xmod_lie(x: XModLie, subject: str = "xmod") -> ValidationReport:
             "XLie1",
             (N.dim, M.dim),
             lambda n, m: (d.apply(dot.on_basis(n, m)), nmul.apply_left(n, d.column(m))),
+            N.dim,
         ),
         sweep(
             "XLie2",
             (M.dim, M.dim),
             lambda m, m2: (dot.apply_right(d.column(m), m2), M.mult.on_basis(m, m2)),
+            M.dim,
         ),
     ]
     return merge(subject, checks)
@@ -121,7 +126,7 @@ def validate_xmod_lie(x: XModLie, subject: str = "xmod") -> ValidationReport:
 
 def require_valid_xmod_assoc(x: XModAssoc):
     """Structural preconditions plus XAs axioms; raises InvalidXMod."""
-    if not _both(is_associative, x.m, x.n):
+    if not (is_associative(x.m) and is_associative(x.n)):
         raise InvalidXMod("crossed module algebras must be associative")
     if not is_homomorphism(x.boundary, x.m, x.n):
         raise InvalidXMod("boundary is not an algebra homomorphism")
@@ -130,7 +135,7 @@ def require_valid_xmod_assoc(x: XModAssoc):
 
 
 def require_valid_xmod_lie(x: XModLie):
-    if not _both(is_lie, x.m, x.n):
+    if not (is_lie(x.m) and is_lie(x.n)):
         raise InvalidXMod("crossed module algebras must be Lie")
     if not is_homomorphism(x.boundary, x.m, x.n):
         raise InvalidXMod("boundary is not an algebra homomorphism")
@@ -190,6 +195,7 @@ def validate_xmod_morphism(
                 target.boundary.apply(f1.column(m)),
                 f2.apply(source.boundary.column(m)),
             ),
+            tn.dim,
         )
     )
     return merge(subject, entries)

@@ -46,21 +46,40 @@ def mutations_module():
     return load_script("make_mutations")
 
 
+# The library evaluates sparse vectors, the tuples of their nonzero entries
+# ((k, c), ...); the tests below build and compare dense ones, converting at
+# each call with these two helpers.
+
+
+def sparse(v):
+    """The dense vector v as the tuple of its nonzero entries."""
+    return tuple((k, c) for k, c in enumerate(v) if c != 0)
+
+
+def densify(v, dim):
+    """The sparse vector v as a tuple of all `dim` coordinates."""
+    out = [0] * dim
+    for k, c in v:
+        out[k] = c
+    return tuple(out)
+
+
 def sheared(a, src, dst, lam):
     """The algebra `a` in the basis b_x (x != src), b_src + lam * b_dst,
     keeping its labels: the same algebra, transported."""
     F, sp = a.field, a.space
 
     def old(i):  # the i-th new basis vector in the old basis
-        v = list(sp.basis_vector(i))
+        v = [F.zero()] * sp.dim
+        v[i] = F.one()
         if i == src:
             v[dst] = F.add(v[dst], lam)
-        return tuple(v)
+        return sparse(v)
 
     def new(w):  # old coordinates -> new coordinates
-        v = list(w)
-        v[dst] = F.sub(v[dst], F.mul(lam, w[src]))
-        return tuple(v)
+        v = list(densify(w, sp.dim))
+        v[dst] = F.sub(v[dst], F.mul(lam, v[src]))
+        return sparse(v)
 
     return Algebra(
         sp, bilinear_from_rule(sp, sp, sp, lambda i, j: new(a.mult.apply(old(i), old(j))))
@@ -69,15 +88,16 @@ def sheared(a, src, dst, lam):
 
 # A dense reference for the maps a categorical algebra derives, summed entry
 # by entry with `Field` methods from the structural maps' columns and the
-# multiplication's basis products; it reads no law code.
+# multiplication's basis products; it reads no law code.  It takes and
+# returns dense vectors.
 
 
 def dense_apply(f, x):
     """f(x) = sum of x_j f(b_j)."""
-    F = f.field
-    out = [F.zero()] * f.codomain.dim
+    F, dim = f.field, f.codomain.dim
+    out = [F.zero()] * dim
     for j, xj in enumerate(x):
-        for k, c in enumerate(f.column(j)):
+        for k, c in enumerate(densify(f.column(j), dim)):
             out[k] = F.add(out[k], F.mul(xj, c))
     return tuple(out)
 
@@ -85,11 +105,11 @@ def dense_apply(f, x):
 def dense_bilinear(m, u, v):
     """m(u, v) = sum of u_i v_j m(b_i, b_j); for an algebra's `mult`, the
     product u v."""
-    F = m.field
-    out = [F.zero()] * m.codomain.dim
+    F, dim = m.field, m.codomain.dim
+    out = [F.zero()] * dim
     for i, ui in enumerate(u):
         for j, vj in enumerate(v):
-            for k, c in enumerate(m.on_basis(i, j)):
+            for k, c in enumerate(densify(m.on_basis(i, j), dim)):
                 out[k] = F.add(out[k], F.mul(F.mul(ui, vj), c))
     return tuple(out)
 

@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 
 from braidalg.algebra import (
     Algebra,
-    ad_map,
     catalog,
     from_constants,
     is_associative,
-    is_derivation,
     is_homomorphism,
     is_leibniz,
     is_lie,
@@ -20,7 +18,7 @@ from braidalg.errors import UnknownFixture
 from braidalg.fields import GF, QQ
 from braidalg.linear import Space, bilinear_from_rule, identity_map
 
-from conftest import sheared
+from conftest import densify, sheared, sparse
 
 ASSOC_NAMES = ("Ab(1)", "Ab(3)", "Mat(2)", "Mat(3)", "Upper(2)", "Upper(3)")
 LIE_NAMES = ("sl2", "Heis3", "gl2")
@@ -50,11 +48,9 @@ def test_liefy_bracket_values():
     g = liefy(a)
     for i in range(a.dim):
         for j in range(a.dim):
-            comm = tuple(
-                QQ.sub(x, y)
-                for x, y in zip(a.mult.on_basis(i, j), a.mult.on_basis(j, i))
-            )
-            assert g.mult.on_basis(i, j) == comm
+            ij, ji = densify(a.mult.on_basis(i, j), 4), densify(a.mult.on_basis(j, i), 4)
+            comm = tuple(QQ.sub(x, y) for x, y in zip(ij, ji))
+            assert densify(g.mult.on_basis(i, j), 4) == comm
 
 
 def test_mat2_dimensions_and_unit():
@@ -62,18 +58,11 @@ def test_mat2_dimensions_and_unit():
     assert a.dim == 4
     # e11 + e22 acts as a two-sided unit
     one = QQ.one()
-    unit = (one, QQ.zero(), QQ.zero(), one)
+    unit = sparse((one, QQ.zero(), QQ.zero(), one))
     for i in range(4):
         bv = a.space.basis_vector(i)
         assert a.mult.apply(unit, bv) == bv
         assert a.mult.apply(bv, unit) == bv
-
-
-@pytest.mark.parametrize("name", LIE_NAMES)
-def test_ad_is_derivation(name):
-    a = catalog(name, QQ)
-    for i in range(a.dim):
-        assert is_derivation(ad_map(a, a.space.basis_vector(i)), a)
 
 
 def test_identity_is_homomorphism():
@@ -189,12 +178,12 @@ def brackets(draw):
         src, dst = draw(st.permutations(range(n)))[:2]
         sp = Space(F, tuple(f"b{i}" for i in range(n)))
         a = sheared(
-            Algebra(sp, bilinear_from_rule(sp, sp, sp, lambda i, j: t[i][j])),
+            Algebra(sp, bilinear_from_rule(sp, sp, sp, lambda i, j: sparse(t[i][j]))),
             src,
             dst,
             draw(scalar),
         )
-        t = [[a.mult.on_basis(i, j) for j in range(n)] for i in range(n)]
+        t = [[densify(a.mult.on_basis(i, j), n) for j in range(n)] for i in range(n)]
     return F, t
 
 
@@ -206,5 +195,5 @@ def test_is_lie_agrees_with_the_dense_reference(case):
     F, t = case
     n = len(t)
     sp = Space(F, tuple(f"b{i}" for i in range(n)))
-    a = Algebra(sp, bilinear_from_rule(sp, sp, sp, lambda i, j: t[i][j]))
+    a = Algebra(sp, bilinear_from_rule(sp, sp, sp, lambda i, j: sparse(t[i][j])))
     assert is_lie(a) == dense_is_lie(F, t)

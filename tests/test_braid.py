@@ -41,7 +41,7 @@ from braidalg.natensor import tensor_square, tensor_xmod
 from braidalg.report import basis_tuples, merge, sweep
 from braidalg.xmod import identity_xmod_assoc, identity_xmod_lie
 
-from conftest import FIXTURES, MUTATIONS, dense_bilinear, dense_compose
+from conftest import FIXTURES, MUTATIONS, dense_bilinear, dense_compose, densify
 
 ASSOC_NAMES = ("Mat(2)", "Mat(3)", "Upper(3)")
 LIE_NAMES = ("sl2", "Heis3", "gl2")
@@ -318,21 +318,32 @@ def _dense_e_product_laws(b):
     """AsT3, AsT4, LieB3, LieB4, AC1 and AC2 of `b` as {tag: law}, each
     product and composition taken by the dense reference."""
     c, tau = b.base, b.tau
-    F, e, unit = c.c1.field, c.e.column, c.c0.space.basis_vector
+    F, n0, n1 = c.c1.field, c.c0.dim, c.c1.dim
+
+    def e(a):  # e(b_a)
+        return densify(c.e.column(a), n1)
+
+    def unit(a):  # b_a
+        return tuple(F.one() if k == a else F.zero() for k in range(n0))
+
+    def c0_mul(a, d):
+        return densify(c.c0.mult.on_basis(a, d), n0)
+
+    def t(a, d):
+        return densify(tau.on_basis(a, d), n1)
 
     def mul(u, v):
         return dense_bilinear(c.c1.mult, u, v)
 
     def left(a, d, g):  # tau([a, d], g) on the left-hand side of AsT3/LieB3
-        return dense_bilinear(tau, c.c0.mult.on_basis(a, d), unit(g))
+        return dense_bilinear(tau, c0_mul(a, d), unit(g))
 
     def right(a, d, g):  # tau(a, [d, g]) on the left-hand side of AsT4/LieB4/AC1
-        return dense_bilinear(tau, unit(a), c.c0.mult.on_basis(d, g))
+        return dense_bilinear(tau, unit(a), c0_mul(d, g))
 
     def add(u, v):
         return tuple(map(F.add, u, v))
 
-    t = tau.on_basis
     return {
         "AsT3": lambda a, d, g: (
             left(a, d, g),
@@ -352,7 +363,7 @@ def _dense_e_product_laws(b):
         ),
         "AC1": lambda a, d, g: (right(a, d, g), mul(e(a), t(d, g))),
         "AC2": lambda a, d, g: (
-            dense_bilinear(tau, c.c0.mult.on_basis(d, g), unit(a)),
+            dense_bilinear(tau, c0_mul(d, g), unit(a)),
             mul(t(d, g), e(a)),
         ),
     }
@@ -391,9 +402,10 @@ def test_e_product_laws_match_the_dense_reference(label, b):
     else:
         del ref["AC1"], ref["AC2"]
     seen = set()
-    for tag, dims, law in itertools.chain(*tables):
+    for tag, dims, law, dim in itertools.chain(*tables):
         if tag in ref:
             seen.add(tag)
             for idx in basis_tuples(dims):
-                assert law(*idx) == ref[tag](*idx), (tag, idx)
+                got = tuple(densify(side, dim) for side in law(*idx))
+                assert got == ref[tag](*idx), (tag, idx)
     assert seen == set(ref)

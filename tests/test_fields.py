@@ -106,7 +106,7 @@ def test_pivots_are_computed_once_per_subspace(monkeypatch):
     monkeypatch.setattr(linear, "_pivot_columns", counted)
     sp = Space(QQ, ("x", "y", "z"))
     sub = Subspace.span(sp, [(1, 2, 3), (0, 1, 1)])
-    for v in sp.basis() + [(1, 3, 4)]:
+    for v in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 3, 4)]:
         sub.reduce(v)
         sub.contains(v)
         sub.coords(v)

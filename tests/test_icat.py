@@ -21,9 +21,15 @@ from braidalg.icat import (
     k_formula,
     validate_cat_algebra,
 )
-from braidalg.linear import vadd, vsub
-
-from conftest import MUTATIONS, dense_apply, dense_bilinear, dense_compose, random_vector
+from conftest import (
+    MUTATIONS,
+    dense_apply,
+    dense_bilinear,
+    dense_compose,
+    densify,
+    random_vector,
+    sparse,
+)
 
 ASSOC_NAMES = ("Mat(2)", "Upper(2)", "Upper(3)")
 
@@ -123,16 +129,19 @@ def derived_map_cases():
 def test_derived_maps_match_the_dense_reference(label, cat):
     # k_formula reads the stored V = id - e.t, and e_mul/mul_e are
     # (a, x) -> e(b_a) x and (x, a) -> x e(b_a); seeded vectors per case
+    # (vectors are drawn dense and handed to the library sparse)
     rng = random.Random(label)
-    F, c1, mul = cat.c1.field, cat.c1, cat.c1.mult
+    F, c1, mul, n = cat.c1.field, cat.c1, cat.c1.mult, cat.c1.dim
     for _ in range(6):
-        x, y = random_vector(rng, F, c1.dim), random_vector(rng, F, c1.dim)
+        x, y = random_vector(rng, F, n), random_vector(rng, F, n)
         u = random_vector(rng, F, cat.c0.dim)
         eu = dense_apply(cat.e, u)
-        assert k_formula(cat, x, y) == dense_compose(cat, x, y)
-        assert cat.e_mul.apply(u, x) == dense_bilinear(mul, eu, x)
-        assert cat.mul_e.apply(x, u) == dense_bilinear(mul, x, eu)
+        sx, sy, su = sparse(x), sparse(y), sparse(u)
+        assert densify(k_formula(cat, sx, sy), n) == dense_compose(cat, x, y)
+        assert densify(cat.e_mul.apply(su, sx), n) == dense_bilinear(mul, eu, x)
+        assert densify(cat.mul_e.apply(sx, su), n) == dense_bilinear(mul, x, eu)
     for a in range(cat.c0.dim):
-        x = random_vector(rng, F, c1.dim)
-        assert cat.e_mul.apply_left(a, x) == dense_bilinear(mul, cat.e.column(a), x)
-        assert cat.mul_e.apply_right(x, a) == dense_bilinear(mul, x, cat.e.column(a))
+        x = random_vector(rng, F, n)
+        ea = densify(cat.e.column(a), n)
+        assert densify(cat.e_mul.apply_left(a, sparse(x)), n) == dense_bilinear(mul, ea, x)
+        assert densify(cat.mul_e.apply_right(sparse(x), a), n) == dense_bilinear(mul, x, ea)
