@@ -28,6 +28,7 @@ from .dsl import (
     BLOCK_KINDS,
     VALIDATABLE,
     Document,
+    a_kind,
     parse,
     print_algebra_doc,
     print_cat_doc,
@@ -48,7 +49,7 @@ def _select(doc: Document, subject, kinds):
             raise BraidAlgError(f"no block named {subject!r}")
         kind, obj = found
         if kind not in kinds:
-            raise BraidAlgError(f"{subject!r} is a {kind}, expected one of {kinds}")
+            raise BraidAlgError(f"{subject!r} is {a_kind(kind)}, expected one of {kinds}")
         return [(subject, kind, obj)]
     picked = [(n, k, o) for n, k, o in doc.blocks if k in kinds]
     if not picked:
@@ -114,7 +115,7 @@ def _construct(kind, name, block_kind, obj) -> str:
     want = CONSTRUCT_TAKES[kind]  # argparse has checked the kind
     if block_kind not in want:
         raise BraidAlgError(
-            f"{kind} needs a {want[-1]} subject, but {name!r} is a {block_kind}"
+            f"{kind} needs {a_kind(want[-1])} subject, but {name!r} is {a_kind(block_kind)}"
         )
     if kind == "liefy":
         return print_algebra_doc(liefy(obj), f"{name}_lie")

@@ -54,6 +54,11 @@ class Document(Record):
         return None
 
 
+def a_kind(kind: str) -> str:
+    """A block kind with its article, as refusals name it: "an algebra", "a map"."""
+    return ("an " if kind[0] in "aeiou" else "a ") + kind
+
+
 # ---------------------------------------------------------------------------
 # lexer
 
@@ -263,7 +268,7 @@ class _Parser:
         kind, obj = self.by_name[t.value]
         if kinds and kind not in kinds:
             raise UnknownReference(
-                f"{t.value!r} is a {kind}, expected {' or '.join(kinds)}",
+                f"{t.value!r} is {a_kind(kind)}, expected {' or '.join(kinds)}",
                 t.line,
                 t.col,
             )

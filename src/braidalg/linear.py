@@ -3,14 +3,14 @@
 A vector is sparse: the tuple `((k, c), ...)` of its nonzero entries, k
 strictly increasing and each c in the normal form of `fields.py`, so equal
 vectors are equal tuples.  A linear map stores the image of each basis
-vector, a bilinear map that of each basis pair; no other module reads those
-layouts.  Each map derives once the sparse form of every stored image, and
-every evaluation -- `LinMap.apply`, `BilMap.apply` and the one-index reads
-`BilMap.apply_left`/`apply_right` -- adds up those images in one loop,
-`_combine`, which scans no zero.  Dense tuples remain at four boundaries,
-each crossed through `dense(v, dim)` or `_nonzero(v)`: the stored maps, the
-rows of `rref`, `Subspace`, `kernel`, `affine_solutions` and `quotient`, the
-witness of a failing law in `report.sweep`, and the DSL text.  Subspaces are
+vector, a bilinear map that of each basis pair, each image sparse as it
+was given; no other module reads those layouts.  Every evaluation --
+`LinMap.apply`, `BilMap.apply` and the one-index reads
+`BilMap.apply_left`/`apply_right` -- adds up the stored images in one loop,
+`_combine`, which scans no zero.  Dense tuples remain at three boundaries,
+each crossed through `dense(v, dim)` or `_nonzero(v)`: the rows of `rref`,
+`Subspace`, `kernel`, `affine_solutions` and `quotient`, the witness of a
+failing law in `report.sweep`, and the DSL text.  Subspaces are
 kept in reduced row echelon form, so equal subspaces are equal records.
 Over Q, `rref` eliminates on primitive integer rows and divides each pivot
 row by its pivot once, at the end.  Scalar arithmetic is inline, one branch
@@ -52,12 +52,17 @@ class Space(Record):
         return [self.basis_vector(i) for i in range(self.dim)]
 
 
-def dense(v, dim: int):
-    """The sparse vector v as a tuple of all `dim` coordinates."""
+def _inside(v, dim: int):
+    """The sparse vector v; ValueError if an index lies outside range(dim)."""
     if v and not (v[0][0] >= 0 and v[-1][0] < dim):
         raise ValueError(f"vector {v} does not lie in dimension {dim}")
+    return v
+
+
+def dense(v, dim: int):
+    """The sparse vector v as a tuple of all `dim` coordinates."""
     out = [0] * dim
-    for k, c in v:
+    for k, c in _inside(v, dim):
         out[k] = c
     return tuple(out)
 
@@ -134,35 +139,35 @@ class LinMap(Record):
 
     domain: Space
     codomain: Space
-    columns: tuple  # [domain.dim], each a dense codomain vector
-    __slots__ = ("field", "_images")  # the domain's field; each column, sparse
+    columns: tuple  # [domain.dim], each a sparse codomain vector
+    __slots__ = ("field",)  # the domain's field
 
     def __post_init__(self):
         if self.domain.field != self.codomain.field:
             raise ValueError("domain and codomain fields differ")
-        if len(self.columns) != self.domain.dim or any(
-            len(col) != self.codomain.dim for col in self.columns
-        ):
+        if len(self.columns) != self.domain.dim:
             raise ValueError("columns do not match the spaces")
+        m = self.codomain.dim
+        for col in self.columns:
+            _inside(col, m)
         object.__setattr__(self, "field", self.domain.field)
-        object.__setattr__(self, "_images", tuple(map(_nonzero, self.columns)))
 
     def apply(self, v):
-        return _combine(self.field, v, self._images)
+        return _combine(self.field, v, self.columns)
 
     def column(self, j: int):
-        return self._images[j]
+        return self.columns[j]
 
     def after(self, other: "LinMap") -> "LinMap":
         """self o other."""
         if other.codomain != self.domain:
             raise ValueError("maps not composable")
-        return from_columns(other.domain, self.codomain, map(self.apply, other._images))
+        return from_columns(other.domain, self.codomain, map(self.apply, other.columns))
 
     def _zip_columns(self, op, other: "LinMap") -> "LinMap":
         if (other.domain, other.codomain) != (self.domain, self.codomain):
             raise ValueError("maps between different spaces")
-        cols = (op(self.field, a, b) for a, b in zip(self._images, other._images))
+        cols = (op(self.field, a, b) for a, b in zip(self.columns, other.columns))
         return from_columns(self.domain, self.codomain, cols)
 
     def add(self, other: "LinMap") -> "LinMap":
@@ -172,12 +177,13 @@ class LinMap(Record):
         return self._zip_columns(vsub, other)
 
     def rank(self) -> int:
-        return len(rref(self.field, self.columns))
+        m = self.codomain.dim
+        return len(rref(self.field, [dense(col, m) for col in self.columns]))
 
 
 def from_columns(domain: Space, codomain: Space, cols) -> LinMap:
     """The linear map sending b_j to the sparse vector cols[j]."""
-    return LinMap(domain, codomain, tuple(dense(col, codomain.dim) for col in cols))
+    return LinMap(domain, codomain, tuple(cols))
 
 
 def identity_map(sp: Space) -> LinMap:
@@ -194,33 +200,30 @@ class BilMap(Record):
     left: Space
     right: Space
     codomain: Space
-    tensor: tuple  # [left.dim][right.dim], each a dense codomain vector
-    # derived: the field, and the image of (b_i, b_j) as a sparse vector in
-    # _rows[i][j], _cols[j][i] and _pairs[i * right.dim + j]
-    __slots__ = ("field", "_rows", "_cols", "_pairs")
+    tensor: tuple  # [left.dim][right.dim], each a sparse codomain vector
+    # derived: the field, and the image of (b_i, b_j) in _cols[j][i] and
+    # _pairs[i * right.dim + j]
+    __slots__ = ("field", "_cols", "_pairs")
 
     def __post_init__(self):
         if not (self.left.field == self.right.field == self.codomain.field):
             raise ValueError("bilinear map spaces over different fields")
-        if (
-            len(self.tensor) != self.left.dim
-            or any(len(row) != self.right.dim for row in self.tensor)
-            or any(len(v) != self.codomain.dim for row in self.tensor for v in row)
-        ):
+        rows, R, K = self.tensor, self.right.dim, self.codomain.dim
+        if len(rows) != self.left.dim or any(len(row) != R for row in rows):
             raise ValueError("tensor shape does not match spaces")
-        rows = tuple(tuple(map(_nonzero, row)) for row in self.tensor)
-        cols = tuple(tuple(row[j] for row in rows) for j in range(self.right.dim))
+        for row in rows:
+            for v in row:
+                _inside(v, K)
         object.__setattr__(self, "field", self.left.field)
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_cols", cols)
+        object.__setattr__(self, "_cols", tuple(tuple(row[j] for row in rows) for j in range(R)))
         object.__setattr__(self, "_pairs", sum(rows, ()))
 
     def on_basis(self, i: int, j: int):
-        return self._rows[i][j]
+        return self.tensor[i][j]
 
     def apply_left(self, i: int, v):
         """apply(b_i, v), read from the stored images of (b_i, b_j)."""
-        return _combine(self.field, v, self._rows[i])
+        return _combine(self.field, v, self.tensor[i])
 
     def apply_right(self, u, j: int):
         """apply(u, b_j), read from the stored images of (b_i, b_j)."""
@@ -233,29 +236,25 @@ class BilMap(Record):
 
     def swapped(self) -> "BilMap":
         """(u, v) -> apply(v, u)."""
-        tensor = tuple(
-            tuple(row[i] for row in self.tensor) for i in range(self.right.dim)
-        )
-        return BilMap(self.right, self.left, self.codomain, tensor)
+        return BilMap(self.right, self.left, self.codomain, self._cols)
 
     def sub(self, other: "BilMap") -> "BilMap":
         shape = (self.left, self.right, self.codomain)
         if (other.left, other.right, other.codomain) != shape:
             raise ValueError("maps between different spaces")
-        F, rows = self.field, zip(self._rows, other._rows)
+        F, rows = self.field, zip(self.tensor, other.tensor)
         images = ((vsub(F, a, b) for a, b in zip(ra, rb)) for ra, rb in rows)
         return _from_images(*shape, images)
 
     def scale(self, c) -> "BilMap":
         F = self.field
-        images = ((vscale(F, c, v) for v in row) for row in self._rows)
+        images = ((vscale(F, c, v) for v in row) for row in self.tensor)
         return _from_images(self.left, self.right, self.codomain, images)
 
 
 def _from_images(left: Space, right: Space, codomain: Space, images) -> BilMap:
     """The BilMap whose image of (b_i, b_j) is the sparse vector images[i][j]."""
-    tensor = tuple(tuple(dense(v, codomain.dim) for v in row) for row in images)
-    return BilMap(left, right, codomain, tensor)
+    return BilMap(left, right, codomain, tuple(map(tuple, images)))
 
 
 def bilinear_from_rule(left: Space, right: Space, codomain: Space, rule) -> BilMap:
@@ -404,12 +403,10 @@ class Subspace(Record):
 
 def kernel(f: LinMap) -> Subspace:
     """Canonical basis of {v : f(v) = 0}."""
-    F = f.field
-    n = f.domain.dim
-    echelon = rref(F, [f.columns[j] + dense(f.domain.basis_vector(j), n) for j in range(n)])
+    F, n, m = f.field, f.domain.dim, f.codomain.dim
+    echelon = rref(F, [dense(col + ((m + j, 1),), m + n) for j, col in enumerate(f.columns)])
     # rows of `echelon` are (image | preimage); those with zero image part
     # come last, and their preimage parts are already in reduced echelon form
-    m = f.codomain.dim
     return Subspace(f.domain, tuple(row[m:] for row in echelon if not any(row[:m])))
 
 

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -354,6 +355,9 @@ def test_construct_xliefy_char_two_guard(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+ARTICLE = {"algebra": "an", "braiding": "a"}
+
+
 @pytest.mark.parametrize(
     "kind,path,subject,got,want",
     [
@@ -367,8 +371,23 @@ def test_construct_names_the_block_kind_it_needs(
     argv = ["construct", kind, os.path.join(FIXTURES, path), "--subject", subject]
     assert main(argv) == 2
     assert capsys.readouterr().err == (
-        f"error: {kind} needs a {want} subject, but {subject!r} is a {got}\n"
+        f"error: {kind} needs {ARTICLE[want]} {want} subject, "
+        f"but {subject!r} is {ARTICLE[got]} {got}\n"
     )
+
+
+def test_a_large_sparse_algebra_parses_in_little_memory():
+    # a map stores only the nonzero entries of its images: 120 labels and
+    # one product, where a dense tensor would hold 120**3 stored zeros
+    labels = ", ".join(f"x{i}" for i in range(120))
+    source = f"field Q\nalgebra A basis {labels} {{\n  x0*x1 = x2;\n}}\n"
+    tracemalloc.start()
+    try:
+        parse(source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_unknown_reference_position():
@@ -693,7 +712,7 @@ ONE_ALGEBRA = "field Q\nalgebra A basis x {\n}\n"
     (
         (
             ["--subject", "A"],
-            "'A' is a algebra, expected one of "
+            "'A' is an algebra, expected one of "
             "('action', 'xmod', 'braiding', 'cat', 'groupxmod')",
         ),
         ([], "document has no action/xmod/braiding/cat/groupxmod blocks"),
@@ -761,6 +780,10 @@ LIE_ACTION = "action act : A on A {\n  dot = b;\n}\n"
         ("field Q\nalgebra A basis x {\n  x*x = 2;\n}\n",
          "3:10: scalar term needs a basis label"),
         (PRELUDE + "map e : d -> A {\n}\n", "10:9: 'd' is a map, expected algebra"),
+        (PRELUDE + "xmod X {\n  action = A;\n}\n",
+         "11:12: 'A' is an algebra, expected action"),
+        (PRELUDE + LIE_ACTION + "braiding Br {\n  xmod = act;\n}\n",
+         "14:10: 'act' is an action, expected xmod"),
         (PRELUDE + "algebra A basis w {\n}\n", "10:9: duplicate name 'A'"),
         (PRELUDE + "xmod X {\n  foo = d;\n}\n", "11:3: unknown entry 'foo'"),
         (PRELUDE + "xmod X {\n}\n", "10:6: missing entry 'action'"),
@@ -783,7 +806,7 @@ LIE_ACTION = "action act : A on A {\n  dot = b;\n}\n"
          "  c0 = A;\n  s = f;\n  t = d;\n  e = d;\n}\n",
          "16:7: map 'f' has the wrong signature"),
     ),
-    ids=("scalar", "label", "kind", "name", "entry", "missing", "repeated", "field",
+    ids=("scalar", "label", "kind", "an_algebra", "an_action", "name", "entry", "missing", "repeated", "field",
          "labels", "dot_and_star", "signature", "boundary", "xmod_and_cat", "flavor",
          "map"),
 )

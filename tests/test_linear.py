@@ -484,6 +484,21 @@ def test_sparse_outputs_are_canonical_and_match_the_dense_oracles(case):
     assert canonical(F, vscale(F, c, x), K) == tuple(F.mul(F.of(c), a) for a in dx)
     # u + (-u) and u - u leave no entry
     assert vadd(F, sw, vneg(F, sw)) == vsub(F, sw, sw) == vsub(F, x, x) == ()
+    # a map stores its images as given, so every image it stores, and every
+    # image of a map built from it, is canonical
+    g = f.after(from_columns(left, left, [su] * L))
+    assert [canonical(F, g.column(j), K) for j in range(L)] == [dense_apply(f, u)] * L
+    for h in (f, f.add(g), f.sub(g)):
+        for j in range(L):
+            canonical(F, h.column(j), K)
+    swapped, scaled = b.swapped(), b.scale(c)
+    diff = b.sub(scaled)
+    for i, j in itertools.product(range(L), range(R)):
+        image = canonical(F, b.on_basis(i, j), K)
+        assert image == tuple(table[i][j])
+        assert canonical(F, swapped.on_basis(j, i), K) == image
+        assert canonical(F, scaled.on_basis(i, j), K) == tuple(F.mul(F.of(c), a) for a in image)
+        canonical(F, diff.on_basis(i, j), K)
 
 
 # The affine solve against its definition: over F_2 and F_3 every x is
@@ -677,9 +692,12 @@ def test_linmap_shape_is_checked_against_both_spaces():
         from_columns(V3, Space(QQ, ()), [])
     with pytest.raises(ValueError):
         from_columns(V3, V4, [V4.zero()] * 2)
-    # an image with an index past the codomain's dimension
+    # an image with an index past the codomain's dimension, of a linear map
+    # and of a bilinear map
     with pytest.raises(ValueError):
         from_columns(V4, V3, [V4.basis_vector(3)] * 4)
+    with pytest.raises(ValueError):
+        bilinear_from_rule(V3, V4, V3, lambda i, j: V4.basis_vector(3))
 
 
 def test_map_arithmetic_checks_the_spaces():
