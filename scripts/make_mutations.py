@@ -62,9 +62,8 @@ from braidalg.icat import ASSOC, LIE, CatAlgebra, cat_liefy, discrete_cat
 from braidalg.linear import (
     Space,
     Subspace,
-    _nonzero,
     bilinear_from_rule,
-    dense,
+    concat,
     from_columns,
     identity_map,
     kernel,
@@ -97,10 +96,8 @@ def bil(left, right, cod, entries):
     """BilMap from {(i, j): {k: scalar}} on basis indices."""
 
     def rule(i, j):
-        v = [cod.field.zero()] * cod.dim
-        for k, c in entries.get((i, j), {}).items():
-            v[k] = cod.field.of(c)
-        return _nonzero(v)
+        image = sorted((k, cod.field.of(c)) for k, c in entries.get((i, j), {}).items())
+        return tuple((k, c) for k, c in image if c)
 
     return bilinear_from_rule(left, right, cod, rule)
 
@@ -355,7 +352,7 @@ def xmod_braiding_cases(bases):
     # tensor-square braiding of Heis3 by a kernel vector of the
     # boundary on the (x, z) slot fails exactly {BLie4, BLie5, BLie6}.
     b = heis3_tensor(F)
-    kv = _nonzero(kernel(b.base.boundary).basis[0])
+    kv = kernel(b.base.boundary).basis[0]
     yield dsl_case(
         "BLie5",
         "braiding",
@@ -437,11 +434,9 @@ def cat_braiding_cases():
 
     tau = bilinear_from_rule(x.n.space, x.n.space, total, rule)
     n = x.n.dim
-    cols = (dense(cat.s.column(j), n) + dense(cat.t.column(j), n) for j in range(total.dim))
-    stacked = from_columns(
-        total, Space(F, tuple(f"w{i}" for i in range(2 * n))), map(_nonzero, cols)
-    )
-    kv = _nonzero(kernel(stacked).basis[0])
+    cols = (concat([(cat.s.column(j), n), (cat.t.column(j), n)]) for j in range(total.dim))
+    stacked = from_columns(total, Space(F, tuple(f"w{i}" for i in range(2 * n))), cols)
+    kv = kernel(stacked).basis[0]
     xz = CatBraiding(cat, _perturbed(tau, kv, (0, 2)))
     yield dsl_case(
         "LieB3",

@@ -16,7 +16,6 @@ from .linear import (
     BilMap,
     LinMap,
     Space,
-    _nonzero,
     bilinear_from_rule,
     is_zero,
     vadd,
@@ -63,16 +62,18 @@ class Algebra(Record):
 def from_constants(space: Space, products) -> Algebra:
     """Algebra from a {(label_i, label_j): {label_k: scalar}} table.
 
-    Unlisted products are zero.
+    Unlisted products are zero; a label outside the space raises ValueError.
     """
-    F = space.field
-    z = F.zero()
-
-    def rule(i, j):
-        table = products.get((space.labels[i], space.labels[j]), {})
-        return _nonzero([F.of(table.get(lbl, z)) for lbl in space.labels])
-
-    return Algebra(space, bilinear_from_rule(space, space, space, rule))
+    F, index = space.field, {label: i for i, label in enumerate(space.labels)}
+    if unknown := {x for key, table in products.items() for x in (*key, *table)} - index.keys():
+        raise ValueError(f"labels {sorted(unknown)} are not in the space {space.labels}")
+    images = {}
+    for (x, y), table in products.items():
+        image = sorted((index[label], F.of(c)) for label, c in table.items())
+        images[index[x], index[y]] = tuple((k, c) for k, c in image if c)
+    return Algebra(
+        space, bilinear_from_rule(space, space, space, lambda i, j: images.get((i, j), ()))
+    )
 
 
 def _kept(check):

@@ -23,11 +23,10 @@ from .linear import (
     BilMap,
     LinMap,
     Space,
-    _nonzero,
     affine_solutions,
     bilinear_from_coordinates,
     bilinear_from_rule,
-    dense,
+    concat,
     from_columns,
     identity_map,
     kernel,
@@ -454,16 +453,18 @@ def _braiding_map(b: XBraiding | CatBraiding) -> BilMap:
 
 
 def with_braiding(b: XBraiding | CatBraiding, x):
-    """The base of `b` with the braiding whose coordinates are `x`, in the
-    order of `bilinear_from_coordinates`."""
+    """The base of `b` with the braiding whose coordinates are the sparse
+    vector `x`, in the order of `bilinear_from_coordinates`."""
     t = _braiding_map(b)
     return type(b)(b.base, bilinear_from_coordinates(t.left, t.right, t.codomain, x))
 
 
 def braiding_system(b: XBraiding | CatBraiding, laws):
-    """{tag: (rows, const)}: the residuals lhs - rhs of the laws of
-    `laws(b)` with that tag, in `sweep` order and densified, are
-    rows . x + const at the braiding on `b.base` whose coordinates are x."""
+    """{tag: rows}: the residuals lhs - rhs of the laws of `laws(b)` with
+    that tag, in `sweep` order and laid end to end, are rows . (x, 1) at
+    the braiding on `b.base` whose coordinates are x.  Each row is sparse,
+    with the constant at column len(x); a coordinate where every residual
+    is 0 has no row."""
     t = _braiding_map(b)
     F, n = t.field, t.left.dim * t.right.dim * t.codomain.dim
 
@@ -474,23 +475,21 @@ def braiding_system(b: XBraiding | CatBraiding, laws):
             res.extend((vsub(F, *law(*idx)), dim) for idx in basis_tuples(dims))
         return out
 
-    zero = (F.zero(),) * n
-    const = residuals(zero)
-    # the entries (u, coefficient of x_u) of each row: unit residual - const
-    entries = {tag: [[] for _, d in parts for _ in range(d)] for tag, parts in const.items()}
+    const = residuals(())
+    # {tag: {coordinate: its row's entries}}: (u, unit residual - const) for
+    # each unknown x_u, then (n, const)
+    rows = {tag: {} for tag in const}
     for u in range(n):
-        unit = residuals(zero[:u] + (F.one(),) + zero[u + 1 :])
+        unit = residuals(((u, F.one()),))
         for tag, parts in const.items():
-            rows, offset = entries[tag], 0
-            for (v, dim), (c, _) in zip(unit[tag], parts):
-                if v != c:
-                    for k, a in vsub(F, v, c):
-                        rows[offset + k].append((u, a))
-                offset += dim
-    return {
-        tag: ([dense(e, n) for e in entries[tag]], [a for c, dim in parts for a in dense(c, dim)])
-        for tag, parts in const.items()
-    }
+            pairs = zip(unit[tag], parts)
+            diff = ((vsub(F, v, c) if v != c else (), d) for (v, d), (c, _) in pairs)
+            for k, a in concat(diff):
+                rows[tag].setdefault(k, []).append((u, a))
+    for tag, parts in const.items():
+        for k, a in concat(parts):
+            rows[tag].setdefault(k, []).append((n, a))
+    return {tag: list(map(tuple, rows[tag].values())) for tag in rows}
 
 
 def braiding_space(b: XBraiding | CatBraiding, system, tags=None):
@@ -500,15 +499,12 @@ def braiding_space(b: XBraiding | CatBraiding, system, tags=None):
     it along each vector of its basis.  None if no braiding passes them.
     Every law is affine in the braiding, so these points cover the space."""
     t = _braiding_map(b)
-    F, rows, const = t.field, [], []
-    for tag in system if tags is None else tags:
-        rows += system[tag][0]
-        const += system[tag][1]
-    sol = affine_solutions(F, rows, const, t.left.dim * t.right.dim * t.codomain.dim)
+    rows = [row for tag in (system if tags is None else tags) for row in system[tag]]
+    sol = affine_solutions(t.field, rows, t.left.dim * t.right.dim * t.codomain.dim)
     if sol is None:
         return None
     part, null = sol
-    points = (part, *(tuple(map(F.add, part, v)) for v in null))
+    points = (part, *(vadd(t.field, part, v) for v in null))
     return tuple(with_braiding(b, x) for x in points)
 
 
@@ -563,16 +559,16 @@ def kernel_part(c: CatAlgebra):
     """ker(s) packaged as a space: (subspace, kernel space, inclusion)."""
     ks = kernel(c.s)
     kspace = Space(c.c1.field, tuple(f"k{i}" for i in range(ks.dim)))
-    incl = from_columns(kspace, c.c1.space, map(_nonzero, ks.basis))
+    incl = from_columns(kspace, c.c1.space, ks.basis)
     return ks, kspace, incl
 
 
 def _kernel_coords(ks, v, message):
     """The coordinates of v in ks, a `kernel_part`'s subspace, else raise `message`."""
-    coords = ks.coords(dense(v, ks.ambient.dim))
+    coords = ks.coords(v)
     if coords is None:
         raise InternalInvariantViolation(message)
-    return _nonzero(coords)
+    return coords
 
 
 def xc_functor(b: CatBraiding) -> XBraiding:

@@ -19,13 +19,13 @@ from .errors import (
 from .linear import (
     LinMap,
     Space,
-    _nonzero,
     bilinear_from_rule,
-    dense,
+    concat,
     from_columns,
     identity_map,
     kernel,
     pullback_space,
+    split,
     vadd,
     vneg,
     vsub,
@@ -95,8 +95,7 @@ def invert_morphism(c: CatAlgebra, f):
 def composable_pair_basis(c: CatAlgebra):
     """Basis of the pullback C1 x_C0 C1, as (x, y) vector pairs."""
     n = c.c1.dim
-    pb = pullback_space(c.t, c.s)
-    return [(_nonzero(v[:n]), _nonzero(v[n:])) for v in pb.basis]
+    return [split(v, (n, n)) for v in pullback_space(c.t, c.s).basis]
 
 
 def composable_triple_basis(c: CatAlgebra):
@@ -105,14 +104,14 @@ def composable_triple_basis(c: CatAlgebra):
     labels = tuple(f"p{i}_{lbl}" for i in (1, 2, 3) for lbl in c.c1.space.labels)
     triple = Space(c.c1.field, labels)
     out = Space(c.c1.field, tuple(f"q{i}_{lbl}" for i in (1, 2) for lbl in c.c0.space.labels))
-    F, z = c.c1.field, (0,) * m
-    cols = []
+    F, cols = c.c1.field, []
     for j in range(3 * n):
         block, idx = divmod(j, n)
-        tv, sv = dense(c.t.column(idx), m), dense(vneg(F, c.s.column(idx)), m)
-        cols.append(_nonzero((tv + z, sv + tv, z + sv)[block]))
+        tv, sv = c.t.column(idx), vneg(F, c.s.column(idx))
+        first, second = ((tv, ()), (sv, tv), ((), sv))[block]
+        cols.append(concat([(first, m), (second, m)]))
     diff = from_columns(triple, out, cols)
-    return [tuple(_nonzero(v[k : k + n]) for k in (0, n, 2 * n)) for v in kernel(diff).basis]
+    return [split(v, (n, n, n)) for v in kernel(diff).basis]
 
 
 def validate_cat_algebra(c: CatAlgebra, subject: str = "cat") -> ValidationReport:

@@ -7,14 +7,17 @@ vector, a bilinear map that of each basis pair, each image sparse as it
 was given; no other module reads those layouts.  Every evaluation --
 `LinMap.apply`, `BilMap.apply` and the one-index reads
 `BilMap.apply_left`/`apply_right` -- adds up the stored images in one loop,
-`_combine`, which scans no zero.  Dense tuples remain at three boundaries,
-each crossed through `dense(v, dim)` or `_nonzero(v)`: the rows of `rref`,
-`Subspace`, `kernel`, `affine_solutions` and `quotient`, the witness of a
-failing law in `report.sweep`, and the DSL text.  Subspaces are
-kept in reduced row echelon form, so equal subspaces are equal records.
-Over Q, `rref` eliminates on primitive integer rows and divides each pivot
-row by its pivot once, at the end.  Scalar arithmetic is inline, one branch
-per field, in the normal form of `fields.py`, with no `Field` call per entry.
+`_combine`, which scans no zero.  The rows of `rref`, `Subspace`, `kernel`,
+`affine_solutions` and `quotient` are sparse vectors too; `concat` and
+`split` lay blocks of a direct sum end to end and back.  Dense tuples
+remain at two boundaries, each crossed through `dense(v, dim)` or
+`_nonzero(v)`: the witness of a failing law in `report.sweep`, and the DSL
+text.  Subspaces are kept in reduced row echelon form, so equal subspaces
+are equal records.  `rref` inserts each row into a reduced basis, touching
+only the pivots where the row is nonzero; over Q it eliminates on
+primitive integer rows and divides each pivot row by its pivot once, at
+the end.  Scalar arithmetic is inline, one branch per field, in the normal
+form of `fields.py`, with no `Field` call per entry.
 """
 
 from __future__ import annotations
@@ -177,8 +180,7 @@ class LinMap(Record):
         return self._zip_columns(vsub, other)
 
     def rank(self) -> int:
-        m = self.codomain.dim
-        return len(rref(self.field, [dense(col, m) for col in self.columns]))
+        return len(rref(self.field, self.columns))
 
 
 def from_columns(domain: Space, codomain: Space, cols) -> LinMap:
@@ -264,168 +266,158 @@ def bilinear_from_rule(left: Space, right: Space, codomain: Space, rule) -> BilM
 
 
 def bilinear_from_coordinates(left: Space, right: Space, codomain: Space, x) -> BilMap:
-    """The bilinear map whose k-coordinate on (b_i, b_j) is x[(k*L + i)*R + j],
-    with L = left.dim and R = right.dim."""
-    L, R, K = left.dim, right.dim, codomain.dim
-    return bilinear_from_rule(
-        left, right, codomain, lambda i, j: _nonzero([x[(k * L + i) * R + j] for k in range(K)])
-    )
+    """The bilinear map whose k-coordinate on (b_i, b_j) is the entry of the
+    sparse vector x at (k*L + i)*R + j, with L = left.dim and R = right.dim."""
+    L, R = left.dim, right.dim
+    pairs = [[] for _ in range(L * R)]  # the image of (b_i, b_j) at i*R + j
+    for u, c in x:
+        k, ij = divmod(u, L * R)
+        pairs[ij].append((k, c))
+    return bilinear_from_rule(left, right, codomain, lambda i, j: tuple(pairs[i * R + j]))
 
 
 def zero_bilmap(left: Space, right: Space, codomain: Space) -> BilMap:
     return _from_images(left, right, codomain, [[()] * right.dim] * left.dim)
 
 
-def _eliminate(field: Field, v: list, c, row):
-    """v -= c * row in place, row given by its nonzero entries."""
-    if p := field.characteristic:
-        for k, b in row:
-            v[k] = (v[k] - c * b) % p
-        return
-    for k, b in row:
-        d = c * b
-        d = v[k] - (d if d.__class__ is int else normal(d))
-        v[k] = d if d.__class__ is int else normal(d)
+def _primitive(v: dict) -> dict:
+    """The rational row v, {column: entry}, scaled to coprime integers."""
+    if any(a.__class__ is not int for a in v.values()):
+        d = lcm(*[a.denominator for a in v.values()])
+        v = {k: a.numerator * (d // a.denominator) for k, a in v.items()}
+    g = gcd(*v.values())
+    return v if g < 2 else {k: a // g for k, a in v.items()}
 
 
-def _primitive(v):
-    """The rational row v scaled to coprime integers; 0 stays 0."""
-    if set(map(type, v)) != {int}:
-        d = lcm(*[a.denominator for a in v])
-        v = [a.numerator * (d // a.denominator) for a in v]
-    g = gcd(*v)
-    return v if g < 2 else [a // g for a in v]
-
-
-def _cancel(v, col, pivot_row):
-    """The primitive integer row p*v - c*pivot_row over gcd(p, c), which is 0
-    at col, for p = pivot_row[col] and c = v[col]."""
-    v = _primitive(v)
-    p, c = pivot_row[col], v[col]
-    g = gcd(p, c)
-    p, c = p // g, c // g
-    return _primitive([p * a - c * b for a, b in zip(v, pivot_row)])
-
-
-def _divided(v, col):
-    """The integer row v divided by its pivot v[col], in normal form."""
-    p = v[col]
-    if p == 1:
-        return tuple(v)
-    return tuple(a // p if a % p == 0 else Fraction(a, p) for a in v)
+def _clear(v: dict, q, w: dict, p):
+    """The row v cleared at column q against the row w, whose pivot is q:
+    over F_p (where w[q] = 1) v - c w, and over Q, for b = w[q], v - c b w
+    if b = +-1, else the primitive integer row b v - c w over gcd(b, c);
+    c = v[q].  In place but in the last case."""
+    c, b = v[q], w[q]
+    scaled = not p and b * b != 1
+    if scaled:
+        g = gcd(b, c)
+        v = {k: b // g * a for k, a in v.items()}
+        c //= g
+    elif not p:
+        c *= b
+    get = v.get
+    for k, a in w.items():
+        d = get(k, 0) - c * a
+        if p:
+            d %= p
+        if d:
+            v[k] = d
+        else:
+            del v[k]
+    return _primitive(v) if scaled else v
 
 
 def rref(field: Field, rows):
-    """Reduced row echelon form; zero rows dropped. Canonical for a span.
+    """Reduced row echelon form of sparse rows, zero rows dropped, sorted by
+    pivot: canonical for a span.
 
-    Over Q each pivot row is made primitive, a row is cleared against a
-    pivot other than +-1 in integers, and each pivot row is divided by its
-    pivot once, at the end."""
-    work = [list(r) for r in rows if any(r)]
-    char = field.characteristic
-    pivots = []
-    for col in range(len(work[0]) if work else 0):
-        row = len(pivots)
-        for pivot_row in range(row, len(work)):
-            if work[pivot_row][col]:
-                break
+    Each row is inserted into a reduced basis {pivot column: row}: it is
+    cleared, in one pass, at the pivots where it is nonzero (a basis row is
+    zero at every other pivot), and its own pivot is then cleared from the
+    basis rows nonzero there.  Over F_p each pivot is scaled to 1.  Over Q
+    the rows are primitive integer rows, and each is divided by its pivot
+    once, at the end."""
+    p = field.characteristic
+    basis = {}
+    for row in rows:
+        if p:
+            v = {k: r for k, c in row if (r := c % p)}
         else:
+            v = _primitive({k: c for k, c in row if c})
+        for q in [k for k in v if k in basis]:
+            v = _clear(v, q, basis[q], p)
+        if not v:
             continue
-        v = work[pivot_row]
-        inv = char and field.inv(v[col])
-        v = [inv * a % char for a in v] if char else _primitive(v)
-        work[pivot_row] = work[row]
-        work[row] = v
-        p, nz = v[col], _nonzero(v)
-        for r, w in enumerate(work):
-            if r != row and (c := w[col]):
-                if p == 1 or p == -1:
-                    _eliminate(field, w, c * p, nz)
-                else:
-                    work[r] = _cancel(w, col, v)
-        pivots.append(col)
-    # rows are already sorted by pivot column, and the rows below them are 0
-    if not char:
-        return list(map(_divided, work, pivots))
-    return [tuple(r) for r in work[: len(pivots)]]
-
-
-def _pivot_columns(basis):
-    pivots = []
-    for row in basis:
-        for j, a in enumerate(row):
-            if a != 0:
-                pivots.append(j)
-                break
-    return tuple(pivots)
+        q = min(v)
+        inv = p and field.inv(v[q])
+        v = {k: a * inv % p for k, a in v.items()} if p else _primitive(v)
+        for k, w in basis.items():
+            if q in w:
+                basis[k] = _clear(w, q, v, p)
+        basis[q] = v
+    out = []
+    for q in sorted(basis):
+        row, b = sorted(basis[q].items()), basis[q][q]
+        if b != 1:  # over Q, divided by its pivot, in normal form
+            row = [(k, a // b if a % b == 0 else Fraction(a, b)) for k, a in row]
+        out.append(tuple(row))
+    return out
 
 
 class Subspace(Record):
-    """Subspace of an ambient space, basis in reduced row echelon form."""
+    """Subspace of an ambient space, basis sparse in reduced row echelon form."""
 
     ambient: Space
     basis: tuple
-    __slots__ = ("_pivots", "_rows")  # each basis row's pivot and nonzero entries
+    __slots__ = ("_at", "_pivots")  # {pivot: its row's index}, and the pivots
 
     @classmethod
     def span(cls, ambient: Space, vectors) -> "Subspace":
-        return cls(ambient, tuple(rref(ambient.field, list(vectors))))
+        return cls(ambient, tuple(rref(ambient.field, vectors)))
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def __post_init__(self):
-        object.__setattr__(self, "_pivots", _pivot_columns(self.basis))
-        object.__setattr__(self, "_rows", tuple(map(_nonzero, self.basis)))
+        object.__setattr__(self, "_at", {row[0][0]: i for i, row in enumerate(self.basis)})
+        object.__setattr__(self, "_pivots", tuple(self._at))
 
     def pivots(self):
         return self._pivots
 
     def reduce(self, v):
-        """Canonical representative of v modulo this subspace."""
-        F = self.ambient.field
-        v = list(v)
-        for row, p in zip(self._rows, self._pivots):
-            if c := v[p]:
-                _eliminate(F, v, c, row)
-        return tuple(v)
+        """Canonical representative of v modulo this subspace: v minus its
+        entry at each pivot times that pivot's row."""
+        at = self._at
+        terms = [(at[k] + 1, -c) for k, c in v if k in at]
+        return _combine(self.ambient.field, [(0, 1), *terms], (v, *self.basis)) if terms else v
 
     def contains(self, v) -> bool:
-        return not any(self.reduce(v))
+        return not self.reduce(v)
 
     def coords(self, v):
-        """Coefficients of v in this basis; None if v is not in the span."""
+        """Coefficients of v in this basis, sparse; None if v is not in the span."""
         if not self.contains(v):
             return None
-        return tuple(v[p] for p in self.pivots())
+        at = self._at
+        return tuple((at[k], c) for k, c in v if k in at)
 
 
 def kernel(f: LinMap) -> Subspace:
     """Canonical basis of {v : f(v) = 0}."""
-    F, n, m = f.field, f.domain.dim, f.codomain.dim
-    echelon = rref(F, [dense(col + ((m + j, 1),), m + n) for j, col in enumerate(f.columns)])
+    m = f.codomain.dim
+    echelon = rref(f.field, [col + ((m + j, 1),) for j, col in enumerate(f.columns)])
     # rows of `echelon` are (image | preimage); those with zero image part
     # come last, and their preimage parts are already in reduced echelon form
-    return Subspace(f.domain, tuple(row[m:] for row in echelon if not any(row[:m])))
+    rows = (tuple((k - m, c) for k, c in row) for row in echelon if row[0][0] >= m)
+    return Subspace(f.domain, tuple(rows))
 
 
-def affine_solutions(field: Field, rows, const, n: int):
-    """The solutions x of rows . x + const = 0 in n unknowns: the one whose
-    free unknowns are 0 and `kernel`'s canonical basis of the homogeneous
-    solutions, or None if there is no solution."""
-    red = rref(field, [(*row, field.neg(c)) for row, c in zip(rows, const)])
-    pivots = _pivot_columns(red)
-    if n in pivots:
+def affine_solutions(field: Field, rows, n: int):
+    """The solutions x of rows . (x, 1) = 0 in n unknowns, each row sparse
+    with its constant at column n: the one whose free unknowns are 0 and
+    the canonical basis of the homogeneous solutions, each sparse, or None
+    if there is no solution."""
+    red = rref(field, rows)
+    if red and red[-1][0][0] == n:  # 0 = 1
         return None
-    part = [field.zero()] * n
-    for p, row in zip(pivots, red):
-        part[p] = row[n]
-    # the reduced rows have the solutions of `rows`; one column per unknown
-    dom = Space(field, tuple(f"x{j}" for j in range(n)))
-    cod = Space(field, tuple(f"r{i}" for i in range(len(red))))
-    f = from_columns(dom, cod, (_nonzero([row[j] for row in red]) for j in range(n)))
-    return tuple(part), kernel(f).basis
+    # x_q for the pivot q of a row is minus its entries at the constant and
+    # at the free unknowns, whose values span the solutions
+    part, at, neg = [], {}, field.neg
+    for row in red:
+        for j, a in row[1:]:
+            (part if j == n else at.setdefault(j, [])).append((row[0][0], neg(a)))
+    pivots = {row[0][0] for row in red}
+    null = [(*at.get(j, ()), (j, field.one())) for j in range(n) if j not in pivots]
+    return tuple(part), tuple(rref(field, null))
 
 
 def quotient(ambient: Space, sub: Subspace):
@@ -438,17 +430,38 @@ def quotient(ambient: Space, sub: Subspace):
     if sub.ambient != ambient:
         raise ValueError("subspace does not live in the ambient space")
     rows = dict(zip(sub.pivots(), sub.basis))
-    free = [j for j in range(ambient.dim) if j not in rows]
+    free = {j: i for i, j in enumerate(j for j in range(ambient.dim) if j not in rows)}
     qspace = Space(ambient.field, tuple(ambient.labels[j] for j in free))
     # column j is the unit vector of a free j, and for the pivot j of a row
-    # minus that row restricted to the free columns
-    unit = iter(qspace.basis())
+    # minus that row's entries after its pivot, which all lie on free columns
     cols = (
-        vneg(ambient.field, _nonzero([rows[j][c] for c in free])) if j in rows else next(unit)
+        vneg(ambient.field, tuple((free[k], c) for k, c in rows[j][1:]))
+        if j in rows
+        else ((free[j], 1),)
         for j in range(ambient.dim)
     )
     proj = from_columns(ambient, qspace, cols)
     return qspace, proj
+
+
+def concat(parts):
+    """The sparse vector of a direct sum whose blocks are the sparse vectors
+    of `parts`, given as (vector, dim) pairs."""
+    out, offset = [], 0
+    for v, dim in parts:
+        out += ((offset + k, c) for k, c in _inside(v, dim))
+        offset += dim
+    return tuple(out)
+
+
+def split(v, dims):
+    """The blocks of the sparse vector v of a direct sum of spaces of
+    dimensions `dims`, each a sparse vector of its own space."""
+    out, offset = [], 0
+    for dim in dims:
+        out.append(tuple((k - offset, c) for k, c in v if offset <= k < offset + dim))
+        offset += dim
+    return tuple(out)
 
 
 def direct_sum(a: Space, b: Space, left_prefix: str = "l_", right_prefix: str = "r_"):

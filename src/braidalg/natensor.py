@@ -36,9 +36,7 @@ from .linear import (
     LinMap,
     Space,
     Subspace,
-    _nonzero,
     bilinear_from_rule,
-    dense,
     from_columns,
     is_zero,
     quotient,
@@ -98,21 +96,21 @@ def tensor_square(m: Algebra) -> TensorSquare:
     n = m.dim
     b, (left, right) = m.mult.on_basis, _positions(n)
     mu = _bracket_map(m, amb)
-    derived = rref(F, [dense(mu.column(p), n) for p in range(amb.dim)])  # a basis of [M,M]
+    derived = rref(F, [mu.column(p) for p in range(amb.dim)])  # a basis of [M,M]
 
     rels = []
     for i, j in itertools.combinations(range(n), 2):  # family 1 on i < j
         for k in range(n):
             r = vsub(F, _placed(b(i, j), left[k]), _placed(b(j, k), right[i]))
-            rels.append(dense(vadd(F, r, _placed(b(i, k), right[j])), amb.dim))
+            rels.append(vadd(F, r, _placed(b(i, k), right[j])))
     for j, k in itertools.combinations(range(n), 2):  # family 2 on j < k
         for i in range(n):
             r = vsub(F, _placed(b(j, k), right[i]), _placed(b(k, i), left[j]))
-            rels.append(dense(vadd(F, r, _placed(b(j, i), left[k])), amb.dim))
-    rels.extend(tuple(F.mul(x, y) for x in c for y in c) for c in derived)
+            rels.append(vadd(F, r, _placed(b(j, i), left[k])))
+    rels.extend(tuple((a * n + d, F.mul(x, y)) for a, x in c for d, y in c) for c in derived)
     relations = Subspace.span(amb, rels)
     # [u(x)v, w(x)x] = mu(u(x)v) (x) mu(w(x)x), so the bracket descends to T
-    if not all(is_zero(mu.apply(_nonzero(r))) for r in relations.basis):
+    if not all(is_zero(mu.apply(r)) for r in relations.basis):
         raise InternalInvariantViolation(
             "bracket map does not vanish on the relation span"
         )
@@ -156,21 +154,18 @@ def tensor_xmod(ts: TensorSquare) -> XModLie:
 
     b, (left, right) = m.mult.on_basis, _positions(n)
 
-    def act(a, v):
-        """b_a . v on M (x) M, dense: c [b_a,b_i] (x) b_j + c b_i (x) [b_a,b_j]
-        for each entry (p, c) of v, p = i*n + j."""
-        out = [0] * amb.dim
-        for p, c in v:
-            i, j = divmod(p, n)
-            for q, x in _placed(b(a, i), left[j]) + _placed(b(a, j), right[i]):
-                out[q] = F.add(out[q], F.mul(c, x))
-        return tuple(out)
+    def image(a, p):
+        """b_a . (b_i (x) b_j) = [b_a,b_i] (x) b_j + b_i (x) [b_a,b_j], p = i*n + j."""
+        i, j = divmod(p, n)
+        return vadd(F, _placed(b(a, i), left[j]), _placed(b(a, j), right[i]))
+
+    acts = [from_columns(amb, amb, (image(a, p) for p in range(amb.dim))) for a in range(n)]
 
     # tensor_square asserted mu(R) = 0, so the boundary descends to T; the
     # action descends if it preserves R
-    for r in map(_nonzero, ts.relations.basis):
-        for a in range(n):
-            if not ts.relations.contains(act(a, r)):
+    for r in ts.relations.basis:
+        for act in acts:
+            if not ts.relations.contains(act.apply(r)):
                 raise InternalInvariantViolation(
                     "action does not preserve the relation span"
                 )
@@ -178,7 +173,7 @@ def tensor_xmod(ts: TensorSquare) -> XModLie:
     tspace, proj, lift = ts.carrier.space, ts.proj, ts.lift
     boundary = amb_boundary.after(lift)
     dot = bilinear_from_rule(
-        m.space, tspace, tspace, lambda a, i: proj.apply(_nonzero(act(a, lift.column(i))))
+        m.space, tspace, tspace, lambda a, i: proj.apply(acts[a].apply(lift.column(i)))
     )
     return XModLie(LieAction(m, ts.carrier, dot), boundary)
 

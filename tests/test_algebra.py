@@ -78,6 +78,24 @@ def test_from_constants_defaults_zero():
     assert alg.mult.on_basis(1, 1) == sp.zero()
 
 
+def test_from_constants_refuses_a_label_outside_the_space():
+    sp = Space(QQ, ("x", "y"))
+    for products in (
+        {("x", "y"): {"z": 1}},
+        {("x", "z"): {"y": 1}},
+        {("z", "x"): {}},
+    ):
+        with pytest.raises(ValueError, match=r"labels \['z'\] are not in the space"):
+            from_constants(sp, products)
+
+
+def test_from_constants_keeps_the_nonzero_entries_in_index_order():
+    sp = Space(GF(5), ("a", "b", "c"))
+    alg = from_constants(sp, {("b", "a"): {"c": 7, "a": "1/2", "b": 5}})
+    assert alg.mult.on_basis(1, 0) == ((0, 3), (2, 2))
+    assert alg.mult.on_basis(0, 1) == ()
+
+
 def test_catalog_over_prime_field():
     a = catalog("Mat(2)", GF(5))
     assert is_associative(a)

@@ -41,7 +41,7 @@ from braidalg.natensor import tensor_square, tensor_xmod
 from braidalg.report import basis_tuples, merge, sweep
 from braidalg.xmod import identity_xmod_assoc, identity_xmod_lie
 
-from conftest import FIXTURES, MUTATIONS, dense_bilinear, dense_compose, densify
+from conftest import FIXTURES, MUTATIONS, dense_bilinear, dense_compose, densify, sparse
 
 ASSOC_NAMES = ("Mat(2)", "Mat(3)", "Upper(3)")
 LIE_NAMES = ("sl2", "Heis3", "gl2")
@@ -138,7 +138,7 @@ def _lie_algebras_f2(dim):
     cells = dim * dim * dim
     for v in range(2**cells):
         bits = [v >> p & 1 for p in range(cells)]
-        a = Algebra(sp, bilinear_from_coordinates(sp, sp, sp, bits))
+        a = Algebra(sp, bilinear_from_coordinates(sp, sp, sp, sparse(bits)))
         if is_lie(a):
             yield a
 

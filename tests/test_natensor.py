@@ -112,10 +112,8 @@ def test_gl4_tensor_square_is_gl4():
     ts = tensor_square(m)
     assert ts.carrier.dim == 16
     boundary = tensor_xmod(ts).boundary
-    image = Subspace.span(m.space, [densify(boundary.column(p), 16) for p in range(16)])
-    derived = Subspace.span(
-        m.space, [densify(m.mult.on_basis(i, j), 16) for i in range(16) for j in range(16)]
-    )
+    image = Subspace.span(m.space, [boundary.column(p) for p in range(16)])
+    derived = Subspace.span(m.space, [m.mult.on_basis(i, j) for i in range(16) for j in range(16)])
     assert image == derived
     assert image.dim == 15
 
@@ -142,13 +140,14 @@ def full_relation_span(m, amb):
     for i, j, k in itertools.product(range(n), repeat=3):
         rows.append(comb(outer(b(i, j), e(k)), outer(e(i), b(j, k)), outer(e(j), b(i, k))))
         rows.append(comb(outer(e(i), b(j, k)), outer(b(k, i), e(j)), outer(b(j, i), e(k))))
-    families = Subspace.span(amb, rows)
-    derived = Subspace.span(m.space, [b(i, j) for i in range(n) for j in range(n)]).basis
+    families = Subspace.span(amb, map(sparse, rows))
+    derived = Subspace.span(m.space, [sparse(b(i, j)) for i in range(n) for j in range(n)]).basis
+    derived = [densify(c, n) for c in derived]
     for p, c in enumerate(derived):
         rows.append(outer(c, c))
         for d in derived[p + 1 :]:
             rows.append(tuple(map(F.add, outer(c, d), outer(d, c))))
-    return families, Subspace.span(amb, rows)
+    return families, Subspace.span(amb, map(sparse, rows))
 
 
 @pytest.mark.parametrize("field", (QQ, GF(2), GF(3), GF(5)), ids=str)
@@ -171,7 +170,7 @@ def test_reduced_relations_span_the_full_families(name, field):
     zero = (field.zero(),) * n
     for r in ts.relations.basis:
         mu = zero
-        for p, c in enumerate(r):
+        for p, c in enumerate(densify(r, n * n)):
             bracket = densify(m.mult.on_basis(*divmod(p, n)), n)
             mu = tuple(field.add(x, field.mul(c, y)) for x, y in zip(mu, bracket))
         assert mu == zero
@@ -223,7 +222,7 @@ def test_tensor_xmod_descent_is_an_internal_invariant():
     amb = ts.relations.ambient
     # h (x) e is no relation: e acts on it as [e, h] (x) e = -2 e (x) e,
     # which its span does not contain
-    relations = Subspace.span(amb, [densify(amb.basis_vector(1), amb.dim)])
+    relations = Subspace.span(amb, [amb.basis_vector(1)])
     bad = TensorSquare(ts.base, ts.carrier, ts.pure, relations, ts.proj, ts.lift)
     with pytest.raises(InternalInvariantViolation):
         tensor_xmod(bad)

@@ -13,6 +13,8 @@ from braidalg.linear import Space, Subspace
 from braidalg.record import Record
 from braidalg.report import AxiomCheck, Witness
 
+from conftest import sparse
+
 
 class Pair(Record):
     first: int
@@ -87,15 +89,15 @@ def test_derived_slots_take_no_part_in_equality():
     assert (g.identity, g.inverse) == (0, (0, 3, 2, 1))
     assert g == FiniteGroup(g.order, g.table)
     sp = Space(QQ, ("x", "y", "z"))
-    used = Subspace.span(sp, [(1, 2, 3)])
+    used = Subspace.span(sp, [sparse((1, 2, 3))])
     assert used.pivots() == (0,)
-    fresh = Subspace.span(sp, [(1, 2, 3)])
+    fresh = Subspace.span(sp, [sparse((1, 2, 3))])
     assert used == fresh and hash(used) == hash(fresh)
 
 
 def test_copy_and_pickle_keep_the_value():
     sp = Space(QQ, ("x", "y"))
-    for value in (Subspace.span(sp, [(0, 1)]), cyclic(3), Field(5)):
+    for value in (Subspace.span(sp, [sparse((0, 1))]), cyclic(3), Field(5)):
         for again in (copy.copy(value), copy.deepcopy(value)):
             assert again == value
         assert pickle.loads(pickle.dumps(value)) == value
