@@ -16,6 +16,8 @@ parser, its printer and, for a kind the CLI validates, its validator.
 
 from __future__ import annotations
 
+import re
+
 from .action import AssocAction, LieAction, validate_assoc_action, validate_lie_action
 from .algebra import Algebra
 from .braid import (
@@ -36,7 +38,7 @@ from .errors import (
 from .fields import MAX_CHARACTERISTIC, QQ, CharacteristicTooLarge, Field
 from .groupx import FiniteGroup, GroupXMod, validate_group_braiding, validate_group_xmod
 from .icat import ASSOC, LIE, CatAlgebra, validate_cat_algebra
-from .linear import BilMap, LinMap, Space, _nonzero, bilinear_from_rule
+from .linear import BilMap, LinMap, Space, _combine, bilinear_from_rule
 from .linear import from_columns, identity_map, vneg
 from .record import Record
 from .report import merge
@@ -60,73 +62,60 @@ def a_kind(kind: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# lexer
+# lexer.  A token is its text.  `_TOKEN` skips blanks (space, tab, CR, LF)
+# and `#` comments, then takes one token: a number (ASCII digits, optionally
+# `/` and digits), a run of word characters, a punctuator, any other single
+# character, or "" at the end (eof).  A word run that starts with a letter
+# or `_` is an identifier; any other token that is no punctuator is an
+# unexpected character.  Only errors need positions: `_offsets` lexes the
+# source again to find them.
 
-# only ASCII digits make numbers: str.isdigit() also takes superscripts
-# and the digits of other scripts
-_DIGITS = frozenset("0123456789")
-_PUNCT = ("|->", "->", "{", "}", "(", ")", ",", ";", ":", "*", "=", "+", "-")
-
-
-class Token(Record):
-    kind: str  # "ident", "number", "punct", "eof"
-    value: str
-    line: int
-    col: int
-
-    def __init__(self, kind, value, line, col):
-        # one per token: the generic positional loop, unrolled
-        set_kind, set_value, set_line, set_col = self._setters
-        set_kind(self, kind)
-        set_value(self, value)
-        set_line(self, line)
-        set_col(self, col)
+_TOKEN = re.compile(
+    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
+    # one-character punctuators first: half the tokens are one, and no
+    # other token starts with one of their characters
+    r"([{}(),;:*=+]|[0-9]+(?:/[0-9]+)?|\w+|\|->|->|-|.|\Z)",
+    re.DOTALL,
+)
+_PUNCT = frozenset(("|->", "->", "{", "}", "(", ")", ",", ";", ":", "*", "=", "+", "-"))
 
 
 def _tokenize(source: str):
-    toks = []
-    line, col, i = 1, 1, 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line, col, i = line + 1, 1, i + 1
-            continue
-        if ch in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch in _DIGITS:
-            start = i
-            while i < n and source[i] in _DIGITS:
-                i += 1
-            if i < n and source[i] == "/" and i + 1 < n and source[i + 1] in _DIGITS:
-                i += 1
-                while i < n and source[i] in _DIGITS:
-                    i += 1
-            toks.append(Token("number", source[start:i], line, col))
-            col += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            toks.append(Token("ident", source[start:i], line, col))
-            col += i - start
-            continue
-        for p in _PUNCT:
-            if source.startswith(p, i):
-                toks.append(Token("punct", p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise DslSyntaxError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("eof", "", line, col))
-    return toks
+    """The tokens of `source`, eof ("") last, and {token: kind}, where a
+    kind is "number", "ident", "punct" or "eof"."""
+    toks = _TOKEN.findall(source)
+    if len(toks) > 1 and not toks[-2]:  # a skip ran to the end: eof twice
+        toks.pop()
+    distinct = set(toks)
+    kinds = {}
+    for t in distinct:
+        if not t:
+            kinds[t] = "eof"
+        elif "0" <= t[0] <= "9":
+            kinds[t] = "number"
+        elif t[0].isalpha() or t[0] == "_":
+            kinds[t] = "ident"
+        elif t in _PUNCT:
+            kinds[t] = "punct"
+    if len(kinds) < len(distinct):
+        k = next(k for k, t in enumerate(toks) if t not in kinds)
+        at = _line_col(source, _offsets(source)[k])
+        raise DslSyntaxError(f"unexpected character {toks[k][0]!r}", *at)
+    return toks, kinds
+
+
+def _offsets(source: str):
+    """Where each token of `source` starts."""
+    return [m.start(1) for m in _TOKEN.finditer(source)]
+
+
+def _line_col(source: str, off: int):
+    """The line and column of the token at `off`.  Eof after a comment on
+    the last line has the column of its `#`."""
+    start = source.rfind("\n", 0, off) + 1
+    if off == len(source) and "#" in source[start:]:
+        off = source.index("#", start)
+    return source.count("\n", 0, off) + 1, off - start + 1
 
 
 # ---------------------------------------------------------------------------
@@ -143,261 +132,271 @@ def _from_pairs(left, right, cod: Space, vals):
     return bilinear_from_rule(left, right, cod, lambda i, j: vals.get((i, j), zero))
 
 
+def _index(space: Space):
+    return {label: i for i, label in enumerate(space.labels)}
+
+
 class _Parser:
+    """Parses one document.  A token is named by its index in `toks`."""
+
     def __init__(self, source: str):
-        self.toks = _tokenize(source)
+        self.source = source
+        self.toks, self.kinds = _tokenize(source)
         self.pos = 0
         self.field: Field | None = None
         self.by_name = {}  # name -> (kind, object), in document order
+        self.scalars = {}  # number token -> its value in the field
 
     # token plumbing ------------------------------------------------------
 
-    def peek(self) -> Token:
+    def at(self, k):
+        """The line and column of token k."""
+        return _line_col(self.source, _offsets(self.source)[k])
+
+    def peek(self) -> str:
         return self.toks[self.pos]
 
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
+    def take(self, kind) -> int:
+        """Step past the next token, which must be of `kind`; its index."""
+        k = self.pos
+        if self.kinds[self.toks[k]] != kind:
+            self.unexpected(kind, k)
+        self.pos = k + 1
+        return k
 
-    def expect(self, kind, value=None) -> Token:
-        t = self.peek()
-        if t.kind != kind or (value is not None and t.value != value):
-            want = value if value is not None else kind
-            raise DslSyntaxError(
-                f"expected {want!r}, found {t.value or t.kind!r}",
-                t.line,
-                t.col,
-                expected=(str(want),),
-            )
-        return self.next()
+    def expect(self, value):
+        """Step past the next token, which must be `value`."""
+        if self.toks[self.pos] != value:
+            self.unexpected(value, self.pos)
+        self.pos += 1
+
+    def unexpected(self, want, k):
+        raise DslSyntaxError(
+            f"expected {want!r}, found {self.toks[k] or 'eof'!r}",
+            *self.at(k),
+            expected=(want,),
+        )
 
     # scalars and vectors --------------------------------------------------
 
-    def scalar(self, tok: Token):
+    def scalar(self, k):
+        tok = self.toks[k]
+        if tok in self.scalars:
+            return self.scalars[tok]
         # the rule of int_list, for the numerator and the denominator
-        parts = [p.lstrip("0") or "0" for p in tok.value.split("/")]
+        parts = [p.lstrip("0") or "0" for p in tok.split("/")]
         for digits in parts:
             if len(digits) > _MAX_INT_DIGITS:
                 raise DslSyntaxError(
-                    f"scalar of {len(digits)} digits is too large", tok.line, tok.col
+                    f"scalar of {len(digits)} digits is too large", *self.at(k)
                 )
         try:
-            return self.field.of("/".join(parts))
+            value = self.scalars[tok] = self.field.of("/".join(parts))
         except (ZeroDivisionError, ValueError):
             raise FieldMismatch(
-                f"scalar {tok.value!r} has no value in {self.field}", tok.line, tok.col
+                f"scalar {tok!r} has no value in {self.field}", *self.at(k)
             )
+        return value
 
-    def expr(self, space: Space):
-        """Linear combination of basis labels, as a sparse vector; a bare `0`
-        is the zero vector."""
-        F = self.field
-        vec = [F.zero()] * space.dim
-        first = True
-        while True:
-            sign = F.one()
-            t = self.peek()
-            if t.kind == "punct" and t.value in ("+", "-"):
-                if t.value == "-":
-                    sign = F.neg(sign)
-                self.next()
-            elif not first:
-                break
-            first = False
-            t = self.peek()
-            if t.kind == "number":
-                coeff = F.mul(sign, self.scalar(self.next()))
-                t = self.peek()
-                if t.kind == "ident":
-                    self.next()
-                    i = self._label(space, t)
-                    vec[i] = F.add(vec[i], coeff)
-                elif coeff != F.zero():
-                    raise DslSyntaxError(
-                        "scalar term needs a basis label", t.line, t.col
-                    )
-            elif t.kind == "ident":
-                self.next()
-                i = self._label(space, t)
-                vec[i] = F.add(vec[i], sign)
-            else:
-                raise DslSyntaxError(
-                    f"expected a term, found {t.value or t.kind!r}", t.line, t.col
-                )
-        return _nonzero(vec)
+    def expr(self, index, basis):
+        """Linear combination of basis labels, as a sparse vector: `index`
+        maps a label to its index, `basis` holds the basis vectors.  A bare
+        `0` is the zero vector."""
+        toks, kinds, k, terms = self.toks, self.kinds, self.pos, []
+        t = toks[k]
+        if t != "-" and t != "+":  # an unsigned first term
+            t, k = "+", k - 1
+        while t == "+" or t == "-":
+            c = 1 if t == "+" else -1
+            k += 1
+            t = toks[k]
+            if kinds[t] == "number":
+                c *= self.scalar(k)
+                k += 1
+                t = toks[k]
+                if kinds[t] != "ident":
+                    if c != 0:
+                        raise DslSyntaxError("scalar term needs a basis label", *self.at(k))
+                    continue
+            elif kinds[t] != "ident":
+                raise DslSyntaxError(f"expected a term, found {t or 'eof'!r}", *self.at(k))
+            terms.append((self.label(index, k), c))
+            k += 1
+            t = toks[k]
+        self.pos = k
+        return _combine(self.field, terms, basis)
 
-    def _label(self, space: Space, tok: Token) -> int:
-        if tok.value not in space.labels:
-            raise UnknownReference(
-                f"unknown basis label {tok.value!r}", tok.line, tok.col
-            )
-        return space.index(tok.value)
+    def label(self, index, k) -> int:
+        i = index.get(self.toks[k])
+        if i is None:
+            raise UnknownReference(f"unknown basis label {self.toks[k]!r}", *self.at(k))
+        return i
 
     def int_list(self):
         out = []
-        while self.peek().kind == "number":
-            t = self.next()
-            if "/" in t.value:
-                raise DslSyntaxError("expected an integer", t.line, t.col)
+        while self.kinds[self.peek()] == "number":
+            k = self.take("number")
+            if "/" in self.toks[k]:
+                raise DslSyntaxError("expected an integer", *self.at(k))
             # int() may refuse more digits: compare lengths first
-            digits = t.value.lstrip("0")
+            digits = self.toks[k].lstrip("0")
             if len(digits) > _MAX_INT_DIGITS:
                 raise DslSyntaxError(
-                    f"integer of {len(digits)} digits is too large", t.line, t.col
+                    f"integer of {len(digits)} digits is too large", *self.at(k)
                 )
             out.append(int(digits or "0"))
         if not out:
-            t = self.peek()
-            raise DslSyntaxError("expected at least one integer", t.line, t.col)
+            raise DslSyntaxError("expected at least one integer", *self.at(self.pos))
         return tuple(out)
 
     def int_rows(self):
         rows = [self.int_list()]
-        while self.peek().kind == "punct" and self.peek().value == ",":
-            self.next()
+        while self.peek() == ",":
+            self.pos += 1
             rows.append(self.int_list())
         return tuple(rows)
 
     # references -----------------------------------------------------------
 
-    def ref(self, *kinds):
-        t = self.expect("ident")
-        if t.value not in self.by_name:
-            raise UnknownReference(f"unknown name {t.value!r}", t.line, t.col)
-        kind, obj = self.by_name[t.value]
-        if kinds and kind not in kinds:
+    def ref(self, kind):
+        k = self.take("ident")
+        name = self.toks[k]
+        if name not in self.by_name:
+            raise UnknownReference(f"unknown name {name!r}", *self.at(k))
+        got, obj = self.by_name[name]
+        if got != kind:
             raise UnknownReference(
-                f"{t.value!r} is {a_kind(kind)}, expected {' or '.join(kinds)}",
-                t.line,
-                t.col,
+                f"{name!r} is {a_kind(got)}, expected {kind}", *self.at(k)
             )
-        return t, kind, obj
+        return k, obj
 
-    def register(self, tok: Token, kind: str, obj):
-        if tok.value in self.by_name:
-            raise DslSyntaxError(f"duplicate name {tok.value!r}", tok.line, tok.col)
-        self.by_name[tok.value] = (kind, obj)
+    def register(self, k, kind: str, obj):
+        if self.toks[k] in self.by_name:
+            raise DslSyntaxError(f"duplicate name {self.toks[k]!r}", *self.at(k))
+        self.by_name[self.toks[k]] = (kind, obj)
 
     # key = value blocks ----------------------------------------------------
 
     def block_entries(self, spec):
         """Parse `{ key = ...; }` where spec maps keys to parse thunks."""
-        self.expect("punct", "{")
+        self.expect("{")
         seen = {}
-        while not (self.peek().kind == "punct" and self.peek().value == "}"):
-            key = self.expect("ident")
-            if key.value not in spec:
+        while self.peek() != "}":
+            k = self.take("ident")
+            key = self.toks[k]
+            if key not in spec:
                 raise DslSyntaxError(
-                    f"unknown entry {key.value!r}",
-                    key.line,
-                    key.col,
-                    expected=tuple(sorted(spec)),
+                    f"unknown entry {key!r}", *self.at(k), expected=tuple(sorted(spec))
                 )
-            if key.value in seen:
-                raise DslSyntaxError(
-                    f"duplicate entry {key.value!r}", key.line, key.col
-                )
-            self.expect("punct", "=")
-            seen[key.value] = spec[key.value]()
-            self.expect("punct", ";")
-        self.expect("punct", "}")
+            if key in seen:
+                raise DslSyntaxError(f"duplicate entry {key!r}", *self.at(k))
+            self.expect("=")
+            seen[key] = spec[key]()
+            self.expect(";")
+        self.pos += 1
         return seen
 
-    def need(self, seen, key, tok):
+    def need(self, seen, key, k):
         if key not in seen:
-            raise DslSyntaxError(f"missing entry {key!r}", tok.line, tok.col)
+            raise DslSyntaxError(f"missing entry {key!r}", *self.at(k))
         return seen[key]
 
     # declarations ----------------------------------------------------------
 
     def parse_document(self) -> Document:
-        t = self.peek()
-        if t.kind != "ident" or t.value != "field":
+        if self.peek() != "field":
             raise DslSyntaxError(
                 "document must start with a field declaration",
-                t.line,
-                t.col,
+                *self.at(self.pos),
                 expected=("field",),
             )
-        self.next()
-        t = self.expect("ident")
-        if t.value == "Q":
+        self.pos += 1
+        k = self.take("ident")
+        if self.toks[k] == "Q":
             self.field = Field(0)
-        elif t.value == "Fp":
-            p = self.expect("number")
-            if "/" in p.value:
-                raise DslSyntaxError("characteristic must be an integer", p.line, p.col)
+        elif self.toks[k] == "Fp":
+            k = self.take("number")
+            p = self.toks[k]
+            if "/" in p:
+                raise DslSyntaxError("characteristic must be an integer", *self.at(k))
             try:
                 # int() refuses more than 4300 digits: compare lengths first
-                digits = p.value.lstrip("0")
+                digits = p.lstrip("0")
                 if len(digits) > len(str(MAX_CHARACTERISTIC)):
                     raise CharacteristicTooLarge(digits)
                 if not digits:  # Field(0) would be the rationals
-                    raise ValueError(p.value)
+                    raise ValueError(p)
                 self.field = Field(int(digits))
             except CharacteristicTooLarge as exc:
-                raise FieldMismatch(str(exc), p.line, p.col)
+                raise FieldMismatch(str(exc), *self.at(k))
             except ValueError:
-                raise FieldMismatch(
-                    f"characteristic {p.value} is not prime", p.line, p.col
-                )
+                raise FieldMismatch(f"characteristic {p} is not prime", *self.at(k))
         else:
             raise DslSyntaxError(
-                f"unknown field {t.value!r}", t.line, t.col, expected=("Q", "Fp")
+                f"unknown field {self.toks[k]!r}", *self.at(k), expected=("Q", "Fp")
             )
-        while self.peek().kind != "eof":
-            t = self.next()
-            if t.kind != "ident" or t.value not in BLOCK_KINDS:
+        while self.peek():
+            kind = self.peek()
+            if kind not in BLOCK_KINDS:
                 raise DslSyntaxError(
-                    f"expected a declaration, found {t.value or t.kind!r}",
-                    t.line,
-                    t.col,
+                    f"expected a declaration, found {kind!r}",
+                    *self.at(self.pos),
                     expected=tuple(BLOCK_KINDS),
                 )
-            name = self.expect("ident")
-            self.register(name, t.value, BLOCK_KINDS[t.value].parse(self, name))
+            self.pos += 1
+            name = self.take("ident")
+            self.register(name, kind, BLOCK_KINDS[kind].parse(self, name))
         blocks = tuple((n, k, o) for n, (k, o) in self.by_name.items())
         return Document(self.field, blocks)
 
-    def rows(self, lhs, sep, cod: Space):
-        """Parse `{ lhs sep vector; }` into {key: vector}.  `lhs()` returns a
-        left side's key, its first token and how a repeat of it is named."""
-        rows = {}
-        self.expect("punct", "{")
-        while not (self.peek().kind == "punct" and self.peek().value == "}"):
-            key, tok, what = lhs()
+    def rows(self, head, what, spaces, sep, cod: Space):
+        """Parse `{ head sep vector; }` into {key: vector}.  `head` lists the
+        tokens of a left side, "ident" standing for a basis label of the
+        next space of `spaces`; the key is the tuple of those labels'
+        indices, and `what`, filled with the labels, names a repeated one."""
+        toks, kinds, rows = self.toks, self.kinds, {}
+        index, basis = _index(cod), cod.basis()
+        spaces = iter(spaces)
+        slots = [(n, _index(next(spaces))) for n, w in enumerate(head) if w == "ident"]
+        self.expect("{")
+        k = self.pos
+        while toks[k] != "}":
+            start = k
+            for want in head:  # an identifier may be spelled "ident"
+                if toks[k] != want and (want != "ident" or kinds[toks[k]] != "ident"):
+                    self.unexpected(want, k)
+                k += 1
+            key = tuple([self.label(ix, start + n) for n, ix in slots])
             if key in rows:
-                raise DslSyntaxError(f"{what} listed twice", tok.line, tok.col)
-            self.expect("punct", sep)
-            rows[key] = self.expr(cod)
-            self.expect("punct", ";")
-        self.expect("punct", "}")
+                names = (toks[start + n] for n, _ in slots)
+                at = self.at(start + slots[0][0])
+                raise DslSyntaxError(f"{what.format(*names)} listed twice", *at)
+            if toks[k] != sep:
+                self.unexpected(sep, k)
+            self.pos = k + 1
+            rows[key] = self.expr(index, basis)
+            k = self.pos
+            if toks[k] != ";":
+                self.unexpected(";", k)
+            k += 1
+        self.pos = k + 1
         return rows
 
     def parse_algebra(self, name):
-        self.expect("ident", "basis")
-        labels = [self.expect("ident").value]
-        while self.peek().kind == "punct" and self.peek().value == ",":
-            self.next()
-            labels.append(self.expect("ident").value)
+        self.expect("basis")
+        labels = [self.toks[self.take("ident")]]
+        while self.peek() == ",":
+            self.pos += 1
+            labels.append(self.toks[self.take("ident")])
         if len(set(labels)) != len(labels):
-            raise DslSyntaxError("duplicate basis labels", name.line, name.col)
-        antisym = False
-        if self.peek().kind == "ident" and self.peek().value == "antisymmetric":
-            self.next()
-            antisym = True
+            raise DslSyntaxError("duplicate basis labels", *self.at(name))
+        antisym = self.peek() == "antisymmetric"
+        if antisym:
+            self.pos += 1
         space = Space(self.field, tuple(labels))
         F = self.field
-
-        def product():
-            a = self.expect("ident")
-            self.expect("punct", "*")
-            b = self.expect("ident")
-            key = (self._label(space, a), self._label(space, b))
-            return key, a, f"product {a.value}*{b.value}"
-
-        prods = self.rows(product, "=", space)
+        head = ("ident", "*", "ident")
+        prods = self.rows(head, "product {}*{}", (space, space), "=", space)
         if antisym:
             for (i, j), v in list(prods.items()):
                 if (j, i) not in prods and i != j:
@@ -405,45 +404,31 @@ class _Parser:
         return Algebra(space, _from_pairs(space, space, space, prods))
 
     def parse_map(self, name):
-        self.expect("punct", ":")
-        _, _, dom = self.ref("algebra")
-        self.expect("punct", "->")
-        _, _, cod = self.ref("algebra")
-
-        def image():
-            a = self.expect("ident")
-            return self._label(dom.space, a), a, f"image of {a.value}"
-
-        cols = self.rows(image, "|->", cod.space)
+        self.expect(":")
+        _, dom = self.ref("algebra")
+        self.expect("->")
+        _, cod = self.ref("algebra")
+        cols = self.rows(("ident",), "image of {}", (dom.space,), "|->", cod.space)
         zero = cod.space.zero()
-        columns = [cols.get(i, zero) for i in range(dom.dim)]
+        columns = [cols.get((i,), zero) for i in range(dom.dim)]
         return from_columns(dom.space, cod.space, columns)
 
     def parse_bilinear(self, name):
-        self.expect("punct", ":")
-        _, _, left = self.ref("algebra")
-        self.expect("punct", ",")
-        _, _, right = self.ref("algebra")
-        self.expect("punct", "->")
-        _, _, cod = self.ref("algebra")
-
-        def pair():
-            self.expect("punct", "(")
-            a = self.expect("ident")
-            self.expect("punct", ",")
-            b = self.expect("ident")
-            self.expect("punct", ")")
-            key = (self._label(left.space, a), self._label(right.space, b))
-            return key, a, f"pair ({a.value}, {b.value})"
-
-        vals = self.rows(pair, "=", cod.space)
+        self.expect(":")
+        _, left = self.ref("algebra")
+        self.expect(",")
+        _, right = self.ref("algebra")
+        self.expect("->")
+        _, cod = self.ref("algebra")
+        head = ("(", "ident", ",", "ident", ")")
+        vals = self.rows(head, "pair ({}, {})", (left.space, right.space), "=", cod.space)
         return _from_pairs(left.space, right.space, cod.space, vals)
 
     def parse_action(self, name):
-        self.expect("punct", ":")
-        _, _, actor = self.ref("algebra")
-        self.expect("ident", "on")
-        _, _, module = self.ref("algebra")
+        self.expect(":")
+        _, actor = self.ref("algebra")
+        self.expect("on")
+        _, module = self.ref("algebra")
         seen = self.block_entries(
             {
                 "star1": lambda: self.ref("bilinear"),
@@ -454,23 +439,21 @@ class _Parser:
         if "dot" in seen:
             if "star1" in seen or "star2" in seen:
                 raise DslSyntaxError(
-                    "an action has either dot or star1/star2, not both",
-                    name.line,
-                    name.col,
+                    "an action has either dot or star1/star2, not both", *self.at(name)
                 )
-            tok, _, dot = seen["dot"]
+            tok, dot = seen["dot"]
             self._check_shape(tok, dot, actor.space, module.space, module.space)
             return LieAction(actor, module, dot)
         t1 = self.need(seen, "star1", name)
         t2 = self.need(seen, "star2", name)
-        self._check_shape(t1[0], t1[2], actor.space, module.space, module.space)
-        self._check_shape(t2[0], t2[2], module.space, actor.space, module.space)
-        return AssocAction(actor, module, t1[2], t2[2])
+        self._check_shape(t1[0], t1[1], actor.space, module.space, module.space)
+        self._check_shape(t2[0], t2[1], module.space, actor.space, module.space)
+        return AssocAction(actor, module, t1[1], t2[1])
 
     def _check_shape(self, tok, bil: BilMap, left, right, cod):
         if (bil.left, bil.right, bil.codomain) != (left, right, cod):
             raise DimensionMismatch(
-                f"bilinear {tok.value!r} has the wrong signature", tok.line, tok.col
+                f"bilinear {self.toks[tok]!r} has the wrong signature", *self.at(tok)
             )
 
     def parse_xmod(self, name):
@@ -480,14 +463,14 @@ class _Parser:
                 "boundary": lambda: self.ref("map"),
             }
         )
-        _, _, action = self.need(seen, "action", name)
-        btok, _, boundary = self.need(seen, "boundary", name)
+        _, action = self.need(seen, "action", name)
+        btok, boundary = self.need(seen, "boundary", name)
         if (
             boundary.domain != action.module.space
             or boundary.codomain != action.actor.space
         ):
             raise DimensionMismatch(
-                "boundary must map the module to the actor", btok.line, btok.col
+                "boundary must map the module to the actor", *self.at(btok)
             )
         cls = XModLie if isinstance(action, LieAction) else XModAssoc
         return cls(action, boundary)
@@ -504,29 +487,29 @@ class _Parser:
         if "xmod" in seen:
             if "cat" in seen or "tau" in seen:
                 raise DslSyntaxError(
-                    "a braiding is over an xmod or a cat, not both", name.line, name.col
+                    "a braiding is over an xmod or a cat, not both", *self.at(name)
                 )
-            _, _, x = seen["xmod"]
-            btok, _, brace = self.need(seen, "brace", name)
+            _, x = seen["xmod"]
+            btok, brace = self.need(seen, "brace", name)
             self._check_shape(btok, brace, x.n.space, x.n.space, x.m.space)
             return XBraiding(x, brace)
-        _, _, c = self.need(seen, "cat", name)
-        ttok, _, tau = self.need(seen, "tau", name)
+        _, c = self.need(seen, "cat", name)
+        ttok, tau = self.need(seen, "tau", name)
         self._check_shape(ttok, tau, c.c0.space, c.c0.space, c.c1.space)
         return CatBraiding(c, tau)
 
     def parse_cat(self, name):
         def flavor_value():
-            t = self.expect("ident")
-            if t.value not in (ASSOC, LIE):
+            k = self.take("ident")
+            if self.toks[k] not in (ASSOC, LIE):
                 raise DslSyntaxError(
-                    "flavor must be assoc or lie", t.line, t.col, expected=(ASSOC, LIE)
+                    "flavor must be assoc or lie", *self.at(k), expected=(ASSOC, LIE)
                 )
-            return t, "flavor", t.value
+            return k, self.toks[k]
 
         def map_pair():
             first = self.ref("map")
-            self.expect("punct", ",")
+            self.expect(",")
             second = self.ref("map")
             return first, second
 
@@ -541,12 +524,12 @@ class _Parser:
                 "k": map_pair,
             }
         )
-        flavor = self.need(seen, "flavor", name)[2]
-        _, _, c1 = self.need(seen, "c1", name)
-        _, _, c0 = self.need(seen, "c0", name)
-        stok, _, s = self.need(seen, "s", name)
-        ttok, _, t = self.need(seen, "t", name)
-        etok, _, e = self.need(seen, "e", name)
+        flavor = self.need(seen, "flavor", name)[1]
+        _, c1 = self.need(seen, "c1", name)
+        _, c0 = self.need(seen, "c0", name)
+        stok, s = self.need(seen, "s", name)
+        ttok, t = self.need(seen, "t", name)
+        etok, e = self.need(seen, "e", name)
         for tok, f, dom, cod in (
             (stok, s, c1, c0),
             (ttok, t, c1, c0),
@@ -554,18 +537,17 @@ class _Parser:
         ):
             if f.domain != dom.space or f.codomain != cod.space:
                 raise DimensionMismatch(
-                    f"map {tok.value!r} has the wrong signature", tok.line, tok.col
+                    f"map {self.toks[tok]!r} has the wrong signature", *self.at(tok)
                 )
         obj = CatAlgebra(c1, c0, s, t, e, flavor)
         if "k" in seen:
-            (ptok, _, pmap), (qtok, _, qmap) = seen["k"]
+            (ptok, pmap), (_, qmap) = seen["k"]
             ident = identity_map(c1.space)
             forced_p = ident.sub(e.after(t))
             if pmap != forced_p or qmap != ident:
                 raise DslError(
                     "explicit k must equal the forced composition x - e(t(x)) + y",
-                    ptok.line,
-                    ptok.col,
+                    *self.at(ptok),
                 )
         return obj
 
@@ -584,8 +566,8 @@ class _Parser:
                 "brace": self.int_rows,
             }
         )
-        _, _, g = self.need(seen, "g", name)
-        _, _, h = self.need(seen, "h", name)
+        _, g = self.need(seen, "g", name)
+        _, h = self.need(seen, "h", name)
         action = self.need(seen, "action", name)
         boundary = self.need(seen, "boundary", name)
         return GroupXMod(g, h, action, boundary, seen.get("brace"))

@@ -9,22 +9,20 @@ was given; no other module reads those layouts.  Every evaluation --
 `BilMap.apply_left`/`apply_right` -- adds up the stored images in one loop,
 `_combine`, which scans no zero.  The rows of `rref`, `Subspace`, `kernel`,
 `affine_solutions` and `quotient` are sparse vectors too; `concat` and
-`split` lay blocks of a direct sum end to end and back.  Dense tuples
-remain at two boundaries, each crossed through `dense(v, dim)` or
-`_nonzero(v)`: the witness of a failing law in `report.sweep`, and the DSL
-text.  Subspaces are kept in reduced row echelon form, so equal subspaces
-are equal records.  `rref` inserts each row into a reduced basis, touching
-only the pivots where the row is nonzero; over Q it eliminates on
-primitive integer rows and divides each pivot row by its pivot once, at
-the end.  Scalar arithmetic is inline, one branch per field, in the normal
-form of `fields.py`, with no `Field` call per entry.
+`split` lay blocks of a direct sum end to end and back.  A dense tuple
+is made at one boundary only, by `dense(v, dim)`: the witness of a
+failing law in `report.sweep`.  Subspaces are kept in reduced row echelon
+form, so equal subspaces are equal records.  `rref` inserts each row into
+a reduced basis, touching only the pivots where the row is nonzero; over
+Q it eliminates on primitive integer rows and divides each pivot row by
+its pivot once, at the end.  Scalar arithmetic is inline, one branch per
+field, in the normal form of `fields.py`, with no `Field` call per entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter
 
 from .fields import Field, normal
 from .record import Record
@@ -41,9 +39,6 @@ class Space(Record):
         if len(set(self.labels)) != len(self.labels):
             raise ValueError(f"duplicate basis labels: {self.labels}")
         object.__setattr__(self, "dim", len(self.labels))
-
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
 
     def zero(self):
         return ()
@@ -68,11 +63,6 @@ def dense(v, dim: int):
     for k, c in _inside(v, dim):
         out[k] = c
     return tuple(out)
-
-
-def _nonzero(v):
-    """The dense vector v as a sparse one, its nonzero entries ((k, v[k]), ...)."""
-    return tuple(filter(itemgetter(1), enumerate(v)))
 
 
 # Scalar results are put in the normal form of `fields.py` inline, as
@@ -213,12 +203,12 @@ class BilMap(Record):
         rows, R, K = self.tensor, self.right.dim, self.codomain.dim
         if len(rows) != self.left.dim or any(len(row) != R for row in rows):
             raise ValueError("tensor shape does not match spaces")
-        for row in rows:
-            for v in row:
-                _inside(v, K)
+        pairs = sum(rows, ())
+        for v in pairs:
+            _inside(v, K)
         object.__setattr__(self, "field", self.left.field)
-        object.__setattr__(self, "_cols", tuple(tuple(row[j] for row in rows) for j in range(R)))
-        object.__setattr__(self, "_pairs", sum(rows, ()))
+        object.__setattr__(self, "_cols", tuple(zip(*rows)) if rows else ((),) * R)
+        object.__setattr__(self, "_pairs", pairs)
 
     def on_basis(self, i: int, j: int):
         return self.tensor[i][j]
@@ -261,8 +251,9 @@ def _from_images(left: Space, right: Space, codomain: Space, images) -> BilMap:
 
 def bilinear_from_rule(left: Space, right: Space, codomain: Space, rule) -> BilMap:
     """Build a BilMap from a rule on basis index pairs returning sparse vectors."""
-    images = ((rule(i, j) for j in range(right.dim)) for i in range(left.dim))
-    return _from_images(left, right, codomain, images)
+    R = range(right.dim)
+    images = tuple([tuple([rule(i, j) for j in R]) for i in range(left.dim)])
+    return BilMap(left, right, codomain, images)
 
 
 def bilinear_from_coordinates(left: Space, right: Space, codomain: Space, x) -> BilMap:
@@ -336,8 +327,11 @@ def rref(field: Field, rows):
         if not v:
             continue
         q = min(v)
-        inv = p and field.inv(v[q])
-        v = {k: a * inv % p for k, a in v.items()} if p else _primitive(v)
+        if not p:
+            v = _primitive(v)
+        elif v[q] != 1:
+            inv = field.inv(v[q])
+            v = {k: a * inv % p for k, a in v.items()}
         for k, w in basis.items():
             if q in w:
                 basis[k] = _clear(w, q, v, p)

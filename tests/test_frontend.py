@@ -9,6 +9,8 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidalg.action import self_action, validate_assoc_action
 from braidalg.algebra import from_constants
@@ -17,6 +19,9 @@ from braidalg.cli import main
 from braidalg.dsl import (
     BLOCK_KINDS,
     VALIDATABLE,
+    _line_col,
+    _offsets,
+    _tokenize,
     parse,
     print_action_doc,
     print_cat_doc,
@@ -827,3 +832,153 @@ def test_comments_run_from_hash_to_the_end_of_the_line():
         for n, line in enumerate(plain.splitlines())
     )
     assert parse(commented) == parse(plain)
+
+
+# ---------------------------------------------------------------------------
+# the lexer against a character loop, the lexer's contract written out
+
+
+def naive_tokens(source):
+    """(kind, value, line, col) of each token of `source`, one character at
+    a time; raises DslSyntaxError at the first character that starts none."""
+    toks = []
+    line, col, i = 1, 1, 0
+    n = len(source)
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            line, col, i = line + 1, 1, i + 1
+            continue
+        if ch in " \t\r":
+            i, col = i + 1, col + 1
+            continue
+        if ch == "#":  # the column stays at the `#`
+            while i < n and source[i] != "\n":
+                i += 1
+            continue
+        start = i
+        if ch in "0123456789":
+            while i < n and source[i] in "0123456789":
+                i += 1
+            if i + 1 < n and source[i] == "/" and source[i + 1] in "0123456789":
+                i += 1
+                while i < n and source[i] in "0123456789":
+                    i += 1
+            kind = "number"
+        elif ch.isalpha() or ch == "_":
+            while i < n and (source[i].isalnum() or source[i] == "_"):
+                i += 1
+            kind = "ident"
+        else:
+            punct = ("|->", "->", "{", "}", "(", ")", ",", ";", ":", "*", "=", "+", "-")
+            p = next((p for p in punct if source.startswith(p, i)), None)
+            if p is None:
+                raise DslSyntaxError(f"unexpected character {ch!r}", line, col)
+            i += len(p)
+            kind = "punct"
+        toks.append((kind, source[start:i], line, col))
+        col += i - start
+    toks.append(("eof", "", line, col))
+    return toks
+
+
+def lexed(source):
+    """The tokens of the lexer under test, in the form of `naive_tokens`."""
+    toks, kinds = _tokenize(source)
+    offsets = _offsets(source)
+    return [(kinds[t], t, *_line_col(source, offsets[k])) for k, t in enumerate(toks)]
+
+
+def lex_outcome(lex, source):
+    try:
+        return lex(source)
+    except DslSyntaxError as exc:
+        return f"error {exc}"
+
+
+def _head(path, size=400):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read(size)
+
+
+FIXTURE_HEADS = [_head(path) for path in all_fixture_files()]
+LEXER_ALPHABET = "ab_1209/|->{}(),;:*=+- \t\r\n#²½٣éΩ\x0b\f@$?"
+LEXER_EDGES = (
+    "",
+    "field Q #",
+    "field Q\n# last line, no newline",
+    "field Q\nx # comment\n",
+    "field Q\nalgebra A basis x # c",
+    "1/",
+    "1/x",
+    "1/2/3",
+    "007/0",
+    "|-",
+    "|->->-",
+    "->-|->--|-->",
+    "a-->b|-->c",
+    "field Q\r\nalgebra A basis x {\r\n  x*x = x;\r\n}\r\n",
+    "field Q\nalgebra } @",
+    "field Q\nalgebra A basis x {\n  x*x = ;\n}\n\x0b",
+    "\f",
+    "²x",
+    "x²½٣ ½",
+    "٣",
+    "_é1 Ω_",
+    "a\tb\r\rc",
+)
+
+
+@pytest.mark.parametrize("source", LEXER_EDGES)
+def test_lexer_edge_cases_match_the_character_loop(source):
+    assert lex_outcome(lexed, source) == lex_outcome(naive_tokens, source)
+
+
+def test_lexer_matches_the_character_loop_on_every_committed_document():
+    paths = sorted(glob.glob(os.path.join(ROOT, "**", "*.alg"), recursive=True))
+    assert len(paths) >= 56
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            source = fh.read()
+        assert lexed(source) == naive_tokens(source), path
+
+
+@settings(max_examples=1500, derandomize=True, database=None)
+@given(
+    st.one_of(
+        st.text(alphabet=LEXER_ALPHABET, max_size=40),
+        st.builds(
+            lambda doc, at, insert: doc[:at] + insert + doc[at:],
+            st.sampled_from(FIXTURE_HEADS),
+            st.integers(0, 400),
+            st.text(alphabet=LEXER_ALPHABET, min_size=1, max_size=4),
+        ),
+    )
+)
+def test_lexer_matches_the_character_loop_on_fuzzed_text(source):
+    assert lex_outcome(lexed, source) == lex_outcome(naive_tokens, source)
+
+
+def test_a_bad_character_after_a_syntax_error_is_reported_first():
+    # the whole document is lexed before any of it is parsed
+    with pytest.raises(DslSyntaxError) as exc:
+        parse("field Q\nalgebra } basis\n  @")
+    assert str(exc.value) == "3:3: unexpected character '@'"
+
+
+@pytest.mark.parametrize(
+    "tail,message",
+    (
+        ("", "3:9: expected a term, found 'eof'"),
+        ("x", "3:10: expected ';', found 'eof'"),
+        ("x # no newline", "3:11: expected ';', found 'eof'"),
+        ("x + ", "3:13: expected a term, found 'eof'"),
+        ("x;\n", "4:1: expected 'ident', found 'eof'"),
+    ),
+)
+def test_a_document_cut_short_is_refused_at_the_end(tail, message):
+    # the end of a document after a comment on its last line is placed at
+    # the comment's `#`
+    with pytest.raises(DslSyntaxError) as exc:
+        parse("field Q\nalgebra A basis x {\n  x*x = " + tail)
+    assert str(exc.value) == message

@@ -831,10 +831,10 @@ def test_only_linear_py_knows_how_maps_are_stored():
 
 def test_only_the_boundaries_know_the_dense_form():
     # rows, bases and coordinates are sparse everywhere; a dense tuple is
-    # made only for a failing law's witness (report.py) and read only from
-    # the DSL text (dsl.py)
+    # made only for a failing law's witness (report.py), and the DSL reads
+    # its vectors sparse
     paths = sorted(glob.glob(os.path.join(ROOT, "src", "braidalg", "*.py")))
-    boundaries = ("linear.py", "report.py", "dsl.py")
+    boundaries = ("linear.py", "report.py")
     paths = [p for p in paths if os.path.basename(p) not in boundaries]
     paths += sorted(glob.glob(os.path.join(SCRIPTS, "*.py")))
     assert len(paths) > 10
