@@ -5,13 +5,16 @@ from __future__ import annotations
 from .algebra import Algebra, _liefy, is_associative, is_lie
 from .errors import InvalidAction
 from .linear import (
+    Bil,
     BilMap,
     LinMap,
     Space,
+    b0,
+    b1,
+    b2,
     bilinear_from_rule,
+    concat,
     direct_sum,
-    vadd,
-    vsub,
     zero_bilmap,
 )
 from .record import Record
@@ -70,113 +73,50 @@ def zero_action_lie(actor: Algebra, module: Algebra) -> LieAction:
 def validate_assoc_action(a: AssocAction, subject: str = "action") -> ValidationReport:
     """Axioms AAs1..AAs6 on basis triples, with witnesses."""
     N, M = a.actor, a.module
-    s1, s2 = a.star1, a.star2
-
-    laws = [  # (tag, dims, law), each law's sides in M
-        (
-            "AAs1",
-            (N.dim, M.dim, M.dim),
-            lambda n, m, m2: (
-                s1.apply_left(n, M.mult.on_basis(m, m2)),
-                M.mult.apply_right(s1.on_basis(n, m), m2),
-            ),
-        ),
-        (
-            "AAs2",
-            (N.dim, M.dim, N.dim),
-            lambda n, m, n2: (
-                s1.apply_left(n, s2.on_basis(m, n2)),
-                s2.apply_right(s1.on_basis(n, m), n2),
-            ),
-        ),
-        (
-            "AAs3",
-            (N.dim, N.dim, M.dim),
-            lambda n, n2, m: (
-                s1.apply_left(n, s1.on_basis(n2, m)),
-                s1.apply_right(N.mult.on_basis(n, n2), m),
-            ),
-        ),
-        (
-            "AAs4",
-            (M.dim, N.dim, N.dim),
-            lambda m, n, n2: (
-                s2.apply_left(m, N.mult.on_basis(n, n2)),
-                s2.apply_right(s2.on_basis(m, n), n2),
-            ),
-        ),
-        (
-            "AAs5",
-            (M.dim, N.dim, M.dim),
-            lambda m, n, m2: (
-                M.mult.apply_left(m, s1.on_basis(n, m2)),
-                M.mult.apply_right(s2.on_basis(m, n), m2),
-            ),
-        ),
-        (
-            "AAs6",
-            (M.dim, M.dim, N.dim),
-            lambda m, m2, n: (
-                M.mult.apply_left(m, s2.on_basis(m2, n)),
-                s2.apply_right(M.mult.on_basis(m, m2), n),
-            ),
-        ),
+    s1, s2, nm, mm = a.star1, a.star2, N.mult, M.mult
+    n, m = N.dim, M.dim
+    laws = [  # (tag, dims, lhs, rhs, dim), each law's sides in M
+        ("AAs1", (n, m, m), Bil(s1, b0, Bil(mm, b1, b2)), Bil(mm, Bil(s1, b0, b1), b2), m),
+        ("AAs2", (n, m, n), Bil(s1, b0, Bil(s2, b1, b2)), Bil(s2, Bil(s1, b0, b1), b2), m),
+        ("AAs3", (n, n, m), Bil(s1, b0, Bil(s1, b1, b2)), Bil(s1, Bil(nm, b0, b1), b2), m),
+        ("AAs4", (m, n, n), Bil(s2, b0, Bil(nm, b1, b2)), Bil(s2, Bil(s2, b0, b1), b2), m),
+        ("AAs5", (m, n, m), Bil(mm, b0, Bil(s1, b1, b2)), Bil(mm, Bil(s2, b0, b1), b2), m),
+        ("AAs6", (m, m, n), Bil(mm, b0, Bil(s2, b1, b2)), Bil(s2, Bil(mm, b0, b1), b2), m),
     ]
-    return merge(subject, [sweep(*law, M.dim) for law in laws])
+    return merge(subject, [sweep(*law) for law in laws])
 
 
 def validate_lie_action(a: LieAction, subject: str = "action") -> ValidationReport:
     """Axioms ALie1 and ALie2 on basis triples."""
     N, M = a.actor, a.module
-    F = M.field
-    dot = a.dot
-
-    laws = [  # (tag, dims, law), each law's sides in M
-        (
-            "ALie1",
-            (N.dim, N.dim, M.dim),
-            lambda n, n2, m: (
-                dot.apply_right(N.mult.on_basis(n, n2), m),
-                vsub(
-                    F,
-                    dot.apply_left(n, dot.on_basis(n2, m)),
-                    dot.apply_left(n2, dot.on_basis(n, m)),
-                ),
-            ),
-        ),
-        (
-            "ALie2",
-            (N.dim, M.dim, M.dim),
-            lambda n, m, m2: (
-                dot.apply_left(n, M.mult.on_basis(m, m2)),
-                vadd(
-                    F,
-                    M.mult.apply_right(dot.on_basis(n, m), m2),
-                    M.mult.apply_left(m, dot.on_basis(n, m2)),
-                ),
-            ),
-        ),
+    dot, nm, mm = a.dot, N.mult, M.mult
+    n, m = N.dim, M.dim
+    alie1 = Bil(dot, b0, Bil(dot, b1, b2)) - Bil(dot, b1, Bil(dot, b0, b2))
+    alie2 = Bil(mm, Bil(dot, b0, b1), b2) + Bil(mm, b1, Bil(dot, b0, b2))
+    laws = [  # (tag, dims, lhs, rhs, dim), each law's sides in M
+        ("ALie1", (n, n, m), Bil(dot, Bil(nm, b0, b1), b2), alie1, m),
+        ("ALie2", (n, m, m), Bil(dot, b0, Bil(mm, b1, b2)), alie2, m),
     ]
-    return merge(subject, [sweep(*law, M.dim) for law in laws])
+    return merge(subject, [sweep(*law) for law in laws])
 
 
-def _assoc_m_part(a: AssocAction, F, u_m, u_n, v_m, v_n):
-    """mm' + n *1 m' + m *2 n'"""
-    mm = vadd(F, a.module.product(u_m, v_m), a.star1.apply(u_n, v_m))
-    return vadd(F, mm, a.star2.apply(u_m, v_n))
+def _assoc_blocks(a: AssocAction):
+    """The products of the semidirect product into M: (m, n) -> m *2 n and
+    (n, m) -> n *1 m."""
+    return a.star2, a.star1
 
 
-def _lie_m_part(a: LieAction, F, u_m, u_n, v_m, v_n):
-    """[m,m'] + n.m' - n'.m"""
-    mm = vadd(F, a.module.product(u_m, v_m), a.dot.apply(u_n, v_m))
-    return vsub(F, mm, a.dot.apply(v_n, u_m))
+def _lie_blocks(a: LieAction):
+    """The brackets of the semidirect product into M: (m, n) -> -n.m and
+    (n, m) -> n.m."""
+    return a.dot.swapped().scale(-1), a.dot
 
 
 # per flavor: its action axioms, the property both algebras need, and the
-# module part of the semidirect product
+# two action blocks of the semidirect product
 _FLAVORS = {
-    AssocAction: (validate_assoc_action, is_associative, _assoc_m_part),
-    LieAction: (validate_lie_action, is_lie, _lie_m_part),
+    AssocAction: (validate_assoc_action, is_associative, _assoc_blocks),
+    LieAction: (validate_lie_action, is_lie, _lie_blocks),
 }
 
 
@@ -225,17 +165,14 @@ def _semidirect(a: AssocAction | LieAction) -> Semidirect:
     """The semidirect product of an action the caller has validated."""
     M, N = a.module, a.actor
     total, incl_m, incl_n, proj_m, proj_n = _semidirect_space(M.space, N.space)
-    F = total.field
-    m_part = _FLAVORS[type(a)][2]
+    mn, nm = _FLAVORS[type(a)][2](a)
+    m, n = M.dim, N.dim
 
-    def rule(i, j):
-        u_m, u_n = proj_m.column(i), proj_n.column(i)
-        v_m, v_n = proj_m.column(j), proj_n.column(j)
-        return vadd(
-            F,
-            incl_m.apply(m_part(a, F, u_m, u_n, v_m, v_n)),
-            incl_n.apply(N.product(u_n, v_n)),
-        )
+    def rule(i, j):  # the images into N move past the M block
+        if i < m:
+            return M.mult.on_basis(i, j) if j < m else mn.on_basis(i, j - m)
+        i -= m
+        return nm.on_basis(i, j) if j < m else concat([((), m), (N.mult.on_basis(i, j - m), n)])
 
     alg = Algebra(total, bilinear_from_rule(total, total, total, rule))
     return Semidirect(alg, incl_m, incl_n, proj_m, proj_n)

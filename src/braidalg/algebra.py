@@ -13,16 +13,20 @@ import re
 from .errors import NotAssociative, UnknownFixture
 from .fields import Field
 from .linear import (
+    Bil,
     BilMap,
+    Lin,
     LinMap,
     Space,
+    b0,
+    b1,
+    b2,
     bilinear_from_rule,
     is_zero,
     vadd,
-    vsub,
 )
 from .record import Record
-from .report import AxiomCheck, sweep
+from .report import sweep
 
 __all__ = [
     "Algebra",
@@ -31,8 +35,8 @@ __all__ = [
     "is_leibniz",
     "liefy",
     "is_homomorphism",
-    "hom_sweep",
-    "intertwining_sweep",
+    "hom_law",
+    "intertwining_law",
     "catalog",
 ]
 
@@ -92,16 +96,8 @@ def _kept(check):
 @_kept
 def is_associative(a: Algebra) -> bool:
     """(b_i b_j) b_k = b_i (b_j b_k) on all basis triples."""
-    m = a.mult
-    return sweep(
-        "Assoc",
-        (a.dim, a.dim, a.dim),
-        lambda i, j, k: (
-            m.apply_right(m.on_basis(i, j), k),
-            m.apply_left(i, m.on_basis(j, k)),
-        ),
-        a.dim,
-    ).ok
+    m, n = a.mult, a.dim
+    return sweep("Assoc", (n, n, n), Bil(m, Bil(m, b0, b1), b2), Bil(m, b0, Bil(m, b1, b2)), n).ok
 
 
 @_kept
@@ -136,21 +132,9 @@ def is_lie(a: Algebra) -> bool:
 
 def is_leibniz(a: Algebra) -> bool:
     """[x,[y,z]] = [[x,y],z] - [[x,z],y] on all basis triples."""
-    F = a.field
-    m = a.mult
-    return sweep(
-        "Leibniz",
-        (a.dim, a.dim, a.dim),
-        lambda i, j, k: (
-            m.apply_left(i, m.on_basis(j, k)),
-            vsub(
-                F,
-                m.apply_right(m.on_basis(i, j), k),
-                m.apply_right(m.on_basis(i, k), j),
-            ),
-        ),
-        a.dim,
-    ).ok
+    m, n = a.mult, a.dim
+    rhs = Bil(m, Bil(m, b0, b1), b2) - Bil(m, Bil(m, b0, b2), b1)
+    return sweep("Leibniz", (n, n, n), Bil(m, b0, Bil(m, b1, b2)), rhs, n).ok
 
 
 def liefy(a: Algebra) -> Algebra:
@@ -165,30 +149,22 @@ def _liefy(a: Algebra) -> Algebra:
     return Algebra(a.space, a.mult.sub(a.mult.swapped()))
 
 
-def intertwining_sweep(
-    tag: str, f: LinMap, src: BilMap, tgt: BilMap, g: LinMap, h: LinMap
-) -> AxiomCheck:
-    """The law f(src(b_i, b_j)) = tgt(g(b_i), h(b_j)) on basis pairs."""
-    return sweep(
-        tag,
-        (src.left.dim, src.right.dim),
-        lambda i, j: (
-            f.apply(src.on_basis(i, j)),
-            tgt.apply(g.column(i), h.column(j)),
-        ),
-        f.codomain.dim,
-    )
+def intertwining_law(tag: str, f: LinMap, src: BilMap, tgt: BilMap, g: LinMap, h: LinMap):
+    """The law f(src(b_i, b_j)) = tgt(g(b_i), h(b_j)) on basis pairs, as a
+    (tag, dims, lhs, rhs, dim) entry of a law table."""
+    dims = (src.left.dim, src.right.dim)
+    return tag, dims, Lin(f, Bil(src, b0, b1)), Bil(tgt, Lin(g, b0), Lin(h, b1)), f.codomain.dim
 
 
-def hom_sweep(tag: str, f: LinMap, a: Algebra, b: Algebra) -> AxiomCheck:
+def hom_law(tag: str, f: LinMap, a: Algebra, b: Algebra):
     """The homomorphism law f(b_i b_j) = f(b_i) f(b_j) for f: a -> b."""
-    return intertwining_sweep(tag, f, a.mult, b.mult, f, f)
+    return intertwining_law(tag, f, a.mult, b.mult, f, f)
 
 
 def is_homomorphism(f: LinMap, a: Algebra, b: Algebra) -> bool:
     if f.domain != a.space or f.codomain != b.space:
         raise ValueError("map does not match the algebras")
-    return hom_sweep("Hom", f, a, b).ok
+    return sweep(*hom_law("Hom", f, a, b)).ok
 
 
 _NAME_RE = re.compile(r"^(Ab|Mat|Upper|gl)\(?([0-9]+)\)?$")

@@ -5,28 +5,35 @@ The BAs/BLie validators sweep the displayed axiom families; the
 categorical validators evaluate every composition with the forced
 formula k((x, y)) = x - e(t(x)) + y, exactly as the source proofs do.
 Each braiding validator sweeps a law table, `braiding_*_laws(b)` or
-`anticoherence_laws(b)`: the (tag, dims, law, dim) entries `report.sweep`
-takes, in report order, dim that of the space the law's sides lie in.
-Other code that needs an axiom reads the table: with the base fixed,
-every law is affine in the braiding, and `braiding_system` reads each
-table as linear equations in the braiding's coordinates, which
-`braiding_space` solves.
+`anticoherence_laws(b)`: the (tag, dims, lhs, rhs, dim) entries
+`report.sweep` takes, in report order, each side a `linear` term and dim
+that of the space the sides lie in.  Other code that needs an axiom reads
+the table: with the base fixed, every law is affine in the braiding, and
+`braiding_system` reads each table, evaluated on every basis tuple, as
+linear equations in the braiding's coordinates, which `braiding_space`
+solves.
 """
 
 from __future__ import annotations
 
 from .action import AssocAction, _semidirect
-from .algebra import Algebra, hom_sweep, intertwining_sweep
+from .algebra import Algebra, hom_law, intertwining_law
 from .errors import CharTwo, InternalInvariantViolation, InvalidInput, InvalidXMod
-from .icat import ASSOC, LIE, CatAlgebra, k_formula, require_valid_cat
+from .icat import ASSOC, LIE, CatAlgebra, k_term, require_valid_cat
 from .linear import (
+    Bil,
     BilMap,
+    Lin,
     LinMap,
     Space,
     affine_solutions,
+    b0,
+    b1,
+    b2,
     bilinear_from_coordinates,
     bilinear_from_rule,
     concat,
+    evaluate,
     from_columns,
     identity_map,
     kernel,
@@ -35,7 +42,7 @@ from .linear import (
     vsub,
 )
 from .record import Record
-from .report import ValidationReport, basis_tuples, merge, sweep
+from .report import ValidationReport, merge, sweep
 from .xmod import (
     XModAssoc,
     XModLie,
@@ -72,79 +79,37 @@ class CatBraiding(Record):
             raise ValueError("tau must map C0 x C0 -> C1")
 
 
-def _commutator(a: Algebra) -> BilMap:
-    return a.mult.sub(a.mult.swapped())
-
-
 def braiding_xmod_assoc_laws(b: XBraiding):
-    """BAs1..BAs6 on basis pairs/triples, as (tag, dims, law, dim) entries."""
+    """BAs1..BAs6 on basis pairs/triples, as (tag, dims, lhs, rhs, dim) entries."""
     x = b.base
     M, N = x.m, x.n
-    F = M.field
-    s1, s2, d, br = x.action.star1, x.action.star2, x.boundary, b.brace
-    ncomm = _commutator(N)
-    mcomm = _commutator(M)
-
-    def lie_star(n, m):
-        # [b_n, b_m]_* = b_n *1 b_m - b_m *2 b_n
-        return vsub(F, s1.on_basis(n, m), s2.on_basis(m, n))
-
+    s1, s2, d, br, nm = x.action.star1, x.action.star2, x.boundary, b.brace, N.mult
+    n, m = N.dim, M.dim
     return [
-        (
-            "BAs1",
-            (N.dim, N.dim),
-            lambda n, n2: (d.apply(br.on_basis(n, n2)), ncomm.on_basis(n, n2)),
-            N.dim,
-        ),
+        ("BAs1", (n, n), Lin(d, Bil(br, b0, b1)), Bil(nm, b0, b1) - Bil(nm, b1, b0), n),
         (
             "BAs2",
-            (M.dim, M.dim),
-            lambda m, m2: (
-                br.apply(d.column(m), d.column(m2)),
-                mcomm.on_basis(m, m2),
-            ),
-            M.dim,
+            (m, m),
+            Bil(br, Lin(d, b0), Lin(d, b1)),
+            Bil(M.mult, b0, b1) - Bil(M.mult, b1, b0),
+            m,
         ),
-        (
-            "BAs3",
-            (M.dim, N.dim),
-            lambda m, n: (
-                br.apply_right(d.column(m), n),
-                vneg(F, lie_star(n, m)),
-            ),
-            M.dim,
-        ),
-        (
-            "BAs4",
-            (N.dim, M.dim),
-            lambda n, m: (br.apply_left(n, d.column(m)), lie_star(n, m)),
-            M.dim,
-        ),
+        # [b_n, b_m]_* = b_n *1 b_m - b_m *2 b_n
+        ("BAs3", (m, n), Bil(br, Lin(d, b0), b1), -(Bil(s1, b1, b0) - Bil(s2, b0, b1)), m),
+        ("BAs4", (n, m), Bil(br, b0, Lin(d, b1)), Bil(s1, b0, b1) - Bil(s2, b1, b0), m),
         (
             "BAs5",
-            (N.dim, N.dim, N.dim),
-            lambda n, n2, n3: (
-                br.apply_left(n, N.mult.on_basis(n2, n3)),
-                vadd(
-                    F,
-                    s1.apply_left(n2, br.on_basis(n, n3)),
-                    s2.apply_right(br.on_basis(n, n2), n3),
-                ),
-            ),
-            M.dim,
+            (n, n, n),
+            Bil(br, b0, Bil(nm, b1, b2)),
+            Bil(s1, b1, Bil(br, b0, b2)) + Bil(s2, Bil(br, b0, b1), b2),
+            m,
         ),
         (
             "BAs6",
-            (N.dim, N.dim, N.dim),
-            lambda n, n2, n3: (
-                br.apply_right(N.mult.on_basis(n, n2), n3),
-                vadd(
-                    F,
-                    s1.apply_left(n, br.on_basis(n2, n3)),
-                    s2.apply_right(br.on_basis(n, n3), n2),
-                ),
-            ),
-            M.dim,
+            (n, n, n),
+            Bil(br, Bil(nm, b0, b1), b2),
+            Bil(s1, b0, Bil(br, b1, b2)) + Bil(s2, Bil(br, b0, b2), b1),
+            m,
         ),
     ]
 
@@ -157,68 +122,29 @@ def validate_braiding_xmod_assoc(
 
 
 def braiding_xmod_lie_laws(b: XBraiding):
-    """BLie1..BLie6 on basis pairs/triples, as (tag, dims, law, dim) entries."""
+    """BLie1..BLie6 on basis pairs/triples, as (tag, dims, lhs, rhs, dim) entries."""
     x = b.base
     M, N = x.m, x.n
-    F = M.field
-    dot, d, br = x.action.dot, x.boundary, b.brace
-
+    dot, d, br, nm = x.action.dot, x.boundary, b.brace, N.mult
+    n, m = N.dim, M.dim
     return [
-        (
-            "BLie1",
-            (N.dim, N.dim),
-            lambda n, n2: (d.apply(br.on_basis(n, n2)), N.mult.on_basis(n, n2)),
-            N.dim,
-        ),
-        (
-            "BLie2",
-            (M.dim, M.dim),
-            lambda m, m2: (
-                br.apply(d.column(m), d.column(m2)),
-                M.mult.on_basis(m, m2),
-            ),
-            M.dim,
-        ),
-        (
-            "BLie3",
-            (M.dim, N.dim),
-            lambda m, n: (
-                br.apply_right(d.column(m), n),
-                vneg(F, dot.on_basis(n, m)),
-            ),
-            M.dim,
-        ),
-        (
-            "BLie4",
-            (N.dim, M.dim),
-            lambda n, m: (br.apply_left(n, d.column(m)), dot.on_basis(n, m)),
-            M.dim,
-        ),
+        ("BLie1", (n, n), Lin(d, Bil(br, b0, b1)), Bil(nm, b0, b1), n),
+        ("BLie2", (m, m), Bil(br, Lin(d, b0), Lin(d, b1)), Bil(M.mult, b0, b1), m),
+        ("BLie3", (m, n), Bil(br, Lin(d, b0), b1), -Bil(dot, b1, b0), m),
+        ("BLie4", (n, m), Bil(br, b0, Lin(d, b1)), Bil(dot, b0, b1), m),
         (
             "BLie5",
-            (N.dim, N.dim, N.dim),
-            lambda n, n2, n3: (
-                br.apply_left(n, N.mult.on_basis(n2, n3)),
-                vsub(
-                    F,
-                    br.apply_right(N.mult.on_basis(n, n2), n3),
-                    br.apply_right(N.mult.on_basis(n, n3), n2),
-                ),
-            ),
-            M.dim,
+            (n, n, n),
+            Bil(br, b0, Bil(nm, b1, b2)),
+            Bil(br, Bil(nm, b0, b1), b2) - Bil(br, Bil(nm, b0, b2), b1),
+            m,
         ),
         (
             "BLie6",
-            (N.dim, N.dim, N.dim),
-            lambda n, n2, n3: (
-                br.apply_right(N.mult.on_basis(n, n2), n3),
-                vsub(
-                    F,
-                    br.apply_left(n, N.mult.on_basis(n2, n3)),
-                    br.apply_left(n2, N.mult.on_basis(n, n3)),
-                ),
-            ),
-            M.dim,
+            (n, n, n),
+            Bil(br, Bil(nm, b0, b1), b2),
+            Bil(br, b0, Bil(nm, b1, b2)) - Bil(br, b1, Bil(nm, b0, b2)),
+            m,
         ),
     ]
 
@@ -238,69 +164,39 @@ def _cat_parts(b: CatBraiding):
 def _cat_t12(b: CatBraiding, t1: str, t2: str):
     """The source/target and composition laws shared by both flavors."""
     c, c1, c0, tau = _cat_parts(b)
+    s, t, m = c.s, c.t, c1.mult
+    n0 = c0.dim
     return [
-        (
-            t1,
-            (c0.dim, c0.dim),
-            lambda a, d: (c.s.apply(tau.on_basis(a, d)), c0.mult.on_basis(a, d)),
-            c0.dim,
-        ),
-        (
-            t1,
-            (c0.dim, c0.dim),
-            lambda a, d: (c.t.apply(tau.on_basis(a, d)), c0.mult.on_basis(d, a)),
-            c0.dim,
-        ),
+        (t1, (n0, n0), Lin(s, Bil(tau, b0, b1)), Bil(c0.mult, b0, b1), n0),
+        (t1, (n0, n0), Lin(t, Bil(tau, b0, b1)), Bil(c0.mult, b1, b0), n0),
         (
             t2,
             (c1.dim, c1.dim),
-            lambda x, y: (
-                k_formula(
-                    c,
-                    c1.mult.on_basis(x, y),
-                    tau.apply(c.t.column(x), c.t.column(y)),
-                ),
-                k_formula(
-                    c,
-                    tau.apply(c.s.column(x), c.s.column(y)),
-                    c1.mult.on_basis(y, x),
-                ),
-            ),
+            k_term(c, Bil(m, b0, b1), Bil(tau, Lin(t, b0), Lin(t, b1))),
+            k_term(c, Bil(tau, Lin(s, b0), Lin(s, b1)), Bil(m, b1, b0)),
             c1.dim,
         ),
     ]
 
 
 def braiding_cat_assoc_laws(b: CatBraiding):
-    """AsT1..AsT4 as (tag, dims, law, dim) entries; AsT2-4 evaluate compositions
-    via the forced formula."""
+    """AsT1..AsT4 as (tag, dims, lhs, rhs, dim) entries; AsT2-4 evaluate
+    compositions via the forced formula."""
     c, c1, c0, tau = _cat_parts(b)
-
+    dims, m = (c0.dim,) * 3, c0.mult
     return _cat_t12(b, "AsT1", "AsT2") + [
         (
             "AsT3",
-            (c0.dim, c0.dim, c0.dim),
-            lambda a, d, g: (
-                tau.apply_right(c0.mult.on_basis(a, d), g),
-                k_formula(
-                    c,
-                    c.e_mul.apply_left(a, tau.on_basis(d, g)),
-                    c.mul_e.apply_right(tau.on_basis(a, g), d),
-                ),
-            ),
+            dims,
+            Bil(tau, Bil(m, b0, b1), b2),
+            k_term(c, Bil(c.e_mul, b0, Bil(tau, b1, b2)), Bil(c.mul_e, Bil(tau, b0, b2), b1)),
             c1.dim,
         ),
         (
             "AsT4",
-            (c0.dim, c0.dim, c0.dim),
-            lambda a, d, g: (
-                tau.apply_left(a, c0.mult.on_basis(d, g)),
-                k_formula(
-                    c,
-                    c.mul_e.apply_right(tau.on_basis(a, d), g),
-                    c.e_mul.apply_left(d, tau.on_basis(a, g)),
-                ),
-            ),
+            dims,
+            Bil(tau, b0, Bil(m, b1, b2)),
+            k_term(c, Bil(c.mul_e, Bil(tau, b0, b1), b2), Bil(c.e_mul, b1, Bil(tau, b0, b2))),
             c1.dim,
         ),
     ]
@@ -314,35 +210,22 @@ def validate_braiding_cat_assoc(
 
 
 def braiding_cat_lie_ulualan_laws(b: CatBraiding):
-    """LieT1, LieT2, LieB3, LieB4 as (tag, dims, law, dim) entries."""
+    """LieT1, LieT2, LieB3, LieB4 as (tag, dims, lhs, rhs, dim) entries."""
     c, c1, c0, tau = _cat_parts(b)
-    F = c1.field
-
+    dims, m = (c0.dim,) * 3, c0.mult
     return _cat_t12(b, "LieT1", "LieT2") + [
         (
             "LieB3",
-            (c0.dim, c0.dim, c0.dim),
-            lambda a, d, g: (
-                tau.apply_right(c0.mult.on_basis(a, d), g),
-                vadd(
-                    F,
-                    c.mul_e.apply_right(tau.on_basis(a, g), d),
-                    c.e_mul.apply_left(a, tau.on_basis(d, g)),
-                ),
-            ),
+            dims,
+            Bil(tau, Bil(m, b0, b1), b2),
+            Bil(c.mul_e, Bil(tau, b0, b2), b1) + Bil(c.e_mul, b0, Bil(tau, b1, b2)),
             c1.dim,
         ),
         (
             "LieB4",
-            (c0.dim, c0.dim, c0.dim),
-            lambda a, d, g: (
-                tau.apply_left(a, c0.mult.on_basis(d, g)),
-                vadd(
-                    F,
-                    c.e_mul.apply_left(d, tau.on_basis(a, g)),
-                    c.mul_e.apply_right(tau.on_basis(a, d), g),
-                ),
-            ),
+            dims,
+            Bil(tau, b0, Bil(m, b1, b2)),
+            Bil(c.e_mul, b1, Bil(tau, b0, b2)) + Bil(c.mul_e, Bil(tau, b0, b1), b2),
             c1.dim,
         ),
     ]
@@ -356,35 +239,22 @@ def validate_braiding_cat_lie_ulualan(
 
 
 def braiding_cat_lie_alt_laws(b: CatBraiding):
-    """LieT1..LieT4 as (tag, dims, law, dim) entries."""
+    """LieT1..LieT4 as (tag, dims, lhs, rhs, dim) entries."""
     c, c1, c0, tau = _cat_parts(b)
-    F = c1.field
-
+    dims, m = (c0.dim,) * 3, c0.mult
     return _cat_t12(b, "LieT1", "LieT2") + [
         (
             "LieT3",
-            (c0.dim, c0.dim, c0.dim),
-            lambda a, d, g: (
-                tau.apply_right(c0.mult.on_basis(a, d), g),
-                vsub(
-                    F,
-                    tau.apply_left(a, c0.mult.on_basis(d, g)),
-                    tau.apply_left(d, c0.mult.on_basis(a, g)),
-                ),
-            ),
+            dims,
+            Bil(tau, Bil(m, b0, b1), b2),
+            Bil(tau, b0, Bil(m, b1, b2)) - Bil(tau, b1, Bil(m, b0, b2)),
             c1.dim,
         ),
         (
             "LieT4",
-            (c0.dim, c0.dim, c0.dim),
-            lambda a, d, g: (
-                tau.apply_left(a, c0.mult.on_basis(d, g)),
-                vsub(
-                    F,
-                    tau.apply_right(c0.mult.on_basis(a, d), g),
-                    tau.apply_right(c0.mult.on_basis(a, g), d),
-                ),
-            ),
+            dims,
+            Bil(tau, b0, Bil(m, b1, b2)),
+            Bil(tau, Bil(m, b0, b1), b2) - Bil(tau, Bil(m, b0, b2), b1),
             c1.dim,
         ),
     ]
@@ -399,41 +269,17 @@ def validate_braiding_cat_lie_alt(
 
 def anticoherence_laws(b: CatBraiding):
     """tau_{a,[b,c]} = [e(a), tau_{b,c}], the mirror identity, and their
-    antisymmetry consequence, as (tag, dims, law, dim) entries; only meaningful
-    away from characteristic 2."""
+    antisymmetry consequence, as (tag, dims, lhs, rhs, dim) entries; only
+    meaningful away from characteristic 2."""
     c, c1, c0, tau = _cat_parts(b)
     if c1.field.characteristic == 2:
         raise CharTwo("anticoherence requires characteristic != 2")
-    F = c1.field
-
+    dims, m = (c0.dim,) * 3, c0.mult
+    left, right = Bil(tau, b0, Bil(m, b1, b2)), Bil(tau, Bil(m, b1, b2), b0)
     return [
-        (
-            "AC1",
-            (c0.dim, c0.dim, c0.dim),
-            lambda a, d, g: (
-                tau.apply_left(a, c0.mult.on_basis(d, g)),
-                c.e_mul.apply_left(a, tau.on_basis(d, g)),
-            ),
-            c1.dim,
-        ),
-        (
-            "AC2",
-            (c0.dim, c0.dim, c0.dim),
-            lambda a, d, g: (
-                tau.apply_right(c0.mult.on_basis(d, g), a),
-                c.mul_e.apply_right(tau.on_basis(d, g), a),
-            ),
-            c1.dim,
-        ),
-        (
-            "AC3",
-            (c0.dim, c0.dim, c0.dim),
-            lambda a, d, g: (
-                tau.apply_left(a, c0.mult.on_basis(d, g)),
-                vneg(F, tau.apply_right(c0.mult.on_basis(d, g), a)),
-            ),
-            c1.dim,
-        ),
+        ("AC1", dims, left, Bil(c.e_mul, b0, Bil(tau, b1, b2)), c1.dim),
+        ("AC2", dims, right, Bil(c.mul_e, Bil(tau, b1, b2), b0), c1.dim),
+        ("AC3", dims, left, -right, c1.dim),
     ]
 
 
@@ -470,9 +316,10 @@ def braiding_system(b: XBraiding | CatBraiding, laws):
 
     def residuals(x):  # {tag: [(lhs - rhs, dim) per basis tuple]}
         out = {}
-        for tag, dims, law, dim in laws(with_braiding(b, x)):
+        for tag, dims, lhs, rhs, dim in laws(with_braiding(b, x)):
+            left, right = evaluate(dims, lhs, rhs)
             res = out.setdefault(tag, [])
-            res.extend((vsub(F, *law(*idx)), dim) for idx in basis_tuples(dims))
+            res.extend((vsub(F, u, v) if u != v else (), dim) for u, v in zip(left, right))
         return out
 
     const = residuals(())
@@ -639,8 +486,8 @@ def validate_braided_xmod_morphism(
 ) -> ValidationReport:
     """Crossed-module morphism conditions plus f1({n,n'}) = {f2 n, f2 n'}'."""
     rep = validate_xmod_morphism(phi, source.base, target.base, subject)
-    brh = intertwining_sweep("BrH", phi.f1, source.brace, target.brace, phi.f2, phi.f2)
-    return merge(subject, rep, [brh])
+    brh = intertwining_law("BrH", phi.f1, source.brace, target.brace, phi.f2, phi.f2)
+    return merge(subject, rep, [sweep(*brh)])
 
 
 def validate_braided_internal_functor(
@@ -656,22 +503,16 @@ def validate_braided_internal_functor(
     IFB: F1(tau_{a,b}) = tau'_{F0 a, F0 b}.
     """
     sc, tc = source.base, target.base
-    entries = [hom_sweep("IFH", f1, sc.c1, tc.c1), hom_sweep("IFH", f0, sc.c0, tc.c0)]
-    for left, right in (
-        (tc.s.after(f1), f0.after(sc.s)),
-        (tc.t.after(f1), f0.after(sc.t)),
-        (f1.after(sc.e), tc.e.after(f0)),
-    ):
-        entries.append(
-            sweep(
-                "IFC",
-                (left.domain.dim,),
-                lambda i, L=left, R=right: (L.column(i), R.column(i)),
-                left.codomain.dim,
-            )
-        )
-    entries.append(intertwining_sweep("IFB", f1, source.tau, target.tau, f0, f0))
-    return merge(subject, entries)
+    n1, n0 = sc.c1.dim, tc.c0.dim
+    laws = [
+        hom_law("IFH", f1, sc.c1, tc.c1),
+        hom_law("IFH", f0, sc.c0, tc.c0),
+        ("IFC", (n1,), Lin(tc.s, Lin(f1, b0)), Lin(f0, Lin(sc.s, b0)), n0),
+        ("IFC", (n1,), Lin(tc.t, Lin(f1, b0)), Lin(f0, Lin(sc.t, b0)), n0),
+        ("IFC", (sc.c0.dim,), Lin(f1, Lin(sc.e, b0)), Lin(tc.e, Lin(f0, b0)), tc.c1.dim),
+        intertwining_law("IFB", f1, source.tau, target.tau, f0, f0),
+    ]
+    return merge(subject, [sweep(*law) for law in laws])
 
 
 def alpha_iso(b: XBraiding) -> XModMorphism:
@@ -771,7 +612,7 @@ def xmod_braiding_liefy(b: XBraiding) -> XBraiding:
 
 def commutator_braiding(a: Algebra) -> XBraiding:
     """The commutator as a braiding on the identity crossed module."""
-    return XBraiding(identity_xmod_assoc(a), _commutator(a))
+    return XBraiding(identity_xmod_assoc(a), a.mult.sub(a.mult.swapped()))
 
 
 def bracket_braiding(a: Algebra) -> XBraiding:

@@ -12,6 +12,7 @@ import itertools
 import re
 
 from .errors import InvalidInput, UnknownFixture
+from .linear import Rule
 from .record import Record
 from .report import ValidationReport, merge, sweep
 
@@ -199,40 +200,36 @@ class GroupXMod(Record):
         return self.action[h][g]
 
 
+def _law(tag: str, dims, lhs, rhs):
+    """The law lhs = rhs on element tuples of `dims`, each side a rule from
+    a tuple to one element, as a law-table entry whose sides are 1-tuples."""
+    at = range(len(dims))
+    return tag, dims, Rule(lambda *t: (lhs(*t),), *at), Rule(lambda *t: (rhs(*t),), *at)
+
+
 def validate_group_xmod(x: GroupXMod, subject: str = "groupxmod") -> ValidationReport:
     """Action-by-automorphisms, boundary homomorphism, XGr1, XGr2."""
     G, H = x.g, x.h
-    d = x.boundary
-
-    checks = [
-        sweep(
+    d, act, g, h = x.boundary, x.act, G.order, H.order
+    laws = [
+        _law(
             "GrAct",
-            (H.order, G.order, G.order),
-            lambda h, g, g2: ((x.act(h, G.mul(g, g2)),), (G.mul(x.act(h, g), x.act(h, g2)),)),
+            (h, g, g),
+            lambda a, u, v: act(a, G.mul(u, v)),
+            lambda a, u, v: G.mul(act(a, u), act(a, v)),
         ),
-        sweep(
+        _law(
             "GrAct",
-            (H.order, H.order, G.order),
-            lambda h, h2, g: ((x.act(H.mul(h, h2), g),), (x.act(h, x.act(h2, g)),)),
+            (h, h, g),
+            lambda a, b, u: act(H.mul(a, b), u),
+            lambda a, b, u: act(a, act(b, u)),
         ),
-        sweep("GrAct", (G.order,), lambda g: ((x.act(H.identity, g),), (g,))),
-        sweep(
-            "GrHom",
-            (G.order, G.order),
-            lambda g, g2: ((d[G.mul(g, g2)],), (H.mul(d[g], d[g2]),)),
-        ),
-        sweep(
-            "XGr1",
-            (H.order, G.order),
-            lambda h, g: ((d[x.act(h, g)],), (H.conj(h, d[g]),)),
-        ),
-        sweep(
-            "XGr2",
-            (G.order, G.order),
-            lambda g, g2: ((x.act(d[g], g2),), (G.conj(g, g2),)),
-        ),
+        _law("GrAct", (g,), lambda u: act(H.identity, u), lambda u: u),
+        _law("GrHom", (g, g), lambda u, v: d[G.mul(u, v)], lambda u, v: H.mul(d[u], d[v])),
+        _law("XGr1", (h, g), lambda a, u: d[act(a, u)], lambda a, u: H.conj(a, d[u])),
+        _law("XGr2", (g, g), lambda u, v: act(d[u], v), lambda u, v: G.conj(u, v)),
     ]
-    return merge(subject, checks)
+    return merge(subject, [sweep(*law) for law in laws])
 
 
 def validate_group_braiding(x: GroupXMod, subject: str = "groupxmod") -> ValidationReport:
@@ -240,48 +237,26 @@ def validate_group_braiding(x: GroupXMod, subject: str = "groupxmod") -> Validat
     if x.brace is None:
         raise InvalidInput("braiding validation needs a brace table")
     G, H = x.g, x.h
-    d = x.boundary
-    br = x.brace
-
-    checks = [
-        sweep(
-            "BGr1",
-            (H.order, H.order),
-            lambda h, h2: ((d[br[h][h2]],), (H.commutator(h, h2),)),
-        ),
-        sweep(
-            "BGr2",
-            (G.order, G.order),
-            lambda g, g2: ((br[d[g]][d[g2]],), (G.commutator(g, g2),)),
-        ),
-        sweep(
-            "BGr3",
-            (G.order, H.order),
-            lambda g, h: ((br[d[g]][h],), (G.mul(g, x.act(h, G.inv(g))),)),
-        ),
-        sweep(
-            "BGr4",
-            (H.order, G.order),
-            lambda h, g: ((br[h][d[g]],), (G.mul(x.act(h, g), G.inv(g)),)),
-        ),
-        sweep(
+    d, act, br, g, h = x.boundary, x.act, x.brace, G.order, H.order
+    laws = [
+        _law("BGr1", (h, h), lambda a, b: d[br[a][b]], H.commutator),
+        _law("BGr2", (g, g), lambda u, v: br[d[u]][d[v]], G.commutator),
+        _law("BGr3", (g, h), lambda u, a: br[d[u]][a], lambda u, a: G.mul(u, act(a, G.inv(u)))),
+        _law("BGr4", (h, g), lambda a, u: br[a][d[u]], lambda a, u: G.mul(act(a, u), G.inv(u))),
+        _law(
             "BGr5",
-            (H.order, H.order, H.order),
-            lambda h, h2, h3: (
-                (br[h][H.mul(h2, h3)],),
-                (G.mul(br[h][h2], x.act(h2, br[h][h3])),),
-            ),
+            (h, h, h),
+            lambda a, b, c: br[a][H.mul(b, c)],
+            lambda a, b, c: G.mul(br[a][b], act(b, br[a][c])),
         ),
-        sweep(
+        _law(
             "BGr6",
-            (H.order, H.order, H.order),
-            lambda h, h2, h3: (
-                (br[H.mul(h, h2)][h3],),
-                (G.mul(x.act(h, br[h2][h3]), br[h][h3]),),
-            ),
+            (h, h, h),
+            lambda a, b, c: br[H.mul(a, b)][c],
+            lambda a, b, c: G.mul(act(a, br[b][c]), br[a][c]),
         ),
     ]
-    return merge(subject, checks)
+    return merge(subject, [sweep(*law) for law in laws])
 
 
 def conjugation_example(g: FiniteGroup) -> GroupXMod:

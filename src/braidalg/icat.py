@@ -10,15 +10,20 @@ vector b_a of C0, which the braiding laws read.
 
 from __future__ import annotations
 
-from .algebra import Algebra, _liefy, hom_sweep, is_associative, is_lie
+from .algebra import Algebra, _liefy, hom_law, is_associative, is_lie
 from .errors import (
     InternalInvariantViolation,
     InvalidCatAlgebra,
     NotComposable,
 )
 from .linear import (
+    Bil,
+    Family,
+    Lin,
     LinMap,
     Space,
+    Term,
+    b0,
     bilinear_from_rule,
     concat,
     from_columns,
@@ -72,6 +77,11 @@ def k_formula(c: CatAlgebra, x, y):
     return vadd(c.c1.field, c.vertical.apply(x), y)
 
 
+def k_term(c: CatAlgebra, x: Term, y: Term) -> Term:
+    """k_formula of two law terms: V(x) + y."""
+    return Lin(c.vertical, x) + y
+
+
 def compose(c: CatAlgebra, x, y):
     """Composition of x then y; requires t(x) = s(y) exactly."""
     if c.t.apply(x) != c.s.apply(y):
@@ -114,6 +124,12 @@ def composable_triple_basis(c: CatAlgebra):
     return [split(v, (n, n, n)) for v in kernel(diff).basis]
 
 
+def _parts(basis, width: int, pos: int):
+    """The `width` components of the vector tuples of `basis`, each a family
+    at position `pos`."""
+    return [Family(pos, [v[i] for v in basis]) for i in range(width)]
+
+
 def validate_cat_algebra(c: CatAlgebra, subject: str = "cat") -> ValidationReport:
     """Structural checks Cat1..Cat4 with witnesses.
 
@@ -121,59 +137,34 @@ def validate_cat_algebra(c: CatAlgebra, subject: str = "cat") -> ValidationRepor
     Cat3: the forced composition is an algebra homomorphism on the
     pullback.  Cat4: identity and associativity laws of composition.
     """
-    entries = [
-        hom_sweep("Cat1", c.s, c.c1, c.c0),
-        hom_sweep("Cat1", c.t, c.c1, c.c0),
-        hom_sweep("Cat1", c.e, c.c0, c.c1),
-    ]
-    ident = identity_map(c.c0.space)
-    for se in (c.s.after(c.e), c.t.after(c.e)):
-        entries.append(
-            sweep(
-                "Cat2", (c.c0.dim,), lambda i, se=se: (se.column(i), ident.column(i)), c.c0.dim
-            )
-        )
-
-    pairs = composable_pair_basis(c)
-    kvals = [k_formula(c, x, y) for x, y in pairs]
-    mul = c.c1.product
-
-    def k_hom(i, j):
-        (x, y), (x2, y2) = pairs[i], pairs[j]
-        return k_formula(c, mul(x, x2), mul(y, y2)), mul(kvals[i], kvals[j])
-
-    entries.append(sweep("Cat3", (len(pairs), len(pairs)), k_hom, c.c1.dim))
-
-    unit = identity_map(c.c1.space).column  # b_i, built once
-    entries.append(
-        sweep(
-            "Cat4",
-            (c.c1.dim,),
-            lambda i: (k_formula(c, unit(i), c.e.apply(c.t.column(i))), unit(i)),
-            c.c1.dim,
-        )
-    )
-    entries.append(
-        sweep(
-            "Cat4",
-            (c.c1.dim,),
-            lambda i: (k_formula(c, c.e.apply(c.s.column(i)), unit(i)), unit(i)),
-            c.c1.dim,
-        )
-    )
-    triples = composable_triple_basis(c)
-    entries.append(
-        sweep(
+    n1, n0 = c.c1.dim, c.c0.dim
+    pairs, triples = composable_pair_basis(c), composable_triple_basis(c)
+    (x, y), (x2, y2), (p, q, r) = _parts(pairs, 2, 0), _parts(pairs, 2, 1), _parts(triples, 3, 0)
+    mul = c.c1.mult
+    laws = [
+        hom_law("Cat1", c.s, c.c1, c.c0),
+        hom_law("Cat1", c.t, c.c1, c.c0),
+        hom_law("Cat1", c.e, c.c0, c.c1),
+        ("Cat2", (n0,), Lin(c.s, Lin(c.e, b0)), b0, n0),
+        ("Cat2", (n0,), Lin(c.t, Lin(c.e, b0)), b0, n0),
+        (
+            "Cat3",
+            (len(pairs), len(pairs)),
+            k_term(c, Bil(mul, x, x2), Bil(mul, y, y2)),
+            Bil(mul, k_term(c, x, y), k_term(c, x2, y2)),
+            n1,
+        ),
+        ("Cat4", (n1,), k_term(c, b0, Lin(c.e, Lin(c.t, b0))), b0, n1),
+        ("Cat4", (n1,), k_term(c, Lin(c.e, Lin(c.s, b0)), b0), b0, n1),
+        (
             "Cat4",
             (len(triples),),
-            lambda i: (
-                k_formula(c, k_formula(c, triples[i][0], triples[i][1]), triples[i][2]),
-                k_formula(c, triples[i][0], k_formula(c, triples[i][1], triples[i][2])),
-            ),
-            c.c1.dim,
-        )
-    )
-    return merge(subject, entries)
+            k_term(c, k_term(c, p, q), r),
+            k_term(c, p, k_term(c, q, r)),
+            n1,
+        ),
+    ]
+    return merge(subject, [sweep(*law) for law in laws])
 
 
 def require_valid_cat(c: CatAlgebra):

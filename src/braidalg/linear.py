@@ -1,13 +1,19 @@
-"""Exact linear algebra: spaces, linear and bilinear maps, subspaces.
+"""Exact linear algebra: spaces, linear and bilinear maps, subspaces, and
+the terms axiom laws are written in.
 
 A vector is sparse: the tuple `((k, c), ...)` of its nonzero entries, k
 strictly increasing and each c in the normal form of `fields.py`, so equal
 vectors are equal tuples.  A linear map stores the image of each basis
 vector, a bilinear map that of each basis pair, each image sparse as it
 was given; no other module reads those layouts.  Every evaluation --
-`LinMap.apply`, `BilMap.apply` and the one-index reads
-`BilMap.apply_left`/`apply_right` -- adds up the stored images in one loop,
-`_combine`, which scans no zero.  The rows of `rref`, `Subspace`, `kernel`,
+`LinMap.apply`, `BilMap.apply`, the one-index reads
+`BilMap.apply_left`/`apply_right` and the law terms -- adds up the stored
+images in one loop, `_combine`, which scans no zero.  A law term (`Basis`,
+`Family`, `Lin`, `Bil`, `Rule`, and `+`, `-` of terms) is one side of a
+law; `evaluate` computes it on every basis index tuple at once, each
+subterm over only the positions it depends on, a basis argument of a
+bilinear map read as the stored images by index, and no zero input sent
+to `_combine`.  The rows of `rref`, `Subspace`, `kernel`,
 `affine_solutions` and `quotient` are sparse vectors too; `concat` and
 `split` lay blocks of a direct sum end to end and back.  A dense tuple
 is made at one boundary only, by `dense(v, dim)`: the witness of a
@@ -22,7 +28,8 @@ field, in the normal form of `fields.py`, with no `Field` call per entry.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import product, starmap
+from math import gcd, lcm, prod
 
 from .fields import Field, normal
 from .record import Record
@@ -436,6 +443,242 @@ def quotient(ambient: Space, sub: Subspace):
     )
     proj = from_columns(ambient, qspace, cols)
     return qspace, proj
+
+
+# ---------------------------------------------------------------------------
+# law terms: each side of an axiom law, evaluated on every basis tuple at once
+
+
+class Term:
+    """One side of a law: a vector for each basis index tuple of a sweep.
+
+    `at` lists the tuple positions the term depends on, increasing, and the
+    term is evaluated over those positions only, once per evaluation
+    however often it occurs; `space` is the codomain of its outer map
+    (None for a leaf).  `a + b`, `a - b` and `-a` are terms too."""
+
+    __slots__ = ("at", "space")
+
+    def __add__(self, other):
+        return _Sum(self, other, 1)
+
+    def __sub__(self, other):
+        return _Sum(self, other, -1)
+
+    def __neg__(self):
+        return _Neg(self)
+
+
+def _union(a: Term, b: Term):
+    """The positions a or b depends on, increasing."""
+    return a.at if a.at == b.at else tuple(sorted({*a.at, *b.at}))
+
+
+def _fits(t: Term, space: Space) -> Term:
+    """The term t, to be read in `space`; ValueError if it lies in another."""
+    if t.space is not None and t.space != space:
+        raise ValueError("a term does not lie in the domain of the map applied to it")
+    return t
+
+
+class Basis(Term):
+    """b_i, for the index i at position `pos`."""
+
+    __slots__ = ("pos",)
+
+    def __init__(self, pos: int):
+        self.pos, self.at, self.space = pos, (pos,), None
+
+    def _values(self, ev):
+        return [((i, 1),) for i in range(ev.dims[self.pos])]
+
+
+b0, b1, b2 = Basis(0), Basis(1), Basis(2)
+
+
+class Family(Term):
+    """vectors[i], for the index i at position `pos`."""
+
+    __slots__ = ("vectors",)
+
+    def __init__(self, pos: int, vectors):
+        self.vectors = tuple(vectors)
+        self.at, self.space = (pos,), None
+
+    def _values(self, ev):
+        ev.check(self.at[0], len(self.vectors))
+        return list(self.vectors)
+
+
+class Lin(Term):
+    """The linear map f applied to a term."""
+
+    __slots__ = ("f", "arg")
+
+    def __init__(self, f: LinMap, arg: Term):
+        self.f, self.arg = f, _fits(arg, f.domain)
+        self.at, self.space = arg.at, f.codomain
+
+    def _values(self, ev):
+        f, arg = self.f, self.arg
+        if isinstance(arg, Basis):
+            ev.check(arg.pos, f.domain.dim)
+            return list(f.columns)
+        F, cols = f.field, f.columns
+        return [_combine(F, v, cols) if v else () for v in ev.values(arg)]
+
+
+class Bil(Term):
+    """The bilinear map b applied to two terms; a basis argument reads the
+    stored images by index."""
+
+    __slots__ = ("b", "left", "right")
+
+    def __init__(self, b: BilMap, left: Term, right: Term):
+        self.b, self.left, self.right = b, _fits(left, b.left), _fits(right, b.right)
+        self.at, self.space = _union(left, right), b.codomain
+
+    def _values(self, ev):
+        b, u, v = self.b, self.left, self.right
+        F = b.field
+        if isinstance(u, Basis):
+            ev.check(u.pos, b.left.dim)
+            if isinstance(v, Basis):  # every stored image, in tuple order
+                ev.check(v.pos, b.right.dim)
+                if u.pos < v.pos:
+                    return list(b._pairs)
+                if u.pos > v.pos:
+                    return [w for col in b._cols for w in col]
+                return [b.tensor[i][i] for i in range(b.left.dim)]
+            basis, other, images = u, v, b.tensor  # images[i]: b(b_i, -)
+        elif isinstance(v, Basis):
+            ev.check(v.pos, b.right.dim)
+            basis, other, images = v, u, b._cols  # images[j]: b(-, b_j)
+        else:
+            R, pairs, at = b.right.dim, b._pairs, self.at
+            return [
+                _combine(F, [(i * R + j, x * y) for i, x in s for j, y in t], pairs)
+                if s and t
+                else ()
+                for s, t in zip(ev.spread(u, at), ev.spread(v, at))
+            ]
+        p, ws = basis.pos, ev.values(other)
+        if not other.at or p < other.at[0]:
+            return [_combine(F, w, image) if w else () for image in images for w in ws]
+        if p > other.at[-1]:
+            return [_combine(F, w, image) if w else () for w in ws for image in images]
+        at = self.at
+        pairs = zip(ev.spread(other, at), ev.indices(basis, at))
+        return [_combine(F, w, images[i]) if w else () for w, i in pairs]
+
+
+class _Sum(Term):
+    """a + sign * b, sign = +-1."""
+
+    __slots__ = ("a", "b", "sign")
+
+    def __init__(self, a: Term, b: Term, sign: int):
+        self.space = a.space or b.space
+        if self.space is None:
+            raise ValueError("a sum of terms needs a map to give its space")
+        self.a, self.b, self.sign = _fits(a, self.space), _fits(b, self.space), sign
+        self.at = _union(a, b)
+
+    def _values(self, ev):
+        F, at = self.space.field, self.at
+        pairs = zip(ev.spread(self.a, at), ev.spread(self.b, at))
+        if self.sign == 1:
+            return [(vadd(F, u, v) if u else v) if v else u for u, v in pairs]
+        return [(vsub(F, u, v) if u else vneg(F, v)) if v else u for u, v in pairs]
+
+
+class _Neg(Term):
+    """-a."""
+
+    __slots__ = ("a",)
+
+    def __init__(self, a: Term):
+        if a.space is None:
+            raise ValueError("a negated term needs a map to give its space")
+        self.a, self.at, self.space = a, a.at, a.space
+
+    def _values(self, ev):
+        F = self.space.field
+        return [vneg(F, v) if v else () for v in ev.values(self.a)]
+
+
+class Rule(Term):
+    """fn(*indices), the indices at the increasing `positions`: a leaf
+    computed tuple by tuple, for laws that no map expresses."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn, *positions: int):
+        if list(positions) != sorted(set(positions)):
+            raise ValueError(f"rule positions {positions} are not increasing")
+        self.fn, self.at, self.space = fn, positions, None
+
+    def _values(self, ev):
+        return list(starmap(self.fn, product(*(range(ev.dims[p]) for p in self.at))))
+
+
+class _Evaluation:
+    """Term values over the basis tuples of `dims`, each subterm's once."""
+
+    def __init__(self, dims):
+        self.dims, self.memo = tuple(dims), {}
+
+    def check(self, pos: int, dim: int):
+        if self.dims[pos] != dim:
+            raise ValueError(f"position {pos} has {self.dims[pos]} indices, the map {dim}")
+
+    def values(self, t: Term):
+        """t's values over the tuples of its positions `t.at`."""
+        v = self.memo.get(id(t))
+        if v is None:
+            v = self.memo[id(t)] = t._values(self)
+        return v
+
+    def spread(self, t: Term, at):
+        """t's values over the tuples of the positions `at`, a superset of `t.at`."""
+        v = self.values(t)
+        return v if t.at == at else self._widen(v, t.at, at)
+
+    def indices(self, t: Basis, at):
+        """The index of the basis term t on each tuple over the positions `at`."""
+        return self._widen(list(range(self.dims[t.pos])), t.at, at)
+
+    def _widen(self, v, sub, at):
+        """v, a list over the tuples of the positions `sub`, read on each
+        tuple over the positions `at`, a superset of `sub`, in order."""
+        dims, k = self.dims, at.index(sub[0]) if sub else 0
+        if at[k : k + len(sub)] == sub:  # a run of `at`: repeat each, then tile
+            after = prod(dims[p] for p in at[k + len(sub) :])
+            if after != 1:
+                v = [x for x in v for _ in range(after)]
+            return v * prod(dims[p] for p in at[:k])
+        stride, strides = 1, {}
+        for p in reversed(sub):
+            strides[p] = stride
+            stride *= dims[p]
+        idx = [0]
+        for p in at:
+            s, r = strides.get(p, 0), range(dims[p])
+            idx = [j + i * s for j in idx for i in r]
+        return [v[j] for j in idx]
+
+
+def evaluate(dims, *terms):
+    """The values of each term on every basis index tuple of `dims`, in
+    lexicographic order, each a list of sparse vectors (of what a `Rule`
+    returns); a subterm object that occurs twice, in one term or in two, is
+    computed once, over only the positions it depends on."""
+    ev = _Evaluation(dims)
+    full = tuple(range(len(ev.dims)))
+    for t in terms:
+        if t.at and t.at[-1] >= len(full):
+            raise ValueError(f"a term reads position {t.at[-1]} of {len(full)}")
+    return [ev.spread(t, full) for t in terms]
 
 
 def concat(parts):

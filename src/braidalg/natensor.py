@@ -32,10 +32,15 @@ from .algebra import Algebra, is_lie
 from .braid import XBraiding
 from .errors import InternalInvariantViolation, InvalidInput, NotLie
 from .linear import (
+    Bil,
     BilMap,
     LinMap,
+    Rule,
     Space,
     Subspace,
+    b0,
+    b1,
+    b2,
     bilinear_from_rule,
     from_columns,
     is_zero,
@@ -185,21 +190,8 @@ def tensor_braiding(ts: TensorSquare) -> XBraiding:
 
 def antisymmetry_consequence(ts: TensorSquare, subject: str = "tensor") -> ValidationReport:
     """pi(m1 (x) [m2,m3]) + pi([m2,m3] (x) m1) = 0 on all basis triples (tag TAnti)."""
-    m = ts.base
-    F = m.field
-    n = m.dim
-    zero = ts.carrier.space.zero()
-    check = sweep(
-        "TAnti",
-        (n, n, n),
-        lambda i, j, k: (
-            vadd(
-                F,
-                ts.pure.apply_left(i, m.mult.on_basis(j, k)),
-                ts.pure.apply_right(m.mult.on_basis(j, k), i),
-            ),
-            zero,
-        ),
-        ts.carrier.dim,
-    )
-    return merge(subject, [check])
+    m, n, pure = ts.base, ts.base.dim, ts.pure
+    bracket = Bil(m.mult, b1, b2)
+    lhs = Bil(pure, b0, bracket) + Bil(pure, bracket, b0)
+    zero = Rule(tuple)  # () on every tuple
+    return merge(subject, [sweep("TAnti", (n, n, n), lhs, zero, ts.carrier.dim)])

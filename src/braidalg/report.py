@@ -6,7 +6,7 @@ import itertools
 from fractions import Fraction
 
 from .errors import InternalInvariantViolation
-from .linear import dense
+from .linear import dense, evaluate
 from .record import Record
 
 
@@ -84,19 +84,21 @@ def basis_tuples(dims):
     return itertools.product(*(range(d) for d in dims))
 
 
-def sweep(tag: str, dims, law, dim=None) -> AxiomCheck:
-    """Check `law` over all `basis_tuples(dims)`.
+def sweep(tag: str, dims, lhs, rhs, dim=None) -> AxiomCheck:
+    """Check the law lhs = rhs, two `linear.Term`s, over all `basis_tuples(dims)`.
 
-    `law(*indices)` returns an (lhs, rhs) pair of sparse vectors of dimension
-    `dim` (tuples if `dim` is None); the first mismatch is the witness, dense.
-    """
-    for idx in basis_tuples(dims):
-        lhs, rhs = law(*idx)
-        if lhs != rhs:
-            if dim is not None:
-                lhs, rhs = dense(lhs, dim), dense(rhs, dim)
-            return AxiomCheck(tag, False, Witness(idx, tuple(lhs), tuple(rhs)))
-    return AxiomCheck(tag, True)
+    Each side is evaluated once on every tuple and the two lists are
+    compared at once; the first tuple where they differ is the witness, its
+    sides dense in dimension `dim` (as tuples if `dim` is None)."""
+    left, right = evaluate(dims, lhs, rhs)
+    if left == right:
+        return AxiomCheck(tag, True)
+    k = next(k for k, (u, v) in enumerate(zip(left, right)) if u != v)
+    idx = next(itertools.islice(basis_tuples(dims), k, None))
+    u, v = left[k], right[k]
+    if dim is not None:
+        u, v = dense(u, dim), dense(v, dim)
+    return AxiomCheck(tag, False, Witness(idx, tuple(u), tuple(v)))
 
 
 def merge(subject: str, *parts) -> ValidationReport:

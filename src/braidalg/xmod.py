@@ -17,14 +17,14 @@ from .action import (
 )
 from .algebra import (
     Algebra,
-    hom_sweep,
-    intertwining_sweep,
+    hom_law,
+    intertwining_law,
     is_associative,
     is_homomorphism,
     is_lie,
 )
 from .errors import InvalidXMod, NotAssociative, NotLie
-from .linear import LinMap, identity_map
+from .linear import Bil, Lin, LinMap, b0, b1, identity_map
 from .record import Record
 from .report import ValidationReport, merge, sweep
 
@@ -67,61 +67,27 @@ class XModMorphism(Record):
 def validate_xmod_assoc(x: XModAssoc, subject: str = "xmod") -> ValidationReport:
     """XAs1 (both equalities) and XAs2 (both equalities) on basis pairs."""
     M, N = x.m, x.n
-    s1, s2 = x.action.star1, x.action.star2
-    d = x.boundary
-    nmul = N.mult
-
-    checks = [
-        sweep(
-            "XAs1",
-            (N.dim, M.dim),
-            lambda n, m: (d.apply(s1.on_basis(n, m)), nmul.apply_left(n, d.column(m))),
-            N.dim,
-        ),
-        sweep(
-            "XAs1",
-            (M.dim, N.dim),
-            lambda m, n: (d.apply(s2.on_basis(m, n)), nmul.apply_right(d.column(m), n)),
-            N.dim,
-        ),
-        sweep(
-            "XAs2",
-            (M.dim, M.dim),
-            lambda m, m2: (s1.apply_right(d.column(m), m2), M.mult.on_basis(m, m2)),
-            M.dim,
-        ),
-        sweep(
-            "XAs2",
-            (M.dim, M.dim),
-            lambda m, m2: (s2.apply_left(m, d.column(m2)), M.mult.on_basis(m, m2)),
-            M.dim,
-        ),
+    s1, s2, d, nm, mm = x.action.star1, x.action.star2, x.boundary, N.mult, M.mult
+    n, m = N.dim, M.dim
+    laws = [
+        ("XAs1", (n, m), Lin(d, Bil(s1, b0, b1)), Bil(nm, b0, Lin(d, b1)), n),
+        ("XAs1", (m, n), Lin(d, Bil(s2, b0, b1)), Bil(nm, Lin(d, b0), b1), n),
+        ("XAs2", (m, m), Bil(s1, Lin(d, b0), b1), Bil(mm, b0, b1), m),
+        ("XAs2", (m, m), Bil(s2, b0, Lin(d, b1)), Bil(mm, b0, b1), m),
     ]
-    return merge(subject, checks)
+    return merge(subject, [sweep(*law) for law in laws])
 
 
 def validate_xmod_lie(x: XModLie, subject: str = "xmod") -> ValidationReport:
     """XLie1 and XLie2 on basis pairs."""
     M, N = x.m, x.n
-    dot = x.action.dot
-    d = x.boundary
-    nmul = N.mult
-
-    checks = [
-        sweep(
-            "XLie1",
-            (N.dim, M.dim),
-            lambda n, m: (d.apply(dot.on_basis(n, m)), nmul.apply_left(n, d.column(m))),
-            N.dim,
-        ),
-        sweep(
-            "XLie2",
-            (M.dim, M.dim),
-            lambda m, m2: (dot.apply_right(d.column(m), m2), M.mult.on_basis(m, m2)),
-            M.dim,
-        ),
+    dot, d = x.action.dot, x.boundary
+    n, m = N.dim, M.dim
+    laws = [
+        ("XLie1", (n, m), Lin(d, Bil(dot, b0, b1)), Bil(N.mult, b0, Lin(d, b1)), n),
+        ("XLie2", (m, m), Bil(dot, Lin(d, b0), b1), Bil(M.mult, b0, b1), m),
     ]
-    return merge(subject, checks)
+    return merge(subject, [sweep(*law) for law in laws])
 
 
 def require_valid_xmod_assoc(x: XModAssoc):
@@ -181,21 +147,12 @@ def validate_xmod_morphism(
     f1, f2 = phi.f1, phi.f2
     sm, sn, tm, tn = source.m, source.n, target.m, target.n
     sa, ta = source.action, target.action
-    entries = [hom_sweep("Hom", f1, sm, tm), hom_sweep("Hom", f2, sn, tn)]
+    laws = [hom_law("Hom", f1, sm, tm), hom_law("Hom", f2, sn, tn)]
     if assoc:
-        entries.append(intertwining_sweep("XAssH1", f1, sa.star1, ta.star1, f2, f1))
-        entries.append(intertwining_sweep("XAssH1", f1, sa.star2, ta.star2, f1, f2))
+        laws.append(intertwining_law("XAssH1", f1, sa.star1, ta.star1, f2, f1))
+        laws.append(intertwining_law("XAssH1", f1, sa.star2, ta.star2, f1, f2))
     else:
-        entries.append(intertwining_sweep("XLieH1", f1, sa.dot, ta.dot, f2, f1))
-    entries.append(
-        sweep(
-            "XAssH2" if assoc else "XLieH2",
-            (sm.dim,),
-            lambda m: (
-                target.boundary.apply(f1.column(m)),
-                f2.apply(source.boundary.column(m)),
-            ),
-            tn.dim,
-        )
-    )
-    return merge(subject, entries)
+        laws.append(intertwining_law("XLieH1", f1, sa.dot, ta.dot, f2, f1))
+    square = Lin(target.boundary, Lin(f1, b0)), Lin(f2, Lin(source.boundary, b0))
+    laws.append(("XAssH2" if assoc else "XLieH2", (sm.dim,), *square, tn.dim))
+    return merge(subject, [sweep(*law) for law in laws])

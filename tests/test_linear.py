@@ -11,12 +11,21 @@ from hypothesis import strategies as st
 from braidalg import linear
 from braidalg.fields import Field, GF, QQ
 from braidalg.linear import (
+    Basis,
+    Bil,
+    Family,
+    Lin,
+    Rule,
     Space,
     Subspace,
     affine_solutions,
     bilinear_from_coordinates,
+    b0,
+    b1,
+    b2,
     bilinear_from_rule,
     direct_sum,
+    evaluate,
     from_columns,
     identity_map,
     is_zero,
@@ -31,6 +40,7 @@ from braidalg.linear import (
     zero_bilmap,
     zero_map,
 )
+from braidalg.report import AxiomCheck, Witness, sweep
 
 from conftest import ROOT, SCRIPTS, dense_apply, dense_bilinear, densify, sparse
 
@@ -769,9 +779,9 @@ def test_map_arithmetic_checks_the_spaces():
 
 
 def test_no_law_builds_a_basis_vector():
-    # a law reads stored images by index (column, on_basis, apply_left,
-    # apply_right): no lambda or nested function outside linear.py names
-    # basis_vector, itself or through a name bound to it
+    # a law is two terms, and a term reads stored images by index (a
+    # `linear.Basis` argument): no lambda or nested function outside
+    # linear.py names basis_vector, itself or through a name bound to it
     paths = sorted(glob.glob(os.path.join(ROOT, "src", "braidalg", "*.py")))
     paths = [p for p in paths if os.path.basename(p) != "linear.py"]
     found = []
@@ -882,3 +892,193 @@ def test_every_evaluation_runs_the_one_loop(monkeypatch):
         calls.clear()
         evaluate()
         assert len(calls) == 1, name
+
+
+# Law terms against a per-tuple oracle.  Each drawn term comes with a
+# function that computes its value on one basis tuple from explicit basis
+# vectors with LinMap.apply, BilMap.apply, vadd, vsub and vneg: no stored
+# image is read by index, no value is shared between tuples.
+
+TERM_FIELDS = (QQ, GF(5))
+
+
+@st.composite
+def term_cases(draw):
+    """dims of length 1-3 with entries 0-3, a value space, and a term of
+    depth <= 3 in it with its oracle; maps are drawn all zero at times."""
+    F = draw(st.sampled_from(TERM_FIELDS))
+    scalar = field_scalars(F)
+    dims = draw(st.lists(st.sampled_from((0, 1, 2, 2, 3, 3)), min_size=1, max_size=3))
+    at = [Space(F, tuple(f"p{k}_{i}" for i in range(d))) for k, d in enumerate(dims)]
+    pool = at * 2 + [Space(F, tuple(f"v{k}_{i}" for i in range(k))) for k in range(4)]
+
+    def vector(space):
+        return sparse(draw(st.tuples(*([scalar] * space.dim))))
+
+    def images(count, space):
+        if draw(st.integers(0, 5)) == 0:  # an all-zero map
+            return [()] * count
+        return [vector(space) for _ in range(count)]
+
+    def term(space, depth):
+        kinds = ["family"] + ["basis"] * (2 if space in at else 0)
+        kinds += ["lin", "bil", "bil", "bil", "sum", "diff", "neg"] * (depth > 0)
+        kind = draw(st.sampled_from(kinds))
+        if kind == "basis":
+            p = at.index(space)
+            return Basis(p), lambda idx: ((idx[p], 1),)
+        if kind == "family":
+            p = draw(st.integers(0, len(dims) - 1))
+            vs = [vector(space) for _ in range(dims[p])]
+            return Family(p, vs), lambda idx: vs[idx[p]]
+        if kind in ("lin", "bil") or draw(st.booleans()):
+            mapped = draw(st.sampled_from(("lin", "bil"))) if kind not in ("lin", "bil") else kind
+            if mapped == "lin":
+                dom = draw(st.sampled_from(pool))
+                f = from_columns(dom, space, images(dom.dim, space))
+                (t, o) = term(dom, depth - 1)
+                a = Lin(f, t), lambda idx: f.apply(o(idx))
+            else:
+                left, right = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+                table = images(left.dim * right.dim, space)
+                bm = bilinear_from_rule(left, right, space, lambda i, j: table[i * right.dim + j])
+                (t, o), (t2, o2) = term(left, depth - 1), term(right, depth - 1)
+                a = Bil(bm, t, t2), lambda idx: bm.apply(o(idx), o2(idx))
+        else:
+            a = term(space, depth - 1)
+            if a[0].space is None:  # vector arithmetic needs a map for its field
+                f = from_columns(space, space, images(space.dim, space))
+                a = Lin(f, a[0]), lambda idx, o=a[1]: f.apply(o(idx))
+        if kind in ("lin", "bil"):
+            return a
+        (ta, oa) = a
+        if kind == "neg":
+            return -ta, lambda idx: vneg(F, oa(idx))
+        tb, ob = term(space, depth - 1)
+        if kind == "sum":
+            return ta + tb, lambda idx: vadd(F, oa(idx), ob(idx))
+        return ta - tb, lambda idx: vsub(F, oa(idx), ob(idx))
+
+    space = draw(st.sampled_from(pool))
+    return F, tuple(dims), space, term(space, draw(st.sampled_from((0, 1, 2, 2, 3, 3))))
+
+
+def oracle_values(dims, oracle):
+    return [oracle(idx) for idx in itertools.product(*map(range, dims))]
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(term_cases())
+def test_terms_evaluate_as_the_per_tuple_oracle(case):
+    F, dims, space, (t, oracle) = case
+    [got] = evaluate(dims, t)
+    assert [canonical(F, v, space.dim) for v in got] == [
+        densify(v, space.dim) for v in oracle_values(dims, oracle)
+    ]
+
+
+def test_terms_on_interleaved_and_ignored_positions():
+    # Bil(B, Bil(C, b0, b2), b1) reads its positions out of order, a side
+    # may ignore a position, dims may hold 0, and a map may be all zero
+    F = GF(5)
+    A, B3, C = (Space(F, tuple(f"{s}{i}" for i in range(d))) for s, d in zip("abc", (2, 3, 2)))
+    inner = bilinear_from_rule(A, C, B3, lambda i, j: ((i + j, 1 + i), (2, 3)) if i + j < 2 else ())
+    outer = bilinear_from_rule(
+        B3, B3, A, lambda i, j: ((0, i + 1), (1, j + 2)) if (i + j) % 3 else ((1, 4),)
+    )
+    zero = zero_bilmap(A, B3, B3)
+    f = from_columns(A, B3, [((0, 2),), ((1, 1), (2, 4))])
+    h = from_columns(Space(F, ()), B3, [])
+    cases = [
+        ((2, 3, 2), Bil(outer, Bil(inner, b0, b2), b1)),
+        ((2, 3, 2), Bil(outer, b1, Bil(inner, b0, b2)) - Bil(outer, Bil(inner, b0, b2), b1)),
+        ((2, 3, 2), Bil(inner, b0, b2)),  # ignores position 1
+        ((2, 3, 2), Lin(f, b2) + Bil(zero, b0, b1)),
+        ((3, 2), Bil(zero, b1, b0)),
+        ((2, 0), Bil(inner, b0, Family(1, []))),
+        ((0,), Lin(h, b0)),
+        ((2, 2), Bil(inner, b0, b0) + Bil(inner, b1, b1)),  # one position twice
+    ]
+    unit = lambda i: ((i, 1),)  # noqa: E731
+    oracles = [
+        lambda i, j, k: outer.apply(inner.apply(unit(i), unit(k)), unit(j)),
+        lambda i, j, k: vsub(
+            F,
+            outer.apply(unit(j), inner.apply(unit(i), unit(k))),
+            outer.apply(inner.apply(unit(i), unit(k)), unit(j)),
+        ),
+        lambda i, j, k: inner.apply(unit(i), unit(k)),
+        lambda i, j, k: vadd(F, f.apply(unit(k)), zero.apply(unit(i), unit(j))),
+        lambda i, j: (),
+        lambda i, j: (),
+        lambda i: (),
+        lambda i, j: vadd(F, inner.apply(unit(i), unit(i)), inner.apply(unit(j), unit(j))),
+    ]
+    for (dims, t), oracle in zip(cases, oracles):
+        dim = t.space.dim
+        [got] = evaluate(dims, t)
+        want = oracle_values(dims, lambda idx: oracle(*idx))
+        assert [canonical(F, v, dim) for v in got] == [densify(v, dim) for v in want], t
+
+
+def first_mismatch(tag, dims, lhs, rhs, dim):
+    """The report of a per-tuple sweep of the oracles lhs = rhs, which
+    stops at the first tuple where they differ."""
+    for idx in itertools.product(*map(range, dims)):
+        u, v = lhs(idx), rhs(idx)
+        if u != v:
+            return AxiomCheck(tag, False, Witness(idx, densify(u, dim), densify(v, dim)))
+    return AxiomCheck(tag, True)
+
+
+@settings(max_examples=100, derandomize=True, database=None)
+@given(term_cases(), st.data())
+def test_terms_of_a_perturbed_law_fail_where_a_per_tuple_sweep_does(case, data):
+    # the law t = t + bump, bump nonzero from the first, a middle or the
+    # last tuple on, at that tuple and at those of the three after it; and
+    # t = t, which passes
+    F, dims, space, (t, oracle) = case
+    n = len(oracle_values(dims, oracle))
+    if t.space is None:
+        f = from_columns(space, space, space.basis())
+        t, oracle = Lin(f, t), (lambda idx, o=oracle: f.apply(o(idx)))
+    assert sweep("T", dims, t, t, space.dim) == AxiomCheck("T", True)
+    if n == 0 or space.dim == 0:
+        return
+    tuples = list(itertools.product(*map(range, dims)))
+    marks = sorted({0, n // 2, n - 1})
+    for k in marks:
+        bump = ((data.draw(st.integers(0, space.dim - 1)), F.of(data.draw(st.integers(1, 4)))),)
+        bumped = {tuples[j] for j in marks if j >= k}
+
+        def at_k(*idx):
+            return bump if idx in bumped else ()
+
+        def moved(idx):
+            return vadd(F, oracle(idx), at_k(*idx))
+
+        perturbed = t + Rule(at_k, *range(len(dims)))
+        for lhs, rhs, ol, orr in ((t, perturbed, oracle, moved), (perturbed, t, moved, oracle)):
+            got = sweep("T", dims, lhs, rhs, space.dim)
+            assert got == first_mismatch("T", dims, ol, orr, space.dim)
+            assert got.witness.basis_tuple == tuples[k]
+
+
+def test_terms_refuse_what_does_not_fit():
+    F = QQ
+    A, B3 = space(2, "a"), space(3, "b")
+    f, g = from_columns(A, B3, [(), ()]), from_columns(B3, A, [(), (), ()])
+    with pytest.raises(ValueError):
+        Lin(g, Lin(g, b0))  # g's codomain is not its domain
+    with pytest.raises(ValueError):
+        Bil(zero_bilmap(A, A, B3), Lin(f, b0), b1)
+    with pytest.raises(ValueError):
+        Lin(f, b0) + Lin(g, b0)  # a sum of vectors of two spaces
+    with pytest.raises(ValueError):
+        Family(0, [(), ()]) + b0  # no map gives the field
+    with pytest.raises(ValueError):
+        evaluate((3,), Lin(f, b0))  # position 0 has 3 indices, f's domain 2
+    with pytest.raises(ValueError):
+        evaluate((2,), Bil(zero_bilmap(A, A, B3), b0, b1))  # no position 1
+    with pytest.raises(ValueError):
+        Rule(lambda i, j: (), 1, 0)
