@@ -372,7 +372,7 @@ def _bar(x: XModAssoc | XModLie):
 def cx_functor(b: XBraiding) -> CatBraiding:
     """Bar construction: (M x| N, N, s, t, e) with tau_{n,n'} = (-{n,n'}, nn')."""
     _check_cx_input(b)
-    return _cx(b)[0]
+    return _assert_cx(_cx(b)[0])
 
 
 def _check_cx_input(b: XBraiding):
@@ -384,22 +384,23 @@ def _check_cx_input(b: XBraiding):
 
 def _cx(b: XBraiding):
     """cx_functor on a braiding the caller has validated, with the
-    semidirect product it is built on; asserts the output."""
+    semidirect product it is built on; the output is not checked."""
     N = b.base.n
     cat, sd = _bar(b.base)
     F = N.field
 
-    def rule(i, j):
-        return vadd(
-            F,
-            sd.incl_module.apply(vneg(F, b.brace.on_basis(i, j))),
-            sd.incl_actor.apply(N.mult.on_basis(i, j)),
-        )
+    def rule(i, j):  # (-{n_i, n_j}, n_i n_j)
+        m, n = vneg(F, b.brace.on_basis(i, j)), N.mult.on_basis(i, j)
+        return vadd(F, sd.incl_module.apply(m), sd.incl_actor.apply(n))
 
     tau = bilinear_from_rule(N.space, N.space, sd.algebra.space, rule)
-    out = CatBraiding(cat, tau)
+    return CatBraiding(cat, tau), sd
+
+
+def _assert_cx(out: CatBraiding) -> CatBraiding:
+    """The theorem of cx_functor on its output `out`: the braiding axioms hold."""
     validate_braiding_cat_assoc(out).assert_ok("bar construction failed to validate")
-    return out, sd
+    return out
 
 
 def kernel_part(c: CatAlgebra):
@@ -422,7 +423,7 @@ def xc_functor(b: CatBraiding) -> XBraiding:
     """Kernel construction: (ker(s), C0, (e*, *e), t|ker) with
     {a, b} = e(ab) - tau_{a,b}."""
     _check_xc_input(b)
-    return _xc(b, kernel_part(b.base))
+    return _assert_xc(_xc(b, kernel_part(b.base)))
 
 
 def _check_xc_input(b: CatBraiding):
@@ -436,7 +437,7 @@ def _check_xc_input(b: CatBraiding):
 
 def _xc(b: CatBraiding, kpart) -> XBraiding:
     """xc_functor on a braiding the caller has validated, given the
-    `kernel_part` of its base; asserts the output."""
+    `kernel_part` of its base; the output is not checked."""
     c, c1, c0, tau = _cat_parts(b)
     F = c1.field
     ks, kspace, incl = kpart
@@ -452,25 +453,23 @@ def _xc(b: CatBraiding, kpart) -> XBraiding:
     kalg = Algebra(kspace, product_in_ker(kspace, k, kspace, k))
     star1 = product_in_ker(c0.space, e, kspace, k)
     star2 = product_in_ker(kspace, k, c0.space, e)
-    boundary = c.t.after(incl)
-    action = AssocAction(c0, kalg, star1, star2)
-    base = XModAssoc(action, boundary)
+    base = XModAssoc(AssocAction(c0, kalg, star1, star2), c.t.after(incl))
 
     def brace_rule(a, d):
         v = vsub(F, c.e.apply(c0.mult.on_basis(a, d)), tau.on_basis(a, d))
         return _kernel_coords(ks, v, escaped)
 
-    brace = bilinear_from_rule(c0.space, c0.space, kspace, brace_rule)
-    out = XBraiding(base, brace)
+    return XBraiding(base, bilinear_from_rule(c0.space, c0.space, kspace, brace_rule))
+
+
+def _assert_xc(out: XBraiding) -> XBraiding:
+    """The theorem of xc_functor on its output `out`: a valid braided crossed module."""
+    message = "kernel construction failed to validate"
     try:
-        require_valid_xmod_assoc(base)
+        require_valid_xmod_assoc(out.base)
     except InvalidXMod as exc:
-        raise InternalInvariantViolation(
-            f"kernel construction failed to validate: {exc}"
-        ) from exc
-    validate_braiding_xmod_assoc(out).assert_ok(
-        "kernel construction failed to validate"
-    )
+        raise InternalInvariantViolation(f"{message}: {exc}") from exc
+    validate_braiding_xmod_assoc(out).assert_ok(message)
     return out
 
 
@@ -515,6 +514,16 @@ def validate_braided_internal_functor(
     return merge(subject, [sweep(*law) for law in laws])
 
 
+def _certify_iso(name: str, rep: ValidationReport, f: LinMap, g: LinMap):
+    """Assert the report `rep` of the isomorphism `name`, (f, id), and that g
+    inverts f (Inv1, Inv2; never reported): its target is then the transport
+    of its source along f, so it satisfies every axiom the source does."""
+    n, m = f.domain.dim, f.codomain.dim
+    laws = [("Inv1", (n,), Lin(g, Lin(f, b0)), b0, n), ("Inv2", (m,), Lin(f, Lin(g, b0)), b0, m)]
+    message = f"{name} failed to validate as a braided isomorphism"
+    merge(rep.subject, rep, [sweep(*law) for law in laws]).assert_ok(message)
+
+
 def alpha_iso(b: XBraiding) -> XModMorphism:
     """alpha: b -> xc(cx(b)), with alpha_M(m) = (m, 0) in kernel coordinates."""
     return _alpha(b)[0]
@@ -522,25 +531,21 @@ def alpha_iso(b: XBraiding) -> XModMorphism:
 
 def _alpha(b: XBraiding):
     """alpha_iso plus the morphism report that proves it an isomorphism."""
-    # cx_functor's checks, then its core, which asserted the braiding
-    # axioms on cx; the cat axioms are the rest of what xc_functor checks
+    # cx_functor's checks and theorem, then what xc_functor checks; xc(cx)
+    # is certified by alpha, whose inverse is the module projection
     _check_cx_input(b)
     cx, sd = _cx(b)
+    _assert_cx(cx)
     require_valid_cat(cx.base)
     kpart = kernel_part(cx.base)
-    ks, kspace, _ = kpart
+    ks, kspace, incl = kpart
     x = b.base
-    m_dim = x.m.dim
     escaped = "(m, 0) escaped ker(s) in bar construction"
-    cols = (_kernel_coords(ks, sd.incl_module.column(i), escaped) for i in range(m_dim))
+    cols = (_kernel_coords(ks, sd.incl_module.column(i), escaped) for i in range(x.m.dim))
     f1 = from_columns(x.m.space, kspace, cols)
     phi = XModMorphism(f1, identity_map(x.n.space))
-    target = _xc(cx, kpart)
-    rep = validate_braided_xmod_morphism(phi, b, target)
-    if not rep.ok or f1.rank() != m_dim or kspace.dim != m_dim:
-        raise InternalInvariantViolation(
-            f"alpha failed to validate as a braided isomorphism: {rep.failing_tags()}"
-        )
+    rep = validate_braided_xmod_morphism(phi, b, _xc(cx, kpart))
+    _certify_iso("alpha", rep, f1, sd.proj_module.after(incl))
     return phi, rep
 
 
@@ -555,12 +560,12 @@ def beta_iso(b: CatBraiding):
 def _beta(b: CatBraiding):
     """beta_iso plus the functor report that proves it an isomorphism."""
     c, c1, c0, tau = _cat_parts(b)
-    # xc_functor's checks, then its core on the kernel computed here; the
-    # core asserted exactly what cx_functor would check
+    # xc_functor's checks and theorem, on the kernel computed here; cx(xc)
+    # is certified by beta, whose inverse is (y, a) -> y + e(a)
     _check_xc_input(b)
     kpart = kernel_part(c)
-    ks, kspace, _ = kpart
-    target, sd = _cx(_xc(b, kpart))
+    ks, kspace, incl = kpart
+    target, sd = _cx(_assert_xc(_xc(b, kpart)))
     vertical = identity_map(c1.space).sub(c.e.after(c.s))  # x - e(s(x))
     escaped = "x - e(s(x)) escaped ker(s)"
     cols = (_kernel_coords(ks, vertical.column(i), escaped) for i in range(c1.dim))
@@ -568,10 +573,7 @@ def _beta(b: CatBraiding):
     f1 = sd.incl_module.after(in_ker).add(sd.incl_actor.after(c.s))
     f0 = identity_map(c0.space)
     rep = validate_braided_internal_functor(f1, f0, b, target)
-    if not rep.ok or f1.rank() != c1.dim or target.base.c1.dim != c1.dim:
-        raise InternalInvariantViolation(
-            f"beta failed to validate as a braided isomorphism: {rep.failing_tags()}"
-        )
+    _certify_iso("beta", rep, f1, incl.after(sd.proj_module).add(c.e.after(sd.proj_actor)))
     return (f1, f0), rep
 
 

@@ -176,9 +176,6 @@ class LinMap(Record):
     def sub(self, other: "LinMap") -> "LinMap":
         return self._zip_columns(vsub, other)
 
-    def rank(self) -> int:
-        return len(rref(self.field, self.columns))
-
 
 def from_columns(domain: Space, codomain: Space, cols) -> LinMap:
     """The linear map sending b_j to the sparse vector cols[j]."""

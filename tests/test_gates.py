@@ -21,10 +21,12 @@ from braidalg.action import (
     zero_action_assoc,
     zero_action_lie,
 )
-from braidalg.algebra import catalog
+from braidalg.algebra import Algebra, catalog
 from braidalg.braid import (
     CatBraiding,
     XBraiding,
+    alpha_iso,
+    beta_iso,
     bracket_braiding,
     cat_braiding_liefy,
     commutator_braiding,
@@ -34,7 +36,8 @@ from braidalg.braid import (
     xc_functor,
     xmod_braiding_liefy,
 )
-from braidalg.dsl import parse
+from braidalg.cli import main
+from braidalg.dsl import parse, print_catbraiding_doc, print_xbraiding_doc
 from braidalg.errors import (
     InternalInvariantViolation,
     InvalidAction,
@@ -52,8 +55,14 @@ from braidalg.groupx import (
     group_catalog,
     validate_group_braiding,
 )
-from braidalg.icat import ASSOC, LIE, discrete_cat, require_valid_cat, validate_cat_algebra
-from braidalg.linear import identity_map, zero_bilmap, zero_map
+from braidalg.icat import ASSOC, LIE, CatAlgebra, discrete_cat, require_valid_cat, validate_cat_algebra
+from braidalg.linear import (
+    bilinear_from_rule,
+    identity_map,
+    vadd,
+    zero_bilmap,
+    zero_map,
+)
 from braidalg.report import AxiomCheck, Witness, merge
 from braidalg.xmod import (
     XModAssoc,
@@ -370,7 +379,7 @@ THEOREMS = [
         "cx",
         "validate_braiding_cat_assoc",
         _fail,
-        lambda b, cb: braid._cx(b),
+        lambda b, cb: cx_functor(b),
         "bar construction failed to validate: ['T2']",
     ),
     (
@@ -424,6 +433,107 @@ def test_each_theorem_check_names_the_failing_tags(
     assert str(exc.value) == message
 
 
+def _altered(m, i, j):
+    """The bilinear map m with b_0 added to its image of the basis pair (i, j)."""
+    F = m.field
+
+    def rule(a, c):
+        image = m.on_basis(a, c)
+        return vadd(F, image, ((0, F.one()),)) if (a, c) == (i, j) else image
+
+    return bilinear_from_rule(m.left, m.right, m.codomain, rule)
+
+
+def _brace_altered(out):
+    return XBraiding(out.base, _altered(out.brace, 0, 1))
+
+
+def _star_altered(out):
+    x = out.base
+    a = x.action
+    action = AssocAction(a.actor, a.module, _altered(a.star1, 0, 0), a.star2)
+    return XBraiding(XModAssoc(action, x.boundary), out.brace)
+
+
+def _tau_altered(built):
+    out, sd = built
+    return CatBraiding(out.base, _altered(out.tau, 0, 1)), sd
+
+
+def _product_altered(built):
+    # the image of (b_0 of N, b_0 of M) in M x| N is the star entry b_0 *1 b_0
+    out, sd = built
+    c = out.base
+    c1 = Algebra(c.c1.space, _altered(c.c1.mult, sd.proj_module.codomain.dim, 0))
+    return CatBraiding(CatAlgebra(c1, c.c0, c.s, c.t, c.e, c.flavor), out.tau), sd
+
+
+# (id, iso, its last construction, how its result is altered, failing tag):
+# alpha's last construction is xc(cx(b)), beta's cx(xc(C))
+LAST_CONSTRUCTIONS = [
+    ("alpha:brace", "alpha", "_xc", _brace_altered, "BrH"),
+    ("alpha:star", "alpha", "_xc", _star_altered, "XAssH1"),
+    ("beta:tau", "beta", "_cx", _tau_altered, "IFB"),
+    ("beta:star", "beta", "_cx", _product_altered, "IFH"),
+]
+
+
+def _assert_iso_refused(iso, mat2_braidings, tmp_path, capsys, expected):
+    """alpha_iso/beta_iso, and `roundtrip` with exit 2, raise the isomorphism
+    message naming the failing tags for which `expected(tags)` holds."""
+    b, cb = mat2_braidings
+    prefix = f"{iso} failed to validate as a braided isomorphism: "
+    with pytest.raises(InternalInvariantViolation) as exc:
+        alpha_iso(b) if iso == "alpha" else beta_iso(cb)
+    message = str(exc.value)
+    assert message.startswith(prefix)
+    assert expected(ast.literal_eval(message[len(prefix) :]))
+    doc = print_xbraiding_doc(b, "b") if iso == "alpha" else print_catbraiding_doc(cb, "c")
+    path = tmp_path / "doc.alg"
+    path.write_text(doc, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["roundtrip", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "iso,core,alter,tag",
+    [case[1:] for case in LAST_CONSTRUCTIONS],
+    ids=[case[0] for case in LAST_CONSTRUCTIONS],
+)
+def test_a_broken_last_construction_fails_the_isomorphism(
+    iso, core, alter, tag, mat2_braidings, monkeypatch, tmp_path, capsys
+):
+    # the last construction is not swept: its output is certified by the
+    # isomorphism from the input, whose report names the altered image
+    real = getattr(braid, core)
+    monkeypatch.setattr(braid, core, lambda *args: alter(real(*args)))
+    _assert_iso_refused(iso, mat2_braidings, tmp_path, capsys, lambda tags: tags == [tag])
+
+
+@pytest.mark.parametrize("iso", ("alpha", "beta"))
+def test_a_collapsed_kernel_coordinate_fails_the_inverse_certificate(
+    iso, mat2_braidings, monkeypatch, tmp_path, capsys
+):
+    # the first nonzero vector that f1 reads in kernel coordinates gets
+    # coordinates 0 at every call, so f1 is not injective and has no inverse
+    real = braid._kernel_coords
+    escaped = {"alpha": "(m, 0) escaped", "beta": "x - e(s(x)) escaped"}[iso]
+    collapsed = {}
+
+    def coords(ks, v, message):
+        if message.startswith(escaped) and v and v == collapsed.setdefault("v", v):
+            return ()
+        return real(ks, v, message)
+
+    monkeypatch.setattr(braid, "_kernel_coords", coords)
+    _assert_iso_refused(
+        iso, mat2_braidings, tmp_path, capsys, lambda tags: {"Inv1", "Inv2"} <= set(tags)
+    )
+
+
 def _functions_refusing_on_ok(tree):
     """Names of the functions with an `if` whose test holds `not <x>.ok`."""
     return {
@@ -441,9 +551,9 @@ def _functions_refusing_on_ok(tree):
 
 
 def test_reports_raise_themselves_and_one_semidirect_core():
-    # a gate is `report.require(...)` or `report.assert_ok(...)`, except in
-    # alpha/beta, which also compare ranks; and the two flavors of
-    # semidirect product share one core in action.py
+    # a gate is `report.require(...)` or `report.assert_ok(...)`, alpha and
+    # beta included; and the two flavors of semidirect product share one
+    # core in action.py
     src = os.path.join(ROOT, "src", "braidalg")
     trees = {}
     for path in sorted(glob.glob(os.path.join(src, "*.py"))):
@@ -455,7 +565,7 @@ def test_reports_raise_themselves_and_one_semidirect_core():
         if name != "report.py"
         for fn in _functions_refusing_on_ok(tree)
     }
-    assert hand_written == {("braid.py", "_alpha"), ("braid.py", "_beta")}
+    assert hand_written == set()
     cores = [
         node.name
         for node in trees["action.py"].body

@@ -415,8 +415,8 @@ def test_linmap_agrees_with_the_dense_oracle(case):
     rep = canonical(F, sub.reduce(sparse(expect)), n)
     assert sub.contains(sparse(naive_sub(F, expect, rep)))
     assert all(rep[p] == 0 for p in sub.pivots())
-    assert a.rank() == naive_rank(F, ra)
-    assert comp.rank() == naive_rank(F, naive_rows(comp_cols, V.dim))
+    assert len(rref(F, a.columns)) == naive_rank(F, ra)
+    assert len(rref(F, comp.columns)) == naive_rank(F, naive_rows(comp_cols, V.dim))
 
 
 # The sparse form of a vector: every evaluation and vector operation returns
