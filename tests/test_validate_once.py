@@ -239,7 +239,7 @@ _ONCE = (
 @pytest.mark.parametrize(
     "entry", ("alpha_iso", "beta_iso", "roundtrip:alpha", "roundtrip:beta")
 )
-def test_each_check_runs_once_per_value(entry, mat2, calls, tmp_path):
+def test_each_check_runs_once_per_argument(entry, mat2, calls, tmp_path):
     b, cb = mat2
     alpha = "alpha" in entry
     if entry == "alpha_iso":
