@@ -36,7 +36,7 @@ from typing import Callable, Optional
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from braidalg.action import AssocAction, LieAction, zero_action_assoc, zero_action_lie
-from braidalg.algebra import Algebra, catalog, from_constants
+from braidalg.algebra import ASSOC, LIE, Algebra, catalog, from_constants
 from braidalg.braid import (
     CatBraiding,
     XBraiding,
@@ -58,7 +58,7 @@ from braidalg.braid import (
 from braidalg.dsl import BLOCK_KINDS, _print_object
 from braidalg.fields import QQ
 from braidalg.groupx import GroupXMod, cyclic, klein_four, symmetric3
-from braidalg.icat import ASSOC, LIE, CatAlgebra, cat_liefy, discrete_cat
+from braidalg.icat import CatAlgebra, cat_liefy, discrete_cat
 from braidalg.linear import (
     Space,
     Subspace,
@@ -79,7 +79,7 @@ from braidalg.natensor import (
     tensor_square,
 )
 from braidalg.report import sweep
-from braidalg.xmod import XModAssoc, XModLie, XModMorphism
+from braidalg.xmod import XMod, XModMorphism
 
 F = QQ
 
@@ -105,9 +105,8 @@ def bil(left, right, cod, entries):
 def zero_xmod(actor, module, lie=False):
     """The crossed module of `actor` on `module` with zero action and boundary."""
     d = zero_map(module.space, actor.space)
-    if lie:
-        return XModLie(zero_action_lie(actor, module), d)
-    return XModAssoc(zero_action_assoc(actor, module), d)
+    zero_action = zero_action_lie if lie else zero_action_assoc
+    return XMod(zero_action(actor, module), d)
 
 
 def zero_braiding(base):
@@ -138,7 +137,7 @@ def degenerate_xmods(field=F):
     # boundary with kernel and cokernel, everything else zero
     m2 = alg(("m1", "m2"), field=field)
     d = from_columns(m2.space, uv.space, [uv.space.basis_vector(0), uv.space.zero()])
-    yield "ker", XModAssoc(zero_action_assoc(uv, m2), d)
+    yield "ker", XMod(zero_action_assoc(uv, m2), d)
     # one-sided identity actor, nontrivial action, zero boundary
     nu = alg(
         ("u", "v"),
@@ -147,7 +146,7 @@ def degenerate_xmods(field=F):
     )
     star1 = bil(nu.space, m.space, m.space, {(0, 0): {0: 1}})
     star2 = bil(m.space, nu.space, m.space, {(0, 0): {0: 1}})
-    yield "idact", XModAssoc(
+    yield "idact", XMod(
         AssocAction(nu, m, star1, star2), zero_map(m.space, nu.space)
     )
     # noncommutative actor, zero action and boundary
@@ -167,7 +166,7 @@ def lie_degenerate_bars(field):
     bars = []
     for name, n in (("solv", nsolv), ("heisdot", catalog("Heis3", field))):
         dot = bil(n.space, m.space, m.space, {(0, 0): {0: 1}})
-        x = XModLie(LieAction(n, m, dot), zero_map(m.space, n.space))
+        x = XMod(LieAction(n, m, dot), zero_map(m.space, n.space))
         bars.append((name, _bar(x)[0]))
     # tensor-square crossed module of Heis3 (kernel and cokernel both nonzero)
     return (*bars, ("heisT", heis3_tensor_bar(field)[0]))
@@ -268,10 +267,10 @@ def action_and_xmod_cases():
     yield dsl_case("ALie2", "action", LieAction(n, heis, dot))
 
     d = from_columns(m.space, unit.space, [unit.space.basis_vector(0)])
-    yield dsl_case("XAs1", "xmod", XModAssoc(zero_action_assoc(unit, m), d))
+    yield dsl_case("XAs1", "xmod", XMod(zero_action_assoc(unit, m), d))
     yield dsl_case("XAs2", "xmod", zero_xmod(n, square))
     d = from_columns(m.space, heis.space, [heis.space.basis_vector(1)])
-    yield dsl_case("XLie1", "xmod", XModLie(zero_action_lie(heis, m), d))
+    yield dsl_case("XLie1", "xmod", XMod(zero_action_lie(heis, m), d))
     yield dsl_case("XLie2", "xmod", zero_xmod(n, heis, lie=True))
 
 
@@ -300,11 +299,11 @@ def _central_extension(n, lie):
 
     m = Algebra(sp, into_m(sp, dc, sp, dc))
     if lie:
-        x = XModLie(LieAction(n, m, into_m(n.space, nb, sp, dc)), d)
+        x = XMod(LieAction(n, m, into_m(n.space, nb, sp, dc)), d)
         bracket = n.mult
     else:
         star1, star2 = into_m(n.space, nb, sp, dc), into_m(sp, dc, n.space, nb)
-        x = XModAssoc(AssocAction(n, m, star1, star2), d)
+        x = XMod(AssocAction(n, m, star1, star2), d)
         bracket = n.mult.sub(n.mult.swapped())
     brace = bilinear_from_rule(
         n.space, n.space, sp, lambda i, j: emb.apply(bracket.on_basis(i, j))
@@ -335,7 +334,7 @@ def xmod_braiding_cases(bases):
     heis = catalog("Heis3", F)
     x = zero_xmod(heis, alg(("m",)), lie=True)
     yield dsl_case("BLie1", "braiding", zero_braiding(x))
-    lie_ker = XModLie(zero_action_lie(ker.n, ker.m), ker.boundary)
+    lie_ker = XMod(zero_action_lie(ker.n, ker.m), ker.boundary)
     yield dsl_case("BLie3", "braiding", _braced(lie_ker, {(0, 1): {1: 1}}))
     yield dsl_case("BLie4", "braiding", _braced(lie_ker, {(1, 0): {1: 1}}))
     yield dsl_case(
@@ -511,26 +510,26 @@ def morphism_cases():
             "XAssH1",
             ident,
             zero_braiding(zero_xmod(unit, m)),
-            zero_braiding(XModAssoc(AssocAction(unit, m, left, right), zero_d)),
+            zero_braiding(XMod(AssocAction(unit, m, left, right), zero_d)),
         ),
         (
             "XAssH2",
             ident,
             zero_braiding(zero_n),
-            zero_braiding(XModAssoc(zero_action_assoc(n, m), d)),
+            zero_braiding(XMod(zero_action_assoc(n, m), d)),
         ),
         ("BrH", ident, zero_braiding(zero_n), _braced(zero_n, {(0, 0): {0: 1}})),
         (
             "XLieH1",
             ident,
             zero_braiding(zero_n_lie),
-            zero_braiding(XModLie(LieAction(n, m, left), zero_d)),
+            zero_braiding(XMod(LieAction(n, m, left), zero_d)),
         ),
         (
             "XLieH2",
             ident,
             zero_braiding(zero_n_lie),
-            zero_braiding(XModLie(zero_action_lie(n, m), d)),
+            zero_braiding(XMod(zero_action_lie(n, m), d)),
         ),
     ):
         yield code_case(tag, validate_braided_xmod_morphism, phi, src, tgt)

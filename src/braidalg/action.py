@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .algebra import Algebra, _liefy, is_associative, is_lie
+from .algebra import ASSOC, LIE, Algebra, _liefy, has_flavor
 from .errors import InvalidAction
 from .linear import (
     Bil,
@@ -24,6 +24,7 @@ from .report import ValidationReport, merge, sweep
 class AssocAction(Record):
     """Associative action of `actor` (N) on `module` (M): * = (*1, *2)."""
 
+    flavor = ASSOC  # a class constant, not a field
     actor: Algebra
     module: Algebra
     star1: BilMap  # N x M -> M
@@ -40,6 +41,7 @@ class AssocAction(Record):
 class LieAction(Record):
     """Lie left-action of `actor` (N) on `module` (M)."""
 
+    flavor = LIE
     actor: Algebra
     module: Algebra
     dot: BilMap  # N x M -> M
@@ -112,32 +114,26 @@ def _lie_blocks(a: LieAction):
     return a.dot.swapped().scale(-1), a.dot
 
 
-# per flavor: its action axioms, the property both algebras need, and the
-# two action blocks of the semidirect product
-_FLAVORS = {
-    AssocAction: (validate_assoc_action, is_associative, _assoc_blocks),
-    LieAction: (validate_lie_action, is_lie, _lie_blocks),
-}
+# per flavor: the two action blocks of the semidirect product
+_FLAVORS = {ASSOC: _assoc_blocks, LIE: _lie_blocks}
 
 
-def _require_valid_action(a: AssocAction | LieAction, flavor: type, message: str):
+def _require_valid_action(a: AssocAction | LieAction, flavor: str, validate, message: str):
     """Refuse `a` with InvalidAction unless it is a `flavor` action that
-    satisfies that flavor's axioms, with its report, between algebras of
-    that flavor."""
-    if type(a) is not flavor:
+    passes `validate`, that flavor's axioms, with its report, between
+    algebras of that flavor."""
+    if a.flavor != flavor:
         raise InvalidAction(f"{message}: got {type(a).__name__}")
-    validate, holds, _ = _FLAVORS[flavor]
     rep = validate(a)
     rep.require(InvalidAction, message)
-    if not (holds(a.actor) and holds(a.module)):
+    if not (has_flavor(a.actor, flavor) and has_flavor(a.module, flavor)):
         raise InvalidAction(message, rep)
 
 
 def induced_lie_action(a: AssocAction) -> LieAction:
     """[n, m]_* = n *1 m - m *2 n, a Lie action of N^L on M^L."""
-    _require_valid_action(
-        a, AssocAction, "induced_lie_action requires a valid associative action"
-    )
+    message = "induced_lie_action requires a valid associative action"
+    _require_valid_action(a, ASSOC, validate_assoc_action, message)
     return _induced_lie_action(a)
 
 
@@ -165,7 +161,7 @@ def _semidirect(a: AssocAction | LieAction) -> Semidirect:
     """The semidirect product of an action the caller has validated."""
     M, N = a.module, a.actor
     total, incl_m, incl_n, proj_m, proj_n = _semidirect_space(M.space, N.space)
-    mn, nm = _FLAVORS[type(a)][2](a)
+    mn, nm = _FLAVORS[a.flavor](a)
     m, n = M.dim, N.dim
 
     def rule(i, j):  # the images into N move past the M block
@@ -180,13 +176,13 @@ def _semidirect(a: AssocAction | LieAction) -> Semidirect:
 
 def semidirect_assoc(a: AssocAction) -> Semidirect:
     """(m,n)(m',n') = (mm' + n *1 m' + m *2 n', nn')."""
-    _require_valid_action(a, AssocAction, "semidirect product requires a valid action")
+    message = "semidirect product requires a valid action"
+    _require_valid_action(a, ASSOC, validate_assoc_action, message)
     return _semidirect(a)
 
 
 def semidirect_lie(a: LieAction) -> Semidirect:
     """[(m,n),(m',n')] = ([m,m'] + n.m' - n'.m, [n,n'])."""
-    _require_valid_action(
-        a, LieAction, "semidirect product requires a valid Lie action"
-    )
+    message = "semidirect product requires a valid Lie action"
+    _require_valid_action(a, LIE, validate_lie_action, message)
     return _semidirect(a)

@@ -2,6 +2,7 @@
 
 An Algebra is a space plus a multiplication tensor; nothing about the
 flavor (associative / Lie / Leibniz) is ever assumed, only checked.
+`has_flavor` checks an algebra against a structure's flavor, ASSOC or LIE.
 """
 
 from __future__ import annotations
@@ -28,8 +29,15 @@ from .linear import (
 from .record import Record
 from .report import sweep
 
+# the two flavors of every structure, as the DSL spells them
+ASSOC = "assoc"
+LIE = "lie"
+
 __all__ = [
+    "ASSOC",
+    "LIE",
     "Algebra",
+    "has_flavor",
     "is_associative",
     "is_lie",
     "is_leibniz",
@@ -128,6 +136,11 @@ def is_lie(a: Algebra) -> bool:
         is_zero(vadd(F, vadd(F, nested(i, j, k), nested(j, k, i)), nested(k, i, j)))
         for i, j, k in itertools.combinations(range(n), 3)
     )
+
+
+def has_flavor(a: Algebra, flavor: str) -> bool:
+    """Whether `a` is associative (flavor ASSOC) or Lie (flavor LIE)."""
+    return is_associative(a) if flavor == ASSOC else is_lie(a)
 
 
 def is_leibniz(a: Algebra) -> bool:

@@ -17,9 +17,9 @@ solves.
 from __future__ import annotations
 
 from .action import AssocAction, _semidirect
-from .algebra import Algebra, hom_law, intertwining_law
+from .algebra import ASSOC, Algebra, hom_law, intertwining_law
 from .errors import CharTwo, InternalInvariantViolation, InvalidInput, InvalidXMod
-from .icat import ASSOC, LIE, CatAlgebra, k_term, require_valid_cat
+from .icat import CatAlgebra, k_term, require_valid_cat
 from .linear import (
     Bil,
     BilMap,
@@ -44,8 +44,7 @@ from .linear import (
 from .record import Record
 from .report import ValidationReport, merge, sweep
 from .xmod import (
-    XModAssoc,
-    XModLie,
+    XMod,
     XModMorphism,
     identity_xmod_assoc,
     identity_xmod_lie,
@@ -58,7 +57,7 @@ from .xmod import (
 class XBraiding(Record):
     """Crossed module plus a braiding (Peiffer lifting) N x N -> M."""
 
-    base: XModAssoc | XModLie
+    base: XMod
     brace: BilMap
 
     def __post_init__(self):
@@ -359,14 +358,13 @@ def braiding_space(b: XBraiding | CatBraiding, system, tags=None):
 # the bar construction C_X and the kernel construction X_C
 
 
-def _bar(x: XModAssoc | XModLie):
+def _bar(x: XMod):
     """The categorical algebra (M x| N, N, s, t, e) of a crossed module the
     caller has validated, with s = proj_N, t = proj_N + d proj_M, e = incl_N,
     and the semidirect product it is built on."""
     sd = _semidirect(x.action)
-    flavor = ASSOC if isinstance(x, XModAssoc) else LIE
     t = sd.proj_actor.add(x.boundary.after(sd.proj_module))
-    return CatAlgebra(sd.algebra, x.n, sd.proj_actor, t, sd.incl_actor, flavor), sd
+    return CatAlgebra(sd.algebra, x.n, sd.proj_actor, t, sd.incl_actor, x.flavor), sd
 
 
 def cx_functor(b: XBraiding) -> CatBraiding:
@@ -376,7 +374,7 @@ def cx_functor(b: XBraiding) -> CatBraiding:
 
 
 def _check_cx_input(b: XBraiding):
-    if not isinstance(b.base, XModAssoc):
+    if b.base.flavor != ASSOC:
         raise InvalidInput("cx_functor takes a braided associative crossed module")
     require_valid_xmod_assoc(b.base)
     validate_braiding_xmod_assoc(b).require(InvalidInput, "braiding axioms fail")
@@ -453,7 +451,7 @@ def _xc(b: CatBraiding, kpart) -> XBraiding:
     kalg = Algebra(kspace, product_in_ker(kspace, k, kspace, k))
     star1 = product_in_ker(c0.space, e, kspace, k)
     star2 = product_in_ker(kspace, k, c0.space, e)
-    base = XModAssoc(AssocAction(c0, kalg, star1, star2), c.t.after(incl))
+    base = XMod(AssocAction(c0, kalg, star1, star2), c.t.after(incl))
 
     def brace_rule(a, d):
         v = vsub(F, c.e.apply(c0.mult.on_basis(a, d)), tau.on_basis(a, d))
@@ -598,7 +596,7 @@ def cat_braiding_liefy(b: CatBraiding) -> CatBraiding:
 
 def xmod_braiding_liefy(b: XBraiding) -> XBraiding:
     """{n, n'}_L = ({n, n'} - {n', n}) / 2 on the Lie-fied crossed module."""
-    if not isinstance(b.base, XModAssoc):
+    if b.base.flavor != ASSOC:
         raise InvalidInput("xmod_braiding_liefy takes an associative braided xmod")
     F = b.base.m.field
     if F.characteristic == 2:

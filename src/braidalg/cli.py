@@ -12,8 +12,8 @@ import functools
 import json
 import sys
 
-from .action import AssocAction, semidirect_assoc, semidirect_lie
-from .algebra import liefy
+from .action import semidirect_assoc, semidirect_lie
+from .algebra import ASSOC, liefy
 from .braid import (
     CatBraiding,
     XBraiding,
@@ -120,7 +120,7 @@ def _construct(kind, name, block_kind, obj) -> str:
     if kind == "liefy":
         return print_algebra_doc(liefy(obj), f"{name}_lie")
     if kind == "semidirect":
-        semidirect = semidirect_assoc if isinstance(obj, AssocAction) else semidirect_lie
+        semidirect = semidirect_assoc if obj.flavor == ASSOC else semidirect_lie
         return print_algebra_doc(semidirect(obj).algebra, f"{name}_sd")
     if kind == "cx":
         if not isinstance(obj, XBraiding):

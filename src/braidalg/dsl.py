@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 
 from .action import AssocAction, LieAction, validate_assoc_action, validate_lie_action
-from .algebra import Algebra
+from .algebra import ASSOC, LIE, Algebra
 from .braid import (
     CatBraiding,
     XBraiding,
@@ -37,12 +37,12 @@ from .errors import (
 )
 from .fields import MAX_CHARACTERISTIC, QQ, CharacteristicTooLarge, Field
 from .groupx import FiniteGroup, GroupXMod, validate_group_braiding, validate_group_xmod
-from .icat import ASSOC, LIE, CatAlgebra, validate_cat_algebra
+from .icat import CatAlgebra, validate_cat_algebra
 from .linear import BilMap, LinMap, Space, _combine, bilinear_from_rule
 from .linear import from_columns, identity_map, vneg
 from .record import Record
 from .report import merge
-from .xmod import XModAssoc, XModLie, validate_xmod_assoc, validate_xmod_lie
+from .xmod import XMod, validate_xmod_assoc, validate_xmod_lie
 
 
 class Document(Record):
@@ -472,8 +472,7 @@ class _Parser:
             raise DimensionMismatch(
                 "boundary must map the module to the actor", *self.at(btok)
             )
-        cls = XModLie if isinstance(action, LieAction) else XModAssoc
-        return cls(action, boundary)
+        return XMod(action, boundary)
 
     def parse_braiding(self, name):
         seen = self.block_entries(
@@ -542,9 +541,7 @@ class _Parser:
         obj = CatAlgebra(c1, c0, s, t, e, flavor)
         if "k" in seen:
             (ptok, pmap), (_, qmap) = seen["k"]
-            ident = identity_map(c1.space)
-            forced_p = ident.sub(e.after(t))
-            if pmap != forced_p or qmap != ident:
+            if pmap != obj.vertical or qmap != identity_map(c1.space):
                 raise DslError(
                     "explicit k must equal the forced composition x - e(t(x)) + y",
                     *self.at(ptok),
@@ -698,7 +695,7 @@ class _Printer:
     def print_action(self, name, act):
         module = self.ref("algebra", act.module, "M")
         actor = self.ref("algebra", act.actor, "N")
-        keys = ("star1", "star2") if isinstance(act, AssocAction) else ("dot",)
+        keys = ("star1", "star2") if act.flavor == ASSOC else ("dot",)
         fields = [(k, self.ref("bilinear", getattr(act, k), k)) for k in keys]
         self.entries(f"action {name} : {actor} on {module}", fields)
 
@@ -744,25 +741,22 @@ class _Printer:
 
 
 def _validate_action(a, name):
-    if isinstance(a, AssocAction):
+    if a.flavor == ASSOC:
         return validate_assoc_action(a, name)
     return validate_lie_action(a, name)
 
 
 def _validate_xmod(x, name):
-    if isinstance(x, XModAssoc):
+    if x.flavor == ASSOC:
         return validate_xmod_assoc(x, name)
     return validate_xmod_lie(x, name)
 
 
 def _validate_braiding(b, name):
+    assoc = b.base.flavor == ASSOC
     if isinstance(b, XBraiding):
-        if isinstance(b.base, XModAssoc):
-            return validate_braiding_xmod_assoc(b, name)
-        return validate_braiding_xmod_lie(b, name)
-    if b.base.flavor == ASSOC:
-        return validate_braiding_cat_assoc(b, name)
-    return validate_braiding_cat_lie_ulualan(b, name)
+        return (validate_braiding_xmod_assoc if assoc else validate_braiding_xmod_lie)(b, name)
+    return (validate_braiding_cat_assoc if assoc else validate_braiding_cat_lie_ulualan)(b, name)
 
 
 def _validate_cat(c, name):

@@ -74,11 +74,9 @@ class FiniteGroup(Record):
         )
 
 
-def _table_from(elems, op, key=None):
-    index = {key(e) if key else e: i for i, e in enumerate(elems)}
-    return tuple(
-        tuple(index[key(op(a, b)) if key else op(a, b)] for b in elems) for a in elems
-    )
+def _table_from(elems, op):
+    index = {e: i for i, e in enumerate(elems)}
+    return tuple(tuple(index[op(a, b)] for b in elems) for a in elems)
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -120,22 +118,18 @@ def quaternion8() -> FiniteGroup:
     return FiniteGroup(8, _table_from(elems, op))
 
 
+def _compose(p, q):
+    """The permutation i -> p[q[i]]."""
+    return tuple(p[i] for i in q)
+
+
 def alternating4() -> FiniteGroup:
     perms = [p for p in itertools.permutations(range(4)) if _parity(p) == 0]
-
-    def op(p, q):
-        return tuple(p[q[i]] for i in range(4))
-
-    return FiniteGroup(12, _table_from(perms, op))
+    return FiniteGroup(12, _table_from(perms, _compose))
 
 
 def symmetric3() -> FiniteGroup:
-    perms = list(itertools.permutations(range(3)))
-
-    def op(p, q):
-        return tuple(p[q[i]] for i in range(3))
-
-    return FiniteGroup(6, _table_from(perms, op))
+    return FiniteGroup(6, _table_from(list(itertools.permutations(range(3))), _compose))
 
 
 def _parity(p):

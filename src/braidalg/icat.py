@@ -10,7 +10,7 @@ vector b_a of C0, which the braiding laws read.
 
 from __future__ import annotations
 
-from .algebra import Algebra, _liefy, hom_law, is_associative, is_lie
+from .algebra import ASSOC, LIE, Algebra, _liefy, has_flavor, hom_law
 from .errors import (
     InternalInvariantViolation,
     InvalidCatAlgebra,
@@ -37,9 +37,6 @@ from .linear import (
 )
 from .record import Record
 from .report import ValidationReport, merge, sweep
-
-ASSOC = "assoc"
-LIE = "lie"
 
 
 class CatAlgebra(Record):
@@ -168,8 +165,7 @@ def validate_cat_algebra(c: CatAlgebra, subject: str = "cat") -> ValidationRepor
 
 
 def require_valid_cat(c: CatAlgebra):
-    flavor_ok = is_associative if c.flavor == ASSOC else is_lie
-    if not (flavor_ok(c.c1) and flavor_ok(c.c0)):
+    if not (has_flavor(c.c1, c.flavor) and has_flavor(c.c0, c.flavor)):
         raise InvalidCatAlgebra(f"C1 and C0 must be {c.flavor} algebras")
     validate_cat_algebra(c).require(
         InvalidCatAlgebra, "categorical algebra axioms fail"

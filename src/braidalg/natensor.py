@@ -51,7 +51,7 @@ from .linear import (
 )
 from .record import Record
 from .report import ValidationReport, merge, sweep
-from .xmod import XModLie
+from .xmod import XMod
 from .action import LieAction
 
 
@@ -145,7 +145,7 @@ def tensor_square(m: Algebra) -> TensorSquare:
     return TensorSquare(m, carrier, pure, relations, proj, lift)
 
 
-def tensor_xmod(ts: TensorSquare) -> XModLie:
+def tensor_xmod(ts: TensorSquare) -> XMod:
     """(T, M, m.(m1 (x) m2) = [m,m1] (x) m2 + m1 (x) [m,m2], d(m1 (x) m2) = [m1,m2]).
 
     `ts` must come from tensor_square, which asserts that mu vanishes on its
@@ -180,7 +180,7 @@ def tensor_xmod(ts: TensorSquare) -> XModLie:
     dot = bilinear_from_rule(
         m.space, tspace, tspace, lambda a, i: proj.apply(acts[a].apply(lift.column(i)))
     )
-    return XModLie(LieAction(m, ts.carrier, dot), boundary)
+    return XMod(LieAction(m, ts.carrier, dot), boundary)
 
 
 def tensor_braiding(ts: TensorSquare) -> XBraiding:

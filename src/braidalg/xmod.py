@@ -16,7 +16,10 @@ from .action import (
     validate_lie_action,
 )
 from .algebra import (
+    ASSOC,
+    LIE,
     Algebra,
+    has_flavor,
     hom_law,
     intertwining_law,
     is_associative,
@@ -29,8 +32,12 @@ from .record import Record
 from .report import ValidationReport, merge, sweep
 
 
-class _XMod(Record):
-    """What both flavors share: an action of N on M and boundary: M -> N."""
+class XMod(Record):
+    """(M, N, action, boundary): an associative action * = (*1, *2) or a Lie
+    action of N on M, and boundary: M -> N.  Its flavor is its action's."""
+
+    action: AssocAction | LieAction
+    boundary: LinMap
 
     def __post_init__(self):
         if self.boundary.domain != self.m.space or self.boundary.codomain != self.n.space:
@@ -44,19 +51,9 @@ class _XMod(Record):
     def n(self) -> Algebra:
         return self.action.actor
 
-
-class XModAssoc(_XMod):
-    """(M, N, * = (*1, *2), boundary) with boundary: M -> N."""
-
-    action: AssocAction
-    boundary: LinMap
-
-
-class XModLie(_XMod):
-    """(M, N, dot, boundary) with boundary: M -> N."""
-
-    action: LieAction
-    boundary: LinMap
+    @property
+    def flavor(self) -> str:
+        return self.action.flavor
 
 
 class XModMorphism(Record):
@@ -64,7 +61,7 @@ class XModMorphism(Record):
     f2: LinMap  # N -> N'
 
 
-def validate_xmod_assoc(x: XModAssoc, subject: str = "xmod") -> ValidationReport:
+def validate_xmod_assoc(x: XMod, subject: str = "xmod") -> ValidationReport:
     """XAs1 (both equalities) and XAs2 (both equalities) on basis pairs."""
     M, N = x.m, x.n
     s1, s2, d, nm, mm = x.action.star1, x.action.star2, x.boundary, N.mult, M.mult
@@ -78,7 +75,7 @@ def validate_xmod_assoc(x: XModAssoc, subject: str = "xmod") -> ValidationReport
     return merge(subject, [sweep(*law) for law in laws])
 
 
-def validate_xmod_lie(x: XModLie, subject: str = "xmod") -> ValidationReport:
+def validate_xmod_lie(x: XMod, subject: str = "xmod") -> ValidationReport:
     """XLie1 and XLie2 on basis pairs."""
     M, N = x.m, x.n
     dot, d = x.action.dot, x.boundary
@@ -90,50 +87,50 @@ def validate_xmod_lie(x: XModLie, subject: str = "xmod") -> ValidationReport:
     return merge(subject, [sweep(*law) for law in laws])
 
 
-def require_valid_xmod_assoc(x: XModAssoc):
+def _require_valid_xmod(x: XMod, flavor: str, word: str, validate_action, validate_xmod):
+    """Refuse `x` with InvalidXMod unless it is a valid crossed module of
+    `flavor` (`word` in messages); one of the other flavor is refused
+    before any of its maps is read."""
+    if x.flavor != flavor or not (has_flavor(x.m, flavor) and has_flavor(x.n, flavor)):
+        raise InvalidXMod(f"crossed module algebras must be {word}")
+    if not is_homomorphism(x.boundary, x.m, x.n):
+        raise InvalidXMod("boundary is not an algebra homomorphism")
+    validate_action(x.action).require(InvalidXMod, f"invalid {word} action")
+    validate_xmod(x).require(InvalidXMod, "crossed module axioms fail")
+
+
+def require_valid_xmod_assoc(x: XMod):
     """Structural preconditions plus XAs axioms; raises InvalidXMod."""
-    if not (is_associative(x.m) and is_associative(x.n)):
-        raise InvalidXMod("crossed module algebras must be associative")
-    if not is_homomorphism(x.boundary, x.m, x.n):
-        raise InvalidXMod("boundary is not an algebra homomorphism")
-    validate_assoc_action(x.action).require(InvalidXMod, "invalid associative action")
-    validate_xmod_assoc(x).require(InvalidXMod, "crossed module axioms fail")
+    _require_valid_xmod(x, ASSOC, "associative", validate_assoc_action, validate_xmod_assoc)
 
 
-def require_valid_xmod_lie(x: XModLie):
-    if not (is_lie(x.m) and is_lie(x.n)):
-        raise InvalidXMod("crossed module algebras must be Lie")
-    if not is_homomorphism(x.boundary, x.m, x.n):
-        raise InvalidXMod("boundary is not an algebra homomorphism")
-    validate_lie_action(x.action).require(InvalidXMod, "invalid Lie action")
-    validate_xmod_lie(x).require(InvalidXMod, "crossed module axioms fail")
+def require_valid_xmod_lie(x: XMod):
+    """Structural preconditions plus XLie axioms; raises InvalidXMod."""
+    _require_valid_xmod(x, LIE, "Lie", validate_lie_action, validate_xmod_lie)
 
 
-def xmod_liefy(x: XModAssoc) -> XModLie:
+def xmod_liefy(x: XMod) -> XMod:
     """(M^L, N^L, [-,-]_*, same boundary)."""
     require_valid_xmod_assoc(x)
-    return XModLie(_induced_lie_action(x.action), x.boundary)
+    return XMod(_induced_lie_action(x.action), x.boundary)
 
 
-def identity_xmod_assoc(a: Algebra) -> XModAssoc:
+def identity_xmod_assoc(a: Algebra) -> XMod:
     """(M, M, (*, *), Id_M)."""
     if not is_associative(a):
         raise NotAssociative("identity crossed module needs an associative algebra")
-    return XModAssoc(self_action(a), identity_map(a.space))
+    return XMod(self_action(a), identity_map(a.space))
 
 
-def identity_xmod_lie(a: Algebra) -> XModLie:
+def identity_xmod_lie(a: Algebra) -> XMod:
     """(M, M, [-,-], Id_M)."""
     if not is_lie(a):
         raise NotLie("identity crossed module needs a Lie algebra")
-    return XModLie(adjoint_action(a), identity_map(a.space))
+    return XMod(adjoint_action(a), identity_map(a.space))
 
 
 def validate_xmod_morphism(
-    phi: XModMorphism,
-    source: XModAssoc | XModLie,
-    target: XModAssoc | XModLie,
-    subject: str = "morphism",
+    phi: XModMorphism, source: XMod, target: XMod, subject: str = "morphism"
 ) -> ValidationReport:
     """Equivariance and boundary-square conditions for (f1, f2).
 
@@ -141,9 +138,9 @@ def validate_xmod_morphism(
     checks can use it as an oracle. Tags: XAssH1/XAssH2 or XLieH1/XLieH2,
     preceded by Hom entries for f1 and f2 being algebra homomorphisms.
     """
-    assoc = isinstance(source, XModAssoc)
-    if assoc != isinstance(target, XModAssoc):
+    if source.flavor != target.flavor:
         raise ValueError("source and target flavors differ")
+    assoc = source.flavor == ASSOC
     f1, f2 = phi.f1, phi.f2
     sm, sn, tm, tn = source.m, source.n, target.m, target.n
     sa, ta = source.action, target.action

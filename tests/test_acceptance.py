@@ -20,7 +20,7 @@ from braidalg.action import (
     semidirect_lie,
     zero_action_assoc,
 )
-from braidalg.algebra import catalog, liefy
+from braidalg.algebra import ASSOC, LIE, catalog, liefy
 from braidalg.braid import (
     alpha_iso,
     beta_iso,
@@ -50,8 +50,6 @@ from braidalg.groupx import (
     validate_group_xmod,
 )
 from braidalg.icat import (
-    ASSOC,
-    LIE,
     compose,
     composable_pair_basis,
     composable_triple_basis,

@@ -1,5 +1,6 @@
 import pytest
 
+from braidalg import action
 from braidalg.action import (
     AssocAction,
     LieAction,
@@ -79,3 +80,22 @@ def test_action_field_order():
     assert a.module is m
     assert a.star1.left == n.space and a.star1.right == m.space
     assert a.star2.left == m.space and a.star2.right == n.space
+
+
+@pytest.mark.parametrize(
+    "entry,validator,a",
+    [
+        (semidirect_assoc, "validate_assoc_action", self_action(catalog("Mat(2)", QQ))),
+        (induced_lie_action, "validate_assoc_action", self_action(catalog("Mat(2)", QQ))),
+        (semidirect_lie, "validate_lie_action", adjoint_action(catalog("sl2", QQ))),
+    ],
+    ids=["semidirect_assoc", "induced_lie_action", "semidirect_lie"],
+)
+def test_named_entries_look_up_their_validator_when_they_run(entry, validator, a, monkeypatch):
+    # a wrapper bound in the module, as braidbench's tracer binds one, sees
+    # the entry's validation
+    seen = []
+    real = getattr(action, validator)
+    monkeypatch.setattr(action, validator, lambda x: seen.append(x) or real(x))
+    entry(a)
+    assert seen == [a]

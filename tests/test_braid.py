@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from braidalg.algebra import Algebra, catalog, is_lie
+from braidalg.algebra import LIE, Algebra, catalog, is_lie
 from braidalg.braid import (
     CatBraiding,
     _bar,
@@ -35,7 +35,7 @@ from braidalg.braid import (
 from braidalg.dsl import parse
 from braidalg.errors import CharTwo
 from braidalg.fields import GF, QQ
-from braidalg.icat import LIE, discrete_cat, require_valid_cat
+from braidalg.icat import discrete_cat, require_valid_cat
 from braidalg.linear import Space, bilinear_from_coordinates, evaluate, zero_bilmap
 from braidalg.natensor import tensor_square, tensor_xmod
 from braidalg.report import basis_tuples, merge, sweep

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidalg.action import self_action, validate_assoc_action
-from braidalg.algebra import from_constants
+from braidalg.algebra import ASSOC, from_constants
 from braidalg import cli
 from braidalg.cli import main
 from braidalg.dsl import (
@@ -37,7 +37,7 @@ from braidalg.errors import (
 )
 from braidalg.fields import QQ, _is_prime
 from braidalg.groupx import conjugation_example, cyclic
-from braidalg.icat import ASSOC, discrete_cat
+from braidalg.icat import discrete_cat
 from braidalg.linear import Space
 
 from conftest import FIXTURES, MUTATIONS, ROOT, densify, load_script
@@ -451,6 +451,17 @@ def test_a_pass_over_q_is_a_pass_over_fp():
                 assert p_entry[2] or not q_entry[2], (name, p, q_entry[:2])
 
 
+def test_a_zero_term_adds_nothing():
+    # a bare `0` is the zero vector, and so is a term with the scalar 0
+    head = "field Q\nalgebra A basis x, y {\n"
+    zeros = parse(
+        head + "  x*x = 0;\n  x*y = 0 x + y;\n}\nmap f : A -> A {\n  x |-> 0;\n  y |-> y;\n}\n"
+    )
+    plain = parse(head + "  x*y = y;\n}\nmap f : A -> A {\n  y |-> y;\n}\n")
+    assert zeros == plain
+    assert print_document(zeros) == print_document(plain)
+
+
 def test_antisymmetric_completion():
     src = (
         "field Q\n"
@@ -784,6 +795,7 @@ LIE_ACTION = "action act : A on A {\n  dot = b;\n}\n"
          "3:9: scalar '1/5' has no value in F5"),
         ("field Q\nalgebra A basis x {\n  x*x = 2;\n}\n",
          "3:10: scalar term needs a basis label"),
+        ("field Q\nalgebra A basis x {\n  x*x y;\n}\n", "3:7: expected '=', found 'y'"),
         (PRELUDE + "map e : d -> A {\n}\n", "10:9: 'd' is a map, expected algebra"),
         (PRELUDE + "xmod X {\n  action = A;\n}\n",
          "11:12: 'A' is an algebra, expected action"),
@@ -811,9 +823,9 @@ LIE_ACTION = "action act : A on A {\n  dot = b;\n}\n"
          "  c0 = A;\n  s = f;\n  t = d;\n  e = d;\n}\n",
          "16:7: map 'f' has the wrong signature"),
     ),
-    ids=("scalar", "label", "kind", "an_algebra", "an_action", "name", "entry", "missing", "repeated", "field",
-         "labels", "dot_and_star", "signature", "boundary", "xmod_and_cat", "flavor",
-         "map"),
+    ids=("scalar", "label", "separator", "kind", "an_algebra", "an_action", "name", "entry",
+         "missing", "repeated", "field", "labels", "dot_and_star", "signature", "boundary",
+         "xmod_and_cat", "flavor", "map"),
 )
 def test_each_dsl_refusal_exits_two_at_its_position(source, message, tmp_path, capsys):
     path = tmp_path / "bad.alg"

@@ -21,7 +21,7 @@ from braidalg.action import (
     zero_action_assoc,
     zero_action_lie,
 )
-from braidalg.algebra import Algebra, catalog
+from braidalg.algebra import ASSOC, LIE, Algebra, catalog
 from braidalg.braid import (
     CatBraiding,
     XBraiding,
@@ -55,9 +55,12 @@ from braidalg.groupx import (
     group_catalog,
     validate_group_braiding,
 )
-from braidalg.icat import ASSOC, LIE, CatAlgebra, discrete_cat, require_valid_cat, validate_cat_algebra
+from braidalg.icat import CatAlgebra, discrete_cat, require_valid_cat, validate_cat_algebra
 from braidalg.linear import (
+    Space,
+    Subspace,
     bilinear_from_rule,
+    from_columns,
     identity_map,
     vadd,
     zero_bilmap,
@@ -65,8 +68,7 @@ from braidalg.linear import (
 )
 from braidalg.report import AxiomCheck, Witness, merge
 from braidalg.xmod import (
-    XModAssoc,
-    XModLie,
+    XMod,
     XModMorphism,
     identity_xmod_assoc,
     identity_xmod_lie,
@@ -75,6 +77,7 @@ from braidalg.xmod import (
     validate_xmod_assoc,
     validate_xmod_lie,
     validate_xmod_morphism,
+    xmod_liefy,
 )
 
 from conftest import MUTATIONS, ROOT
@@ -82,6 +85,7 @@ from conftest import MUTATIONS, ROOT
 MAT2 = catalog("Mat(2)", QQ)
 SL2 = catalog("sl2", QQ)
 AB1 = catalog("Ab(1)", QQ)
+AB2 = catalog("Ab(2)", QQ)
 HEIS3 = catalog("Heis3", QQ)
 
 
@@ -109,13 +113,17 @@ HALF_SELF_ACTION = AssocAction(MAT2, MAT2, MAT2.mult, zero_bilmap(*[MAT2.space] 
 DOUBLE_ADJOINT = LieAction(SL2, SL2, SL2.mult.scale(2))
 ZERO_MAT2 = zero_map(MAT2.space, MAT2.space)
 ZERO_SL2 = zero_map(SL2.space, SL2.space)
-BAD_XMOD_ASSOC = XModAssoc(zero_action_assoc(AB1, MAT2), zero_map(MAT2.space, AB1.space))
-BAD_XMOD_LIE = XModLie(zero_action_lie(AB1, HEIS3), zero_map(HEIS3.space, AB1.space))
-ZERO_BRACE = _zero_brace(XModAssoc(self_action(MAT2), identity_map(MAT2.space)))
+BAD_XMOD_ASSOC = XMod(zero_action_assoc(AB1, MAT2), zero_map(MAT2.space, AB1.space))
+BAD_XMOD_LIE = XMod(zero_action_lie(AB1, HEIS3), zero_map(HEIS3.space, AB1.space))
+ZERO_BRACE = _zero_brace(XMod(self_action(MAT2), identity_map(MAT2.space)))
 ZERO_TAU = CatBraiding(
     discrete_cat(MAT2, ASSOC), zero_bilmap(MAT2.space, MAT2.space, MAT2.space)
 )
 CONJ_S3 = conjugation_example(group_catalog("S3"))
+# Ab(2) is both associative and Lie, so only its action's flavor refuses
+# these crossed modules in an entry of the other flavor
+LIE_XMOD_AB2 = XMod(zero_action_lie(AB2, AB2), zero_map(AB2.space, AB2.space))
+ASSOC_XMOD_AB2 = XMod(zero_action_assoc(AB2, AB2), zero_map(AB2.space, AB2.space))
 
 # (id, call, exception, message, the report it carries or None; an
 # exception that is no ValidationFailed carries none)
@@ -123,7 +131,7 @@ REFUSALS = [
     (
         "xmod_assoc:flavor",
         lambda: require_valid_xmod_assoc(
-            XModAssoc(zero_action_assoc(SL2, AB1), zero_map(AB1.space, SL2.space))
+            XMod(zero_action_assoc(SL2, AB1), zero_map(AB1.space, SL2.space))
         ),
         InvalidXMod,
         "crossed module algebras must be associative",
@@ -132,7 +140,7 @@ REFUSALS = [
     (
         "xmod_assoc:boundary",
         lambda: require_valid_xmod_assoc(
-            XModAssoc(self_action(MAT2), _twice_identity(MAT2))
+            XMod(self_action(MAT2), _twice_identity(MAT2))
         ),
         InvalidXMod,
         "boundary is not an algebra homomorphism",
@@ -140,7 +148,7 @@ REFUSALS = [
     ),
     (
         "xmod_assoc:action",
-        lambda: require_valid_xmod_assoc(XModAssoc(HALF_SELF_ACTION, ZERO_MAT2)),
+        lambda: require_valid_xmod_assoc(XMod(HALF_SELF_ACTION, ZERO_MAT2)),
         InvalidXMod,
         "invalid associative action",
         lambda: validate_assoc_action(HALF_SELF_ACTION),
@@ -153,9 +161,23 @@ REFUSALS = [
         lambda: validate_xmod_assoc(BAD_XMOD_ASSOC),
     ),
     (
+        "xmod_assoc:lie_action",
+        lambda: require_valid_xmod_assoc(LIE_XMOD_AB2),
+        InvalidXMod,
+        "crossed module algebras must be associative",
+        lambda: None,
+    ),
+    (
+        "xmod_liefy:lie_action",
+        lambda: xmod_liefy(LIE_XMOD_AB2),
+        InvalidXMod,
+        "crossed module algebras must be associative",
+        lambda: None,
+    ),
+    (
         "xmod_lie:flavor",
         lambda: require_valid_xmod_lie(
-            XModLie(zero_action_lie(MAT2, SL2), zero_map(SL2.space, MAT2.space))
+            XMod(zero_action_lie(MAT2, SL2), zero_map(SL2.space, MAT2.space))
         ),
         InvalidXMod,
         "crossed module algebras must be Lie",
@@ -164,7 +186,7 @@ REFUSALS = [
     (
         "xmod_lie:boundary",
         lambda: require_valid_xmod_lie(
-            XModLie(LieAction(SL2, SL2, SL2.mult), _twice_identity(SL2))
+            XMod(LieAction(SL2, SL2, SL2.mult), _twice_identity(SL2))
         ),
         InvalidXMod,
         "boundary is not an algebra homomorphism",
@@ -172,7 +194,7 @@ REFUSALS = [
     ),
     (
         "xmod_lie:action",
-        lambda: require_valid_xmod_lie(XModLie(DOUBLE_ADJOINT, ZERO_SL2)),
+        lambda: require_valid_xmod_lie(XMod(DOUBLE_ADJOINT, ZERO_SL2)),
         InvalidXMod,
         "invalid Lie action",
         lambda: validate_lie_action(DOUBLE_ADJOINT),
@@ -183,6 +205,13 @@ REFUSALS = [
         InvalidXMod,
         "crossed module axioms fail",
         lambda: validate_xmod_lie(BAD_XMOD_LIE),
+    ),
+    (
+        "xmod_lie:assoc_action",
+        lambda: require_valid_xmod_lie(ASSOC_XMOD_AB2),
+        InvalidXMod,
+        "crossed module algebras must be Lie",
+        lambda: None,
     ),
     (
         "cat:assoc_flavor",
@@ -208,6 +237,13 @@ REFUSALS = [
     (
         "cx:flavor",
         lambda: cx_functor(bracket_braiding(SL2)),
+        InvalidInput,
+        "cx_functor takes a braided associative crossed module",
+        lambda: None,
+    ),
+    (
+        "cx:lie_action",
+        lambda: cx_functor(_zero_brace(LIE_XMOD_AB2)),
         InvalidInput,
         "cx_functor takes a braided associative crossed module",
         lambda: None,
@@ -452,7 +488,7 @@ def _star_altered(out):
     x = out.base
     a = x.action
     action = AssocAction(a.actor, a.module, _altered(a.star1, 0, 0), a.star2)
-    return XBraiding(XModAssoc(action, x.boundary), out.brace)
+    return XBraiding(XMod(action, x.boundary), out.brace)
 
 
 def _tau_altered(built):
@@ -550,15 +586,20 @@ def _functions_refusing_on_ok(tree):
     }
 
 
+def _source_trees():
+    """{file name: parsed module} for every module of src/braidalg."""
+    trees = {}
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "braidalg", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            trees[os.path.basename(path)] = ast.parse(fh.read())
+    return trees
+
+
 def test_reports_raise_themselves_and_one_semidirect_core():
     # a gate is `report.require(...)` or `report.assert_ok(...)`, alpha and
     # beta included; and the two flavors of semidirect product share one
     # core in action.py
-    src = os.path.join(ROOT, "src", "braidalg")
-    trees = {}
-    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
-        with open(path, encoding="utf-8") as fh:
-            trees[os.path.basename(path)] = ast.parse(fh.read())
+    trees = _source_trees()
     hand_written = {
         (name, fn)
         for name, tree in trees.items()
@@ -599,8 +640,50 @@ def test_reports_raise_themselves_and_one_semidirect_core():
 )
 def test_flavor_named_entries_refuse_the_other_flavor(entry, action, message):
     # each action is valid in its own flavor; the entry refuses it by its
-    # class before any validator reads its maps, so nothing is built
+    # flavor before any validator reads its maps, so nothing is built
     with pytest.raises(InvalidAction) as err:
         entry(action)
     assert str(err.value) == message
     assert err.value.report is None
+
+
+def test_no_isinstance_picks_a_flavor():
+    # an action or crossed module carries its flavor, ASSOC or LIE, in
+    # `.flavor`; no class test repeats that choice
+    flavored = {"AssocAction", "LieAction", "XMod"}
+    found = [
+        (name, node.lineno)
+        for name, tree in _source_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        for part in ast.walk(node.args[1])
+        if getattr(part, "id", getattr(part, "attr", None)) in flavored
+    ]
+    assert found == []
+
+
+def test_a_product_escaping_ker_s_is_an_internal_error(
+    mat2_braidings, monkeypatch, tmp_path, capsys
+):
+    # with one basis vector of ker(s) dropped, a product of kernel vectors
+    # leaves the subspace _xc computes in; it is refused, not rounded
+    real = braid.kernel_part
+
+    def narrowed(c):
+        ks = real(c)[0]
+        sub = Subspace.span(ks.ambient, ks.basis[:-1])
+        kspace = Space(c.c1.field, tuple(f"k{i}" for i in range(sub.dim)))
+        return sub, kspace, from_columns(kspace, c.c1.space, sub.basis)
+
+    monkeypatch.setattr(braid, "kernel_part", narrowed)
+    _, cb = mat2_braidings
+    with pytest.raises(InternalInvariantViolation) as exc:
+        xc_functor(cb)
+    assert str(exc.value) == "value escaped ker(s)"
+    path = tmp_path / "doc.alg"
+    path.write_text(print_catbraiding_doc(cb, "c"), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["construct", "xc", str(path), "--subject", "c"]) == 2
+    assert capsys.readouterr() == ("", "error: value escaped ker(s)\n")

@@ -4,14 +4,12 @@ import random
 
 import pytest
 
-from braidalg.algebra import catalog, is_lie
+from braidalg.algebra import ASSOC, LIE, catalog, is_lie
 from braidalg.braid import commutator_braiding, cx_functor
 from braidalg.dsl import parse
 from braidalg.errors import NotComposable
 from braidalg.fields import GF, QQ
 from braidalg.icat import (
-    ASSOC,
-    LIE,
     cat_liefy,
     compose,
     composable_pair_basis,

@@ -7,6 +7,8 @@ import pickle
 
 import pytest
 
+from braidalg.action import AssocAction, LieAction, zero_action_assoc, zero_action_lie
+from braidalg.algebra import ASSOC, LIE, catalog
 from braidalg.fields import QQ, Field
 from braidalg.groupx import FiniteGroup, GroupXMod, conjugation_example, cyclic
 from braidalg.linear import Space, Subspace
@@ -23,6 +25,12 @@ class Pair(Record):
 
 class OtherPair(Record):
     first: int
+    second: int = 0
+
+
+class TaggedPair(Record):
+    first: int
+    tag = "pair"  # a class constant between the fields
     second: int = 0
 
 
@@ -107,3 +115,28 @@ def test_copy_and_pickle_keep_the_value():
 def test_repr_names_the_fields():
     assert repr(Field(5)) == "Field(characteristic=5)"
     assert repr(Pair(1)) == "Pair(first=1, second=0)"
+
+
+def test_a_class_constant_is_not_a_field():
+    # a class constant, such as an action's flavor, is read from the class:
+    # it is no field, so no part of the repr, equality, hashing or arity
+    assert TaggedPair._fields == ("first", "second")
+    assert TaggedPair(1).tag == "pair"
+    assert repr(TaggedPair(1)) == "TaggedPair(first=1, second=0)"
+    assert TaggedPair(1) == TaggedPair(1, 0) and hash(TaggedPair(1)) == hash((1, 0))
+    with pytest.raises(TypeError):
+        TaggedPair(1, 0, "pair")
+    n = catalog("Ab(1)", QQ)
+    a, b = zero_action_assoc(n, n), zero_action_lie(n, n)
+    assert (AssocAction.flavor, LieAction.flavor) == (a.flavor, b.flavor) == (ASSOC, LIE)
+    assert AssocAction._fields == ("actor", "module", "star1", "star2")
+    assert LieAction._fields == ("actor", "module", "dot")
+    assert "flavor" not in repr(a) + repr(b)
+    assert a == AssocAction(n, n, a.star1, a.star2)
+    assert hash(a) == hash((n, n, a.star1, a.star2)) and hash(b) == hash((n, n, b.dot))
+    with pytest.raises(TypeError):
+        AssocAction(n, n, a.star1, a.star2, ASSOC)
+    with pytest.raises(TypeError):
+        LieAction(n, n, b.dot, LIE)
+    with pytest.raises(AttributeError):
+        a.flavor = LIE

@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 from braidalg import action, algebra, braid, icat, xmod
-from braidalg.algebra import catalog, liefy
+from braidalg.algebra import ASSOC, catalog, liefy
 from braidalg.braid import (
     CatBraiding,
     XBraiding,
@@ -26,9 +26,8 @@ from braidalg.cli import main
 from braidalg.dsl import parse, print_catbraiding_doc, print_xbraiding_doc
 from braidalg.errors import InvalidCatAlgebra, InvalidXMod, NotAssociative
 from braidalg.fields import QQ
-from braidalg.icat import ASSOC
 from braidalg.linear import identity_map, zero_bilmap
-from braidalg.xmod import XModAssoc, xmod_liefy
+from braidalg.xmod import XMod, xmod_liefy
 
 from conftest import FIXTURES, MUTATIONS
 
@@ -55,14 +54,14 @@ def _refusals():
         if kind not in ("braiding", "cat", "action"):
             continue
         if kind == "action":
-            lie = "" if isinstance(obj, action.AssocAction) else " Lie"
+            lie = "" if obj.flavor == ASSOC else " Lie"
             msg = f"semidirect product requires a valid{lie} action"
             out.append((e["file"], ["construct", "semidirect", path] + subj, msg))
         elif kind == "cat":
             msg = "categorical algebra axioms fail"
             out.append((e["file"], ["construct", "catliefy", path] + subj, msg))
         elif isinstance(obj, XBraiding):
-            if isinstance(obj.base, XModAssoc):
+            if obj.base.flavor == ASSOC:
                 cx_msg = "braiding axioms fail"
                 xl_msg = "input braiding axioms fail"
             else:
@@ -272,8 +271,8 @@ def test_liefication_checks_associativity_once_per_algebra(calls, monkeypatch):
 
     monkeypatch.setattr(algebra, "sweep", counted)
     a, b = catalog("Mat(2)", QQ), catalog("Mat(2)", QQ)
-    x = XModAssoc(action.self_action(a), identity_map(a.space))
-    cat = braid._bar(XModAssoc(action.self_action(b), identity_map(b.space)))[0]
+    x = XMod(action.self_action(a), identity_map(a.space))
+    cat = braid._bar(XMod(action.self_action(b), identity_map(b.space)))[0]
     for run, algebras in (
         (lambda: xmod_liefy(x), (x.m,)),
         (lambda: icat.cat_liefy(cat), (cat.c1, cat.c0)),

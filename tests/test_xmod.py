@@ -6,8 +6,7 @@ from braidalg.errors import InvalidXMod
 from braidalg.fields import QQ
 from braidalg.linear import identity_map, zero_map
 from braidalg.xmod import (
-    XModAssoc,
-    XModLie,
+    XMod,
     XModMorphism,
     identity_xmod_assoc,
     identity_xmod_lie,
@@ -51,21 +50,21 @@ def test_xmod_liefy_matches_identity_construction(name):
 def test_zero_boundary_abelian_module_valid():
     m = catalog("Ab(2)", QQ)
     n = catalog("Mat(2)", QQ)
-    x = XModAssoc(zero_action_assoc(n, m), zero_map(m.space, n.space))
+    x = XMod(zero_action_assoc(n, m), zero_map(m.space, n.space))
     assert validate_xmod_assoc(x).ok
     g = catalog("sl2", QQ)
-    xl = XModLie(zero_action_lie(g, m), zero_map(m.space, g.space))
+    xl = XMod(zero_action_lie(g, m), zero_map(m.space, g.space))
     assert validate_xmod_lie(xl).ok
 
 
 def test_require_valid_raises_on_bad_xmod():
     m = catalog("Mat(2)", QQ)  # non-commutative, zero action breaks Peiffer
     n = catalog("Ab(1)", QQ)
-    x = XModAssoc(zero_action_assoc(n, m), zero_map(m.space, n.space))
+    x = XMod(zero_action_assoc(n, m), zero_map(m.space, n.space))
     with pytest.raises(InvalidXMod):
         require_valid_xmod_assoc(x)
     g = catalog("Heis3", QQ)
-    xl = XModLie(zero_action_lie(n, g), zero_map(g.space, n.space))
+    xl = XMod(zero_action_lie(n, g), zero_map(g.space, n.space))
     with pytest.raises(InvalidXMod):
         require_valid_xmod_lie(xl)
 
