@@ -389,9 +389,10 @@ def cat_cases():
     c1 = alg(("u", "v", "i"), {("u", "u"): {"v": 1}, ("i", "i"): {"i": 1}})
     st = [o, o, w]
     yield dsl_case("Cat3", "cat", cat(c1, w1, st, st, c1.space.basis()[2:]))
-    # With s e = t e = id, the identity laws and associativity of the
-    # forced composition hold as formulas, so Cat4 can only fail when
-    # Cat2 already does.
+    # With t e = id, the t∘e entry of Cat2, V = id - e t is idempotent and
+    # kills e(C0), so the identity laws and associativity of the forced
+    # composition hold as formulas: Cat4 can only fail when that entry of
+    # Cat2 already does (validate_cat_algebra reads Cat4 from it).
     yield dsl_case(
         "Cat4",
         "cat",

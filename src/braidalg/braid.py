@@ -17,9 +17,9 @@ solves.
 from __future__ import annotations
 
 from .action import AssocAction, _semidirect
-from .algebra import ASSOC, Algebra, hom_law, intertwining_law
+from .algebra import ASSOC, Algebra, has_flavor, hom_law, intertwining_law
 from .errors import CharTwo, InternalInvariantViolation, InvalidInput, InvalidXMod
-from .icat import CatAlgebra, k_term, require_valid_cat
+from .icat import CatAlgebra, k_term, require_valid_cat, validate_cat_algebra
 from .linear import (
     Bil,
     BilMap,
@@ -529,13 +529,17 @@ def alpha_iso(b: XBraiding) -> XModMorphism:
 
 def _alpha(b: XBraiding):
     """alpha_iso plus the morphism report that proves it an isomorphism."""
-    # cx_functor's checks and theorem, then what xc_functor checks; xc(cx)
-    # is certified by alpha, whose inverse is the module projection
+    # cx_functor's checks and theorem, then what xc_functor checks, asserted
+    # since the bar is built from a validated crossed module; xc(cx) is
+    # certified by alpha, whose inverse is the module projection
     _check_cx_input(b)
     cx, sd = _cx(b)
     _assert_cx(cx)
-    require_valid_cat(cx.base)
-    kpart = kernel_part(cx.base)
+    c, message = cx.base, "bar construction is not a categorical algebra"
+    if not (has_flavor(c.c1, c.flavor) and has_flavor(c.c0, c.flavor)):
+        raise InternalInvariantViolation(f"{message}: C1 and C0 must be {c.flavor} algebras")
+    validate_cat_algebra(c).assert_ok(message)
+    kpart = kernel_part(c)
     ks, kspace, incl = kpart
     x = b.base
     escaped = "(m, 0) escaped ker(s) in bar construction"

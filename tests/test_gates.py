@@ -433,6 +433,20 @@ THEOREMS = [
         "kernel construction failed to validate: ['T2']",
     ),
     (
+        "alpha:bar",
+        "validate_cat_algebra",
+        _fail,
+        lambda b, cb: alpha_iso(b),
+        "bar construction is not a categorical algebra: ['T2']",
+    ),
+    (
+        "alpha:bar_flavor",
+        "has_flavor",
+        lambda a, flavor: False,
+        lambda b, cb: alpha_iso(b),
+        "bar construction is not a categorical algebra: C1 and C0 must be assoc algebras",
+    ),
+    (
         "catliefy",
         "validate_braiding_cat_lie_ulualan",
         _fail,

@@ -7,7 +7,8 @@ a law that passes over Q passes mod p, and one that fails keeps its first
 Q witness tuple unless p divides the difference there, which no p below
 does on this corpus.  So exit codes, verdicts and witness tuples must
 agree.  A construction that succeeds on both sides must print its Q
-output, reduced.  The Q run is the oracle of the Fp run; a disagreement
+output, reduced, and `roundtrip` on a braided fixture must give the Q
+verdicts.  The Q run is the oracle of the Fp run; a disagreement
 is a finding about the program, not a reason to change the oracle.
 """
 
@@ -115,3 +116,30 @@ def test_constructions_commute_with_reduction_mod_p(name, subject, kind, p, tmp_
     assert rc_p == rc_q
     if rc_q == 0:
         assert out_p == print_document(parse(_reduce(out_q, p)))
+
+
+BRAIDED_DOCS = {
+    path: text
+    for path, text in _q_documents(FIXTURES).items()
+    if any(kind == "braiding" for _, kind, _ in parse(text).blocks)
+}
+
+
+def test_every_braided_q_fixture_is_reduced():
+    assert len(BRAIDED_DOCS) == 8
+
+
+@pytest.mark.parametrize("p", CONSTRUCT_PRIMES)
+@pytest.mark.parametrize(
+    "path", sorted(BRAIDED_DOCS), ids=[os.path.basename(p) for p in sorted(BRAIDED_DOCS)]
+)
+def test_roundtrips_agree_mod_p(path, p, tmp_path):
+    # alpha asserts its bar and beta checks its input categorical algebra,
+    # so this also holds the F_p branch of the Cat3/Cat4 decision to Q's
+    text = BRAIDED_DOCS[path]
+    argv = ["roundtrip", "--format", "json"]
+    rc_q, out_q = _run(argv, text, tmp_path)
+    rc_p, out_p = _run(argv, _reduce(text, p), tmp_path)
+    assert rc_p == rc_q
+    if rc_q != 2:
+        assert _verdicts(out_p) == _verdicts(out_q)

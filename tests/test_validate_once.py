@@ -167,6 +167,7 @@ _WATCHED = (
     (braid, "validate_braiding_cat_assoc"),
     (braid, "validate_braiding_xmod_assoc"),
     (icat, "require_valid_cat"),
+    (icat, "validate_cat_algebra"),
     (xmod, "validate_xmod_morphism"),
     (braid, "validate_braided_xmod_morphism"),
     (braid, "validate_braided_internal_functor"),
@@ -226,12 +227,14 @@ def mat2():
 
 
 # run once per alpha or beta call: on its input, or on the intermediate
-# construction; the last construction is certified by the isomorphism
+# construction; the last construction is certified by the isomorphism.
+# alpha asserts that its bar is a categorical algebra (validate_cat_algebra);
+# beta refuses a bad input cat (require_valid_cat, which calls it)
 _ONCE = (
     "validate_assoc_action",
     "validate_braiding_xmod_assoc",
     "validate_braiding_cat_assoc",
-    "require_valid_cat",
+    "validate_cat_algebra",
 )
 
 
@@ -253,6 +256,7 @@ def test_each_check_runs_once_per_argument(entry, mat2, calls, tmp_path):
     assert not _repeats(calls)
     runs = _runs(calls)
     assert {name: runs[name] for name in _ONCE} == dict.fromkeys(_ONCE, 1)
+    assert runs["require_valid_cat"] == (0 if alpha else 1)
     morphism = (
         "validate_braided_xmod_morphism" if alpha else "validate_braided_internal_functor"
     )
