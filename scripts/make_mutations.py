@@ -74,6 +74,7 @@ from braidalg.linear import (
 )
 from braidalg.natensor import (
     TensorSquare,
+    _bracket_map,
     antisymmetry_consequence,
     tensor_braiding,
     tensor_square,
@@ -556,7 +557,8 @@ def morphism_cases():
         a.space, a.space, amb, lambda i, j: amb.basis_vector(i * a.dim + j)
     )
     id_amb = identity_map(amb)
-    ts = TensorSquare(a, carrier, pure, Subspace.span(amb, []), id_amb, id_amb)
+    relations, boundary = Subspace.span(amb, []), _bracket_map(a, amb)
+    ts = TensorSquare(a, carrier, pure, relations, id_amb, id_amb, boundary)
     yield code_case("TAnti", antisymmetry_consequence, ts)
 
 

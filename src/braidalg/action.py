@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .algebra import ASSOC, LIE, Algebra, _liefy, has_flavor
+from .algebra import ASSOC, LIE, Algebra, has_flavor, liefy
 from .errors import InvalidAction
 from .linear import (
     Bil,
@@ -114,8 +114,13 @@ def _lie_blocks(a: LieAction):
     return a.dot.swapped().scale(-1), a.dot
 
 
-# per flavor: the two action blocks of the semidirect product
+# per flavor: the two action blocks of the semidirect product, and the
+# message it refuses an invalid action with
 _FLAVORS = {ASSOC: _assoc_blocks, LIE: _lie_blocks}
+SEMIDIRECT_REFUSAL = {
+    ASSOC: "semidirect product requires a valid action",
+    LIE: "semidirect product requires a valid Lie action",
+}
 
 
 def _require_valid_action(a: AssocAction | LieAction, flavor: str, validate, message: str):
@@ -126,7 +131,7 @@ def _require_valid_action(a: AssocAction | LieAction, flavor: str, validate, mes
         raise InvalidAction(f"{message}: got {type(a).__name__}")
     rep = validate(a)
     rep.require(InvalidAction, message)
-    if not (has_flavor(a.actor, flavor) and has_flavor(a.module, flavor)):
+    if not has_flavor(flavor, a.actor, a.module):
         raise InvalidAction(message, rep)
 
 
@@ -140,7 +145,7 @@ def induced_lie_action(a: AssocAction) -> LieAction:
 def _induced_lie_action(a: AssocAction) -> LieAction:
     """induced_lie_action on an action the caller has validated."""
     dot = a.star1.sub(a.star2.swapped())
-    return LieAction(_liefy(a.actor), _liefy(a.module), dot)
+    return LieAction(liefy(a.actor), liefy(a.module), dot)
 
 
 class Semidirect(Record):
@@ -176,13 +181,11 @@ def _semidirect(a: AssocAction | LieAction) -> Semidirect:
 
 def semidirect_assoc(a: AssocAction) -> Semidirect:
     """(m,n)(m',n') = (mm' + n *1 m' + m *2 n', nn')."""
-    message = "semidirect product requires a valid action"
-    _require_valid_action(a, ASSOC, validate_assoc_action, message)
+    _require_valid_action(a, ASSOC, validate_assoc_action, SEMIDIRECT_REFUSAL[ASSOC])
     return _semidirect(a)
 
 
 def semidirect_lie(a: LieAction) -> Semidirect:
     """[(m,n),(m',n')] = ([m,m'] + n.m' - n'.m, [n,n'])."""
-    message = "semidirect product requires a valid Lie action"
-    _require_valid_action(a, LIE, validate_lie_action, message)
+    _require_valid_action(a, LIE, validate_lie_action, SEMIDIRECT_REFUSAL[LIE])
     return _semidirect(a)

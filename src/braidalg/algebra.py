@@ -2,7 +2,7 @@
 
 An Algebra is a space plus a multiplication tensor; nothing about the
 flavor (associative / Lie / Leibniz) is ever assumed, only checked.
-`has_flavor` checks an algebra against a structure's flavor, ASSOC or LIE.
+`has_flavor` checks algebras against a structure's flavor, ASSOC or LIE.
 """
 
 from __future__ import annotations
@@ -138,9 +138,10 @@ def is_lie(a: Algebra) -> bool:
     )
 
 
-def has_flavor(a: Algebra, flavor: str) -> bool:
-    """Whether `a` is associative (flavor ASSOC) or Lie (flavor LIE)."""
-    return is_associative(a) if flavor == ASSOC else is_lie(a)
+def has_flavor(flavor: str, *algebras: Algebra) -> bool:
+    """Whether each of `algebras` is associative (flavor ASSOC) or Lie (LIE)."""
+    check = is_associative if flavor == ASSOC else is_lie
+    return all(check(a) for a in algebras)
 
 
 def is_leibniz(a: Algebra) -> bool:
@@ -154,11 +155,6 @@ def liefy(a: Algebra) -> Algebra:
     """Commutator algebra A^L with [x,y] = xy - yx."""
     if not is_associative(a):
         raise NotAssociative("liefy requires an associative algebra")
-    return _liefy(a)
-
-
-def _liefy(a: Algebra) -> Algebra:
-    """liefy without the associativity check, for callers that made it."""
     return Algebra(a.space, a.mult.sub(a.mult.swapped()))
 
 

@@ -536,7 +536,7 @@ def _alpha(b: XBraiding):
     cx, sd = _cx(b)
     _assert_cx(cx)
     c, message = cx.base, "bar construction is not a categorical algebra"
-    if not (has_flavor(c.c1, c.flavor) and has_flavor(c.c0, c.flavor)):
+    if not has_flavor(c.flavor, c.c1, c.c0):
         raise InternalInvariantViolation(f"{message}: C1 and C0 must be {c.flavor} algebras")
     validate_cat_algebra(c).assert_ok(message)
     kpart = kernel_part(c)
@@ -568,9 +568,8 @@ def _beta(b: CatBraiding):
     kpart = kernel_part(c)
     ks, kspace, incl = kpart
     target, sd = _cx(_assert_xc(_xc(b, kpart)))
-    vertical = identity_map(c1.space).sub(c.e.after(c.s))  # x - e(s(x))
     escaped = "x - e(s(x)) escaped ker(s)"
-    cols = (_kernel_coords(ks, vertical.column(i), escaped) for i in range(c1.dim))
+    cols = (_kernel_coords(ks, c.ker_s_part.column(i), escaped) for i in range(c1.dim))
     in_ker = from_columns(c1.space, kspace, cols)
     f1 = sd.incl_module.after(in_ker).add(sd.incl_actor.after(c.s))
     f0 = identity_map(c0.space)

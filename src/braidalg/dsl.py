@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import re
 
-from .action import AssocAction, LieAction, validate_assoc_action, validate_lie_action
-from .algebra import ASSOC, LIE, Algebra
+from .action import SEMIDIRECT_REFUSAL, AssocAction, LieAction
+from .action import validate_assoc_action, validate_lie_action
+from .algebra import ASSOC, LIE, Algebra, has_flavor
 from .braid import (
     CatBraiding,
     XBraiding,
@@ -33,16 +34,17 @@ from .errors import (
     DslError,
     DslSyntaxError,
     FieldMismatch,
+    InvalidAction,
     UnknownReference,
 )
 from .fields import MAX_CHARACTERISTIC, QQ, CharacteristicTooLarge, Field
 from .groupx import FiniteGroup, GroupXMod, validate_group_braiding, validate_group_xmod
-from .icat import CatAlgebra, validate_cat_algebra
+from .icat import CatAlgebra, require_cat_flavor, validate_cat_algebra
 from .linear import BilMap, LinMap, Space, _combine, bilinear_from_rule
 from .linear import from_columns, identity_map, vneg
 from .record import Record
 from .report import merge
-from .xmod import XMod, validate_xmod_assoc, validate_xmod_lie
+from .xmod import XMod, require_xmod_flavor, validate_xmod_assoc, validate_xmod_lie
 
 
 class Document(Record):
@@ -483,12 +485,12 @@ class _Parser:
                 "tau": lambda: self.ref("bilinear"),
             }
         )
-        if "xmod" in seen:
-            if "cat" in seen or "tau" in seen:
+        if {"xmod", "brace"} & seen.keys():
+            if {"cat", "tau"} & seen.keys():
                 raise DslSyntaxError(
                     "a braiding is over an xmod or a cat, not both", *self.at(name)
                 )
-            _, x = seen["xmod"]
+            _, x = self.need(seen, "xmod", name)
             btok, brace = self.need(seen, "brace", name)
             self._check_shape(btok, brace, x.n.space, x.n.space, x.m.space)
             return XBraiding(x, brace)
@@ -737,29 +739,32 @@ class _Printer:
 
 # ---------------------------------------------------------------------------
 # block kinds.  A validator looks up its library function when it runs, so
-# that tracing, which replaces this module's bindings, sees every call.
+# that tracing, which replaces this module's bindings, sees every call; it
+# first refuses algebras without the flavor, as the constructions do.
 
 
 def _validate_action(a, name):
-    if a.flavor == ASSOC:
-        return validate_assoc_action(a, name)
-    return validate_lie_action(a, name)
+    if not has_flavor(a.flavor, a.actor, a.module):
+        raise InvalidAction(SEMIDIRECT_REFUSAL[a.flavor])
+    return (validate_assoc_action if a.flavor == ASSOC else validate_lie_action)(a, name)
 
 
 def _validate_xmod(x, name):
-    if x.flavor == ASSOC:
-        return validate_xmod_assoc(x, name)
-    return validate_xmod_lie(x, name)
+    require_xmod_flavor(x, x.flavor)
+    return (validate_xmod_assoc if x.flavor == ASSOC else validate_xmod_lie)(x, name)
 
 
 def _validate_braiding(b, name):
     assoc = b.base.flavor == ASSOC
     if isinstance(b, XBraiding):
+        require_xmod_flavor(b.base, b.base.flavor)
         return (validate_braiding_xmod_assoc if assoc else validate_braiding_xmod_lie)(b, name)
+    require_cat_flavor(b.base)
     return (validate_braiding_cat_assoc if assoc else validate_braiding_cat_lie_ulualan)(b, name)
 
 
 def _validate_cat(c, name):
+    require_cat_flavor(c)
     return validate_cat_algebra(c, name)
 
 

@@ -2,15 +2,15 @@
 
 The composition is never stored: for these ambient categories it is
 forced to k((x, y)) = x - e(t(x)) + y, so we derive it everywhere and
-treat the lemma itself as a tested property.  Of it, only the vertical
-projection V = id - e.t is stored, and k((x, y)) = V(x) + y.  Each
-CatAlgebra also derives once the products e(b_a)x and x e(b_a) by a basis
-vector b_a of C0, which the braiding laws read.
+treat the lemma itself as a tested property.  Each CatAlgebra derives
+once V = id - e.t, with k((x, y)) = V(x) + y, W = id - e.s onto ker s,
+and the products e(b_a)x and x e(b_a) by a basis vector b_a of C0; the
+composable k-tuples are the kernel of one block map (`composable_basis`).
 """
 
 from __future__ import annotations
 
-from .algebra import ASSOC, LIE, Algebra, _liefy, has_flavor, hom_law
+from .algebra import ASSOC, LIE, Algebra, has_flavor, hom_law, liefy
 from .errors import (
     InternalInvariantViolation,
     InvalidCatAlgebra,
@@ -31,7 +31,6 @@ from .linear import (
     from_columns,
     identity_map,
     kernel,
-    pullback_space,
     split,
     vadd,
     vneg,
@@ -48,8 +47,8 @@ class CatAlgebra(Record):
     t: LinMap  # C1 -> C0
     e: LinMap  # C0 -> C1
     flavor: str
-    # derived once: V = id - e.t, and e(b_a)x and x e(b_a) by the index a
-    __slots__ = ("vertical", "e_mul", "mul_e")
+    # derived once: V = id - e.t, W = id - e.s, and e(b_a)x, x e(b_a) by the index a
+    __slots__ = ("vertical", "ker_s_part", "e_mul", "mul_e")
 
     def __post_init__(self):
         if self.flavor not in (ASSOC, LIE):
@@ -59,6 +58,7 @@ class CatAlgebra(Record):
                 raise ValueError("structural map does not match C1/C0")
         c1, c0, m, e = self.c1.space, self.c0.space, self.c1.mult, self.e.column
         object.__setattr__(self, "vertical", identity_map(c1).sub(self.e.after(self.t)))
+        object.__setattr__(self, "ker_s_part", identity_map(c1).sub(self.e.after(self.s)))
         e_mul = bilinear_from_rule(c0, c1, c1, lambda a, j: m.apply_right(e(a), j))
         object.__setattr__(self, "e_mul", e_mul)
         mul_e = bilinear_from_rule(c1, c0, c1, lambda j, a: m.apply_left(j, e(a)))
@@ -90,37 +90,27 @@ def compose(c: CatAlgebra, x, y):
 
 def invert_morphism(c: CatAlgebra, f):
     """Internal inverse e(s(f)) - f + e(t(f)); postconditions asserted."""
-    F = c.c1.field
-    g = vadd(F, vsub(F, c.e.apply(c.s.apply(f)), f), c.e.apply(c.t.apply(f)))
-    if compose(c, f, g) != c.e.apply(c.s.apply(f)) or compose(c, g, f) != c.e.apply(
-        c.t.apply(f)
-    ):
-        raise InternalInvariantViolation(
-            "internal inverse postconditions failed; CatAlgebra is not valid"
-        )
+    F, es, et = c.c1.field, c.e.apply(c.s.apply(f)), c.e.apply(c.t.apply(f))
+    g = vadd(F, vsub(F, es, f), et)
+    if compose(c, f, g) != es or compose(c, g, f) != et:
+        message = "internal inverse postconditions failed; CatAlgebra is not valid"
+        raise InternalInvariantViolation(message)
     return g
 
 
-def composable_pair_basis(c: CatAlgebra):
-    """Basis of the pullback C1 x_C0 C1, as (x, y) vector pairs."""
-    n = c.c1.dim
-    return [split(v, (n, n)) for v in pullback_space(c.t, c.s).basis]
+def composable_basis(c: CatAlgebra, k: int):
+    """Basis of the composable k-tuples {(x_1..x_k) : t(x_i) = s(x_i+1)}, the
+    kernel of (x_1..x_k) -> (t(x_i) - s(x_i+1))_i, as vector k-tuples."""
+    n, m, F = c.c1.dim, c.c0.dim, c.c1.field
 
+    def column(j):  # x_i = b_a gives -s(b_a) in block i - 1 and t(b_a) in block i
+        i, a = divmod(j, n)
+        parts = {i - 1: vneg(F, c.s.column(a)), i: c.t.column(a)}
+        return concat([(parts.get(b, ()), m) for b in range(k - 1)])
 
-def composable_triple_basis(c: CatAlgebra):
-    """Basis of {(x,y,z) : t(x)=s(y), t(y)=s(z)} as vector triples."""
-    n, m = c.c1.dim, c.c0.dim
-    labels = tuple(f"p{i}_{lbl}" for i in (1, 2, 3) for lbl in c.c1.space.labels)
-    triple = Space(c.c1.field, labels)
-    out = Space(c.c1.field, tuple(f"q{i}_{lbl}" for i in (1, 2) for lbl in c.c0.space.labels))
-    F, cols = c.c1.field, []
-    for j in range(3 * n):
-        block, idx = divmod(j, n)
-        tv, sv = c.t.column(idx), vneg(F, c.s.column(idx))
-        first, second = ((tv, ()), (sv, tv), ((), sv))[block]
-        cols.append(concat([(first, m), (second, m)]))
-    diff = from_columns(triple, out, cols)
-    return [split(v, (n, n, n)) for v in kernel(diff).basis]
+    domain, codomain = (Space(F, tuple(range(d))) for d in (k * n, (k - 1) * m))
+    diff = from_columns(domain, codomain, map(column, range(k * n)))
+    return [split(v, (n,) * k) for v in kernel(diff).basis]
 
 
 def _parts(basis, width: int, pos: int):
@@ -156,14 +146,14 @@ def validate_cat_algebra(c: CatAlgebra, subject: str = "cat") -> ValidationRepor
     if checks[1].ok and checks[2].ok and not _kernels_multiply(c):
         checks.append(AxiomCheck("Cat3", True))
     else:
-        pairs = composable_pair_basis(c)
+        pairs = composable_basis(c, 2)
         (x, y), (x2, y2), mul = _parts(pairs, 2, 0), _parts(pairs, 2, 1), c.c1.mult
         lhs = k_term(c, Bil(mul, x, x2), Bil(mul, y, y2))
         rhs = Bil(mul, k_term(c, x, y), k_term(c, x2, y2))
         checks.append(sweep("Cat3", (len(pairs), len(pairs)), lhs, rhs, n1))
     if checks[4].ok:
         return merge(subject, checks, [AxiomCheck("Cat4", True)] * 3)
-    triples = composable_triple_basis(c)
+    triples = composable_basis(c, 3)
     p, q, r = _parts(triples, 3, 0)
     laws = [
         ("Cat4", (n1,), k_term(c, b0, Lin(c.e, Lin(c.t, b0))), b0, n1),
@@ -176,18 +166,20 @@ def validate_cat_algebra(c: CatAlgebra, subject: str = "cat") -> ValidationRepor
 def _kernels_multiply(c: CatAlgebra) -> bool:
     """Whether W(C1)V(C1) or V(C1)W(C1) is nonzero, for V = id - e.t and
     W = id - e.s: ker s . ker t or ker t . ker s when s.e = t.e = id."""
-    n, mul, v = c.c1.dim, c.c1.mult, c.vertical
-    w = identity_map(c.c1.space).sub(c.e.after(c.s))
+    n, mul, v, w = c.c1.dim, c.c1.mult, c.vertical, c.ker_s_part
     terms = Bil(mul, Lin(w, b0), Lin(v, b1)), Bil(mul, Lin(v, b0), Lin(w, b1))
     return any(any(side) for side in evaluate((n, n), *terms))
 
 
-def require_valid_cat(c: CatAlgebra):
-    if not (has_flavor(c.c1, c.flavor) and has_flavor(c.c0, c.flavor)):
+def require_cat_flavor(c: CatAlgebra):
+    """Refuse `c` with InvalidCatAlgebra unless C1 and C0 have its flavor."""
+    if not has_flavor(c.flavor, c.c1, c.c0):
         raise InvalidCatAlgebra(f"C1 and C0 must be {c.flavor} algebras")
-    validate_cat_algebra(c).require(
-        InvalidCatAlgebra, "categorical algebra axioms fail"
-    )
+
+
+def require_valid_cat(c: CatAlgebra):
+    require_cat_flavor(c)
+    validate_cat_algebra(c).require(InvalidCatAlgebra, "categorical algebra axioms fail")
 
 
 def cat_liefy(c: CatAlgebra) -> CatAlgebra:
@@ -195,4 +187,4 @@ def cat_liefy(c: CatAlgebra) -> CatAlgebra:
     if c.flavor != ASSOC:
         raise InvalidCatAlgebra("cat_liefy requires an associative categorical algebra")
     require_valid_cat(c)
-    return CatAlgebra(_liefy(c.c1), _liefy(c.c0), c.s, c.t, c.e, LIE)
+    return CatAlgebra(liefy(c.c1), liefy(c.c0), c.s, c.t, c.e, LIE)

@@ -64,6 +64,16 @@ def _inside(v, dim: int):
     return v
 
 
+def _canonical(v, dim: int, p: int):
+    """v; ValueError unless its indices rise in range(dim) and its scalars are nonzero (1..p-1)."""
+    last = -1
+    for k, c in v:
+        if not (last < k < dim and (0 < c < p if p else c)):
+            raise ValueError(f"vector {v} is not canonical in dimension {dim}")
+        last = k
+    return v
+
+
 def dense(v, dim: int):
     """The sparse vector v as a tuple of all `dim` coordinates."""
     out = [0] * dim
@@ -135,7 +145,7 @@ def _combine(field: Field, v, images):
 
 
 class LinMap(Record):
-    """Linear map; columns[j] is the image of basis vector b_j."""
+    """Linear map; columns[j] is the image of basis vector b_j, canonical."""
 
     domain: Space
     codomain: Space
@@ -147,9 +157,9 @@ class LinMap(Record):
             raise ValueError("domain and codomain fields differ")
         if len(self.columns) != self.domain.dim:
             raise ValueError("columns do not match the spaces")
-        m = self.codomain.dim
+        m, p = self.codomain.dim, self.domain.field.characteristic
         for col in self.columns:
-            _inside(col, m)
+            _canonical(col, m, p)
         object.__setattr__(self, "field", self.domain.field)
 
     def apply(self, v):
@@ -191,7 +201,7 @@ def zero_map(domain: Space, codomain: Space) -> LinMap:
 
 
 class BilMap(Record):
-    """Bilinear map; tensor[i][j] is the image of the basis pair (b_i, b_j)."""
+    """Bilinear map; tensor[i][j], canonical, is the image of the pair (b_i, b_j)."""
 
     left: Space
     right: Space
@@ -207,9 +217,9 @@ class BilMap(Record):
         rows, R, K = self.tensor, self.right.dim, self.codomain.dim
         if len(rows) != self.left.dim or any(len(row) != R for row in rows):
             raise ValueError("tensor shape does not match spaces")
-        pairs = sum(rows, ())
+        pairs, p = sum(rows, ()), self.left.field.characteristic
         for v in pairs:
-            _inside(v, K)
+            _canonical(v, K, p)
         object.__setattr__(self, "field", self.left.field)
         object.__setattr__(self, "_cols", tuple(zip(*rows)) if rows else ((),) * R)
         object.__setattr__(self, "_pairs", pairs)
@@ -715,12 +725,3 @@ def direct_sum(a: Space, b: Space, left_prefix: str = "l_", right_prefix: str = 
     proj_a = from_columns(total, a, a.basis() + [()] * b.dim)
     proj_b = from_columns(total, b, [()] * a.dim + b.basis())
     return total, incl_a, incl_b, proj_a, proj_b
-
-
-def pullback_space(t: LinMap, s: LinMap) -> Subspace:
-    """{(x, y) : t(x) = s(y)} inside domain(t) (+) domain(s)."""
-    if t.codomain != s.codomain:
-        raise ValueError("pullback requires a common codomain")
-    total, _, _, proj_a, proj_b = direct_sum(t.domain, s.domain)
-    diff = t.after(proj_a).sub(s.after(proj_b))
-    return kernel(diff)

@@ -62,6 +62,7 @@ class TensorSquare(Record):
     relations: Subspace  # relation span inside the plain tensor space
     proj: LinMap  # plain tensor space -> T
     lift: LinMap  # T -> plain tensor space, a section of proj
+    boundary: LinMap  # T -> M, t -> mu(lift(t)), the descended bracket map
 
 
 def _plain_tensor_space(m: Space) -> Space:
@@ -130,19 +131,19 @@ def tensor_square(m: Algebra) -> TensorSquare:
     free = [j for j in range(amb.dim) if j not in pivots]
     lift = from_columns(tspace, amb, [amb.basis_vector(c) for c in free])
 
-    mu_lift = mu.after(lift)
+    boundary = mu.after(lift)
     t_bracket = bilinear_from_rule(
         tspace,
         tspace,
         tspace,
-        lambda i, j: pure.apply(mu_lift.column(i), mu_lift.column(j)),
+        lambda i, j: pure.apply(boundary.column(i), boundary.column(j)),
     )
     carrier = Algebra(tspace, t_bracket)
     if not is_lie(carrier):
         raise InternalInvariantViolation(
             "induced bracket on the tensor square is not Lie"
         )
-    return TensorSquare(m, carrier, pure, relations, proj, lift)
+    return TensorSquare(m, carrier, pure, relations, proj, lift, boundary)
 
 
 def tensor_xmod(ts: TensorSquare) -> XMod:
@@ -154,9 +155,6 @@ def tensor_xmod(ts: TensorSquare) -> XMod:
     F = m.field
     n = m.dim
     amb = ts.relations.ambient
-
-    amb_boundary = _bracket_map(m, amb)
-
     b, (left, right) = m.mult.on_basis, _positions(n)
 
     def image(a, p):
@@ -176,11 +174,10 @@ def tensor_xmod(ts: TensorSquare) -> XMod:
                 )
 
     tspace, proj, lift = ts.carrier.space, ts.proj, ts.lift
-    boundary = amb_boundary.after(lift)
     dot = bilinear_from_rule(
         m.space, tspace, tspace, lambda a, i: proj.apply(acts[a].apply(lift.column(i)))
     )
-    return XMod(LieAction(m, ts.carrier, dot), boundary)
+    return XMod(LieAction(m, ts.carrier, dot), ts.boundary)
 
 
 def tensor_braiding(ts: TensorSquare) -> XBraiding:

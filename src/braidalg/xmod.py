@@ -87,26 +87,33 @@ def validate_xmod_lie(x: XMod, subject: str = "xmod") -> ValidationReport:
     return merge(subject, [sweep(*law) for law in laws])
 
 
-def _require_valid_xmod(x: XMod, flavor: str, word: str, validate_action, validate_xmod):
+_WORDS = {ASSOC: "associative", LIE: "Lie"}  # each flavor as messages spell it
+
+
+def require_xmod_flavor(x: XMod, flavor: str):
+    """Refuse `x` with InvalidXMod unless it and its algebras have `flavor`."""
+    if x.flavor != flavor or not has_flavor(flavor, x.m, x.n):
+        raise InvalidXMod(f"crossed module algebras must be {_WORDS[flavor]}")
+
+
+def _require_valid_xmod(x: XMod, flavor: str, validate_action, validate_xmod):
     """Refuse `x` with InvalidXMod unless it is a valid crossed module of
-    `flavor` (`word` in messages); one of the other flavor is refused
-    before any of its maps is read."""
-    if x.flavor != flavor or not (has_flavor(x.m, flavor) and has_flavor(x.n, flavor)):
-        raise InvalidXMod(f"crossed module algebras must be {word}")
+    `flavor`; one of the other flavor is refused before its maps are read."""
+    require_xmod_flavor(x, flavor)
     if not is_homomorphism(x.boundary, x.m, x.n):
         raise InvalidXMod("boundary is not an algebra homomorphism")
-    validate_action(x.action).require(InvalidXMod, f"invalid {word} action")
+    validate_action(x.action).require(InvalidXMod, f"invalid {_WORDS[flavor]} action")
     validate_xmod(x).require(InvalidXMod, "crossed module axioms fail")
 
 
 def require_valid_xmod_assoc(x: XMod):
     """Structural preconditions plus XAs axioms; raises InvalidXMod."""
-    _require_valid_xmod(x, ASSOC, "associative", validate_assoc_action, validate_xmod_assoc)
+    _require_valid_xmod(x, ASSOC, validate_assoc_action, validate_xmod_assoc)
 
 
 def require_valid_xmod_lie(x: XMod):
     """Structural preconditions plus XLie axioms; raises InvalidXMod."""
-    _require_valid_xmod(x, LIE, "Lie", validate_lie_action, validate_xmod_lie)
+    _require_valid_xmod(x, LIE, validate_lie_action, validate_xmod_lie)
 
 
 def xmod_liefy(x: XMod) -> XMod:

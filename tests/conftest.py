@@ -126,3 +126,25 @@ def random_vector(rng, F, n):
     if F.is_rationals:
         return tuple(F.of(Fraction(rng.randint(-3, 3), rng.randint(1, 3))) for _ in range(n))
     return tuple(F.of(rng.randrange(F.characteristic)) for _ in range(n))
+
+
+def naive_rref(F, rows):
+    """Gauss-Jordan with Field methods only; zero rows dropped."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = F.inv(rows[rank][c])
+        rows[rank] = [F.mul(inv, x) for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and (f := rows[r][c]) != 0:
+                rows[r] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return [tuple(r) for r in rows[:rank]]
+
+
+def naive_rank(F, rows):
+    return len(naive_rref(F, rows))

@@ -51,8 +51,7 @@ from braidalg.groupx import (
 )
 from braidalg.icat import (
     compose,
-    composable_pair_basis,
-    composable_triple_basis,
+    composable_basis,
     discrete_cat,
     invert_morphism,
     validate_cat_algebra,
@@ -197,12 +196,12 @@ def test_criterion_6_internal_category_laws(capsys):
         for name, c in _cat_fixtures():
             assert validate_cat_algebra(c, name).ok
             F = c.c1.field
-            for x, y in composable_pair_basis(c):
+            for x, y in composable_basis(c, 2):
                 left = compose(c, c.e.apply(c.s.apply(x)), x)
                 assert left == tuple(x), name
                 right = compose(c, x, c.e.apply(c.t.apply(x)))
                 assert right == tuple(x), name
-            for x, y, z in composable_triple_basis(c):
+            for x, y, z in composable_basis(c, 3):
                 a = compose(c, compose(c, x, y), z)
                 b = compose(c, x, compose(c, y, z))
                 assert a == b, name

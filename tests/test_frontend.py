@@ -786,6 +786,8 @@ PRELUDE = (
     "bilinear b : A, A -> A {\n}\nmap d : A -> A {\n}\n"
 )
 LIE_ACTION = "action act : A on A {\n  dot = b;\n}\n"
+# the discrete assoc cat C on A, on lines 10-17 after PRELUDE
+DISCRETE_CAT = "cat C {\n  flavor = assoc;\n  c1 = A;\n  c0 = A;\n  s = d;\n  t = d;\n  e = d;\n}\n"
 
 
 @pytest.mark.parametrize(
@@ -818,6 +820,11 @@ LIE_ACTION = "action act : A on A {\n  dot = b;\n}\n"
         (PRELUDE + LIE_ACTION + "xmod X {\n  action = act;\n  boundary = d;\n}\n"
          + "braiding Br {\n  xmod = X;\n  tau = b;\n}\n",
          "17:10: a braiding is over an xmod or a cat, not both"),
+        (PRELUDE + "braiding Br {\n  brace = b;\n  tau = b;\n}\n",
+         "10:10: a braiding is over an xmod or a cat, not both"),
+        (PRELUDE + DISCRETE_CAT + "braiding Br {\n  cat = C;\n  tau = b;\n  brace = b;\n}\n",
+         "18:10: a braiding is over an xmod or a cat, not both"),
+        (PRELUDE + "braiding Br {\n  brace = b;\n}\n", "10:10: missing entry 'xmod'"),
         (PRELUDE + "cat C {\n  flavor = both;\n}\n", "11:12: flavor must be assoc or lie"),
         (PRELUDE + "map f : B -> A {\n}\ncat C {\n  flavor = assoc;\n  c1 = A;\n"
          "  c0 = A;\n  s = f;\n  t = d;\n  e = d;\n}\n",
@@ -825,7 +832,7 @@ LIE_ACTION = "action act : A on A {\n  dot = b;\n}\n"
     ),
     ids=("scalar", "label", "separator", "kind", "an_algebra", "an_action", "name", "entry",
          "missing", "repeated", "field", "labels", "dot_and_star", "signature", "boundary",
-         "xmod_and_cat", "flavor", "map"),
+         "xmod_and_cat", "brace_and_tau", "cat_and_brace", "brace_alone", "flavor", "map"),
 )
 def test_each_dsl_refusal_exits_two_at_its_position(source, message, tmp_path, capsys):
     path = tmp_path / "bad.alg"
@@ -834,6 +841,52 @@ def test_each_dsl_refusal_exits_two_at_its_position(source, message, tmp_path, c
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+# N is neither associative nor Lie: (xx)x = x but x(xx) = 0, and xx != 0;
+# m is its product and i its identity
+NOT_FLAVORED = (
+    "field Q\nalgebra N basis x, y {\n  x*x = y;\n  y*x = x;\n}\n"
+    "bilinear m : N, N -> N {\n  (x, x) = y;\n  (y, x) = x;\n}\n"
+    "map i : N -> N {\n  x |-> x;\n  y |-> y;\n}\n"
+)
+XMOD_REFUSAL = {
+    "assoc": "crossed module algebras must be associative",
+    "lie": "crossed module algebras must be Lie",
+}
+CAT_REFUSAL = {"assoc": "C1 and C0 must be assoc algebras", "lie": "C1 and C0 must be lie algebras"}
+
+
+@pytest.mark.parametrize("flavor", ("assoc", "lie"))
+@pytest.mark.parametrize(
+    "subject,refusal",
+    (
+        ("act", {"assoc": "semidirect product requires a valid action",
+                 "lie": "semidirect product requires a valid Lie action"}),
+        ("X", XMOD_REFUSAL),
+        ("BX", XMOD_REFUSAL),
+        ("C", CAT_REFUSAL),
+        ("BC", CAT_REFUSAL),
+    ),
+    ids=("action", "xmod", "xmod_braiding", "cat", "cat_braiding"),
+)
+def test_validate_refuses_algebras_without_the_flavor(subject, refusal, flavor, tmp_path, capsys):
+    # the constructions refuse these structures by their flavor check, so
+    # validate does too, with the same message, before any sweep
+    action = "dot = m;" if flavor == "lie" else "star1 = m;\n  star2 = m;"
+    source = NOT_FLAVORED + (
+        f"action act : N on N {{\n  {action}\n}}\n"
+        "xmod X {\n  action = act;\n  boundary = i;\n}\n"
+        "braiding BX {\n  xmod = X;\n  brace = m;\n}\n"
+        f"cat C {{\n  flavor = {flavor};\n  c1 = N;\n  c0 = N;\n"
+        "  s = i;\n  t = i;\n  e = i;\n}\n"
+        "braiding BC {\n  cat = C;\n  tau = m;\n}\n"
+    )
+    path = tmp_path / "unflavored.alg"
+    path.write_text(source, encoding="utf-8")
+    for command in ("validate", "report"):
+        assert main([command, str(path), "--subject", subject]) == 2
+        assert capsys.readouterr() == ("", f"error: {refusal[flavor]}\n")
 
 
 def test_comments_run_from_hash_to_the_end_of_the_line():

@@ -442,7 +442,7 @@ THEOREMS = [
     (
         "alpha:bar_flavor",
         "has_flavor",
-        lambda a, flavor: False,
+        lambda flavor, *algebras: False,
         lambda b, cb: alpha_iso(b),
         "bar construction is not a categorical algebra: C1 and C0 must be assoc algebras",
     ),

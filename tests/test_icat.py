@@ -1,4 +1,5 @@
 import glob
+import itertools
 import os
 import random
 from collections import Counter
@@ -16,8 +17,7 @@ from braidalg.icat import (
     CatAlgebra,
     cat_liefy,
     compose,
-    composable_pair_basis,
-    composable_triple_basis,
+    composable_basis,
     discrete_cat,
     invert_morphism,
     k_formula,
@@ -41,6 +41,7 @@ from conftest import (
     dense_bilinear,
     dense_compose,
     densify,
+    naive_rank,
     random_vector,
     sparse,
 )
@@ -68,7 +69,7 @@ def test_cat_fixtures_validate(label, cat):
 @pytest.mark.parametrize("label,cat", cat_fixtures())
 def test_identity_laws_on_pullback_basis(label, cat):
     F = cat.c1.field
-    for x, y in composable_pair_basis(cat):
+    for x, y in composable_basis(cat, 2):
         # right identity on x, left identity on y
         assert compose(cat, x, cat.e.apply(cat.t.apply(x))) == tuple(x)
         assert compose(cat, cat.e.apply(cat.s.apply(y)), y) == tuple(y)
@@ -76,7 +77,7 @@ def test_identity_laws_on_pullback_basis(label, cat):
 
 @pytest.mark.parametrize("label,cat", cat_fixtures())
 def test_associativity_on_triple_basis(label, cat):
-    for x, y, z in composable_triple_basis(cat):
+    for x, y, z in composable_basis(cat, 3):
         left = compose(cat, compose(cat, x, y), z)
         right = compose(cat, x, compose(cat, y, z))
         assert left == right
@@ -107,7 +108,7 @@ def test_compose_rejects_non_composable():
 
 def test_k_formula_matches_compose():
     bar = cx_functor(commutator_braiding(catalog("Upper(2)", QQ))).base
-    for x, y in composable_pair_basis(bar):
+    for x, y in composable_basis(bar, 2):
         assert compose(bar, x, y) == k_formula(bar, x, y)
 
 
@@ -141,17 +142,18 @@ def derived_map_cases():
 
 @pytest.mark.parametrize("label,cat", derived_map_cases())
 def test_derived_maps_match_the_dense_reference(label, cat):
-    # k_formula reads the stored V = id - e.t, and e_mul/mul_e are
-    # (a, x) -> e(b_a) x and (x, a) -> x e(b_a); seeded vectors per case
-    # (vectors are drawn dense and handed to the library sparse)
+    # k_formula reads the stored V = id - e.t, ker_s_part is W = id - e.s,
+    # and e_mul/mul_e are (a, x) -> e(b_a) x and (x, a) -> x e(b_a); seeded
+    # vectors per case (drawn dense and handed to the library sparse)
     rng = random.Random(label)
     F, c1, mul, n = cat.c1.field, cat.c1, cat.c1.mult, cat.c1.dim
     for _ in range(6):
         x, y = random_vector(rng, F, n), random_vector(rng, F, n)
         u = random_vector(rng, F, cat.c0.dim)
-        eu = dense_apply(cat.e, u)
+        eu, esx = dense_apply(cat.e, u), dense_apply(cat.e, dense_apply(cat.s, x))
         sx, sy, su = sparse(x), sparse(y), sparse(u)
         assert densify(k_formula(cat, sx, sy), n) == dense_compose(cat, x, y)
+        assert densify(cat.ker_s_part.apply(sx), n) == tuple(map(F.sub, x, esx))
         assert densify(cat.e_mul.apply(su, sx), n) == dense_bilinear(mul, eu, x)
         assert densify(cat.mul_e.apply(sx, su), n) == dense_bilinear(mul, x, eu)
     for a in range(cat.c0.dim):
@@ -177,7 +179,7 @@ def _swept_cat3_cat4(c):
     triples, on every input: Cat3 on pairs x pairs, Cat4's identity laws on
     the basis of C1 and its associativity on triples."""
     n1, mul = c.c1.dim, c.c1.mult
-    pairs, triples = composable_pair_basis(c), composable_triple_basis(c)
+    pairs, triples = composable_basis(c, 2), composable_basis(c, 3)
     (x, y), (x2, y2) = ([Family(pos, [v[i] for v in pairs]) for i in (0, 1)] for pos in (0, 1))
     p, q, r = (Family(0, [v[i] for v in triples]) for i in range(3))
     laws = [
@@ -321,11 +323,42 @@ def test_perturbed_cats_get_the_swept_cat3_and_cat4():
     assert failing[()]
 
 
+def _composable_cases():
+    """Bars and their Lie-fied cats over Q, F2 and F5, and a seeded sample
+    of the perturbed cats, on which composability is a condition of its own."""
+    return _identity_bars() + random.Random(2017).sample(_perturbations(), 40)
+
+
+@pytest.mark.parametrize("k", (2, 3))
+def test_composable_basis_spans_the_composable_tuples(k):
+    # against the definition: each tuple has t(x_i) = s(x_i+1), the tuples
+    # are independent, and there are as many as the nullity of the block map
+    # (x_1..x_k) -> (t(x_i) - s(x_i+1))_i, written out densely here
+    for label, c in _composable_cases():
+        F, n, m = c.c1.field, c.c1.dim, c.c0.dim
+        images = []  # of each basis vector of C1^k, block i being x_i
+        for i, a in itertools.product(range(k), range(n)):
+            image, unit = [F.zero()] * ((k - 1) * m), densify(((a, 1),), n)
+            t, s = dense_apply(c.t, unit), dense_apply(c.s, unit)
+            if i < k - 1:
+                image[i * m : (i + 1) * m] = t
+            if i:
+                image[(i - 1) * m : i * m] = map(F.neg, s)
+            images.append(image)
+        basis = composable_basis(c, k)
+        assert len(basis) == k * n - naive_rank(F, images), label
+        for tup in basis:
+            assert len(tup) == k, label
+            for x, y in zip(tup, tup[1:]):
+                assert dense_apply(c.t, densify(x, n)) == dense_apply(c.s, densify(y, n)), label
+        flat = [sum((densify(x, n) for x in tup), ()) for tup in basis]
+        assert naive_rank(F, flat) == len(basis), label
+
+
 def test_valid_cats_build_no_composable_basis(monkeypatch):
-    built, swept = Counter(), Counter()
-    for name in ("composable_pair_basis", "composable_triple_basis"):
-        real = getattr(icat, name)
-        monkeypatch.setattr(icat, name, lambda c, _r=real, _n=name: built.update([_n]) or _r(c))
+    built, swept = Counter(), Counter()  # composable_basis calls by k, sweeps by tag
+    real = icat.composable_basis
+    monkeypatch.setattr(icat, "composable_basis", lambda c, k: built.update([k]) or real(c, k))
     real_sweep = icat.sweep
     monkeypatch.setattr(icat, "sweep", lambda tag, *a: swept.update([tag]) or real_sweep(tag, *a))
     valid = 0
@@ -340,5 +373,5 @@ def test_valid_cats_build_no_composable_basis(monkeypatch):
     swept.clear()
     cat3 = dict(DOCUMENT_CATS)["mutations/cat3.alg:cat3"]
     assert validate_cat_algebra(cat3).failing_tags() == ["Cat3"]
-    assert built == Counter({"composable_pair_basis": 1})
+    assert built == Counter({2: 1})
     assert (swept["Cat3"], swept["Cat4"]) == (1, 0)

@@ -11,6 +11,7 @@ from braidalg.fields import GF, QQ
 from braidalg.linear import Space, Subspace, bilinear_from_rule
 from braidalg.natensor import (
     TensorSquare,
+    _bracket_map,
     antisymmetry_consequence,
     tensor_braiding,
     tensor_square,
@@ -217,13 +218,26 @@ def test_tensor_square_descent_is_an_internal_invariant(monkeypatch):
     assert str(exc.value) == "bracket map does not vanish on the relation span"
 
 
+@pytest.mark.parametrize("F", (QQ, GF(2)), ids=str)
+@pytest.mark.parametrize("name", ("sl2", "Heis3", "gl(2)"))
+def test_tensor_square_keeps_its_boundary(name, F):
+    # the boundary mu o lift that the induced bracket reads is the one the
+    # tensor crossed module takes: d(m1 (x) m2) = [m1, m2]
+    m = catalog(name, F)
+    ts = tensor_square(m)
+    assert ts.boundary == _bracket_map(m, ts.relations.ambient).after(ts.lift)
+    assert tensor_xmod(ts).boundary is ts.boundary
+    for i, j in itertools.product(range(m.dim), repeat=2):
+        assert ts.boundary.apply(ts.pure.on_basis(i, j)) == m.mult.on_basis(i, j)
+
+
 def test_tensor_xmod_descent_is_an_internal_invariant():
     ts = tensor_square(catalog("sl2", QQ))
     amb = ts.relations.ambient
     # h (x) e is no relation: e acts on it as [e, h] (x) e = -2 e (x) e,
     # which its span does not contain
     relations = Subspace.span(amb, [amb.basis_vector(1)])
-    bad = TensorSquare(ts.base, ts.carrier, ts.pure, relations, ts.proj, ts.lift)
+    bad = TensorSquare(ts.base, ts.carrier, ts.pure, relations, ts.proj, ts.lift, ts.boundary)
     with pytest.raises(InternalInvariantViolation):
         tensor_xmod(bad)
 
