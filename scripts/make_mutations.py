@@ -60,15 +60,19 @@ from braidalg.fields import QQ
 from braidalg.groupx import GroupXMod, cyclic, klein_four, symmetric3
 from braidalg.icat import CatAlgebra, cat_liefy, discrete_cat
 from braidalg.linear import (
+    Bil,
+    Lin,
     Space,
     Subspace,
+    b0,
+    b1,
     bilinear_from_rule,
+    bilinear_from_term,
     concat,
     from_columns,
     identity_map,
     kernel,
     vadd,
-    vscale,
     zero_bilmap,
     zero_map,
 )
@@ -288,27 +292,21 @@ def _central_extension(n, lie):
     sp = Space(F, tuple("m" + label for label in n.space.labels) + ("k",))
     d = from_columns(sp, n.space, n.space.basis() + [n.space.zero()])
     emb = from_columns(n.space, sp, sp.basis()[:3])
-    nb, dc = n.space.basis_vector, d.column
 
-    def into_m(left, u, right, v):
-        """The bilinear map left x right -> M, (i, j) -> emb(u(i) v(j))."""
+    def into_m(left, right, term):
+        """The bilinear map left x right -> M, (i, j) -> emb(term at (i, j))."""
+        return bilinear_from_term(left, right, sp, Lin(emb, term))
 
-        def rule(i, j):
-            return emb.apply(n.mult.apply(u(i), v(j)))
-
-        return bilinear_from_rule(left, right, sp, rule)
-
-    m = Algebra(sp, into_m(sp, dc, sp, dc))
+    m = Algebra(sp, into_m(sp, sp, Bil(n.mult, Lin(d, b0), Lin(d, b1))))
+    n_on_m = into_m(n.space, sp, Bil(n.mult, b0, Lin(d, b1)))
     if lie:
-        x = XMod(LieAction(n, m, into_m(n.space, nb, sp, dc)), d)
+        x = XMod(LieAction(n, m, n_on_m), d)
         bracket = n.mult
     else:
-        star1, star2 = into_m(n.space, nb, sp, dc), into_m(sp, dc, n.space, nb)
-        x = XMod(AssocAction(n, m, star1, star2), d)
+        m_on_n = into_m(sp, n.space, Bil(n.mult, Lin(d, b0), b1))
+        x = XMod(AssocAction(n, m, n_on_m, m_on_n), d)
         bracket = n.mult.sub(n.mult.swapped())
-    brace = bilinear_from_rule(
-        n.space, n.space, sp, lambda i, j: emb.apply(bracket.on_basis(i, j))
-    )
+    brace = into_m(n.space, n.space, Bil(bracket, b0, b1))
     return XBraiding(x, _perturbed(brace, sp.basis_vector(3), (0, 0)))
 
 
@@ -425,15 +423,9 @@ def cat_braiding_cases():
     x = b.base
     cat, sd = heis3_tensor_bar(F)
     total = sd.algebra.space
-
-    def rule(i, j):
-        return vadd(
-            F,
-            sd.incl_module.apply(vscale(F, F.of(-2), b.brace.on_basis(i, j))),
-            sd.incl_actor.apply(x.n.mult.on_basis(i, j)),
-        )
-
-    tau = bilinear_from_rule(x.n.space, x.n.space, total, rule)
+    brace = Bil(b.brace.scale(F.of(-2)), b0, b1)
+    pair = Lin(sd.incl_module, brace) + Lin(sd.incl_actor, Bil(x.n.mult, b0, b1))
+    tau = bilinear_from_term(x.n.space, x.n.space, total, pair)
     n = x.n.dim
     cols = (concat([(cat.s.column(j), n), (cat.t.column(j), n)]) for j in range(total.dim))
     stacked = from_columns(total, Space(F, tuple(f"w{i}" for i in range(2 * n))), cols)

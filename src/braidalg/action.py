@@ -14,7 +14,7 @@ from .linear import (
     b2,
     bilinear_from_rule,
     concat,
-    direct_sum,
+    from_columns,
     zero_bilmap,
 )
 from .record import Record
@@ -123,6 +123,15 @@ SEMIDIRECT_REFUSAL = {
 }
 
 
+_WORDS = {ASSOC: "associative", LIE: "Lie"}  # each flavor as messages spell it
+
+
+def require_action_flavor(a: AssocAction | LieAction):
+    """Refuse `a` with InvalidAction unless its algebras have its flavor."""
+    if not has_flavor(a.flavor, a.actor, a.module):
+        raise InvalidAction(f"action algebras must be {_WORDS[a.flavor]}")
+
+
 def _require_valid_action(a: AssocAction | LieAction, flavor: str, validate, message: str):
     """Refuse `a` with InvalidAction unless it is a `flavor` action that
     passes `validate`, that flavor's axioms, with its report, between
@@ -159,7 +168,15 @@ class Semidirect(Record):
 
 
 def _semidirect_space(m: Space, n: Space):
-    return direct_sum(m, n, left_prefix="m_", right_prefix="n_")
+    """The space of M x| N, M block first, with its inclusions and
+    projections: (space, incl_m, incl_n, proj_m, proj_n)."""
+    total = Space(m.field, tuple("m_" + s for s in m.labels) + tuple("n_" + s for s in n.labels))
+    unit = total.basis()
+    incl_m = from_columns(m, total, unit[: m.dim])
+    incl_n = from_columns(n, total, unit[m.dim :])
+    proj_m = from_columns(total, m, m.basis() + [()] * n.dim)
+    proj_n = from_columns(total, n, [()] * m.dim + n.basis())
+    return total, incl_m, incl_n, proj_m, proj_n
 
 
 def _semidirect(a: AssocAction | LieAction) -> Semidirect:

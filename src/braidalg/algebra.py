@@ -67,9 +67,6 @@ class Algebra(Record):
     def dim(self) -> int:
         return self.space.dim
 
-    def product(self, u, v):
-        return self.mult.apply(u, v)
-
 
 def from_constants(space: Space, products) -> Algebra:
     """Algebra from a {(label_i, label_j): {label_k: scalar}} table.

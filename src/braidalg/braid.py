@@ -19,7 +19,14 @@ from __future__ import annotations
 from .action import AssocAction, _semidirect
 from .algebra import ASSOC, Algebra, has_flavor, hom_law, intertwining_law
 from .errors import CharTwo, InternalInvariantViolation, InvalidInput, InvalidXMod
-from .icat import CatAlgebra, k_term, require_valid_cat, validate_cat_algebra
+from .icat import (
+    CatAlgebra,
+    cat_liefy,
+    k_term,
+    require_assoc_cat,
+    require_valid_cat,
+    validate_cat_algebra,
+)
 from .linear import (
     Bil,
     BilMap,
@@ -32,13 +39,13 @@ from .linear import (
     b2,
     bilinear_from_coordinates,
     bilinear_from_rule,
+    bilinear_from_term,
     concat,
     evaluate,
     from_columns,
     identity_map,
     kernel,
     vadd,
-    vneg,
     vsub,
 )
 from .record import Record
@@ -385,13 +392,9 @@ def _cx(b: XBraiding):
     semidirect product it is built on; the output is not checked."""
     N = b.base.n
     cat, sd = _bar(b.base)
-    F = N.field
-
-    def rule(i, j):  # (-{n_i, n_j}, n_i n_j)
-        m, n = vneg(F, b.brace.on_basis(i, j)), N.mult.on_basis(i, j)
-        return vadd(F, sd.incl_module.apply(m), sd.incl_actor.apply(n))
-
-    tau = bilinear_from_rule(N.space, N.space, sd.algebra.space, rule)
+    # tau_{n,n'} = (-{n, n'}, n n')
+    pair = Lin(sd.incl_actor, Bil(N.mult, b0, b1)) - Lin(sd.incl_module, Bil(b.brace, b0, b1))
+    tau = bilinear_from_term(N.space, N.space, sd.algebra.space, pair)
     return CatBraiding(cat, tau), sd
 
 
@@ -437,27 +440,23 @@ def _xc(b: CatBraiding, kpart) -> XBraiding:
     """xc_functor on a braiding the caller has validated, given the
     `kernel_part` of its base; the output is not checked."""
     c, c1, c0, tau = _cat_parts(b)
-    F = c1.field
     ks, kspace, incl = kpart
-
     escaped = "value escaped ker(s)"
 
-    def product_in_ker(left, x, right, y):  # (i, j) -> x(i) y(j), inside ker(s)
+    def in_ker(left, right, term):  # the C1-valued term, read in ker(s) coordinates
+        [values] = evaluate((left.dim, right.dim), term)
+        R = right.dim
         return bilinear_from_rule(
-            left, right, kspace, lambda i, j: _kernel_coords(ks, c1.product(x(i), y(j)), escaped)
+            left, right, kspace, lambda i, j: _kernel_coords(ks, values[i * R + j], escaped)
         )
 
-    k, e = incl.column, c.e.column
-    kalg = Algebra(kspace, product_in_ker(kspace, k, kspace, k))
-    star1 = product_in_ker(c0.space, e, kspace, k)
-    star2 = product_in_ker(kspace, k, c0.space, e)
+    m = c1.mult
+    kalg = Algebra(kspace, in_ker(kspace, kspace, Bil(m, Lin(incl, b0), Lin(incl, b1))))
+    star1 = in_ker(c0.space, kspace, Bil(m, Lin(c.e, b0), Lin(incl, b1)))
+    star2 = in_ker(kspace, c0.space, Bil(m, Lin(incl, b0), Lin(c.e, b1)))
     base = XMod(AssocAction(c0, kalg, star1, star2), c.t.after(incl))
-
-    def brace_rule(a, d):
-        v = vsub(F, c.e.apply(c0.mult.on_basis(a, d)), tau.on_basis(a, d))
-        return _kernel_coords(ks, v, escaped)
-
-    return XBraiding(base, bilinear_from_rule(c0.space, c0.space, kspace, brace_rule))
+    brace = in_ker(c0.space, c0.space, Lin(c.e, Bil(c0.mult, b0, b1)) - Bil(tau, b0, b1))
+    return XBraiding(base, brace)
 
 
 def _assert_xc(out: XBraiding) -> XBraiding:
@@ -584,8 +583,7 @@ def _beta(b: CatBraiding):
 
 def cat_braiding_liefy(b: CatBraiding) -> CatBraiding:
     """tau^Lie_{a,b} = tau_{a,b} - tau_{b,a} on the Lie-fied base."""
-    from .icat import cat_liefy
-
+    require_assoc_cat(b.base)
     if b.base.c1.field.characteristic == 2:
         raise CharTwo("braiding Lie-fication requires characteristic != 2")
     validate_braiding_cat_assoc(b).require(InvalidInput, "input braiding axioms fail")

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import re
 
-from .action import SEMIDIRECT_REFUSAL, AssocAction, LieAction
+from .action import AssocAction, LieAction, require_action_flavor
 from .action import validate_assoc_action, validate_lie_action
-from .algebra import ASSOC, LIE, Algebra, has_flavor
+from .algebra import ASSOC, LIE, Algebra
 from .braid import (
     CatBraiding,
     XBraiding,
@@ -34,7 +34,6 @@ from .errors import (
     DslError,
     DslSyntaxError,
     FieldMismatch,
-    InvalidAction,
     UnknownReference,
 )
 from .fields import MAX_CHARACTERISTIC, QQ, CharacteristicTooLarge, Field
@@ -744,8 +743,7 @@ class _Printer:
 
 
 def _validate_action(a, name):
-    if not has_flavor(a.flavor, a.actor, a.module):
-        raise InvalidAction(SEMIDIRECT_REFUSAL[a.flavor])
+    require_action_flavor(a)
     return (validate_assoc_action if a.flavor == ASSOC else validate_lie_action)(a, name)
 
 

@@ -25,7 +25,7 @@ from .linear import (
     Term,
     b0,
     b1,
-    bilinear_from_rule,
+    bilinear_from_term,
     concat,
     evaluate,
     from_columns,
@@ -56,12 +56,12 @@ class CatAlgebra(Record):
         for f, dom, cod in ((self.s, self.c1, self.c0), (self.t, self.c1, self.c0), (self.e, self.c0, self.c1)):
             if f.domain != dom.space or f.codomain != cod.space:
                 raise ValueError("structural map does not match C1/C0")
-        c1, c0, m, e = self.c1.space, self.c0.space, self.c1.mult, self.e.column
-        object.__setattr__(self, "vertical", identity_map(c1).sub(self.e.after(self.t)))
-        object.__setattr__(self, "ker_s_part", identity_map(c1).sub(self.e.after(self.s)))
-        e_mul = bilinear_from_rule(c0, c1, c1, lambda a, j: m.apply_right(e(a), j))
+        c1, c0, m, e = self.c1.space, self.c0.space, self.c1.mult, self.e
+        object.__setattr__(self, "vertical", identity_map(c1).sub(e.after(self.t)))
+        object.__setattr__(self, "ker_s_part", identity_map(c1).sub(e.after(self.s)))
+        e_mul = bilinear_from_term(c0, c1, c1, Bil(m, Lin(e, b0), b1))
         object.__setattr__(self, "e_mul", e_mul)
-        mul_e = bilinear_from_rule(c1, c0, c1, lambda j, a: m.apply_left(j, e(a)))
+        mul_e = bilinear_from_term(c1, c0, c1, Bil(m, b0, Lin(e, b1)))
         object.__setattr__(self, "mul_e", mul_e)
 
 
@@ -182,9 +182,15 @@ def require_valid_cat(c: CatAlgebra):
     validate_cat_algebra(c).require(InvalidCatAlgebra, "categorical algebra axioms fail")
 
 
-def cat_liefy(c: CatAlgebra) -> CatAlgebra:
-    """(C1^L, C0^L, s, t, e), a categorical Lie algebra."""
+def require_assoc_cat(c: CatAlgebra):
+    """Refuse `c` with InvalidCatAlgebra unless its flavor is ASSOC, as
+    cat_liefy and the braidings it transports need."""
     if c.flavor != ASSOC:
         raise InvalidCatAlgebra("cat_liefy requires an associative categorical algebra")
+
+
+def cat_liefy(c: CatAlgebra) -> CatAlgebra:
+    """(C1^L, C0^L, s, t, e), a categorical Lie algebra."""
+    require_assoc_cat(c)
     require_valid_cat(c)
     return CatAlgebra(liefy(c.c1), liefy(c.c0), c.s, c.t, c.e, LIE)

@@ -6,23 +6,25 @@ strictly increasing and each c in the normal form of `fields.py`, so equal
 vectors are equal tuples.  A linear map stores the image of each basis
 vector, a bilinear map that of each basis pair, each image sparse as it
 was given; no other module reads those layouts.  Every evaluation --
-`LinMap.apply`, `BilMap.apply`, the one-index reads
-`BilMap.apply_left`/`apply_right` and the law terms -- adds up the stored
-images in one loop, `_combine`, which scans no zero.  A law term (`Basis`,
-`Family`, `Lin`, `Bil`, `Rule`, and `+`, `-` of terms) is one side of a
-law; `evaluate` computes it on every basis index tuple at once, each
-subterm over only the positions it depends on, a basis argument of a
-bilinear map read as the stored images by index, and no zero input sent
-to `_combine`.  The rows of `rref`, `Subspace`, `kernel`,
-`affine_solutions` and `quotient` are sparse vectors too; `concat` and
-`split` lay blocks of a direct sum end to end and back.  A dense tuple
-is made at one boundary only, by `dense(v, dim)`: the witness of a
-failing law in `report.sweep`.  Subspaces are kept in reduced row echelon
-form, so equal subspaces are equal records.  `rref` inserts each row into
-a reduced basis, touching only the pivots where the row is nonzero; over
-Q it eliminates on primitive integer rows and divides each pivot row by
-its pivot once, at the end.  Scalar arithmetic is inline, one branch per
-field, in the normal form of `fields.py`, with no `Field` call per entry.
+`LinMap.apply`, `BilMap.apply`, the one-index read `BilMap.apply_left`
+and the law terms -- adds up the stored images in one loop, `_combine`,
+which scans no zero.  A law term (`Basis`, `Family`, `Lin`, `Bil`,
+`Rule`, and `+`, `-` of terms) is one side of a law; `evaluate` computes
+it on every basis index tuple at once, each subterm over only the
+positions it depends on, a basis argument of a bilinear map read as the
+stored images by index, and no zero input sent to `_combine`.  A bilinear
+map derived from other maps is built from a term over two positions,
+`bilinear_from_term`; `bilinear_from_rule` builds one given by data.  The
+rows of `rref`, `Subspace`, `kernel`, `affine_solutions` and `quotient`
+are sparse vectors too; `concat` and `split` lay blocks of a direct sum
+end to end and back.  A dense tuple is made at one boundary only, by
+`dense(v, dim)`: the witness of a failing law in `report.sweep`.
+Subspaces are kept in reduced row echelon form, so equal subspaces are
+equal records.  `rref` inserts each row into a reduced basis, touching
+only the pivots where the row is nonzero; over Q it eliminates on
+primitive integer rows and divides each pivot row by its pivot once, at
+the end.  Scalar arithmetic is inline, one branch per field, in the
+normal form of `fields.py`, with no `Field` call per entry.
 """
 
 from __future__ import annotations
@@ -230,10 +232,6 @@ class BilMap(Record):
     def apply_left(self, i: int, v):
         """apply(b_i, v), read from the stored images of (b_i, b_j)."""
         return _combine(self.field, v, self.tensor[i])
-
-    def apply_right(self, u, j: int):
-        """apply(u, b_j), read from the stored images of (b_i, b_j)."""
-        return _combine(self.field, u, self._cols[j])
 
     def apply(self, u, v):
         R = self.right.dim
@@ -550,24 +548,27 @@ class Bil(Term):
         F = b.field
         if isinstance(u, Basis):
             ev.check(u.pos, b.left.dim)
-            if isinstance(v, Basis):  # every stored image, in tuple order
+            if isinstance(v, Basis):
                 ev.check(v.pos, b.right.dim)
-                if u.pos < v.pos:
+                if u.pos < v.pos:  # every stored image, in tuple order
                     return list(b._pairs)
                 if u.pos > v.pos:
                     return [w for col in b._cols for w in col]
-                return [b.tensor[i][i] for i in range(b.left.dim)]
             basis, other, images = u, v, b.tensor  # images[i]: b(b_i, -)
         elif isinstance(v, Basis):
             ev.check(v.pos, b.right.dim)
             basis, other, images = v, u, b._cols  # images[j]: b(-, b_j)
         else:
             R, pairs, at = b.right.dim, b._pairs, self.at
+            if u.at + v.at == at:  # u's positions, then v's: every pair of values
+                grid = product(ev.values(u), ev.values(v))
+            else:
+                grid = zip(ev.spread(u, at), ev.spread(v, at))
             return [
                 _combine(F, [(i * R + j, x * y) for i, x in s for j, y in t], pairs)
                 if s and t
                 else ()
-                for s, t in zip(ev.spread(u, at), ev.spread(v, at))
+                for s, t in grid
             ]
         p, ws = basis.pos, ev.values(other)
         if not other.at or p < other.at[0]:
@@ -688,6 +689,15 @@ def evaluate(dims, *terms):
     return [ev.spread(t, full) for t in terms]
 
 
+def bilinear_from_term(left: Space, right: Space, codomain: Space, term: Term) -> BilMap:
+    """The BilMap whose image of (b_i, b_j) is the value at (i, j) of `term`,
+    a term in `codomain` over positions 0 and 1, computed by one `evaluate`."""
+    [values] = evaluate((left.dim, right.dim), _fits(term, codomain))
+    R = right.dim
+    rows = (values[i * R : i * R + R] for i in range(left.dim))
+    return _from_images(left, right, codomain, rows)
+
+
 def concat(parts):
     """The sparse vector of a direct sum whose blocks are the sparse vectors
     of `parts`, given as (vector, dim) pairs."""
@@ -706,22 +716,3 @@ def split(v, dims):
         out.append(tuple((k - offset, c) for k, c in v if offset <= k < offset + dim))
         offset += dim
     return tuple(out)
-
-
-def direct_sum(a: Space, b: Space, left_prefix: str = "l_", right_prefix: str = "r_"):
-    """Direct sum space plus the four structural maps.
-
-    Returns (space, incl_a, incl_b, proj_a, proj_b).
-    """
-    if a.field != b.field:
-        raise ValueError("direct sum of spaces over different fields")
-    labels = tuple(left_prefix + s for s in a.labels) + tuple(
-        right_prefix + s for s in b.labels
-    )
-    total = Space(a.field, labels)
-    unit = total.basis()
-    incl_a = from_columns(a, total, unit[: a.dim])
-    incl_b = from_columns(b, total, unit[a.dim :])
-    proj_a = from_columns(total, a, a.basis() + [()] * b.dim)
-    proj_b = from_columns(total, b, [()] * a.dim + b.basis())
-    return total, incl_a, incl_b, proj_a, proj_b

@@ -34,6 +34,8 @@ from .errors import InternalInvariantViolation, InvalidInput, NotLie
 from .linear import (
     Bil,
     BilMap,
+    Family,
+    Lin,
     LinMap,
     Rule,
     Space,
@@ -42,6 +44,8 @@ from .linear import (
     b1,
     b2,
     bilinear_from_rule,
+    bilinear_from_term,
+    evaluate,
     from_columns,
     is_zero,
     quotient,
@@ -132,13 +136,8 @@ def tensor_square(m: Algebra) -> TensorSquare:
     lift = from_columns(tspace, amb, [amb.basis_vector(c) for c in free])
 
     boundary = mu.after(lift)
-    t_bracket = bilinear_from_rule(
-        tspace,
-        tspace,
-        tspace,
-        lambda i, j: pure.apply(boundary.column(i), boundary.column(j)),
-    )
-    carrier = Algebra(tspace, t_bracket)
+    t_bracket = Bil(pure, Lin(boundary, b0), Lin(boundary, b1))
+    carrier = Algebra(tspace, bilinear_from_term(tspace, tspace, tspace, t_bracket))
     if not is_lie(carrier):
         raise InternalInvariantViolation(
             "induced bracket on the tensor square is not Lie"
@@ -151,10 +150,8 @@ def tensor_xmod(ts: TensorSquare) -> XMod:
 
     `ts` must come from tensor_square, which asserts that mu vanishes on its
     relations: d is well defined on T only then, and it is not checked here."""
-    m = ts.base
-    F = m.field
-    n = m.dim
-    amb = ts.relations.ambient
+    m, rels = ts.base, ts.relations
+    F, n, amb, tspace = m.field, m.dim, rels.ambient, ts.carrier.space
     b, (left, right) = m.mult.on_basis, _positions(n)
 
     def image(a, p):
@@ -162,22 +159,17 @@ def tensor_xmod(ts: TensorSquare) -> XMod:
         i, j = divmod(p, n)
         return vadd(F, _placed(b(a, i), left[j]), _placed(b(a, j), right[i]))
 
-    acts = [from_columns(amb, amb, (image(a, p) for p in range(amb.dim))) for a in range(n)]
+    act = bilinear_from_rule(m.space, amb, amb, image)
 
     # tensor_square asserted mu(R) = 0, so the boundary descends to T; the
     # action descends if it preserves R
-    for r in ts.relations.basis:
-        for act in acts:
-            if not ts.relations.contains(act.apply(r)):
-                raise InternalInvariantViolation(
-                    "action does not preserve the relation span"
-                )
+    [moved] = evaluate((n, rels.dim), Bil(act, b0, Family(1, rels.basis)))
+    if not all(map(rels.contains, moved)):
+        raise InternalInvariantViolation("action does not preserve the relation span")
 
-    tspace, proj, lift = ts.carrier.space, ts.proj, ts.lift
-    dot = bilinear_from_rule(
-        m.space, tspace, tspace, lambda a, i: proj.apply(acts[a].apply(lift.column(i)))
-    )
-    return XMod(LieAction(m, ts.carrier, dot), ts.boundary)
+    dot = Lin(ts.proj, Bil(act, b0, Lin(ts.lift, b1)))
+    action = LieAction(m, ts.carrier, bilinear_from_term(m.space, tspace, tspace, dot))
+    return XMod(action, ts.boundary)
 
 
 def tensor_braiding(ts: TensorSquare) -> XBraiding:

@@ -7,6 +7,7 @@ cover two equalities, so those tags appear twice in a report.
 from __future__ import annotations
 
 from .action import (
+    _WORDS,
     AssocAction,
     LieAction,
     _induced_lie_action,
@@ -85,9 +86,6 @@ def validate_xmod_lie(x: XMod, subject: str = "xmod") -> ValidationReport:
         ("XLie2", (m, m), Bil(dot, Lin(d, b0), b1), Bil(M.mult, b0, b1), m),
     ]
     return merge(subject, [sweep(*law) for law in laws])
-
-
-_WORDS = {ASSOC: "associative", LIE: "Lie"}  # each flavor as messages spell it
 
 
 def require_xmod_flavor(x: XMod, flavor: str):

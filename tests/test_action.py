@@ -16,6 +16,7 @@ from braidalg.action import (
 )
 from braidalg.algebra import catalog, is_associative, is_homomorphism, is_lie, liefy
 from braidalg.fields import QQ
+from braidalg.linear import Space, identity_map, zero_map
 
 ASSOC_NAMES = ("Mat(2)", "Upper(2)", "Upper(3)")
 LIE_NAMES = ("sl2", "Heis3", "gl2")
@@ -53,6 +54,17 @@ def test_semidirect_assoc_structure(name):
     assert is_associative(sd.algebra)
     assert is_homomorphism(sd.incl_actor, a.actor, sd.algebra)
     assert is_homomorphism(sd.proj_actor, sd.algebra, a.actor)
+
+
+def test_semidirect_space_structure():
+    # the M block first, each label prefixed with its block
+    m, n = (Space(QQ, tuple(f"{s}{i}" for i in range(d))) for s, d in (("x", 3), ("y", 4)))
+    total, incl_m, incl_n, proj_m, proj_n = action._semidirect_space(m, n)
+    assert total.labels == ("m_x0", "m_x1", "m_x2", "n_y0", "n_y1", "n_y2", "n_y3")
+    assert proj_m.after(incl_m) == identity_map(m)
+    assert proj_n.after(incl_n) == identity_map(n)
+    assert proj_m.after(incl_n) == zero_map(n, m)
+    assert proj_n.after(incl_m) == zero_map(m, n)
 
 
 @pytest.mark.parametrize("name", LIE_NAMES)

@@ -861,8 +861,8 @@ CAT_REFUSAL = {"assoc": "C1 and C0 must be assoc algebras", "lie": "C1 and C0 mu
 @pytest.mark.parametrize(
     "subject,refusal",
     (
-        ("act", {"assoc": "semidirect product requires a valid action",
-                 "lie": "semidirect product requires a valid Lie action"}),
+        ("act", {"assoc": "action algebras must be associative",
+                 "lie": "action algebras must be Lie"}),
         ("X", XMOD_REFUSAL),
         ("BX", XMOD_REFUSAL),
         ("C", CAT_REFUSAL),

@@ -80,7 +80,7 @@ from braidalg.xmod import (
     xmod_liefy,
 )
 
-from conftest import MUTATIONS, ROOT
+from conftest import MUTATIONS, ROOT, SCRIPTS
 
 MAT2 = catalog("Mat(2)", QQ)
 SL2 = catalog("sl2", QQ)
@@ -659,6 +659,50 @@ def test_flavor_named_entries_refuse_the_other_flavor(entry, action, message):
         entry(action)
     assert str(err.value) == message
     assert err.value.report is None
+
+
+def _rules_applying_maps(scope, defs):
+    """(line, attribute) for each rule passed to bilinear_from_rule in
+    `scope`, a lambda or a function `scope` or an enclosing scope defines
+    (`defs`), that calls .apply, .apply_left or .product."""
+    defs = {**defs, **{n.name: n for n in scope.body if isinstance(n, ast.FunctionDef)}}
+    found, stack = [], list(scope.body)
+    while stack:  # the nodes of `scope` outside the functions it defines
+        node = stack.pop()
+        if isinstance(node, ast.FunctionDef):
+            found += _rules_applying_maps(node, defs)
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+        f = getattr(node, "func", None)
+        if getattr(f, "id", getattr(f, "attr", None)) == "bilinear_from_rule":
+            rules = (
+                a if isinstance(a, ast.Lambda) else defs.get(getattr(a, "id", None))
+                for a in node.args[3:]
+            )
+            found += [
+                (node.lineno, call.func.attr)
+                for rule in rules
+                if rule is not None
+                for call in ast.walk(rule)
+                if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr in ("apply", "apply_left", "product")
+            ]
+    return found
+
+
+def test_derived_bilinear_maps_are_built_from_terms():
+    # a bilinear map derived from other maps is a law term evaluated once
+    # (linear.bilinear_from_term); a rule of bilinear_from_rule reads data
+    # and applies no map
+    paths = sorted(glob.glob(os.path.join(ROOT, "src", "braidalg", "*.py")))
+    paths += sorted(glob.glob(os.path.join(SCRIPTS, "*.py")))
+    found = []
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        found += [(os.path.basename(path), *hit) for hit in _rules_applying_maps(tree, {})]
+    assert found == []
 
 
 def test_no_isinstance_picks_a_flavor():

@@ -160,7 +160,7 @@ def test_derived_maps_match_the_dense_reference(label, cat):
         x = random_vector(rng, F, n)
         ea = densify(cat.e.column(a), n)
         assert densify(cat.e_mul.apply_left(a, sparse(x)), n) == dense_bilinear(mul, ea, x)
-        assert densify(cat.mul_e.apply_right(sparse(x), a), n) == dense_bilinear(mul, x, ea)
+        assert densify(cat.mul_e.apply(sparse(x), ((a, 1),)), n) == dense_bilinear(mul, x, ea)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from braidalg.linear import (
     b1,
     b2,
     bilinear_from_rule,
-    direct_sum,
+    bilinear_from_term,
     evaluate,
     from_columns,
     identity_map,
@@ -167,14 +167,6 @@ def test_quotient_projection(vs, v):
     assert proj.apply(sparse(v)) == proj.apply(sub.reduce(sparse(v)))
 
 
-def test_direct_sum_structure():
-    total, ia, ib, pa, pb = direct_sum(V3, V4)
-    assert total.dim == 7
-    assert pa.after(ia) == identity_map(V3)
-    assert pb.after(ib) == identity_map(V4)
-    assert pa.after(ib) == zero_map(V4, V3)
-
-
 def test_kernel_over_prime_field():
     F5 = GF(5)
     sp = Space(F5, ("a", "b", "c"))
@@ -303,9 +295,6 @@ def test_bilmap_agrees_with_the_dense_oracle(case):
     for i in range(left.dim):
         got = canonical(F, b.apply_left(i, sv), K)
         assert got == naive_apply(F, cod, t, unit(F, left.dim, i), v)
-    for j in range(right.dim):
-        got = canonical(F, b.apply_right(su, j), K)
-        assert got == naive_apply(F, cod, t, u, unit(F, right.dim, j))
     expect = naive_apply(F, cod, t, u, v)
     other_expect = naive_apply(F, cod, t2, u, v)
     assert canonical(F, b.apply(su, sv), K) == expect
@@ -469,9 +458,6 @@ def test_sparse_outputs_are_canonical_and_match_the_dense_oracles(case):
     for i in range(L):
         got = canonical(F, b.apply_left(i, sv), K)
         assert got == dense_bilinear(b, unit(F, L, i), v)
-    for j in range(R):
-        got = canonical(F, b.apply_right(su, j), K)
-        assert got == dense_bilinear(b, u, unit(F, R, j))
     x = f.apply(su)
     dx = densify(x, K)
     assert canonical(F, vadd(F, x, sw), K) == tuple(map(F.add, dx, w))
@@ -854,7 +840,7 @@ def test_only_the_boundaries_know_the_dense_form():
 
 
 def test_every_evaluation_runs_the_one_loop(monkeypatch):
-    # LinMap.apply, BilMap.apply and both one-index reads accumulate in
+    # LinMap.apply, BilMap.apply and the one-index read accumulate in
     # linear._combine, once per call
     calls = []
     real = linear._combine
@@ -872,7 +858,6 @@ def test_every_evaluation_runs_the_one_loop(monkeypatch):
         "LinMap.apply": lambda: f.apply(u),
         "BilMap.apply": lambda: b.apply(u, v),
         "BilMap.apply_left": lambda: b.apply_left(1, v),
-        "BilMap.apply_right": lambda: b.apply_right(u, 2),
     }
     for name, evaluate in evaluations.items():
         calls.clear()
@@ -956,55 +941,79 @@ def oracle_values(dims, oracle):
 @settings(max_examples=300, derandomize=True, database=None)
 @given(term_cases())
 def test_terms_evaluate_as_the_per_tuple_oracle(case):
+    # and, over two positions, bilinear_from_term builds the map whose
+    # image of (b_i, b_j) is the term's value at (i, j)
     F, dims, space, (t, oracle) = case
     [got] = evaluate(dims, t)
     assert [canonical(F, v, space.dim) for v in got] == [
         densify(v, space.dim) for v in oracle_values(dims, oracle)
     ]
+    if len(dims) == 2:
+        left, right = (Space(F, tuple(f"p{k}_{i}" for i in range(d))) for k, d in enumerate(dims))
+        bm = bilinear_from_term(left, right, space, t)
+        for i, j in itertools.product(*map(range, dims)):
+            image = canonical(F, bm.on_basis(i, j), space.dim)
+            assert canonical(F, bm.apply(((i, 1),), ((j, 1),)), space.dim) == image
+            assert image == densify(oracle((i, j)), space.dim)
 
 
 def test_terms_on_interleaved_and_ignored_positions():
     # Bil(B, Bil(C, b0, b2), b1) reads its positions out of order, a side
-    # may ignore a position, dims may hold 0, and a map may be all zero
-    F = GF(5)
-    A, B3, C = (Space(F, tuple(f"{s}{i}" for i in range(d))) for s, d in zip("abc", (2, 3, 2)))
-    inner = bilinear_from_rule(A, C, B3, lambda i, j: ((i + j, 1 + i), (2, 3)) if i + j < 2 else ())
-    outer = bilinear_from_rule(
-        B3, B3, A, lambda i, j: ((0, i + 1), (1, j + 2)) if (i + j) % 3 else ((1, 4),)
-    )
-    zero = zero_bilmap(A, B3, B3)
-    f = from_columns(A, B3, [((0, 2),), ((1, 1), (2, 4))])
-    h = from_columns(Space(F, ()), B3, [])
-    cases = [
-        ((2, 3, 2), Bil(outer, Bil(inner, b0, b2), b1)),
-        ((2, 3, 2), Bil(outer, b1, Bil(inner, b0, b2)) - Bil(outer, Bil(inner, b0, b2), b1)),
-        ((2, 3, 2), Bil(inner, b0, b2)),  # ignores position 1
-        ((2, 3, 2), Lin(f, b2) + Bil(zero, b0, b1)),
-        ((3, 2), Bil(zero, b1, b0)),
-        ((2, 0), Bil(inner, b0, Family(1, []))),
-        ((0,), Lin(h, b0)),
-        ((2, 2), Bil(inner, b0, b0) + Bil(inner, b1, b1)),  # one position twice
-    ]
-    unit = lambda i: ((i, 1),)  # noqa: E731
-    oracles = [
-        lambda i, j, k: outer.apply(inner.apply(unit(i), unit(k)), unit(j)),
-        lambda i, j, k: vsub(
-            F,
-            outer.apply(unit(j), inner.apply(unit(i), unit(k))),
-            outer.apply(inner.apply(unit(i), unit(k)), unit(j)),
-        ),
-        lambda i, j, k: inner.apply(unit(i), unit(k)),
-        lambda i, j, k: vadd(F, f.apply(unit(k)), zero.apply(unit(i), unit(j))),
-        lambda i, j: (),
-        lambda i, j: (),
-        lambda i: (),
-        lambda i, j: vadd(F, inner.apply(unit(i), unit(i)), inner.apply(unit(j), unit(j))),
-    ]
-    for (dims, t), oracle in zip(cases, oracles):
-        dim = t.space.dim
-        [got] = evaluate(dims, t)
-        want = oracle_values(dims, lambda idx: oracle(*idx))
-        assert [canonical(F, v, dim) for v in got] == [densify(v, dim) for v in want], t
+    # may ignore a position, dims may hold 0, and a map may be all zero; a
+    # term over two positions is also built into a map by bilinear_from_term
+    for F in TERM_FIELDS:
+        A, B3, C = (Space(F, tuple(f"{s}{i}" for i in range(d))) for s, d in zip("abc", (2, 3, 2)))
+        inner = bilinear_from_rule(
+            A, C, B3, lambda i, j: ((i + j, 1 + i), (2, 3)) if i + j < 2 else ()
+        )
+        outer = bilinear_from_rule(
+            B3, B3, A, lambda i, j: ((0, i + 1), (1, j + 2)) if (i + j) % 3 else ((1, 4),)
+        )
+        g = bilinear_from_rule(A, B3, A, lambda i, j: ((i, j + 1),))
+        zero = zero_bilmap(A, B3, B3)
+        f = from_columns(A, B3, [((0, 2),), ((1, 1), (2, 4))])
+        h = from_columns(Space(F, ()), B3, [])
+        cases = [
+            ((2, 3, 2), Bil(outer, Bil(inner, b0, b2), b1)),
+            ((2, 3, 2), Bil(outer, b1, Bil(inner, b0, b2)) - Bil(outer, Bil(inner, b0, b2), b1)),
+            ((2, 3, 2), Bil(inner, b0, b2)),  # ignores position 1
+            ((2, 3, 2), Lin(f, b2) + Bil(zero, b0, b1)),
+            ((3, 2), Bil(zero, b1, b0)),
+            ((2, 0), Bil(inner, b0, Family(1, []))),
+            ((0,), Lin(h, b0)),
+            ((2, 2), Bil(inner, b0, b0) + Bil(inner, b1, b1)),  # one position twice
+            ((2, 2), Bil(inner, b1, b0) - Bil(inner, b0, b1)),  # swapped
+            ((2, 2), -Bil(g, b0, Bil(inner, b0, b1))),  # interleaved
+            ((2, 2), Bil(outer, Lin(f, b0), Lin(f, b1))),  # every pair of two sides
+        ]
+        unit = lambda i: ((i, 1),)  # noqa: E731
+        oracles = [
+            lambda i, j, k: outer.apply(inner.apply(unit(i), unit(k)), unit(j)),
+            lambda i, j, k: vsub(
+                F,
+                outer.apply(unit(j), inner.apply(unit(i), unit(k))),
+                outer.apply(inner.apply(unit(i), unit(k)), unit(j)),
+            ),
+            lambda i, j, k: inner.apply(unit(i), unit(k)),
+            lambda i, j, k: vadd(F, f.apply(unit(k)), zero.apply(unit(i), unit(j))),
+            lambda i, j: (),
+            lambda i, j: (),
+            lambda i: (),
+            lambda i, j: vadd(F, inner.apply(unit(i), unit(i)), inner.apply(unit(j), unit(j))),
+            lambda i, j: vsub(F, inner.apply(unit(j), unit(i)), inner.apply(unit(i), unit(j))),
+            lambda i, j: vneg(F, g.apply(unit(i), inner.apply(unit(i), unit(j)))),
+            lambda i, j: outer.apply(f.apply(unit(i)), f.apply(unit(j))),
+        ]
+        for (dims, t), oracle in zip(cases, oracles):
+            dim = t.space.dim
+            [got] = evaluate(dims, t)
+            want = [densify(v, dim) for v in oracle_values(dims, lambda idx: oracle(*idx))]
+            assert [canonical(F, v, dim) for v in got] == want, t
+            if len(dims) == 2:  # the map, read on each pair by BilMap.apply
+                left, right = (Space(F, tuple(f"l{i}" for i in range(d))) for d in dims)
+                bm = bilinear_from_term(left, right, t.space, t)
+                pairs = itertools.product(*map(range, dims))
+                assert [canonical(F, bm.apply(unit(i), unit(j)), dim) for i, j in pairs] == want
 
 
 def first_mismatch(tag, dims, lhs, rhs, dim):

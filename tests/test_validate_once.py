@@ -73,10 +73,11 @@ def _refusals():
         else:
             if obj.base.flavor == ASSOC:
                 xc_msg = "categorical braiding axioms fail"
+                cl_msg = "input braiding axioms fail"
             else:
                 xc_msg = "xc_functor takes a braided associative categorical algebra"
+                cl_msg = "cat_liefy requires an associative categorical algebra"
             out.append((e["file"], ["construct", "xc", path] + subj, xc_msg))
-            cl_msg = "input braiding axioms fail"
             out.append((e["file"], ["construct", "catliefy", path] + subj, cl_msg))
             out.append((e["file"], ["roundtrip", path] + subj, xc_msg))
     return out
