@@ -4,6 +4,9 @@ Everything here is exhaustively decidable: groups are stored as index
 tables and validated at construction, and the crossed-module axioms
 XGr1-2 plus the braiding axioms BGr1-6 are swept over all element
 tuples.  Commutators follow the [g, g'] = g g' g^-1 g'^-1 convention.
+Each law is two `linear` terms over the group algebras k[G], k[H] over Q,
+every group operation extended linearly, b_u -> b_f(u); a witness side,
+one basis vector b_u, is read back as its element index u.
 """
 
 from __future__ import annotations
@@ -12,9 +15,10 @@ import itertools
 import re
 
 from .errors import InvalidInput, UnknownFixture
-from .linear import Rule
+from .fields import QQ
+from .linear import Bil, Lin, Space, b0, b1, b2, bilinear_from_rule, from_columns
 from .record import Record
-from .report import ValidationReport, merge, sweep
+from .report import AxiomCheck, ValidationReport, Witness, merge, sweep
 
 
 class FiniteGroup(Record):
@@ -194,63 +198,80 @@ class GroupXMod(Record):
         return self.action[h][g]
 
 
-def _law(tag: str, dims, lhs, rhs):
-    """The law lhs = rhs on element tuples of `dims`, each side a rule from
-    a tuple to one element, as a law-table entry whose sides are 1-tuples."""
-    at = range(len(dims))
-    return tag, dims, Rule(lambda *t: (lhs(*t),), *at), Rule(lambda *t: (rhs(*t),), *at)
+def _linear(domain: Space, codomain: Space, images):
+    """The linear map b_u -> b_images[u]."""
+    return from_columns(domain, codomain, [((v, 1),) for v in images])
+
+
+def _bilinear(left: Space, right: Space, codomain: Space, f):
+    """The bilinear map (b_u, b_v) -> b_f(u, v)."""
+    return bilinear_from_rule(left, right, codomain, lambda u, v: ((f(u, v), 1),))
+
+
+def _sweep(tag: str, dims, lhs, rhs, dim):
+    """`sweep`, each witness side, one basis vector b_u, read back as (u,)."""
+    check = sweep(tag, dims, lhs, rhs, dim)
+    if check.ok:
+        return check
+    w = check.witness
+    return AxiomCheck(tag, False, Witness(w.basis_tuple, (w.lhs.index(1),), (w.rhs.index(1),)))
 
 
 def validate_group_xmod(x: GroupXMod, subject: str = "groupxmod") -> ValidationReport:
     """Action-by-automorphisms, boundary homomorphism, XGr1, XGr2."""
-    G, H = x.g, x.h
-    d, act, g, h = x.boundary, x.act, G.order, H.order
+    G, H, g, h = x.g, x.h, x.g.order, x.h.order
+    kG, kH = Space(QQ, tuple(range(g))), Space(QQ, tuple(range(h)))
+    gm, hm = _bilinear(kG, kG, kG, G.mul), _bilinear(kH, kH, kH, H.mul)
+    act, d = _bilinear(kH, kG, kG, x.act), _linear(kG, kH, x.boundary)
+    hconj, gconj = _bilinear(kH, kH, kH, H.conj), _bilinear(kG, kG, kG, G.conj)
     laws = [
-        _law(
+        (
             "GrAct",
             (h, g, g),
-            lambda a, u, v: act(a, G.mul(u, v)),
-            lambda a, u, v: G.mul(act(a, u), act(a, v)),
+            Bil(act, b0, Bil(gm, b1, b2)),
+            Bil(gm, Bil(act, b0, b1), Bil(act, b0, b2)),
+            g,
         ),
-        _law(
-            "GrAct",
-            (h, h, g),
-            lambda a, b, u: act(H.mul(a, b), u),
-            lambda a, b, u: act(a, act(b, u)),
-        ),
-        _law("GrAct", (g,), lambda u: act(H.identity, u), lambda u: u),
-        _law("GrHom", (g, g), lambda u, v: d[G.mul(u, v)], lambda u, v: H.mul(d[u], d[v])),
-        _law("XGr1", (h, g), lambda a, u: d[act(a, u)], lambda a, u: H.conj(a, d[u])),
-        _law("XGr2", (g, g), lambda u, v: act(d[u], v), lambda u, v: G.conj(u, v)),
+        ("GrAct", (h, h, g), Bil(act, Bil(hm, b0, b1), b2), Bil(act, b0, Bil(act, b1, b2)), g),
+        ("GrAct", (g,), Lin(_linear(kG, kG, x.action[H.identity]), b0), b0, g),
+        ("GrHom", (g, g), Lin(d, Bil(gm, b0, b1)), Bil(hm, Lin(d, b0), Lin(d, b1)), h),
+        ("XGr1", (h, g), Lin(d, Bil(act, b0, b1)), Bil(hconj, b0, Lin(d, b1)), h),
+        ("XGr2", (g, g), Bil(act, Lin(d, b0), b1), Bil(gconj, b0, b1), g),
     ]
-    return merge(subject, [sweep(*law) for law in laws])
+    return merge(subject, [_sweep(*law) for law in laws])
 
 
 def validate_group_braiding(x: GroupXMod, subject: str = "groupxmod") -> ValidationReport:
     """BGr1..BGr6, exhaustive over element tuples."""
     if x.brace is None:
         raise InvalidInput("braiding validation needs a brace table")
-    G, H = x.g, x.h
-    d, act, br, g, h = x.boundary, x.act, x.brace, G.order, H.order
+    G, H, g, h, br = x.g, x.h, x.g.order, x.h.order, x.brace
+    kG, kH = Space(QQ, tuple(range(g))), Space(QQ, tuple(range(h)))
+    gm, hm = _bilinear(kG, kG, kG, G.mul), _bilinear(kH, kH, kH, H.mul)
+    act, d = _bilinear(kH, kG, kG, x.act), _linear(kG, kH, x.boundary)
+    brace, inv = _bilinear(kH, kH, kG, lambda a, b: br[a][b]), _linear(kG, kG, G.inverse)
+    hcomm, gcomm = _bilinear(kH, kH, kH, H.commutator), _bilinear(kG, kG, kG, G.commutator)
     laws = [
-        _law("BGr1", (h, h), lambda a, b: d[br[a][b]], H.commutator),
-        _law("BGr2", (g, g), lambda u, v: br[d[u]][d[v]], G.commutator),
-        _law("BGr3", (g, h), lambda u, a: br[d[u]][a], lambda u, a: G.mul(u, act(a, G.inv(u)))),
-        _law("BGr4", (h, g), lambda a, u: br[a][d[u]], lambda a, u: G.mul(act(a, u), G.inv(u))),
-        _law(
+        ("BGr1", (h, h), Lin(d, Bil(brace, b0, b1)), Bil(hcomm, b0, b1), h),
+        ("BGr2", (g, g), Bil(brace, Lin(d, b0), Lin(d, b1)), Bil(gcomm, b0, b1), g),
+        ("BGr3", (g, h), Bil(brace, Lin(d, b0), b1), Bil(gm, b0, Bil(act, b1, Lin(inv, b0))), g),
+        ("BGr4", (h, g), Bil(brace, b0, Lin(d, b1)), Bil(gm, Bil(act, b0, b1), Lin(inv, b1)), g),
+        (
             "BGr5",
             (h, h, h),
-            lambda a, b, c: br[a][H.mul(b, c)],
-            lambda a, b, c: G.mul(br[a][b], act(b, br[a][c])),
+            Bil(brace, b0, Bil(hm, b1, b2)),
+            Bil(gm, Bil(brace, b0, b1), Bil(act, b1, Bil(brace, b0, b2))),
+            g,
         ),
-        _law(
+        (
             "BGr6",
             (h, h, h),
-            lambda a, b, c: br[H.mul(a, b)][c],
-            lambda a, b, c: G.mul(act(a, br[b][c]), br[a][c]),
+            Bil(brace, Bil(hm, b0, b1), b2),
+            Bil(gm, Bil(act, b0, Bil(brace, b1, b2)), Bil(brace, b0, b2)),
+            g,
         ),
     ]
-    return merge(subject, [sweep(*law) for law in laws])
+    return merge(subject, [_sweep(*law) for law in laws])
 
 
 def conjugation_example(g: FiniteGroup) -> GroupXMod:

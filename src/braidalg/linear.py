@@ -8,12 +8,12 @@ vector, a bilinear map that of each basis pair, each image sparse as it
 was given; no other module reads those layouts.  Every evaluation --
 `LinMap.apply`, `BilMap.apply`, the one-index read `BilMap.apply_left`
 and the law terms -- adds up the stored images in one loop, `_combine`,
-which scans no zero.  A law term (`Basis`, `Family`, `Lin`, `Bil`,
-`Rule`, and `+`, `-` of terms) is one side of a law; `evaluate` computes
-it on every basis index tuple at once, each subterm over only the
-positions it depends on, a basis argument of a bilinear map read as the
-stored images by index, and no zero input sent to `_combine`.  A bilinear
-map derived from other maps is built from a term over two positions,
+which scans no zero.  A law term (`Basis`, `Family`, `Lin`, `Bil`, and
+`+`, `-` of terms) is one side of a law; `evaluate` computes it on every
+basis index tuple at once, each subterm over only the positions it
+depends on, a basis argument or an input that is one basis vector read
+as the stored images by index, and no zero input sent to `_combine`.  A
+bilinear map derived from other maps is built from a term over two positions,
 `bilinear_from_term`; `bilinear_from_rule` builds one given by data.  The
 rows of `rref`, `Subspace`, `kernel`, `affine_solutions` and `quotient`
 are sparse vectors too; `concat` and `split` lay blocks of a direct sum
@@ -30,7 +30,7 @@ normal form of `fields.py`, with no `Field` call per entry.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product, starmap
+from itertools import product
 from math import gcd, lcm, prod
 
 from .fields import Field, normal
@@ -527,15 +527,18 @@ class Lin(Term):
     def _values(self, ev):
         f, arg = self.f, self.arg
         if isinstance(arg, Basis):
-            ev.check(arg.pos, f.domain.dim)
+            ev.check(arg.pos, f.domain.dim, f.domain)
             return list(f.columns)
         F, cols = f.field, f.columns
-        return [_combine(F, v, cols) if v else () for v in ev.values(arg)]
+        return [
+            (cols[v[0][0]] if len(v) == 1 and v[0][1] == 1 else _combine(F, v, cols)) if v else ()
+            for v in ev.values(arg)
+        ]
 
 
 class Bil(Term):
-    """The bilinear map b applied to two terms; a basis argument reads the
-    stored images by index."""
+    """The bilinear map b applied to two terms; a basis argument, or a pair
+    of inputs that are basis vectors, reads the stored images by index."""
 
     __slots__ = ("b", "left", "right")
 
@@ -547,16 +550,16 @@ class Bil(Term):
         b, u, v = self.b, self.left, self.right
         F = b.field
         if isinstance(u, Basis):
-            ev.check(u.pos, b.left.dim)
+            ev.check(u.pos, b.left.dim, b.left)
             if isinstance(v, Basis):
-                ev.check(v.pos, b.right.dim)
+                ev.check(v.pos, b.right.dim, b.right)
                 if u.pos < v.pos:  # every stored image, in tuple order
                     return list(b._pairs)
                 if u.pos > v.pos:
                     return [w for col in b._cols for w in col]
             basis, other, images = u, v, b.tensor  # images[i]: b(b_i, -)
         elif isinstance(v, Basis):
-            ev.check(v.pos, b.right.dim)
+            ev.check(v.pos, b.right.dim, b.right)
             basis, other, images = v, u, b._cols  # images[j]: b(-, b_j)
         else:
             R, pairs, at = b.right.dim, b._pairs, self.at
@@ -565,19 +568,27 @@ class Bil(Term):
             else:
                 grid = zip(ev.spread(u, at), ev.spread(v, at))
             return [
-                _combine(F, [(i * R + j, x * y) for i, x in s for j, y in t], pairs)
+                (
+                    pairs[s[0][0] * R + t[0][0]]
+                    if len(s) == len(t) == 1 and s[0][1] == t[0][1] == 1
+                    else _combine(F, [(i * R + j, x * y) for i, x in s for j, y in t], pairs)
+                )
                 if s and t
                 else ()
                 for s, t in grid
             ]
         p, ws = basis.pos, ev.values(other)
         if not other.at or p < other.at[0]:
-            return [_combine(F, w, image) if w else () for image in images for w in ws]
-        if p > other.at[-1]:
-            return [_combine(F, w, image) if w else () for w in ws for image in images]
-        at = self.at
-        pairs = zip(ev.spread(other, at), ev.indices(basis, at))
-        return [_combine(F, w, images[i]) if w else () for w, i in pairs]
+            grid = product(images, ws)
+        elif p > other.at[-1]:
+            grid = zip(images * len(ws), [w for w in ws for _ in images])
+        else:
+            at = self.at
+            grid = zip(map(images.__getitem__, ev.indices(basis, at)), ev.spread(other, at))
+        return [
+            (image[w[0][0]] if len(w) == 1 and w[0][1] == 1 else _combine(F, w, image)) if w else ()
+            for image, w in grid
+        ]
 
 
 class _Sum(Term):
@@ -615,30 +626,26 @@ class _Neg(Term):
         return [vneg(F, v) if v else () for v in ev.values(self.a)]
 
 
-class Rule(Term):
-    """fn(*indices), the indices at the increasing `positions`: a leaf
-    computed tuple by tuple, for laws that no map expresses."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn, *positions: int):
-        if list(positions) != sorted(set(positions)):
-            raise ValueError(f"rule positions {positions} are not increasing")
-        self.fn, self.at, self.space = fn, positions, None
-
-    def _values(self, ev):
-        return list(starmap(self.fn, product(*(range(ev.dims[p]) for p in self.at))))
-
-
 class _Evaluation:
-    """Term values over the basis tuples of `dims`, each subterm's once."""
+    """Term values over the basis tuples of `dims`, each subterm's once;
+    with `spaces`, the space whose basis each position indexes."""
 
-    def __init__(self, dims):
-        self.dims, self.memo = tuple(dims), {}
+    def __init__(self, dims, spaces=None):
+        self.dims, self.spaces, self.memo = tuple(dims), spaces, {}
 
-    def check(self, pos: int, dim: int):
+    def check(self, pos: int, dim: int, space=None):  # space: a map's domain
         if self.dims[pos] != dim:
             raise ValueError(f"position {pos} has {self.dims[pos]} indices, the map {dim}")
+        if space is not None and self.spaces is not None and self.spaces[pos] != space:
+            raise ValueError(f"position {pos} indexes a space other than the map's domain")
+
+    def run(self, terms):
+        """The values of each term on every tuple of all positions."""
+        full = tuple(range(len(self.dims)))
+        for t in terms:
+            if t.at and t.at[-1] >= len(full):
+                raise ValueError(f"a term reads position {t.at[-1]} of {len(full)}")
+        return [self.spread(t, full) for t in terms]
 
     def values(self, t: Term):
         """t's values over the tuples of its positions `t.at`."""
@@ -678,21 +685,16 @@ class _Evaluation:
 
 def evaluate(dims, *terms):
     """The values of each term on every basis index tuple of `dims`, in
-    lexicographic order, each a list of sparse vectors (of what a `Rule`
-    returns); a subterm object that occurs twice, in one term or in two, is
-    computed once, over only the positions it depends on."""
-    ev = _Evaluation(dims)
-    full = tuple(range(len(ev.dims)))
-    for t in terms:
-        if t.at and t.at[-1] >= len(full):
-            raise ValueError(f"a term reads position {t.at[-1]} of {len(full)}")
-    return [ev.spread(t, full) for t in terms]
+    lexicographic order, each a list of sparse vectors; a subterm object
+    that occurs twice, in one term or in two, is computed once, over only
+    the positions it depends on."""
+    return _Evaluation(dims).run(terms)
 
 
 def bilinear_from_term(left: Space, right: Space, codomain: Space, term: Term) -> BilMap:
     """The BilMap whose image of (b_i, b_j) is the value at (i, j) of `term`,
-    a term in `codomain` over positions 0 and 1, computed by one `evaluate`."""
-    [values] = evaluate((left.dim, right.dim), _fits(term, codomain))
+    a term in `codomain` whose positions 0 and 1 index `left` and `right`."""
+    [values] = _Evaluation((left.dim, right.dim), (left, right)).run([_fits(term, codomain)])
     R = right.dim
     rows = (values[i * R : i * R + R] for i in range(left.dim))
     return _from_images(left, right, codomain, rows)

@@ -37,7 +37,6 @@ from .linear import (
     Family,
     Lin,
     LinMap,
-    Rule,
     Space,
     Subspace,
     b0,
@@ -52,6 +51,7 @@ from .linear import (
     rref,
     vadd,
     vsub,
+    zero_map,
 )
 from .record import Record
 from .report import ValidationReport, merge, sweep
@@ -182,5 +182,5 @@ def antisymmetry_consequence(ts: TensorSquare, subject: str = "tensor") -> Valid
     m, n, pure = ts.base, ts.base.dim, ts.pure
     bracket = Bil(m.mult, b1, b2)
     lhs = Bil(pure, b0, bracket) + Bil(pure, bracket, b0)
-    zero = Rule(tuple)  # () on every tuple
+    zero = Lin(zero_map(m.space, ts.carrier.space), b0)
     return merge(subject, [sweep("TAnti", (n, n, n), lhs, zero, ts.carrier.dim)])

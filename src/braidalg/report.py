@@ -84,21 +84,18 @@ def basis_tuples(dims):
     return itertools.product(*(range(d) for d in dims))
 
 
-def sweep(tag: str, dims, lhs, rhs, dim=None) -> AxiomCheck:
+def sweep(tag: str, dims, lhs, rhs, dim) -> AxiomCheck:
     """Check the law lhs = rhs, two `linear.Term`s, over all `basis_tuples(dims)`.
 
     Each side is evaluated once on every tuple and the two lists are
     compared at once; the first tuple where they differ is the witness, its
-    sides dense in dimension `dim` (as tuples if `dim` is None)."""
+    sides dense in dimension `dim`."""
     left, right = evaluate(dims, lhs, rhs)
     if left == right:
         return AxiomCheck(tag, True)
     k = next(k for k, (u, v) in enumerate(zip(left, right)) if u != v)
     idx = next(itertools.islice(basis_tuples(dims), k, None))
-    u, v = left[k], right[k]
-    if dim is not None:
-        u, v = dense(u, dim), dense(v, dim)
-    return AxiomCheck(tag, False, Witness(idx, tuple(u), tuple(v)))
+    return AxiomCheck(tag, False, Witness(idx, dense(left[k], dim), dense(right[k], dim)))
 
 
 def merge(subject: str, *parts) -> ValidationReport:

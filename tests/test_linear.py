@@ -15,7 +15,6 @@ from braidalg.linear import (
     Bil,
     Family,
     Lin,
-    Rule,
     Space,
     Subspace,
     affine_solutions,
@@ -811,6 +810,34 @@ def test_only_linear_py_knows_how_maps_are_stored():
     assert found == []
 
 
+def test_the_term_kinds_are_the_linear_ones():
+    # every term node is linear in its inputs, a precondition of evaluating
+    # a law with an unknown map in it: linear.py defines no Term kind but
+    # these, and no other module defines one
+    kinds = {"Basis", "Family", "Lin", "Bil", "_Sum", "_Neg"}
+    paths = sorted(glob.glob(os.path.join(ROOT, "src", "**", "*.py"), recursive=True))
+    paths += sorted(glob.glob(os.path.join(SCRIPTS, "**", "*.py"), recursive=True))
+    assert len(paths) > 10
+    found = {}
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        classes = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+        terms = {"Term"} | (kinds if os.path.basename(path) != "linear.py" else set())
+        grown = True
+        while grown:  # subclasses of Term, of a kind, or of a subclass found
+            grown = False
+            for c in classes:
+                bases = {getattr(b, "id", None) or getattr(b, "attr", None) for b in c.bases}
+                if c.name not in found.get(path, set()) and bases & terms:
+                    found.setdefault(path, set()).add(c.name)
+                    terms.add(c.name)
+                    grown = True
+    linear_py = os.path.join(ROOT, "src", "braidalg", "linear.py")
+    assert found.pop(linear_py) == kinds
+    assert found == {}
+
+
 def test_only_the_boundaries_know_the_dense_form():
     # rows, bases and coordinates are sparse everywhere; a dense tuple is
     # made only for a failing law's witness (report.py), and the DSL reads
@@ -960,9 +987,11 @@ def test_terms_evaluate_as_the_per_tuple_oracle(case):
 def test_terms_on_interleaved_and_ignored_positions():
     # Bil(B, Bil(C, b0, b2), b1) reads its positions out of order, a side
     # may ignore a position, dims may hold 0, and a map may be all zero; a
-    # term over two positions is also built into a map by bilinear_from_term
+    # term over two positions is also built into a map by bilinear_from_term,
+    # which reads each position as the basis of one space, so C is A
     for F in TERM_FIELDS:
-        A, B3, C = (Space(F, tuple(f"{s}{i}" for i in range(d))) for s, d in zip("abc", (2, 3, 2)))
+        A, B3 = (Space(F, tuple(f"{s}{i}" for i in range(d))) for s, d in zip("ab", (2, 3)))
+        C, spaces = A, {0: Space(F, ()), 2: A, 3: B3}
         inner = bilinear_from_rule(
             A, C, B3, lambda i, j: ((i + j, 1 + i), (2, 3)) if i + j < 2 else ()
         )
@@ -1010,10 +1039,22 @@ def test_terms_on_interleaved_and_ignored_positions():
             want = [densify(v, dim) for v in oracle_values(dims, lambda idx: oracle(*idx))]
             assert [canonical(F, v, dim) for v in got] == want, t
             if len(dims) == 2:  # the map, read on each pair by BilMap.apply
-                left, right = (Space(F, tuple(f"l{i}" for i in range(d))) for d in dims)
-                bm = bilinear_from_term(left, right, t.space, t)
+                bm = bilinear_from_term(*(spaces[d] for d in dims), t.space, t)
                 pairs = itertools.product(*map(range, dims))
                 assert [canonical(F, bm.apply(unit(i), unit(j)), dim) for i, j in pairs] == want
+
+
+def flat_index(F, dims):
+    """A term whose value on the tuple idx is b_k, k the place of idx in
+    lexicographic order, built from a Family leaf and Bil nodes, and its space."""
+    flat = Space(F, tuple(range(dims[0])))
+    t = Family(0, flat.basis())
+    for p, width in enumerate(dims[1:], 1):
+        at_p = Space(F, tuple(range(width)))
+        wider = Space(F, tuple(range(flat.dim * width)))
+        pair = bilinear_from_rule(flat, at_p, wider, lambda a, i, w=width: ((a * w + i, 1),))
+        t, flat = Bil(pair, t, Basis(p)), wider
+    return t, flat
 
 
 def first_mismatch(tag, dims, lhs, rhs, dim):
@@ -1046,13 +1087,12 @@ def test_terms_of_a_perturbed_law_fail_where_a_per_tuple_sweep_does(case, data):
         bump = ((data.draw(st.integers(0, space.dim - 1)), F.of(data.draw(st.integers(1, 4)))),)
         bumped = {tuples[j] for j in marks if j >= k}
 
-        def at_k(*idx):
-            return bump if idx in bumped else ()
-
         def moved(idx):
-            return vadd(F, oracle(idx), at_k(*idx))
+            return vadd(F, oracle(idx), bump if idx in bumped else ())
 
-        perturbed = t + Rule(at_k, *range(len(dims)))
+        index, flat = flat_index(F, dims)
+        cols = [bump if j in marks and j >= k else () for j in range(n)]
+        perturbed = t + Lin(from_columns(flat, space, cols), index)
         for lhs, rhs, ol, orr in ((t, perturbed, oracle, moved), (perturbed, t, moved, oracle)):
             got = sweep("T", dims, lhs, rhs, space.dim)
             assert got == first_mismatch("T", dims, ol, orr, space.dim)
@@ -1075,5 +1115,11 @@ def test_terms_refuse_what_does_not_fit():
         evaluate((3,), Lin(f, b0))  # position 0 has 3 indices, f's domain 2
     with pytest.raises(ValueError):
         evaluate((2,), Bil(zero_bilmap(A, A, B3), b0, b1))  # no position 1
-    with pytest.raises(ValueError):
-        Rule(lambda i, j: (), 1, 0)
+    # a basis position read by a map whose domain is not the space that
+    # bilinear_from_term indexes by that position, though of its dimension
+    X, m = space(2, "c"), zero_bilmap(A, A, A)
+    h = from_columns(A, A, [(), ()])
+    for t in (Bil(m, Lin(h, b0), b1), Bil(m, b1, Lin(h, b0)), Lin(h, b0) + Bil(m, b1, b1)):
+        with pytest.raises(ValueError):
+            bilinear_from_term(X, X, A, t)
+        bilinear_from_term(A, A, A, t)  # the maps' own spaces
