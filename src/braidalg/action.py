@@ -77,13 +77,13 @@ def validate_assoc_action(a: AssocAction, subject: str = "action") -> Validation
     N, M = a.actor, a.module
     s1, s2, nm, mm = a.star1, a.star2, N.mult, M.mult
     n, m = N.dim, M.dim
-    laws = [  # (tag, dims, lhs, rhs, dim), each law's sides in M
-        ("AAs1", (n, m, m), Bil(s1, b0, Bil(mm, b1, b2)), Bil(mm, Bil(s1, b0, b1), b2), m),
-        ("AAs2", (n, m, n), Bil(s1, b0, Bil(s2, b1, b2)), Bil(s2, Bil(s1, b0, b1), b2), m),
-        ("AAs3", (n, n, m), Bil(s1, b0, Bil(s1, b1, b2)), Bil(s1, Bil(nm, b0, b1), b2), m),
-        ("AAs4", (m, n, n), Bil(s2, b0, Bil(nm, b1, b2)), Bil(s2, Bil(s2, b0, b1), b2), m),
-        ("AAs5", (m, n, m), Bil(mm, b0, Bil(s1, b1, b2)), Bil(mm, Bil(s2, b0, b1), b2), m),
-        ("AAs6", (m, m, n), Bil(mm, b0, Bil(s2, b1, b2)), Bil(s2, Bil(mm, b0, b1), b2), m),
+    laws = [  # (tag, dims, lhs, rhs), each law's sides in M
+        ("AAs1", (n, m, m), Bil(s1, b0, Bil(mm, b1, b2)), Bil(mm, Bil(s1, b0, b1), b2)),
+        ("AAs2", (n, m, n), Bil(s1, b0, Bil(s2, b1, b2)), Bil(s2, Bil(s1, b0, b1), b2)),
+        ("AAs3", (n, n, m), Bil(s1, b0, Bil(s1, b1, b2)), Bil(s1, Bil(nm, b0, b1), b2)),
+        ("AAs4", (m, n, n), Bil(s2, b0, Bil(nm, b1, b2)), Bil(s2, Bil(s2, b0, b1), b2)),
+        ("AAs5", (m, n, m), Bil(mm, b0, Bil(s1, b1, b2)), Bil(mm, Bil(s2, b0, b1), b2)),
+        ("AAs6", (m, m, n), Bil(mm, b0, Bil(s2, b1, b2)), Bil(s2, Bil(mm, b0, b1), b2)),
     ]
     return merge(subject, [sweep(*law) for law in laws])
 
@@ -95,9 +95,9 @@ def validate_lie_action(a: LieAction, subject: str = "action") -> ValidationRepo
     n, m = N.dim, M.dim
     alie1 = Bil(dot, b0, Bil(dot, b1, b2)) - Bil(dot, b1, Bil(dot, b0, b2))
     alie2 = Bil(mm, Bil(dot, b0, b1), b2) + Bil(mm, b1, Bil(dot, b0, b2))
-    laws = [  # (tag, dims, lhs, rhs, dim), each law's sides in M
-        ("ALie1", (n, n, m), Bil(dot, Bil(nm, b0, b1), b2), alie1, m),
-        ("ALie2", (n, m, m), Bil(dot, b0, Bil(mm, b1, b2)), alie2, m),
+    laws = [  # (tag, dims, lhs, rhs), each law's sides in M
+        ("ALie1", (n, n, m), Bil(dot, Bil(nm, b0, b1), b2), alie1),
+        ("ALie2", (n, m, m), Bil(dot, b0, Bil(mm, b1, b2)), alie2),
     ]
     return merge(subject, [sweep(*law) for law in laws])
 

@@ -102,7 +102,7 @@ def _kept(check):
 def is_associative(a: Algebra) -> bool:
     """(b_i b_j) b_k = b_i (b_j b_k) on all basis triples."""
     m, n = a.mult, a.dim
-    return sweep("Assoc", (n, n, n), Bil(m, Bil(m, b0, b1), b2), Bil(m, b0, Bil(m, b1, b2)), n).ok
+    return sweep("Assoc", (n, n, n), Bil(m, Bil(m, b0, b1), b2), Bil(m, b0, Bil(m, b1, b2))).ok
 
 
 @_kept
@@ -145,7 +145,7 @@ def is_leibniz(a: Algebra) -> bool:
     """[x,[y,z]] = [[x,y],z] - [[x,z],y] on all basis triples."""
     m, n = a.mult, a.dim
     rhs = Bil(m, Bil(m, b0, b1), b2) - Bil(m, Bil(m, b0, b2), b1)
-    return sweep("Leibniz", (n, n, n), Bil(m, b0, Bil(m, b1, b2)), rhs, n).ok
+    return sweep("Leibniz", (n, n, n), Bil(m, b0, Bil(m, b1, b2)), rhs).ok
 
 
 def liefy(a: Algebra) -> Algebra:
@@ -157,9 +157,9 @@ def liefy(a: Algebra) -> Algebra:
 
 def intertwining_law(tag: str, f: LinMap, src: BilMap, tgt: BilMap, g: LinMap, h: LinMap):
     """The law f(src(b_i, b_j)) = tgt(g(b_i), h(b_j)) on basis pairs, as a
-    (tag, dims, lhs, rhs, dim) entry of a law table."""
+    (tag, dims, lhs, rhs) entry of a law table."""
     dims = (src.left.dim, src.right.dim)
-    return tag, dims, Lin(f, Bil(src, b0, b1)), Bil(tgt, Lin(g, b0), Lin(h, b1)), f.codomain.dim
+    return tag, dims, Lin(f, Bil(src, b0, b1)), Bil(tgt, Lin(g, b0), Lin(h, b1))
 
 
 def hom_law(tag: str, f: LinMap, a: Algebra, b: Algebra):
@@ -168,8 +168,7 @@ def hom_law(tag: str, f: LinMap, a: Algebra, b: Algebra):
 
 
 def is_homomorphism(f: LinMap, a: Algebra, b: Algebra) -> bool:
-    if f.domain != a.space or f.codomain != b.space:
-        raise ValueError("map does not match the algebras")
+    """Whether f is an algebra homomorphism a -> b; ValueError if f is no map a -> b."""
     return sweep(*hom_law("Hom", f, a, b)).ok
 
 

@@ -5,13 +5,12 @@ The BAs/BLie validators sweep the displayed axiom families; the
 categorical validators evaluate every composition with the forced
 formula k((x, y)) = x - e(t(x)) + y, exactly as the source proofs do.
 Each braiding validator sweeps a law table, `braiding_*_laws(b)` or
-`anticoherence_laws(b)`: the (tag, dims, lhs, rhs, dim) entries
-`report.sweep` takes, in report order, each side a `linear` term and dim
-that of the space the sides lie in.  Other code that needs an axiom reads
-the table: with the base fixed, every law is affine in the braiding, and
-`braiding_system` reads each table, evaluated on every basis tuple, as
-linear equations in the braiding's coordinates, which `braiding_space`
-solves.
+`anticoherence_laws(b)`: the (tag, dims, lhs, rhs) entries
+`report.sweep` takes, in report order, each side a `linear` term, both
+in one space.  Other code that needs an axiom reads the table: with the
+base fixed, every law is affine in the braiding, and `braiding_system`
+reads each table, evaluated on every basis tuple, as linear equations in
+the braiding's coordinates, which `braiding_space` solves.
 """
 
 from __future__ import annotations
@@ -45,6 +44,7 @@ from .linear import (
     from_columns,
     identity_map,
     kernel,
+    law_space,
     vadd,
     vsub,
 )
@@ -86,36 +86,28 @@ class CatBraiding(Record):
 
 
 def braiding_xmod_assoc_laws(b: XBraiding):
-    """BAs1..BAs6 on basis pairs/triples, as (tag, dims, lhs, rhs, dim) entries."""
+    """BAs1..BAs6 on basis pairs/triples, as (tag, dims, lhs, rhs) entries."""
     x = b.base
     M, N = x.m, x.n
-    s1, s2, d, br, nm = x.action.star1, x.action.star2, x.boundary, b.brace, N.mult
+    s1, s2, d, br, nm, mm = x.action.star1, x.action.star2, x.boundary, b.brace, N.mult, M.mult
     n, m = N.dim, M.dim
     return [
-        ("BAs1", (n, n), Lin(d, Bil(br, b0, b1)), Bil(nm, b0, b1) - Bil(nm, b1, b0), n),
-        (
-            "BAs2",
-            (m, m),
-            Bil(br, Lin(d, b0), Lin(d, b1)),
-            Bil(M.mult, b0, b1) - Bil(M.mult, b1, b0),
-            m,
-        ),
+        ("BAs1", (n, n), Lin(d, Bil(br, b0, b1)), Bil(nm, b0, b1) - Bil(nm, b1, b0)),
+        ("BAs2", (m, m), Bil(br, Lin(d, b0), Lin(d, b1)), Bil(mm, b0, b1) - Bil(mm, b1, b0)),
         # [b_n, b_m]_* = b_n *1 b_m - b_m *2 b_n
-        ("BAs3", (m, n), Bil(br, Lin(d, b0), b1), -(Bil(s1, b1, b0) - Bil(s2, b0, b1)), m),
-        ("BAs4", (n, m), Bil(br, b0, Lin(d, b1)), Bil(s1, b0, b1) - Bil(s2, b1, b0), m),
+        ("BAs3", (m, n), Bil(br, Lin(d, b0), b1), -(Bil(s1, b1, b0) - Bil(s2, b0, b1))),
+        ("BAs4", (n, m), Bil(br, b0, Lin(d, b1)), Bil(s1, b0, b1) - Bil(s2, b1, b0)),
         (
             "BAs5",
             (n, n, n),
             Bil(br, b0, Bil(nm, b1, b2)),
             Bil(s1, b1, Bil(br, b0, b2)) + Bil(s2, Bil(br, b0, b1), b2),
-            m,
         ),
         (
             "BAs6",
             (n, n, n),
             Bil(br, Bil(nm, b0, b1), b2),
             Bil(s1, b0, Bil(br, b1, b2)) + Bil(s2, Bil(br, b0, b2), b1),
-            m,
         ),
     ]
 
@@ -128,29 +120,27 @@ def validate_braiding_xmod_assoc(
 
 
 def braiding_xmod_lie_laws(b: XBraiding):
-    """BLie1..BLie6 on basis pairs/triples, as (tag, dims, lhs, rhs, dim) entries."""
+    """BLie1..BLie6 on basis pairs/triples, as (tag, dims, lhs, rhs) entries."""
     x = b.base
     M, N = x.m, x.n
     dot, d, br, nm = x.action.dot, x.boundary, b.brace, N.mult
     n, m = N.dim, M.dim
     return [
-        ("BLie1", (n, n), Lin(d, Bil(br, b0, b1)), Bil(nm, b0, b1), n),
-        ("BLie2", (m, m), Bil(br, Lin(d, b0), Lin(d, b1)), Bil(M.mult, b0, b1), m),
-        ("BLie3", (m, n), Bil(br, Lin(d, b0), b1), -Bil(dot, b1, b0), m),
-        ("BLie4", (n, m), Bil(br, b0, Lin(d, b1)), Bil(dot, b0, b1), m),
+        ("BLie1", (n, n), Lin(d, Bil(br, b0, b1)), Bil(nm, b0, b1)),
+        ("BLie2", (m, m), Bil(br, Lin(d, b0), Lin(d, b1)), Bil(M.mult, b0, b1)),
+        ("BLie3", (m, n), Bil(br, Lin(d, b0), b1), -Bil(dot, b1, b0)),
+        ("BLie4", (n, m), Bil(br, b0, Lin(d, b1)), Bil(dot, b0, b1)),
         (
             "BLie5",
             (n, n, n),
             Bil(br, b0, Bil(nm, b1, b2)),
             Bil(br, Bil(nm, b0, b1), b2) - Bil(br, Bil(nm, b0, b2), b1),
-            m,
         ),
         (
             "BLie6",
             (n, n, n),
             Bil(br, Bil(nm, b0, b1), b2),
             Bil(br, b0, Bil(nm, b1, b2)) - Bil(br, b1, Bil(nm, b0, b2)),
-            m,
         ),
     ]
 
@@ -173,22 +163,21 @@ def _cat_t12(b: CatBraiding, t1: str, t2: str):
     s, t, m = c.s, c.t, c1.mult
     n0 = c0.dim
     return [
-        (t1, (n0, n0), Lin(s, Bil(tau, b0, b1)), Bil(c0.mult, b0, b1), n0),
-        (t1, (n0, n0), Lin(t, Bil(tau, b0, b1)), Bil(c0.mult, b1, b0), n0),
+        (t1, (n0, n0), Lin(s, Bil(tau, b0, b1)), Bil(c0.mult, b0, b1)),
+        (t1, (n0, n0), Lin(t, Bil(tau, b0, b1)), Bil(c0.mult, b1, b0)),
         (
             t2,
             (c1.dim, c1.dim),
             k_term(c, Bil(m, b0, b1), Bil(tau, Lin(t, b0), Lin(t, b1))),
             k_term(c, Bil(tau, Lin(s, b0), Lin(s, b1)), Bil(m, b1, b0)),
-            c1.dim,
         ),
     ]
 
 
 def braiding_cat_assoc_laws(b: CatBraiding):
-    """AsT1..AsT4 as (tag, dims, lhs, rhs, dim) entries; AsT2-4 evaluate
+    """AsT1..AsT4 as (tag, dims, lhs, rhs) entries; AsT2-4 evaluate
     compositions via the forced formula."""
-    c, c1, c0, tau = _cat_parts(b)
+    c, _, c0, tau = _cat_parts(b)
     dims, m = (c0.dim,) * 3, c0.mult
     return _cat_t12(b, "AsT1", "AsT2") + [
         (
@@ -196,14 +185,12 @@ def braiding_cat_assoc_laws(b: CatBraiding):
             dims,
             Bil(tau, Bil(m, b0, b1), b2),
             k_term(c, Bil(c.e_mul, b0, Bil(tau, b1, b2)), Bil(c.mul_e, Bil(tau, b0, b2), b1)),
-            c1.dim,
         ),
         (
             "AsT4",
             dims,
             Bil(tau, b0, Bil(m, b1, b2)),
             k_term(c, Bil(c.mul_e, Bil(tau, b0, b1), b2), Bil(c.e_mul, b1, Bil(tau, b0, b2))),
-            c1.dim,
         ),
     ]
 
@@ -216,8 +203,8 @@ def validate_braiding_cat_assoc(
 
 
 def braiding_cat_lie_ulualan_laws(b: CatBraiding):
-    """LieT1, LieT2, LieB3, LieB4 as (tag, dims, lhs, rhs, dim) entries."""
-    c, c1, c0, tau = _cat_parts(b)
+    """LieT1, LieT2, LieB3, LieB4 as (tag, dims, lhs, rhs) entries."""
+    c, _, c0, tau = _cat_parts(b)
     dims, m = (c0.dim,) * 3, c0.mult
     return _cat_t12(b, "LieT1", "LieT2") + [
         (
@@ -225,14 +212,12 @@ def braiding_cat_lie_ulualan_laws(b: CatBraiding):
             dims,
             Bil(tau, Bil(m, b0, b1), b2),
             Bil(c.mul_e, Bil(tau, b0, b2), b1) + Bil(c.e_mul, b0, Bil(tau, b1, b2)),
-            c1.dim,
         ),
         (
             "LieB4",
             dims,
             Bil(tau, b0, Bil(m, b1, b2)),
             Bil(c.e_mul, b1, Bil(tau, b0, b2)) + Bil(c.mul_e, Bil(tau, b0, b1), b2),
-            c1.dim,
         ),
     ]
 
@@ -245,8 +230,8 @@ def validate_braiding_cat_lie_ulualan(
 
 
 def braiding_cat_lie_alt_laws(b: CatBraiding):
-    """LieT1..LieT4 as (tag, dims, lhs, rhs, dim) entries."""
-    c, c1, c0, tau = _cat_parts(b)
+    """LieT1..LieT4 as (tag, dims, lhs, rhs) entries."""
+    _, _, c0, tau = _cat_parts(b)
     dims, m = (c0.dim,) * 3, c0.mult
     return _cat_t12(b, "LieT1", "LieT2") + [
         (
@@ -254,14 +239,12 @@ def braiding_cat_lie_alt_laws(b: CatBraiding):
             dims,
             Bil(tau, Bil(m, b0, b1), b2),
             Bil(tau, b0, Bil(m, b1, b2)) - Bil(tau, b1, Bil(m, b0, b2)),
-            c1.dim,
         ),
         (
             "LieT4",
             dims,
             Bil(tau, b0, Bil(m, b1, b2)),
             Bil(tau, Bil(m, b0, b1), b2) - Bil(tau, Bil(m, b0, b2), b1),
-            c1.dim,
         ),
     ]
 
@@ -275,7 +258,7 @@ def validate_braiding_cat_lie_alt(
 
 def anticoherence_laws(b: CatBraiding):
     """tau_{a,[b,c]} = [e(a), tau_{b,c}], the mirror identity, and their
-    antisymmetry consequence, as (tag, dims, lhs, rhs, dim) entries; only
+    antisymmetry consequence, as (tag, dims, lhs, rhs) entries; only
     meaningful away from characteristic 2."""
     c, c1, c0, tau = _cat_parts(b)
     if c1.field.characteristic == 2:
@@ -283,9 +266,9 @@ def anticoherence_laws(b: CatBraiding):
     dims, m = (c0.dim,) * 3, c0.mult
     left, right = Bil(tau, b0, Bil(m, b1, b2)), Bil(tau, Bil(m, b1, b2), b0)
     return [
-        ("AC1", dims, left, Bil(c.e_mul, b0, Bil(tau, b1, b2)), c1.dim),
-        ("AC2", dims, right, Bil(c.mul_e, Bil(tau, b1, b2), b0), c1.dim),
-        ("AC3", dims, left, -right, c1.dim),
+        ("AC1", dims, left, Bil(c.e_mul, b0, Bil(tau, b1, b2))),
+        ("AC2", dims, right, Bil(c.mul_e, Bil(tau, b1, b2), b0)),
+        ("AC3", dims, left, -right),
     ]
 
 
@@ -322,7 +305,8 @@ def braiding_system(b: XBraiding | CatBraiding, laws):
 
     def residuals(x):  # {tag: [(lhs - rhs, dim) per basis tuple]}
         out = {}
-        for tag, dims, lhs, rhs, dim in laws(with_braiding(b, x)):
+        for tag, dims, lhs, rhs in laws(with_braiding(b, x)):
+            dim = law_space(lhs, rhs).dim
             left, right = evaluate(dims, lhs, rhs)
             res = out.setdefault(tag, [])
             res.extend((vsub(F, u, v) if u != v else (), dim) for u, v in zip(left, right))
@@ -499,13 +483,12 @@ def validate_braided_internal_functor(
     IFB: F1(tau_{a,b}) = tau'_{F0 a, F0 b}.
     """
     sc, tc = source.base, target.base
-    n1, n0 = sc.c1.dim, tc.c0.dim
     laws = [
         hom_law("IFH", f1, sc.c1, tc.c1),
         hom_law("IFH", f0, sc.c0, tc.c0),
-        ("IFC", (n1,), Lin(tc.s, Lin(f1, b0)), Lin(f0, Lin(sc.s, b0)), n0),
-        ("IFC", (n1,), Lin(tc.t, Lin(f1, b0)), Lin(f0, Lin(sc.t, b0)), n0),
-        ("IFC", (sc.c0.dim,), Lin(f1, Lin(sc.e, b0)), Lin(tc.e, Lin(f0, b0)), tc.c1.dim),
+        ("IFC", (sc.c1.dim,), Lin(tc.s, Lin(f1, b0)), Lin(f0, Lin(sc.s, b0))),
+        ("IFC", (sc.c1.dim,), Lin(tc.t, Lin(f1, b0)), Lin(f0, Lin(sc.t, b0))),
+        ("IFC", (sc.c0.dim,), Lin(f1, Lin(sc.e, b0)), Lin(tc.e, Lin(f0, b0))),
         intertwining_law("IFB", f1, source.tau, target.tau, f0, f0),
     ]
     return merge(subject, [sweep(*law) for law in laws])
@@ -516,7 +499,7 @@ def _certify_iso(name: str, rep: ValidationReport, f: LinMap, g: LinMap):
     inverts f (Inv1, Inv2; never reported): its target is then the transport
     of its source along f, so it satisfies every axiom the source does."""
     n, m = f.domain.dim, f.codomain.dim
-    laws = [("Inv1", (n,), Lin(g, Lin(f, b0)), b0, n), ("Inv2", (m,), Lin(f, Lin(g, b0)), b0, m)]
+    laws = [("Inv1", (n,), Lin(g, Lin(f, b0)), b0), ("Inv2", (m,), Lin(f, Lin(g, b0)), b0)]
     message = f"{name} failed to validate as a braided isomorphism"
     merge(rep.subject, rep, [sweep(*law) for law in laws]).assert_ok(message)
 

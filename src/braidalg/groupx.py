@@ -208,9 +208,9 @@ def _bilinear(left: Space, right: Space, codomain: Space, f):
     return bilinear_from_rule(left, right, codomain, lambda u, v: ((f(u, v), 1),))
 
 
-def _sweep(tag: str, dims, lhs, rhs, dim):
+def _sweep(tag: str, dims, lhs, rhs):
     """`sweep`, each witness side, one basis vector b_u, read back as (u,)."""
-    check = sweep(tag, dims, lhs, rhs, dim)
+    check = sweep(tag, dims, lhs, rhs)
     if check.ok:
         return check
     w = check.witness
@@ -230,13 +230,12 @@ def validate_group_xmod(x: GroupXMod, subject: str = "groupxmod") -> ValidationR
             (h, g, g),
             Bil(act, b0, Bil(gm, b1, b2)),
             Bil(gm, Bil(act, b0, b1), Bil(act, b0, b2)),
-            g,
         ),
-        ("GrAct", (h, h, g), Bil(act, Bil(hm, b0, b1), b2), Bil(act, b0, Bil(act, b1, b2)), g),
-        ("GrAct", (g,), Lin(_linear(kG, kG, x.action[H.identity]), b0), b0, g),
-        ("GrHom", (g, g), Lin(d, Bil(gm, b0, b1)), Bil(hm, Lin(d, b0), Lin(d, b1)), h),
-        ("XGr1", (h, g), Lin(d, Bil(act, b0, b1)), Bil(hconj, b0, Lin(d, b1)), h),
-        ("XGr2", (g, g), Bil(act, Lin(d, b0), b1), Bil(gconj, b0, b1), g),
+        ("GrAct", (h, h, g), Bil(act, Bil(hm, b0, b1), b2), Bil(act, b0, Bil(act, b1, b2))),
+        ("GrAct", (g,), Lin(_linear(kG, kG, x.action[H.identity]), b0), b0),
+        ("GrHom", (g, g), Lin(d, Bil(gm, b0, b1)), Bil(hm, Lin(d, b0), Lin(d, b1))),
+        ("XGr1", (h, g), Lin(d, Bil(act, b0, b1)), Bil(hconj, b0, Lin(d, b1))),
+        ("XGr2", (g, g), Bil(act, Lin(d, b0), b1), Bil(gconj, b0, b1)),
     ]
     return merge(subject, [_sweep(*law) for law in laws])
 
@@ -252,23 +251,21 @@ def validate_group_braiding(x: GroupXMod, subject: str = "groupxmod") -> Validat
     brace, inv = _bilinear(kH, kH, kG, lambda a, b: br[a][b]), _linear(kG, kG, G.inverse)
     hcomm, gcomm = _bilinear(kH, kH, kH, H.commutator), _bilinear(kG, kG, kG, G.commutator)
     laws = [
-        ("BGr1", (h, h), Lin(d, Bil(brace, b0, b1)), Bil(hcomm, b0, b1), h),
-        ("BGr2", (g, g), Bil(brace, Lin(d, b0), Lin(d, b1)), Bil(gcomm, b0, b1), g),
-        ("BGr3", (g, h), Bil(brace, Lin(d, b0), b1), Bil(gm, b0, Bil(act, b1, Lin(inv, b0))), g),
-        ("BGr4", (h, g), Bil(brace, b0, Lin(d, b1)), Bil(gm, Bil(act, b0, b1), Lin(inv, b1)), g),
+        ("BGr1", (h, h), Lin(d, Bil(brace, b0, b1)), Bil(hcomm, b0, b1)),
+        ("BGr2", (g, g), Bil(brace, Lin(d, b0), Lin(d, b1)), Bil(gcomm, b0, b1)),
+        ("BGr3", (g, h), Bil(brace, Lin(d, b0), b1), Bil(gm, b0, Bil(act, b1, Lin(inv, b0)))),
+        ("BGr4", (h, g), Bil(brace, b0, Lin(d, b1)), Bil(gm, Bil(act, b0, b1), Lin(inv, b1))),
         (
             "BGr5",
             (h, h, h),
             Bil(brace, b0, Bil(hm, b1, b2)),
             Bil(gm, Bil(brace, b0, b1), Bil(act, b1, Bil(brace, b0, b2))),
-            g,
         ),
         (
             "BGr6",
             (h, h, h),
             Bil(brace, Bil(hm, b0, b1), b2),
             Bil(gm, Bil(act, b0, Bil(brace, b1, b2)), Bil(brace, b0, b2)),
-            g,
         ),
     ]
     return merge(subject, [_sweep(*law) for law in laws])

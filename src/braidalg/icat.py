@@ -139,8 +139,8 @@ def validate_cat_algebra(c: CatAlgebra, subject: str = "cat") -> ValidationRepor
         hom_law("Cat1", c.s, c.c1, c.c0),
         hom_law("Cat1", c.t, c.c1, c.c0),
         hom_law("Cat1", c.e, c.c0, c.c1),
-        ("Cat2", (n0,), Lin(c.s, Lin(c.e, b0)), b0, n0),
-        ("Cat2", (n0,), Lin(c.t, Lin(c.e, b0)), b0, n0),
+        ("Cat2", (n0,), Lin(c.s, Lin(c.e, b0)), b0),
+        ("Cat2", (n0,), Lin(c.t, Lin(c.e, b0)), b0),
     ]
     checks = [sweep(*law) for law in laws]
     if checks[1].ok and checks[2].ok and not _kernels_multiply(c):
@@ -150,15 +150,15 @@ def validate_cat_algebra(c: CatAlgebra, subject: str = "cat") -> ValidationRepor
         (x, y), (x2, y2), mul = _parts(pairs, 2, 0), _parts(pairs, 2, 1), c.c1.mult
         lhs = k_term(c, Bil(mul, x, x2), Bil(mul, y, y2))
         rhs = Bil(mul, k_term(c, x, y), k_term(c, x2, y2))
-        checks.append(sweep("Cat3", (len(pairs), len(pairs)), lhs, rhs, n1))
+        checks.append(sweep("Cat3", (len(pairs), len(pairs)), lhs, rhs))
     if checks[4].ok:
         return merge(subject, checks, [AxiomCheck("Cat4", True)] * 3)
     triples = composable_basis(c, 3)
     p, q, r = _parts(triples, 3, 0)
     laws = [
-        ("Cat4", (n1,), k_term(c, b0, Lin(c.e, Lin(c.t, b0))), b0, n1),
-        ("Cat4", (n1,), k_term(c, Lin(c.e, Lin(c.s, b0)), b0), b0, n1),
-        ("Cat4", (len(triples),), k_term(c, k_term(c, p, q), r), k_term(c, p, k_term(c, q, r)), n1),
+        ("Cat4", (n1,), k_term(c, b0, Lin(c.e, Lin(c.t, b0))), b0),
+        ("Cat4", (n1,), k_term(c, Lin(c.e, Lin(c.s, b0)), b0), b0),
+        ("Cat4", (len(triples),), k_term(c, k_term(c, p, q), r), k_term(c, p, k_term(c, q, r))),
     ]
     return merge(subject, checks, [sweep(*law) for law in laws])
 

@@ -89,10 +89,12 @@ def dense(v, dim: int):
 
 
 def vadd(field: Field, u, v):
+    """u + v, for canonical u and v."""
     return _combine(field, ((0, 1), (1, 1)), (u, v))
 
 
 def vsub(field: Field, u, v):
+    """u - v, for canonical u and v."""
     return _combine(field, ((0, 1), (1, -1)), (u, v))
 
 
@@ -101,6 +103,7 @@ def vneg(field: Field, u):
 
 
 def vscale(field: Field, c, u):
+    """c * u, for a canonical u and any scalar c of the field."""
     if p := field.characteristic:
         c %= p
         return tuple((k, c * a % p) for k, a in u) if c else ()
@@ -114,12 +117,13 @@ def is_zero(u) -> bool:
 
 
 def _combine(field: Field, v, images):
-    """The sum of m * images[j] over the entries (j, m) of v, images sparse.
+    """The sum of m * images[j] over the entries (j, m) of v, images canonical.
 
     One nonzero term gives its image itself when m = 1, else the image
     scaled by m, with no zero test: over Q, and over F_p with p prime, a
     product of two nonzero scalars is nonzero.  Several terms are summed in
-    a dict, which is filtered and sorted once."""
+    a dict, which is filtered and sorted once.  The images are canonical,
+    as every caller's are: a single term's is returned unchecked."""
     first = acc = None
     for j, m in v:
         image = images[j]
@@ -481,9 +485,18 @@ def _union(a: Term, b: Term):
 
 def _fits(t: Term, space: Space) -> Term:
     """The term t, to be read in `space`; ValueError if it lies in another."""
-    if t.space is not None and t.space != space:
-        raise ValueError("a term does not lie in the domain of the map applied to it")
+    if t.space is not space and t.space is not None and t.space != space:
+        raise ValueError("a term does not lie in the space it is read in")
     return t
+
+
+def law_space(*terms) -> Space:
+    """The space of a law's sides or a sum's operands: the codomain of the
+    first outer map among them; ValueError if there is none."""
+    for t in terms:
+        if t.space is not None:
+            return t.space
+    raise ValueError("a law, sum or negation needs a map to give its space")
 
 
 class Basis(Term):
@@ -511,7 +524,8 @@ class Family(Term):
         self.at, self.space = (pos,), None
 
     def _values(self, ev):
-        ev.check(self.at[0], len(self.vectors))
+        if ev.dims[self.at[0]] != len(self.vectors):
+            raise ValueError(f"position {self.at[0]} has {ev.dims[self.at[0]]} indices")
         return list(self.vectors)
 
 
@@ -526,8 +540,8 @@ class Lin(Term):
 
     def _values(self, ev):
         f, arg = self.f, self.arg
-        if isinstance(arg, Basis):
-            ev.check(arg.pos, f.domain.dim, f.domain)
+        if isinstance(arg, Basis):  # kept: reading b_i as a unit input is slower
+            ev.check(arg.pos, f.domain)
             return list(f.columns)
         F, cols = f.field, f.columns
         return [
@@ -549,17 +563,17 @@ class Bil(Term):
     def _values(self, ev):
         b, u, v = self.b, self.left, self.right
         F = b.field
-        if isinstance(u, Basis):
-            ev.check(u.pos, b.left.dim, b.left)
+        if isinstance(u, Basis):  # basis branches kept: reading b_i as a unit input is slower
+            ev.check(u.pos, b.left)
             if isinstance(v, Basis):
-                ev.check(v.pos, b.right.dim, b.right)
+                ev.check(v.pos, b.right)
                 if u.pos < v.pos:  # every stored image, in tuple order
                     return list(b._pairs)
                 if u.pos > v.pos:
                     return [w for col in b._cols for w in col]
             basis, other, images = u, v, b.tensor  # images[i]: b(b_i, -)
         elif isinstance(v, Basis):
-            ev.check(v.pos, b.right.dim, b.right)
+            ev.check(v.pos, b.right)
             basis, other, images = v, u, b._cols  # images[j]: b(-, b_j)
         else:
             R, pairs, at = b.right.dim, b._pairs, self.at
@@ -592,16 +606,15 @@ class Bil(Term):
 
 
 class _Sum(Term):
-    """a + sign * b, sign = +-1."""
+    """a + sign * b, sign = +-1; a basis operand is read as id(b_i) in the sum's space."""
 
     __slots__ = ("a", "b", "sign")
 
     def __init__(self, a: Term, b: Term, sign: int):
-        self.space = a.space or b.space
-        if self.space is None:
-            raise ValueError("a sum of terms needs a map to give its space")
-        self.a, self.b, self.sign = _fits(a, self.space), _fits(b, self.space), sign
-        self.at = _union(a, b)
+        space = self.space = law_space(a, b)
+        self.a = Lin(identity_map(space), a) if isinstance(a, Basis) else _fits(a, space)
+        self.b = Lin(identity_map(space), b) if isinstance(b, Basis) else _fits(b, space)
+        self.sign, self.at = sign, _union(a, b)
 
     def _values(self, ev):
         F, at = self.space.field, self.at
@@ -617,9 +630,7 @@ class _Neg(Term):
     __slots__ = ("a",)
 
     def __init__(self, a: Term):
-        if a.space is None:
-            raise ValueError("a negated term needs a map to give its space")
-        self.a, self.at, self.space = a, a.at, a.space
+        self.a, self.at, self.space = a, a.at, law_space(a)
 
     def _values(self, ev):
         F = self.space.field
@@ -628,23 +639,26 @@ class _Neg(Term):
 
 class _Evaluation:
     """Term values over the basis tuples of `dims`, each subterm's once;
-    with `spaces`, the space whose basis each position indexes."""
+    `spaces` maps each position to the space it indexes, given or first read."""
 
-    def __init__(self, dims, spaces=None):
+    def __init__(self, dims, spaces):
         self.dims, self.spaces, self.memo = tuple(dims), spaces, {}
 
-    def check(self, pos: int, dim: int, space=None):  # space: a map's domain
-        if self.dims[pos] != dim:
-            raise ValueError(f"position {pos} has {self.dims[pos]} indices, the map {dim}")
-        if space is not None and self.spaces is not None and self.spaces[pos] != space:
-            raise ValueError(f"position {pos} indexes a space other than the map's domain")
+    def check(self, pos: int, space: Space):  # pos read as the basis of space
+        known = self.spaces.setdefault(pos, space)
+        if known is not space and known != space or self.dims[pos] != space.dim:
+            raise ValueError(f"position {pos} is read in a space it does not index")
 
-    def run(self, terms):
-        """The values of each term on every tuple of all positions."""
+    def run(self, terms, space=None):
+        """Each term's values on every tuple of all positions, read in one space."""
         full = tuple(range(len(self.dims)))
         for t in terms:
             if t.at and t.at[-1] >= len(full):
                 raise ValueError(f"a term reads position {t.at[-1]} of {len(full)}")
+            space = space or t.space
+        for t in terms:
+            if space is not None and isinstance(_fits(t, space), Basis):
+                self.check(t.pos, space)
         return [self.spread(t, full) for t in terms]
 
     def values(self, t: Term):
@@ -687,14 +701,15 @@ def evaluate(dims, *terms):
     """The values of each term on every basis index tuple of `dims`, in
     lexicographic order, each a list of sparse vectors; a subterm object
     that occurs twice, in one term or in two, is computed once, over only
-    the positions it depends on."""
-    return _Evaluation(dims).run(terms)
+    the positions it depends on.  ValueError unless the terms lie in one
+    space, where a bare basis term is read, and each position indexes one."""
+    return _Evaluation(dims, {}).run(terms)
 
 
 def bilinear_from_term(left: Space, right: Space, codomain: Space, term: Term) -> BilMap:
     """The BilMap whose image of (b_i, b_j) is the value at (i, j) of `term`,
     a term in `codomain` whose positions 0 and 1 index `left` and `right`."""
-    [values] = _Evaluation((left.dim, right.dim), (left, right)).run([_fits(term, codomain)])
+    [values] = _Evaluation((left.dim, right.dim), {0: left, 1: right}).run([term], codomain)
     R = right.dim
     rows = (values[i * R : i * R + R] for i in range(left.dim))
     return _from_images(left, right, codomain, rows)

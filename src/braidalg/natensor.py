@@ -51,7 +51,6 @@ from .linear import (
     rref,
     vadd,
     vsub,
-    zero_map,
 )
 from .record import Record
 from .report import ValidationReport, merge, sweep
@@ -70,10 +69,11 @@ class TensorSquare(Record):
 
 
 def _plain_tensor_space(m: Space) -> Space:
-    labels = tuple(f"{a}_{b}" for a in m.labels for b in m.labels)
-    for i, label in enumerate(labels):
-        if label in labels[:i]:
+    labels, seen = tuple(f"{a}_{b}" for a in m.labels for b in m.labels), set()
+    for label in labels:
+        if label in seen:
             raise InvalidInput(f"label {label!r} of M (x) M names two basis pairs")
+        seen.add(label)
     return Space(m.field, labels)
 
 
@@ -182,5 +182,5 @@ def antisymmetry_consequence(ts: TensorSquare, subject: str = "tensor") -> Valid
     m, n, pure = ts.base, ts.base.dim, ts.pure
     bracket = Bil(m.mult, b1, b2)
     lhs = Bil(pure, b0, bracket) + Bil(pure, bracket, b0)
-    zero = Lin(zero_map(m.space, ts.carrier.space), b0)
-    return merge(subject, [sweep("TAnti", (n, n, n), lhs, zero, ts.carrier.dim)])
+    zero = Family(0, [()] * n)  # a side needs no map: the law's space comes from lhs
+    return merge(subject, [sweep("TAnti", (n, n, n), lhs, zero)])

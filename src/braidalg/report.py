@@ -6,7 +6,7 @@ import itertools
 from fractions import Fraction
 
 from .errors import InternalInvariantViolation
-from .linear import dense, evaluate
+from .linear import dense, evaluate, law_space
 from .record import Record
 
 
@@ -84,12 +84,13 @@ def basis_tuples(dims):
     return itertools.product(*(range(d) for d in dims))
 
 
-def sweep(tag: str, dims, lhs, rhs, dim) -> AxiomCheck:
+def sweep(tag: str, dims, lhs, rhs) -> AxiomCheck:
     """Check the law lhs = rhs, two `linear.Term`s, over all `basis_tuples(dims)`.
 
     Each side is evaluated once on every tuple and the two lists are
     compared at once; the first tuple where they differ is the witness, its
-    sides dense in dimension `dim`."""
+    sides dense in the one space they lie in (ValueError if there is none)."""
+    dim = law_space(lhs, rhs).dim
     left, right = evaluate(dims, lhs, rhs)
     if left == right:
         return AxiomCheck(tag, True)

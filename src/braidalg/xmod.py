@@ -68,10 +68,10 @@ def validate_xmod_assoc(x: XMod, subject: str = "xmod") -> ValidationReport:
     s1, s2, d, nm, mm = x.action.star1, x.action.star2, x.boundary, N.mult, M.mult
     n, m = N.dim, M.dim
     laws = [
-        ("XAs1", (n, m), Lin(d, Bil(s1, b0, b1)), Bil(nm, b0, Lin(d, b1)), n),
-        ("XAs1", (m, n), Lin(d, Bil(s2, b0, b1)), Bil(nm, Lin(d, b0), b1), n),
-        ("XAs2", (m, m), Bil(s1, Lin(d, b0), b1), Bil(mm, b0, b1), m),
-        ("XAs2", (m, m), Bil(s2, b0, Lin(d, b1)), Bil(mm, b0, b1), m),
+        ("XAs1", (n, m), Lin(d, Bil(s1, b0, b1)), Bil(nm, b0, Lin(d, b1))),
+        ("XAs1", (m, n), Lin(d, Bil(s2, b0, b1)), Bil(nm, Lin(d, b0), b1)),
+        ("XAs2", (m, m), Bil(s1, Lin(d, b0), b1), Bil(mm, b0, b1)),
+        ("XAs2", (m, m), Bil(s2, b0, Lin(d, b1)), Bil(mm, b0, b1)),
     ]
     return merge(subject, [sweep(*law) for law in laws])
 
@@ -82,8 +82,8 @@ def validate_xmod_lie(x: XMod, subject: str = "xmod") -> ValidationReport:
     dot, d = x.action.dot, x.boundary
     n, m = N.dim, M.dim
     laws = [
-        ("XLie1", (n, m), Lin(d, Bil(dot, b0, b1)), Bil(N.mult, b0, Lin(d, b1)), n),
-        ("XLie2", (m, m), Bil(dot, Lin(d, b0), b1), Bil(M.mult, b0, b1), m),
+        ("XLie1", (n, m), Lin(d, Bil(dot, b0, b1)), Bil(N.mult, b0, Lin(d, b1))),
+        ("XLie2", (m, m), Bil(dot, Lin(d, b0), b1), Bil(M.mult, b0, b1)),
     ]
     return merge(subject, [sweep(*law) for law in laws])
 
@@ -156,5 +156,5 @@ def validate_xmod_morphism(
     else:
         laws.append(intertwining_law("XLieH1", f1, sa.dot, ta.dot, f2, f1))
     square = Lin(target.boundary, Lin(f1, b0)), Lin(f2, Lin(source.boundary, b0))
-    laws.append(("XAssH2" if assoc else "XLieH2", (sm.dim,), *square, tn.dim))
+    laws.append(("XAssH2" if assoc else "XLieH2", (sm.dim,), *square))
     return merge(subject, [sweep(*law) for law in laws])

@@ -68,6 +68,11 @@ def test_mat2_dimensions_and_unit():
 def test_identity_is_homomorphism():
     a = catalog("Upper(3)", QQ)
     assert is_homomorphism(identity_map(a.space), a, a)
+    # a map off the algebras' spaces is refused, whichever side it misses
+    b = catalog("Ab(6)", QQ)
+    for f, src, tgt in ((identity_map(a.space), a, b), (identity_map(a.space), b, a)):
+        with pytest.raises(ValueError):
+            is_homomorphism(f, src, tgt)
 
 
 def test_from_constants_defaults_zero():

@@ -184,10 +184,10 @@ def _swept_cat3_cat4(c):
     p, q, r = (Family(0, [v[i] for v in triples]) for i in range(3))
     laws = [
         ("Cat3", (len(pairs),) * 2, _k(c, Bil(mul, x, x2), Bil(mul, y, y2)),
-         Bil(mul, _k(c, x, y), _k(c, x2, y2)), n1),
-        ("Cat4", (n1,), _k(c, b0, Lin(c.e, Lin(c.t, b0))), b0, n1),
-        ("Cat4", (n1,), _k(c, Lin(c.e, Lin(c.s, b0)), b0), b0, n1),
-        ("Cat4", (len(triples),), _k(c, _k(c, p, q), r), _k(c, p, _k(c, q, r)), n1),
+         Bil(mul, _k(c, x, y), _k(c, x2, y2))),
+        ("Cat4", (n1,), _k(c, b0, Lin(c.e, Lin(c.t, b0))), b0),
+        ("Cat4", (n1,), _k(c, Lin(c.e, Lin(c.s, b0)), b0), b0),
+        ("Cat4", (len(triples),), _k(c, _k(c, p, q), r), _k(c, p, _k(c, q, r))),
     ]
     return tuple(sweep(*law) for law in laws)
 

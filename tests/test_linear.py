@@ -1078,7 +1078,7 @@ def test_terms_of_a_perturbed_law_fail_where_a_per_tuple_sweep_does(case, data):
     if t.space is None:
         f = from_columns(space, space, space.basis())
         t, oracle = Lin(f, t), (lambda idx, o=oracle: f.apply(o(idx)))
-    assert sweep("T", dims, t, t, space.dim) == AxiomCheck("T", True)
+    assert sweep("T", dims, t, t) == AxiomCheck("T", True)
     if n == 0 or space.dim == 0:
         return
     tuples = list(itertools.product(*map(range, dims)))
@@ -1094,7 +1094,7 @@ def test_terms_of_a_perturbed_law_fail_where_a_per_tuple_sweep_does(case, data):
         cols = [bump if j in marks and j >= k else () for j in range(n)]
         perturbed = t + Lin(from_columns(flat, space, cols), index)
         for lhs, rhs, ol, orr in ((t, perturbed, oracle, moved), (perturbed, t, moved, oracle)):
-            got = sweep("T", dims, lhs, rhs, space.dim)
+            got = sweep("T", dims, lhs, rhs)
             assert got == first_mismatch("T", dims, ol, orr, space.dim)
             assert got.witness.basis_tuple == tuples[k]
 
@@ -1123,3 +1123,48 @@ def test_terms_refuse_what_does_not_fit():
         with pytest.raises(ValueError):
             bilinear_from_term(X, X, A, t)
         bilinear_from_term(A, A, A, t)  # the maps' own spaces
+
+
+def _four_spaces():
+    """Maps f: A -> C, g: B -> C and h: A -> D, on distinct 2-dimensional spaces."""
+    A, B, C, D = (space(2, stem) for stem in "abcd")
+    pairs = (A, C), (B, C), (A, D)
+    return [from_columns(dom, cod, [((0, 1),), ((1, 1),)]) for dom, cod in pairs]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "position read in two spaces",
+        "sides in two spaces",
+        "bare sum operand in another space",
+        "bare law side in another space",
+    ],
+)
+def test_a_position_and_a_law_each_lie_in_one_space(case):
+    # each case would give values or a report if a position were checked
+    # against a map's dimension only, or a law's witness space were given
+    f, g, h = _four_spaces()
+    with pytest.raises(ValueError):
+        if case == "position read in two spaces":  # b0 indexes A for f and B for g
+            evaluate((2,), Lin(f, b0) + Lin(g, b0))
+        elif case == "sides in two spaces":  # C and D
+            sweep("T", (2,), Lin(f, b0), Lin(h, b0))
+        elif case == "bare sum operand in another space":  # b0 indexes A, read in C
+            evaluate((2,), Lin(f, b0) + b0)
+        else:
+            sweep("T", (2,), Lin(f, b0), b0)
+
+
+def test_a_law_takes_its_witness_space_from_its_sides():
+    f, g, h = _four_spaces()
+    ident = identity_map(f.codomain)
+    # either side may give the space, where a bare side is read
+    assert sweep("T", (2,), Lin(ident, b0), b0) == AxiomCheck("T", True)
+    assert sweep("T", (2,), b0, Lin(ident, b0)) == AxiomCheck("T", True)
+    # the witness is dense in the space of the sides
+    lhs, rhs = Lin(ident, Lin(f, b0)), Lin(from_columns(f.domain, f.codomain, [(), ()]), b0)
+    want = AxiomCheck("T", False, Witness((0,), (1, 0), (0, 0)))
+    assert sweep("T", (2,), lhs, rhs) == want
+    with pytest.raises(ValueError):  # no map on either side to give a space
+        sweep("T", (2,), b0, Family(0, [(), ()]))
