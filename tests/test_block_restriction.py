@@ -1,0 +1,181 @@
+"""The block-restriction lemma of docs/axiom_tags.md, in both directions:
+bilinear data X = (action, boundary, brace) passes the crossed-module and
+BAs axioms exactly when its bar construction cx(X) passes the flavor check,
+the categorical-algebra axioms and AsT1-4.  Checked on the crossed-module
+and braiding mutation corpus and on seeded transports of the catalog
+braidings, some with one image moved, over Q, F5 and F7."""
+
+import json
+import os
+import random
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from braidalg.action import AssocAction
+from braidalg.algebra import ASSOC, Algebra, catalog, has_flavor
+from braidalg.braid import (
+    XBraiding,
+    _bar,
+    _cx,
+    commutator_braiding,
+    validate_braiding_cat_assoc,
+    validate_braiding_xmod_assoc,
+)
+from braidalg.dsl import parse
+from braidalg.errors import InvalidXMod
+from braidalg.fields import GF, QQ
+from braidalg.icat import validate_cat_algebra
+from braidalg.linear import bilinear_from_rule, from_columns, identity_map, vadd
+from braidalg.xmod import XMod, require_valid_xmod_assoc, require_valid_xmod_lie
+
+from conftest import MUTATIONS
+
+
+def _xmod_ok(x):
+    require = require_valid_xmod_assoc if x.flavor == ASSOC else require_valid_xmod_lie
+    try:
+        require(x)
+    except InvalidXMod:
+        return False
+    return True
+
+
+def _cat_ok(c):
+    return has_flavor(c.flavor, c.c1, c.c0) and validate_cat_algebra(c).ok
+
+
+def _verdicts(b):
+    """(X valid, cx(X) valid) for a crossed module b, or for an associative
+    braiding b with its axioms on both sides; a Lie braiding is read as its
+    crossed module, as the bar carries no Lie tau yet."""
+    if isinstance(b, XBraiding) and b.base.flavor == ASSOC:
+        cb = _cx(b)[0]
+        x_ok = _xmod_ok(b.base) and validate_braiding_xmod_assoc(b).ok
+        return x_ok, _cat_ok(cb.base) and validate_braiding_cat_assoc(cb).ok
+    x = b.base if isinstance(b, XBraiding) else b
+    return _xmod_ok(x), _cat_ok(_bar(x)[0])
+
+
+def _corpus():
+    """(file, subject) of each crossed-module and braiding mutation case."""
+    with open(os.path.join(MUTATIONS, "manifest.json"), encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    out = []
+    for e in manifest:
+        with open(os.path.join(MUTATIONS, e["file"]), encoding="utf-8") as fh:
+            kind, obj = parse(fh.read()).lookup(e["subject"])
+        if kind == "xmod" or isinstance(obj, XBraiding):
+            out.append((e["file"], obj))
+    return out
+
+
+_CORPUS = _corpus()
+
+
+@pytest.mark.parametrize("b", [b for _, b in _CORPUS], ids=[f for f, _ in _CORPUS])
+def test_a_mutation_passes_exactly_when_its_bar_does(b):
+    x_ok, c_ok = _verdicts(b)
+    assert x_ok == c_ok
+
+
+def _unimodular(rng, sp):
+    """A seeded change of basis of `sp` with determinant 1, a product of four
+    shears b_src -> b_src + lam b_dst, and its inverse."""
+    F = sp.field
+
+    def shear(src, dst, lam):
+        cols = list(sp.basis())
+        cols[src] = vadd(F, cols[src], ((dst, F.of(lam)),))
+        return from_columns(sp, sp, cols)
+
+    to = back = identity_map(sp)
+    for _ in range(4):
+        src, dst = rng.sample(range(sp.dim), 2)
+        lam = rng.choice((-2, -1, 1, 2))
+        to, back = to.after(shear(src, dst, lam)), shear(src, dst, -lam).after(back)
+    return to, back
+
+
+def _transported(name, F, seed):
+    """The commutator braiding of `name` over F, its M and N transported
+    along two seeded unimodular changes of basis."""
+    b = commutator_braiding(catalog(name, F))
+    x, rng = b.base, random.Random(seed)
+    to_m, from_m = _unimodular(rng, x.m.space)
+    to_n, from_n = _unimodular(rng, x.n.space)
+
+    def moved(f, left, right, back):
+        return bilinear_from_rule(
+            f.left,
+            f.right,
+            f.codomain,
+            lambda i, j: back.apply(f.apply(left.column(i), right.column(j))),
+        )
+
+    a = x.action
+    action = AssocAction(
+        Algebra(x.n.space, moved(x.n.mult, to_n, to_n, from_n)),
+        Algebra(x.m.space, moved(x.m.mult, to_m, to_m, from_m)),
+        moved(a.star1, to_n, to_m, from_m),
+        moved(a.star2, to_m, to_n, from_m),
+    )
+    boundary = from_n.after(x.boundary).after(to_m)
+    return XBraiding(XMod(action, boundary), moved(b.brace, to_n, to_n, from_m))
+
+
+def _moved_image(b, part, i, j, k):
+    """b with the basis vector k added to the image of (b_i, b_j) under one
+    of its maps (indices taken modulo the map's dimensions)."""
+    x, a = b.base, b.base.action
+    maps = {
+        "m": a.module.mult,
+        "n": a.actor.mult,
+        "star1": a.star1,
+        "star2": a.star2,
+        "brace": b.brace,
+    }
+    if part == "boundary":
+        d = x.boundary
+        F, cols = d.field, [d.column(c) for c in range(d.domain.dim)]
+        cols[i % d.domain.dim] = vadd(F, cols[i % d.domain.dim], ((k % d.codomain.dim, F.one()),))
+        boundary = from_columns(d.domain, d.codomain, cols)
+    else:
+        f, boundary = maps[part], x.boundary
+        F, at = f.field, (i % f.left.dim, j % f.right.dim)
+        unit = ((k % f.codomain.dim, F.one()),)
+        maps[part] = bilinear_from_rule(
+            f.left,
+            f.right,
+            f.codomain,
+            lambda u, v: vadd(F, f.on_basis(u, v), unit) if (u, v) == at else f.on_basis(u, v),
+        )
+    action = AssocAction(
+        Algebra(a.actor.space, maps["n"]),
+        Algebra(a.module.space, maps["m"]),
+        maps["star1"],
+        maps["star2"],
+    )
+    return XBraiding(XMod(action, boundary), maps["brace"])
+
+
+PARTS = ("m", "n", "star1", "star2", "boundary", "brace")
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from(("Ab(2)", "Upper(2)", "Mat(2)", "Upper(3)")),
+    st.sampled_from((QQ, GF(5), GF(7))),
+    st.integers(0, 2**16),
+    st.none() | st.tuples(st.sampled_from(PARTS), *[st.integers(0, 8)] * 3),
+)
+@example("Mat(2)", GF(7), 1, None)
+@example("Upper(3)", QQ, 2, ("star2", 1, 3, 0))
+def test_a_transported_braiding_passes_exactly_when_its_bar_does(name, F, seed, move):
+    b = _transported(name, F, seed)
+    if move is not None:
+        b = _moved_image(b, *move)
+    x_ok, c_ok = _verdicts(b)
+    assert x_ok == c_ok
+    assert x_ok or move is not None  # a transport of a valid braiding is valid

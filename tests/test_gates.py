@@ -433,20 +433,6 @@ THEOREMS = [
         "kernel construction failed to validate: ['T2']",
     ),
     (
-        "alpha:bar",
-        "validate_cat_algebra",
-        _fail,
-        lambda b, cb: alpha_iso(b),
-        "bar construction is not a categorical algebra: ['T2']",
-    ),
-    (
-        "alpha:bar_flavor",
-        "has_flavor",
-        lambda flavor, *algebras: False,
-        lambda b, cb: alpha_iso(b),
-        "bar construction is not a categorical algebra: C1 and C0 must be assoc algebras",
-    ),
-    (
         "catliefy",
         "validate_braiding_cat_lie_ulualan",
         _fail,
@@ -483,48 +469,159 @@ def test_each_theorem_check_names_the_failing_tags(
     assert str(exc.value) == message
 
 
-def _altered(m, i, j):
-    """The bilinear map m with b_0 added to its image of the basis pair (i, j)."""
+def _altered(m, i, j, k=0):
+    """The bilinear map m with b_k added to its image of the basis pair (i, j)."""
     F = m.field
 
     def rule(a, c):
         image = m.on_basis(a, c)
-        return vadd(F, image, ((0, F.one()),)) if (a, c) == (i, j) else image
+        return vadd(F, image, ((k, F.one()),)) if (a, c) == (i, j) else image
 
     return bilinear_from_rule(m.left, m.right, m.codomain, rule)
 
 
-def _brace_altered(out):
-    return XBraiding(out.base, _altered(out.brace, 0, 1))
+# Planted faults, each in the result of one construction core of braid.py.
+# The bar's C1 = M x| N lays out the M block first: with m = dim M, b_0 and
+# b_1 are (m_0, 0) and (m_1, 0), b_m and b_{m+1} are (0, n_0) and (0, n_1).
 
 
-def _star_altered(out):
-    x = out.base
-    a = x.action
-    action = AssocAction(a.actor, a.module, _altered(a.star1, 0, 0), a.star2)
-    return XBraiding(XMod(action, x.boundary), out.brace)
+def _bar_product(left, right):
+    """_bar with b_0 added to the C1 product of the first basis vector of the
+    block `left` and the second of the block `right` ("M" or "N")."""
+
+    def alter(built):
+        c, sd = built
+        m = sd.proj_module.codomain.dim
+        i, j = {"M": 0, "N": m}[left], {"M": 1, "N": m + 1}[right]
+        c1 = Algebra(c.c1.space, _altered(c.c1.mult, i, j))
+        return CatAlgebra(c1, c.c0, c.s, c.t, c.e, c.flavor), sd
+
+    return alter
 
 
-def _tau_altered(built):
-    out, sd = built
-    return CatBraiding(out.base, _altered(out.tau, 0, 1)), sd
+def _bar_t(block):
+    """_bar with n_0 added to t of the first basis vector of the block:
+    t(m_0, 0) = d(m_0) for "M", t(0, n_0) = n_0 for "N"."""
+
+    def alter(built):
+        c, sd = built
+        t, F = c.t, c.t.field
+        k = 0 if block == "M" else sd.proj_module.codomain.dim
+        cols = [t.column(j) for j in range(t.domain.dim)]
+        cols[k] = vadd(F, cols[k], ((0, F.one()),))
+        t = from_columns(t.domain, t.codomain, cols)
+        return CatAlgebra(c.c1, c.c0, c.s, t, c.e, c.flavor), sd
+
+    return alter
 
 
-def _product_altered(built):
-    # the image of (b_0 of N, b_0 of M) in M x| N is the star entry b_0 *1 b_0
-    out, sd = built
-    c = out.base
-    c1 = Algebra(c.c1.space, _altered(c.c1.mult, sd.proj_module.codomain.dim, 0))
-    return CatBraiding(CatAlgebra(c1, c.c0, c.s, c.t, c.e, c.flavor), out.tau), sd
+def _cx_tau(block):
+    """_cx with tau(n_0, n_1) = (-{n_0, n_1}, n_0 n_1) moved in one component:
+    (m_0, 0) added for "M", (0, n_0) for "N"."""
+
+    def alter(built):
+        out, sd = built
+        k = 0 if block == "M" else sd.proj_module.codomain.dim
+        return CatBraiding(out.base, _altered(out.tau, 0, 1, k)), sd
+
+    return alter
 
 
-# (id, iso, its last construction, how its result is altered, failing tag):
-# alpha's last construction is xc(cx(b)), beta's cx(xc(C))
+def _xc_map(part):
+    """_xc with b_0 added to the image of (b_0, b_1) under one of its maps:
+    the kernel product, star1, star2 or the brace."""
+
+    def alter(out):
+        x, a = out.base, out.base.action
+        maps = {"product": a.module.mult, "star1": a.star1, "star2": a.star2, "brace": out.brace}
+        maps[part] = _altered(maps[part], 0, 1)
+        module = Algebra(a.module.space, maps["product"])
+        action = AssocAction(a.actor, module, maps["star1"], maps["star2"])
+        return XBraiding(XMod(action, x.boundary), maps["brace"])
+
+    return alter
+
+
+CX, XC, ROUND_X, ROUND_C = "construct cx", "construct xc", "roundtrip x", "roundtrip c"
+
+# (id, core, how its result is altered, the commands that exit 2 with an
+# InternalInvariantViolation).  construct cx and construct xc sweep their
+# output; a roundtrip certifies its last construction by the isomorphism
+# and sweeps its first one not at all, so alpha misses the faults that no
+# map of xc(cx(b)) reads (the N x N block of C1, t on the N block)
+FAULTS = [
+    ("bar:MxM", "_bar", _bar_product("M", "M"), {CX, ROUND_X, ROUND_C}),
+    ("bar:MxN", "_bar", _bar_product("M", "N"), {CX, ROUND_X, ROUND_C}),
+    ("bar:NxM", "_bar", _bar_product("N", "M"), {CX, ROUND_X, ROUND_C}),
+    ("bar:NxN", "_bar", _bar_product("N", "N"), {CX, ROUND_C}),
+    ("bar:t_M", "_bar", _bar_t("M"), {CX, ROUND_X, ROUND_C}),
+    ("bar:t_N", "_bar", _bar_t("N"), {CX, ROUND_C}),
+    ("cx:tau_M", "_cx", _cx_tau("M"), {CX, ROUND_X, ROUND_C}),
+    ("cx:tau_N", "_cx", _cx_tau("N"), {CX, ROUND_X, ROUND_C}),
+    ("xc:product", "_xc", _xc_map("product"), {XC, ROUND_X, ROUND_C}),
+    ("xc:star1", "_xc", _xc_map("star1"), {XC, ROUND_X, ROUND_C}),
+    ("xc:star2", "_xc", _xc_map("star2"), {XC, ROUND_X, ROUND_C}),
+    ("xc:brace", "_xc", _xc_map("brace"), {XC, ROUND_X, ROUND_C}),
+]
+_FAULT = {fault: (core, alter) for fault, core, alter, _ in FAULTS}
+
+
+def _plant(monkeypatch, fault):
+    core, alter = _FAULT[fault]
+    real = getattr(braid, core)
+    monkeypatch.setattr(braid, core, lambda *args: alter(real(*args)))
+
+
+@pytest.fixture
+def commands(mat2_braidings, tmp_path):
+    """The four commands that run cx or xc, on the x-form b and the c-form cx(b)."""
+    b, cb = mat2_braidings
+    x, c = tmp_path / "x.alg", tmp_path / "c.alg"
+    x.write_text(print_xbraiding_doc(b, "b"), encoding="utf-8")
+    c.write_text(print_catbraiding_doc(cb, "c"), encoding="utf-8")
+    return {
+        CX: ["construct", "cx", str(x), "--subject", "b"],
+        XC: ["construct", "xc", str(c), "--subject", "c"],
+        ROUND_X: ["roundtrip", str(x)],
+        ROUND_C: ["roundtrip", str(c)],
+    }
+
+
+@pytest.mark.parametrize(
+    "fault,catchers", [(f[0], f[3]) for f in FAULTS], ids=[f[0] for f in FAULTS]
+)
+def test_each_planted_fault_is_caught_by_its_commands(
+    fault, catchers, commands, monkeypatch, capsys
+):
+    # a catching command exits 2 with the message of an InternalInvariantViolation
+    # it raised; every other command passes, printing the faulty object
+    raised = []
+
+    def recording(self, *args):
+        raised.append(self)
+        Exception.__init__(self, *args)
+
+    monkeypatch.setattr(InternalInvariantViolation, "__init__", recording)
+    _plant(monkeypatch, fault)
+    caught = set()
+    for name, argv in commands.items():
+        raised.clear()
+        rc = main(argv)
+        err = capsys.readouterr().err
+        if rc == 2 and raised and err == f"error: {raised[-1]}\n":
+            caught.add(name)
+        else:
+            assert (rc, err) == (0, "")
+    assert catchers and caught == catchers
+
+
+# (id, iso, the fault in its last construction, the failing tag): alpha's
+# last construction is xc(cx(b)), beta's cx(xc(C))
 LAST_CONSTRUCTIONS = [
-    ("alpha:brace", "alpha", "_xc", _brace_altered, "BrH"),
-    ("alpha:star", "alpha", "_xc", _star_altered, "XAssH1"),
-    ("beta:tau", "beta", "_cx", _tau_altered, "IFB"),
-    ("beta:star", "beta", "_cx", _product_altered, "IFH"),
+    ("alpha:brace", "alpha", "xc:brace", "BrH"),
+    ("alpha:star", "alpha", "xc:star1", "XAssH1"),
+    ("beta:tau", "beta", "cx:tau_M", "IFB"),
+    ("beta:star", "beta", "bar:NxM", "IFH"),
 ]
 
 
@@ -549,17 +646,16 @@ def _assert_iso_refused(iso, mat2_braidings, tmp_path, capsys, expected):
 
 
 @pytest.mark.parametrize(
-    "iso,core,alter,tag",
+    "iso,fault,tag",
     [case[1:] for case in LAST_CONSTRUCTIONS],
     ids=[case[0] for case in LAST_CONSTRUCTIONS],
 )
 def test_a_broken_last_construction_fails_the_isomorphism(
-    iso, core, alter, tag, mat2_braidings, monkeypatch, tmp_path, capsys
+    iso, fault, tag, mat2_braidings, monkeypatch, tmp_path, capsys
 ):
     # the last construction is not swept: its output is certified by the
     # isomorphism from the input, whose report names the altered image
-    real = getattr(braid, core)
-    monkeypatch.setattr(braid, core, lambda *args: alter(real(*args)))
+    _plant(monkeypatch, fault)
     _assert_iso_refused(iso, mat2_braidings, tmp_path, capsys, lambda tags: tags == [tag])
 
 
@@ -745,3 +841,15 @@ def test_a_product_escaping_ker_s_is_an_internal_error(
     capsys.readouterr()
     assert main(["construct", "xc", str(path), "--subject", "c"]) == 2
     assert capsys.readouterr() == ("", "error: value escaped ker(s)\n")
+
+
+def test_xc_reads_its_terms_in_the_kernel_space_it_is_given(mat2_braidings):
+    # _xc's maps are terms over the kernel space it is given, read through
+    # the inclusion; a space of the same dimension with other labels is not
+    # the inclusion's domain, and the evaluator refuses it by space
+    _, cb = mat2_braidings
+    ks, kspace, incl = braid.kernel_part(cb.base)
+    other = Space(kspace.field, tuple(f"j{i}" for i in range(kspace.dim)))
+    with pytest.raises(ValueError) as exc:
+        braid._xc(cb, (ks, other, incl))
+    assert str(exc.value) == "position 0 is read in a space it does not index"

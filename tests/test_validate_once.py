@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from braidalg import action, algebra, braid, icat, xmod
+from braidalg import action, algebra, braid, icat, report, xmod
 from braidalg.algebra import ASSOC, catalog, liefy
 from braidalg.braid import (
     CatBraiding,
@@ -227,16 +227,28 @@ def mat2():
     return b, cx_functor(b)
 
 
-# run once per alpha or beta call: on its input, or on the intermediate
-# construction; the last construction is certified by the isomorphism.
-# alpha asserts that its bar is a categorical algebra (validate_cat_algebra);
-# beta refuses a bad input cat (require_valid_cat, which calls it)
-_ONCE = (
-    "validate_assoc_action",
-    "validate_braiding_xmod_assoc",
-    "validate_braiding_cat_assoc",
-    "validate_cat_algebra",
-)
+# the checks one alpha or beta call runs, each on its input: neither sweeps
+# its first construction (cx(b) for alpha, xc(C) for beta), which the
+# block-restriction lemma certifies from the checked input, nor its last,
+# which the isomorphism certifies.  alpha checks a crossed module and its
+# braiding, beta a categorical algebra (require_valid_cat, which calls
+# validate_cat_algebra) and its braiding
+_ONCE = {
+    "alpha": {
+        "validate_assoc_action": 1,
+        "validate_braiding_xmod_assoc": 1,
+        "validate_braiding_cat_assoc": 0,
+        "validate_cat_algebra": 0,
+        "require_valid_cat": 0,
+    },
+    "beta": {
+        "validate_assoc_action": 0,
+        "validate_braiding_xmod_assoc": 0,
+        "validate_braiding_cat_assoc": 1,
+        "validate_cat_algebra": 1,
+        "require_valid_cat": 1,
+    },
+}
 
 
 @pytest.mark.parametrize(
@@ -244,24 +256,44 @@ _ONCE = (
 )
 def test_each_check_runs_once_per_argument(entry, mat2, calls, tmp_path):
     b, cb = mat2
-    alpha = "alpha" in entry
+    iso = "alpha" if "alpha" in entry else "beta"
     if entry == "alpha_iso":
         alpha_iso(b)
     elif entry == "beta_iso":
         beta_iso(cb)
     else:
         path = tmp_path / "doc.alg"
-        doc = print_xbraiding_doc(b, "b") if alpha else print_catbraiding_doc(cb, "c")
+        doc = print_xbraiding_doc(b, "b") if iso == "alpha" else print_catbraiding_doc(cb, "c")
         path.write_text(doc, encoding="utf-8")
         assert main(["roundtrip", str(path)]) == 0
     assert not _repeats(calls)
     runs = _runs(calls)
-    assert {name: runs[name] for name in _ONCE} == dict.fromkeys(_ONCE, 1)
-    assert runs["require_valid_cat"] == (0 if alpha else 1)
+    assert {name: runs[name] for name in _ONCE[iso]} == _ONCE[iso]
     morphism = (
-        "validate_braided_xmod_morphism" if alpha else "validate_braided_internal_functor"
+        "validate_braided_xmod_morphism" if iso == "alpha" else "validate_braided_internal_functor"
     )
     assert runs[morphism] == 1
+
+
+def test_alpha_sweeps_no_law_over_the_bar(mat2, monkeypatch):
+    # on Mat(2), M and N have dimension 4 and C1 = M x| N dimension 8: alpha
+    # sweeps its input, the morphism and the inverse laws, each over M, N
+    # or ker s, and no law over the index family of C1
+    b, _ = mat2
+    c1 = 2 * b.base.m.dim
+    dims = []
+    real = report.sweep
+
+    def counted(tag, family, *sides):
+        dims.append((tag, family))
+        return real(tag, family, *sides)
+
+    for m in [m for n, m in sys.modules.items() if n.startswith("braidalg.")]:
+        if getattr(m, "sweep", None) is real:
+            monkeypatch.setattr(m, "sweep", counted)
+    alpha_iso(b)
+    assert dims
+    assert [(tag, family) for tag, family in dims if c1 in family] == []
 
 
 def test_liefication_checks_associativity_once_per_algebra(calls, monkeypatch):
