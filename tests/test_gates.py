@@ -594,7 +594,7 @@ def test_each_planted_fault_is_caught_by_its_commands(
     fault, catchers, commands, monkeypatch, capsys
 ):
     # a catching command exits 2 with the message of an InternalInvariantViolation
-    # it raised; every other command passes, printing the faulty object
+    # it raised; every other command exits 0, with nothing on stderr
     raised = []
 
     def recording(self, *args):
