@@ -299,14 +299,14 @@ def _central_extension(n, lie):
 
     m = Algebra(sp, into_m(sp, sp, Bil(n.mult, Lin(d, b0), Lin(d, b1))))
     n_on_m = into_m(n.space, sp, Bil(n.mult, b0, Lin(d, b1)))
+    bracket = Bil(n.mult, b0, b1)
     if lie:
         x = XMod(LieAction(n, m, n_on_m), d)
-        bracket = n.mult
     else:
         m_on_n = into_m(sp, n.space, Bil(n.mult, Lin(d, b0), b1))
         x = XMod(AssocAction(n, m, n_on_m, m_on_n), d)
-        bracket = n.mult.sub(n.mult.swapped())
-    brace = into_m(n.space, n.space, Bil(bracket, b0, b1))
+        bracket = bracket - Bil(n.mult, b1, b0)  # the commutator
+    brace = into_m(n.space, n.space, bracket)
     return XBraiding(x, _perturbed(brace, sp.basis_vector(3), (0, 0)))
 
 
@@ -412,7 +412,8 @@ def cat_braiding_cases():
         ("AsT1", catalog("Mat(2)", F), ASSOC),
         ("LieT1", catalog("sl2", F), LIE),
     ):
-        b = CatBraiding(discrete_cat(a, flavor), a.mult.swapped())
+        swapped = bilinear_from_term(a.space, a.space, a.space, Bil(a.mult, b1, b0))
+        b = CatBraiding(discrete_cat(a, flavor), swapped)
         yield dsl_case(tag, "braiding", b)
 
     # The bar construction on the braided tensor crossed module of Heis3
@@ -423,8 +424,8 @@ def cat_braiding_cases():
     x = b.base
     cat, sd = heis3_tensor_bar(F)
     total = sd.algebra.space
-    brace = Bil(b.brace.scale(F.of(-2)), b0, b1)
-    pair = Lin(sd.incl_module, brace) + Lin(sd.incl_actor, Bil(x.n.mult, b0, b1))
+    brace = Bil(b.brace, b0, b1)
+    pair = Lin(sd.incl_actor, Bil(x.n.mult, b0, b1)) - Lin(sd.incl_module, brace + brace)
     tau = bilinear_from_term(x.n.space, x.n.space, total, pair)
     n = x.n.dim
     cols = (concat([(cat.s.column(j), n), (cat.t.column(j), n)]) for j in range(total.dim))

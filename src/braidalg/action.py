@@ -13,6 +13,7 @@ from .linear import (
     b1,
     b2,
     bilinear_from_rule,
+    bilinear_from_term,
     concat,
     from_columns,
     zero_bilmap,
@@ -111,7 +112,8 @@ def _assoc_blocks(a: AssocAction):
 def _lie_blocks(a: LieAction):
     """The brackets of the semidirect product into M: (m, n) -> -n.m and
     (n, m) -> n.m."""
-    return a.dot.swapped().scale(-1), a.dot
+    n, m = a.actor.space, a.module.space
+    return bilinear_from_term(m, n, m, -Bil(a.dot, b1, b0)), a.dot
 
 
 # per flavor: the two action blocks of the semidirect product, and the
@@ -153,7 +155,8 @@ def induced_lie_action(a: AssocAction) -> LieAction:
 
 def _induced_lie_action(a: AssocAction) -> LieAction:
     """induced_lie_action on an action the caller has validated."""
-    dot = a.star1.sub(a.star2.swapped())
+    n, m = a.actor.space, a.module.space
+    dot = bilinear_from_term(n, m, m, Bil(a.star1, b0, b1) - Bil(a.star2, b1, b0))
     return LieAction(liefy(a.actor), liefy(a.module), dot)
 
 

@@ -23,6 +23,7 @@ from .linear import (
     b1,
     b2,
     bilinear_from_rule,
+    bilinear_from_term,
     is_zero,
     vadd,
 )
@@ -152,7 +153,12 @@ def liefy(a: Algebra) -> Algebra:
     """Commutator algebra A^L with [x,y] = xy - yx."""
     if not is_associative(a):
         raise NotAssociative("liefy requires an associative algebra")
-    return Algebra(a.space, a.mult.sub(a.mult.swapped()))
+    return Algebra(a.space, commutator(a.mult))
+
+
+def commutator(m: BilMap) -> BilMap:
+    """(x, y) -> m(x, y) - m(y, x), for m: V x V -> W."""
+    return bilinear_from_term(m.left, m.right, m.codomain, Bil(m, b0, b1) - Bil(m, b1, b0))
 
 
 def intertwining_law(tag: str, f: LinMap, src: BilMap, tgt: BilMap, g: LinMap, h: LinMap):

@@ -16,7 +16,7 @@ the braiding's coordinates, which `braiding_space` solves.
 from __future__ import annotations
 
 from .action import AssocAction, _semidirect
-from .algebra import ASSOC, Algebra, hom_law, intertwining_law
+from .algebra import ASSOC, Algebra, commutator, hom_law, intertwining_law
 from .errors import CharTwo, InternalInvariantViolation, InvalidInput, InvalidXMod
 from .icat import (
     CatAlgebra,
@@ -44,6 +44,7 @@ from .linear import (
     identity_map,
     kernel,
     law_space,
+    linear_from_term,
     vadd,
     vsub,
 )
@@ -353,7 +354,8 @@ def _bar(x: XMod):
     caller has validated, with s = proj_N, t = proj_N + d proj_M, e = incl_N,
     and the semidirect product it is built on."""
     sd = _semidirect(x.action)
-    t = sd.proj_actor.add(x.boundary.after(sd.proj_module))
+    t_term = Lin(sd.proj_actor, b0) + Lin(x.boundary, Lin(sd.proj_module, b0))
+    t = linear_from_term(sd.algebra.space, x.n.space, t_term)
     return CatAlgebra(sd.algebra, x.n, sd.proj_actor, t, sd.incl_actor, x.flavor), sd
 
 
@@ -436,7 +438,8 @@ def _xc(b: CatBraiding, kpart) -> XBraiding:
     kalg = Algebra(kspace, in_ker(kspace, kspace, Bil(m, Lin(incl, b0), Lin(incl, b1))))
     star1 = in_ker(c0.space, kspace, Bil(m, Lin(c.e, b0), Lin(incl, b1)))
     star2 = in_ker(kspace, c0.space, Bil(m, Lin(incl, b0), Lin(c.e, b1)))
-    base = XMod(AssocAction(c0, kalg, star1, star2), c.t.after(incl))
+    boundary = linear_from_term(kspace, c0.space, Lin(c.t, Lin(incl, b0)))
+    base = XMod(AssocAction(c0, kalg, star1, star2), boundary)
     brace = in_ker(c0.space, c0.space, Lin(c.e, Bil(c0.mult, b0, b1)) - Bil(tau, b0, b1))
     return XBraiding(base, brace)
 
@@ -522,7 +525,8 @@ def _alpha(b: XBraiding):
     f1 = from_columns(x.m.space, kspace, cols)
     phi = XModMorphism(f1, identity_map(x.n.space))
     rep = validate_braided_xmod_morphism(phi, b, _xc(cx, kpart))
-    _certify_iso("alpha", rep, f1, sd.proj_module.after(incl))
+    inverse = linear_from_term(kspace, x.m.space, Lin(sd.proj_module, Lin(incl, b0)))
+    _certify_iso("alpha", rep, f1, inverse)
     return phi, rep
 
 
@@ -547,10 +551,13 @@ def _beta(b: CatBraiding):
     escaped = "x - e(s(x)) escaped ker(s)"
     cols = (_kernel_coords(ks, c.ker_s_part.column(i), escaped) for i in range(c1.dim))
     in_ker = from_columns(c1.space, kspace, cols)
-    f1 = sd.incl_module.after(in_ker).add(sd.incl_actor.after(c.s))
+    total = sd.algebra.space
+    f1_term = Lin(sd.incl_module, Lin(in_ker, b0)) + Lin(sd.incl_actor, Lin(c.s, b0))
+    f1 = linear_from_term(c1.space, total, f1_term)
     f0 = identity_map(c0.space)
     rep = validate_braided_internal_functor(f1, f0, b, target)
-    _certify_iso("beta", rep, f1, incl.after(sd.proj_module).add(c.e.after(sd.proj_actor)))
+    inverse = Lin(incl, Lin(sd.proj_module, b0)) + Lin(c.e, Lin(sd.proj_actor, b0))
+    _certify_iso("beta", rep, f1, linear_from_term(total, c1.space, inverse))
     return (f1, f0), rep
 
 
@@ -565,7 +572,7 @@ def cat_braiding_liefy(b: CatBraiding) -> CatBraiding:
         raise CharTwo("braiding Lie-fication requires characteristic != 2")
     validate_braiding_cat_assoc(b).require(InvalidInput, "input braiding axioms fail")
     base = cat_liefy(b.base)
-    out = CatBraiding(base, b.tau.sub(b.tau.swapped()))
+    out = CatBraiding(base, commutator(b.tau))
     validate_braiding_cat_lie_ulualan(out).assert_ok(
         "Lie-fied categorical braiding failed"
     )
@@ -581,16 +588,17 @@ def xmod_braiding_liefy(b: XBraiding) -> XBraiding:
         raise CharTwo("braiding Lie-fication requires characteristic != 2")
     validate_braiding_xmod_assoc(b).require(InvalidInput, "input braiding axioms fail")
     base = xmod_liefy(b.base)
-    half = F.inv(F.of(2))
-    brace = b.brace.sub(b.brace.swapped()).scale(half)
-    out = XBraiding(base, brace)
+    n, m, h = b.base.n.space, b.base.m.space, F.inv(F.of(2))
+    half = from_columns(m, m, [((i, h),) for i in range(m.dim)])  # 1/2 id
+    difference = Bil(b.brace, b0, b1) - Bil(b.brace, b1, b0)
+    out = XBraiding(base, bilinear_from_term(n, n, m, Lin(half, difference)))
     validate_braiding_xmod_lie(out).assert_ok("Lie-fied braiding failed")
     return out
 
 
 def commutator_braiding(a: Algebra) -> XBraiding:
     """The commutator as a braiding on the identity crossed module."""
-    return XBraiding(identity_xmod_assoc(a), a.mult.sub(a.mult.swapped()))
+    return XBraiding(identity_xmod_assoc(a), commutator(a.mult))
 
 
 def bracket_braiding(a: Algebra) -> XBraiding:

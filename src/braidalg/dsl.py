@@ -385,10 +385,12 @@ class _Parser:
 
     def parse_algebra(self, name):
         self.expect("basis")
-        labels = [self.toks[self.take("ident")]]
-        while self.peek() == ",":
-            self.pos += 1
+        labels = []
+        if self.peek() != "{":  # `basis {` is dimension 0
             labels.append(self.toks[self.take("ident")])
+            while self.peek() == ",":
+                self.pos += 1
+                labels.append(self.toks[self.take("ident")])
         if len(set(labels)) != len(labels):
             raise DslSyntaxError("duplicate basis labels", *self.at(name))
         antisym = self.peek() == "antisymmetric"
@@ -680,7 +682,7 @@ class _Printer:
     # one formatter per block kind ------------------------------------------
 
     def print_algebra(self, name, a: Algebra):
-        head = f"algebra {name} basis {', '.join(a.space.labels)}"
+        head = f"algebra {name} basis {', '.join(a.space.labels)}".rstrip()  # dim 0: `basis {`
         self.rows(head, a.space, _pairs(a.mult, "{}*{} ="))
 
     def print_map(self, name, f: LinMap):

@@ -31,6 +31,7 @@ from .linear import (
     from_columns,
     identity_map,
     kernel,
+    linear_from_term,
     split,
     vadd,
     vneg,
@@ -57,8 +58,8 @@ class CatAlgebra(Record):
             if f.domain != dom.space or f.codomain != cod.space:
                 raise ValueError("structural map does not match C1/C0")
         c1, c0, m, e = self.c1.space, self.c0.space, self.c1.mult, self.e
-        object.__setattr__(self, "vertical", identity_map(c1).sub(e.after(self.t)))
-        object.__setattr__(self, "ker_s_part", identity_map(c1).sub(e.after(self.s)))
+        for name, f in (("vertical", self.t), ("ker_s_part", self.s)):  # id - e.f
+            object.__setattr__(self, name, linear_from_term(c1, c1, b0 - Lin(e, Lin(f, b0))))
         e_mul = bilinear_from_term(c0, c1, c1, Bil(m, Lin(e, b0), b1))
         object.__setattr__(self, "e_mul", e_mul)
         mul_e = bilinear_from_term(c1, c0, c1, Bil(m, b0, Lin(e, b1)))

@@ -13,8 +13,10 @@ which scans no zero.  A law term (`Basis`, `Family`, `Lin`, `Bil`, and
 basis index tuple at once, each subterm over only the positions it
 depends on, a basis argument or an input that is one basis vector read
 as the stored images by index, and no zero input sent to `_combine`.  A
-bilinear map derived from other maps is built from a term over two positions,
-`bilinear_from_term`; `bilinear_from_rule` builds one given by data.  The
+map is data or a term: a linear or bilinear map derived from other maps
+(a composite, a sum, a swap) is built from a term over one or two
+positions, `linear_from_term` or `bilinear_from_term`, while
+`from_columns` and `bilinear_from_rule` build one given by data.  The
 rows of `rref`, `Subspace`, `kernel`, `affine_solutions` and `quotient`
 are sparse vectors too; `concat` and `split` lay blocks of a direct sum
 end to end and back.  A dense tuple is made at one boundary only, by
@@ -174,24 +176,6 @@ class LinMap(Record):
     def column(self, j: int):
         return self.columns[j]
 
-    def after(self, other: "LinMap") -> "LinMap":
-        """self o other."""
-        if other.codomain != self.domain:
-            raise ValueError("maps not composable")
-        return from_columns(other.domain, self.codomain, map(self.apply, other.columns))
-
-    def _zip_columns(self, op, other: "LinMap") -> "LinMap":
-        if (other.domain, other.codomain) != (self.domain, self.codomain):
-            raise ValueError("maps between different spaces")
-        cols = (op(self.field, a, b) for a, b in zip(self.columns, other.columns))
-        return from_columns(self.domain, self.codomain, cols)
-
-    def add(self, other: "LinMap") -> "LinMap":
-        return self._zip_columns(vadd, other)
-
-    def sub(self, other: "LinMap") -> "LinMap":
-        return self._zip_columns(vsub, other)
-
 
 def from_columns(domain: Space, codomain: Space, cols) -> LinMap:
     """The linear map sending b_j to the sparse vector cols[j]."""
@@ -241,23 +225,6 @@ class BilMap(Record):
         R = self.right.dim
         pairs = ((i * R + j, a * b) for i, a in u for j, b in v)
         return _combine(self.field, pairs, self._pairs)
-
-    def swapped(self) -> "BilMap":
-        """(u, v) -> apply(v, u)."""
-        return BilMap(self.right, self.left, self.codomain, self._cols)
-
-    def sub(self, other: "BilMap") -> "BilMap":
-        shape = (self.left, self.right, self.codomain)
-        if (other.left, other.right, other.codomain) != shape:
-            raise ValueError("maps between different spaces")
-        F, rows = self.field, zip(self.tensor, other.tensor)
-        images = ((vsub(F, a, b) for a, b in zip(ra, rb)) for ra, rb in rows)
-        return _from_images(*shape, images)
-
-    def scale(self, c) -> "BilMap":
-        F = self.field
-        images = ((vscale(F, c, v) for v in row) for row in self.tensor)
-        return _from_images(self.left, self.right, self.codomain, images)
 
 
 def _from_images(left: Space, right: Space, codomain: Space, images) -> BilMap:
@@ -431,11 +398,12 @@ def affine_solutions(field: Field, rows, n: int):
 
 
 def quotient(ambient: Space, sub: Subspace):
-    """Quotient space and its projection.
+    """Quotient space, its projection and a section of it.
 
     The quotient basis is indexed by the non-pivot coordinates of `sub`;
     the projection sends a vector to the non-pivot coordinates of its
-    canonical representative.
+    canonical representative, and the section sends each quotient basis
+    vector to the unit vector of its coordinate.
     """
     if sub.ambient != ambient:
         raise ValueError("subspace does not live in the ambient space")
@@ -451,7 +419,7 @@ def quotient(ambient: Space, sub: Subspace):
         for j in range(ambient.dim)
     )
     proj = from_columns(ambient, qspace, cols)
-    return qspace, proj
+    return qspace, proj, from_columns(qspace, ambient, [((j, 1),) for j in free])
 
 
 # ---------------------------------------------------------------------------
@@ -704,6 +672,13 @@ def evaluate(dims, *terms):
     the positions it depends on.  ValueError unless the terms lie in one
     space, where a bare basis term is read, and each position indexes one."""
     return _Evaluation(dims, {}).run(terms)
+
+
+def linear_from_term(domain: Space, codomain: Space, term: Term) -> LinMap:
+    """The LinMap whose image of b_i is the value at i of `term`, a term in
+    `codomain` whose position 0 indexes `domain`."""
+    [values] = _Evaluation((domain.dim,), {0: domain}).run([term], codomain)
+    return from_columns(domain, codomain, values)
 
 
 def bilinear_from_term(left: Space, right: Space, codomain: Space, term: Term) -> BilMap:

@@ -47,6 +47,7 @@ from .linear import (
     evaluate,
     from_columns,
     is_zero,
+    linear_from_term,
     quotient,
     rref,
     vadd,
@@ -124,18 +125,13 @@ def tensor_square(m: Algebra) -> TensorSquare:
         raise InternalInvariantViolation(
             "bracket map does not vanish on the relation span"
         )
-    tspace, proj = quotient(amb, relations)
+    tspace, proj, lift = quotient(amb, relations)
 
     pure = bilinear_from_rule(
         m.space, m.space, tspace, lambda i, j: proj.column(i * n + j)
     )
 
-    # section of proj: quotient basis r lifts to the free ambient coordinate
-    pivots = set(relations.pivots())
-    free = [j for j in range(amb.dim) if j not in pivots]
-    lift = from_columns(tspace, amb, [amb.basis_vector(c) for c in free])
-
-    boundary = mu.after(lift)
+    boundary = linear_from_term(tspace, m.space, Lin(mu, Lin(lift, b0)))
     t_bracket = Bil(pure, Lin(boundary, b0), Lin(boundary, b1))
     carrier = Algebra(tspace, bilinear_from_term(tspace, tspace, tspace, t_bracket))
     if not is_lie(carrier):

@@ -27,7 +27,18 @@ from braidalg.dsl import parse
 from braidalg.errors import InvalidXMod
 from braidalg.fields import GF, QQ
 from braidalg.icat import validate_cat_algebra
-from braidalg.linear import bilinear_from_rule, from_columns, identity_map, vadd
+from braidalg.linear import (
+    Bil,
+    Lin,
+    b0,
+    b1,
+    bilinear_from_rule,
+    bilinear_from_term,
+    from_columns,
+    identity_map,
+    linear_from_term,
+    vadd,
+)
 from braidalg.xmod import XMod, require_valid_xmod_assoc, require_valid_xmod_lie
 
 from conftest import MUTATIONS
@@ -94,7 +105,8 @@ def _unimodular(rng, sp):
     for _ in range(4):
         src, dst = rng.sample(range(sp.dim), 2)
         lam = rng.choice((-2, -1, 1, 2))
-        to, back = to.after(shear(src, dst, lam)), shear(src, dst, -lam).after(back)
+        to = linear_from_term(sp, sp, Lin(to, Lin(shear(src, dst, lam), b0)))
+        back = linear_from_term(sp, sp, Lin(shear(src, dst, -lam), Lin(back, b0)))
     return to, back
 
 
@@ -107,12 +119,8 @@ def _transported(name, F, seed):
     to_n, from_n = _unimodular(rng, x.n.space)
 
     def moved(f, left, right, back):
-        return bilinear_from_rule(
-            f.left,
-            f.right,
-            f.codomain,
-            lambda i, j: back.apply(f.apply(left.column(i), right.column(j))),
-        )
+        term = Lin(back, Bil(f, Lin(left, b0), Lin(right, b1)))
+        return bilinear_from_term(f.left, f.right, f.codomain, term)
 
     a = x.action
     action = AssocAction(
@@ -121,7 +129,9 @@ def _transported(name, F, seed):
         moved(a.star1, to_n, to_m, from_m),
         moved(a.star2, to_m, to_n, from_m),
     )
-    boundary = from_n.after(x.boundary).after(to_m)
+    boundary = linear_from_term(
+        x.m.space, x.n.space, Lin(from_n, Lin(x.boundary, Lin(to_m, b0)))
+    )
     return XBraiding(XMod(action, boundary), moved(b.brace, to_n, to_n, from_m))
 
 

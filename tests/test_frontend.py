@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidalg.action import self_action, validate_assoc_action
-from braidalg.algebra import ASSOC, from_constants
+from braidalg.algebra import ASSOC, catalog, from_constants
+from braidalg.braid import CatBraiding
 from braidalg import cli
 from braidalg.cli import main
 from braidalg.dsl import (
@@ -25,6 +26,7 @@ from braidalg.dsl import (
     parse,
     print_action_doc,
     print_cat_doc,
+    print_catbraiding_doc,
     print_document,
     print_group_doc,
     print_groupxmod_doc,
@@ -35,10 +37,10 @@ from braidalg.errors import (
     FieldMismatch,
     UnknownReference,
 )
-from braidalg.fields import QQ, _is_prime
+from braidalg.fields import GF, QQ, _is_prime
 from braidalg.groupx import conjugation_example, cyclic
 from braidalg.icat import discrete_cat
-from braidalg.linear import Space
+from braidalg.linear import Space, zero_bilmap
 
 from conftest import FIXTURES, MUTATIONS, ROOT, densify, load_script
 
@@ -199,6 +201,24 @@ def test_every_construct_output_is_its_own_reprint(cli_outputs):
             not_canonical.append(f"{cmd[1]} {cmd[2]} --subject {cmd[4]}")
     assert built > 200
     assert not_canonical == []
+
+
+@pytest.mark.parametrize("field", (QQ, GF(5)), ids=str)
+def test_construct_xc_prints_a_zero_kernel_it_can_read(field, tmp_path):
+    # C = (A, A, id, id, id) with tau = 0 has ker s = 0, so xc(C) acts on a
+    # module of dimension 0, printed with an empty basis list
+    a = catalog("Ab(2)", field)
+    c = CatBraiding(discrete_cat(a, ASSOC), zero_bilmap(a.space, a.space, a.space))
+    src, out = tmp_path / "d.alg", tmp_path / "d_xc.alg"
+    src.write_text(print_catbraiding_doc(c, "d"), encoding="utf-8")
+    assert main(["construct", "xc", str(src), "--subject", "d", "-o", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert "algebra d_xc_M basis {\n" in text
+    assert print_document(parse(text)) == text
+    assert main(["validate", str(out)]) == 0
+    assert main(["roundtrip", str(out)]) == 0
+    cx = ["construct", "cx", str(out), "--subject", "d_xc", "-o", str(tmp_path / "cx.alg")]
+    assert main(cx) == 0
 
 
 def test_make_fixtures_writes_the_committed_fixtures():
@@ -487,6 +507,26 @@ def test_explicit_k_must_match_forced_formula(tmp_path):
     src = src.replace(m.group(0), m.group(0) + f"  k = {ref}, {ref};\n", 1)
     with pytest.raises(DslError):
         parse(src)
+
+
+def test_explicit_k_equal_to_the_forced_formula_is_accepted(tmp_path):
+    # k = (V, id) on C1, V = id - e.t: m_x |-> m_x - n_x and n_x |-> 0
+    with open(os.path.join(FIXTURES, "mat2_cat.alg"), encoding="utf-8") as fh:
+        plain = fh.read()
+    labels = [f"e{i}{j}" for i in (1, 2) for j in (1, 2)]
+    kp = "".join(f"  m_{x} |-> m_{x} - n_{x};\n" for x in labels)
+    kq = "".join(f"  {b}_{x} |-> {b}_{x};\n" for b in "mn" for x in labels)
+    maps = "".join(
+        f"map {name} : mat2_cat_C1 -> mat2_cat_C1 {{\n{rows}}}\n"
+        for name, rows in (("kp", kp), ("kq", kq))
+    )
+    src = plain.replace("cat mat2_cat_cat {", maps + "cat mat2_cat_cat {", 1)
+    src = src.replace("  e = mat2_cat_e;\n", "  e = mat2_cat_e;\n  k = kp, kq;\n", 1)
+    assert src.count("k = kp, kq;") == 1
+    assert parse(src).lookup("mat2_cat_cat") == parse(plain).lookup("mat2_cat_cat")
+    path = tmp_path / "k.alg"
+    path.write_text(src, encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
 
 
 def test_validate_unknown_subject_exits_two(capsys):

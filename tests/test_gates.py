@@ -57,11 +57,17 @@ from braidalg.groupx import (
 )
 from braidalg.icat import CatAlgebra, discrete_cat, require_valid_cat, validate_cat_algebra
 from braidalg.linear import (
+    Bil,
+    Lin,
     Space,
     Subspace,
+    b0,
+    b1,
     bilinear_from_rule,
+    bilinear_from_term,
     from_columns,
     identity_map,
+    linear_from_term,
     vadd,
     zero_bilmap,
     zero_map,
@@ -94,8 +100,9 @@ def _zero_brace(x):
 
 
 def _twice_identity(a):
-    ident = identity_map(a.space)
-    return ident.add(ident)  # x -> 2x is not multiplicative on Mat(2) or sl2
+    # x -> 2x is not multiplicative on Mat(2) or sl2
+    ident = Lin(identity_map(a.space), b0)
+    return linear_from_term(a.space, a.space, ident + ident)
 
 
 def _mutated_cat():
@@ -110,7 +117,10 @@ LIE_OVER_MAT2 = zero_action_lie(MAT2, AB1)
 # n *1 m = nm, m *2 n = 0 breaks AAs5: m(n *1 m') = mnm' but (m *2 n)m' = 0
 HALF_SELF_ACTION = AssocAction(MAT2, MAT2, MAT2.mult, zero_bilmap(*[MAT2.space] * 3))
 # n . m = 2[n, m] breaks ALie1
-DOUBLE_ADJOINT = LieAction(SL2, SL2, SL2.mult.scale(2))
+_SL2_BRACKET = Bil(SL2.mult, b0, b1)
+DOUBLE_ADJOINT = LieAction(
+    SL2, SL2, bilinear_from_term(*[SL2.space] * 3, _SL2_BRACKET + _SL2_BRACKET)
+)
 ZERO_MAT2 = zero_map(MAT2.space, MAT2.space)
 ZERO_SL2 = zero_map(SL2.space, SL2.space)
 BAD_XMOD_ASSOC = XMod(zero_action_assoc(AB1, MAT2), zero_map(MAT2.space, AB1.space))

@@ -29,6 +29,7 @@ from braidalg.linear import (
     identity_map,
     is_zero,
     kernel,
+    linear_from_term,
     quotient,
     rref,
     vadd,
@@ -158,12 +159,15 @@ def test_span_membership_and_coords(vs):
 @settings(max_examples=50)
 def test_quotient_projection(vs, v):
     sub = Subspace.span(V3, map(sparse, vs))
-    qspace, proj = quotient(V3, sub)
+    qspace, proj, section = quotient(V3, sub)
     assert qspace.dim == 3 - sub.dim
     # the projection kills exactly the subspace
     for basis_vec in sub.basis:
         assert is_zero(proj.apply(basis_vec))
     assert proj.apply(sparse(v)) == proj.apply(sub.reduce(sparse(v)))
+    # the section is a right inverse of the projection
+    for r in range(qspace.dim):
+        assert proj.apply(section.column(r)) == qspace.basis_vector(r)
 
 
 def test_kernel_over_prime_field():
@@ -225,6 +229,12 @@ def assert_normal(F, v):
     return v
 
 
+def scalar_map(F, sp, c):
+    """c id on sp, given by its columns: a bilinear map b scaled by c is
+    the term Lin(scalar_map(F, sp, c), Bil(b, b0, b1))."""
+    return from_columns(sp, sp, [vscale(F, c, sp.basis_vector(k)) for k in range(sp.dim)])
+
+
 def canonical(F, v, dim):
     """The sparse vector v densified, once its form is checked: indices
     strictly increasing in range(dim), and scalars nonzero and normal."""
@@ -280,7 +290,9 @@ def test_bilmap_agrees_with_the_dense_oracle(case):
     K = cod.dim
     b = bilinear_from_rule(left, right, cod, lambda i, j: sparse(t[i][j]))
     other = bilinear_from_rule(left, right, cod, lambda i, j: sparse(t2[i][j]))
-    sw, diff, scaled = b.swapped(), b.sub(other), b.scale(c)
+    sw = bilinear_from_term(right, left, cod, Bil(b, b1, b0))
+    diff = bilinear_from_term(left, right, cod, Bil(b, b0, b1) - Bil(other, b0, b1))
+    scaled = bilinear_from_term(left, right, cod, Lin(scalar_map(F, cod, c), Bil(b, b0, b1)))
     zero = zero_bilmap(left, right, cod)
     assert (sw.left, sw.right, sw.codomain) == (right, left, cod)
     for i in range(left.dim):
@@ -353,9 +365,9 @@ def test_linmap_agrees_with_the_dense_oracle(case):
     a, b = from_columns(U, V, map(sparse, ta)), from_columns(U, V, map(sparse, tb))
     c = from_columns(W, U, map(sparse, tc))
     ra, rb, rc = naive_rows(ta, V.dim), naive_rows(tb, V.dim), naive_rows(tc, U.dim)
-    total = a.add(b)
-    diff = a.sub(b)
-    comp = a.after(c)
+    total = linear_from_term(U, V, Lin(a, b0) + Lin(b, b0))
+    diff = linear_from_term(U, V, Lin(a, b0) - Lin(b, b0))
+    comp = linear_from_term(W, V, Lin(a, Lin(c, b0)))
     ident, zero = identity_map(U), zero_map(U, V)
     assert (comp.domain, comp.codomain) == (W, V)
     n = V.dim
@@ -378,6 +390,10 @@ def test_linmap_agrees_with_the_dense_oracle(case):
     assert canonical(F, total.apply(su), n) == naive_axpy(F, F.one(), expect, other)
     assert canonical(F, diff.apply(su), n) == naive_sub(F, expect, other)
     assert canonical(F, comp.apply(sparse(w)), n) == naive_matvec(F, ra, naive_matvec(F, rc, w))
+    # the maps built from terms, against the dense sum of their columns
+    assert dense_apply(total, u) == naive_axpy(F, F.one(), expect, other)
+    assert dense_apply(diff, u) == naive_sub(F, expect, other)
+    assert dense_apply(comp, w) == dense_apply(a, dense_apply(c, w))
     assert canonical(F, ident.apply(su), U.dim) == u
     assert zero.apply(su) == V.zero()
     se, so = sparse(expect), sparse(other)
@@ -468,13 +484,15 @@ def test_sparse_outputs_are_canonical_and_match_the_dense_oracles(case):
     assert vadd(F, sw, vneg(F, sw)) == vsub(F, sw, sw) == vsub(F, x, x) == ()
     # a map stores its images as given, so every image it stores, and every
     # image of a map built from it, is canonical
-    g = f.after(from_columns(left, left, [su] * L))
+    g = linear_from_term(left, cod, Lin(f, Lin(from_columns(left, left, [su] * L), b0)))
     assert [canonical(F, g.column(j), K) for j in range(L)] == [dense_apply(f, u)] * L
-    for h in (f, f.add(g), f.sub(g)):
+    tf, tg = Lin(f, b0), Lin(g, b0)
+    for h in (f, *(linear_from_term(left, cod, t) for t in (tf + tg, tf - tg))):
         for j in range(L):
             canonical(F, h.column(j), K)
-    swapped, scaled = b.swapped(), b.scale(c)
-    diff = b.sub(scaled)
+    swapped = bilinear_from_term(right, left, cod, Bil(b, b1, b0))
+    scaled = bilinear_from_term(left, right, cod, Lin(scalar_map(F, cod, c), Bil(b, b0, b1)))
+    diff = bilinear_from_term(left, right, cod, Bil(b, b0, b1) - Bil(scaled, b0, b1))
     for i, j in itertools.product(range(L), range(R)):
         image = canonical(F, b.on_basis(i, j), K)
         assert image == tuple(table[i][j])
@@ -702,13 +720,15 @@ def test_quotient_projection_reads_the_echelon_rows(case):
     ambient, vs = case
     sub = Subspace.span(ambient, map(sparse, vs))
     free = [j for j in range(ambient.dim) if j not in sub.pivots()]
-    _, proj = quotient(ambient, sub)
+    _, proj, section = quotient(ambient, sub)
     for j in range(ambient.dim):
         reduced = densify(sub.reduce(ambient.basis_vector(j)), ambient.dim)
         expect = tuple(reduced[c] for c in free)
         got = canonical(ambient.field, proj.column(j), len(free))
         assert got == expect
         assert list(map(type, got)) == list(map(type, expect))
+    # and the section lifts quotient basis vector r to the free coordinate free[r]
+    assert [section.column(r) for r in range(len(free))] == [((j, 1),) for j in free]
 
 
 def test_bilinear_from_coordinates_reads_the_flat_order():
@@ -737,16 +757,20 @@ def test_linmap_shape_is_checked_against_both_spaces():
 def test_map_arithmetic_checks_the_spaces():
     U, V, W = space(2, "u"), space(2, "v"), space(3, "w")
     a = from_columns(U, V, [V.zero()] * 2)
-    # other codomain, other codomain dimension, other domain
+    # a sum or difference of maps is a term: other codomain, other codomain
+    # dimension, other domain
     for b in (zero_map(U, space(2, "w")), zero_map(U, W), zero_map(space(2), V)):
-        for op in (a.add, a.sub):
-            with pytest.raises(ValueError):
-                op(b)
+        with pytest.raises(ValueError):
+            linear_from_term(U, V, Lin(a, b0) + Lin(b, b0))
+        with pytest.raises(ValueError):
+            linear_from_term(U, V, Lin(a, b0) - Lin(b, b0))
     f = zero_bilmap(U, V, W)
     for g in (zero_bilmap(U, V, V), zero_bilmap(V, V, W), zero_bilmap(U, U, W)):
         with pytest.raises(ValueError):
-            f.sub(g)
-    assert a.add(a) == a.sub(a) == a and f.sub(f) == f
+            bilinear_from_term(U, V, W, Bil(f, b0, b1) - Bil(g, b0, b1))
+    assert linear_from_term(U, V, Lin(a, b0) + Lin(a, b0)) == a
+    assert linear_from_term(U, V, Lin(a, b0) - Lin(a, b0)) == a
+    assert bilinear_from_term(U, V, W, Bil(f, b0, b1) - Bil(f, b0, b1)) == f
 
 
 def test_no_law_builds_a_basis_vector():
@@ -1123,6 +1147,14 @@ def test_terms_refuse_what_does_not_fit():
         with pytest.raises(ValueError):
             bilinear_from_term(X, X, A, t)
         bilinear_from_term(A, A, A, t)  # the maps' own spaces
+    # and likewise by linear_from_term; so are a term in another codomain,
+    # a bare position read in a codomain that is not the domain, and a
+    # position past 0
+    for dom, cod, t in ((X, A, Lin(h, b0)), (A, X, Lin(h, b0)), (A, X, b0), (A, A, b1)):
+        with pytest.raises(ValueError):
+            linear_from_term(dom, cod, t)
+    assert linear_from_term(A, A, Lin(h, b0)) == h
+    assert linear_from_term(A, A, b0) == identity_map(A)
 
 
 def _four_spaces():

@@ -8,7 +8,7 @@ from braidalg import natensor
 from braidalg.cli import main
 from braidalg.errors import InternalInvariantViolation, InvalidInput, NotLie
 from braidalg.fields import GF, QQ
-from braidalg.linear import Space, Subspace, bilinear_from_rule
+from braidalg.linear import Lin, Space, Subspace, b0, bilinear_from_rule, linear_from_term
 from braidalg.natensor import (
     TensorSquare,
     _bracket_map,
@@ -225,7 +225,8 @@ def test_tensor_square_keeps_its_boundary(name, F):
     # tensor crossed module takes: d(m1 (x) m2) = [m1, m2]
     m = catalog(name, F)
     ts = tensor_square(m)
-    assert ts.boundary == _bracket_map(m, ts.relations.ambient).after(ts.lift)
+    mu = _bracket_map(m, ts.relations.ambient)
+    assert ts.boundary == linear_from_term(ts.carrier.space, m.space, Lin(mu, Lin(ts.lift, b0)))
     assert tensor_xmod(ts).boundary is ts.boundary
     for i, j in itertools.product(range(m.dim), repeat=2):
         assert ts.boundary.apply(ts.pure.on_basis(i, j)) == m.mult.on_basis(i, j)
