@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .algebra import ASSOC, LIE, Algebra, has_flavor, liefy
-from .errors import InvalidAction
+from .errors import InvalidAction, SignatureMismatch
 from .linear import (
     Bil,
     BilMap,
@@ -34,9 +34,9 @@ class AssocAction(Record):
     def __post_init__(self):
         n, m = self.actor.space, self.module.space
         if (self.star1.left, self.star1.right, self.star1.codomain) != (n, m, m):
-            raise ValueError("star1 must map N x M -> M")
+            raise SignatureMismatch("star1", "star1 must map N x M -> M")
         if (self.star2.left, self.star2.right, self.star2.codomain) != (m, n, m):
-            raise ValueError("star2 must map M x N -> M")
+            raise SignatureMismatch("star2", "star2 must map M x N -> M")
 
 
 class LieAction(Record):
@@ -50,7 +50,7 @@ class LieAction(Record):
     def __post_init__(self):
         n, m = self.actor.space, self.module.space
         if (self.dot.left, self.dot.right, self.dot.codomain) != (n, m, m):
-            raise ValueError("dot must map N x M -> M")
+            raise SignatureMismatch("dot", "dot must map N x M -> M")
 
 
 def self_action(a: Algebra) -> AssocAction:

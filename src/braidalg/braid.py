@@ -18,6 +18,7 @@ from __future__ import annotations
 from .action import AssocAction, _semidirect
 from .algebra import ASSOC, Algebra, commutator, hom_law, intertwining_law
 from .errors import CharTwo, InternalInvariantViolation, InvalidInput, InvalidXMod
+from .errors import SignatureMismatch
 from .icat import (
     CatAlgebra,
     cat_liefy,
@@ -70,7 +71,7 @@ class XBraiding(Record):
     def __post_init__(self):
         n, m = self.base.n.space, self.base.m.space
         if (self.brace.left, self.brace.right, self.brace.codomain) != (n, n, m):
-            raise ValueError("brace must map N x N -> M")
+            raise SignatureMismatch("brace", "brace must map N x N -> M")
 
 
 class CatBraiding(Record):
@@ -82,7 +83,7 @@ class CatBraiding(Record):
     def __post_init__(self):
         c0, c1 = self.base.c0.space, self.base.c1.space
         if (self.tau.left, self.tau.right, self.tau.codomain) != (c0, c0, c1):
-            raise ValueError("tau must map C0 x C0 -> C1")
+            raise SignatureMismatch("tau", "tau must map C0 x C0 -> C1")
 
 
 def braiding_xmod_assoc_laws(b: XBraiding):
@@ -152,22 +153,17 @@ def validate_braiding_xmod_lie(
     return merge(subject, [sweep(*law) for law in braiding_xmod_lie_laws(b)])
 
 
-def _cat_parts(b: CatBraiding):
-    c = b.base
-    return c, c.c1, c.c0, b.tau
-
-
 def _cat_t12(b: CatBraiding, t1: str, t2: str):
     """The source/target and composition laws shared by both flavors."""
-    c, c1, c0, tau = _cat_parts(b)
-    s, t, m = c.s, c.t, c1.mult
-    n0 = c0.dim
+    c, tau = b.base, b.tau
+    s, t, m = c.s, c.t, c.c1.mult
+    n0, n1 = c.c0.dim, c.c1.dim
     return [
-        (t1, (n0, n0), Lin(s, Bil(tau, b0, b1)), Bil(c0.mult, b0, b1)),
-        (t1, (n0, n0), Lin(t, Bil(tau, b0, b1)), Bil(c0.mult, b1, b0)),
+        (t1, (n0, n0), Lin(s, Bil(tau, b0, b1)), Bil(c.c0.mult, b0, b1)),
+        (t1, (n0, n0), Lin(t, Bil(tau, b0, b1)), Bil(c.c0.mult, b1, b0)),
         (
             t2,
-            (c1.dim, c1.dim),
+            (n1, n1),
             k_term(c, Bil(m, b0, b1), Bil(tau, Lin(t, b0), Lin(t, b1))),
             k_term(c, Bil(tau, Lin(s, b0), Lin(s, b1)), Bil(m, b1, b0)),
         ),
@@ -177,8 +173,8 @@ def _cat_t12(b: CatBraiding, t1: str, t2: str):
 def braiding_cat_assoc_laws(b: CatBraiding):
     """AsT1..AsT4 as (tag, dims, lhs, rhs) entries; AsT2-4 evaluate
     compositions via the forced formula."""
-    c, _, c0, tau = _cat_parts(b)
-    dims, m = (c0.dim,) * 3, c0.mult
+    c, tau = b.base, b.tau
+    dims, m = (c.c0.dim,) * 3, c.c0.mult
     return _cat_t12(b, "AsT1", "AsT2") + [
         (
             "AsT3",
@@ -204,8 +200,8 @@ def validate_braiding_cat_assoc(
 
 def braiding_cat_lie_ulualan_laws(b: CatBraiding):
     """LieT1, LieT2, LieB3, LieB4 as (tag, dims, lhs, rhs) entries."""
-    c, _, c0, tau = _cat_parts(b)
-    dims, m = (c0.dim,) * 3, c0.mult
+    c, tau = b.base, b.tau
+    dims, m = (c.c0.dim,) * 3, c.c0.mult
     return _cat_t12(b, "LieT1", "LieT2") + [
         (
             "LieB3",
@@ -231,7 +227,7 @@ def validate_braiding_cat_lie_ulualan(
 
 def braiding_cat_lie_alt_laws(b: CatBraiding):
     """LieT1..LieT4 as (tag, dims, lhs, rhs) entries."""
-    _, _, c0, tau = _cat_parts(b)
+    c0, tau = b.base.c0, b.tau
     dims, m = (c0.dim,) * 3, c0.mult
     return _cat_t12(b, "LieT1", "LieT2") + [
         (
@@ -260,10 +256,10 @@ def anticoherence_laws(b: CatBraiding):
     """tau_{a,[b,c]} = [e(a), tau_{b,c}], the mirror identity, and their
     antisymmetry consequence, as (tag, dims, lhs, rhs) entries; only
     meaningful away from characteristic 2."""
-    c, c1, c0, tau = _cat_parts(b)
-    if c1.field.characteristic == 2:
+    c, tau = b.base, b.tau
+    if c.c1.field.characteristic == 2:
         raise CharTwo("anticoherence requires characteristic != 2")
-    dims, m = (c0.dim,) * 3, c0.mult
+    dims, m = (c.c0.dim,) * 3, c.c0.mult
     left, right = Bil(tau, b0, Bil(m, b1, b2)), Bil(tau, Bil(m, b1, b2), b0)
     return [
         ("AC1", dims, left, Bil(c.e_mul, b0, Bil(tau, b1, b2))),
@@ -424,23 +420,24 @@ def _check_xc_input(b: CatBraiding):
 def _xc(b: CatBraiding, kpart) -> XBraiding:
     """xc_functor on a braiding the caller has validated, given the
     `kernel_part` of its base; the output is not checked."""
-    c, c1, c0, tau = _cat_parts(b)
+    c = b.base
+    c0 = c.c0.space
     ks, kspace, incl = kpart
     escaped = "value escaped ker(s)"
 
     def in_ker(left, right, term):  # the C1-valued term, read in ker(s) coordinates
-        full = bilinear_from_term(left, right, c1.space, term)
+        full = bilinear_from_term(left, right, c.c1.space, term)
         return bilinear_from_rule(
             left, right, kspace, lambda i, j: _kernel_coords(ks, full.on_basis(i, j), escaped)
         )
 
-    m = c1.mult
+    m = c.c1.mult
     kalg = Algebra(kspace, in_ker(kspace, kspace, Bil(m, Lin(incl, b0), Lin(incl, b1))))
-    star1 = in_ker(c0.space, kspace, Bil(m, Lin(c.e, b0), Lin(incl, b1)))
-    star2 = in_ker(kspace, c0.space, Bil(m, Lin(incl, b0), Lin(c.e, b1)))
-    boundary = linear_from_term(kspace, c0.space, Lin(c.t, Lin(incl, b0)))
-    base = XMod(AssocAction(c0, kalg, star1, star2), boundary)
-    brace = in_ker(c0.space, c0.space, Lin(c.e, Bil(c0.mult, b0, b1)) - Bil(tau, b0, b1))
+    star1 = in_ker(c0, kspace, Bil(m, Lin(c.e, b0), Lin(incl, b1)))
+    star2 = in_ker(kspace, c0, Bil(m, Lin(incl, b0), Lin(c.e, b1)))
+    boundary = linear_from_term(kspace, c0, Lin(c.t, Lin(incl, b0)))
+    base = XMod(AssocAction(c.c0, kalg, star1, star2), boundary)
+    brace = in_ker(c0, c0, Lin(c.e, Bil(c.c0.mult, b0, b1)) - Bil(b.tau, b0, b1))
     return XBraiding(base, brace)
 
 
@@ -540,7 +537,8 @@ def beta_iso(b: CatBraiding):
 
 def _beta(b: CatBraiding):
     """beta_iso plus the functor report that proves it an isomorphism."""
-    c, c1, c0, tau = _cat_parts(b)
+    c = b.base
+    c1 = c.c1.space
     # xc_functor's checks; cx(xc) is certified by beta, whose inverse is
     # (y, a) -> y + e(a), so it is a transport of b, and xc(b) is valid by
     # the converse of the block-restriction lemma, unswept
@@ -550,14 +548,14 @@ def _beta(b: CatBraiding):
     target, sd = _cx(_xc(b, kpart))
     escaped = "x - e(s(x)) escaped ker(s)"
     cols = (_kernel_coords(ks, c.ker_s_part.column(i), escaped) for i in range(c1.dim))
-    in_ker = from_columns(c1.space, kspace, cols)
+    in_ker = from_columns(c1, kspace, cols)
     total = sd.algebra.space
     f1_term = Lin(sd.incl_module, Lin(in_ker, b0)) + Lin(sd.incl_actor, Lin(c.s, b0))
-    f1 = linear_from_term(c1.space, total, f1_term)
-    f0 = identity_map(c0.space)
+    f1 = linear_from_term(c1, total, f1_term)
+    f0 = identity_map(c.c0.space)
     rep = validate_braided_internal_functor(f1, f0, b, target)
     inverse = Lin(incl, Lin(sd.proj_module, b0)) + Lin(c.e, Lin(sd.proj_actor, b0))
-    _certify_iso("beta", rep, f1, linear_from_term(total, c1.space, inverse))
+    _certify_iso("beta", rep, f1, linear_from_term(total, c1, inverse))
     return (f1, f0), rep
 
 

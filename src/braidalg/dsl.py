@@ -17,6 +17,7 @@ parser, its printer and, for a kind the CLI validates, its validator.
 from __future__ import annotations
 
 import re
+from functools import partial
 
 from .action import AssocAction, LieAction, require_action_flavor
 from .action import validate_assoc_action, validate_lie_action
@@ -29,13 +30,8 @@ from .braid import (
     validate_braiding_xmod_assoc,
     validate_braiding_xmod_lie,
 )
-from .errors import (
-    DimensionMismatch,
-    DslError,
-    DslSyntaxError,
-    FieldMismatch,
-    UnknownReference,
-)
+from .errors import DimensionMismatch, DslError, DslSyntaxError, FieldMismatch, InvalidInput
+from .errors import SignatureMismatch, UnknownReference
 from .fields import MAX_CHARACTERISTIC, QQ, CharacteristicTooLarge, Field
 from .groupx import FiniteGroup, GroupXMod, validate_group_braiding, validate_group_xmod
 from .icat import CatAlgebra, require_cat_flavor, validate_cat_algebra
@@ -234,7 +230,8 @@ class _Parser:
         return i
 
     def int_list(self):
-        out = []
+        """(first token, the integers up to the first non-number)."""
+        first, out = self.pos, []
         while self.kinds[self.peek()] == "number":
             k = self.take("number")
             if "/" in self.toks[k]:
@@ -248,14 +245,16 @@ class _Parser:
             out.append(int(digits or "0"))
         if not out:
             raise DslSyntaxError("expected at least one integer", *self.at(self.pos))
-        return tuple(out)
+        return first, tuple(out)
 
     def int_rows(self):
-        rows = [self.int_list()]
+        """(first token, the comma-separated rows of `int_list`)."""
+        first, row = self.int_list()
+        rows = [row]
         while self.peek() == ",":
             self.pos += 1
-            rows.append(self.int_list())
-        return tuple(rows)
+            rows.append(self.int_list()[1])
+        return first, tuple(rows)
 
     # references -----------------------------------------------------------
 
@@ -297,10 +296,26 @@ class _Parser:
         self.pos += 1
         return seen
 
-    def need(self, seen, key, k):
-        if key not in seen:
-            raise DslSyntaxError(f"missing entry {key!r}", *self.at(k))
-        return seen[key]
+    def build(self, name, seen, make, *keys):
+        """`make` of the values of the entries `keys`, each a (token, value)
+        pair, for the block at token `name`.  A missing entry is refused at
+        `name`, and so is a group the record refuses; a part whose
+        signature its record refuses is refused at its token."""
+        for key in keys:
+            if key not in seen:
+                raise DslSyntaxError(f"missing entry {key!r}", *self.at(name))
+        try:
+            return make(*[seen[key][1] for key in keys])
+        except SignatureMismatch as exc:
+            k = seen[exc.part][0]
+            ref = self.toks[k]
+            if exc.part == "boundary":
+                message = "boundary must map the module to the actor"
+            else:
+                message = f"{self.by_name[ref][0]} {ref!r} has the wrong signature"
+            raise DimensionMismatch(message, *self.at(k))
+        except InvalidInput as exc:
+            raise DslError(str(exc), *self.at(name))
 
     # declarations ----------------------------------------------------------
 
@@ -444,20 +459,8 @@ class _Parser:
                 raise DslSyntaxError(
                     "an action has either dot or star1/star2, not both", *self.at(name)
                 )
-            tok, dot = seen["dot"]
-            self._check_shape(tok, dot, actor.space, module.space, module.space)
-            return LieAction(actor, module, dot)
-        t1 = self.need(seen, "star1", name)
-        t2 = self.need(seen, "star2", name)
-        self._check_shape(t1[0], t1[1], actor.space, module.space, module.space)
-        self._check_shape(t2[0], t2[1], module.space, actor.space, module.space)
-        return AssocAction(actor, module, t1[1], t2[1])
-
-    def _check_shape(self, tok, bil: BilMap, left, right, cod):
-        if (bil.left, bil.right, bil.codomain) != (left, right, cod):
-            raise DimensionMismatch(
-                f"bilinear {self.toks[tok]!r} has the wrong signature", *self.at(tok)
-            )
+            return self.build(name, seen, partial(LieAction, actor, module), "dot")
+        return self.build(name, seen, partial(AssocAction, actor, module), "star1", "star2")
 
     def parse_xmod(self, name):
         seen = self.block_entries(
@@ -466,16 +469,7 @@ class _Parser:
                 "boundary": lambda: self.ref("map"),
             }
         )
-        _, action = self.need(seen, "action", name)
-        btok, boundary = self.need(seen, "boundary", name)
-        if (
-            boundary.domain != action.module.space
-            or boundary.codomain != action.actor.space
-        ):
-            raise DimensionMismatch(
-                "boundary must map the module to the actor", *self.at(btok)
-            )
-        return XMod(action, boundary)
+        return self.build(name, seen, XMod, "action", "boundary")
 
     def parse_braiding(self, name):
         seen = self.block_entries(
@@ -491,14 +485,8 @@ class _Parser:
                 raise DslSyntaxError(
                     "a braiding is over an xmod or a cat, not both", *self.at(name)
                 )
-            _, x = self.need(seen, "xmod", name)
-            btok, brace = self.need(seen, "brace", name)
-            self._check_shape(btok, brace, x.n.space, x.n.space, x.m.space)
-            return XBraiding(x, brace)
-        _, c = self.need(seen, "cat", name)
-        ttok, tau = self.need(seen, "tau", name)
-        self._check_shape(ttok, tau, c.c0.space, c.c0.space, c.c1.space)
-        return CatBraiding(c, tau)
+            return self.build(name, seen, XBraiding, "xmod", "brace")
+        return self.build(name, seen, CatBraiding, "cat", "tau")
 
     def parse_cat(self, name):
         def flavor_value():
@@ -526,25 +514,13 @@ class _Parser:
                 "k": map_pair,
             }
         )
-        flavor = self.need(seen, "flavor", name)[1]
-        _, c1 = self.need(seen, "c1", name)
-        _, c0 = self.need(seen, "c0", name)
-        stok, s = self.need(seen, "s", name)
-        ttok, t = self.need(seen, "t", name)
-        etok, e = self.need(seen, "e", name)
-        for tok, f, dom, cod in (
-            (stok, s, c1, c0),
-            (ttok, t, c1, c0),
-            (etok, e, c0, c1),
-        ):
-            if f.domain != dom.space or f.codomain != cod.space:
-                raise DimensionMismatch(
-                    f"map {self.toks[tok]!r} has the wrong signature", *self.at(tok)
-                )
-        obj = CatAlgebra(c1, c0, s, t, e, flavor)
+        obj = self.build(  # a missing entry is named in the printed order
+            name, seen, lambda flavor, *parts: CatAlgebra(*parts, flavor),
+            "flavor", "c1", "c0", "s", "t", "e",
+        )
         if "k" in seen:
             (ptok, pmap), (_, qmap) = seen["k"]
-            if pmap != obj.vertical or qmap != identity_map(c1.space):
+            if pmap != obj.vertical or qmap != identity_map(obj.c1.space):
                 raise DslError(
                     "explicit k must equal the forced composition x - e(t(x)) + y",
                     *self.at(ptok),
@@ -553,8 +529,7 @@ class _Parser:
 
     def parse_group(self, name):
         seen = self.block_entries({"table": self.int_rows})
-        rows = self.need(seen, "table", name)
-        return FiniteGroup(len(rows), rows)
+        return self.build(name, seen, lambda rows: FiniteGroup(len(rows), rows), "table")
 
     def parse_groupxmod(self, name):
         seen = self.block_entries(
@@ -566,11 +541,8 @@ class _Parser:
                 "brace": self.int_rows,
             }
         )
-        _, g = self.need(seen, "g", name)
-        _, h = self.need(seen, "h", name)
-        action = self.need(seen, "action", name)
-        boundary = self.need(seen, "boundary", name)
-        return GroupXMod(g, h, action, boundary, seen.get("brace"))
+        seen.setdefault("brace", (name, None))
+        return self.build(name, seen, GroupXMod, "g", "h", "action", "boundary", "brace")
 
 
 def parse(source: str) -> Document:

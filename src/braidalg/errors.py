@@ -31,6 +31,14 @@ class InternalInvariantViolation(BraidAlgError):
     pass
 
 
+class SignatureMismatch(ValueError):
+    """A structure's part has the wrong signature; `part` names its field."""
+
+    def __init__(self, part, message):
+        super().__init__(message)
+        self.part = part
+
+
 class ValidationFailed(BraidAlgError):
     """Raised by eager constructors; carries the failing report."""
 

@@ -11,11 +11,8 @@ composable k-tuples are the kernel of one block map (`composable_basis`).
 from __future__ import annotations
 
 from .algebra import ASSOC, LIE, Algebra, has_flavor, hom_law, liefy
-from .errors import (
-    InternalInvariantViolation,
-    InvalidCatAlgebra,
-    NotComposable,
-)
+from .errors import InternalInvariantViolation, InvalidCatAlgebra, NotComposable
+from .errors import SignatureMismatch
 from .linear import (
     Bil,
     Family,
@@ -54,10 +51,12 @@ class CatAlgebra(Record):
     def __post_init__(self):
         if self.flavor not in (ASSOC, LIE):
             raise ValueError(f"flavor must be assoc or lie, got {self.flavor!r}")
-        for f, dom, cod in ((self.s, self.c1, self.c0), (self.t, self.c1, self.c0), (self.e, self.c0, self.c1)):
-            if f.domain != dom.space or f.codomain != cod.space:
-                raise ValueError("structural map does not match C1/C0")
-        c1, c0, m, e = self.c1.space, self.c0.space, self.c1.mult, self.e
+        c1, c0 = self.c1.space, self.c0.space
+        for part, dom, cod in (("s", c1, c0), ("t", c1, c0), ("e", c0, c1)):
+            f = getattr(self, part)
+            if f.domain != dom or f.codomain != cod:
+                raise SignatureMismatch(part, "structural map does not match C1/C0")
+        m, e = self.c1.mult, self.e
         for name, f in (("vertical", self.t), ("ker_s_part", self.s)):  # id - e.f
             object.__setattr__(self, name, linear_from_term(c1, c1, b0 - Lin(e, Lin(f, b0))))
         e_mul = bilinear_from_term(c0, c1, c1, Bil(m, Lin(e, b0), b1))
@@ -71,22 +70,17 @@ def discrete_cat(a: Algebra, flavor: str) -> CatAlgebra:
     return CatAlgebra(a, a, i, i, i, flavor)
 
 
-def k_formula(c: CatAlgebra, x, y):
-    """x - e(t(x)) + y = V(x) + y, with no composability check (validator
-    use only)."""
-    return vadd(c.c1.field, c.vertical.apply(x), y)
-
-
 def k_term(c: CatAlgebra, x: Term, y: Term) -> Term:
-    """k_formula of two law terms: V(x) + y."""
+    """The composition of two law terms, V(x) + y."""
     return Lin(c.vertical, x) + y
 
 
 def compose(c: CatAlgebra, x, y):
-    """Composition of x then y; requires t(x) = s(y) exactly."""
+    """Composition of x then y, x - e(t(x)) + y = V(x) + y; requires
+    t(x) = s(y) exactly."""
     if c.t.apply(x) != c.s.apply(y):
         raise NotComposable("t(x) != s(y)")
-    return k_formula(c, x, y)
+    return vadd(c.c1.field, c.vertical.apply(x), y)
 
 
 def invert_morphism(c: CatAlgebra, f):

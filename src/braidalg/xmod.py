@@ -27,7 +27,7 @@ from .algebra import (
     is_homomorphism,
     is_lie,
 )
-from .errors import InvalidXMod, NotAssociative, NotLie
+from .errors import InvalidXMod, NotAssociative, NotLie, SignatureMismatch
 from .linear import Bil, Lin, LinMap, b0, b1, identity_map
 from .record import Record
 from .report import ValidationReport, merge, sweep
@@ -42,7 +42,7 @@ class XMod(Record):
 
     def __post_init__(self):
         if self.boundary.domain != self.m.space or self.boundary.codomain != self.n.space:
-            raise ValueError("boundary must map M -> N")
+            raise SignatureMismatch("boundary", "boundary must map M -> N")
 
     @property
     def m(self) -> Algebra:

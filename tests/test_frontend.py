@@ -691,16 +691,10 @@ def test_cli_import_loads_every_module_and_no_dataclasses():
     # A fresh interpreter without `site`, so that nothing else loads first.
     # `dataclasses` loads `inspect` and compiles methods for every class.
     # Every module must still load: braidbench/tracer.py binds them all
-    # right after `import braidalg.cli` and fails with a KeyError on a
-    # module that is not loaded yet, which rules out per-command imports.
-    # Installing the tracer then fails with an AttributeError on any traced
-    # name a refactor renamed, which would otherwise break `--trace 1`.
+    # right after `import braidalg.cli` (see the next test), which rules
+    # out per-command imports.
     src = os.path.join(ROOT, "src")
-    code = (
-        "import sys, braidalg.cli; print(*sorted(sys.modules)); "
-        f"sys.path.insert(0, {os.path.join(ROOT, 'braidbench')!r}); "
-        "from tracer import Tracer; Tracer().install()"
-    )
+    code = "import sys, braidalg.cli; print(*sorted(sys.modules))"
     run = subprocess.run(
         [sys.executable, "-S", "-c", code],
         env=dict(os.environ, PYTHONPATH=src),
@@ -715,6 +709,25 @@ def test_cli_import_loads_every_module_and_no_dataclasses():
         "braidalg." + name[:-3] for name in os.listdir(package) if name.endswith(".py")
     }
     assert modules <= loaded
+
+
+def test_the_benchmark_tracer_installs_after_the_cli_import():
+    # braidbench/tracer.py binds about 60 names of the package right after
+    # `import braidalg.cli`: a module not loaded yet fails it with a
+    # KeyError and a renamed name with an AttributeError, either of which
+    # breaks every `--trace 1` run.  Installing reads braidbench/ and
+    # edits nothing there.
+    code = (
+        "import sys, braidalg.cli; "
+        f"sys.path.insert(0, {os.path.join(ROOT, 'braidbench')!r}); "
+        "from tracer import Tracer; Tracer().install()"
+    )
+    subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        capture_output=True,
+        check=True,
+    )
 
 
 def test_tracer_sees_the_cli_dispatch():
@@ -828,6 +841,9 @@ PRELUDE = (
 LIE_ACTION = "action act : A on A {\n  dot = b;\n}\n"
 # the discrete assoc cat C on A, on lines 10-17 after PRELUDE
 DISCRETE_CAT = "cat C {\n  flavor = assoc;\n  c1 = A;\n  c0 = A;\n  s = d;\n  t = d;\n  e = d;\n}\n"
+# a bilinear c and a map f that fit no part over A alone, on lines 10-11
+WRONG_C = "bilinear c : B, A -> A {\n}\n"
+WRONG_F = "map f : B -> A {\n}\n"
 
 
 @pytest.mark.parametrize(
@@ -869,10 +885,30 @@ DISCRETE_CAT = "cat C {\n  flavor = assoc;\n  c1 = A;\n  c0 = A;\n  s = d;\n  t 
         (PRELUDE + "map f : B -> A {\n}\ncat C {\n  flavor = assoc;\n  c1 = A;\n"
          "  c0 = A;\n  s = f;\n  t = d;\n  e = d;\n}\n",
          "16:7: map 'f' has the wrong signature"),
+        (PRELUDE + WRONG_C + "action act : A on A {\n  star1 = c;\n  star2 = b;\n}\n",
+         "13:11: bilinear 'c' has the wrong signature"),
+        (PRELUDE + WRONG_C + "action act : A on A {\n  star1 = b;\n  star2 = c;\n}\n",
+         "14:11: bilinear 'c' has the wrong signature"),
+        (PRELUDE + WRONG_C + LIE_ACTION + "xmod X {\n  action = act;\n  boundary = d;\n}\n"
+         + "braiding Br {\n  xmod = X;\n  brace = c;\n}\n",
+         "21:11: bilinear 'c' has the wrong signature"),
+        (PRELUDE + WRONG_C + DISCRETE_CAT + "braiding Br {\n  cat = C;\n  tau = c;\n}\n",
+         "22:9: bilinear 'c' has the wrong signature"),
+        (PRELUDE + WRONG_F + DISCRETE_CAT.replace("t = d", "t = f"),
+         "17:7: map 'f' has the wrong signature"),
+        (PRELUDE + WRONG_F + DISCRETE_CAT.replace("e = d", "e = f"),
+         "18:7: map 'f' has the wrong signature"),
+        # a group or groupxmod its record refuses is placed at the block name
+        ("field Q\ngroup G {\n  table = 0 1, 1 5;\n}\n",
+         "2:7: table entries must be element indices"),
+        ("field Q\ngroup G {\n  table = 0;\n}\ngroupxmod X {\n  g = G;\n  h = G;\n"
+         "  action = 0;\n  boundary = 1;\n}\n",
+         "5:11: boundary entries must be element indices of H"),
     ),
     ids=("scalar", "label", "separator", "kind", "an_algebra", "an_action", "name", "entry",
          "missing", "repeated", "field", "labels", "dot_and_star", "signature", "boundary",
-         "xmod_and_cat", "brace_and_tau", "cat_and_brace", "brace_alone", "flavor", "map"),
+         "xmod_and_cat", "brace_and_tau", "cat_and_brace", "brace_alone", "flavor", "map",
+         "star1", "star2", "brace", "tau", "cat_t", "cat_e", "group", "groupxmod"),
 )
 def test_each_dsl_refusal_exits_two_at_its_position(source, message, tmp_path, capsys):
     path = tmp_path / "bad.alg"

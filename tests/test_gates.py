@@ -46,6 +46,7 @@ from braidalg.errors import (
     InvalidXMod,
     NotAssociative,
     NotLie,
+    SignatureMismatch,
     UnknownFixture,
 )
 from braidalg.fields import QQ
@@ -863,3 +864,59 @@ def test_xc_reads_its_terms_in_the_kernel_space_it_is_given(mat2_braidings):
     with pytest.raises(ValueError) as exc:
         braid._xc(cb, (ks, other, incl))
     assert str(exc.value) == "position 0 is read in a space it does not index"
+
+
+# N = Mat(2) acting on M = Ab(1): each part below has the other space
+# where its record wants N or M
+_N, _M = MAT2.space, AB1.space
+_XMOD = XMod(zero_action_assoc(MAT2, AB1), zero_map(_M, _N))
+_I, _WRONG_MAP = identity_map(_N), zero_map(_N, _M)
+SIGNATURE_REFUSALS = [
+    ("star1", lambda: AssocAction(MAT2, AB1, *[zero_bilmap(_M, _N, _M)] * 2),
+     "star1 must map N x M -> M"),
+    ("star2", lambda: AssocAction(MAT2, AB1, *[zero_bilmap(_N, _M, _M)] * 2),
+     "star2 must map M x N -> M"),
+    ("dot", lambda: LieAction(MAT2, AB1, zero_bilmap(_M, _N, _M)), "dot must map N x M -> M"),
+    ("boundary", lambda: XMod(_XMOD.action, zero_map(_N, _M)), "boundary must map M -> N"),
+    ("brace", lambda: XBraiding(_XMOD, zero_bilmap(_N, _N, _N)), "brace must map N x N -> M"),
+    ("tau", lambda: CatBraiding(discrete_cat(MAT2, ASSOC), zero_bilmap(_N, _N, _M)),
+     "tau must map C0 x C0 -> C1"),
+    ("s", lambda: CatAlgebra(MAT2, MAT2, _WRONG_MAP, _I, _I, ASSOC),
+     "structural map does not match C1/C0"),
+    ("t", lambda: CatAlgebra(MAT2, MAT2, _I, _WRONG_MAP, _I, ASSOC),
+     "structural map does not match C1/C0"),
+    ("e", lambda: CatAlgebra(MAT2, MAT2, _I, _I, zero_map(_M, _N), ASSOC),
+     "structural map does not match C1/C0"),
+]
+
+
+@pytest.mark.parametrize(
+    "part,call,message", SIGNATURE_REFUSALS, ids=[case[0] for case in SIGNATURE_REFUSALS]
+)
+def test_each_record_refuses_a_part_of_the_wrong_signature(part, call, message):
+    # the record is the one check of its parts; the DSL places the refusal
+    # by the part it names
+    with pytest.raises(SignatureMismatch) as exc:
+        call()
+    assert (exc.value.part, str(exc.value)) == (part, message)
+    assert isinstance(exc.value, ValueError)
+
+
+def test_the_parser_states_no_signature():
+    # a part's signature is compared in its record alone: `dsl._Parser`
+    # reads no map's spaces, and raises DimensionMismatch in `build` only,
+    # where it places the record's SignatureMismatch
+    tree = _source_trees()["dsl.py"]
+    parser = next(n for n in tree.body if getattr(n, "name", None) == "_Parser")
+    read = {n.attr for n in ast.walk(parser) if isinstance(n, ast.Attribute)}
+    assert not read & {"left", "right", "domain", "codomain"}
+    raised = [
+        fn.name
+        for fn in parser.body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Raise)
+        for name in ast.walk(node)
+        if getattr(name, "id", None) == "DimensionMismatch"
+    ]
+    assert raised == ["build"]

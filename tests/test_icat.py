@@ -20,7 +20,6 @@ from braidalg.icat import (
     composable_basis,
     discrete_cat,
     invert_morphism,
-    k_formula,
     validate_cat_algebra,
 )
 from braidalg.linear import (
@@ -106,12 +105,6 @@ def test_compose_rejects_non_composable():
     pytest.skip("no non-composable basis pair in fixture")
 
 
-def test_k_formula_matches_compose():
-    bar = cx_functor(commutator_braiding(catalog("Upper(2)", QQ))).base
-    for x, y in composable_basis(bar, 2):
-        assert compose(bar, x, y) == k_formula(bar, x, y)
-
-
 def test_cat_liefy_valid_and_lie():
     bar = cx_functor(commutator_braiding(catalog("Mat(2)", QQ))).base
     lie_bar = cat_liefy(bar)
@@ -142,9 +135,10 @@ def derived_map_cases():
 
 @pytest.mark.parametrize("label,cat", derived_map_cases())
 def test_derived_maps_match_the_dense_reference(label, cat):
-    # k_formula reads the stored V = id - e.t, ker_s_part is W = id - e.s,
-    # and e_mul/mul_e are (a, x) -> e(b_a) x and (x, a) -> x e(b_a); seeded
-    # vectors per case (drawn dense and handed to the library sparse)
+    # vertical is V = id - e.t, so V(x) + y is the composition x - e(t(x)) + y;
+    # ker_s_part is W = id - e.s, and e_mul/mul_e are (a, x) -> e(b_a) x and
+    # (x, a) -> x e(b_a); seeded vectors per case (drawn dense and handed to
+    # the library sparse)
     rng = random.Random(label)
     F, c1, mul, n = cat.c1.field, cat.c1, cat.c1.mult, cat.c1.dim
     for _ in range(6):
@@ -152,7 +146,7 @@ def test_derived_maps_match_the_dense_reference(label, cat):
         u = random_vector(rng, F, cat.c0.dim)
         eu, esx = dense_apply(cat.e, u), dense_apply(cat.e, dense_apply(cat.s, x))
         sx, sy, su = sparse(x), sparse(y), sparse(u)
-        assert densify(k_formula(cat, sx, sy), n) == dense_compose(cat, x, y)
+        assert densify(vadd(F, cat.vertical.apply(sx), sy), n) == dense_compose(cat, x, y)
         assert densify(cat.ker_s_part.apply(sx), n) == tuple(map(F.sub, x, esx))
         assert densify(cat.e_mul.apply(su, sx), n) == dense_bilinear(mul, eu, x)
         assert densify(cat.mul_e.apply(sx, su), n) == dense_bilinear(mul, x, eu)
