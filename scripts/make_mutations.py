@@ -41,6 +41,7 @@ from braidalg.braid import (
     CatBraiding,
     XBraiding,
     _bar,
+    _cx,
     braiding_cat_assoc_laws,
     braiding_cat_lie_alt_laws,
     braiding_cat_lie_ulualan_laws,
@@ -131,9 +132,10 @@ def heis3_tensor(field):
 
 
 @functools.cache
-def heis3_tensor_bar(field):
-    """`braid._bar` of the Heis3 tensor crossed module: (cat, semidirect)."""
-    return _bar(heis3_tensor(field).base)
+def heis3_tensor_cx(field):
+    """`braid._cx` of the Heis3 tensor braiding: its bar with
+    tau_{a,b} = (-2{a,b}, [a,b])."""
+    return _cx(heis3_tensor(field))[0]
 
 
 def degenerate_xmods(field=F):
@@ -174,7 +176,7 @@ def lie_degenerate_bars(field):
         x = XMod(LieAction(n, m, dot), zero_map(m.space, n.space))
         bars.append((name, _bar(x)[0]))
     # tensor-square crossed module of Heis3 (kernel and cokernel both nonzero)
-    return (*bars, ("heisT", heis3_tensor_bar(field)[0]))
+    return (*bars, ("heisT", heis3_tensor_cx(field).base))
 
 
 # ---------------------------------------------------------------------------
@@ -420,14 +422,8 @@ def cat_braiding_cases():
     # with tau_{a,b} = (-2{a,b}, [a,b]): the N component gives
     # s(tau) = [a,b] and the boundary of the M component shifts t(tau)
     # to [b,a].  tau is perturbed by kv, a vector of ker s and of ker t.
-    b = heis3_tensor(F)
-    x = b.base
-    cat, sd = heis3_tensor_bar(F)
-    total = sd.algebra.space
-    brace = Bil(b.brace, b0, b1)
-    pair = Lin(sd.incl_actor, Bil(x.n.mult, b0, b1)) - Lin(sd.incl_module, brace + brace)
-    tau = bilinear_from_term(x.n.space, x.n.space, total, pair)
-    n = x.n.dim
+    cx = heis3_tensor_cx(F)
+    cat, tau, total, n = cx.base, cx.tau, cx.base.c1.space, cx.base.c0.dim
     cols = (concat([(cat.s.column(j), n), (cat.t.column(j), n)]) for j in range(total.dim))
     stacked = from_columns(total, Space(F, tuple(f"w{i}" for i in range(2 * n))), cols)
     kv = kernel(stacked).basis[0]
@@ -652,7 +648,7 @@ def cat_lie_candidates(assoc):
     """The Heis3 tensor bar, then the Lie-fied bases of `assoc`, the
     associative candidates.  The other bars of `lie_degenerate_bars` have
     zero boundary, so s = t, and LieT1 leaves them no tau over Q."""
-    yield "heisTbar", zero_braiding(heis3_tensor_bar(F)[0])
+    yield "heisTbar", zero_braiding(heis3_tensor_cx(F).base)
     for name, b in assoc:
         yield name + "lie", zero_braiding(cat_liefy(b.base))
 

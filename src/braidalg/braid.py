@@ -173,20 +173,20 @@ def _cat_t12(b: CatBraiding, t1: str, t2: str):
 def braiding_cat_assoc_laws(b: CatBraiding):
     """AsT1..AsT4 as (tag, dims, lhs, rhs) entries; AsT2-4 evaluate
     compositions via the forced formula."""
-    c, tau = b.base, b.tau
-    dims, m = (c.c0.dim,) * 3, c.c0.mult
+    c, tau, e = b.base, b.tau, b.base.e
+    dims, m, m1 = (c.c0.dim,) * 3, c.c0.mult, c.c1.mult
     return _cat_t12(b, "AsT1", "AsT2") + [
         (
             "AsT3",
             dims,
             Bil(tau, Bil(m, b0, b1), b2),
-            k_term(c, Bil(c.e_mul, b0, Bil(tau, b1, b2)), Bil(c.mul_e, Bil(tau, b0, b2), b1)),
+            k_term(c, Bil(m1, Lin(e, b0), Bil(tau, b1, b2)), Bil(m1, Bil(tau, b0, b2), Lin(e, b1))),
         ),
         (
             "AsT4",
             dims,
             Bil(tau, b0, Bil(m, b1, b2)),
-            k_term(c, Bil(c.mul_e, Bil(tau, b0, b1), b2), Bil(c.e_mul, b1, Bil(tau, b0, b2))),
+            k_term(c, Bil(m1, Bil(tau, b0, b1), Lin(e, b2)), Bil(m1, Lin(e, b1), Bil(tau, b0, b2))),
         ),
     ]
 
@@ -200,20 +200,20 @@ def validate_braiding_cat_assoc(
 
 def braiding_cat_lie_ulualan_laws(b: CatBraiding):
     """LieT1, LieT2, LieB3, LieB4 as (tag, dims, lhs, rhs) entries."""
-    c, tau = b.base, b.tau
-    dims, m = (c.c0.dim,) * 3, c.c0.mult
+    c, tau, e = b.base, b.tau, b.base.e
+    dims, m, m1 = (c.c0.dim,) * 3, c.c0.mult, c.c1.mult
     return _cat_t12(b, "LieT1", "LieT2") + [
         (
             "LieB3",
             dims,
             Bil(tau, Bil(m, b0, b1), b2),
-            Bil(c.mul_e, Bil(tau, b0, b2), b1) + Bil(c.e_mul, b0, Bil(tau, b1, b2)),
+            Bil(m1, Bil(tau, b0, b2), Lin(e, b1)) + Bil(m1, Lin(e, b0), Bil(tau, b1, b2)),
         ),
         (
             "LieB4",
             dims,
             Bil(tau, b0, Bil(m, b1, b2)),
-            Bil(c.e_mul, b1, Bil(tau, b0, b2)) + Bil(c.mul_e, Bil(tau, b0, b1), b2),
+            Bil(m1, Lin(e, b1), Bil(tau, b0, b2)) + Bil(m1, Bil(tau, b0, b1), Lin(e, b2)),
         ),
     ]
 
@@ -256,14 +256,14 @@ def anticoherence_laws(b: CatBraiding):
     """tau_{a,[b,c]} = [e(a), tau_{b,c}], the mirror identity, and their
     antisymmetry consequence, as (tag, dims, lhs, rhs) entries; only
     meaningful away from characteristic 2."""
-    c, tau = b.base, b.tau
+    c, tau, e = b.base, b.tau, b.base.e
     if c.c1.field.characteristic == 2:
         raise CharTwo("anticoherence requires characteristic != 2")
-    dims, m = (c.c0.dim,) * 3, c.c0.mult
+    dims, m, m1 = (c.c0.dim,) * 3, c.c0.mult, c.c1.mult
     left, right = Bil(tau, b0, Bil(m, b1, b2)), Bil(tau, Bil(m, b1, b2), b0)
     return [
-        ("AC1", dims, left, Bil(c.e_mul, b0, Bil(tau, b1, b2))),
-        ("AC2", dims, right, Bil(c.mul_e, Bil(tau, b1, b2), b0)),
+        ("AC1", dims, left, Bil(m1, Lin(e, b0), Bil(tau, b1, b2))),
+        ("AC2", dims, right, Bil(m1, Bil(tau, b1, b2), Lin(e, b0))),
         ("AC3", dims, left, -right),
     ]
 
@@ -369,12 +369,16 @@ def _check_cx_input(b: XBraiding):
 
 
 def _cx(b: XBraiding):
-    """cx_functor on a braiding the caller has validated, with the
-    semidirect product it is built on; the output is not checked."""
+    """cx_functor on a braiding of either flavor the caller has validated,
+    with the semidirect product it is built on; the output is not checked.
+    tau_{n,n'} = (c{n, n'}, n n'): c = -1 on an associative, -2 on a Lie
+    crossed module, where BLie1 then gives t(tau_{n,n'}) = [n', n]."""
     N = b.base.n
     cat, sd = _bar(b.base)
-    # tau_{n,n'} = (-{n, n'}, n n')
-    pair = Lin(sd.incl_actor, Bil(N.mult, b0, b1)) - Lin(sd.incl_module, Bil(b.brace, b0, b1))
+    brace = Bil(b.brace, b0, b1)
+    if b.base.flavor != ASSOC:
+        brace = brace + brace
+    pair = Lin(sd.incl_actor, Bil(N.mult, b0, b1)) - Lin(sd.incl_module, brace)
     tau = bilinear_from_term(N.space, N.space, sd.algebra.space, pair)
     return CatBraiding(cat, tau), sd
 

@@ -217,12 +217,17 @@ def _sweep(tag: str, dims, lhs, rhs):
     return AxiomCheck(tag, False, Witness(w.basis_tuple, (w.lhs.index(1),), (w.rhs.index(1),)))
 
 
+def _group_maps(x: GroupXMod):
+    """k[G] and k[H], their products, the action and the boundary of `x`."""
+    kG, kH = (Space(QQ, tuple(range(k.order))) for k in (x.g, x.h))
+    gm, hm = _bilinear(kG, kG, kG, x.g.mul), _bilinear(kH, kH, kH, x.h.mul)
+    return kG, kH, gm, hm, _bilinear(kH, kG, kG, x.act), _linear(kG, kH, x.boundary)
+
+
 def validate_group_xmod(x: GroupXMod, subject: str = "groupxmod") -> ValidationReport:
     """Action-by-automorphisms, boundary homomorphism, XGr1, XGr2."""
     G, H, g, h = x.g, x.h, x.g.order, x.h.order
-    kG, kH = Space(QQ, tuple(range(g))), Space(QQ, tuple(range(h)))
-    gm, hm = _bilinear(kG, kG, kG, G.mul), _bilinear(kH, kH, kH, H.mul)
-    act, d = _bilinear(kH, kG, kG, x.act), _linear(kG, kH, x.boundary)
+    kG, kH, gm, hm, act, d = _group_maps(x)
     hconj, gconj = _bilinear(kH, kH, kH, H.conj), _bilinear(kG, kG, kG, G.conj)
     laws = [
         (
@@ -245,9 +250,7 @@ def validate_group_braiding(x: GroupXMod, subject: str = "groupxmod") -> Validat
     if x.brace is None:
         raise InvalidInput("braiding validation needs a brace table")
     G, H, g, h, br = x.g, x.h, x.g.order, x.h.order, x.brace
-    kG, kH = Space(QQ, tuple(range(g))), Space(QQ, tuple(range(h)))
-    gm, hm = _bilinear(kG, kG, kG, G.mul), _bilinear(kH, kH, kH, H.mul)
-    act, d = _bilinear(kH, kG, kG, x.act), _linear(kG, kH, x.boundary)
+    kG, kH, gm, hm, act, d = _group_maps(x)
     brace, inv = _bilinear(kH, kH, kG, lambda a, b: br[a][b]), _linear(kG, kG, G.inverse)
     hcomm, gcomm = _bilinear(kH, kH, kH, H.commutator), _bilinear(kG, kG, kG, G.commutator)
     laws = [

@@ -3,9 +3,9 @@
 The composition is never stored: for these ambient categories it is
 forced to k((x, y)) = x - e(t(x)) + y, so we derive it everywhere and
 treat the lemma itself as a tested property.  Each CatAlgebra derives
-once V = id - e.t, with k((x, y)) = V(x) + y, W = id - e.s onto ker s,
-and the products e(b_a)x and x e(b_a) by a basis vector b_a of C0; the
-composable k-tuples are the kernel of one block map (`composable_basis`).
+once V = id - e.t, with k((x, y)) = V(x) + y, and W = id - e.s onto
+ker s; the composable k-tuples are the kernel of one block map
+(`composable_basis`).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .linear import (
     Term,
     b0,
     b1,
-    bilinear_from_term,
     concat,
     evaluate,
     from_columns,
@@ -45,8 +44,8 @@ class CatAlgebra(Record):
     t: LinMap  # C1 -> C0
     e: LinMap  # C0 -> C1
     flavor: str
-    # derived once: V = id - e.t, W = id - e.s, and e(b_a)x, x e(b_a) by the index a
-    __slots__ = ("vertical", "ker_s_part", "e_mul", "mul_e")
+    # derived once: V = id - e.t and W = id - e.s
+    __slots__ = ("vertical", "ker_s_part")
 
     def __post_init__(self):
         if self.flavor not in (ASSOC, LIE):
@@ -56,13 +55,8 @@ class CatAlgebra(Record):
             f = getattr(self, part)
             if f.domain != dom or f.codomain != cod:
                 raise SignatureMismatch(part, "structural map does not match C1/C0")
-        m, e = self.c1.mult, self.e
         for name, f in (("vertical", self.t), ("ker_s_part", self.s)):  # id - e.f
-            object.__setattr__(self, name, linear_from_term(c1, c1, b0 - Lin(e, Lin(f, b0))))
-        e_mul = bilinear_from_term(c0, c1, c1, Bil(m, Lin(e, b0), b1))
-        object.__setattr__(self, "e_mul", e_mul)
-        mul_e = bilinear_from_term(c1, c0, c1, Bil(m, b0, Lin(e, b1)))
-        object.__setattr__(self, "mul_e", mul_e)
+            object.__setattr__(self, name, linear_from_term(c1, c1, b0 - Lin(self.e, Lin(f, b0))))
 
 
 def discrete_cat(a: Algebra, flavor: str) -> CatAlgebra:

@@ -3,8 +3,12 @@ bilinear data X = (action, boundary, brace) passes the crossed-module and
 BAs axioms exactly when its bar construction cx(X) passes the flavor check,
 the categorical-algebra axioms and AsT1-4.  Checked on the crossed-module
 and braiding mutation corpus and on seeded transports of the catalog
-braidings, some with one image moved, over Q, F5 and F7."""
+braidings, some with one image moved, over Q, F5 and F7.  Lie data X passes
+BLie1-6 exactly when cx(X) passes each Lie list, LieT1, LieT2, LieB3, LieB4
+and LieT1-4; that is checked on the braidings of fixtures/ and the corpus
+and on the Lie-fied unmoved transports, not proven."""
 
+import glob
 import json
 import os
 import random
@@ -14,14 +18,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from braidalg.action import AssocAction
-from braidalg.algebra import ASSOC, Algebra, catalog, has_flavor
+from braidalg.algebra import ASSOC, LIE, Algebra, catalog, has_flavor
 from braidalg.braid import (
     XBraiding,
     _bar,
     _cx,
     commutator_braiding,
     validate_braiding_cat_assoc,
+    validate_braiding_cat_lie_alt,
+    validate_braiding_cat_lie_ulualan,
     validate_braiding_xmod_assoc,
+    validate_braiding_xmod_lie,
+    xmod_braiding_liefy,
 )
 from braidalg.dsl import parse
 from braidalg.errors import InvalidXMod
@@ -41,7 +49,7 @@ from braidalg.linear import (
 )
 from braidalg.xmod import XMod, require_valid_xmod_assoc, require_valid_xmod_lie
 
-from conftest import MUTATIONS
+from conftest import FIXTURES, MUTATIONS
 
 
 def _xmod_ok(x):
@@ -57,20 +65,31 @@ def _cat_ok(c):
     return has_flavor(c.flavor, c.c1, c.c0) and validate_cat_algebra(c).ok
 
 
+# per flavor, the braiding validator of X and those of cx(X)
+_VALIDATORS = {
+    ASSOC: (validate_braiding_xmod_assoc, (validate_braiding_cat_assoc,)),
+    LIE: (
+        validate_braiding_xmod_lie,
+        (validate_braiding_cat_lie_ulualan, validate_braiding_cat_lie_alt),
+    ),
+}
+
+
 def _verdicts(b):
-    """(X valid, cx(X) valid) for a crossed module b, or for an associative
-    braiding b with its axioms on both sides; a Lie braiding is read as its
-    crossed module, as the bar carries no Lie tau yet."""
-    if isinstance(b, XBraiding) and b.base.flavor == ASSOC:
-        cb = _cx(b)[0]
-        x_ok = _xmod_ok(b.base) and validate_braiding_xmod_assoc(b).ok
-        return x_ok, _cat_ok(cb.base) and validate_braiding_cat_assoc(cb).ok
-    x = b.base if isinstance(b, XBraiding) else b
-    return _xmod_ok(x), _cat_ok(_bar(x)[0])
+    """(X valid, cx(X) valid) for a crossed module b; for a braiding b, with
+    its axioms on both sides, X's verdict and then one of cx(X) per braiding
+    list of its flavor."""
+    if not isinstance(b, XBraiding):
+        return _xmod_ok(b), _cat_ok(_bar(b)[0])
+    cb = _cx(b)[0]
+    validate, cat_lists = _VALIDATORS[b.base.flavor]
+    cat_ok = _cat_ok(cb.base)
+    return (_xmod_ok(b.base) and validate(b).ok, *(cat_ok and v(cb).ok for v in cat_lists))
 
 
 def _corpus():
-    """(file, subject) of each crossed-module and braiding mutation case."""
+    """(file, subject) of each crossed-module and braiding mutation case,
+    then of each crossed-module braiding of fixtures/."""
     with open(os.path.join(MUTATIONS, "manifest.json"), encoding="utf-8") as fh:
         manifest = json.load(fh)
     out = []
@@ -79,6 +98,10 @@ def _corpus():
             kind, obj = parse(fh.read()).lookup(e["subject"])
         if kind == "xmod" or isinstance(obj, XBraiding):
             out.append((e["file"], obj))
+    for path in sorted(glob.glob(os.path.join(FIXTURES, "*.alg"))):
+        with open(path, encoding="utf-8") as fh:
+            blocks = parse(fh.read()).blocks
+        out += [(os.path.basename(path), o) for _, _, o in blocks if isinstance(o, XBraiding)]
     return out
 
 
@@ -87,8 +110,8 @@ _CORPUS = _corpus()
 
 @pytest.mark.parametrize("b", [b for _, b in _CORPUS], ids=[f for f, _ in _CORPUS])
 def test_a_mutation_passes_exactly_when_its_bar_does(b):
-    x_ok, c_ok = _verdicts(b)
-    assert x_ok == c_ok
+    x_ok, *c_oks = _verdicts(b)
+    assert set(c_oks) == {x_ok}
 
 
 def _unimodular(rng, sp):
@@ -186,6 +209,8 @@ def test_a_transported_braiding_passes_exactly_when_its_bar_does(name, F, seed, 
     b = _transported(name, F, seed)
     if move is not None:
         b = _moved_image(b, *move)
-    x_ok, c_ok = _verdicts(b)
-    assert x_ok == c_ok
+    x_ok, *c_oks = _verdicts(b)
+    assert set(c_oks) == {x_ok}
     assert x_ok or move is not None  # a transport of a valid braiding is valid
+    if move is None:  # and so is its Lie-fied braiding, and that one's bar
+        assert set(_verdicts(xmod_braiding_liefy(b))) == {True}

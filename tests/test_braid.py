@@ -7,6 +7,7 @@ from braidalg.algebra import LIE, Algebra, catalog, is_lie
 from braidalg.braid import (
     CatBraiding,
     _bar,
+    _cx,
     alpha_iso,
     anticoherence_laws,
     beta_iso,
@@ -108,6 +109,26 @@ def test_cat_braiding_liefy_passes_both_validators(name):
     assert validate_braiding_cat_lie_ulualan(lie_cb).ok
     assert validate_braiding_cat_lie_alt(lie_cb).ok
     assert check_anticoherence(lie_cb).ok
+
+
+# the associative braidings of fixtures/ (field None), then commutator
+# braidings of catalog algebras
+_SQUARE_CASES = [(f, None) for f in ("mat2_braided", "mat3_braided", "upper3_braided")] + [
+    (name, F)
+    for F in (QQ, GF(3), GF(5))
+    for name in ("Ab(2)", "Upper(2)", "Mat(2)", "Upper(3)", "Mat(3)")
+]
+
+
+@pytest.mark.parametrize("name,field", _SQUARE_CASES, ids=str)
+def test_liefication_square_commutes(name, field):
+    """liefy(cx(b)) = cx(liefy(b)) on the nose: the Lie-fied bar of b is, as
+    a record, the bar of its Lie-fied braiding."""
+    if field is None:
+        b = _braiding(os.path.join(FIXTURES, f"{name}.alg"))[1]
+    else:
+        b = commutator_braiding(catalog(name, field))
+    assert cat_braiding_liefy(cx_functor(b)) == _cx(xmod_braiding_liefy(b))[0]
 
 
 @pytest.mark.parametrize("field", (QQ, GF(5)))

@@ -27,7 +27,9 @@ from braidalg.linear import (
     Family,
     Lin,
     b0,
+    b1,
     bilinear_from_rule,
+    bilinear_from_term,
     from_columns,
     vadd,
 )
@@ -136,11 +138,14 @@ def derived_map_cases():
 @pytest.mark.parametrize("label,cat", derived_map_cases())
 def test_derived_maps_match_the_dense_reference(label, cat):
     # vertical is V = id - e.t, so V(x) + y is the composition x - e(t(x)) + y;
-    # ker_s_part is W = id - e.s, and e_mul/mul_e are (a, x) -> e(b_a) x and
-    # (x, a) -> x e(b_a); seeded vectors per case (drawn dense and handed to
-    # the library sparse)
+    # ker_s_part is W = id - e.s; the braiding laws write the e-products
+    # (a, x) -> e(b_a) x and (x, a) -> x e(b_a) as the terms built here;
+    # seeded vectors per case (drawn dense and handed to the library sparse)
     rng = random.Random(label)
     F, c1, mul, n = cat.c1.field, cat.c1, cat.c1.mult, cat.c1.dim
+    c0, e = cat.c0.space, cat.e
+    e_mul = bilinear_from_term(c0, c1.space, c1.space, Bil(mul, Lin(e, b0), b1))
+    mul_e = bilinear_from_term(c1.space, c0, c1.space, Bil(mul, b0, Lin(e, b1)))
     for _ in range(6):
         x, y = random_vector(rng, F, n), random_vector(rng, F, n)
         u = random_vector(rng, F, cat.c0.dim)
@@ -148,13 +153,13 @@ def test_derived_maps_match_the_dense_reference(label, cat):
         sx, sy, su = sparse(x), sparse(y), sparse(u)
         assert densify(vadd(F, cat.vertical.apply(sx), sy), n) == dense_compose(cat, x, y)
         assert densify(cat.ker_s_part.apply(sx), n) == tuple(map(F.sub, x, esx))
-        assert densify(cat.e_mul.apply(su, sx), n) == dense_bilinear(mul, eu, x)
-        assert densify(cat.mul_e.apply(sx, su), n) == dense_bilinear(mul, x, eu)
+        assert densify(e_mul.apply(su, sx), n) == dense_bilinear(mul, eu, x)
+        assert densify(mul_e.apply(sx, su), n) == dense_bilinear(mul, x, eu)
     for a in range(cat.c0.dim):
         x = random_vector(rng, F, n)
         ea = densify(cat.e.column(a), n)
-        assert densify(cat.e_mul.apply_left(a, sparse(x)), n) == dense_bilinear(mul, ea, x)
-        assert densify(cat.mul_e.apply(sparse(x), ((a, 1),)), n) == dense_bilinear(mul, x, ea)
+        assert densify(e_mul.apply_left(a, sparse(x)), n) == dense_bilinear(mul, ea, x)
+        assert densify(mul_e.apply(sparse(x), ((a, 1),)), n) == dense_bilinear(mul, x, ea)
 
 
 # ---------------------------------------------------------------------------
