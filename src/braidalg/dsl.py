@@ -221,7 +221,7 @@ class _Parser:
             k += 1
             t = toks[k]
         self.pos = k
-        return _combine(self.field, terms, basis)
+        return _combine(self.field, terms, basis, len(basis))
 
     def label(self, index, k) -> int:
         i = index.get(self.toks[k])

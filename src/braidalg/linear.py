@@ -8,11 +8,12 @@ vector, a bilinear map that of each basis pair, each image sparse as it
 was given; no other module reads those layouts.  Every evaluation --
 `LinMap.apply`, `BilMap.apply`, the one-index read `BilMap.apply_left`
 and the law terms -- adds up the stored images in one loop, `_combine`,
-which scans no zero.  A law term (`Basis`, `Family`, `Lin`, `Bil`, and
-`+`, `-` of terms) is one side of a law; `evaluate` computes it on every
-basis index tuple at once, each subterm over only the positions it
-depends on, a basis argument or an input that is one basis vector read
-as the stored images by index, and no zero input sent to `_combine`.  A
+into a list of the codomain's coordinates, read off once in index order.
+A law term (`Basis`, `Family`, `Lin`, `Bil`, and `+`, `-` of terms) is
+one side of a law; `evaluate` computes it on every basis index tuple at
+once, each subterm over only the positions it depends on, a basis
+argument or an input that is one basis vector read as the stored images
+by index, and no zero input sent to `_combine`.  A
 map is data or a term: a linear or bilinear map derived from other maps
 (a composite, a sum, a swap) is built from a term over one or two
 positions, `linear_from_term` or `bilinear_from_term`, while
@@ -91,13 +92,18 @@ def dense(v, dim: int):
 
 
 def vadd(field: Field, u, v):
-    """u + v, for canonical u and v."""
-    return _combine(field, ((0, 1), (1, 1)), (u, v))
+    """u + v, for canonical u and v (an unsorted one may raise IndexError)."""
+    return _combine(field, ((0, 1), (1, 1)), (u, v), _reach(u, v))
 
 
 def vsub(field: Field, u, v):
-    """u - v, for canonical u and v."""
-    return _combine(field, ((0, 1), (1, -1)), (u, v))
+    """u - v, for canonical u and v (an unsorted one may raise IndexError)."""
+    return _combine(field, ((0, 1), (1, -1)), (u, v), _reach(u, v))
+
+
+def _reach(u, v) -> int:
+    """One past the larger last index of the canonical vectors u and v."""
+    return max(u[-1][0] if u else -1, v[-1][0] if v else -1) + 1
 
 
 def vneg(field: Field, u):
@@ -118,38 +124,28 @@ def is_zero(u) -> bool:
     return not u
 
 
-def _combine(field: Field, v, images):
-    """The sum of m * images[j] over the entries (j, m) of v, images canonical.
+def _combine(field: Field, v, images, dim: int):
+    """The sum of m * images[j] over the entries (j, m) of v, each image
+    canonical in dimension `dim`.
 
-    One nonzero term gives its image itself when m = 1, else the image
-    scaled by m, with no zero test: over Q, and over F_p with p prime, a
-    product of two nonzero scalars is nonzero.  Several terms are summed in
-    a dict, which is filtered and sorted once.  The images are canonical,
-    as every caller's are: a single term's is returned unchecked."""
-    first = acc = None
+    The terms are added into a list of `dim` coordinates, made at the first
+    nonzero image (an input whose images are all zero gives () at once),
+    which one pass over it turns into the canonical tuple.  An image with
+    an index outside range(dim), as a non-canonical input to `vadd` or
+    `vsub` may have, raises IndexError."""
+    acc = None
     for j, m in v:
         image = images[j]
-        if not image:
-            continue
-        if acc is None:
-            if first is None:
-                first = m, image
-                continue
-            m0, image0 = first
-            acc = dict(image0) if m0 == 1 else {k: m0 * c for k, c in image0}
-        get = acc.get
-        for k, c in image:
-            acc[k] = get(k, 0) + m * c
+        if image:
+            if acc is None:
+                acc = [0] * dim
+            for k, c in image:
+                acc[k] += m * c
     if acc is None:
-        if first is None:
-            return ()
-        m, image = first
-        return image if m == 1 else vscale(field, m, image)
+        return ()
     if p := field.characteristic:
-        return tuple((k, r) for k, c in sorted(acc.items()) if (r := c % p))
-    return tuple(
-        (k, c if c.__class__ is int else normal(c)) for k, c in sorted(acc.items()) if c
-    )
+        return tuple([(k, r) for k, c in enumerate(acc) if c and (r := c % p)])
+    return tuple([(k, c if c.__class__ is int else normal(c)) for k, c in enumerate(acc) if c])
 
 
 class LinMap(Record):
@@ -171,7 +167,7 @@ class LinMap(Record):
         object.__setattr__(self, "field", self.domain.field)
 
     def apply(self, v):
-        return _combine(self.field, v, self.columns)
+        return _combine(self.field, v, self.columns, self.codomain.dim)
 
     def column(self, j: int):
         return self.columns[j]
@@ -219,12 +215,12 @@ class BilMap(Record):
 
     def apply_left(self, i: int, v):
         """apply(b_i, v), read from the stored images of (b_i, b_j)."""
-        return _combine(self.field, v, self.tensor[i])
+        return _combine(self.field, v, self.tensor[i], self.codomain.dim)
 
     def apply(self, u, v):
         R = self.right.dim
         pairs = ((i * R + j, a * b) for i, a in u for j, b in v)
-        return _combine(self.field, pairs, self._pairs)
+        return _combine(self.field, pairs, self._pairs, self.codomain.dim)
 
 
 def _from_images(left: Space, right: Space, codomain: Space, images) -> BilMap:
@@ -355,7 +351,9 @@ class Subspace(Record):
         entry at each pivot times that pivot's row."""
         at = self._at
         terms = [(at[k] + 1, -c) for k, c in v if k in at]
-        return _combine(self.ambient.field, [(0, 1), *terms], (v, *self.basis)) if terms else v
+        if not terms:
+            return v
+        return _combine(self.ambient.field, [(0, 1), *terms], (v, *self.basis), self.ambient.dim)
 
     def contains(self, v) -> bool:
         return not self.reduce(v)
@@ -511,9 +509,11 @@ class Lin(Term):
         if isinstance(arg, Basis):  # kept: reading b_i as a unit input is slower
             ev.check(arg.pos, f.domain)
             return list(f.columns)
-        F, cols = f.field, f.columns
+        F, cols, K = f.field, f.columns, f.codomain.dim
         return [
-            (cols[v[0][0]] if len(v) == 1 and v[0][1] == 1 else _combine(F, v, cols)) if v else ()
+            (cols[v[0][0]] if len(v) == 1 and v[0][1] == 1 else _combine(F, v, cols, K))
+            if v
+            else ()
             for v in ev.values(arg)
         ]
 
@@ -530,7 +530,7 @@ class Bil(Term):
 
     def _values(self, ev):
         b, u, v = self.b, self.left, self.right
-        F = b.field
+        F, K = b.field, b.codomain.dim
         if isinstance(u, Basis):  # basis branches kept: reading b_i as a unit input is slower
             ev.check(u.pos, b.left)
             if isinstance(v, Basis):
@@ -553,7 +553,7 @@ class Bil(Term):
                 (
                     pairs[s[0][0] * R + t[0][0]]
                     if len(s) == len(t) == 1 and s[0][1] == t[0][1] == 1
-                    else _combine(F, [(i * R + j, x * y) for i, x in s for j, y in t], pairs)
+                    else _combine(F, [(i * R + j, x * y) for i, x in s for j, y in t], pairs, K)
                 )
                 if s and t
                 else ()
@@ -568,7 +568,9 @@ class Bil(Term):
             at = self.at
             grid = zip(map(images.__getitem__, ev.indices(basis, at)), ev.spread(other, at))
         return [
-            (image[w[0][0]] if len(w) == 1 and w[0][1] == 1 else _combine(F, w, image)) if w else ()
+            (image[w[0][0]] if len(w) == 1 and w[0][1] == 1 else _combine(F, w, image, K))
+            if w
+            else ()
             for image, w in grid
         ]
 
@@ -585,11 +587,13 @@ class _Sum(Term):
         self.sign, self.at = sign, _union(a, b)
 
     def _values(self, ev):
-        F, at = self.space.field, self.at
+        F, K, at, sign = self.space.field, self.space.dim, self.at, self.sign
         pairs = zip(ev.spread(self.a, at), ev.spread(self.b, at))
-        if self.sign == 1:
-            return [(vadd(F, u, v) if u else v) if v else u for u, v in pairs]
-        return [(vsub(F, u, v) if u else vneg(F, v)) if v else u for u, v in pairs]
+        terms = (0, 1), (1, sign)
+        return [
+            (_combine(F, terms, (u, v), K) if u else v if sign == 1 else vneg(F, v)) if v else u
+            for u, v in pairs
+        ]
 
 
 class _Neg(Term):

@@ -414,7 +414,7 @@ def test_linmap_agrees_with_the_dense_oracle(case):
 # and each c nonzero and normal, and that vector, densified, is what the
 # dense oracles of conftest compute with `Field` methods.
 
-SPARSE_FIELDS = (QQ, GF(2), GF(5), GF(7))
+SPARSE_FIELDS = (QQ, GF(2), GF(5), GF(7), GF(2**61 - 1))
 
 
 def raw_scalars(F):
@@ -891,8 +891,9 @@ def test_only_the_boundaries_know_the_dense_form():
 
 
 def test_every_evaluation_runs_the_one_loop(monkeypatch):
-    # LinMap.apply, BilMap.apply and the one-index read accumulate in
-    # linear._combine, once per call
+    # LinMap.apply, BilMap.apply, the one-index read, vadd, vsub,
+    # Subspace.reduce and a sum of terms accumulate in linear._combine,
+    # once per call
     calls = []
     real = linear._combine
 
@@ -905,15 +906,48 @@ def test_every_evaluation_runs_the_one_loop(monkeypatch):
     f = from_columns(V3, V4, map(sparse, cols))
     b = bilinear_from_rule(V3, V3, V4, lambda i, j: f.column((i + j) % 3))
     u, v = sparse((1, Fraction(1, 2), 0)), sparse((2, 0, -1))
+    sub = Subspace.span(V3, [sparse((1, 0, 2))])
+    V1 = space(1)
+    f1, g1 = (from_columns(V1, V4, [sparse(col)]) for col in cols[::2])
     evaluations = {
         "LinMap.apply": lambda: f.apply(u),
         "BilMap.apply": lambda: b.apply(u, v),
         "BilMap.apply_left": lambda: b.apply_left(1, v),
+        "vadd": lambda: vadd(QQ, u, v),
+        "vsub": lambda: vsub(QQ, u, v),
+        "Subspace.reduce": lambda: sub.reduce(v),
+        "_Sum": lambda: evaluate((1,), Lin(f1, b0) + Lin(g1, b0)),
     }
-    for name, evaluate in evaluations.items():
+    for name, run in evaluations.items():
         calls.clear()
-        evaluate()
+        run()
         assert len(calls) == 1, name
+
+
+def test_the_one_loop_sums_into_a_canonical_vector():
+    q, p = QQ, GF(2**61 - 1)
+    # a sum that cancels, over Q, F_2 and F_p
+    assert linear._combine(q, ((0, 1), (1, 1)), (((0, 1), (2, 3)), ((0, -1), (2, -3))), 3) == ()
+    assert linear._combine(GF(2), ((0, 1), (1, 1)), (((1, 1),), ((1, 1),)), 2) == ()
+    assert linear._combine(p, ((0, 1), (1, 1)), (((0, 5),), ((0, p.characteristic - 5),)), 1) == ()
+    # an image ending at the last index, dim - 1
+    assert linear._combine(q, ((0, 2),), (((1, 1), (3, 2)),), 4) == ((1, 2), (3, 4))
+    # a repeated j adds up, and over F_5 can cancel
+    assert linear._combine(q, ((0, 1), (0, 2)), (((1, 1),),), 2) == ((1, 3),)
+    assert linear._combine(GF(5), ((0, 2), (0, 3)), (((1, 1),),), 2) == ()
+    top = p.characteristic - 1
+    assert linear._combine(p, ((0, top), (0, top)), (((0, top),),), 1) == ((0, 2),)
+    # zero images among the terms are skipped, and all zero give ()
+    images = ((), ((0, 1), (2, 1)), ())
+    assert linear._combine(q, ((0, 1), (1, 5), (2, 1)), images, 3) == ((0, 5), (2, 5))
+    assert linear._combine(q, ((0, 1), (2, 7)), images, 3) == ()
+    # over Q, Fraction terms that sum to an integer come back as int
+    half = Fraction(1, 2)
+    got = linear._combine(q, ((0, half), (1, Fraction(3, 2))), (((0, 1),), ((0, 1), (1, half))), 2)
+    assert got == ((0, 2), (1, Fraction(3, 4))) and got[0][1].__class__ is int
+    # canonical inputs are a precondition: an index past the last one raises
+    with pytest.raises(IndexError):
+        vsub(QQ, ((1, 1), (0, 1)), ())
 
 
 # Law terms against a per-tuple oracle.  Each drawn term comes with a
@@ -921,7 +955,7 @@ def test_every_evaluation_runs_the_one_loop(monkeypatch):
 # vectors with LinMap.apply, BilMap.apply, vadd, vsub and vneg: no stored
 # image is read by index, no value is shared between tuples.
 
-TERM_FIELDS = (QQ, GF(5))
+TERM_FIELDS = (QQ, GF(2), GF(5), GF(2**61 - 1))
 
 
 @st.composite
@@ -1012,19 +1046,21 @@ def test_terms_on_interleaved_and_ignored_positions():
     # Bil(B, Bil(C, b0, b2), b1) reads its positions out of order, a side
     # may ignore a position, dims may hold 0, and a map may be all zero; a
     # term over two positions is also built into a map by bilinear_from_term,
-    # which reads each position as the basis of one space, so C is A
+    # which reads each position as the basis of one space, so C is A; the
+    # images are read in each field, zero scalars dropped
     for F in TERM_FIELDS:
+        vec = lambda *entries: tuple((k, F.of(a)) for k, a in entries if F.of(a))  # noqa: E731
         A, B3 = (Space(F, tuple(f"{s}{i}" for i in range(d))) for s, d in zip("ab", (2, 3)))
         C, spaces = A, {0: Space(F, ()), 2: A, 3: B3}
         inner = bilinear_from_rule(
-            A, C, B3, lambda i, j: ((i + j, 1 + i), (2, 3)) if i + j < 2 else ()
+            A, C, B3, lambda i, j: vec((i + j, 1 + i), (2, 3)) if i + j < 2 else ()
         )
         outer = bilinear_from_rule(
-            B3, B3, A, lambda i, j: ((0, i + 1), (1, j + 2)) if (i + j) % 3 else ((1, 4),)
+            B3, B3, A, lambda i, j: vec((0, i + 1), (1, j + 2)) if (i + j) % 3 else vec((1, 4))
         )
-        g = bilinear_from_rule(A, B3, A, lambda i, j: ((i, j + 1),))
+        g = bilinear_from_rule(A, B3, A, lambda i, j: vec((i, j + 1)))
         zero = zero_bilmap(A, B3, B3)
-        f = from_columns(A, B3, [((0, 2),), ((1, 1), (2, 4))])
+        f = from_columns(A, B3, [vec((0, 2)), vec((1, 1), (2, 4))])
         h = from_columns(Space(F, ()), B3, [])
         cases = [
             ((2, 3, 2), Bil(outer, Bil(inner, b0, b2), b1)),
@@ -1070,11 +1106,12 @@ def test_terms_on_interleaved_and_ignored_positions():
 
 def flat_index(F, dims):
     """A term whose value on the tuple idx is b_k, k the place of idx in
-    lexicographic order, built from a Family leaf and Bil nodes, and its space."""
+    lexicographic order, built from a Family leaf and Bil nodes, and its
+    space; position p is read in the space term_cases gives it."""
     flat = Space(F, tuple(range(dims[0])))
     t = Family(0, flat.basis())
     for p, width in enumerate(dims[1:], 1):
-        at_p = Space(F, tuple(range(width)))
+        at_p = Space(F, tuple(f"p{p}_{i}" for i in range(width)))
         wider = Space(F, tuple(range(flat.dim * width)))
         pair = bilinear_from_rule(flat, at_p, wider, lambda a, i, w=width: ((a * w + i, 1),))
         t, flat = Bil(pair, t, Basis(p)), wider
@@ -1108,7 +1145,8 @@ def test_terms_of_a_perturbed_law_fail_where_a_per_tuple_sweep_does(case, data):
     tuples = list(itertools.product(*map(range, dims)))
     marks = sorted({0, n // 2, n - 1})
     for k in marks:
-        bump = ((data.draw(st.integers(0, space.dim - 1)), F.of(data.draw(st.integers(1, 4)))),)
+        scalar = data.draw(st.integers(1, 4).map(F.of).filter(bool))  # nonzero in F
+        bump = ((data.draw(st.integers(0, space.dim - 1)), scalar),)
         bumped = {tuples[j] for j in marks if j >= k}
 
         def moved(idx):
